@@ -27,10 +27,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Documentation gate: every exported identifier in the root package,
-# internal/overlay and the async subsystem must carry a doc comment
-# (see cmd/godoclint).
+# internal/overlay, the async subsystem and the sparse pipeline
+# (internal/chord, internal/drrgossip, internal/hms) must carry a doc
+# comment (see cmd/godoclint).
 doc-check:
-	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/async ./internal/pairwise
+	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/async ./internal/pairwise \
+		./internal/chord ./internal/drrgossip ./internal/hms
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

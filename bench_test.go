@@ -1,4 +1,4 @@
-// Benchmarks, one per paper artifact (see DESIGN.md §3): T1 is Table 1,
+// Benchmarks, one per paper artifact (see docs/PAPER_MAP.md): T1 is Table 1,
 // F2-F12 are the measured theorems, A1-A3 the ablations. Each benchmark
 // runs a representative configuration of the corresponding experiment and
 // reports rounds and messages-per-node via b.ReportMetric, so
@@ -24,9 +24,11 @@ import (
 	"drrgossip/internal/kempe"
 	"drrgossip/internal/localdrr"
 	"drrgossip/internal/oblivious"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/pietro"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
+	"drrgossip/internal/xrand"
 )
 
 const benchN = 4096
@@ -244,7 +246,7 @@ func BenchmarkF11_DRRGossipOnChord(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.MaxOnChord(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), ring, values, core.SparseOptions{})
+		r, err = core.MaxSparse(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), overlay.NewChord(ring), values, core.SparseOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -593,6 +595,38 @@ func BenchmarkPerfGraphNeighbors(b *testing.B) {
 	}
 	if sink == 0 {
 		b.Fatal("empty neighbor lists")
+	}
+}
+
+// BenchmarkPerfRoutedSample measures the Phase III transport primitive:
+// a near-uniform random-node sample plus its route, appended into one
+// warm caller-owned buffer, on the landmark router (small-world graph)
+// and the Chord finger router. One op is 256 samples on each overlay at
+// n = 4096. Zero allocs/op and B/op are the pinned contract: the sparse
+// pipelines draw O(log n) such samples per root per procedure.
+func BenchmarkPerfRoutedSample(b *testing.B) {
+	const n = 4096
+	landmark, err := overlay.Build(overlay.Spec{Name: "smallworld"}, n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	overlays := []overlay.Overlay{landmark, overlay.NewChord(chord.MustNew(n, chord.Options{Seed: 1}))}
+	rng := xrand.New(7)
+	buf := make([]int, 0, 256)
+	hops := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ov := range overlays {
+			for s := 0; s < 256; s++ {
+				var h int
+				_, buf, h = ov.AppendSample(buf[:0], rng, (s*131)%n)
+				hops += h
+			}
+		}
+	}
+	if hops == 0 {
+		b.Fatal("no routed hops")
 	}
 }
 

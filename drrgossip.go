@@ -418,6 +418,10 @@ func (c Config) validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("%w: N must be >= 2, got %d", ErrBadConfig, c.N)
 	}
+	if c.N > core.MaxKeyNodes {
+		return fmt.Errorf("%w: N must be <= 2^24 = %d, got %d (the largest-tree election key packs root ids into 24 bits)",
+			ErrBadConfig, core.MaxKeyNodes, c.N)
+	}
 	if c.Loss < 0 || c.Loss >= 1 {
 		return fmt.Errorf("%w: Loss must be in [0,1)", ErrBadConfig)
 	}

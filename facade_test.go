@@ -3,6 +3,7 @@ package drrgossip
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Quantile(Config{N: 8, Seed: 1}, values, 1.5, 0); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("phi out of range not rejected")
+	}
+}
+
+// Networks past the largest-tree election key's 24-bit root-id field are
+// rejected before anything is built; the limit itself is accepted.
+func TestConfigRejectsKeyEncodingLimit(t *testing.T) {
+	err := Config{N: 1<<24 + 1, Seed: 1}.validate()
+	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "election key") {
+		t.Fatalf("N = 2^24+1: error = %v, want ErrBadConfig naming the key encoding", err)
+	}
+	if _, err := New(Config{N: 1<<24 + 1, Seed: 1}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("New(N = 2^24+1) error = %v, want ErrBadConfig", err)
+	}
+	if err := (Config{N: 1 << 24, Seed: 1}).validate(); err != nil {
+		t.Fatalf("N = 2^24 rejected: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/kashyap"
 	"drrgossip/internal/kempe"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/pietro"
 	"drrgossip/internal/sim"
 )
@@ -135,7 +136,7 @@ func TestChordDRRBeatsChordUniformOnMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := agg.GenUniform(n, 0, 100, 77)
-	dres, err := core.MaxOnChord(sim.NewEngine(n, sim.Options{Seed: 78}), ring, values, core.SparseOptions{})
+	dres, err := core.MaxSparse(sim.NewEngine(n, sim.Options{Seed: 78}), overlay.NewChord(ring), values, core.SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // Section 4 / Theorem 14 of the paper: an identifier ring with finger
 // tables, greedy clockwise routing with O(log n) hops, and a routing-based
 // uniform random node sampler standing in for King et al.'s "choosing a
-// random peer in Chord" (see DESIGN.md §4, substitution 3).
+// random peer in Chord" (see docs/PAPER_MAP.md, Section 4).
 //
 // The ring is fully implicit: finger tables are never materialized.
 // Routing recomputes the O(bits) finger candidates of the current hop on
@@ -194,93 +194,92 @@ func (r *Ring) appendFingers(i int, buf []int) []int {
 // dist returns the clockwise identifier distance from a to b.
 func (r *Ring) dist(a, b uint64) uint64 { return (b - a) & (r.space - 1) }
 
-// Route returns the greedy finger-routing hop path from node `from` to the
-// node owning identifier id, excluding `from` itself. An empty path means
-// `from` already owns id. Hop count is O(log n) for both placements.
-func (r *Ring) Route(from int, id uint64) []int {
+// AppendRoute appends to dst the greedy finger-routing hop path from
+// node `from` to the node owning identifier id, excluding `from` itself,
+// and returns the extended buffer. Nothing is appended when `from`
+// already owns id. Hop count is O(log n) for both placements. The
+// caller owns dst; reusing it across calls makes routing
+// allocation-free.
+func (r *Ring) AppendRoute(dst []int, from int, id uint64) []int {
 	id &= r.space - 1
 	owner := r.SuccessorOf(id)
-	if owner == from {
-		return nil
-	}
-	var path []int
-	cur := from
-	for cur != owner {
+	base := len(dst)
+	for cur := from; cur != owner; {
 		next := r.closestPreceding(cur, id)
 		if next == cur {
 			// No finger strictly precedes id: the successor owns it.
 			next = (cur + 1) % r.n
 		}
-		path = append(path, next)
+		dst = append(dst, next)
 		cur = next
-		if len(path) > 4*r.bits {
+		if len(dst)-base > 4*r.bits {
 			panic("chord: routing did not converge")
 		}
 	}
-	return path
+	return dst
 }
 
 // closestPreceding returns the finger of cur whose identifier is closest
 // to id while remaining strictly within the clockwise interval
 // (ids[cur], id); cur itself if none. Finger candidates are recomputed on
-// the fly; duplicate shifts landing on one node re-evaluate the same
-// distance, so the selected node is identical to scanning a deduplicated
-// finger table.
+// the fly, scanning shifts from the largest down. The clockwise distance
+// from cur to successor(ID(cur) + 2^k) is nondecreasing in k (every
+// finger other than cur lies at least 2^k past it), so the first finger
+// found strictly inside the interval is the closest one, and shifts with
+// 2^k >= dist(cur, id) cannot land inside it at all.
 func (r *Ring) closestPreceding(cur int, id uint64) int {
 	curID := r.ID(cur)
-	best := cur
-	bestDist := r.dist(curID, id)
-	if bestDist == 0 {
-		return cur
-	}
-	for k := 0; k < r.bits; k++ {
-		f := r.SuccessorOf((curID + (uint64(1) << uint(k))) & (r.space - 1))
-		if f == cur {
+	span := r.dist(curID, id)
+	for k := r.bits - 1; k >= 0; k-- {
+		s := uint64(1) << uint(k)
+		if s >= span {
 			continue
 		}
-		d := r.dist(r.ID(f), id)
-		// Strictly inside (cur, id): closer to id than cur is, nonzero.
-		if d < bestDist && d > 0 {
-			best = f
-			bestDist = d
+		f := r.SuccessorOf((curID + s) & (r.space - 1))
+		if f != cur && r.dist(curID, r.ID(f)) < span {
+			return f
 		}
 	}
-	return best
+	return cur
 }
 
-// RouteToNode returns the hop path from node `from` to node `to`.
-func (r *Ring) RouteToNode(from, to int) []int {
+// AppendRouteToNode appends to dst the hop path from node `from` to node
+// `to` (nothing when from == to) and returns the extended buffer.
+func (r *Ring) AppendRouteToNode(dst []int, from, to int) []int {
 	if from == to {
-		return nil
+		return dst
 	}
-	return r.Route(from, r.ID(to))
+	return r.AppendRoute(dst, from, r.ID(to))
 }
 
-// Sample draws a near-uniform random node by routing: pick a uniform
-// identifier, route to its owner, and accept with probability
+// AppendSample draws a near-uniform random node by routing: pick a
+// uniform identifier, route to its owner, and accept with probability
 // min(1, avgArc/arc(owner)), which cancels the arc-length bias up to a
 // constant factor (P(node) ∝ min(arc, avgArc)). With Even placement every
 // arc equals avgArc, so sampling is exactly uniform in one try. This
 // stands in for King et al.'s exactly-uniform protocol while preserving
 // the T = O(log n) rounds, M = O(log n) messages contract that Theorem 14
-// needs (DESIGN.md §4, substitution 3). Expected tries is O(1); a budget
+// needs (docs/PAPER_MAP.md, Section 4). Expected tries is O(1); a budget
 // of 64 tries bounds the worst case, after which the last candidate is
 // accepted.
 //
-// It returns the accepted node, the hop path of the accepted route, and
-// the total hops spent including rejected attempts (the message cost of
-// the sample).
-func (r *Ring) Sample(rng *xrand.Stream, from int) (node int, path []int, totalHops int) {
+// It returns the accepted node, dst extended by the hop path of the
+// accepted route (path[len(dst):]; a rejected try's hops are
+// overwritten), and the total hops spent including rejected attempts
+// (the message cost of the sample).
+func (r *Ring) AppendSample(dst []int, rng *xrand.Stream, from int) (node int, path []int, totalHops int) {
 	avgArc := float64(r.space) / float64(r.n)
+	base := len(dst)
 	for try := 0; ; try++ {
 		id := rng.Uint64n(r.space)
-		p := r.Route(from, id)
-		totalHops += len(p)
+		path = r.AppendRoute(dst[:base], from, id)
+		totalHops += len(path) - base
 		owner := r.SuccessorOf(id)
 		a := float64(r.arc(owner))
 		if a <= avgArc || try >= 63 || rng.Float64() < avgArc/a {
-			return owner, p, totalHops
+			return owner, path, totalHops
 		}
+		dst = path // keep the grown capacity for the next try
 	}
 }
 

@@ -57,7 +57,7 @@ func TestRouteReachesOwner(t *testing.T) {
 			from := rng.Intn(128)
 			id := rng.Uint64n(1 << 20)
 			owner := r.SuccessorOf(id)
-			path := r.Route(from, id)
+			path := r.AppendRoute(nil, from, id)
 			if from == owner {
 				if len(path) != 0 {
 					t.Fatalf("self-route has hops: %v", path)
@@ -79,7 +79,7 @@ func TestRouteHopBound(t *testing.T) {
 		maxHops := 0
 		for trial := 0; trial < 300; trial++ {
 			from := rng.Intn(n)
-			path := r.Route(from, rng.Uint64n(1<<32))
+			path := r.AppendRoute(nil, from, rng.Uint64n(1<<32))
 			if len(path) > maxHops {
 				maxHops = len(path)
 			}
@@ -96,7 +96,7 @@ func TestRouteToNode(t *testing.T) {
 	rng := xrand.New(2)
 	for trial := 0; trial < 200; trial++ {
 		from, to := rng.Intn(64), rng.Intn(64)
-		path := r.RouteToNode(from, to)
+		path := r.AppendRouteToNode(nil, from, to)
 		if from == to {
 			if len(path) != 0 {
 				t.Fatal("self route nonempty")
@@ -104,7 +104,7 @@ func TestRouteToNode(t *testing.T) {
 			continue
 		}
 		if len(path) == 0 || path[len(path)-1] != to {
-			t.Fatalf("RouteToNode(%d,%d) = %v", from, to, path)
+			t.Fatalf("AppendRouteToNode(%d,%d) = %v", from, to, path)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestSampleUniformEven(t *testing.T) {
 	const trials = 64000
 	totalHops := 0
 	for i := 0; i < trials; i++ {
-		node, _, hops := r.Sample(rng, i%n)
+		node, _, hops := r.AppendSample(nil, rng, i%n)
 		counts[node]++
 		totalHops += hops
 	}
@@ -167,7 +167,7 @@ func TestSampleHashedCoverage(t *testing.T) {
 	counts := make([]int, n)
 	const trials = 64000
 	for i := 0; i < trials; i++ {
-		node, _, _ := r.Sample(rng, 0)
+		node, _, _ := r.AppendSample(nil, rng, 0)
 		counts[node]++
 	}
 	want := float64(trials) / n
@@ -186,7 +186,7 @@ func TestSamplePathMatchesNode(t *testing.T) {
 	rng := xrand.New(5)
 	for i := 0; i < 200; i++ {
 		from := rng.Intn(32)
-		node, path, hops := r.Sample(rng, from)
+		node, path, hops := r.AppendSample(nil, rng, from)
 		if len(path) > 0 && path[len(path)-1] != node {
 			t.Fatalf("path %v does not end at sampled node %d", path, node)
 		}
@@ -242,18 +242,22 @@ func TestDeterministicConstruction(t *testing.T) {
 func BenchmarkRoute(b *testing.B) {
 	r := MustNew(4096, Options{Bits: 40, Placement: Hashed, Seed: 1})
 	rng := xrand.New(2)
+	var buf []int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Route(rng.Intn(4096), rng.Uint64n(1<<40))
+		buf = r.AppendRoute(buf[:0], rng.Intn(4096), rng.Uint64n(1<<40))
 	}
 }
 
 func BenchmarkSample(b *testing.B) {
 	r := MustNew(4096, Options{Bits: 40, Placement: Hashed, Seed: 1})
 	rng := xrand.New(2)
+	var buf []int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Sample(rng, i%4096)
+		_, buf, _ = r.AppendSample(buf[:0], rng, i%4096)
 	}
 }
 
@@ -269,7 +273,7 @@ func TestRouteDistanceMonotone(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		from := rng.Intn(512)
 		id := rng.Uint64n(space)
-		path := r.Route(from, id)
+		path := r.AppendRoute(nil, from, id)
 		owner := r.SuccessorOf(id)
 		d := dist(r.ID(from), id)
 		for k, hop := range path {

@@ -82,9 +82,15 @@ type Result struct {
 // ErrNoNodes is returned when the engine has no alive nodes to aggregate.
 var ErrNoNodes = errors.New("drrgossip: no alive nodes")
 
+// MaxKeyNodes is the largest network the largest-tree election supports:
+// largestKey packs a root id into the low 24 bits of its key, so ids
+// (and tree sizes) must stay within 2^24. Larger networks are rejected
+// up front by the facade rather than electing a corrupted root.
+const MaxKeyNodes = 1 << 24
+
 // largestKey encodes (tree size, root id) into an exactly-representable
 // float64 so Gossip-max can elect a unique largest-tree root. Sizes and
-// ids stay below 2^24, so size*2^24 + id < 2^48 < 2^53.
+// ids stay below MaxKeyNodes, so size*2^24 + id < 2^48 < 2^53.
 func largestKey(size, root int) float64 {
 	return float64(size)*(1<<24) + float64(root)
 }

@@ -355,3 +355,22 @@ func TestRankUnderLoss(t *testing.T) {
 		t.Fatalf("Rank = %v, want %v", res.Value, want)
 	}
 }
+
+// The election key holds root ids in 24 bits: every id below MaxKeyNodes
+// round-trips, and the first id past it does not — it aliases root 0 of
+// a one-larger tree, which is why the facade rejects N > MaxKeyNodes.
+func TestLargestKeyRootLimit(t *testing.T) {
+	for _, size := range []int{1, 1000, MaxKeyNodes} {
+		for _, root := range []int{0, 1, 12345, MaxKeyNodes - 1} {
+			if got := decodeKeyRoot(largestKey(size, root)); got != root {
+				t.Fatalf("decodeKeyRoot(largestKey(%d, %d)) = %d", size, root, got)
+			}
+		}
+		if got := decodeKeyRoot(largestKey(size, MaxKeyNodes)); got == MaxKeyNodes {
+			t.Fatalf("root id 2^24 round-tripped at size %d; the documented limit is stale", size)
+		}
+		if largestKey(size, MaxKeyNodes) != largestKey(size+1, 0) {
+			t.Fatalf("root id 2^24 at size %d does not alias root 0 of size %d", size, size+1)
+		}
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"drrgossip/internal/agg"
-	"drrgossip/internal/chord"
 	"drrgossip/internal/convergecast"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
@@ -41,9 +40,6 @@ type SparseOptions struct {
 // analyses sparse topologies without the crash model.
 var ErrCrashedOverlay = errors.New("drrgossip: sparse pipelines require all nodes alive")
 
-// ErrCrashedChord is the historical name of ErrCrashedOverlay.
-var ErrCrashedChord = ErrCrashedOverlay
-
 const (
 	kindSparseVal   uint8 = 0x41
 	kindSparseInq   uint8 = 0x42
@@ -51,46 +47,45 @@ const (
 	kindSparseShare uint8 = 0x44
 )
 
-// climbPath returns the tree path from node j up to its root (excluding
-// j itself); empty when j is a root.
-func climbPath(f *forest.Forest, j int) []int {
-	var path []int
+// appendClimb appends the tree path from node j up to its root
+// (excluding j itself) and returns the extended buffer; nothing is
+// appended when j is a root.
+func appendClimb(dst []int, f *forest.Forest, j int) []int {
 	for cur := j; !f.IsRoot(cur); {
 		cur = f.Parent(cur)
-		path = append(path, cur)
+		dst = append(dst, cur)
 	}
-	return path
+	return dst
 }
 
 // sampleRootPath draws a near-uniform random node as seen from root r
-// and returns the hop path to that node's root: overlay-route to the
-// sampled node, then climb its ranking tree. The routing cost of
-// rejected sampling attempts is charged to the engine. An empty path
-// means the sample landed on r itself — or, under dynamic membership,
-// on a node that has crashed out of the forest: the route is still paid
-// for, but there is no tree to climb and callers keep their mass.
-func sampleRootPath(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int) []int {
-	j, path, totalHops := ov.Sample(eng.RNG(r), r)
+// and builds in buf the hop path to that node's root: overlay-route to
+// the sampled node, then climb its ranking tree. It returns buf (reset
+// and refilled) so each gossip procedure reuses one path buffer. The
+// routing cost of rejected sampling attempts is charged to the engine.
+// An empty path means the sample landed on r itself — or, under dynamic
+// membership, on a node that has crashed out of the forest: the route is
+// still paid for, but there is no tree to climb and callers keep their
+// mass.
+func sampleRootPath(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int, buf []int) []int {
+	j, path, totalHops := ov.AppendSample(buf[:0], eng.RNG(r), r)
 	if extra := totalHops - len(path); extra > 0 {
 		eng.Charge(int64(extra)) // rejected routing attempts are traffic too
 	}
 	if !f.Member(j) {
 		eng.Charge(int64(len(path))) // the route to the dead end is traffic too
-		return nil
+		return path[:0]
 	}
-	return append(append([]int(nil), path...), climbPath(f, j)...)
+	return appendClimb(path, f, j)
 }
 
 // shipToRandomRoot routes a payload from root r to the root of a
-// near-uniform random node. Returns false when the sample landed on r
-// itself.
-func shipToRandomRoot(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int, pay sim.Payload) bool {
-	full := sampleRootPath(eng, ov, f, r)
-	if len(full) == 0 {
-		return false // sampled own root; nothing to transmit
-	}
-	eng.SendRouted(r, full, pay)
-	return true
+// near-uniform random node (nothing is sent when the sample lands on r
+// itself), building the route in buf, which it returns for reuse.
+func shipToRandomRoot(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, r int, buf []int, pay sim.Payload) []int {
+	buf = sampleRootPath(eng, ov, f, r, buf)
+	eng.SendRouted(r, buf, pay)
+	return buf
 }
 
 // drainTicks advances the engine `ticks` rounds, invoking scan on every
@@ -173,13 +168,15 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 	}
 	ticks := ticksPerIteration(ov, f)
 	n := eng.N()
+	var path []int // one route buffer for every sample and reply below
+	var inquiries []sim.Message
 
 	for t := 0; t < opts.gossipIters(n); t++ {
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue // crashed roots place no calls
 			}
-			shipToRandomRoot(eng, ov, f, r, sim.Payload{Kind: kindSparseVal, A: val[r]})
+			path = shipToRandomRoot(eng, ov, f, r, path, sim.Payload{Kind: kindSparseVal, A: val[r]})
 		}
 		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
 			if m.Pay.Kind == kindSparseVal && m.Pay.A > val[r] {
@@ -188,12 +185,12 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		})
 	}
 	for t := 0; t < opts.sampleIters(n); t++ {
-		var inquiries []sim.Message
+		inquiries = inquiries[:0]
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue
 			}
-			shipToRandomRoot(eng, ov, f, r, sim.Payload{Kind: kindSparseInq, X: int64(r)})
+			path = shipToRandomRoot(eng, ov, f, r, path, sim.Payload{Kind: kindSparseInq, X: int64(r)})
 		}
 		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
 			if m.Pay.Kind == kindSparseInq {
@@ -202,10 +199,7 @@ func sparseGossipMax(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		})
 		for _, inq := range inquiries {
 			responder, inquirer := inq.To, inq.From
-			path := ov.Route(responder, inquirer)
-			if len(path) == 0 {
-				continue
-			}
+			path = ov.AppendRoute(path[:0], responder, inquirer)
 			eng.SendRouted(responder, path, sim.Payload{Kind: kindSparseReply, A: val[responder]})
 		}
 		drainTicks(eng, roots, ticks, func(r int, m sim.Message) {
@@ -244,29 +238,30 @@ func sparseGossipAve(eng *sim.Engine, ov overlay.Overlay, f *forest.Forest, init
 		s, g        float64
 	}
 	var pendingShares []inflight
+	var path []int // one route buffer for every share
 	for t := 0; t < opts.aveIters(eng.N()); t++ {
 		for _, r := range roots {
 			if !eng.Alive(r) {
 				continue // a crashed root's (s, g) mass freezes in place
 			}
-			full := sampleRootPath(eng, ov, f, r)
-			if len(full) == 0 {
+			path = sampleRootPath(eng, ov, f, r, path)
+			if len(path) == 0 {
 				continue // sampled own root (or a dead end); mass stays
 			}
 			halfS, halfG := s[r]/2, g[r]/2
 			pay := sim.Payload{Kind: kindSparseShare, A: halfS, B: halfG}
 			s[r], g[r] = halfS, halfG
 			if reliable {
-				if !eng.SendRoutedReliable(r, full, pay, 0) {
+				if !eng.SendRoutedReliable(r, path, pay, 0) {
 					s[r], g[r] = s[r]*2, g[r]*2 // undeliverable: restore
 				} else {
 					pendingShares = append(pendingShares, inflight{
-						r: r, dst: full[len(full)-1],
-						due: eng.Round() + len(full), s: halfS, g: halfG,
+						r: r, dst: path[len(path)-1],
+						due: eng.Round() + len(path), s: halfS, g: halfG,
 					})
 				}
 			} else {
-				eng.SendRouted(r, full, pay)
+				eng.SendRouted(r, path, pay)
 			}
 		}
 		for k := 0; k < ticks; k++ {
@@ -446,17 +441,4 @@ func avePipelineSparse(eng *sim.Engine, ov overlay.Overlay, values []float64, op
 	}
 	ph.Broadcast = c3
 	return finish(eng, f, value, perNode, *ph), nil
-}
-
-// MaxOnChord runs DRR-gossip-max over a Chord overlay. It is the
-// historical Chord-specific entry point, now a thin wrapper over
-// MaxSparse.
-func MaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts SparseOptions) (*Result, error) {
-	return MaxSparse(eng, overlay.NewChord(ring), values, opts)
-}
-
-// AveOnChord runs DRR-gossip-ave over a Chord overlay (wrapper over
-// AveSparse).
-func AveOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts SparseOptions) (*Result, error) {
-	return AveSparse(eng, overlay.NewChord(ring), values, opts)
 }

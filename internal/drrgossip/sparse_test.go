@@ -24,7 +24,7 @@ func TestMaxOnChordEndToEnd(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 61})
 	values := agg.GenUniform(n, 0, 1000, 1)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMaxOnChordHashedPlacement(t *testing.T) {
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 62})
 	values := agg.GenUniform(n, 0, 100, 2)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAveOnChordEndToEnd(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 63})
 	values := agg.GenUniform(n, 0, 100, 3)
-	res, err := AveOnChord(eng, ring, values, SparseOptions{})
+	res, err := AveSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestChordComplexityTheorem14(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 64})
 	values := agg.GenUniform(n, 0, 1, 4)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestChordUnderLoss(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 65, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 1000, 5)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestChordRejectsCrashes(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 66, CrashFrac: 0.2})
 	values := agg.GenUniform(n, 0, 1, 6)
-	if _, err := MaxOnChord(eng, ring, values, SparseOptions{}); err != ErrCrashedChord {
+	if _, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{}); err != ErrCrashedOverlay {
 		t.Fatalf("crashed chord accepted: %v", err)
 	}
 }
@@ -118,7 +118,7 @@ func TestChordRejectsCrashes(t *testing.T) {
 func TestChordSizeMismatch(t *testing.T) {
 	ring := evenRing(t, 128)
 	eng := sim.NewEngine(64, sim.Options{Seed: 67})
-	if _, err := MaxOnChord(eng, ring, make([]float64, 64), SparseOptions{}); err == nil {
+	if _, err := MaxSparse(eng, overlay.NewChord(ring), make([]float64, 64), SparseOptions{}); err == nil {
 		t.Fatal("ring/engine size mismatch accepted")
 	}
 }
@@ -128,13 +128,13 @@ func TestClimbPath(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 68})
 	values := agg.GenUniform(n, 0, 1, 7)
-	res, err := MaxOnChord(eng, ring, values, SparseOptions{})
+	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := res.Forest
 	for i := 0; i < n; i++ {
-		p := climbPath(f, i)
+		p := appendClimb(nil, f, i)
 		if f.IsRoot(i) {
 			if len(p) != 0 {
 				t.Fatalf("root %d has climb path %v", i, p)
@@ -150,14 +150,14 @@ func TestClimbPath(t *testing.T) {
 	}
 }
 
-func BenchmarkMaxOnChord(b *testing.B) {
+func BenchmarkMaxSparseChord(b *testing.B) {
 	n := 1024
 	ring := evenRing(b, n)
 	values := agg.GenUniform(n, 0, 1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := MaxOnChord(eng, ring, values, SparseOptions{}); err != nil {
+		if _, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,10 @@
 // Package experiments reproduces every evaluation artifact of the paper:
 // Table 1 (experiment T1), the quantitative theorems as measured figures
-// (F2-F12) and three ablations (A1-A3). See DESIGN.md §3 for the full
+// (F2-F12) and three ablations (A1-A3). See docs/PAPER_MAP.md for the
 // index mapping each experiment to the paper and to the modules involved.
 //
 // Each experiment returns a Report with rendered tables (pasteable into
-// EXPERIMENTS.md) and machine-checked Verdicts asserting the *shape* of
+// the README) and machine-checked Verdicts asserting the *shape* of
 // the results — who wins, by what growth factor, where crossovers fall —
 // never absolute numbers.
 package experiments

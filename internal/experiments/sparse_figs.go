@@ -10,6 +10,7 @@ import (
 	"drrgossip/internal/kempe"
 	"drrgossip/internal/localdrr"
 	"drrgossip/internal/metrics"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/tablefmt"
 	"drrgossip/internal/xrand"
@@ -162,7 +163,7 @@ func RunF11(cfg Config) (*Report, error) {
 			values := agg.GenUniform(n, 0, 1000, seed)
 			want := agg.Exact(agg.Max, values, 0)
 
-			dres, err := drrgossip.MaxOnChord(sim.NewEngine(n, sim.Options{Seed: seed}), ring, values, drrgossip.SparseOptions{})
+			dres, err := drrgossip.MaxSparse(sim.NewEngine(n, sim.Options{Seed: seed}), overlay.NewChord(ring), values, drrgossip.SparseOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -234,16 +234,18 @@ func denseBatch(eng *sim.Engine, values []float64, streams []xrand.Stream, colle
 }
 
 // sparseBatch performs one overlay sampling batch: every alive node draws
-// a near-uniform peer via the overlay's Sample walk (rejected hops are
-// charged like every sparse driver does), routes it a request, and the
-// callee routes the value back. 2·RouteBound rounds drain both legs.
+// a near-uniform peer via the overlay's AppendSample walk (rejected hops
+// are charged like every sparse driver does), routes it a request, and
+// the callee routes the value back. 2·RouteBound rounds drain both legs.
 func sparseBatch(eng *sim.Engine, ov overlay.Overlay, values []float64, streams []xrand.Stream, collect func(float64)) {
 	n := eng.N()
+	var path []int // one route buffer for every request and reply
 	for i := 0; i < n; i++ {
 		if !eng.Alive(i) {
 			continue
 		}
-		peer, path, totalHops := ov.Sample(&streams[i], i)
+		var peer, totalHops int
+		peer, path, totalHops = ov.AppendSample(path[:0], &streams[i], i)
 		eng.Charge(int64(totalHops - len(path)))
 		if peer == i || len(path) == 0 {
 			// Self-sample: the value is local, no traffic needed.
@@ -263,9 +265,8 @@ func sparseBatch(eng *sim.Engine, ov overlay.Overlay, values []float64, streams 
 				switch msg.Pay.Kind {
 				case kindSampleReq:
 					caller := int(msg.Pay.X)
-					if route := ov.Route(node, caller); len(route) > 0 {
-						eng.SendRouted(node, route, sim.Payload{Kind: kindSampleReply, A: values[node]})
-					}
+					path = ov.AppendRoute(path[:0], node, caller)
+					eng.SendRouted(node, path, sim.Payload{Kind: kindSampleReply, A: values[node]})
 				case kindSampleReply:
 					collect(msg.Pay.A)
 				}

@@ -5,7 +5,7 @@
 // The original paper is a closed comparator; this is a reconstruction
 // from its published contract, which the reproduced paper restates:
 // randomly cluster the nodes into groups of size O(log n), then let the
-// group representatives gossip (DESIGN.md §4, substitution 2).
+// group representatives gossip (see docs/PAPER_MAP.md, Table 1 baselines).
 //
 // Structure: Θ(log log n) synchronous merge phases build clusters
 // (trees). In each phase every cluster root flips a proposer/acceptor

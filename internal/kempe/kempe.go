@@ -192,9 +192,11 @@ func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts Op
 	ticks := 2*ceilLog2(n) + 2
 	start := eng.Stats()
 	est := append([]float64(nil), values...)
+	var path []int // one route buffer for every routed message
 	for t := 0; t < iters; t++ {
 		for i := 0; i < n; i++ {
-			_, path, totalHops := ring.Sample(eng.RNG(i), i)
+			var totalHops int
+			_, path, totalHops = ring.AppendSample(path[:0], eng.RNG(i), i)
 			if extra := totalHops - len(path); extra > 0 {
 				eng.Charge(int64(extra))
 			}
@@ -241,9 +243,11 @@ func PushSumOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts Op
 	for i := range w {
 		w[i] = 1
 	}
+	var path []int // one route buffer for every routed message
 	for t := 0; t < iters; t++ {
 		for i := 0; i < n; i++ {
-			_, path, totalHops := ring.Sample(eng.RNG(i), i)
+			var totalHops int
+			_, path, totalHops = ring.AppendSample(path[:0], eng.RNG(i), i)
 			if extra := totalHops - len(path); extra > 0 {
 				eng.Charge(int64(extra))
 			}

@@ -31,13 +31,15 @@ func (c *Chord) Name() string { return c.g.Name() }
 // Graph implements Overlay.
 func (c *Chord) Graph() *graph.Graph { return c.g }
 
-// Route implements Overlay via greedy finger routing.
-func (c *Chord) Route(from, to int) []int { return c.ring.RouteToNode(from, to) }
+// AppendRoute implements Overlay via greedy finger routing.
+func (c *Chord) AppendRoute(dst []int, from, to int) []int {
+	return c.ring.AppendRouteToNode(dst, from, to)
+}
 
-// Sample implements Overlay via the ring's rejection sampler (uniform
-// identifier → owner, arc-bias cancelled by rejection).
-func (c *Chord) Sample(rng *xrand.Stream, from int) (int, []int, int) {
-	return c.ring.Sample(rng, from)
+// AppendSample implements Overlay via the ring's rejection sampler
+// (uniform identifier → owner, arc-bias cancelled by rejection).
+func (c *Chord) AppendSample(dst []int, rng *xrand.Stream, from int) (int, []int, int) {
+	return c.ring.AppendSample(dst, rng, from)
 }
 
 // RouteBound implements Overlay: a greedy Chord route halves the

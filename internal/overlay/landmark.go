@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"drrgossip/internal/graph"
 	"drrgossip/internal/xrand"
@@ -100,43 +101,39 @@ func (l *Landmark) Graph() *graph.Graph { return l.g }
 // Landmark returns the tree root (exposed for tests).
 func (l *Landmark) Landmark() int { return l.landmark }
 
-// Route implements Overlay: ascend from both endpoints to their lowest
-// common ancestor in the landmark tree, then descend to the target.
+// AppendRoute implements Overlay: find the lowest common ancestor of
+// both endpoints in the landmark tree, append the ascent from `from` up
+// to it, then the to-side ascent reversed in place into top-down order.
 // Every hop is a tree edge, hence a graph edge.
-func (l *Landmark) Route(from, to int) []int {
-	if from == to {
-		return nil
+func (l *Landmark) AppendRoute(dst []int, from, to int) []int {
+	lca, b := from, to
+	for l.depth[lca] > l.depth[b] {
+		lca = l.parent[lca]
 	}
-	a, b := from, to
-	var up, down []int // from-side ascent; to-side ascent (bottom-up)
-	for l.depth[a] > l.depth[b] {
-		a = l.parent[a]
-		up = append(up, a)
-	}
-	for l.depth[b] > l.depth[a] {
-		down = append(down, b)
+	for l.depth[b] > l.depth[lca] {
 		b = l.parent[b]
 	}
-	for a != b {
+	for lca != b {
+		lca, b = l.parent[lca], l.parent[b]
+	}
+	for a := from; a != lca; {
 		a = l.parent[a]
-		up = append(up, a)
-		down = append(down, b)
-		b = l.parent[b]
+		dst = append(dst, a)
 	}
-	// a == b is the LCA; up already ends there (or is empty when from is
-	// the LCA). Walk down the to-side in top-down order.
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
+	down := len(dst)
+	for b := to; b != lca; b = l.parent[b] {
+		dst = append(dst, b)
 	}
-	return up
+	slices.Reverse(dst[down:])
+	return dst
 }
 
-// Sample implements Overlay: an exactly uniform node, whose cost is the
-// one route to it.
-func (l *Landmark) Sample(rng *xrand.Stream, from int) (int, []int, int) {
+// AppendSample implements Overlay: an exactly uniform node, whose cost
+// is the one route to it.
+func (l *Landmark) AppendSample(dst []int, rng *xrand.Stream, from int) (int, []int, int) {
 	j := rng.Intn(l.g.N())
-	path := l.Route(from, j)
-	return j, path, len(path)
+	path := l.AppendRoute(dst, from, j)
+	return j, path, len(path) - len(dst)
 }
 
 // RouteBound implements Overlay: any LCA route is at most two tree

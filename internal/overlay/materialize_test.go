@@ -54,12 +54,12 @@ func TestMaterializePreservesOverlay(t *testing.T) {
 				for trial := 0; trial < 50; trial++ {
 					from := (trial * 13) % n
 					to := (trial * 29) % n
-					p1, p2 := ov.Route(from, to), mat.Route(from, to)
+					p1, p2 := ov.AppendRoute(nil, from, to), mat.AppendRoute(nil, from, to)
 					if fmt.Sprint(p1) != fmt.Sprint(p2) {
 						t.Fatalf("route %d->%d differs: %v vs %v", from, to, p1, p2)
 					}
-					n1, s1, h1 := ov.Sample(rng1, from)
-					n2, s2, h2 := mat.Sample(rng2, from)
+					n1, s1, h1 := ov.AppendSample(nil, rng1, from)
+					n2, s2, h2 := mat.AppendSample(nil, rng2, from)
 					if n1 != n2 || h1 != h2 || fmt.Sprint(s1) != fmt.Sprint(s2) {
 						t.Fatalf("sample from %d differs: (%d,%v,%d) vs (%d,%v,%d)",
 							from, n1, s1, h1, n2, s2, h2)

@@ -37,20 +37,24 @@ type Overlay interface {
 	// object on every call (construction happens once).
 	Graph() *graph.Graph
 
-	// Route returns the hop path from node `from` to node `to`,
-	// excluding `from` and ending at `to`; nil/empty when from == to.
-	// Every consecutive pair must be an edge of Graph().
-	Route(from, to int) []int
+	// AppendRoute appends to dst the hop path from node `from` to node
+	// `to`, excluding `from` and ending at `to`, and returns the extended
+	// buffer; nothing is appended when from == to. Every consecutive pair
+	// must be an edge of Graph(). The caller owns dst: implementations
+	// never retain it, so one buffer reused across calls makes routing
+	// allocation-free.
+	AppendRoute(dst []int, from, to int) []int
 
-	// Sample draws a (near-)uniform random node using rng, as seen from
-	// node `from`. It returns the sampled node, the hop path from `from`
-	// to it (empty when the sample is `from` itself), and the total
-	// routing hops spent including rejected attempts — the message cost
-	// of the sample, which callers must charge to the network bill.
-	Sample(rng *xrand.Stream, from int) (node int, path []int, totalHops int)
+	// AppendSample draws a (near-)uniform random node using rng, as seen
+	// from node `from`. It returns the sampled node, dst extended by the
+	// hop path from `from` to it (path[len(dst):], empty when the sample
+	// is `from` itself), and the total routing hops spent including
+	// rejected attempts — the message cost of the sample, which callers
+	// must charge to the network bill. The dst prefix is preserved.
+	AppendSample(dst []int, rng *xrand.Stream, from int) (node int, path []int, totalHops int)
 
 	// RouteBound returns an upper bound on the length of any path that
-	// Route or Sample can return. The pipeline uses it to size its
-	// per-iteration drain window.
+	// AppendRoute or AppendSample can append. The pipeline uses it to
+	// size its per-iteration drain window.
 	RouteBound() int
 }

@@ -20,28 +20,28 @@ func checkRoutes(t *testing.T, ov Overlay) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 200; trial++ {
 		from, to := rng.Intn(n), rng.Intn(n)
-		path := ov.Route(from, to)
+		path := ov.AppendRoute(nil, from, to)
 		if from == to {
 			if len(path) != 0 {
-				t.Fatalf("%s: Route(%d,%d) self-route returned %v", ov.Name(), from, to, path)
+				t.Fatalf("%s: AppendRoute(%d,%d) self-route returned %v", ov.Name(), from, to, path)
 			}
 			continue
 		}
 		if len(path) == 0 {
-			t.Fatalf("%s: Route(%d,%d) empty", ov.Name(), from, to)
+			t.Fatalf("%s: AppendRoute(%d,%d) empty", ov.Name(), from, to)
 		}
 		if len(path) > ov.RouteBound() {
-			t.Fatalf("%s: Route(%d,%d) length %d exceeds RouteBound %d", ov.Name(), from, to, len(path), ov.RouteBound())
+			t.Fatalf("%s: AppendRoute(%d,%d) length %d exceeds RouteBound %d", ov.Name(), from, to, len(path), ov.RouteBound())
 		}
 		prev := from
 		for _, hop := range path {
 			if !g.HasEdge(prev, hop) {
-				t.Fatalf("%s: Route(%d,%d) uses non-edge (%d,%d)", ov.Name(), from, to, prev, hop)
+				t.Fatalf("%s: AppendRoute(%d,%d) uses non-edge (%d,%d)", ov.Name(), from, to, prev, hop)
 			}
 			prev = hop
 		}
 		if prev != to {
-			t.Fatalf("%s: Route(%d,%d) ends at %d", ov.Name(), from, to, prev)
+			t.Fatalf("%s: AppendRoute(%d,%d) ends at %d", ov.Name(), from, to, prev)
 		}
 	}
 }
@@ -52,7 +52,7 @@ func checkSampler(t *testing.T, ov Overlay) {
 	rng := xrand.New(7)
 	seen := make(map[int]bool)
 	for trial := 0; trial < 40*n; trial++ {
-		node, path, totalHops := ov.Sample(rng, trial%n)
+		node, path, totalHops := ov.AppendSample(nil, rng, trial%n)
 		if node < 0 || node >= n {
 			t.Fatalf("%s: sampled out-of-range node %d", ov.Name(), node)
 		}
@@ -126,14 +126,14 @@ func TestChordAdapterMatchesRing(t *testing.T) {
 	checkSampler(t, ov)
 	for from := 0; from < 128; from += 7 {
 		for to := 0; to < 128; to += 11 {
-			got := ov.Route(from, to)
-			want := ring.RouteToNode(from, to)
+			got := ov.AppendRoute(nil, from, to)
+			want := ring.AppendRouteToNode(nil, from, to)
 			if len(got) != len(want) {
-				t.Fatalf("Route(%d,%d) = %v, ring says %v", from, to, got, want)
+				t.Fatalf("AppendRoute(%d,%d) = %v, ring says %v", from, to, got, want)
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("Route(%d,%d) = %v, ring says %v", from, to, got, want)
+					t.Fatalf("AppendRoute(%d,%d) = %v, ring says %v", from, to, got, want)
 				}
 			}
 		}
@@ -141,8 +141,8 @@ func TestChordAdapterMatchesRing(t *testing.T) {
 	// The sampler must consume the RNG exactly like the ring's own.
 	a, b := xrand.New(5), xrand.New(5)
 	for i := 0; i < 50; i++ {
-		n1, p1, h1 := ov.Sample(a, i%128)
-		n2, p2, h2 := ring.Sample(b, i%128)
+		n1, p1, h1 := ov.AppendSample(nil, a, i%128)
+		n2, p2, h2 := ring.AppendSample(nil, b, i%128)
 		if n1 != n2 || h1 != h2 || len(p1) != len(p2) {
 			t.Fatalf("adapter sample (%d,%v,%d) != ring sample (%d,%v,%d)", n1, p1, h1, n2, p2, h2)
 		}

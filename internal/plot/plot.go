@@ -1,7 +1,7 @@
 // Package plot renders small ASCII charts for the experiment reports:
 // decay curves (Gossip-ave error, Lemma 8 potential) and growth curves
-// (messages vs n). Output is deterministic text, suitable for
-// EXPERIMENTS.md and terminal harness runs.
+// (messages vs n). Output is deterministic text, suitable for the
+// README and terminal harness runs.
 package plot
 
 import (

@@ -822,6 +822,8 @@ func (e *Engine) SendVia(from, relay, dst int, p Payload) {
 // one hop per round, one message per hop, each hop independently lossy.
 // The payload reaches the final path element after len(path) rounds. Used
 // for sparse overlays (Chord) where a "gossip edge" is a routed path.
+// path is read only during the call and never retained, so callers may
+// reuse its backing array for the next route as soon as it returns.
 func (e *Engine) SendRouted(from int, path []int, p Payload) {
 	if !e.alive.Test(from) || len(path) == 0 {
 		return
@@ -845,7 +847,8 @@ func (e *Engine) SendRouted(from int, path []int, p Payload) {
 // shares. It reports whether the payload was scheduled; on success it is
 // delivered after len(path) rounds, exactly like SendRouted. A crashed
 // relay exhausts its hop budget (retransmission cannot revive a node),
-// so callers can restore unsent mass when it returns false.
+// so callers can restore unsent mass when it returns false. Like
+// SendRouted, it reads path only during the call.
 func (e *Engine) SendRoutedReliable(from int, path []int, p Payload, retries int) bool {
 	if !e.alive.Test(from) || len(path) == 0 {
 		return false

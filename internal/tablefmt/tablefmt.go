@@ -1,6 +1,6 @@
 // Package tablefmt renders fixed-width text tables for the experiment
 // harness. Output is deterministic and aligned so tables can be diffed
-// across runs and pasted into EXPERIMENTS.md.
+// across runs and pasted into the README.
 package tablefmt
 
 import (

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt fmt-check doc-check bench bench-smoke bench-perf bench-guard bench-scale bench-scale-full bench-async bench-quantile bench-quantile-full chaos chaos-full ci
+.PHONY: all build test test-short race vet fmt fmt-check doc-check examples bench bench-smoke bench-perf bench-guard bench-scale bench-scale-full bench-async bench-quantile bench-quantile-full chaos chaos-full ci
 
 all: ci
 
@@ -33,6 +33,19 @@ fmt-check:
 doc-check:
 	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/async ./internal/pairwise \
 		./internal/chord ./internal/drrgossip ./internal/hms
+
+# Run every examples/* program end to end; each exits nonzero when its
+# computed answers are wrong. The binaries run inside a temporary
+# directory because examples/telemetry writes its trace files into the
+# working directory.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		$(GO) build -o "$$tmp/$$name" "./$$dir" || exit 1; \
+		out=$$(cd "$$tmp" && "./$$name" 2>&1) || { echo "$$out"; echo "examples/$$name FAILED"; exit 1; }; \
+		echo "ok  examples/$$name"; \
+	done
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
@@ -102,4 +115,4 @@ chaos-full:
 	$(GO) run ./cmd/chaosfuzz -cases 200 \
 		-corpus internal/chaos/testdata/seed_corpus.txt,internal/chaos/testdata/regressions.txt
 
-ci: build vet fmt-check doc-check test
+ci: build vet fmt-check doc-check test examples

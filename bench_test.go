@@ -635,7 +635,7 @@ func BenchmarkPerfRoutedSample(b *testing.B) {
 func BenchmarkFacadeAverage(b *testing.B) {
 	values := benchValues(benchN)
 	for i := 0; i < b.N; i++ {
-		if _, err := Average(Config{N: benchN, Seed: uint64(i)}, values); err != nil {
+		if _, err := runOnce(Config{N: benchN, Seed: uint64(i)}, AverageOf(values)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -214,19 +214,15 @@ func TestFacadeDeterminismUnderFaults(t *testing.T) {
 	}
 	cfg := Config{N: 1024, Seed: 65, Loss: 0.03, Faults: plan}
 	values := uniformValues(1024, 66)
-	run := func(procs int) *Result {
+	run := func(procs int) *Answer {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		res, err := Average(cfg, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return mustRun(t, cfg, AverageOf(values))
 	}
 	serial := run(1)
 	parallel := run(8)
-	if serial.Value != parallel.Value || serial.Messages != parallel.Messages ||
-		serial.Rounds != parallel.Rounds || serial.Drops != parallel.Drops ||
+	if serial.Value != parallel.Value || serial.Cost.Messages != parallel.Cost.Messages ||
+		serial.Cost.Rounds != parallel.Cost.Rounds || serial.Cost.Drops != parallel.Cost.Drops ||
 		serial.FaultEvents != parallel.FaultEvents {
 		t.Fatalf("facade drifted across schedulers:\n serial   %+v\n parallel %+v", serial, parallel)
 	}

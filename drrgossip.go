@@ -30,12 +30,9 @@
 // Network.RunContext supports cancellation between protocol runs.
 // Observers (Network.Observe) stream per-round progress — round, phase,
 // alive count, message counters, fault events — without perturbing the
-// run. The original one-shot helpers (Max, Average, Quantile, …) remain
-// as thin wrappers that build a single-use session per call,
-// bit-identical for the single-run aggregates (two deliberate fixes are
-// documented on Histogram and Moments):
+// run. ExactOf computes the reference value a query should converge to:
 //
-//	res, err := drrgossip.Average(drrgossip.Config{N: 10000, Seed: 1}, values)
+//	want, err := drrgossip.ExactOf(cfg, drrgossip.AverageOf(values))
 //
 // # Topologies
 //
@@ -298,16 +295,8 @@ type Config struct {
 	//	              nodes drawn deterministically from (Seed, N, k) —
 	//	              the ids are reported in Answer.SampleIDs and are
 	//	              identical for any Workers value;
-	//	 AllNodes     the full N-entry PerNode slice (the historical
-	//	              behaviour; the one-shot helpers default to this).
+	//	 AllNodes     the full N-entry PerNode slice.
 	SampleNodes int
-	// LegacySliceAdjacency stores the overlay's communication graph in
-	// the historical jagged [][]int layout instead of the memory-lean
-	// implicit/CSR representations. Answers are bit-identical either
-	// way — the knob exists for cross-representation identity checks and
-	// memory studies (SC1), and costs O(edges) extra memory. No effect
-	// on the Complete topology, which builds no overlay graph.
-	LegacySliceAdjacency bool
 	// Mode selects the execution model: Sync (default) runs the paper's
 	// synchronous DRR-gossip pipelines; Async runs classical asynchronous
 	// pairwise averaging on per-node Poisson clocks (AverageOf only).
@@ -373,37 +362,24 @@ type RetryPolicy struct {
 // per-node vector on every Answer.
 const AllNodes = -1
 
-// Result reports one aggregate computation.
-type Result struct {
-	// Value is the network's consensus value for the aggregate.
-	Value float64
-	// PerNode is each node's final value, indexed by node id; NaN for
-	// crashed nodes. When the Config sets an explicit SampleNodes: k,
-	// it instead holds the k sampled values whose node ids are listed
-	// in SampleIDs (the one-shot helpers default to the full vector).
-	PerNode []float64
-	// SampleIDs lists the node ids PerNode covers when Config.SampleNodes
-	// requested a sample; nil when PerNode is the full by-id vector.
-	SampleIDs []int
-	// Consensus reports whether all surviving nodes agree exactly.
-	Consensus bool
-	// Rounds and Messages are the protocol's cost in the paper's model
-	// (every transmission attempt counts one message).
-	Rounds   int
-	Messages int64
-	// Drops counts messages lost to link failure.
-	Drops int64
-	// PhaseCosts attributes the cost to the protocol phases in execution
-	// order; see Answer.PhaseCosts.
+// runResult is one protocol run's record inside the session machinery:
+// the consensus value, the full per-node vector (NaN for crashed nodes)
+// and the run's bill. Queries fold runs into an Answer.
+type runResult struct {
+	Value      float64
+	PerNode    []float64
+	Consensus  bool
+	Rounds     int
+	Messages   int64
+	Drops      int64
 	PhaseCosts []PhaseCost
 	// Trees is the number of DRR trees built in Phase I.
 	Trees int
-	// Alive is the number of nodes alive when the run ended (with an
-	// active fault plan this reflects mid-run crashes and rejoins).
+	// Alive is the number of nodes alive when the run ended.
 	Alive int
-	// FaultEvents is the number of fault actions the plan applied during
-	// the run (0 without a plan); FaultCrashes and FaultRevives count the
-	// node transitions among them.
+	// FaultEvents counts the fault actions the plan applied during the
+	// run; FaultCrashes and FaultRevives count the node transitions among
+	// them.
 	FaultEvents  int
 	FaultCrashes int
 	FaultRevives int
@@ -422,11 +398,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: N must be <= 2^24 = %d, got %d (the largest-tree election key packs root ids into 24 bits)",
 			ErrBadConfig, core.MaxKeyNodes, c.N)
 	}
-	if c.Loss < 0 || c.Loss >= 1 {
-		return fmt.Errorf("%w: Loss must be in [0,1)", ErrBadConfig)
+	// The range checks are negated in-range tests so NaN, for which every
+	// comparison is false, is rejected too.
+	if !(c.Loss >= 0 && c.Loss < 1) {
+		return fmt.Errorf("%w: Loss must be in [0,1), got %v", ErrBadConfig, c.Loss)
 	}
-	if c.CrashFraction < 0 || c.CrashFraction >= 1 {
-		return fmt.Errorf("%w: CrashFraction must be in [0,1)", ErrBadConfig)
+	if !(c.CrashFraction >= 0 && c.CrashFraction < 1) {
+		return fmt.Errorf("%w: CrashFraction must be in [0,1), got %v", ErrBadConfig, c.CrashFraction)
 	}
 	if err := c.Faults.Validate(c.N); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -463,7 +441,7 @@ func (c Config) validate() error {
 		if c.AsyncPeer == "gge" && c.Topology.isComplete() {
 			return fmt.Errorf("%w: AsyncPeer gge needs a sparse Topology (its eavesdrop cache is O(edges))", ErrBadConfig)
 		}
-		if c.AsyncEps < 0 {
+		if !(c.AsyncEps >= 0) {
 			return fmt.Errorf("%w: AsyncEps must be >= 0, got %v", ErrBadConfig, c.AsyncEps)
 		}
 	default:
@@ -505,32 +483,22 @@ func (c Config) engine() *sim.Engine {
 // the ChordBits/ChordHashed knobs; everything else builds through the
 // registry, seeded by Config.Seed.
 func (c Config) buildOverlay() (overlay.Overlay, error) {
-	var ov overlay.Overlay
-	if c.Topology.name == "chord" {
-		placement := chord.Even
-		if c.ChordHashed {
-			placement = chord.Hashed
-		}
-		ring, err := chord.New(c.N, chord.Options{Bits: c.ChordBits, Placement: placement, Seed: c.Seed})
-		if err != nil {
-			return nil, err
-		}
-		ov = overlay.NewChord(ring)
-	} else {
-		var err error
-		ov, err = overlay.Build(c.Topology.spec(), c.N, c.Seed)
-		if err != nil {
-			return nil, err
-		}
+	if c.Topology.name != "chord" {
+		return overlay.Build(c.Topology.spec(), c.N, c.Seed)
 	}
-	if c.LegacySliceAdjacency {
-		return overlay.Materialize(ov)
+	placement := chord.Even
+	if c.ChordHashed {
+		placement = chord.Hashed
 	}
-	return ov, nil
+	ring, err := chord.New(c.N, chord.Options{Bits: c.ChordBits, Placement: placement, Seed: c.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return overlay.NewChord(ring), nil
 }
 
-func wrap(eng *sim.Engine, res *core.Result) *Result {
-	return &Result{
+func wrap(eng *sim.Engine, res *core.Result) *runResult {
+	return &runResult{
 		Value:      res.Value,
 		PerNode:    res.PerNode,
 		Consensus:  res.Consensus,
@@ -568,215 +536,4 @@ func ParseFaultPlan(text string) (*faults.Plan, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	return p, nil
-}
-
-// One-shot helpers: the original pre-session entry points, kept as thin
-// wrappers that build a single-use Network per call. The single-run
-// aggregates (Max..Rank) are pinned bit-identical to their pre-session
-// behaviour by the facade goldens, with and without fault plans; the
-// two deliberate behaviour changes are called out on Histogram (open
-// bucket population under a fault plan) and Moments (fault plans now
-// apply). When running more than one aggregate against the same
-// configuration (dashboards, Quantile/Histogram-heavy workloads),
-// prefer New + the session methods, which amortize validation, overlay
-// construction and fault-horizon measurement across queries.
-
-// legacyRun executes one query through a single-use session and renders
-// the answer in the pre-session Result shape. The historical contract of
-// the one-shot helpers includes a fully materialized PerNode vector, so
-// an unset SampleNodes defaults to AllNodes here (explicit values are
-// honoured).
-func legacyRun(cfg Config, q Query) (*Result, error) {
-	if cfg.SampleNodes == 0 {
-		cfg.SampleNodes = AllNodes
-	}
-	nw, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a, err := nw.Run(q)
-	if err != nil {
-		return nil, err
-	}
-	return a.result(), nil
-}
-
-// Max computes the global maximum with DRR-gossip-max (Algorithm 7).
-func Max(cfg Config, values []float64) (*Result, error) {
-	return legacyRun(cfg, MaxOf(values))
-}
-
-// Min computes the global minimum.
-func Min(cfg Config, values []float64) (*Result, error) {
-	return legacyRun(cfg, MinOf(values))
-}
-
-// Average computes the global average with DRR-gossip-ave (Algorithm 8).
-func Average(cfg Config, values []float64) (*Result, error) {
-	return legacyRun(cfg, AverageOf(values))
-}
-
-// Sum computes the global sum (distinguished-root push-sum; on sparse
-// overlays the push-sum shares travel with reliable routed transport).
-func Sum(cfg Config, values []float64) (*Result, error) {
-	return legacyRun(cfg, SumOf(values))
-}
-
-// Count computes the number of surviving nodes.
-func Count(cfg Config, values []float64) (*Result, error) {
-	return legacyRun(cfg, CountOf(values))
-}
-
-// Rank computes Rank(q) = |{alive i : values[i] <= q}|.
-func Rank(cfg Config, values []float64, q float64) (*Result, error) {
-	return legacyRun(cfg, RankOf(values, q))
-}
-
-// HistogramResult reports a distributed histogram computation (the
-// legacy view of an OpHistogram Answer).
-type HistogramResult struct {
-	// Counts[i] is the number of surviving nodes with value in
-	// (edges[i], edges[i+1]]; Counts[0] covers (-inf, edges[0]] and
-	// Counts[len(edges)] covers (edges[len(edges)-1], +inf).
-	Counts []float64
-	// Runs, Rounds, Messages and Drops accumulate over the per-edge Rank
-	// runs, plus the open-bucket population Count run when a fault plan
-	// is active (so Runs is len(edges) without a plan, len(edges)+1
-	// with one).
-	Runs     int
-	Rounds   int
-	Messages int64
-	Drops    int64
-}
-
-// Histogram computes a k+1-bucket histogram of the values with one Rank
-// aggregation per bucket edge (edges must be strictly increasing) —
-// bounded messages throughout, O(k log n) rounds and O(k n loglog n)
-// messages total. The single-use session underneath builds the overlay
-// and binds the fault plan once for all edges. With an active fault
-// plan the open last bucket's population is measured by an additional
-// Count run (billed in Runs) so the buckets stay consistent with the
-// Rank counts under mid-run membership changes; the pre-session
-// implementation read a static alive count there, which was wrong
-// whenever the plan crashed or revived nodes.
-func Histogram(cfg Config, values []float64, edges []float64) (*HistogramResult, error) {
-	nw, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a, err := nw.Histogram(values, edges)
-	if err != nil {
-		return nil, err
-	}
-	return &HistogramResult{
-		Counts:   a.Counts,
-		Runs:     a.Cost.Runs,
-		Rounds:   a.Cost.Rounds,
-		Messages: a.Cost.Messages,
-		Drops:    a.Cost.Drops,
-	}, nil
-}
-
-// MomentsResult reports a mean-and-variance computation (the legacy
-// view of an OpMoments Answer).
-type MomentsResult struct {
-	// Mean and Variance are the consensus estimates (population
-	// variance); Std = sqrt(max(Variance, 0)).
-	Mean, Variance, Std float64
-	Consensus           bool
-	Rounds              int
-	Messages            int64
-}
-
-// Moments computes the global mean and variance in a single protocol run
-// (a three-component extension of DRR-gossip-ave; Complete topology
-// only). Config.Faults now applies to Moments like to every other
-// query — the pre-session implementation silently ignored the plan;
-// run it without a plan for the old behaviour.
-func Moments(cfg Config, values []float64) (*MomentsResult, error) {
-	nw, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a, err := nw.Moments(values)
-	if err != nil {
-		return nil, err
-	}
-	return &MomentsResult{
-		Mean:      a.Mean,
-		Variance:  a.Variance,
-		Std:       a.Std,
-		Consensus: a.Consensus,
-		Rounds:    a.Cost.Rounds,
-		Messages:  a.Cost.Messages,
-	}, nil
-}
-
-// QuantileResult reports an approximate quantile computation (the
-// legacy view of an OpQuantile Answer).
-type QuantileResult struct {
-	// Value approximates the φ-quantile within Tolerance of the value
-	// range.
-	Value float64
-	// Runs is the number of full aggregate computations performed
-	// (2 for Min/Max + Count + one Rank per bisection step).
-	Runs int
-	// Rounds, Messages and Drops accumulate over all runs.
-	Rounds   int
-	Messages int64
-	Drops    int64
-	// Converged is false when the bisection hit its run cap before
-	// reaching the tolerance, so Value is a looser approximation.
-	Converged bool
-}
-
-// Quantile approximates the φ-quantile (0 < φ <= 1) by bisection over the
-// value range, spending one Rank computation per step — the paper's "Rank
-// etc." reduction, with O(log(range/tol)) aggregate rounds total. The
-// result is within tol of a true φ-quantile value; tol <= 0 picks
-// range/2^20. The single-use session underneath builds the overlay and
-// binds the fault plan once per operation kind instead of once per
-// bisection step.
-func Quantile(cfg Config, values []float64, phi, tol float64) (*QuantileResult, error) {
-	nw, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a, err := nw.Quantile(values, phi, tol)
-	if err != nil {
-		return nil, err
-	}
-	return &QuantileResult{
-		Value:     a.Value,
-		Runs:      a.Cost.Runs,
-		Rounds:    a.Cost.Rounds,
-		Messages:  a.Cost.Messages,
-		Drops:     a.Cost.Drops,
-		Converged: a.Converged,
-	}, nil
-}
-
-// legacyKinds maps the Exact kind strings to query operations.
-var legacyKinds = map[string]Op{
-	"min": OpMin, "max": OpMax, "sum": OpSum, "count": OpCount, "average": OpAverage,
-}
-
-// Exact returns the reference value of an aggregate over the values that
-// survive cfg's crash model — what the protocol should converge to. Kind
-// is one of "min", "max", "sum", "count", "average"; it panics on other
-// kinds or mismatched input.
-//
-// Deprecated: Exact panics on bad input. Use ExactOf (or Network.Exact)
-// with a typed query instead, which returns an error and additionally
-// covers "rank" and "quantile".
-func Exact(cfg Config, kind string, values []float64) float64 {
-	op, ok := legacyKinds[kind]
-	if !ok {
-		panic("drrgossip: unknown aggregate kind " + kind)
-	}
-	v, err := ExactOf(cfg, Query{Op: op, Values: values})
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

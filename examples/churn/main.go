@@ -42,16 +42,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := drrgossip.Config{N: n, Seed: 77, Faults: plan}
-		ave, err := drrgossip.Average(cfg, values)
+		nw, err := drrgossip.New(drrgossip.Config{N: n, Seed: 77, Faults: plan})
 		if err != nil {
 			log.Fatalf("%s: %v", sc.spec, err)
 		}
-		sum, err := drrgossip.Sum(cfg, values)
+		ave, err := nw.Run(drrgossip.AverageOf(values))
 		if err != nil {
 			log.Fatalf("%s: %v", sc.spec, err)
 		}
-		max, err := drrgossip.Max(cfg, values)
+		sum, err := nw.Run(drrgossip.SumOf(values))
+		if err != nil {
+			log.Fatalf("%s: %v", sc.spec, err)
+		}
+		max, err := nw.Run(drrgossip.MaxOf(values))
 		if err != nil {
 			log.Fatalf("%s: %v", sc.spec, err)
 		}

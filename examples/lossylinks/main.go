@@ -23,19 +23,22 @@ func main() {
 	fmt.Printf("%8s  %10s  %12s  %10s  %8s  %10s\n",
 		"δ", "max ok", "ave rel.err", "consensus", "rounds", "msgs/node")
 	for _, delta := range []float64{0, 0.02, 0.05, 0.08, 0.125, 0.2} {
-		cfg := drrgossip.Config{N: n, Seed: 1000 + uint64(delta*1000), Loss: delta}
-
-		maxRes, err := drrgossip.Max(cfg, values)
+		nw, err := drrgossip.New(drrgossip.Config{N: n, Seed: 1000 + uint64(delta*1000), Loss: delta})
 		if err != nil {
 			log.Fatal(err)
 		}
-		maxOK := maxRes.Value == drrgossip.Exact(cfg, "max", values)
 
-		aveRes, err := drrgossip.Average(cfg, values)
+		maxRes, err := nw.Run(drrgossip.MaxOf(values))
 		if err != nil {
 			log.Fatal(err)
 		}
-		relErr := agg.RelError(aveRes.Value, drrgossip.Exact(cfg, "average", values))
+		maxOK := maxRes.Value == exact(nw, drrgossip.MaxOf(values))
+
+		aveRes, err := nw.Run(drrgossip.AverageOf(values))
+		if err != nil {
+			log.Fatal(err)
+		}
+		relErr := agg.RelError(aveRes.Value, exact(nw, drrgossip.AverageOf(values)))
 
 		marker := ""
 		if delta > 0.125 {
@@ -43,9 +46,18 @@ func main() {
 		}
 		fmt.Printf("%8.3f  %10v  %12.2e  %10v  %8d  %10.1f%s\n",
 			delta, maxOK, relErr, maxRes.Consensus && aveRes.Consensus,
-			maxRes.Rounds, float64(maxRes.Messages)/float64(n), marker)
+			maxRes.Cost.Rounds, float64(maxRes.Cost.Messages)/float64(n), marker)
 	}
 	fmt.Println("\nMax is exact under any admissible δ (convergecast retransmits, the")
 	fmt.Println("sampling procedure repairs stragglers); Average degrades smoothly")
 	fmt.Println("because lost push-sum shares remove (s, g) mass proportionally.")
+}
+
+// exact returns the value q should converge to on nw's configuration.
+func exact(nw *drrgossip.Network, q drrgossip.Query) float64 {
+	v, err := nw.Exact(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

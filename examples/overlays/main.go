@@ -36,24 +36,26 @@ func main() {
 		values[i] = 50 + float64(i%100)
 	}
 	cfg := drrgossip.Config{N: n, Seed: 42}
-	exactAve := drrgossip.Exact(cfg, "average", values)
-	exactMax := drrgossip.Exact(cfg, "max", values)
-	exactSum := drrgossip.Exact(cfg, "sum", values)
+	exactAve := exact(cfg, drrgossip.AverageOf(values))
+	exactMax := exact(cfg, drrgossip.MaxOf(values))
+	exactSum := exact(cfg, drrgossip.SumOf(values))
 
 	fmt.Printf("DRR-gossip over %d nodes — exact: max=%.0f ave=%.2f sum=%.0f\n\n", n, exactMax, exactAve, exactSum)
 	fmt.Printf("%-12s %10s %10s %12s %10s %10s %12s\n",
 		"topology", "max", "ave", "sum", "trees", "rounds", "msgs/node")
 
 	for _, topo := range topologies {
-		cfg := drrgossip.Config{N: n, Seed: 42, Topology: topo}
-		mx, err := drrgossip.Max(cfg, values)
+		nw, err := drrgossip.New(drrgossip.Config{N: n, Seed: 42, Topology: topo})
 		fail(err)
-		av, err := drrgossip.Average(cfg, values)
+		mx, err := nw.Run(drrgossip.MaxOf(values))
 		fail(err)
-		sm, err := drrgossip.Sum(cfg, values)
+		av, err := nw.Run(drrgossip.AverageOf(values))
 		fail(err)
-		totalRounds := mx.Rounds + av.Rounds + sm.Rounds
-		perNode := float64(mx.Messages+av.Messages+sm.Messages) / float64(n)
+		sm, err := nw.Run(drrgossip.SumOf(values))
+		fail(err)
+		total := mx.Cost.Add(av.Cost).Add(sm.Cost)
+		totalRounds := total.Rounds
+		perNode := float64(total.Messages) / float64(n)
 		fmt.Printf("%-12s %10.0f %10.2f %12.0f %10d %10d %12.1f\n",
 			topo, mx.Value, av.Value, sm.Value, mx.Trees, totalRounds, perNode)
 		if !mx.Consensus || !av.Consensus || !sm.Consensus {
@@ -69,10 +71,19 @@ func main() {
 	// Parameterised specs parse from text, e.g. for CLI flags:
 	topo, err := drrgossip.ParseTopology("regular:6")
 	fail(err)
-	res, err := drrgossip.Average(drrgossip.Config{N: 512, Seed: 7, Topology: topo}, values[:512])
+	nw, err := drrgossip.New(drrgossip.Config{N: 512, Seed: 7, Topology: topo})
+	fail(err)
+	res, err := nw.Run(drrgossip.AverageOf(values[:512]))
 	fail(err)
 	fmt.Printf("\nregular:6 average over 512 nodes = %.2f (%d trees, %d rounds)\n",
-		res.Value, res.Trees, res.Rounds)
+		res.Value, res.Trees, res.Cost.Rounds)
+}
+
+// exact returns the value q should converge to under cfg.
+func exact(cfg drrgossip.Config, q drrgossip.Query) float64 {
+	v, err := drrgossip.ExactOf(cfg, q)
+	fail(err)
+	return v
 }
 
 func fail(err error) {

@@ -30,32 +30,42 @@ func main() {
 		files[i] = math.Floor(5 / (0.02 + u*u)) // heavy tail, max ~250
 	}
 
-	cfg := drrgossip.Config{N: peers, Seed: 77, Topology: drrgossip.Chord}
-	fmt.Printf("chord overlay: %d peers, finger-table degree O(log n)\n\n", peers)
-
-	ave, err := drrgossip.Average(cfg, files)
+	nw, err := drrgossip.New(drrgossip.Config{N: peers, Seed: 77, Topology: drrgossip.Chord})
 	if err != nil {
 		log.Fatal(err)
 	}
-	exactAve := drrgossip.Exact(cfg, "average", files)
+	fmt.Printf("chord overlay: %d peers, finger-table degree O(log n)\n\n", peers)
+
+	ave, err := nw.Run(drrgossip.AverageOf(files))
+	if err != nil {
+		log.Fatal(err)
+	}
+	exactAve, err := nw.Exact(drrgossip.AverageOf(files))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("avg files/peer: %8.2f  (exact %8.2f, rel.err %.2g)\n",
 		ave.Value, exactAve, agg.RelError(ave.Value, exactAve))
 
-	max, err := drrgossip.Max(cfg, files)
+	max, err := nw.Run(drrgossip.MaxOf(files))
+	if err != nil {
+		log.Fatal(err)
+	}
+	exactMax, err := nw.Exact(drrgossip.MaxOf(files))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("max files/peer: %8.0f  (exact %8.0f) — consensus: %v\n",
-		max.Value, drrgossip.Exact(cfg, "max", files), max.Consensus)
+		max.Value, exactMax, max.Consensus)
 
 	logn := math.Log2(peers)
 	fmt.Printf("\ncost on the overlay (Theorem 14):\n")
 	fmt.Printf("  average: %5d rounds (%4.1f·log² n), %7d messages (%4.1f·n·log n)\n",
-		ave.Rounds, float64(ave.Rounds)/(logn*logn), ave.Messages,
-		float64(ave.Messages)/(float64(peers)*logn))
+		ave.Cost.Rounds, float64(ave.Cost.Rounds)/(logn*logn), ave.Cost.Messages,
+		float64(ave.Cost.Messages)/(float64(peers)*logn))
 	fmt.Printf("  max:     %5d rounds (%4.1f·log² n), %7d messages (%4.1f·n·log n)\n",
-		max.Rounds, float64(max.Rounds)/(logn*logn), max.Messages,
-		float64(max.Messages)/(float64(peers)*logn))
+		max.Cost.Rounds, float64(max.Cost.Rounds)/(logn*logn), max.Cost.Messages,
+		float64(max.Cost.Messages)/(float64(peers)*logn))
 	fmt.Printf("  (uniform gossip on the same overlay needs Θ(n·log² n) messages;\n")
 	fmt.Printf("   run `go run ./cmd/benchtab -experiment F11` for the side-by-side sweep)\n")
 }

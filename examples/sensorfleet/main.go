@@ -36,41 +36,45 @@ func main() {
 		}
 	}
 
-	cfg := drrgossip.Config{N: fleet, Seed: 31, Loss: radioLoss, CrashFraction: doa}
+	nw, err := drrgossip.New(drrgossip.Config{N: fleet, Seed: 31, Loss: radioLoss, CrashFraction: doa})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("sensor fleet: %d deployed, ~%.0f%% dead on arrival, δ=%.2f radio loss\n\n",
 		fleet, doa*100, radioLoss)
 
-	minRes, err := drrgossip.Min(cfg, charge)
-	if err != nil {
-		log.Fatal(err)
+	// run answers q and also returns the exact value it should converge
+	// to over the surviving sensors.
+	run := func(q drrgossip.Query) (*drrgossip.Answer, float64) {
+		ans, err := nw.Run(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		want, err := nw.Exact(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ans, want
 	}
+
+	minRes, exactMin := run(drrgossip.MinOf(charge))
 	fmt.Printf("weakest live sensor:  %5.1f%% charge (exact %5.1f%%) — consensus: %v\n",
-		minRes.Value, drrgossip.Exact(cfg, "min", charge), minRes.Consensus)
+		minRes.Value, exactMin, minRes.Consensus)
 
-	aveRes, err := drrgossip.Average(cfg, charge)
-	if err != nil {
-		log.Fatal(err)
-	}
+	aveRes, exactAve := run(drrgossip.AverageOf(charge))
 	fmt.Printf("fleet average:        %5.1f%% charge (exact %5.1f%%, rel.err %.2g)\n",
-		aveRes.Value, drrgossip.Exact(cfg, "average", charge),
-		agg.RelError(aveRes.Value, drrgossip.Exact(cfg, "average", charge)))
+		aveRes.Value, exactAve, agg.RelError(aveRes.Value, exactAve))
 
-	countRes, err := drrgossip.Count(cfg, charge)
-	if err != nil {
-		log.Fatal(err)
-	}
+	countRes, _ := run(drrgossip.CountOf(charge))
 	fmt.Printf("live sensors:         %5.0f (engine says %d)\n", countRes.Value, countRes.Alive)
 
-	lowRes, err := drrgossip.Rank(cfg, charge, threshold)
-	if err != nil {
-		log.Fatal(err)
-	}
+	lowRes, _ := run(drrgossip.RankOf(charge, threshold))
 	fmt.Printf("below %2.0f%% threshold: %5.0f sensors need replacement\n", threshold, lowRes.Value)
 
 	// The point of DRR-gossip for sensor networks: the message bill.
-	total := minRes.Messages + aveRes.Messages + countRes.Messages + lowRes.Messages
+	total := minRes.Cost.Messages + aveRes.Cost.Messages + countRes.Cost.Messages + lowRes.Cost.Messages
 	fmt.Printf("\nradio budget: %d messages total (%.1f per sensor per aggregate)\n",
 		total, float64(total)/float64(fleet)/4)
 	fmt.Printf("time: min %d / ave %d / count %d / rank %d rounds\n",
-		minRes.Rounds, aveRes.Rounds, countRes.Rounds, lowRes.Rounds)
+		minRes.Cost.Rounds, aveRes.Cost.Rounds, countRes.Cost.Rounds, lowRes.Cost.Rounds)
 }

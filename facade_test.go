@@ -14,17 +14,43 @@ func uniformValues(n int, seed uint64) []float64 {
 	return agg.GenUniform(n, 0, 1000, seed)
 }
 
-func TestMaxFacade(t *testing.T) {
-	cfg := Config{N: 1024, Seed: 1}
-	values := uniformValues(1024, 2)
-	res, err := Max(cfg, values)
+// runOnce answers q on a fresh single-use session for cfg.
+func runOnce(cfg Config, q Query) (*Answer, error) {
+	nw, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return nw.Run(q)
+}
+
+// mustRun is runOnce failing the test on error.
+func mustRun(t testing.TB, cfg Config, q Query) *Answer {
+	t.Helper()
+	a, err := runOnce(cfg, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value != Exact(cfg, "max", values) {
-		t.Fatalf("Max = %v, want %v", res.Value, Exact(cfg, "max", values))
+	return a
+}
+
+// mustExact returns ExactOf(cfg, q), failing the test on error.
+func mustExact(t testing.TB, cfg Config, q Query) float64 {
+	t.Helper()
+	v, err := ExactOf(cfg, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.Consensus || res.Trees == 0 || res.Rounds == 0 || res.Messages == 0 {
+	return v
+}
+
+func TestMaxFacade(t *testing.T) {
+	cfg := Config{N: 1024, Seed: 1}
+	values := uniformValues(1024, 2)
+	res := mustRun(t, cfg, MaxOf(values))
+	if want := mustExact(t, cfg, MaxOf(values)); res.Value != want {
+		t.Fatalf("Max = %v, want %v", res.Value, want)
+	}
+	if !res.Consensus || res.Trees == 0 || res.Cost.Rounds == 0 || res.Cost.Messages == 0 {
 		t.Fatalf("result fields missing: %+v", res)
 	}
 	if res.Alive != 1024 {
@@ -35,11 +61,8 @@ func TestMaxFacade(t *testing.T) {
 func TestMinFacade(t *testing.T) {
 	cfg := Config{N: 512, Seed: 3}
 	values := uniformValues(512, 4)
-	res, err := Min(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Exact(cfg, "min", values) {
+	res := mustRun(t, cfg, MinOf(values))
+	if res.Value != mustExact(t, cfg, MinOf(values)) {
 		t.Fatalf("Min = %v", res.Value)
 	}
 }
@@ -47,11 +70,8 @@ func TestMinFacade(t *testing.T) {
 func TestAverageFacade(t *testing.T) {
 	cfg := Config{N: 1024, Seed: 5}
 	values := uniformValues(1024, 6)
-	res, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Exact(cfg, "average", values)
+	res := mustRun(t, cfg, AverageOf(values))
+	want := mustExact(t, cfg, AverageOf(values))
 	if agg.RelError(res.Value, want) > 1e-6 {
 		t.Fatalf("Average = %v, want %v", res.Value, want)
 	}
@@ -60,17 +80,11 @@ func TestAverageFacade(t *testing.T) {
 func TestSumCountFacade(t *testing.T) {
 	cfg := Config{N: 512, Seed: 7}
 	values := uniformValues(512, 8)
-	sum, err := Sum(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.RelError(sum.Value, Exact(cfg, "sum", values)) > 1e-6 {
+	sum := mustRun(t, cfg, SumOf(values))
+	if agg.RelError(sum.Value, mustExact(t, cfg, SumOf(values))) > 1e-6 {
 		t.Fatalf("Sum = %v", sum.Value)
 	}
-	count, err := Count(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	count := mustRun(t, cfg, CountOf(values))
 	if agg.RelError(count.Value, 512) > 1e-6 {
 		t.Fatalf("Count = %v", count.Value)
 	}
@@ -80,10 +94,7 @@ func TestRankFacade(t *testing.T) {
 	cfg := Config{N: 512, Seed: 9}
 	values := uniformValues(512, 10)
 	q := 300.0
-	res, err := Rank(cfg, values, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, RankOf(values, q))
 	want := agg.Exact(agg.Rank, values, q)
 	if agg.RelError(res.Value, want) > 1e-6 {
 		t.Fatalf("Rank = %v, want %v", res.Value, want)
@@ -93,15 +104,12 @@ func TestRankFacade(t *testing.T) {
 func TestQuantileFacade(t *testing.T) {
 	cfg := Config{N: 512, Seed: 11}
 	values := uniformValues(512, 12)
-	res, err := Quantile(cfg, values, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, QuantileOf(values, 0.5, 0.5))
 	want := agg.Quantile(values, 0.5)
 	if math.Abs(res.Value-want) > 5 {
 		t.Fatalf("median ≈ %v, want ~%v", res.Value, want)
 	}
-	if res.Runs < 4 || res.Messages == 0 {
+	if res.Cost.Runs < 4 || res.Cost.Messages == 0 {
 		t.Fatalf("quantile accounting off: %+v", res)
 	}
 }
@@ -109,25 +117,16 @@ func TestQuantileFacade(t *testing.T) {
 func TestChordTopologyFacade(t *testing.T) {
 	cfg := Config{N: 512, Seed: 13, Topology: Chord}
 	values := uniformValues(512, 14)
-	res, err := Max(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Exact(cfg, "max", values) || !res.Consensus {
+	res := mustRun(t, cfg, MaxOf(values))
+	if res.Value != mustExact(t, cfg, MaxOf(values)) || !res.Consensus {
 		t.Fatalf("chord Max = %v", res.Value)
 	}
-	avg, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.RelError(avg.Value, Exact(cfg, "average", values)) > 1e-5 {
+	avg := mustRun(t, cfg, AverageOf(values))
+	if agg.RelError(avg.Value, mustExact(t, cfg, AverageOf(values))) > 1e-5 {
 		t.Fatalf("chord Average = %v", avg.Value)
 	}
-	mn, err := Min(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn.Value != Exact(cfg, "min", values) {
+	mn := mustRun(t, cfg, MinOf(values))
+	if mn.Value != mustExact(t, cfg, MinOf(values)) {
 		t.Fatalf("chord Min = %v", mn.Value)
 	}
 }
@@ -135,15 +134,12 @@ func TestChordTopologyFacade(t *testing.T) {
 func TestFailuresFacade(t *testing.T) {
 	cfg := Config{N: 2048, Seed: 15, Loss: 0.1, CrashFraction: 0.2}
 	values := uniformValues(2048, 16)
-	res, err := Max(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Exact(cfg, "max", values) {
+	res := mustRun(t, cfg, MaxOf(values))
+	if res.Value != mustExact(t, cfg, MaxOf(values)) {
 		t.Fatalf("Max under failures = %v", res.Value)
 	}
-	if res.Alive >= 2048 || res.Drops == 0 {
-		t.Fatalf("failure accounting off: alive=%d drops=%d", res.Alive, res.Drops)
+	if res.Alive >= 2048 || res.Cost.Drops == 0 {
+		t.Fatalf("failure accounting off: alive=%d drops=%d", res.Alive, res.Cost.Drops)
 	}
 }
 
@@ -165,20 +161,25 @@ func TestConfigValidation(t *testing.T) {
 		{N: 2, Seed: 1, Topology: Ring},               // ring needs n >= 3
 		{N: 4, Seed: 1, Topology: ScaleFree},          // n <= m+1
 		{N: 16, Seed: 1, Topology: Torus, Loss: -0.1}, // bad loss still rejected
+		// NaN fails every comparison, so only negated in-range checks
+		// catch it (a NaN Loss used to run with no drops and a wrong sum).
+		{N: 8, Seed: 1, Loss: math.NaN()},
+		{N: 8, Seed: 1, CrashFraction: math.NaN()},
+		{N: 8, Seed: 1, Mode: Async, AsyncEps: math.NaN()},
 	}
 	for i, cfg := range cases {
 		vals := values
 		if cfg.N == 1 {
 			vals = values[:1]
 		}
-		if _, err := Max(cfg, vals); !errors.Is(err, ErrBadConfig) {
+		if _, err := runOnce(cfg, MaxOf(vals)); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("case %d: error = %v, want ErrBadConfig", i, err)
 		}
 	}
-	if _, err := Max(Config{N: 8, Seed: 1}, values[:4]); !errors.Is(err, ErrBadConfig) {
+	if _, err := runOnce(Config{N: 8, Seed: 1}, MaxOf(values[:4])); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("length mismatch not rejected")
 	}
-	if _, err := Quantile(Config{N: 8, Seed: 1}, values, 1.5, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := runOnce(Config{N: 8, Seed: 1}, QuantileOf(values, 1.5, 0)); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("phi out of range not rejected")
 	}
 }
@@ -201,26 +202,11 @@ func TestConfigRejectsKeyEncodingLimit(t *testing.T) {
 func TestDeterministicFacade(t *testing.T) {
 	cfg := Config{N: 512, Seed: 17}
 	values := uniformValues(512, 18)
-	a, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Value != b.Value || a.Messages != b.Messages || a.Rounds != b.Rounds {
+	a := mustRun(t, cfg, AverageOf(values))
+	b := mustRun(t, cfg, AverageOf(values))
+	if a.Value != b.Value || a.Cost.Messages != b.Cost.Messages || a.Cost.Rounds != b.Cost.Rounds {
 		t.Fatal("facade runs not reproducible")
 	}
-}
-
-func TestExactPanicsOnUnknownKind(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exact with unknown kind did not panic")
-		}
-	}()
-	Exact(Config{N: 4, Seed: 1}, "median", make([]float64, 4))
 }
 
 // Property: for random seeds, Max/Min/Average stay correct and consistent
@@ -229,21 +215,21 @@ func TestFacadeProperty(t *testing.T) {
 	f := func(seed uint16) bool {
 		cfg := Config{N: 256, Seed: uint64(seed)}
 		values := uniformValues(256, uint64(seed)+99)
-		mx, err := Max(cfg, values)
+		mx, err := runOnce(cfg, MaxOf(values))
 		if err != nil {
 			return false
 		}
-		mn, err := Min(cfg, values)
+		mn, err := runOnce(cfg, MinOf(values))
 		if err != nil {
 			return false
 		}
-		av, err := Average(cfg, values)
+		av, err := runOnce(cfg, AverageOf(values))
 		if err != nil {
 			return false
 		}
 		return mn.Value <= av.Value && av.Value <= mx.Value &&
-			mx.Value == Exact(cfg, "max", values) &&
-			mn.Value == Exact(cfg, "min", values)
+			mx.Value == mustExact(t, cfg, MaxOf(values)) &&
+			mn.Value == mustExact(t, cfg, MinOf(values))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -254,10 +240,7 @@ func TestHistogramFacade(t *testing.T) {
 	cfg := Config{N: 1024, Seed: 19}
 	values := uniformValues(1024, 20) // uniform [0,1000)
 	edges := []float64{250, 500, 750}
-	res, err := Histogram(cfg, values, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, HistogramOf(values, edges))
 	if len(res.Counts) != 4 {
 		t.Fatalf("bucket count %d", len(res.Counts))
 	}
@@ -290,7 +273,7 @@ func TestHistogramFacade(t *testing.T) {
 			t.Fatalf("bucket %d = %v, want %v", b, res.Counts[b], exact[b])
 		}
 	}
-	if res.Runs != 3 || res.Messages == 0 {
+	if res.Cost.Runs != 3 || res.Cost.Messages == 0 {
 		t.Fatalf("accounting off: %+v", res)
 	}
 }
@@ -298,15 +281,29 @@ func TestHistogramFacade(t *testing.T) {
 func TestHistogramValidation(t *testing.T) {
 	cfg := Config{N: 64, Seed: 21}
 	values := uniformValues(64, 22)
-	if _, err := Histogram(cfg, values, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := runOnce(cfg, HistogramOf(values, nil)); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("empty edges accepted")
 	}
-	if _, err := Histogram(cfg, values, []float64{5, 5}); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("non-increasing edges accepted")
+	for _, edges := range [][]float64{{5, 5}, {10, math.NaN(), 100}, {math.NaN()}, {math.NaN(), 10}} {
+		if _, err := runOnce(cfg, HistogramOf(values, edges)); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("edges %v accepted", edges)
+		}
+	}
+	// RunAll rejects a bad histogram before binding any fault plan.
+	nw, err := New(Config{N: 64, Seed: 21, Faults: mustPlan(t, "crash:0.2@0.5")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Query{MaxOf(values), HistogramOf(values, []float64{10, math.NaN(), 100})}
+	if _, _, err := nw.RunAll(batch, BatchOptions{Parallelism: 2}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("batch with NaN edge: %v, want ErrBadConfig", err)
+	}
+	if st := nw.Stats(); st.PlanBinds != 0 || st.ProtocolRuns != 0 {
+		t.Fatalf("bad histogram still ran: %+v", st)
 	}
 	badCfg := cfg
 	badCfg.Topology = Topology{name: "bogus"}
-	if _, err := Histogram(badCfg, values, []float64{5}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runOnce(badCfg, HistogramOf(values, []float64{5})); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("bogus-topology histogram accepted")
 	}
 }
@@ -319,18 +316,15 @@ func TestLargeNetworkStress(t *testing.T) {
 	n := 1 << 16
 	cfg := Config{N: n, Seed: 23, Loss: 0.05, CrashFraction: 0.1}
 	values := uniformValues(n, 24)
-	res, err := Max(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Exact(cfg, "max", values) || !res.Consensus {
+	res := mustRun(t, cfg, MaxOf(values))
+	if res.Value != mustExact(t, cfg, MaxOf(values)) || !res.Consensus {
 		t.Fatalf("large-n Max = %v (consensus %v)", res.Value, res.Consensus)
 	}
 	// The paper's bounds at scale: rounds ~ log n, msgs/node ~ loglog n.
-	if float64(res.Rounds) > 25*math.Log2(float64(n)) {
-		t.Fatalf("rounds %d at n=64k", res.Rounds)
+	if float64(res.Cost.Rounds) > 25*math.Log2(float64(n)) {
+		t.Fatalf("rounds %d at n=64k", res.Cost.Rounds)
 	}
-	if perNode := float64(res.Messages) / float64(n); perNode > 50 {
+	if perNode := float64(res.Cost.Messages) / float64(n); perNode > 50 {
 		t.Fatalf("msgs/node %v at n=64k", perNode)
 	}
 }
@@ -341,10 +335,7 @@ func TestQuantileWithCrashes(t *testing.T) {
 	// would make the search inconsistent).
 	cfg := Config{N: 1024, Seed: 25, CrashFraction: 0.25}
 	values := uniformValues(1024, 26)
-	res, err := Quantile(cfg, values, 0.5, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, QuantileOf(values, 0.5, 2.0))
 	alive := agg.Subset(values, aliveIdx(cfg, len(values)))
 	want := agg.Quantile(alive, 0.5)
 	if math.Abs(res.Value-want) > 10 {
@@ -355,10 +346,7 @@ func TestQuantileWithCrashes(t *testing.T) {
 func TestHistogramWithCrashes(t *testing.T) {
 	cfg := Config{N: 1024, Seed: 27, CrashFraction: 0.2}
 	values := uniformValues(1024, 28)
-	res, err := Histogram(cfg, values, []float64{333, 666})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, HistogramOf(values, []float64{333, 666}))
 	total := 0.0
 	for b, c := range res.Counts {
 		if c < 0 {
@@ -366,8 +354,8 @@ func TestHistogramWithCrashes(t *testing.T) {
 		}
 		total += c
 	}
-	if total != Exact(cfg, "count", values) {
-		t.Fatalf("histogram total %v != alive count %v", total, Exact(cfg, "count", values))
+	if want := mustExact(t, cfg, CountOf(values)); total != want {
+		t.Fatalf("histogram total %v != alive count %v", total, want)
 	}
 }
 
@@ -385,42 +373,27 @@ func TestOverlayFacadeEndToEnd(t *testing.T) {
 		topo := topo
 		t.Run(topo.String(), func(t *testing.T) {
 			cfg := Config{N: n, Seed: 30, Topology: topo}
-			mx, err := Max(cfg, values)
-			if err != nil {
-				t.Fatal(err)
+			mx := mustRun(t, cfg, MaxOf(values))
+			if want := mustExact(t, cfg, MaxOf(values)); mx.Value != want || !mx.Consensus {
+				t.Fatalf("Max = %v (consensus %v), want %v", mx.Value, mx.Consensus, want)
 			}
-			if mx.Value != Exact(cfg, "max", values) || !mx.Consensus {
-				t.Fatalf("Max = %v (consensus %v), want %v", mx.Value, mx.Consensus, Exact(cfg, "max", values))
-			}
-			mn, err := Min(cfg, values)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mn.Value != Exact(cfg, "min", values) || !mn.Consensus {
+			mn := mustRun(t, cfg, MinOf(values))
+			if mn.Value != mustExact(t, cfg, MinOf(values)) || !mn.Consensus {
 				t.Fatalf("Min = %v (consensus %v)", mn.Value, mn.Consensus)
 			}
-			av, err := Average(cfg, values)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := agg.RelError(av.Value, Exact(cfg, "average", values)); e > 1e-5 || !av.Consensus {
+			av := mustRun(t, cfg, AverageOf(values))
+			if e := agg.RelError(av.Value, mustExact(t, cfg, AverageOf(values))); e > 1e-5 || !av.Consensus {
 				t.Fatalf("Average = %v (rel err %v, consensus %v)", av.Value, e, av.Consensus)
 			}
-			sm, err := Sum(cfg, values)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := agg.RelError(sm.Value, Exact(cfg, "sum", values)); e > 1e-5 || !sm.Consensus {
+			sm := mustRun(t, cfg, SumOf(values))
+			if e := agg.RelError(sm.Value, mustExact(t, cfg, SumOf(values))); e > 1e-5 || !sm.Consensus {
 				t.Fatalf("Sum = %v (rel err %v, consensus %v)", sm.Value, e, sm.Consensus)
 			}
-			ct, err := Count(cfg, values)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ct := mustRun(t, cfg, CountOf(values))
 			if e := agg.RelError(ct.Value, float64(n)); e > 1e-5 || !ct.Consensus {
 				t.Fatalf("Count = %v (rel err %v, consensus %v)", ct.Value, e, ct.Consensus)
 			}
-			if mx.Trees == 0 || mx.Rounds == 0 || mx.Messages == 0 {
+			if mx.Trees == 0 || mx.Cost.Rounds == 0 || mx.Cost.Messages == 0 {
 				t.Fatalf("cost accounting missing: %+v", mx)
 			}
 		})
@@ -434,15 +407,15 @@ func TestOverlayFacadeDeterminism(t *testing.T) {
 			cfg.N = 128
 		}
 		values := uniformValues(cfg.N, 34)
-		a, err := Average(cfg, values)
+		a, err := runOnce(cfg, AverageOf(values))
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
-		b, err := Average(cfg, values)
+		b, err := runOnce(cfg, AverageOf(values))
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
-		if a.Value != b.Value || a.Messages != b.Messages || a.Rounds != b.Rounds {
+		if a.Value != b.Value || a.Cost.Messages != b.Cost.Messages || a.Cost.Rounds != b.Cost.Rounds {
 			t.Fatalf("%s runs not reproducible", topo)
 		}
 	}
@@ -523,27 +496,21 @@ func TestChordParityPreRefactor(t *testing.T) {
 			ave:  golden{value: 511.2102396079038, rounds: 4577, messages: 72151, drops: 3660, trees: 33},
 		},
 	}
-	check := func(t *testing.T, kind string, res *Result, want golden) {
+	check := func(t *testing.T, kind string, res *Answer, want golden) {
 		t.Helper()
-		if res.Value != want.value || res.Rounds != want.rounds || res.Messages != want.messages ||
-			res.Drops != want.drops || res.Trees != want.trees {
+		if res.Value != want.value || res.Cost.Rounds != want.rounds || res.Cost.Messages != want.messages ||
+			res.Cost.Drops != want.drops || res.Trees != want.trees {
 			t.Fatalf("%s drifted from pre-refactor: got (value=%v rounds=%d msgs=%d drops=%d trees=%d), want %+v",
-				kind, res.Value, res.Rounds, res.Messages, res.Drops, res.Trees, want)
+				kind, res.Value, res.Cost.Rounds, res.Cost.Messages, res.Cost.Drops, res.Trees, want)
 		}
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			values := agg.GenUniform(c.cfg.N, 0, 1000, c.cfg.Seed+1)
-			mx, err := Max(c.cfg, values)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mx := mustRun(t, c.cfg, MaxOf(values))
 			check(t, "Max", mx, c.max)
-			av, err := Average(c.cfg, values)
-			if err != nil {
-				t.Fatal(err)
-			}
+			av := mustRun(t, c.cfg, AverageOf(values))
 			check(t, "Average", av, c.ave)
 		})
 	}
@@ -555,10 +522,7 @@ func TestQuantileOnOverlay(t *testing.T) {
 	n := 256
 	cfg := Config{N: n, Seed: 37, Topology: Torus}
 	values := uniformValues(n, 38)
-	res, err := Quantile(cfg, values, 0.5, 5.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, QuantileOf(values, 0.5, 5.0))
 	want := agg.Quantile(values, 0.5)
 	if math.Abs(res.Value-want) > 10 {
 		t.Fatalf("torus median ≈ %v, want ~%v", res.Value, want)

@@ -22,18 +22,18 @@ func TestEveryAggregateTerminatesUnderMidRunCrash(t *testing.T) {
 	}
 	aggregates := []struct {
 		name  string
-		run   func(cfg Config) (*Result, error)
+		run   func(cfg Config) (*Answer, error)
 		exact func(cfg Config) float64
 	}{
-		{"Max", func(cfg Config) (*Result, error) { return Max(cfg, values) },
-			func(cfg Config) float64 { return Exact(cfg, "max", values) }},
-		{"Average", func(cfg Config) (*Result, error) { return Average(cfg, values) },
-			func(cfg Config) float64 { return Exact(cfg, "average", values) }},
-		{"Sum", func(cfg Config) (*Result, error) { return Sum(cfg, values) },
-			func(cfg Config) float64 { return Exact(cfg, "sum", values) }},
-		{"Count", func(cfg Config) (*Result, error) { return Count(cfg, values) },
+		{"Max", func(cfg Config) (*Answer, error) { return runOnce(cfg, MaxOf(values)) },
+			func(cfg Config) float64 { return mustExact(t, cfg, MaxOf(values)) }},
+		{"Average", func(cfg Config) (*Answer, error) { return runOnce(cfg, AverageOf(values)) },
+			func(cfg Config) float64 { return mustExact(t, cfg, AverageOf(values)) }},
+		{"Sum", func(cfg Config) (*Answer, error) { return runOnce(cfg, SumOf(values)) },
+			func(cfg Config) float64 { return mustExact(t, cfg, SumOf(values)) }},
+		{"Count", func(cfg Config) (*Answer, error) { return runOnce(cfg, CountOf(values)) },
 			func(cfg Config) float64 { return float64(n) }},
-		{"Rank", func(cfg Config) (*Result, error) { return Rank(cfg, values, 500) },
+		{"Rank", func(cfg Config) (*Answer, error) { return runOnce(cfg, RankOf(values, 500)) },
 			func(cfg Config) float64 { return agg.Exact(agg.Rank, values, 500) }},
 	}
 	for _, topo := range []Topology{Complete, Chord} {
@@ -78,17 +78,11 @@ func TestEmptyFaultPlanIsBitIdentical(t *testing.T) {
 		base := Config{N: n, Seed: 47, Topology: topo, Loss: 0.05}
 		with := base
 		with.Faults = empty
-		a, err := Average(base, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Average(with, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Value != b.Value || a.Rounds != b.Rounds || a.Messages != b.Messages || a.Drops != b.Drops {
+		a := mustRun(t, base, AverageOf(values))
+		b := mustRun(t, with, AverageOf(values))
+		if a.Value != b.Value || a.Cost.Rounds != b.Cost.Rounds || a.Cost.Messages != b.Cost.Messages || a.Cost.Drops != b.Cost.Drops {
 			t.Fatalf("%s: empty plan drifted: (%v,%d,%d,%d) vs (%v,%d,%d,%d)", topo,
-				a.Value, a.Rounds, a.Messages, a.Drops, b.Value, b.Rounds, b.Messages, b.Drops)
+				a.Value, a.Cost.Rounds, a.Cost.Messages, a.Cost.Drops, b.Value, b.Cost.Rounds, b.Cost.Messages, b.Cost.Drops)
 		}
 	}
 }
@@ -102,18 +96,12 @@ func TestCrashFracExpressibleAsPlan(t *testing.T) {
 	cfg := Config{N: 2048, Seed: 15, Loss: 0.1, CrashFraction: 0.2}
 	values := uniformValues(2048, 16)
 
-	viaCrashFrac, err := Max(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaCrashFrac := mustRun(t, cfg, MaxOf(values))
 	planCfg := Config{N: 2048, Seed: 15, Loss: 0.1,
 		Faults: faults.FromCrashFrac(2048, sim.Options{Seed: 15, CrashFrac: 0.2})}
-	viaPlan, err := Max(planCfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaPlan.Value != viaCrashFrac.Value || viaPlan.Rounds != viaCrashFrac.Rounds ||
-		viaPlan.Messages != viaCrashFrac.Messages || viaPlan.Drops != viaCrashFrac.Drops ||
+	viaPlan := mustRun(t, planCfg, MaxOf(values))
+	if viaPlan.Value != viaCrashFrac.Value || viaPlan.Cost.Rounds != viaCrashFrac.Cost.Rounds ||
+		viaPlan.Cost.Messages != viaCrashFrac.Cost.Messages || viaPlan.Cost.Drops != viaCrashFrac.Cost.Drops ||
 		viaPlan.Trees != viaCrashFrac.Trees || viaPlan.Alive != viaCrashFrac.Alive {
 		t.Fatalf("plan path diverges from CrashFrac path:\n plan      %+v\n crashfrac %+v", viaPlan, viaCrashFrac)
 	}
@@ -123,10 +111,10 @@ func TestCrashFracExpressibleAsPlan(t *testing.T) {
 		goldenMessages = 62894
 		goldenAlive    = 1651
 	)
-	if viaCrashFrac.Rounds != goldenRounds || viaCrashFrac.Messages != goldenMessages ||
+	if viaCrashFrac.Cost.Rounds != goldenRounds || viaCrashFrac.Cost.Messages != goldenMessages ||
 		viaCrashFrac.Alive != goldenAlive {
 		t.Fatalf("golden drift: rounds=%d messages=%d alive=%d, want (%d, %d, %d)",
-			viaCrashFrac.Rounds, viaCrashFrac.Messages, viaCrashFrac.Alive,
+			viaCrashFrac.Cost.Rounds, viaCrashFrac.Cost.Messages, viaCrashFrac.Alive,
 			goldenRounds, goldenMessages, goldenAlive)
 	}
 }
@@ -135,7 +123,7 @@ func TestCrashFracExpressibleAsPlan(t *testing.T) {
 func TestFaultPlanValidation(t *testing.T) {
 	values := uniformValues(16, 1)
 	bad := &faults.Plan{Events: []faults.Event{{Kind: faults.Crash, Nodes: []int{99}}}}
-	if _, err := Max(Config{N: 16, Seed: 1, Faults: bad}, values); !errors.Is(err, ErrBadConfig) {
+	if _, err := runOnce(Config{N: 16, Seed: 1, Faults: bad}, MaxOf(values)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("out-of-range plan: %v, want ErrBadConfig", err)
 	}
 	if _, err := ParseFaultPlan("meteor:0.5"); !errors.Is(err, ErrBadConfig) {
@@ -145,10 +133,7 @@ func TestFaultPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Average(Config{N: 256, Seed: 3, Faults: plan}, uniformValues(256, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Config{N: 256, Seed: 3, Faults: plan}, AverageOf(uniformValues(256, 4)))
 	if res.FaultRevives == 0 {
 		t.Fatalf("rejoin never fired: %+v", res)
 	}
@@ -162,15 +147,9 @@ func TestFaultRunDeterminism(t *testing.T) {
 	}
 	cfg := Config{N: 256, Seed: 51, Faults: plan}
 	values := uniformValues(256, 52)
-	a, err := Sum(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sum(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Value != b.Value || a.Messages != b.Messages || a.Rounds != b.Rounds ||
+	a := mustRun(t, cfg, SumOf(values))
+	b := mustRun(t, cfg, SumOf(values))
+	if a.Value != b.Value || a.Cost.Messages != b.Cost.Messages || a.Cost.Rounds != b.Cost.Rounds ||
 		a.FaultEvents != b.FaultEvents || a.Alive != b.Alive {
 		t.Fatalf("faulty runs differ: %+v vs %+v", a, b)
 	}
@@ -184,14 +163,11 @@ func TestPartitionedRunTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := uniformValues(512, 54)
-	res, err := Average(Config{N: 512, Seed: 53, Faults: plan}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Config{N: 512, Seed: 53, Faults: plan}, AverageOf(values))
 	if math.IsNaN(res.Value) || math.IsInf(res.Value, 0) {
 		t.Fatalf("non-finite value %v", res.Value)
 	}
-	if res.Drops == 0 {
+	if res.Cost.Drops == 0 {
 		t.Fatal("partition blocked nothing")
 	}
 }

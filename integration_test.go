@@ -112,20 +112,14 @@ func TestCompleteAndChordAgree(t *testing.T) {
 	// The same aggregate through both topologies of the public API.
 	n := 512
 	values := agg.GenUniform(n, 0, 100, 74)
-	complete, err := Average(Config{N: n, Seed: 75}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chordRes, err := Average(Config{N: n, Seed: 76, Topology: Chord}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	complete := mustRun(t, Config{N: n, Seed: 75}, AverageOf(values))
+	chordRes := mustRun(t, Config{N: n, Seed: 76, Topology: Chord}, AverageOf(values))
 	if math.Abs(complete.Value-chordRes.Value) > 1e-3 {
 		t.Fatalf("topologies disagree: complete %v, chord %v", complete.Value, chordRes.Value)
 	}
 	// Chord pays more rounds (routing) but its correctness matches.
-	if chordRes.Rounds <= complete.Rounds {
-		t.Fatalf("chord rounds %d <= complete rounds %d", chordRes.Rounds, complete.Rounds)
+	if chordRes.Cost.Rounds <= complete.Cost.Rounds {
+		t.Fatalf("chord rounds %d <= complete rounds %d", chordRes.Cost.Rounds, complete.Cost.Rounds)
 	}
 }
 
@@ -153,10 +147,7 @@ func TestChordDRRBeatsChordUniformOnMessages(t *testing.T) {
 func TestMomentsFacade(t *testing.T) {
 	n := 1024
 	values := agg.GenUniform(n, 0, 100, 80)
-	res, err := Moments(Config{N: n, Seed: 81}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Config{N: n, Seed: 81}, MomentsOf(values))
 	wantMean := agg.Exact(agg.Average, values, 0)
 	s2 := 0.0
 	for _, v := range values {
@@ -169,10 +160,10 @@ func TestMomentsFacade(t *testing.T) {
 	if agg.RelError(res.Variance, wantVar) > 1e-6 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)
 	}
-	if !res.Consensus || res.Messages == 0 {
+	if !res.Consensus || res.Cost.Messages == 0 {
 		t.Fatalf("result incomplete: %+v", res)
 	}
-	if _, err := Moments(Config{N: n, Seed: 81, Topology: Chord}, values); err == nil {
+	if _, err := runOnce(Config{N: n, Seed: 81, Topology: Chord}, MomentsOf(values)); err == nil {
 		t.Fatal("chord Moments should be rejected")
 	}
 }
@@ -184,32 +175,20 @@ func TestFullStackUnderAdversity(t *testing.T) {
 	cfg := Config{N: n, Seed: 82, Loss: 0.125, CrashFraction: 0.2}
 	values := agg.GenUniform(n, -50, 150, 83)
 
-	mx, err := Max(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx.Value != Exact(cfg, "max", values) || !mx.Consensus {
+	mx := mustRun(t, cfg, MaxOf(values))
+	if mx.Value != mustExact(t, cfg, MaxOf(values)) || !mx.Consensus {
 		t.Fatalf("Max = %v (consensus %v)", mx.Value, mx.Consensus)
 	}
-	mn, err := Min(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn.Value != Exact(cfg, "min", values) {
+	mn := mustRun(t, cfg, MinOf(values))
+	if mn.Value != mustExact(t, cfg, MinOf(values)) {
 		t.Fatalf("Min = %v", mn.Value)
 	}
-	av, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
+	av := mustRun(t, cfg, AverageOf(values))
+	if want := mustExact(t, cfg, AverageOf(values)); agg.RelError(av.Value, want) > 0.05 {
+		t.Fatalf("Average = %v, want %v", av.Value, want)
 	}
-	if agg.RelError(av.Value, Exact(cfg, "average", values)) > 0.05 {
-		t.Fatalf("Average = %v, want %v", av.Value, Exact(cfg, "average", values))
-	}
-	ct, err := Count(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.RelError(ct.Value, Exact(cfg, "count", values)) > 0.02 {
-		t.Fatalf("Count = %v, want %v", ct.Value, Exact(cfg, "count", values))
+	ct := mustRun(t, cfg, CountOf(values))
+	if want := mustExact(t, cfg, CountOf(values)); agg.RelError(ct.Value, want) > 0.02 {
+		t.Fatalf("Count = %v, want %v", ct.Value, want)
 	}
 }

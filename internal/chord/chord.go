@@ -362,40 +362,11 @@ func (r *Ring) appendGraphNeighbors(u int, buf []int) []int {
 //
 // The graph is implicit: neighbour lists are recomputed per query from
 // successor arithmetic (see appendGraphNeighbors), so the graph costs no
-// memory at any n. Use MaterializedGraph for the historical jagged-slice
-// layout.
+// memory at any n.
 func (r *Ring) Graph() *graph.Graph {
 	return graph.NewImplicit(fmt.Sprintf("chord(%d)", r.n), graph.ImplicitSpec{
 		N:     r.n,
 		Edges: -1, // counted lazily on first NumEdges call
 		Fill:  func(u int, buf []int) []int { return r.appendGraphNeighbors(u, buf) },
 	})
-}
-
-// MaterializedGraph returns the same communication graph as Graph in the
-// historical jagged-slice representation: every neighbour list is its own
-// []int. It exists for cross-representation goldens and the SC1 memory
-// study; protocols should use Graph.
-func (r *Ring) MaterializedGraph() *graph.Graph {
-	lists := make([][]int, r.n)
-	var fbuf []int
-	for i := 0; i < r.n; i++ {
-		fbuf = r.appendFingers(i, fbuf[:0])
-		for _, f := range fbuf {
-			lists[i] = append(lists[i], f)
-			lists[f] = append(lists[f], i)
-		}
-		// Successor link always present even if finger dedup removed it.
-		if s := (i + 1) % r.n; s != i {
-			lists[i] = append(lists[i], s)
-			lists[s] = append(lists[s], i)
-		}
-	}
-	// Mutual fingers insert each edge twice; normalise.
-	graph.SortDedup(lists)
-	g, err := graph.LegacyJagged(fmt.Sprintf("chord(%d)", r.n), lists)
-	if err != nil {
-		panic(err) // construction is symmetric by design
-	}
-	return g
 }

@@ -2,37 +2,65 @@ package chord
 
 // Cross-representation golden: the implicit communication graph
 // (interval-query reverse fingers over closed-form successor arithmetic)
-// must be element-identical to the materialized jagged builder, which
-// reproduces the historical two-pass construction.
+// must be element-identical to materialized [][]int adjacency lists
+// built by the historical two-pass construction.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
+
+// materializedLists is the historical construction of the ring's
+// communication graph: append every finger edge (and the successor link)
+// from both endpoints, then sort and deduplicate each list.
+func materializedLists(r *Ring) [][]int {
+	lists := make([][]int, r.n)
+	var fbuf []int
+	for i := 0; i < r.n; i++ {
+		fbuf = r.appendFingers(i, fbuf[:0])
+		for _, f := range fbuf {
+			lists[i] = append(lists[i], f)
+			lists[f] = append(lists[f], i)
+		}
+		// Successor link always present even if finger dedup removed it.
+		if s := (i + 1) % r.n; s != i {
+			lists[i] = append(lists[i], s)
+			lists[s] = append(lists[s], i)
+		}
+	}
+	// Mutual fingers insert each edge twice; normalise.
+	for u, ns := range lists {
+		slices.Sort(ns)
+		lists[u] = slices.Compact(ns)
+	}
+	return lists
+}
 
 func assertGraphsEqual(t *testing.T, r *Ring) {
 	t.Helper()
 	imp := r.Graph()
-	mat := r.MaterializedGraph()
-	if imp.N() != mat.N() {
-		t.Fatalf("n=%d: N differs: %d vs %d", r.N(), imp.N(), mat.N())
+	mat := materializedLists(r)
+	if imp.N() != len(mat) {
+		t.Fatalf("n=%d: N differs: %d vs %d", r.N(), imp.N(), len(mat))
 	}
 	var buf []int
+	degrees := 0
 	for u := 0; u < r.N(); u++ {
 		buf = imp.NeighborsInto(u, buf)
-		want := mat.Neighbors(u)
-		if len(buf) != len(want) {
-			t.Fatalf("n=%d u=%d: degree %d vs %d (%v vs %v)",
-				r.N(), u, len(buf), len(want), buf, want)
+		want := mat[u]
+		degrees += len(want)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("n=%d u=%d: neighbours differ: %v vs %v", r.N(), u, buf, want)
 		}
-		for i := range buf {
-			if buf[i] != want[i] {
-				t.Fatalf("n=%d u=%d: neighbours differ: %v vs %v", r.N(), u, buf, want)
+		for _, v := range want {
+			if v == u || !slices.Contains(mat[v], u) {
+				t.Fatalf("n=%d: reference edge (%d,%d) is a self-loop or not symmetric", r.N(), u, v)
 			}
 		}
 	}
-	if imp.NumEdges() != mat.NumEdges() {
-		t.Fatalf("n=%d: edges %d vs %d", r.N(), imp.NumEdges(), mat.NumEdges())
+	if imp.NumEdges() != degrees/2 {
+		t.Fatalf("n=%d: edges %d vs %d", r.N(), imp.NumEdges(), degrees/2)
 	}
 }
 

@@ -185,16 +185,19 @@ func runOverlaysFaulted(cfg Config, specs []string) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		fc := facade.Config{N: n, Seed: cfg.Seed, Topology: topo, Faults: plan}
-		mres, err := facade.Max(fc, values)
+		nw, err := facade.New(facade.Config{N: n, Seed: cfg.Seed, Topology: topo, Faults: plan})
+		if err != nil {
+			return nil, fmt.Errorf("%s under faults: %w", topo, err)
+		}
+		mres, err := nw.Run(facade.MaxOf(values))
 		if err != nil {
 			return nil, fmt.Errorf("%s max under faults: %w", topo, err)
 		}
-		ares, err := facade.Average(fc, values)
+		ares, err := nw.Run(facade.AverageOf(values))
 		if err != nil {
 			return nil, fmt.Errorf("%s ave under faults: %w", topo, err)
 		}
-		sres, err := facade.Sum(fc, values)
+		sres, err := nw.Run(facade.SumOf(values))
 		if err != nil {
 			return nil, fmt.Errorf("%s sum under faults: %w", topo, err)
 		}
@@ -202,8 +205,8 @@ func runOverlaysFaulted(cfg Config, specs []string) (*Report, error) {
 		aveErr := agg.RelError(ares.Value, wantAve)
 		sumErr := agg.RelError(sres.Value, wantSum)
 		tb.AddRow(topo.String(), ares.Alive, ares.FaultCrashes, maxErr, aveErr, sumErr,
-			float64(mres.Messages+ares.Messages+sres.Messages)/3/float64(n),
-			(mres.Rounds+ares.Rounds+sres.Rounds)/3)
+			float64(mres.Cost.Messages+ares.Cost.Messages+sres.Cost.Messages)/3/float64(n),
+			(mres.Cost.Rounds+ares.Cost.Rounds+sres.Cost.Rounds)/3)
 		for _, e := range []float64{maxErr, aveErr, sumErr} {
 			if math.IsNaN(e) || math.IsInf(e, 0) {
 				finiteOK = false

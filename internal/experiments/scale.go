@@ -5,17 +5,13 @@
 // Complete, Chord and SmallWorld topologies through the public session
 // facade in scale mode (Config.Workers sharded delivery, no PerNode
 // materialization), fits the observed rounds and message bills against
-// the per-topology reference curves, and pins three contracts:
+// the per-topology reference curves, and pins two contracts:
 //
 //   - sharding: the largest tractable Chord size re-run with 1, 4 and 8
 //     workers must be bit-identical;
-//   - representation: re-running mid-ladder Chord and SmallWorld sizes
-//     with Config.LegacySliceAdjacency must reproduce the implicit/CSR
-//     answers bit-for-bit;
 //   - memory: the chord memory leg (n = 10^6 in both tiers) must fit a
 //     fixed peak-RSS budget, and the implicit chord graph must be at
-//     least 5× smaller than the materialized slice adjacency it
-//     replaced.
+//     least 5× smaller than materialized [][]int adjacency lists.
 //
 // Reference curves per topology (the paper proves different bounds for
 // dense and sparse networks — fitting everything against n log log n
@@ -169,11 +165,10 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	}
 	// measure runs one Ave through the facade; graphMB is the live-heap
 	// delta retained by the session build (overlay storage dominates it:
-	// ~0 for implicit Complete/Chord, the CSR arrays for SmallWorld, the
-	// full jagged adjacency under LegacySliceAdjacency).
-	measure := func(topo facade.Topology, n, workers int, legacyAdj bool, values []float64) (*facade.Answer, time.Duration, float64, error) {
+	// ~0 for implicit Complete/Chord, the CSR arrays for SmallWorld).
+	measure := func(topo facade.Topology, n, workers int, values []float64) (*facade.Answer, time.Duration, float64, error) {
 		fc := facade.Config{N: n, Seed: xrand.Hash(cfg.Seed, 0x5C1, uint64(n)), Topology: topo,
-			Workers: workers, LegacySliceAdjacency: legacyAdj, Telemetry: cfg.Telemetry}
+			Workers: workers, Telemetry: cfg.Telemetry}
 		h0 := liveHeapMB()
 		net, err := facade.New(fc)
 		if err != nil {
@@ -191,7 +186,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	memBudgetMB := max(1536, sc1MemBudgetMB*memLegN/sc1MemLegN)
 	memValues := genValues(memLegN)
 	prevLimit := debug.SetMemoryLimit(sc1MemLimit)
-	memAns, memElapsed, _, err := measure(facade.Chord, memLegN, sc1Workers, false, memValues)
+	memAns, memElapsed, _, err := measure(facade.Chord, memLegN, sc1Workers, memValues)
 	debug.SetMemoryLimit(prevLimit)
 	if err != nil {
 		return nil, fmt.Errorf("SC1 memory leg chord n=%d: %w", memLegN, err)
@@ -205,7 +200,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 
 	// Graph-representation footprint at the same size: the implicit
 	// chord graph (closed-form successor arithmetic, no stored lists)
-	// versus the materialized jagged adjacency it replaced.
+	// versus the same adjacency materialized as one []int per node.
 	ring, err := chord.New(memLegN, chord.Options{Seed: xrand.Hash(cfg.Seed, 0x5C1, uint64(memLegN))})
 	if err != nil {
 		return nil, fmt.Errorf("SC1 memory leg ring: %w", err)
@@ -216,12 +211,15 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	nbuf = ig.NeighborsInto(0, nbuf) // touch the lazy scratch paths
 	implicitMB := math.Max(0, liveHeapMB()-h0)
 	h0 = liveHeapMB()
-	mg := ring.MaterializedGraph()
-	legacyMB := math.Max(0, liveHeapMB()-h0)
-	if len(nbuf) == 0 || mg.N() != ig.N() {
+	lists := make([][]int, ig.N())
+	for u := range lists {
+		lists[u] = ig.NeighborsInto(u, nil)
+	}
+	listsMB := math.Max(0, liveHeapMB()-h0)
+	if len(nbuf) == 0 || len(lists[0]) != len(nbuf) {
 		return nil, fmt.Errorf("SC1 memory leg: degenerate graphs (deg %d)", len(nbuf))
 	}
-	mg, ig, ring = nil, nil, nil
+	lists, ig, ring = nil, nil, nil
 
 	chordMax := sizes[len(sizes)-1]
 	chordShardN := min(chordMax, sc1ShardMax)
@@ -230,9 +228,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 		elapsed time.Duration
 	}
 	shardLegs := map[int]shardLeg{} // workers -> chord run at chordShardN
-	// answers[topo][n] keeps the ladder's runs for the representation
-	// identity re-runs below.
-	answers := map[string]map[int]*facade.Answer{}
 
 	capped := false
 	for _, topo := range topos {
@@ -242,7 +237,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 				continue
 			}
 			values := genValues(n)
-			ans, elapsed, graphMB, err := measure(topo, n, sc1Workers, false, values)
+			ans, elapsed, graphMB, err := measure(topo, n, sc1Workers, values)
 			if err != nil {
 				return nil, fmt.Errorf("SC1 %s n=%d: %w", topo, n, err)
 			}
@@ -253,10 +248,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 			if topo == facade.Chord && n == chordShardN {
 				shardLegs[sc1Workers] = shardLeg{ans: ans, elapsed: elapsed}
 			}
-			if answers[topo.String()] == nil {
-				answers[topo.String()] = map[int]*facade.Answer{}
-			}
-			answers[topo.String()][n] = ans
 			nf := float64(n)
 			loglog := math.Log2(math.Log2(nf))
 			tb.AddRow(topo.String(), n, float64(ans.Cost.Rounds), float64(ans.Cost.Messages),
@@ -280,7 +271,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 		if _, done := shardLegs[workers]; done {
 			continue
 		}
-		ans, elapsed, _, err := measure(facade.Chord, chordShardN, workers, false, values)
+		ans, elapsed, _, err := measure(facade.Chord, chordShardN, workers, values)
 		if err != nil {
 			return nil, fmt.Errorf("SC1 shard check workers=%d: %w", workers, err)
 		}
@@ -295,39 +286,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 			workers, leg.ans.Value, leg.ans.Cost, leg.elapsed.Seconds())
 		if !sameAnswer(leg.ans, ref) {
 			shardOK = false
-		}
-	}
-
-	// Representation contract: mid-ladder sizes re-run on materialized
-	// jagged slices (LegacySliceAdjacency) must reproduce the
-	// implicit/CSR answers bit-for-bit. Chord re-runs at the largest
-	// ladder size <= 10^5, SmallWorld at <= 10^4 (the jagged rebuild is
-	// the expensive part being replaced, so the identity check stays
-	// cheap).
-	repOK := true
-	repDetail := ""
-	for _, rc := range []struct {
-		topo facade.Topology
-		cap  int
-	}{{facade.Chord, 100_000}, {facade.SmallWorld, 10_000}} {
-		repN := 0
-		for n := range answers[rc.topo.String()] {
-			if n <= rc.cap && n > repN {
-				repN = n
-			}
-		}
-		if repN == 0 {
-			continue
-		}
-		ans, _, graphMB, err := measure(rc.topo, repN, sc1Workers, true, genValues(repN))
-		if err != nil {
-			return nil, fmt.Errorf("SC1 representation check %s n=%d: %w", rc.topo, repN, err)
-		}
-		same := sameAnswer(ans, answers[rc.topo.String()][repN])
-		repDetail += fmt.Sprintf("%s n=%d: legacy value %.9g cost %+v graphMB %.1f match=%v; ",
-			rc.topo, repN, ans.Value, ans.Cost, graphMB, same)
-		if !same {
-			repOK = false
 		}
 	}
 
@@ -359,11 +317,9 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 			"msgs/n %v -> %v", sw["msgs/n"][0], last(sw["msgs/n"])),
 		verdictf(fmt.Sprintf("sharded execution is bit-identical for workers ∈ {1,4,8} at n=%d (chord)", chordShardN),
 			shardOK, "%s", shardDetail),
-		verdictf("legacy slice adjacency is bit-identical to implicit/CSR storage (chord + smallworld re-runs)",
-			repOK, "%s", repDetail),
 		verdictf(fmt.Sprintf("chord n=%d: implicit graph is ≥5× leaner than materialized slice adjacency", memLegN),
-			legacyMB >= 5*math.Max(implicitMB, 0.25),
-			"implicit %.2f MB vs materialized %.1f MB", implicitMB, legacyMB),
+			listsMB >= 5*math.Max(implicitMB, 0.25),
+			"implicit %.2f MB vs materialized %.1f MB", implicitMB, listsMB),
 		verdictf(fmt.Sprintf("chord n=%d memory leg fits the fixed budget: peak RSS ≤ %d MB", memLegN, memBudgetMB),
 			memPeak <= float64(memBudgetMB),
 			"peak RSS %.0f MB after the %0.1fs pipeline run (cost %+v)", memPeak, memElapsed.Seconds(), memAns.Cost),

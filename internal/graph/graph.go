@@ -9,7 +9,7 @@
 //
 // # Memory model
 //
-// A Graph carries exactly one of three storage representations, all
+// A Graph carries exactly one of two storage representations, both
 // serving the same query API with element-identical neighbour lists:
 //
 //   - implicit: Degree/Neighbors are computed on the fly from a closed
@@ -19,10 +19,8 @@
 //     (generated topologies that must be materialized: SmallWorld,
 //     RandomRegular, BarabasiAlbert, ErdosRenyi). ~4 bytes per directed
 //     edge instead of a 24-byte slice header plus 8 bytes per entry.
-//   - jagged: the historical [][]int layout, kept only behind
-//     LegacyJagged for cross-representation tests and memory studies.
 //
-// Neighbors(u) on a non-jagged graph fills an internal scratch buffer:
+// Neighbors(u) fills an internal scratch buffer:
 // the result is valid until the next Neighbors call on the same Graph
 // and must be treated as read-only. Callers that hold neighbour lists
 // across calls, or iterate from several goroutines, must use
@@ -46,15 +44,13 @@ import (
 
 // Graph is an immutable simple undirected graph on vertices 0..n-1.
 //
-// Query methods are safe for concurrent use only on jagged graphs;
-// implicit and CSR graphs share scratch buffers across calls (see the
-// package comment), so concurrent readers must go through NeighborsInto.
+// Query methods share scratch buffers across calls (see the package
+// comment), so concurrent readers must go through NeighborsInto.
 type Graph struct {
 	name string
 	n    int
 
 	// Exactly one representation is populated.
-	adj  [][]int                      // jagged (LegacyJagged only)
 	off  []int64                      // CSR row offsets, len n+1
 	csr  []int32                      // CSR flat neighbour array
 	fill func(u int, buf []int) []int // implicit: append u's sorted neighbours
@@ -187,38 +183,6 @@ func FromAdjacency(name string, adj [][]int) (*Graph, error) {
 	return fromLists(name, lists)
 }
 
-// LegacyJagged validates adjacency lists (which must already be sorted)
-// and wraps them directly in the historical jagged [][]int layout,
-// sharing the caller's slices. It exists for cross-representation
-// goldens and memory comparisons against the implicit/CSR storage —
-// new code should use FromAdjacency.
-func LegacyJagged(name string, adj [][]int) (*Graph, error) {
-	m, err := validateLists(name, adj)
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{name: name, n: len(adj), adj: adj, m: m}, nil
-}
-
-// SortDedup sorts each adjacency list in place and removes consecutive
-// duplicates, truncating the lists — the normalisation list-based
-// generators need when they append the same undirected edge from both
-// endpoints (mutual Chord fingers, small-world shortcuts).
-func SortDedup(adj [][]int) {
-	for u, lst := range adj {
-		sort.Ints(lst)
-		out := lst[:0]
-		prev := -1
-		for _, v := range lst {
-			if v != prev {
-				out = append(out, v)
-				prev = v
-			}
-		}
-		adj[u] = out
-	}
-}
-
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
@@ -240,13 +204,9 @@ func (g *Graph) NumEdges() int {
 func (g *Graph) Name() string { return g.name }
 
 // Neighbors returns vertex u's sorted neighbour list. The caller must
-// not modify it, and on implicit/CSR graphs it is only valid until the
-// next Neighbors call on g (Degree and HasEdge do not invalidate it);
+// not modify it, and it is only valid until the next Neighbors call on g (Degree and HasEdge do not invalidate it);
 // use NeighborsInto to hold lists across calls or read concurrently.
 func (g *Graph) Neighbors(u int) []int {
-	if g.adj != nil {
-		return g.adj[u]
-	}
 	g.scratch = g.NeighborsInto(u, g.scratch)
 	return g.scratch
 }
@@ -258,8 +218,6 @@ func (g *Graph) Neighbors(u int) []int {
 func (g *Graph) NeighborsInto(u int, buf []int) []int {
 	buf = buf[:0]
 	switch {
-	case g.adj != nil:
-		return append(buf, g.adj[u]...)
 	case g.off != nil:
 		for _, v := range g.csr[g.off[u]:g.off[u+1]] {
 			buf = append(buf, int(v))
@@ -273,8 +231,6 @@ func (g *Graph) NeighborsInto(u int, buf []int) []int {
 // Degree returns the degree of vertex u.
 func (g *Graph) Degree(u int) int {
 	switch {
-	case g.adj != nil:
-		return len(g.adj[u])
 	case g.off != nil:
 		return int(g.off[u+1] - g.off[u])
 	case g.deg != nil:
@@ -288,10 +244,6 @@ func (g *Graph) Degree(u int) int {
 // HasEdge reports whether {u,v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
 	switch {
-	case g.adj != nil:
-		ns := g.adj[u]
-		i := sort.SearchInts(ns, v)
-		return i < len(ns) && ns[i] == v
 	case g.off != nil:
 		row := g.csr[g.off[u]:g.off[u+1]]
 		i, ok := slices.BinarySearch(row, int32(v))

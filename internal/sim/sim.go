@@ -294,7 +294,7 @@ func normShards(shards, n int) int {
 // between Resets re-partitions the delivery queues (and only then
 // reallocates them); it cannot change any result.
 func (e *Engine) Reset(opts Options) {
-	if opts.Loss < 0 || opts.Loss >= 1 {
+	if !(opts.Loss >= 0 && opts.Loss < 1) { // negated so NaN is rejected too
 		panic("sim: Loss must be in [0,1)")
 	}
 	e.opts = opts

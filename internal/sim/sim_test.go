@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -269,6 +270,7 @@ func TestEngineValidation(t *testing.T) {
 		func() { NewEngine(0, Options{}) },
 		func() { NewEngine(3, Options{Loss: 1.0}) },
 		func() { NewEngine(3, Options{Loss: -0.1}) },
+		func() { NewEngine(3, Options{Loss: math.NaN()}) },
 		func() {
 			e := NewEngine(3, Options{})
 			e.ResolveCalls(make([]Call, 2), nil, nil)

@@ -1,12 +1,11 @@
 // The session facade: a Network is a reusable handle on one simulated
-// network. The paper's headline economics — one preprocessing investment
-// amortized across many aggregate computations — used to be invisible in
-// this package's API: every one-shot call re-validated the Config,
-// rebuilt the overlay graph and re-measured the fault-plan horizon from
-// scratch. New(cfg) does each of those exactly once; the typed queries
-// of query.go then run against the standing session, so a Quantile
-// (up to ~80 bisection Rank steps) or a Histogram (one Rank per edge)
-// pays O(build + steps) instead of O(steps × build).
+// network, mirroring the paper's economics — one preprocessing
+// investment amortized across many aggregate computations. New(cfg)
+// validates the Config, builds the overlay graph and (lazily) measures
+// the fault-plan horizon exactly once; the typed queries of query.go
+// then run against the standing session, so a Quantile (up to ~80
+// bisection Rank steps) or a Histogram (one Rank per edge) pays
+// O(build + steps) instead of O(steps × build).
 
 package drrgossip
 
@@ -111,9 +110,9 @@ type SessionStats struct {
 // the fault-plan horizon and binds the plan once per operation kind —
 // after which every query reuses the standing state. Queries themselves
 // stay independent: each protocol run starts from a fresh engine seeded
-// by Config.Seed, so a Network's answers are bit-identical to one-shot
-// runs and identical across repeated calls (determinism is per-run, not
-// per-session).
+// by Config.Seed, so a Network's answers are bit-identical to those of a
+// fresh single-use session and identical across repeated calls
+// (determinism is per-run, not per-session).
 //
 // A Network is not safe for concurrent use; run queries sequentially.
 type Network struct {
@@ -130,7 +129,7 @@ type Network struct {
 	// bounds caches the fault plan resolved per operation kind: the
 	// horizon (total healthy rounds) differs between the max- and
 	// ave-pipelines, so fractional event timings resolve per Op — but
-	// only once per Op, where the one-shot facade re-measured per call.
+	// only once per Op, not once per call.
 	bounds map[Op]*faults.Bound
 
 	// sample caches the Config.SampleNodes id set (computed once per
@@ -441,12 +440,12 @@ func (nw *Network) Histogram(values []float64, edges []float64) (*Answer, error)
 
 // protoOut is one protocol run's output: the facade-level result, plus
 // the richer moments result when the run was an OpMoments pipeline, or a
-// pre-wrapped facade Result for runs outside the core pipelines (the HMS
+// pre-wrapped runResult for runs outside the core pipelines (the HMS
 // sampling session, which bills its own phase breakdown).
 type protoOut struct {
 	res *core.Result
 	mom *core.MomentsResult
-	pre *Result
+	pre *runResult
 }
 
 // protoFunc executes one full protocol run on a fresh engine.
@@ -526,9 +525,9 @@ func (nw *Network) engine() *sim.Engine {
 // at the top clears every hook from the previous run, so runs cannot
 // leak observability state into each other. A watchdog abort unwinds
 // the run as a *sim.AbortError panic, recovered here into a partial
-// Result (the engine's accounting at the abort round) plus the abort
+// runResult (the engine's accounting at the abort round) plus the abort
 // cause as the error.
-func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result, mres *core.MomentsResult, err error) {
+func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, mres *core.MomentsResult, err error) {
 	nw.protoRuns++
 	eng := nw.engine()
 	runIdx := nw.protoRuns
@@ -575,7 +574,7 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result,
 			panic(r)
 		}
 		// The watchdog unwound the run mid-protocol: salvage the engine's
-		// accounting as a partial Result and surface the cause. The
+		// accounting as a partial runResult and surface the cause. The
 		// telemetry run still closes, so traces show the aborted run.
 		res, mres, err = nw.partialResult(eng, b), nil, ae.Err
 		em.RunEnd(eng)
@@ -596,7 +595,7 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result,
 		return res, nil, nil
 	}
 	if out.mom != nil {
-		res = &Result{
+		res = &runResult{
 			Value:      out.mom.Mean,
 			PerNode:    out.mom.PerNodeMean,
 			Consensus:  out.mom.Consensus,
@@ -624,7 +623,7 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *Result,
 // it (both runs are deterministic in Seed, so the measured horizon is
 // exact); every later run of the same kind — every further Rank step of
 // a Quantile or Histogram — reuses the binding.
-func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*Result, *core.MomentsResult, error) {
+func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, *core.MomentsResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -800,7 +799,7 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	step := func(op Op, arg float64) (*Result, error) {
+	step := func(op Op, arg float64) (*runResult, error) {
 		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
 		if res != nil {
 			// Bill the run — aborted steps included: the partial answer's
@@ -891,7 +890,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	bill := func(res *Result) {
+	bill := func(res *runResult) {
 		// Bill the run — aborted steps included: the partial answer's
 		// Cost covers the work actually spent before the abort.
 		ans.Cost.Runs++
@@ -902,7 +901,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		ans.Alive = res.Alive
 		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
 	}
-	step := func(op Op, arg float64) (*Result, error) {
+	step := func(op Op, arg float64) (*runResult, error) {
 		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
 		if res != nil {
 			bill(res)
@@ -944,7 +943,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		}
 		sum = s
 		st := eng.Stats()
-		pre := &Result{
+		pre := &runResult{
 			Value:    math.NaN(),
 			Rounds:   st.Rounds,
 			Messages: st.Messages,
@@ -1053,25 +1052,17 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 // run reuses the session verbatim: the engine's crash set is derived
 // from the seed and the fault binding replays identically, so all steps
 // count over the same surviving population and the bucket differences
-// stay consistent.
+// stay consistent. Query.validate has already checked the edges.
 func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Answer, error) {
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("%w: Histogram needs at least one edge", ErrBadConfig)
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("%w: histogram edges must be strictly increasing", ErrBadConfig)
-		}
-	}
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
 	ans := &Answer{Op: OpHistogram, Value: math.NaN(), Converged: true, Counts: make([]float64, len(edges)+1)}
 	cum := make([]float64, len(edges))
-	var last *Result
+	var last *runResult
 	// step bills one sub-run into the answer — aborted steps included, so
 	// a partial answer's Cost covers the work spent before the abort.
-	step := func(op Op, arg float64) (*Result, error) {
+	step := func(op Op, arg float64) (*runResult, error) {
 		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
 		if res != nil {
 			ans.Cost.Runs++

@@ -19,74 +19,9 @@ func mustPlan(t *testing.T, spec string) *faults.Plan {
 	return p
 }
 
-// The equivalence bar of the session redesign: every old top-level
-// function must be bit-for-bit identical to the Network+Query path,
-// across dense and sparse topologies, with and without a dynamic fault
-// plan (the plan uses fractional timings, so the horizon-measurement
-// pre-run machinery is exercised on both paths).
-func TestOldEntryPointsBitIdenticalToSession(t *testing.T) {
-	const n = 144 // 12x12 torus
-	values := uniformValues(n, 71)
-	plans := map[string]*faults.Plan{
-		"static": nil,
-		"churn":  mustPlan(t, "crash:0.15@0.5;rejoin@0.9"),
-	}
-	type oldFn func(cfg Config) (*Result, error)
-	ops := []struct {
-		q   Query
-		old oldFn
-	}{
-		{MaxOf(values), func(cfg Config) (*Result, error) { return Max(cfg, values) }},
-		{MinOf(values), func(cfg Config) (*Result, error) { return Min(cfg, values) }},
-		{SumOf(values), func(cfg Config) (*Result, error) { return Sum(cfg, values) }},
-		{CountOf(values), func(cfg Config) (*Result, error) { return Count(cfg, values) }},
-		{AverageOf(values), func(cfg Config) (*Result, error) { return Average(cfg, values) }},
-		{RankOf(values, 500), func(cfg Config) (*Result, error) { return Rank(cfg, values, 500) }},
-	}
-	for _, topo := range []Topology{Complete, Chord, Torus} {
-		for planName, plan := range plans {
-			// AllNodes materializes the session answers' full PerNode so
-			// the loop below can compare it against the legacy vectors
-			// (the session default is no materialization).
-			cfg := Config{N: n, Seed: 73, Topology: topo, Faults: plan, SampleNodes: AllNodes}
-			nw, err := New(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: New: %v", topo, planName, err)
-			}
-			for _, op := range ops {
-				t.Run(topo.String()+"/"+planName+"/"+op.q.Op.String(), func(t *testing.T) {
-					want, err := op.old(cfg)
-					if err != nil {
-						t.Fatalf("old path: %v", err)
-					}
-					got, err := nw.Run(op.q)
-					if err != nil {
-						t.Fatalf("session path: %v", err)
-					}
-					if got.Value != want.Value || got.Cost.Rounds != want.Rounds ||
-						got.Cost.Messages != want.Messages || got.Cost.Drops != want.Drops ||
-						got.Alive != want.Alive || got.Consensus != want.Consensus ||
-						got.Trees != want.Trees || got.FaultEvents != want.FaultEvents ||
-						got.FaultCrashes != want.FaultCrashes || got.FaultRevives != want.FaultRevives {
-						t.Fatalf("session drifted from one-shot:\n old %+v\n new value=%v cost=%+v alive=%d consensus=%v trees=%d faults=%d/%d/%d",
-							want, got.Value, got.Cost, got.Alive, got.Consensus, got.Trees,
-							got.FaultEvents, got.FaultCrashes, got.FaultRevives)
-					}
-					for i := range want.PerNode {
-						a, b := got.PerNode[i], want.PerNode[i]
-						if a != b && !(a != a && b != b) { // NaN-safe
-							t.Fatalf("PerNode[%d] = %v, want %v", i, a, b)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // A session builds its overlay exactly once, and repeated queries are
 // deterministic: the second call sees the same messages and seed-derived
-// randomness as the first, and both match the one-shot path.
+// randomness as the first, and both match a fresh single-use session.
 func TestSessionReusesOneOverlay(t *testing.T) {
 	cfg := Config{N: 256, Seed: 75, Topology: Chord}
 	values := uniformValues(256, 76)
@@ -110,13 +45,10 @@ func TestSessionReusesOneOverlay(t *testing.T) {
 	if a.Value != b.Value || a.Cost != b.Cost {
 		t.Fatalf("repeat query drifted: %+v vs %+v", a, b)
 	}
-	oneShot, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Value != oneShot.Value || a.Cost.Messages != oneShot.Messages {
-		t.Fatalf("session differs from one-shot: %v/%d vs %v/%d",
-			a.Value, a.Cost.Messages, oneShot.Value, oneShot.Messages)
+	fresh := mustRun(t, cfg, AverageOf(values))
+	if a.Value != fresh.Value || a.Cost.Messages != fresh.Cost.Messages {
+		t.Fatalf("session differs from a fresh session: %v/%d vs %v/%d",
+			a.Value, a.Cost.Messages, fresh.Value, fresh.Cost.Messages)
 	}
 	if st := nw.Stats(); st.Queries != 2 || st.ProtocolRuns != 2 || !st.OverlayBuilt {
 		t.Fatalf("session stats off: %+v", st)
@@ -169,14 +101,14 @@ func TestCompositeQueriesAmortizeSetup(t *testing.T) {
 		t.Fatalf("quantile pre-run accounting off: stats %+v, cost %+v", st2, q.Cost)
 	}
 
-	// The legacy wrappers go through a single-use session, so a one-shot
-	// Histogram call also builds exactly one overlay.
+	// A single-use session running one Histogram also builds exactly
+	// one overlay.
 	before := overlayBuilds.Load()
-	if _, err := Histogram(cfg, values, []float64{200, 400, 600}); err != nil {
+	if _, err := runOnce(cfg, HistogramOf(values, []float64{200, 400, 600})); err != nil {
 		t.Fatal(err)
 	}
 	if got := overlayBuilds.Load() - before; got != 1 {
-		t.Fatalf("legacy Histogram built %d overlays, want 1", got)
+		t.Fatalf("single-use Histogram built %d overlays, want 1", got)
 	}
 }
 
@@ -190,10 +122,7 @@ func TestHistogramAliveUnderChurnPlan(t *testing.T) {
 	const n = 512
 	cfg := Config{N: n, Seed: 79, Faults: mustPlan(t, "crash:0.3@3r")}
 	values := uniformValues(n, 80) // uniform [0, 1000)
-	res, err := Histogram(cfg, values, []float64{250, 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, HistogramOf(values, []float64{250, 2000}))
 	ans, err2 := func() (*Answer, error) {
 		nw, err := New(cfg)
 		if err != nil {
@@ -216,8 +145,8 @@ func TestHistogramAliveUnderChurnPlan(t *testing.T) {
 	}
 	// The population (and hence the bucket total) is measured by a Count
 	// run riding the same dynamics as the ranks — billed as one extra run.
-	if res.Runs != 3 {
-		t.Fatalf("runs = %d, want 2 edges + 1 count", res.Runs)
+	if res.Cost.Runs != 3 {
+		t.Fatalf("runs = %d, want 2 edges + 1 count", res.Cost.Runs)
 	}
 	total := 0.0
 	for _, c := range res.Counts {
@@ -238,10 +167,7 @@ func TestHistogramStaysNonNegativeUnderLateCrash(t *testing.T) {
 	const n = 256
 	cfg := Config{N: n, Seed: 95, Faults: mustPlan(t, "crash:0.5@0.5")}
 	values := uniformValues(n, 96) // uniform [0, 1000)
-	res, err := Histogram(cfg, values, []float64{500, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, HistogramOf(values, []float64{500, 1000}))
 	total := 0.0
 	for b, c := range res.Counts {
 		if c < 0 {
@@ -280,12 +206,9 @@ func TestMomentsAppliesFaultPlan(t *testing.T) {
 	if ans.FaultEvents == 0 || ans.FaultCrashes == 0 || ans.Alive >= n {
 		t.Fatalf("plan did not apply to moments: %+v", ans)
 	}
-	legacy, err := Moments(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Mean != ans.Mean || legacy.Variance != ans.Variance {
-		t.Fatalf("legacy wrapper diverged from session: %+v vs %+v", legacy, ans)
+	fresh := mustRun(t, cfg, MomentsOf(values))
+	if fresh.Mean != ans.Mean || fresh.Variance != ans.Variance {
+		t.Fatalf("fresh session diverged from session: %+v vs %+v", fresh, ans)
 	}
 }
 
@@ -297,35 +220,26 @@ func TestQuantileConvergenceReporting(t *testing.T) {
 	cfg := Config{N: n, Seed: 81, Loss: 0.05}
 	values := uniformValues(n, 82)
 
-	ok, err := Quantile(cfg, values, 0.5, 5.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := mustRun(t, cfg, QuantileOf(values, 0.5, 5.0))
 	if !ok.Converged {
 		t.Fatalf("easy quantile did not converge: %+v", ok)
 	}
-	if ok.Drops == 0 {
+	if ok.Cost.Drops == 0 {
 		t.Fatal("quantile cost did not accumulate Drops under loss")
 	}
 
 	// A tolerance far below float64 resolution can never be met: the
 	// bisection stalls at ulp scale and must hit the run cap.
-	capped, err := Quantile(cfg, values, 0.5, 1e-300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	capped := mustRun(t, cfg, QuantileOf(values, 0.5, 1e-300))
 	if capped.Converged {
 		t.Fatalf("impossible tolerance reported Converged: %+v", capped)
 	}
-	if capped.Runs != maxQuantileRuns {
-		t.Fatalf("cap hit at %d runs, want %d", capped.Runs, maxQuantileRuns)
+	if capped.Cost.Runs != maxQuantileRuns {
+		t.Fatalf("cap hit at %d runs, want %d", capped.Cost.Runs, maxQuantileRuns)
 	}
 
-	hist, err := Histogram(cfg, values, []float64{300, 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist.Drops == 0 {
+	hist := mustRun(t, cfg, HistogramOf(values, []float64{300, 600}))
+	if hist.Cost.Drops == 0 {
 		t.Fatal("histogram cost did not accumulate Drops under loss")
 	}
 }
@@ -357,7 +271,7 @@ func TestRunAllBatch(t *testing.T) {
 	if bill != want {
 		t.Fatalf("aggregate bill %+v != summed costs %+v", bill, want)
 	}
-	if answers[0].Value != Exact(Config{N: n, Seed: 83}, "max", values) {
+	if answers[0].Value != mustExact(t, Config{N: n, Seed: 83}, MaxOf(values)) {
 		t.Fatalf("batched Max = %v", answers[0].Value)
 	}
 	if len(answers[2].Counts) != 2 {
@@ -408,10 +322,7 @@ func TestObserverStreamsRounds(t *testing.T) {
 	values := uniformValues(n, 88)
 	cfg := Config{N: n, Seed: 87}
 
-	plain, err := Average(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustRun(t, cfg, AverageOf(values))
 
 	nw, err := New(cfg)
 	if err != nil {
@@ -424,12 +335,12 @@ func TestObserverStreamsRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if observed.Value != plain.Value || observed.Cost.Messages != plain.Messages ||
-		observed.Cost.Rounds != plain.Rounds {
+	if observed.Value != plain.Value || observed.Cost.Messages != plain.Cost.Messages ||
+		observed.Cost.Rounds != plain.Cost.Rounds {
 		t.Fatalf("observer perturbed the run: %+v vs %+v", observed, plain)
 	}
-	if len(infos) != plain.Rounds {
-		t.Fatalf("observed %d rounds, run took %d", len(infos), plain.Rounds)
+	if len(infos) != plain.Cost.Rounds {
+		t.Fatalf("observed %d rounds, run took %d", len(infos), plain.Cost.Rounds)
 	}
 	phases := map[string]bool{}
 	for i, ri := range infos {
@@ -449,8 +360,8 @@ func TestObserverStreamsRounds(t *testing.T) {
 	// Messages sent in the final round are counted after the last Tick,
 	// so the last snapshot trails the final total by at most that round's
 	// sends — but never exceeds it.
-	if last := infos[len(infos)-1]; last.Messages == 0 || last.Messages > plain.Messages {
-		t.Fatalf("final observed messages %d out of range (run total %d)", last.Messages, plain.Messages)
+	if last := infos[len(infos)-1]; last.Messages == 0 || last.Messages > plain.Cost.Messages {
+		t.Fatalf("final observed messages %d out of range (run total %d)", last.Messages, plain.Cost.Messages)
 	}
 }
 
@@ -474,7 +385,7 @@ func TestExactOf(t *testing.T) {
 		t.Fatalf("ExactOf(quantile) = %v, %v", q, err)
 	}
 	mx, err := ExactOf(cfg, MaxOf(values))
-	if err != nil || mx != Exact(cfg, "max", values) {
+	if err != nil || mx != mustExact(t, cfg, MaxOf(values)) {
 		t.Fatalf("ExactOf(max) = %v, %v", mx, err)
 	}
 	if _, err := ExactOf(cfg, MomentsOf(values)); !errors.Is(err, ErrBadConfig) {
@@ -496,15 +407,12 @@ func TestExactOf(t *testing.T) {
 }
 
 // Moments through the session carries the full answer (mean, variance,
-// std) and matches the legacy wrapper.
+// std) and matches the same query run through Run on a fresh session.
 func TestMomentsViaSession(t *testing.T) {
 	const n = 512
 	cfg := Config{N: n, Seed: 91}
 	values := uniformValues(n, 92)
-	legacy, err := Moments(cfg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := mustRun(t, cfg, MomentsOf(values))
 	nw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -513,9 +421,9 @@ func TestMomentsViaSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Mean != legacy.Mean || ans.Variance != legacy.Variance || ans.Std != legacy.Std ||
-		ans.Value != legacy.Mean || ans.Cost.Messages != legacy.Messages {
-		t.Fatalf("session moments drifted: %+v vs %+v", ans, legacy)
+	if ans.Mean != fresh.Mean || ans.Variance != fresh.Variance || ans.Std != fresh.Std ||
+		ans.Value != fresh.Mean || ans.Cost.Messages != fresh.Cost.Messages {
+		t.Fatalf("session moments drifted: %+v vs %+v", ans, fresh)
 	}
 	if _, err := New(Config{N: n, Seed: 91, Topology: Chord}); err != nil {
 		t.Fatal(err)

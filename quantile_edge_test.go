@@ -130,7 +130,10 @@ func TestQuantileSmallestPopulation(t *testing.T) {
 // Out-of-range φ must be rejected with ErrBadConfig before any fault
 // plan expands or any protocol runs — the regression pinned here is the
 // old behavior where Quantile validated φ only after Min/Max/Count had
-// already run (and RunAll had already bound fault plans).
+// already run (and RunAll had already bound fault plans). A NaN
+// tolerance is rejected the same way: it used to make the bisection
+// loop's `hi-lo > tol` test false at once, returning the maximum as the
+// median with Converged false.
 func TestQuantilePhiValidation(t *testing.T) {
 	const n = 64
 	values := uniformValues(n, 88)
@@ -140,10 +143,12 @@ func TestQuantilePhiValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, phi := range []float64{0, -1, 1.5, math.NaN()} {
-			ans, err := nw.Run(QuantileOf(values, phi, 1.0))
+		for _, tc := range []struct{ phi, tol float64 }{
+			{0, 1}, {-1, 1}, {1.5, 1}, {math.NaN(), 1}, {0.5, math.NaN()},
+		} {
+			ans, err := nw.Run(QuantileOf(values, tc.phi, tc.tol))
 			if !errors.Is(err, ErrBadConfig) {
-				t.Fatalf("phi=%v: want ErrBadConfig, got %v (ans %+v)", phi, err, ans)
+				t.Fatalf("phi=%v tol=%v: want ErrBadConfig, got %v (ans %+v)", tc.phi, tc.tol, err, ans)
 			}
 		}
 		if st := nw.Stats(); st.ProtocolRuns != 0 {

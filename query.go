@@ -2,14 +2,13 @@
 // vocabulary of the session API (see Network in network.go). A Query is a
 // plain value describing *what* to compute; the Network decides *how*
 // (topology, faults, horizon) and answers every query with the same
-// Answer shape, replacing the three divergent result structs of the
-// pre-session facade (Result, QuantileResult, HistogramResult — all of
-// which remain as thin legacy views).
+// Answer shape.
 
 package drrgossip
 
 import (
 	"fmt"
+	"math"
 
 	"drrgossip/internal/agg"
 )
@@ -117,13 +116,32 @@ func HistogramOf(values []float64, edges []float64) Query {
 
 // validate rejects structurally invalid queries up front — before any
 // protocol run and before RunAll's concurrent path resolves fault
-// bindings for the batch. The φ check is deliberately written as a
-// negated in-range test so NaN (for which every comparison is false)
-// is rejected too; it used to slip through the bisection loop's
-// `phi <= 0 || phi > 1` guard and surface as a silently wrong answer.
+// bindings for the batch. Every range check is written as a negated
+// in-range test so NaN (for which every comparison is false) is
+// rejected too: a NaN φ, tolerance or histogram edge would otherwise
+// slip past the drivers' guards and surface as a silently wrong answer.
 func (q Query) validate() error {
-	if q.Op == OpQuantile && !(q.Arg > 0 && q.Arg <= 1) {
-		return fmt.Errorf("%w: Quantile phi must be in (0,1], got %v", ErrBadConfig, q.Arg)
+	switch q.Op {
+	case OpQuantile:
+		if !(q.Arg > 0 && q.Arg <= 1) {
+			return fmt.Errorf("%w: Quantile phi must be in (0,1], got %v", ErrBadConfig, q.Arg)
+		}
+		if math.IsNaN(q.Tol) {
+			return fmt.Errorf("%w: Quantile tol must not be NaN", ErrBadConfig)
+		}
+	case OpHistogram:
+		if len(q.Edges) == 0 {
+			return fmt.Errorf("%w: Histogram needs at least one edge", ErrBadConfig)
+		}
+		if math.IsNaN(q.Edges[0]) {
+			return fmt.Errorf("%w: histogram edge 0 is NaN", ErrBadConfig)
+		}
+		for i := 1; i < len(q.Edges); i++ {
+			if !(q.Edges[i] > q.Edges[i-1]) {
+				return fmt.Errorf("%w: histogram edges must be strictly increasing, got %v after %v",
+					ErrBadConfig, q.Edges[i], q.Edges[i-1])
+			}
+		}
 	}
 	return nil
 }
@@ -353,33 +371,13 @@ type Quality struct {
 	Retries int
 }
 
-// result renders the answer as a legacy Result (the pre-session shape
-// the one-shot helpers return).
-func (a *Answer) result() *Result {
-	return &Result{
-		Value:        a.Value,
-		PerNode:      a.PerNode,
-		SampleIDs:    a.SampleIDs,
-		Consensus:    a.Consensus,
-		Rounds:       a.Cost.Rounds,
-		Messages:     a.Cost.Messages,
-		Drops:        a.Cost.Drops,
-		PhaseCosts:   a.PhaseCosts,
-		Trees:        a.Trees,
-		Alive:        a.Alive,
-		FaultEvents:  a.FaultEvents,
-		FaultCrashes: a.FaultCrashes,
-		FaultRevives: a.FaultRevives,
-	}
-}
-
 // ExactOf returns the reference value a Query should converge to: the
 // aggregate computed directly over the values that survive cfg's static
 // crash model. It supports every scalar operation (OpMax..OpRank and
 // OpQuantile, for which it returns the exact φ-quantile of the surviving
 // values); OpMoments and OpHistogram have no single reference value and
-// return an error, as do unknown operations. Unlike the deprecated
-// Exact, bad input yields an error instead of a panic.
+// return an error, as do unknown operations, mismatched input and an
+// out-of-range φ.
 func ExactOf(cfg Config, q Query) (float64, error) {
 	if cfg.N < 2 {
 		return 0, fmt.Errorf("%w: N must be >= 2, got %d", ErrBadConfig, cfg.N)
@@ -402,7 +400,7 @@ func ExactOf(cfg Config, q Query) (float64, error) {
 	case OpRank:
 		return agg.Exact(agg.Rank, alive, q.Arg), nil
 	case OpQuantile:
-		if q.Arg <= 0 || q.Arg > 1 {
+		if !(q.Arg > 0 && q.Arg <= 1) {
 			return 0, fmt.Errorf("%w: phi must be in (0,1]", ErrBadConfig)
 		}
 		return agg.Quantile(alive, q.Arg), nil

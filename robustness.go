@@ -145,9 +145,9 @@ func (nw *Network) fillQuality(ans *Answer, residual float64, cause error) {
 // partialResult salvages what an aborted synchronous run can still
 // report: the engine's accounting and membership at the abort round. No
 // consensus value exists mid-protocol, so Value is NaN.
-func (nw *Network) partialResult(eng *sim.Engine, b *faults.Bound) *Result {
+func (nw *Network) partialResult(eng *sim.Engine, b *faults.Bound) *runResult {
 	st := eng.Stats()
-	res := &Result{
+	res := &runResult{
 		Value:    math.NaN(),
 		Rounds:   st.Rounds,
 		Messages: st.Messages,
@@ -165,7 +165,7 @@ func (nw *Network) partialResult(eng *sim.Engine, b *faults.Bound) *Result {
 // and Quality carries the abort reason. res may be nil (the abort hit
 // before any protocol run — a pre-cancelled context or an aborted
 // horizon pre-run), giving a zero-cost partial answer.
-func (nw *Network) abortedAnswer(op Op, res *Result, cause error) (*Answer, error) {
+func (nw *Network) abortedAnswer(op Op, res *runResult, cause error) (*Answer, error) {
 	ans := &Answer{Op: op, Value: math.NaN()}
 	if res != nil {
 		ans.Value = res.Value

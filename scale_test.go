@@ -131,30 +131,6 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 		t.Fatalf("Workers=-1 accepted: %v", err)
 	}
 
-	// The legacy one-shot helpers keep their full-PerNode contract…
-	legacy, err := Average(Config{N: n, Seed: 107}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.PerNode) != n || legacy.SampleIDs != nil {
-		t.Fatalf("legacy helper PerNode %d (SampleIDs %v), want full vector", len(legacy.PerNode), legacy.SampleIDs)
-	}
-	// …and an explicit SampleNodes on a one-shot call carries the sample
-	// ids through to the legacy Result, so callers can map values to
-	// nodes.
-	legacySampled, err := Average(Config{N: n, Seed: 107, SampleNodes: k}, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacySampled.PerNode) != k || len(legacySampled.SampleIDs) != k {
-		t.Fatalf("legacy sampled helper: PerNode %d, SampleIDs %d", len(legacySampled.PerNode), len(legacySampled.SampleIDs))
-	}
-	for i := range legacySampled.SampleIDs {
-		if legacySampled.SampleIDs[i] != sampled.SampleIDs[i] {
-			t.Fatalf("legacy sample ids drifted at %d", i)
-		}
-	}
-
 	// Answers own their SampleIDs: mutating one answer's slice must not
 	// skew another answer from the same session.
 	nw, err := New(Config{N: n, Seed: 107, SampleNodes: k})
@@ -202,10 +178,6 @@ func TestMomentsSparseTopologyError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error not descriptive (missing %q): %v", want, err)
 		}
-	}
-
-	if _, err := Moments(cfg, values); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("legacy moments on chord: %v, want ErrBadConfig", err)
 	}
 
 	// The concurrent batch path binds fault plans through dispatch

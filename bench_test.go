@@ -48,7 +48,7 @@ func BenchmarkT1_DRRGossipAve(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.Ave(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, core.Options{})
+		r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), nil, core.Ave, values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,10 +128,7 @@ func BenchmarkF4_DRRMessages(b *testing.B) {
 
 // --- F5/F6/F7: Phase III -------------------------------------------------
 
-func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (rootTo []int, covmax map[int]float64, covsum map[int]convergecast.SumCount, f interface {
-	LargestRoot() int
-	NumTrees() int
-}, forestRes *drr.Result) {
+func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (tr gossip.Transport, covmax map[int]float64, covsum map[int]convergecast.MomentsVec, forestRes *drr.Result) {
 	b.Helper()
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
@@ -145,11 +142,14 @@ func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (rootTo []int
 	if err != nil {
 		b.Fatal(err)
 	}
-	rootTo, _, err = convergecast.BroadcastRootAddr(eng, dres.Forest, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest, convergecast.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rootTo, covmax, covsum, dres.Forest, dres
+	if tr, err = gossip.Relay(eng, dres.Forest, rootTo); err != nil {
+		b.Fatal(err)
+	}
+	return tr, covmax, covsum, dres
 }
 
 func BenchmarkF5_F6_GossipMax(b *testing.B) {
@@ -158,8 +158,8 @@ func BenchmarkF5_F6_GossipMax(b *testing.B) {
 	var stats sim.Counters
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(benchN, sim.Options{Seed: uint64(i)})
-		rootTo, covmax, _, _, dres := benchPhase12(b, eng, values)
-		res, err := gossip.Max(eng, dres.Forest, rootTo, covmax, gossip.Options{})
+		tr, covmax, _, dres := benchPhase12(b, eng, values)
+		res, err := gossip.Max(tr, covmax)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,9 +182,9 @@ func BenchmarkF7_GossipAve(b *testing.B) {
 	var relErr float64
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(benchN, sim.Options{Seed: uint64(i)})
-		rootTo, _, covsum, _, dres := benchPhase12(b, eng, values)
+		tr, _, covsum, dres := benchPhase12(b, eng, values)
 		z := dres.Forest.LargestRoot()
-		res, err := gossip.Ave(eng, dres.Forest, rootTo, covsum, gossip.AveOptions{TrackRoot: -1})
+		res, err := gossip.Ave(tr, covsum, gossip.AveOptions{TrackRoot: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func BenchmarkF8_EndToEndMax(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: 0.05}), values, core.Options{})
+		r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: 0.05}), nil, core.Max, values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func BenchmarkF11_DRRGossipOnChord(b *testing.B) {
 	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.MaxSparse(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), overlay.NewChord(ring), values, core.SparseOptions{})
+		r, err = core.Run(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), overlay.NewChord(ring), core.Max, values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func BenchmarkA2_LossSweep(b *testing.B) {
 			var r *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = core.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: tc.loss}), values, core.Options{})
+				r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: tc.loss}), nil, core.Max, values)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -469,7 +469,7 @@ func BenchmarkPerfQuantileSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := nw.Quantile(values, 0.9, 0.5)
+		a, err := nw.Run(QuantileOf(values, 0.9, 0.5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func BenchmarkPerfTelemetry(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := nw.Quantile(values, 0.9, 0.5); err != nil {
+			if _, err := nw.Run(QuantileOf(values, 0.9, 0.5)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -526,7 +526,7 @@ func BenchmarkPerfTelemetry(b *testing.B) {
 				b.Fatal(err)
 			}
 			start := time.Now()
-			if _, err := nw.Quantile(values, 0.9, 0.5); err != nil {
+			if _, err := nw.Run(QuantileOf(values, 0.9, 0.5)); err != nil {
 				b.Fatal(err)
 			}
 			return time.Since(start)
@@ -645,10 +645,10 @@ func BenchmarkFacadeAverage(b *testing.B) {
 
 func BenchmarkExtMoments(b *testing.B) {
 	values := benchValues(benchN)
-	var r *core.MomentsResult
+	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = core.Moments(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, core.Options{})
+		r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), nil, core.Moments, values)
 		if err != nil {
 			b.Fatal(err)
 		}

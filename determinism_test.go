@@ -43,7 +43,7 @@ func TestDeterminismAcrossParallelForScheduling(t *testing.T) {
 			}
 			b.Attach(eng)
 		}
-		res, err := core.Ave(eng, values, core.Options{})
+		res, err := core.Run(eng, nil, core.Ave, values)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@
 //	net, err := drrgossip.New(drrgossip.Config{N: 10000, Seed: 1})
 //	avg, err := net.Run(drrgossip.AverageOf(values))
 //	// avg.Value ≈ mean(values); avg.Cost.Rounds = Θ(log n); avg.Cost.Messages = Θ(n loglog n)
-//	p99, err := net.Quantile(values, 0.99, 0.5) // ~log(range/tol) Rank runs, one session
+//	p99, err := net.Run(drrgossip.QuantileOf(values, 0.99, 0.5)) // ~log(range/tol) Rank runs, one session
 //
 // Every query answers with the same Answer shape (Value, PerNode,
 // Consensus, a Cost bill); Network.RunAll executes a batch against one
@@ -366,7 +366,10 @@ const AllNodes = -1
 // the consensus value, the full per-node vector (NaN for crashed nodes)
 // and the run's bill. Queries fold runs into an Answer.
 type runResult struct {
-	Value      float64
+	// Value is the consensus value (the mean for OpMoments).
+	Value float64
+	// Variance is the population variance (OpMoments only).
+	Variance   float64
 	PerNode    []float64
 	Consensus  bool
 	Rounds     int
@@ -497,9 +500,12 @@ func (c Config) buildOverlay() (overlay.Overlay, error) {
 	return overlay.NewChord(ring), nil
 }
 
-func wrap(eng *sim.Engine, res *core.Result) *runResult {
+// wrap renders a core pipeline result as the session's run record; the
+// session fills in the membership and fault fields.
+func wrap(res *core.Result) *runResult {
 	return &runResult{
 		Value:      res.Value,
+		Variance:   res.Variance,
 		PerNode:    res.PerNode,
 		Consensus:  res.Consensus,
 		Rounds:     res.Stats.Rounds,
@@ -507,12 +513,11 @@ func wrap(eng *sim.Engine, res *core.Result) *runResult {
 		Drops:      res.Stats.Drops,
 		PhaseCosts: phaseCosts(res.Phases),
 		Trees:      res.Forest.NumTrees(),
-		Alive:      eng.NumAlive(),
 	}
 }
 
 // phaseCosts renders a core per-phase breakdown as the facade's bill,
-// in pipeline execution order. Both pipelines total their Stats from
+// in pipeline execution order. The pipeline totals its Stats from
 // exactly these four counters, so the slice sums to the run's
 // Rounds/Messages/Drops without adjustment.
 func phaseCosts(ph core.PhaseStats) []PhaseCost {

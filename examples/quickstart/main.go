@@ -54,7 +54,7 @@ func main() {
 
 	// Quantiles come from O(log 1/tol) Rank computations — all against
 	// the same session.
-	q, err := net.Quantile(values, 0.95, 0.1)
+	q, err := net.Run(drrgossip.QuantileOf(values, 0.95, 0.1))
 	if err != nil {
 		log.Fatal(err)
 	}

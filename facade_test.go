@@ -166,6 +166,8 @@ func TestConfigValidation(t *testing.T) {
 		{N: 8, Seed: 1, Loss: math.NaN()},
 		{N: 8, Seed: 1, CrashFraction: math.NaN()},
 		{N: 8, Seed: 1, Mode: Async, AsyncEps: math.NaN()},
+		{N: 8, Seed: 1, Faults: mustPlan(t, "loss:nan@0.2..0.8")},
+		{N: 8, Seed: 1, Faults: mustPlan(t, "loss:NaN@0.1..0.9")},
 	}
 	for i, cfg := range cases {
 		vals := values

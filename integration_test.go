@@ -23,7 +23,7 @@ func TestAllAlgorithmsAgreeOnMax(t *testing.T) {
 	values := agg.GenUniform(n, -1000, 1000, 61)
 	want := agg.Exact(agg.Max, values, 0)
 
-	dres, err := core.Max(sim.NewEngine(n, sim.Options{Seed: 62}), values, core.Options{})
+	dres, err := core.Run(sim.NewEngine(n, sim.Options{Seed: 62}), nil, core.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAllAlgorithmsAgreeOnAverage(t *testing.T) {
 	want := agg.Exact(agg.Average, values, 0)
 	tol := 1e-5
 
-	dres, err := core.Ave(sim.NewEngine(n, sim.Options{Seed: 67}), values, core.Options{})
+	dres, err := core.Run(sim.NewEngine(n, sim.Options{Seed: 67}), nil, core.Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMessageOrderingAtScale(t *testing.T) {
 	n := 16384
 	values := agg.GenUniform(n, 0, 1, 70)
 
-	dres, err := core.Ave(sim.NewEngine(n, sim.Options{Seed: 71}), values, core.Options{})
+	dres, err := core.Run(sim.NewEngine(n, sim.Options{Seed: 71}), nil, core.Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestChordDRRBeatsChordUniformOnMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := agg.GenUniform(n, 0, 100, 77)
-	dres, err := core.MaxSparse(sim.NewEngine(n, sim.Options{Seed: 78}), overlay.NewChord(ring), values, core.SparseOptions{})
+	dres, err := core.Run(sim.NewEngine(n, sim.Options{Seed: 78}), overlay.NewChord(ring), core.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +162,6 @@ func TestMomentsFacade(t *testing.T) {
 	}
 	if !res.Consensus || res.Cost.Messages == 0 {
 		t.Fatalf("result incomplete: %+v", res)
-	}
-	if _, err := runOnce(Config{N: n, Seed: 81, Topology: Chord}, MomentsOf(values)); err == nil {
-		t.Fatal("chord Moments should be rejected")
 	}
 }
 

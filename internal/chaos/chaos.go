@@ -107,7 +107,7 @@ func ParseCase(line string) (Case, error) {
 	if c.N < 2 {
 		return Case{}, fmt.Errorf("chaos: n=%d out of range (need >= 2)", c.N)
 	}
-	if c.Loss < 0 || c.Loss >= 1 {
+	if !(c.Loss >= 0 && c.Loss < 1) { // negated so NaN is rejected too
 		return Case{}, fmt.Errorf("chaos: loss=%v out of range [0,1)", c.Loss)
 	}
 	return c, nil

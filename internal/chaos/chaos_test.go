@@ -53,6 +53,7 @@ func TestParseCaseRejectsMalformed(t *testing.T) {
 		"n=sixty seed=1",              // bad int
 		"n=64 seed=1 topo=mobius",     // unknown topology
 		"n=64 seed=1 loss=1.5",        // loss out of range
+		"n=64 seed=1 loss=nan",        // NaN loss
 		"n=64 seed=1 plan=crash",      // malformed plan
 		"n=64 seed=1 loss",            // not k=v
 		"n=0 seed=1",                  // n too small

@@ -35,12 +35,6 @@ func (o Options) extra() int {
 	return o.ExtraRounds
 }
 
-// SumCount is the (value-sum, size-count) vector of Algorithm 3.
-type SumCount struct {
-	Sum   float64
-	Count float64
-}
-
 // ErrIncomplete reports that some tree failed to finish within the round
 // cap (practically impossible for δ < 1/8 with the default padding).
 var ErrIncomplete = errors.New("convergecast: phase did not complete within its round budget")
@@ -199,33 +193,31 @@ func addPayloads(acc, in sim.Payload) sim.Payload {
 	return acc
 }
 
-// Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
-// (Σ values, tree size) vector.
-func Sum(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]SumCount, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, true, false), addPayloads, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make(map[int]SumCount, len(res))
-	for r, p := range res {
-		out[r] = SumCount{Sum: p.A, Count: p.C}
-	}
-	return out, stats, nil
-}
-
-// MomentsVec is the per-tree (Σv, Σv², size) vector used to compute mean
-// and variance in a single pass — the "suitable modification" extending
-// Algorithm 3 to second moments within the same bounded message size.
+// MomentsVec is the per-tree (Σv, Σv², size) vector of Algorithm 3,
+// widened by the Σv² component that computes mean and variance in a
+// single pass — the "suitable modification" extending Algorithm 3 to
+// second moments within the same bounded message size. Phase III's
+// push-sum carries the same vector, with Count as the weight g.
 type MomentsVec struct {
 	Sum   float64
 	Sum2  float64
 	Count float64
 }
 
+// Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
+// (Σ values, tree size) vector; Sum2 stays 0.
+func Sum(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]MomentsVec, sim.Counters, error) {
+	return sums(eng, f, values, false, opts)
+}
+
 // Moments runs a three-component convergecast: each root learns its
 // tree's (Σ values, Σ values², tree size).
 func Moments(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]MomentsVec, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, true, true), addPayloads, opts)
+	return sums(eng, f, values, true, opts)
+}
+
+func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool, opts Options) (map[int]MomentsVec, sim.Counters, error) {
+	res, stats, err := up(eng, f, valueInit(f, values, true, squares), addPayloads, opts)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -87,7 +87,11 @@ func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
+	tr, err := gossip.Relay(eng, f, rootTo)
+	if err != nil {
+		return nil, err
+	}
+	gres, err := gossip.Max(tr, covmax)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +133,6 @@ func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
 type Options struct {
 	DRR          drr.Options
 	Convergecast convergecast.Options
-	Gossip       gossip.Options
 }
 
 // SpanningResult reports a spanning-structure construction.

@@ -1,17 +1,35 @@
 // Package drrgossip composes the three phases of the paper into the
 // complete DRR-gossip algorithms: DRR-gossip-max (Algorithm 7),
 // DRR-gossip-ave (Algorithm 8) and the derived aggregates (Min, Sum,
-// Count, Rank) obtained by the paper's "suitable modifications".
+// Count, Rank, Moments) obtained by the paper's "suitable
+// modifications". Every aggregate runs the same skeleton, Run:
 //
-// Complexity (Theorems 2-7): O(log n) rounds and O(n log log n) messages,
-// the message bill dominated by Phase I; Phases II and III cost O(n)
-// messages each.
+//   - Phase I builds the ranking forest: DRR on the complete graph, or
+//     Local-DRR over a sparse overlay's links (Section 4, Theorem 11);
+//   - Phase II convergecasts each tree's aggregate to its root and
+//     broadcasts the root address down the tree;
+//   - Phase III gossips among the roots and disseminates the answer down
+//     the trees. Roots reach each other through a gossip.Transport: the
+//     tree relay on the complete graph, overlay routing on a sparse one
+//     (Theorems 13-14).
 //
-// Sum and Count use the distinguished-root form of push-sum: Gossip-max
-// on (tree size, root id) keys elects the largest-tree root z (as in
-// Algorithm 8), and Gossip-ave runs with weight g0 = 1 at z and 0
-// elsewhere, so every ratio converges to Σ s0 / 1 — the global sum (with
-// s0 = tree sums) or the live node count (with s0 = tree sizes).
+// The aggregate only picks the Phase III combiner. Max and Min use
+// Gossip-max. Ave, Sum, Count and Moments use push-sum: Gossip-max on
+// (tree size, root id) keys elects the largest-tree root z (as in
+// Algorithm 8), push-sum converges there (Theorem 7) and Data-spread
+// hands z's estimate to every root. Sum and Count use the
+// distinguished-root form: weight g0 = 1 at z and 0 elsewhere, so every
+// ratio converges to Σ s0 / 1 — the global sum (s0 = tree sums) or the
+// live node count (s0 = tree sizes). Moments carries Σv² as a third
+// push-sum component.
+//
+// Complexity (Theorems 2-7): O(log n) rounds and O(n log log n) messages
+// on the complete graph, the message bill dominated by Phase I; Phases II
+// and III cost O(n) messages each. On Chord the routed transport gives
+// O(log^2 n) time and O(n log n) messages (Theorem 14); on any other
+// overlay the landmark routes of internal/overlay cost at most twice the
+// landmark tree depth per sample, and Theorem 13 bounds the expected root
+// count by the harmonic degree sum Σ 1/(d_i+1).
 package drrgossip
 
 import (
@@ -19,24 +37,17 @@ import (
 	"fmt"
 	"math"
 
-	"drrgossip/internal/agg"
 	"drrgossip/internal/convergecast"
 	"drrgossip/internal/drr"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
+	"drrgossip/internal/localdrr"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 )
 
-// Options tune the composite pipelines; zero values reproduce the paper.
-type Options struct {
-	DRR          drr.Options
-	Convergecast convergecast.Options
-	Gossip       gossip.Options
-	AveRounds    int // Gossip-ave iterations (0 = default)
-}
-
-// Phase labels the pipelines record on the engine (sim.SetPhase) as they
-// progress, so per-round observers can attribute time to the paper's
+// Phase labels the pipeline records on the engine (sim.SetPhase) as it
+// progresses, so per-round observers can attribute time to the paper's
 // phases. Observability only — no protocol logic reads them.
 const (
 	PhaseDRR       = "drr"       // Phase I: (Local-)DRR forest building
@@ -45,10 +56,32 @@ const (
 	PhaseBroadcast = "broadcast" // final dissemination down the trees
 )
 
+// Kind selects the aggregate Run computes, and with it the Phase III
+// combiner.
+type Kind int
+
+const (
+	// Max is DRR-gossip-max (Algorithm 7).
+	Max Kind = iota
+	// Min is Max on negated values.
+	Min
+	// Ave is DRR-gossip-ave (Algorithm 8).
+	Ave
+	// Sum is the distinguished-root push-sum over tree sums. Rank(q) is
+	// Sum over agg.Indicator(values, q).
+	Sum
+	// Count is the distinguished-root push-sum over tree sizes: the
+	// number of live nodes.
+	Count
+	// Moments is Ave with a Σv² push-sum component: mean and population
+	// variance in one run.
+	Moments
+)
+
 // PhaseStats breaks the run's cost into the paper's phases.
 type PhaseStats struct {
 	DRR       sim.Counters // Phase I
-	Aggregate sim.Counters // Phase II: convergecast(s) + root-address broadcast
+	Aggregate sim.Counters // Phase II: convergecast + root-address broadcast
 	Gossip    sim.Counters // Phase III: gossip-max (+ gossip-ave + data-spread)
 	Broadcast sim.Counters // final dissemination down the trees
 }
@@ -68,11 +101,14 @@ func (p PhaseStats) Total() sim.Counters {
 // Result is the outcome of a DRR-gossip run.
 type Result struct {
 	// Value is the aggregate at the distinguished root (the consensus
-	// value whp).
+	// value whp); the mean for Moments.
 	Value float64
+	// Variance is the population variance E[v²] − E[v]² (Moments only).
+	Variance float64
 	// PerNode is every node's final value (NaN for crashed nodes).
 	PerNode []float64
-	// Consensus reports whether all alive nodes ended with the same value.
+	// Consensus reports whether all alive nodes ended with the same value
+	// (and, for Moments, the same variance).
 	Consensus bool
 	Forest    *forest.Forest
 	Phases    PhaseStats
@@ -81,6 +117,12 @@ type Result struct {
 
 // ErrNoNodes is returned when the engine has no alive nodes to aggregate.
 var ErrNoNodes = errors.New("drrgossip: no alive nodes")
+
+// ErrCrashedOverlay is returned when a sparse run starts with crashed
+// nodes: overlay routing repair (e.g. Chord successor-list maintenance
+// under churn) is outside this reproduction's scope, matching the paper,
+// which analyses sparse topologies without the crash model.
+var ErrCrashedOverlay = errors.New("drrgossip: sparse pipelines require all nodes alive")
 
 // MaxKeyNodes is the largest network the largest-tree election supports:
 // largestKey packs a root id into the low 24 bits of its key, so ids
@@ -99,131 +141,235 @@ func decodeKeyRoot(key float64) int {
 	return int(int64(key) & (1<<24 - 1))
 }
 
-// Max runs DRR-gossip-max (Algorithm 7).
-func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return maxPipeline(eng, values, opts, false)
-}
-
-// Min runs the Min variant of Algorithm 7 (Gossip-max on negated values).
-func Min(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return maxPipeline(eng, values, opts, true)
-}
-
-func maxPipeline(eng *sim.Engine, values []float64, opts Options, negate bool) (*Result, error) {
+// Run computes kind over values on eng: on the complete graph when ov is
+// nil, over the overlay's links and routes otherwise.
+func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
 	}
-	work := values
-	if negate {
-		work = make([]float64, len(values))
-		for i, v := range values {
-			work[i] = -v
+	if kind < Max || kind > Moments {
+		return nil, fmt.Errorf("drrgossip: unknown aggregate kind %d", int(kind))
+	}
+	if ov != nil {
+		if eng.NumAlive() != eng.N() {
+			return nil, ErrCrashedOverlay
+		}
+		if ov.Graph().N() != eng.N() {
+			return nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
 		}
 	}
-	var ph PhaseStats
-
-	// Phase I: DRR.
-	eng.SetPhase(PhaseDRR)
-	dres, err := drr.Run(eng, opts.DRR)
-	if err != nil {
-		return nil, err
+	maxLike := kind == Max || kind == Min
+	if kind == Min {
+		neg := make([]float64, len(values))
+		for i, v := range values {
+			neg[i] = -v
+		}
+		values = neg
 	}
-	f := dres.Forest
-	ph.DRR = dres.Stats
+	var ph PhaseStats
+	mark := eng.Stats()
+	// phaseEnd closes the current phase: its cost is the engine's
+	// counters since the previous boundary.
+	phaseEnd := func(c *sim.Counters) {
+		now := eng.Stats()
+		*c = now.Sub(mark)
+		mark = now
+	}
+
+	// Phase I: DRR, or Local-DRR over the overlay.
+	eng.SetPhase(PhaseDRR)
+	var f *forest.Forest
+	if ov == nil {
+		dres, err := drr.Run(eng, drr.Options{})
+		if err != nil {
+			return nil, err
+		}
+		f = dres.Forest
+	} else {
+		ldres, err := localdrr.Run(eng, ov.Graph(), localdrr.Options{})
+		if err != nil {
+			return nil, err
+		}
+		f = ldres.Forest
+	}
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
+	phaseEnd(&ph.DRR)
 
-	// Phase II: convergecast-max + root-address broadcast.
+	// Phase II: convergecast + root-address broadcast. Routed gossip
+	// needs no root addresses, but the broadcast is part of the protocol
+	// (and of its bill); the sparse pipeline runs it first.
 	eng.SetPhase(PhaseAggregate)
-	covmax, c1, err := convergecast.Max(eng, f, work, opts.Convergecast)
+	var tr gossip.Transport
+	if ov != nil {
+		if _, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{}); err != nil {
+			return nil, err
+		}
+		tr = gossip.Route(eng, ov, f)
+	}
+	var (
+		covmax map[int]float64
+		cov    map[int]convergecast.MomentsVec
+		err    error
+	)
+	switch {
+	case maxLike:
+		covmax, _, err = convergecast.Max(eng, f, values, convergecast.Options{})
+	case kind == Moments:
+		cov, _, err = convergecast.Moments(eng, f, values, convergecast.Options{})
+	default:
+		cov, _, err = convergecast.Sum(eng, f, values, convergecast.Options{})
+	}
 	if err != nil {
 		return nil, err
 	}
-	rootTo, c2, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
-	if err != nil {
-		return nil, err
+	if ov == nil {
+		rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+		if err != nil {
+			return nil, err
+		}
+		if tr, err = gossip.Relay(eng, f, rootTo); err != nil {
+			return nil, err
+		}
 	}
-	ph.Aggregate = addCounters(c1, c2)
+	phaseEnd(&ph.Aggregate)
 
-	// Phase III: gossip-max among roots.
+	// Phase III: root gossip with the kind's combiner.
 	eng.SetPhase(PhaseGossip)
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
-	if err != nil {
+	var g *phase3
+	if maxLike {
+		gres, err := gossip.Max(tr, covmax)
+		if err != nil {
+			return nil, err
+		}
+		g = &phase3{est: gres.Estimates}
+	} else if g, err = pushSum(eng, f, tr, kind, cov); err != nil {
 		return nil, err
 	}
-	ph.Gossip = gres.Stats
+	phaseEnd(&ph.Gossip)
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
-	perNode, c3, err := convergecast.BroadcastValue(eng, f, gres.Estimates, opts.Convergecast)
+	perNode, _, err := convergecast.BroadcastValue(eng, f, g.est, convergecast.Options{})
 	if err != nil {
 		return nil, err
 	}
-	ph.Broadcast = c3
-
-	value := bestEffortValue(eng, f, perNode[f.LargestRoot()], gres.Estimates)
-	if negate {
-		for i := range perNode {
-			perNode[i] = -perNode[i]
+	var perVar []float64
+	if g.varEst != nil {
+		if perVar, _, err = convergecast.BroadcastValue(eng, f, g.varEst, convergecast.Options{}); err != nil {
+			return nil, err
 		}
-		value = -value
 	}
-	return finish(eng, f, value, perNode, ph), nil
-}
+	phaseEnd(&ph.Broadcast)
 
-// bestEffortValue picks the run's reported value. In a healthy run the
-// preferred value (the largest root's disseminated result) is finite and
-// wins; when mid-run crashes leave it NaN, the first finite estimate of
-// a live root stands in (any dead root's frozen estimate as a last
-// resort), so faulty runs report a degraded answer instead of NaN.
-func bestEffortValue(eng *sim.Engine, f *forest.Forest, preferred float64, est map[int]float64) float64 {
-	if !math.IsNaN(preferred) && !math.IsInf(preferred, 0) {
-		return preferred
-	}
-	for _, pass := range [2]bool{true, false} { // live roots first; sorted order
-		for _, r := range f.Roots() {
-			if eng.Alive(r) != pass {
-				continue
-			}
-			if v, ok := est[r]; ok && !math.IsNaN(v) && !math.IsInf(v, 0) {
-				return v
+	value := g.value
+	if maxLike {
+		// Gossip-max answers with the largest root's disseminated value;
+		// when mid-run crashes leave it NaN, a surviving root's estimate
+		// stands in.
+		value = perNode[f.LargestRoot()]
+		if !finite(value) {
+			if r := fallbackRoot(eng, f, g.est); r >= 0 {
+				value = g.est[r]
 			}
 		}
 	}
-	return preferred
+	res := &Result{
+		Value:     value,
+		Variance:  g.variance,
+		PerNode:   perNode,
+		Consensus: consensus(eng, f, value, perNode, g.variance, perVar),
+		Forest:    f,
+		Phases:    ph,
+		Stats:     ph.Total(),
+	}
+	if kind == Min {
+		res.Value = -res.Value
+		for i := range res.PerNode {
+			res.PerNode[i] = -res.PerNode[i]
+		}
+	}
+	return res, nil
 }
 
-// Ave runs DRR-gossip-ave (Algorithm 8).
-func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return avePipeline(eng, values, opts, pushAve)
+// phase3 is a combiner's outcome: the per-root values the trees
+// disseminate and the answer they carry.
+type phase3 struct {
+	est    map[int]float64 // per-root value to disseminate
+	varEst map[int]float64 // per-root variance (Moments only)
+	// value and variance are the answer (push-sum combiners only; the
+	// max combiner's answer is read after dissemination).
+	value, variance float64
 }
 
-// Sum computes the global sum with the distinguished-root push-sum.
-func Sum(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return avePipeline(eng, values, opts, pushSum)
+// pushSum is the push-sum combiner: elect the largest-tree root z,
+// push-sum towards it, and spread z's estimate (and, for Moments, its
+// variance) to every root.
+func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, cov map[int]convergecast.MomentsVec) (*phase3, error) {
+	// (a) Gossip-max on (tree size, root id) keys elects the largest-tree
+	// root z; every root learns the winning key, hence z.
+	keys := make(map[int]float64, f.NumTrees())
+	for r, mv := range cov {
+		keys[r] = largestKey(int(mv.Count), r)
+	}
+	kres, err := gossip.Max(tr, keys)
+	if err != nil {
+		return nil, err
+	}
+	// In the protocol each root compares the winning key against its own
+	// to decide whether it is z. The winner's own estimate is always >=
+	// its own key, so the maximum estimate is exactly the true winning
+	// key.
+	maxKey := math.Inf(-1)
+	for _, v := range kres.Estimates {
+		if v > maxKey {
+			maxKey = v
+		}
+	}
+	z, err := electRoot(eng, f, maxKey, keys)
+	if err != nil {
+		return nil, err
+	}
+
+	// (b) Push-sum; the guarantee (Theorem 7) holds at z. Sum and Count
+	// ship reliable (acknowledged) shares: their distinguished-root
+	// denominator is a single unit of mass whose loss cannot be averaged
+	// away, unlike the Ave ratio where losses cancel.
+	ares, err := gossip.Ave(tr, pushInit(kind, cov, z), gossip.AveOptions{
+		TrackRoot:      -1,
+		ReliableShares: kind == Sum || kind == Count,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// (c) Data-spread of z's estimate to all roots. Under mid-run crashes
+	// z's estimate can be NaN (or z freshly dead); the spread then
+	// carries the best surviving estimate instead.
+	src := z
+	if !finite(ares.Estimates[z]) {
+		if r := fallbackRoot(eng, f, ares.Estimates); r >= 0 {
+			src = r
+		}
+	}
+	g := &phase3{value: ares.Estimates[src]}
+	sres, err := gossip.Spread(tr, z, g.value)
+	if err != nil {
+		return nil, err
+	}
+	g.est = sres.Estimates
+	if kind == Moments {
+		m := ares.Mass[src]
+		g.variance = m.Sum2/m.Count - g.value*g.value
+		vres, err := gossip.Spread(tr, z, g.variance)
+		if err != nil {
+			return nil, err
+		}
+		g.varEst = vres.Estimates
+	}
+	return g, nil
 }
-
-// Count computes the number of alive nodes (the Count aggregate).
-func Count(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	return avePipeline(eng, values, opts, pushCount)
-}
-
-// Rank computes Rank(q) = |{i alive : v_i <= q}| by summing indicator
-// values (the paper's Rank reduction).
-func Rank(eng *sim.Engine, values []float64, q float64, opts Options) (*Result, error) {
-	return Sum(eng, agg.Indicator(values, q), opts)
-}
-
-// pushMode selects how the Gossip-ave initial vectors are built from the
-// per-tree convergecast results, given the elected largest root z.
-type pushMode int
-
-const (
-	pushAve pushMode = iota
-	pushSum
-	pushCount
-)
 
 // electRoot resolves the distinguished root from the won election key.
 // In a healthy run the decoded winner is a live root and is returned
@@ -251,152 +397,63 @@ func electRoot(eng *sim.Engine, f *forest.Forest, maxKey float64, keys map[int]f
 	return -1, fmt.Errorf("drrgossip: elected node %d is not a root", z)
 }
 
-func buildInit(mode pushMode, covsum map[int]convergecast.SumCount, z int) map[int]convergecast.SumCount {
-	init := make(map[int]convergecast.SumCount, len(covsum))
-	for r, sc := range covsum {
-		switch mode {
-		case pushAve:
-			// (tree sum, tree size): ratios converge to Σsums/Σsizes.
-			init[r] = sc
-		case pushSum:
-			// (tree sum, [r==z]): ratios converge to Σsums/1.
-			g := 0.0
-			if r == z {
-				g = 1
-			}
-			init[r] = convergecast.SumCount{Sum: sc.Sum, Count: g}
-		case pushCount:
+// pushInit builds the push-sum start vectors from the per-tree
+// convergecast results, given the elected largest root z.
+func pushInit(kind Kind, cov map[int]convergecast.MomentsVec, z int) map[int]convergecast.MomentsVec {
+	if kind == Ave || kind == Moments {
+		// (tree sums, tree size): ratios converge to Σsums/Σsizes.
+		return cov
+	}
+	init := make(map[int]convergecast.MomentsVec, len(cov))
+	for r, mv := range cov {
+		g := 0.0
+		if r == z {
+			g = 1
+		}
+		if kind == Count {
 			// (tree size, [r==z]): ratios converge to Σsizes/1 = n_alive.
-			g := 0.0
-			if r == z {
-				g = 1
-			}
-			init[r] = convergecast.SumCount{Sum: sc.Count, Count: g}
+			init[r] = convergecast.MomentsVec{Sum: mv.Count, Count: g}
+		} else {
+			// (tree sum, [r==z]): ratios converge to Σsums/1.
+			init[r] = convergecast.MomentsVec{Sum: mv.Sum, Count: g}
 		}
 	}
 	return init
 }
 
-func avePipeline(eng *sim.Engine, values []float64, opts Options, mode pushMode) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
-	}
-	var ph PhaseStats
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-	// Phase I: DRR.
-	eng.SetPhase(PhaseDRR)
-	dres, err := drr.Run(eng, opts.DRR)
-	if err != nil {
-		return nil, err
-	}
-	f := dres.Forest
-	ph.DRR = dres.Stats
-	if f.NumTrees() == 0 {
-		return nil, ErrNoNodes
-	}
-
-	// Phase II: convergecast-sum + root-address broadcast.
-	eng.SetPhase(PhaseAggregate)
-	covsum, c1, err := convergecast.Sum(eng, f, values, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	rootTo, c2, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Aggregate = addCounters(c1, c2)
-
-	// Phase III(a): Gossip-max on (tree size, root id) keys elects the
-	// largest-tree root z; every root learns the winning key, hence z.
-	eng.SetPhase(PhaseGossip)
-	keys := make(map[int]float64, f.NumTrees())
-	for r, sc := range covsum {
-		keys[r] = largestKey(int(sc.Count), r)
-	}
-	kres, err := gossip.Max(eng, f, rootTo, keys, opts.Gossip)
-	if err != nil {
-		return nil, err
-	}
-	// In the protocol each root compares the winning key against its own
-	// to decide whether it is z. The winner's own estimate is always >=
-	// its own key, so the maximum estimate is exactly the true winning
-	// key.
-	maxKey := math.Inf(-1)
-	for _, v := range kres.Estimates {
-		if v > maxKey {
-			maxKey = v
+// fallbackRoot picks the root whose estimate stands in when the
+// preferred answer is not finite (mid-run crashes): the first live root
+// with a finite estimate, else any dead root's frozen finite estimate as
+// a last resort, in sorted root order; -1 when no root has one. Faulty
+// runs thus report a degraded answer instead of NaN.
+func fallbackRoot(eng *sim.Engine, f *forest.Forest, est map[int]float64) int {
+	for _, pass := range [2]bool{true, false} { // live roots first
+		for _, r := range f.Roots() {
+			if eng.Alive(r) != pass {
+				continue
+			}
+			if v, ok := est[r]; ok && finite(v) {
+				return r
+			}
 		}
 	}
-	z, err := electRoot(eng, f, maxKey, keys)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase III(b): Gossip-ave; the guarantee (Theorem 7) holds at z.
-	// Sum and Count run with reliable (acknowledged) shares: their
-	// distinguished-root denominator is a single unit of mass whose loss
-	// cannot be averaged away, unlike the Ave ratio where losses cancel.
-	ares, err := gossip.Ave(eng, f, rootTo, buildInit(mode, covsum, z),
-		gossip.AveOptions{
-			Rounds:         opts.AveRounds,
-			TrackRoot:      -1,
-			ReliableShares: mode != pushAve,
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase III(c): Data-spread of z's estimate to all roots. Under
-	// mid-run crashes z's estimate can be NaN (or z freshly dead); the
-	// spread then carries the best surviving estimate instead.
-	value := bestEffortValue(eng, f, ares.Estimates[z], ares.Estimates)
-	sres, err := gossip.Spread(eng, f, rootTo, z, value, opts.Gossip)
-	if err != nil {
-		return nil, err
-	}
-	ph.Gossip = addCounters(addCounters(kres.Stats, ares.Stats), sres.Stats)
-
-	// Final dissemination down the trees.
-	eng.SetPhase(PhaseBroadcast)
-	perNode, c3, err := convergecast.BroadcastValue(eng, f, sres.Estimates, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	ph.Broadcast = c3
-	return finish(eng, f, value, perNode, ph), nil
+	return -1
 }
 
-func finish(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64, ph PhaseStats) *Result {
-	// Consensus ranges over the nodes still alive at the end of the run:
-	// a node that crashed mid-protocol no longer holds (or needs) the
-	// answer. In the static model every member is alive, so this is the
-	// original all-members check.
-	consensus := true
+// consensus reports whether every node still alive at the end of the run
+// holds value (and variance, when perVar is set): a node that crashed
+// mid-protocol no longer holds (or needs) the answer. In the static model
+// every member is alive, so this is the all-members check.
+func consensus(eng *sim.Engine, f *forest.Forest, value float64, perNode []float64, variance float64, perVar []float64) bool {
 	for i, v := range perNode {
 		if !f.Member(i) || !eng.Alive(i) {
 			continue
 		}
-		if v != value || math.IsNaN(v) {
-			consensus = false
-			break
+		if v != value || math.IsNaN(v) || (perVar != nil && perVar[i] != variance) {
+			return false
 		}
 	}
-	return &Result{
-		Value:     value,
-		PerNode:   perNode,
-		Consensus: consensus,
-		Forest:    f,
-		Phases:    ph,
-		Stats:     ph.Total(),
-	}
-}
-
-func addCounters(a, b sim.Counters) sim.Counters {
-	return sim.Counters{
-		Rounds:   a.Rounds + b.Rounds,
-		Messages: a.Messages + b.Messages,
-		Drops:    a.Drops + b.Drops,
-		Calls:    a.Calls + b.Calls,
-	}
+	return true
 }

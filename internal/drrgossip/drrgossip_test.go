@@ -13,7 +13,7 @@ func TestMaxEndToEnd(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 41})
 	values := agg.GenUniform(n, -100, 100, 1)
-	res, err := Max(eng, values, Options{})
+	res, err := Run(eng, nil, Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMinEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 42})
 	values := agg.GenSigned(n, 50, 2)
-	res, err := Min(eng, values, Options{})
+	res, err := Run(eng, nil, Min, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAveEndToEnd(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 43})
 	values := agg.GenUniform(n, 0, 1000, 3)
-	res, err := Ave(eng, values, Options{})
+	res, err := Run(eng, nil, Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSumEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 44})
 	values := agg.GenUniform(n, -5, 5, 4)
-	res, err := Sum(eng, values, Options{})
+	res, err := Run(eng, nil, Sum, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCountEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 45})
 	values := agg.GenUniform(n, 0, 1, 5)
-	res, err := Count(eng, values, Options{})
+	res, err := Run(eng, nil, Count, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCountWithCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 46, CrashFrac: 0.3})
 	values := agg.GenUniform(n, 0, 1, 6)
-	res, err := Count(eng, values, Options{})
+	res, err := Run(eng, nil, Count, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRankEndToEnd(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 47})
 	values := agg.GenUniform(n, 0, 100, 7)
 	q := 42.0
-	res, err := Rank(eng, values, q, Options{})
+	res, err := Run(eng, nil, Sum, agg.Indicator(values, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMaxUnderLossAndCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 48, Loss: 0.125, CrashFrac: 0.1})
 	values := agg.GenUniform(n, 0, 10000, 8)
-	res, err := Max(eng, values, Options{})
+	res, err := Run(eng, nil, Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAveUnderLoss(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 49, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 100, 9)
-	res, err := Ave(eng, values, Options{})
+	res, err := Run(eng, nil, Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTimeComplexityLogarithmic(t *testing.T) {
 	rounds := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 50})
 		values := agg.GenUniform(n, 0, 1, 10)
-		res, err := Max(eng, values, Options{})
+		res, err := Run(eng, nil, Max, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestMessageComplexityNLogLogN(t *testing.T) {
 	perNode := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 51})
 		values := agg.GenUniform(n, 0, 1, 11)
-		res, err := Max(eng, values, Options{})
+		res, err := Run(eng, nil, Max, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestPhaseStatsConsistent(t *testing.T) {
 	n := 512
 	eng := sim.NewEngine(n, sim.Options{Seed: 52})
 	values := agg.GenUniform(n, 0, 1, 12)
-	res, err := Ave(eng, values, Options{})
+	res, err := Run(eng, nil, Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +219,10 @@ func TestPhaseStatsConsistent(t *testing.T) {
 
 func TestValueLengthValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 53})
-	if _, err := Max(eng, make([]float64, 8), Options{}); err == nil {
+	if _, err := Run(eng, nil, Max, make([]float64, 8)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Ave(eng, make([]float64, 8), Options{}); err == nil {
+	if _, err := Run(eng, nil, Ave, make([]float64, 8)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -232,7 +232,7 @@ func TestDeterminism(t *testing.T) {
 	values := agg.GenUniform(n, 0, 1, 13)
 	run := func() *Result {
 		eng := sim.NewEngine(n, sim.Options{Seed: 54})
-		res, err := Ave(eng, values, Options{})
+		res, err := Run(eng, nil, Ave, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestTinyNetworks(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		eng := sim.NewEngine(n, sim.Options{Seed: 55})
 		values := agg.GenLinear(n)
-		res, err := Max(eng, values, Options{})
+		res, err := Run(eng, nil, Max, values)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -267,17 +267,17 @@ func TestAllAggregatesProperty(t *testing.T) {
 		eng := func() *sim.Engine {
 			return sim.NewEngine(n, sim.Options{Seed: uint64(seed) + 1000})
 		}
-		if r, err := Max(eng(), values, Options{}); err != nil || r.Value != agg.Exact(agg.Max, values, 0) {
+		if r, err := Run(eng(), nil, Max, values); err != nil || r.Value != agg.Exact(agg.Max, values, 0) {
 			return false
 		}
-		if r, err := Min(eng(), values, Options{}); err != nil || r.Value != agg.Exact(agg.Min, values, 0) {
+		if r, err := Run(eng(), nil, Min, values); err != nil || r.Value != agg.Exact(agg.Min, values, 0) {
 			return false
 		}
-		if r, err := Ave(eng(), values, Options{}); err != nil ||
+		if r, err := Run(eng(), nil, Ave, values); err != nil ||
 			agg.RelError(r.Value, agg.Exact(agg.Average, values, 0)) > 1e-4 {
 			return false
 		}
-		if r, err := Count(eng(), values, Options{}); err != nil ||
+		if r, err := Run(eng(), nil, Count, values); err != nil ||
 			agg.RelError(r.Value, float64(n)) > 1e-4 {
 			return false
 		}
@@ -294,7 +294,7 @@ func BenchmarkDRRGossipMax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := Max(eng, values, Options{}); err != nil {
+		if _, err := Run(eng, nil, Max, values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -306,7 +306,7 @@ func BenchmarkDRRGossipAve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := Ave(eng, values, Options{}); err != nil {
+		if _, err := Run(eng, nil, Ave, values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +319,7 @@ func TestCountUnderLossAndCrashes(t *testing.T) {
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 56, Loss: 0.1, CrashFrac: 0.08})
 	values := agg.GenUniform(n, 0, 1, 14)
-	res, err := Count(eng, values, Options{})
+	res, err := Run(eng, nil, Count, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSumUnderLoss(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 57, Loss: 0.125})
 	values := agg.GenUniform(n, -5, 5, 15)
-	res, err := Sum(eng, values, Options{})
+	res, err := Run(eng, nil, Sum, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRankUnderLoss(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 58, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 100, 16)
-	res, err := Rank(eng, values, 42, Options{})
+	res, err := Run(eng, nil, Sum, agg.Indicator(values, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,19 +22,16 @@ func TestMomentsEndToEnd(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 141})
 	values := agg.GenUniform(n, 0, 100, 1)
-	res, err := Moments(eng, values, Options{})
+	res, err := Run(eng, nil, Moments, values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMean, wantVar := exactMoments(values)
-	if agg.RelError(res.Mean, wantMean) > 1e-6 {
-		t.Fatalf("Mean = %v, want %v", res.Mean, wantMean)
+	if agg.RelError(res.Value, wantMean) > 1e-6 {
+		t.Fatalf("Mean = %v, want %v", res.Value, wantMean)
 	}
 	if agg.RelError(res.Variance, wantVar) > 1e-6 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)
-	}
-	if math.Abs(res.Std-math.Sqrt(wantVar)) > 1e-3 {
-		t.Fatalf("Std = %v", res.Std)
 	}
 	if !res.Consensus {
 		t.Fatal("no consensus")
@@ -48,12 +45,12 @@ func TestMomentsConstantValues(t *testing.T) {
 	for i := range values {
 		values[i] = 7.5
 	}
-	res, err := Moments(eng, values, Options{})
+	res, err := Run(eng, nil, Moments, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.RelError(res.Mean, 7.5) > 1e-9 {
-		t.Fatalf("Mean = %v", res.Mean)
+	if agg.RelError(res.Value, 7.5) > 1e-9 {
+		t.Fatalf("Mean = %v", res.Value)
 	}
 	// Variance of constants is 0; allow tiny float cancellation noise.
 	if math.Abs(res.Variance) > 1e-6 {
@@ -65,14 +62,14 @@ func TestMomentsUnderLossAndCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 143, Loss: 0.05, CrashFrac: 0.1})
 	values := agg.GenUniform(n, 0, 50, 2)
-	res, err := Moments(eng, values, Options{})
+	res, err := Run(eng, nil, Moments, values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alive := agg.Subset(values, eng.AliveIDs())
 	wantMean, wantVar := exactMoments(alive)
-	if agg.RelError(res.Mean, wantMean) > 0.05 {
-		t.Fatalf("Mean = %v, want %v", res.Mean, wantMean)
+	if agg.RelError(res.Value, wantMean) > 0.05 {
+		t.Fatalf("Mean = %v, want %v", res.Value, wantMean)
 	}
 	if agg.RelError(res.Variance, wantVar) > 0.1 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)
@@ -80,12 +77,12 @@ func TestMomentsUnderLossAndCrashes(t *testing.T) {
 	if !res.Consensus {
 		t.Fatal("no consensus")
 	}
-	for i, v := range res.PerNodeMean {
+	for i, v := range res.PerNode {
 		if !res.Consensus {
 			break
 		}
-		if eng.Alive(i) && v != res.Mean {
-			t.Fatalf("node %d mean %v != consensus %v", i, v, res.Mean)
+		if eng.Alive(i) && v != res.Value {
+			t.Fatalf("node %d mean %v != consensus %v", i, v, res.Value)
 		}
 	}
 }
@@ -94,13 +91,13 @@ func TestMomentsSignedValues(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 144})
 	values := agg.GenSigned(n, 20, 3)
-	res, err := Moments(eng, values, Options{})
+	res, err := Run(eng, nil, Moments, values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMean, wantVar := exactMoments(values)
-	if math.Abs(res.Mean-wantMean) > 1e-6 {
-		t.Fatalf("Mean = %v, want %v", res.Mean, wantMean)
+	if math.Abs(res.Value-wantMean) > 1e-6 {
+		t.Fatalf("Mean = %v, want %v", res.Value, wantMean)
 	}
 	if agg.RelError(res.Variance, wantVar) > 1e-6 {
 		t.Fatalf("Variance = %v, want %v", res.Variance, wantVar)
@@ -109,7 +106,7 @@ func TestMomentsSignedValues(t *testing.T) {
 
 func TestMomentsValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 145})
-	if _, err := Moments(eng, make([]float64, 4), Options{}); err == nil {
+	if _, err := Run(eng, nil, Moments, make([]float64, 4)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -119,11 +116,11 @@ func TestMomentsCostProfile(t *testing.T) {
 	// plus one extra spread.
 	n := 4096
 	values := agg.GenUniform(n, 0, 1, 4)
-	mres, err := Moments(sim.NewEngine(n, sim.Options{Seed: 146}), values, Options{})
+	mres, err := Run(sim.NewEngine(n, sim.Options{Seed: 146}), nil, Moments, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ares, err := Ave(sim.NewEngine(n, sim.Options{Seed: 146}), values, Options{})
+	ares, err := Run(sim.NewEngine(n, sim.Options{Seed: 146}), nil, Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +134,62 @@ func BenchmarkMoments(b *testing.B) {
 	values := agg.GenUniform(n, 0, 1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Moments(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), values, Options{}); err != nil {
+		if _, err := Run(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), nil, Moments, values); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// crashAtGossip runs kind with the given root crashed the moment Phase
+// III starts (after the convergecast banked its tree at that root).
+func crashAtGossip(t *testing.T, n int, values []float64, kind Kind, victim int) (*Result, *sim.Engine) {
+	t.Helper()
+	eng := sim.NewEngine(n, sim.Options{Seed: 5})
+	eng.SetPhaseObserver(func(phase string) {
+		if phase == PhaseGossip {
+			eng.Crash(victim)
+		}
+	})
+	res, err := Run(eng, nil, kind, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, eng
+}
+
+// disagreeing counts the live nodes whose disseminated value differs
+// from the reported answer.
+func disagreeing(eng *sim.Engine, res *Result) int {
+	bad := 0
+	for i, v := range res.PerNode {
+		if eng.Alive(i) && v != res.Value {
+			bad++
+		}
+	}
+	return bad
+}
+
+// A mid-run crash of the elected largest root must not strand Moments on
+// the dead tree: it re-elects a live root, reports a finite mean equal to
+// Ave's under the same crash, and leaves no more live nodes without the
+// answer than Ave does.
+func TestMomentsSurvivesElectedRootCrash(t *testing.T) {
+	n := 1024
+	values := agg.GenUniform(n, 0, 1000, 7)
+	healthy, err := Run(sim.NewEngine(n, sim.Options{Seed: 5}), nil, Ave, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := healthy.Forest.LargestRoot()
+	ave, aveEng := crashAtGossip(t, n, values, Ave, victim)
+	mom, momEng := crashAtGossip(t, n, values, Moments, victim)
+	if mom.Value != ave.Value || math.IsNaN(mom.Value) {
+		t.Fatalf("Moments mean %v under the root crash, Ave %v", mom.Value, ave.Value)
+	}
+	if m, a := disagreeing(momEng, mom), disagreeing(aveEng, ave); m > a {
+		t.Fatalf("%d live nodes disagree with Moments, %d with Ave", m, a)
+	}
+	if math.IsNaN(mom.Variance) || math.IsInf(mom.Variance, 0) {
+		t.Fatalf("Moments variance %v under the root crash", mom.Variance)
 	}
 }

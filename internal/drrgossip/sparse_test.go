@@ -24,7 +24,7 @@ func TestMaxOnChordEndToEnd(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 61})
 	values := agg.GenUniform(n, 0, 1000, 1)
-	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
+	res, err := Run(eng, overlay.NewChord(ring), Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMaxOnChordHashedPlacement(t *testing.T) {
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 62})
 	values := agg.GenUniform(n, 0, 100, 2)
-	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
+	res, err := Run(eng, overlay.NewChord(ring), Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAveOnChordEndToEnd(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 63})
 	values := agg.GenUniform(n, 0, 100, 3)
-	res, err := AveSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
+	res, err := Run(eng, overlay.NewChord(ring), Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestChordComplexityTheorem14(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 64})
 	values := agg.GenUniform(n, 0, 1, 4)
-	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
+	res, err := Run(eng, overlay.NewChord(ring), Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestChordUnderLoss(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 65, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 1000, 5)
-	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
+	res, err := Run(eng, overlay.NewChord(ring), Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestChordRejectsCrashes(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 66, CrashFrac: 0.2})
 	values := agg.GenUniform(n, 0, 1, 6)
-	if _, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{}); err != ErrCrashedOverlay {
+	if _, err := Run(eng, overlay.NewChord(ring), Max, values); err != ErrCrashedOverlay {
 		t.Fatalf("crashed chord accepted: %v", err)
 	}
 }
@@ -118,35 +118,8 @@ func TestChordRejectsCrashes(t *testing.T) {
 func TestChordSizeMismatch(t *testing.T) {
 	ring := evenRing(t, 128)
 	eng := sim.NewEngine(64, sim.Options{Seed: 67})
-	if _, err := MaxSparse(eng, overlay.NewChord(ring), make([]float64, 64), SparseOptions{}); err == nil {
+	if _, err := Run(eng, overlay.NewChord(ring), Max, make([]float64, 64)); err == nil {
 		t.Fatal("ring/engine size mismatch accepted")
-	}
-}
-
-func TestClimbPath(t *testing.T) {
-	n := 256
-	ring := evenRing(t, n)
-	eng := sim.NewEngine(n, sim.Options{Seed: 68})
-	values := agg.GenUniform(n, 0, 1, 7)
-	res, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := res.Forest
-	for i := 0; i < n; i++ {
-		p := appendClimb(nil, f, i)
-		if f.IsRoot(i) {
-			if len(p) != 0 {
-				t.Fatalf("root %d has climb path %v", i, p)
-			}
-			continue
-		}
-		if len(p) != f.Depth(i) {
-			t.Fatalf("node %d climb length %d, depth %d", i, len(p), f.Depth(i))
-		}
-		if p[len(p)-1] != f.RootOf(i) {
-			t.Fatalf("node %d climb ends at %d, root %d", i, p[len(p)-1], f.RootOf(i))
-		}
 	}
 }
 
@@ -157,7 +130,7 @@ func BenchmarkMaxSparseChord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := MaxSparse(eng, overlay.NewChord(ring), values, SparseOptions{}); err != nil {
+		if _, err := Run(eng, overlay.NewChord(ring), Max, values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,35 +166,35 @@ func TestSparsePipelineAcrossOverlays(t *testing.T) {
 	for _, ov := range testOverlays(t, n, 3) {
 		ov := ov
 		t.Run(ov.Name(), func(t *testing.T) {
-			mres, err := MaxSparse(sim.NewEngine(n, sim.Options{Seed: 101}), ov, values, SparseOptions{})
+			mres, err := Run(sim.NewEngine(n, sim.Options{Seed: 101}), ov, Max, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mres.Value != wantMax || !mres.Consensus {
 				t.Fatalf("Max = %v (consensus %v), want %v", mres.Value, mres.Consensus, wantMax)
 			}
-			nres, err := MinSparse(sim.NewEngine(n, sim.Options{Seed: 102}), ov, values, SparseOptions{})
+			nres, err := Run(sim.NewEngine(n, sim.Options{Seed: 102}), ov, Min, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := agg.Exact(agg.Min, values, 0); nres.Value != want || !nres.Consensus {
 				t.Fatalf("Min = %v, want %v", nres.Value, want)
 			}
-			ares, err := AveSparse(sim.NewEngine(n, sim.Options{Seed: 103}), ov, values, SparseOptions{})
+			ares, err := Run(sim.NewEngine(n, sim.Options{Seed: 103}), ov, Ave, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if e := agg.RelError(ares.Value, wantAve); e > 1e-5 || !ares.Consensus {
 				t.Fatalf("Ave = %v (rel err %v, consensus %v)", ares.Value, e, ares.Consensus)
 			}
-			sres, err := SumSparse(sim.NewEngine(n, sim.Options{Seed: 104}), ov, values, SparseOptions{})
+			sres, err := Run(sim.NewEngine(n, sim.Options{Seed: 104}), ov, Sum, values)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if e := agg.RelError(sres.Value, wantSum); e > 1e-5 || !sres.Consensus {
 				t.Fatalf("Sum = %v (rel err %v, consensus %v)", sres.Value, e, sres.Consensus)
 			}
-			cres, err := CountSparse(sim.NewEngine(n, sim.Options{Seed: 105}), ov, values, SparseOptions{})
+			cres, err := Run(sim.NewEngine(n, sim.Options{Seed: 105}), ov, Count, values)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +213,7 @@ func TestRankSparse(t *testing.T) {
 	}
 	values := agg.GenUniform(n, 0, 1000, 10)
 	q := 400.0
-	res, err := RankSparse(sim.NewEngine(n, sim.Options{Seed: 106}), ov, values, q, SparseOptions{})
+	res, err := Run(sim.NewEngine(n, sim.Options{Seed: 106}), ov, Sum, agg.Indicator(values, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +232,7 @@ func TestSumSparseUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := agg.GenUniform(n, 0, 100, 11)
-	res, err := SumSparse(sim.NewEngine(n, sim.Options{Seed: 107, Loss: 0.05}), ov, values, SparseOptions{})
+	res, err := Run(sim.NewEngine(n, sim.Options{Seed: 107, Loss: 0.05}), ov, Sum, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +249,7 @@ func TestSparseRejectsCrashedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 108, CrashFrac: 0.2})
-	if _, err := MaxSparse(eng, ov, make([]float64, n), SparseOptions{}); err != ErrCrashedOverlay {
+	if _, err := Run(eng, ov, Max, make([]float64, n)); err != ErrCrashedOverlay {
 		t.Fatalf("crashed engine accepted: %v", err)
 	}
 }
@@ -287,7 +260,7 @@ func TestSparseSizeMismatchOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(64, sim.Options{Seed: 109})
-	if _, err := MaxSparse(eng, ov, make([]float64, 64), SparseOptions{}); err == nil {
+	if _, err := Run(eng, ov, Max, make([]float64, 64)); err == nil {
 		t.Fatal("overlay/engine size mismatch accepted")
 	}
 }

@@ -95,14 +95,14 @@ func RunA2(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xA2, math.Float64bits(loss), uint64(trial))
 			values := agg.GenUniform(n, 0, 1000, seed)
 
-			mres, err := drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), values, drrgossip.Options{})
+			mres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), nil, drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}
 			if mres.Value == agg.Exact(agg.Max, values, 0) {
 				maxOK++
 			}
-			ares, err := drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), values, drrgossip.Options{})
+			ares, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), nil, drrgossip.Ave, values)
 			if err != nil {
 				return nil, err
 			}
@@ -164,7 +164,7 @@ func RunA3(cfg Config) (*Report, error) {
 			b = append(b, float64(pres.BootstrapStats.Messages)/float64(n))
 			p = append(p, float64(pres.Stats.Messages)/float64(n))
 
-			dres, err := drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: seed + 1}), values, drrgossip.Options{})
+			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1}), nil, drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}

@@ -60,7 +60,7 @@ func as1Run(cfg Config, topo facade.Topology, peer string, n int, values []float
 		net.Observe(obs)
 	}
 	start := time.Now()
-	ans, err := net.Average(values)
+	ans, err := net.Run(facade.AverageOf(values))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -103,7 +103,7 @@ func RunAS1(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("AS1 drr %s: %w", topo, err)
 		}
 		start := time.Now()
-		drr, err := net.Average(values)
+		drr, err := net.Run(facade.AverageOf(values))
 		if err != nil {
 			return nil, fmt.Errorf("AS1 drr %s: %w", topo, err)
 		}
@@ -176,7 +176,7 @@ func RunAS1(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	detWAns, err := detW.Average(values)
+	detWAns, err := detW.Run(facade.AverageOf(values))
 	if err != nil {
 		return nil, err
 	}

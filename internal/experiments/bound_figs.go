@@ -48,7 +48,7 @@ func RunF12(cfg Config) (*Report, error) {
 
 			// Non-address-oblivious aggregate computation: DRR-gossip.
 			values := agg.GenUniform(n, 0, 100, seed)
-			dres, err := drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: seed + 2}), values, drrgossip.Options{})
+			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 2}), nil, drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}

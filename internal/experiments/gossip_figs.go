@@ -17,8 +17,9 @@ import (
 )
 
 // phase12 runs DRR + convergecast + root broadcast, the common setup of
-// the Phase III experiments.
-func phase12(eng *sim.Engine, values []float64) (*forest.Forest, []int, map[int]float64, map[int]convergecast.SumCount, error) {
+// the Phase III experiments, and returns the forest, the tree-relay
+// transport over it and the per-root max and sum vectors.
+func phase12(eng *sim.Engine, values []float64) (*forest.Forest, gossip.Transport, map[int]float64, map[int]convergecast.MomentsVec, error) {
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -36,7 +37,11 @@ func phase12(eng *sim.Engine, values []float64) (*forest.Forest, []int, map[int]
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return f, rootTo, covmax, covsum, nil
+	tr, err := gossip.Relay(eng, f, rootTo)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return f, tr, covmax, covsum, nil
 }
 
 // RunF5 validates Theorem 5: after the gossip procedure alone, a constant
@@ -58,11 +63,11 @@ func RunF5(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xF5, uint64(trial), math.Float64bits(loss))
 			eng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss})
 			values := agg.GenUniform(n, 0, 1000, seed)
-			f, rootTo, covmax, _, err := phase12(eng, values)
+			f, tr, covmax, _, err := phase12(eng, values)
 			if err != nil {
 				return nil, err
 			}
-			res, err := gossip.Max(eng, f, rootTo, covmax, gossip.Options{})
+			res, err := gossip.Max(tr, covmax)
 			if err != nil {
 				return nil, err
 			}
@@ -107,11 +112,11 @@ func RunF6(cfg Config) (*Report, error) {
 				seed := xrand.Hash(cfg.Seed, 0xF6, uint64(n), uint64(trial), math.Float64bits(loss))
 				eng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss})
 				values := agg.GenUniform(n, 0, 1000, seed)
-				f, rootTo, covmax, _, err := phase12(eng, values)
+				_, tr, covmax, _, err := phase12(eng, values)
 				if err != nil {
 					return nil, err
 				}
-				res, err := gossip.Max(eng, f, rootTo, covmax, gossip.Options{})
+				res, err := gossip.Max(tr, covmax)
 				if err != nil {
 					return nil, err
 				}
@@ -150,12 +155,12 @@ func RunF7(cfg Config) (*Report, error) {
 	seed := xrand.Hash(cfg.Seed, 0xF7)
 	eng := sim.NewEngine(n, sim.Options{Seed: seed})
 	values := agg.GenUniform(n, 0, 100, seed)
-	f, rootTo, _, covsum, err := phase12(eng, values)
+	f, tr, _, covsum, err := phase12(eng, values)
 	if err != nil {
 		return nil, err
 	}
 	z := f.LargestRoot()
-	res, err := gossip.Ave(eng, f, rootTo, covsum,
+	res, err := gossip.Ave(tr, covsum,
 		gossip.AveOptions{TrackRoot: z, TrackPotential: true})
 	if err != nil {
 		return nil, err
@@ -222,11 +227,11 @@ func RunF8(cfg Config) (*Report, error) {
 	values := agg.GenUniform(n, 0, 1000, seed)
 	loss := 0.05
 
-	maxRes, err := drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), values, drrgossip.Options{})
+	maxRes, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), nil, drrgossip.Max, values)
 	if err != nil {
 		return nil, err
 	}
-	aveRes, err := drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), values, drrgossip.Options{})
+	aveRes, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), nil, drrgossip.Ave, values)
 	if err != nil {
 		return nil, err
 	}

@@ -73,13 +73,13 @@ func runOverlaysHealthy(cfg Config, specs []string) (*Report, error) {
 		text := specs[k]
 		if strings.EqualFold(strings.TrimSpace(text), "complete") {
 			o.name, o.edges = "complete", "-"
-			if o.mres, o.err = drrgossip.Max(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), values, drrgossip.Options{}); o.err != nil {
+			if o.mres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), nil, drrgossip.Max, values); o.err != nil {
 				return
 			}
-			if o.ares, o.err = drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), values, drrgossip.Options{}); o.err != nil {
+			if o.ares, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), nil, drrgossip.Ave, values); o.err != nil {
 				return
 			}
-			o.sres, o.err = drrgossip.Sum(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), values, drrgossip.Options{})
+			o.sres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), nil, drrgossip.Sum, values)
 			return
 		}
 		spec, err := overlay.ParseSpec(text)
@@ -96,15 +96,15 @@ func runOverlaysHealthy(cfg Config, specs []string) (*Report, error) {
 		o.name, o.sparse = spec.String(), true
 		o.edges = g.NumEdges()
 		o.harmonicVal = g.HarmonicDegreeSum()
-		if o.mres, o.err = drrgossip.MaxSparse(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), ov, values, drrgossip.SparseOptions{}); o.err != nil {
+		if o.mres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), ov, drrgossip.Max, values); o.err != nil {
 			o.err = fmt.Errorf("%s max: %w", spec, o.err)
 			return
 		}
-		if o.ares, o.err = drrgossip.AveSparse(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), ov, values, drrgossip.SparseOptions{}); o.err != nil {
+		if o.ares, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), ov, drrgossip.Ave, values); o.err != nil {
 			o.err = fmt.Errorf("%s ave: %w", spec, o.err)
 			return
 		}
-		if o.sres, o.err = drrgossip.SumSparse(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), ov, values, drrgossip.SparseOptions{}); o.err != nil {
+		if o.sres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), ov, drrgossip.Sum, values); o.err != nil {
 			o.err = fmt.Errorf("%s sum: %w", spec, o.err)
 		}
 	})

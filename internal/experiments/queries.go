@@ -48,7 +48,7 @@ func RunQB1(cfg Config) (*Report, error) {
 	// on the Count-measured population under a mid-run crash.
 	edges := []float64{250, 500, 750, 1000}
 	start := time.Now()
-	hist, err := net.Histogram(values, edges)
+	hist, err := net.Run(drrgossip.HistogramOf(values, edges))
 	if err != nil {
 		return nil, fmt.Errorf("QB1 histogram: %w", err)
 	}
@@ -59,7 +59,7 @@ func RunQB1(cfg Config) (*Report, error) {
 		float64(histStats.HorizonRuns), float64(histStats.PlanBinds), histElapsed.Seconds())
 
 	start = time.Now()
-	quant, err := net.Quantile(values, 0.9, 2.0)
+	quant, err := net.Run(drrgossip.QuantileOf(values, 0.9, 2.0))
 	if err != nil {
 		return nil, fmt.Errorf("QB1 quantile: %w", err)
 	}

@@ -176,7 +176,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 		}
 		graphMB := math.Max(0, liveHeapMB()-h0)
 		start := time.Now()
-		ans, err := net.Average(values)
+		ans, err := net.Run(facade.AverageOf(values))
 		return ans, time.Since(start), graphMB, err
 	}
 

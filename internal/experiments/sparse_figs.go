@@ -163,7 +163,7 @@ func RunF11(cfg Config) (*Report, error) {
 			values := agg.GenUniform(n, 0, 1000, seed)
 			want := agg.Exact(agg.Max, values, 0)
 
-			dres, err := drrgossip.MaxSparse(sim.NewEngine(n, sim.Options{Seed: seed}), overlay.NewChord(ring), values, drrgossip.SparseOptions{})
+			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed}), overlay.NewChord(ring), drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}

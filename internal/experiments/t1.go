@@ -49,7 +49,7 @@ func RunT1(cfg Config) (*Report, error) {
 			o := &outs[trial]
 			seed := xrand.Hash(cfg.Seed, 0x71, uint64(n), uint64(trial))
 
-			dres, err := drrgossip.Ave(sim.NewEngine(n, sim.Options{Seed: seed}), values, drrgossip.Options{})
+			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed}), nil, drrgossip.Ave, values)
 			if err != nil {
 				o.err = err
 				return

@@ -220,9 +220,12 @@ func (p *Plan) Validate(n int) error {
 	return nil
 }
 
+// validate checks one event. The fractional range checks are negated
+// in-range tests so NaN, for which every comparison is false, is rejected
+// too.
 func (ev Event) validate(n int) error {
-	if ev.At.Round < 0 || ev.At.Frac < 0 || ev.At.Frac > 1 ||
-		ev.End.Round < 0 || ev.End.Frac < 0 || ev.End.Frac > 1 {
+	if ev.At.Round < 0 || !(ev.At.Frac >= 0 && ev.At.Frac <= 1) ||
+		ev.End.Round < 0 || !(ev.End.Frac >= 0 && ev.End.Frac <= 1) {
 		return fmt.Errorf("timing out of range (rounds >= 0, fractions in [0,1])")
 	}
 	for _, id := range ev.Nodes {
@@ -230,7 +233,7 @@ func (ev Event) validate(n int) error {
 			return fmt.Errorf("node %d out of range [0,%d)", id, n)
 		}
 	}
-	if ev.Frac < 0 || ev.Frac > 1 {
+	if !(ev.Frac >= 0 && ev.Frac <= 1) {
 		return fmt.Errorf("node fraction %g out of [0,1]", ev.Frac)
 	}
 	if ev.Count < 0 || ev.Count > n {
@@ -244,7 +247,7 @@ func (ev Event) validate(n int) error {
 	case Rejoin:
 		// An empty set means "revive everyone dead".
 	case LossBurst:
-		if ev.Loss <= 0 || ev.Loss >= 1 {
+		if !(ev.Loss > 0 && ev.Loss < 1) {
 			return fmt.Errorf("burst loss %g out of (0,1)", ev.Loss)
 		}
 	case Partition:
@@ -256,14 +259,14 @@ func (ev Event) validate(n int) error {
 			return fmt.Errorf("link %d-%d invalid for n=%d", ev.A, ev.B, n)
 		}
 	case Flaky:
-		if ev.Loss <= 0 || ev.Loss > 1 {
+		if !(ev.Loss > 0 && ev.Loss <= 1) {
 			return fmt.Errorf("flaky loss %g out of (0,1]", ev.Loss)
 		}
 		if len(ev.Nodes) == 0 && ev.Frac == 0 && ev.Count == 0 {
 			return fmt.Errorf("flaky needs a node set")
 		}
 	case ChurnKind:
-		if ev.Rate <= 0 || ev.Rate > 1 {
+		if !(ev.Rate > 0 && ev.Rate <= 1) {
 			return fmt.Errorf("churn rate %g out of (0,1]", ev.Rate)
 		}
 		if ev.Down < 0 {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"drrgossip/internal/sim"
@@ -78,23 +79,38 @@ func TestParseEmptyAndErrors(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	n := 16
 	bad := []Plan{
-		{Events: []Event{{Kind: Crash}}},                           // no set
-		{Events: []Event{{Kind: Crash, Nodes: []int{n}}}},          // out of range
-		{Events: []Event{{Kind: Crash, Frac: 1.5}}},                // frac > 1
-		{Events: []Event{{Kind: LossBurst, Loss: 0}}},              // zero loss
-		{Events: []Event{{Kind: LossBurst, Loss: 1}}},              // total loss
-		{Events: []Event{{Kind: Partition, Groups: 1}}},            // one group
-		{Events: []Event{{Kind: LinkDown, A: 3, B: 3}}},            // self link
-		{Events: []Event{{Kind: ChurnKind, Rate: 0}}},              // zero rate
-		{Events: []Event{{Kind: ChurnKind, Rate: 0.5, Down: -1}}},  // negative down
-		{Events: []Event{{Kind: Flaky, Loss: 0.5}}},                // no region
-		{Events: []Event{{Kind: Crash, Frac: 0.5, At: AtFrac(2)}}}, // time out of range
-		{Events: []Event{{Kind: Crash, Frac: 0.5, At: At(-1)}}},    // negative round
-		{Events: []Event{{Kind: Kind(250), Frac: 0.5}}},            // unknown kind
+		{Events: []Event{{Kind: Crash}}},                                    // no set
+		{Events: []Event{{Kind: Crash, Nodes: []int{n}}}},                   // out of range
+		{Events: []Event{{Kind: Crash, Frac: 1.5}}},                         // frac > 1
+		{Events: []Event{{Kind: LossBurst, Loss: 0}}},                       // zero loss
+		{Events: []Event{{Kind: LossBurst, Loss: 1}}},                       // total loss
+		{Events: []Event{{Kind: Partition, Groups: 1}}},                     // one group
+		{Events: []Event{{Kind: LinkDown, A: 3, B: 3}}},                     // self link
+		{Events: []Event{{Kind: ChurnKind, Rate: 0}}},                       // zero rate
+		{Events: []Event{{Kind: ChurnKind, Rate: 0.5, Down: -1}}},           // negative down
+		{Events: []Event{{Kind: Flaky, Loss: 0.5}}},                         // no region
+		{Events: []Event{{Kind: Crash, Frac: 0.5, At: AtFrac(2)}}},          // time out of range
+		{Events: []Event{{Kind: Crash, Frac: 0.5, At: At(-1)}}},             // negative round
+		{Events: []Event{{Kind: Kind(250), Frac: 0.5}}},                     // unknown kind
+		{Events: []Event{{Kind: LossBurst, Loss: math.NaN()}}},              // NaN loss
+		{Events: []Event{{Kind: Flaky, Loss: math.NaN(), Frac: 0.5}}},       // NaN flaky loss
+		{Events: []Event{{Kind: ChurnKind, Rate: math.NaN()}}},              // NaN rate
+		{Events: []Event{{Kind: Crash, Frac: math.NaN()}}},                  // NaN node fraction
+		{Events: []Event{{Kind: Crash, Frac: 0.5, At: AtFrac(math.NaN())}}}, // NaN time
 	}
 	for i := range bad {
 		if err := bad[i].Validate(n); !errors.Is(err, ErrBadPlan) {
 			t.Fatalf("case %d: Validate = %v, want ErrBadPlan", i, err)
+		}
+	}
+	// NaN parses as a float, so the range checks must reject it.
+	for _, spec := range []string{"loss:nan@0.2..0.8", "loss:NaN@0.1..0.9", "flaky:0.2:nan@0.1..0.9", "churn:nan:10"} {
+		p, err := Parse(spec)
+		if err == nil {
+			err = p.Validate(n)
+		}
+		if !errors.Is(err, ErrBadPlan) {
+			t.Fatalf("%q: Parse+Validate = %v, want ErrBadPlan", spec, err)
 		}
 	}
 }

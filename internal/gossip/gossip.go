@@ -2,18 +2,24 @@
 // gossip algorithms of the paper — Gossip-max (Algorithm 4), Data-spread
 // (Algorithm 5) and Gossip-ave (Algorithm 6, a push-sum variant).
 //
-// All three run on the virtual clique G̃ = clique(V̂) of tree roots. A root
-// selects a node uniformly at random from all of V and sends it a message;
-// a non-root forwards the message to its own root within the same round
-// (the non-address-oblivious step, 2 hops = 2 messages via sim.SendVia).
-// Consequently a root is selected with probability proportional to its
-// tree size — exactly the non-uniformity the paper's Theorems 5-7 analyse.
+// All three run on the virtual clique G̃ = clique(V̂) of tree roots and
+// are written once, against a Transport that says how a root reaches the
+// root of a random node. On the complete graph (Section 3) the Relay
+// transport sends to a uniformly random node, which forwards to its own
+// root within the same round (the non-address-oblivious step, 2 hops = 2
+// messages via sim.SendVia); a root is therefore selected with
+// probability proportional to its tree size — exactly the non-uniformity
+// Theorems 5-7 analyse. On a sparse overlay (Section 4) the Route
+// transport samples a near-uniform node through the overlay, routes to
+// it and climbs its tree, one hop per round (Theorems 13-14).
 //
-// Per-message loss needs no special handling here: Gossip-max tolerates it
-// statistically (Theorem 5 carries the (1-ρ) factor) and is finished off
-// by the sampling procedure (Theorem 6); in Gossip-ave a lost share
+// Per-message loss needs no special handling in Gossip-max: it tolerates
+// loss statistically (Theorem 5 carries the (1-ρ) factor) and is finished
+// off by the sampling procedure (Theorem 6). In Gossip-ave a lost share
 // removes proportional (s, g) mass, which perturbs but does not bias the
-// converging ratio (Lemma 8 keeps the (1-δ) selection factor).
+// converging ratio (Lemma 8 keeps the (1-δ) selection factor); callers
+// that cannot afford to lose mass ask for reliable shares, which each
+// transport implements with its own retransmission rule.
 package gossip
 
 import (
@@ -21,7 +27,6 @@ import (
 	"math"
 
 	"drrgossip/internal/convergecast"
-	"drrgossip/internal/forest"
 	"drrgossip/internal/sim"
 )
 
@@ -31,14 +36,6 @@ const (
 	kindInqReply  uint8 = 0x33
 	kindAveShare  uint8 = 0x34
 )
-
-// Options tune Gossip-max and Data-spread. Zero values pick defaults
-// scaled as in the paper: O(log n) gossip rounds (with the 1/(1-ρ) loss
-// inflation, ρ = 2δ) and O(log n) sampling rounds.
-type Options struct {
-	GossipRounds int // gossip-procedure iterations (1 round each)
-	SampleRounds int // sampling-procedure iterations (2 rounds each)
-}
 
 // lossInflate scales a round budget by the paper's 1/(1-ρ) factor, where
 // ρ = 2δ is the per-relay link-failure probability, further divided by the
@@ -51,14 +48,6 @@ func lossInflate(base int, eng *sim.Engine) int {
 	}
 	alive := float64(eng.NumAlive()) / float64(eng.N())
 	return int(math.Ceil(float64(base)/((1-rho)*alive))) + 1
-}
-
-func defaultGossipRounds(eng *sim.Engine) int {
-	return lossInflate(2*ceilLog2(eng.N())+12, eng)
-}
-
-func defaultSampleRounds(eng *sim.Engine) int {
-	return lossInflate(ceilLog2(eng.N())+8, eng)
 }
 
 func ceilLog2(n int) int {
@@ -80,40 +69,13 @@ type MaxResult struct {
 	Stats       sim.Counters
 }
 
-// checkInputs validates the shared preconditions of the Phase III entry
-// points.
-func checkInputs(eng *sim.Engine, f *forest.Forest, rootTo []int) error {
-	if f.N() != eng.N() {
-		return fmt.Errorf("gossip: forest has %d nodes, engine %d", f.N(), eng.N())
-	}
-	if len(rootTo) != eng.N() {
-		return fmt.Errorf("gossip: rootTo has %d entries, engine %d", len(rootTo), eng.N())
-	}
-	if f.NumTrees() == 0 {
-		return fmt.Errorf("gossip: empty forest")
-	}
-	return nil
-}
-
-// relayTarget picks the relay node j (uniform over V minus the chooser)
-// and the destination root it forwards to. A crashed or root-less relay
-// still consumes the send (the message dies at the relay).
-func relayTarget(eng *sim.Engine, rootTo []int, chooser int) (relay, dst int) {
-	j := eng.RNG(chooser).IntnOther(eng.N(), chooser)
-	dst = rootTo[j]
-	if dst < 0 {
-		dst = j // dead end: deliver "to the relay", which drops it
-	}
-	return j, dst
-}
-
-// Max runs Algorithm 4 on the roots of f. init maps every root to its
-// initial value (e.g. the convergecast-max of its tree); rootTo gives
-// every node's root address (from the Phase II broadcast).
-func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, opts Options) (*MaxResult, error) {
-	if err := checkInputs(eng, f, rootTo); err != nil {
-		return nil, err
-	}
+// Max runs Algorithm 4 on the roots of the transport's forest. init maps
+// every root to its initial value (e.g. the convergecast-max of its
+// tree). The gossip procedure runs O(log n) iterations, the sampling
+// procedure O(log n) more, each scaled by the transport (loss-inflated on
+// the relay) and each taking the transport's exchange time.
+func Max(tr Transport, init map[int]float64) (*MaxResult, error) {
+	eng, f := tr.env()
 	start := eng.Stats()
 	roots := f.Roots()
 	val := make(map[int]float64, len(roots))
@@ -124,14 +86,21 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, 
 		}
 		val[r] = v
 	}
-
-	gossipRounds := opts.GossipRounds
-	if gossipRounds == 0 {
-		gossipRounds = defaultGossipRounds(eng)
-	}
-	sampleRounds := opts.SampleRounds
-	if sampleRounds == 0 {
-		sampleRounds = defaultSampleRounds(eng)
+	gossipRounds := tr.iterations(2*ceilLog2(eng.N()) + 12)
+	sampleRounds := tr.iterations(ceilLog2(eng.N()) + 8)
+	ticks := tr.ticks()
+	// land lets one exchange arrive, adopting every larger value of kind.
+	land := func(kind uint8) {
+		for k := 0; k < ticks; k++ {
+			eng.Tick()
+			for _, r := range roots {
+				for _, m := range eng.Inbox(r) {
+					if m.Pay.Kind == kind && m.Pay.A > val[r] {
+						val[r] = m.Pay.A
+					}
+				}
+			}
+		}
 	}
 
 	// Gossip procedure: push the current estimate to a random node's root.
@@ -139,53 +108,42 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, 
 	// freezes; the rest of the clique keeps gossiping).
 	for t := 0; t < gossipRounds; t++ {
 		for _, r := range roots {
-			if !eng.Alive(r) {
-				continue
-			}
-			relay, dst := relayTarget(eng, rootTo, r)
-			eng.SendVia(r, relay, dst, sim.Payload{Kind: kindGossipVal, A: val[r]})
-		}
-		eng.Tick()
-		for _, r := range roots {
-			for _, m := range eng.Inbox(r) {
-				if m.Pay.Kind == kindGossipVal && m.Pay.A > val[r] {
-					val[r] = m.Pay.A
-				}
+			if eng.Alive(r) {
+				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[r]})
 			}
 		}
+		land(kindGossipVal)
 	}
 	after := make(map[int]float64, len(val))
 	for r, v := range val {
 		after[r] = v
 	}
 
-	// Sampling procedure: inquire a random node's root and adopt its
-	// value if larger. Each iteration takes two rounds (inquiry out,
-	// reply back).
+	// Sampling procedure: inquire a random node's root, which replies
+	// with its value; adopt it if larger.
+	type inquiry struct{ from, to int } // inquirer, responder
+	var inquiries []inquiry
 	for t := 0; t < sampleRounds; t++ {
 		for _, r := range roots {
-			if !eng.Alive(r) {
-				continue
+			if eng.Alive(r) {
+				tr.push(r, sim.Payload{Kind: kindInquiry, X: int64(r)})
 			}
-			relay, dst := relayTarget(eng, rootTo, r)
-			eng.SendVia(r, relay, dst, sim.Payload{Kind: kindInquiry, X: int64(r)})
 		}
-		eng.Tick()
-		for _, r := range roots {
-			for _, m := range eng.Inbox(r) {
-				if m.Pay.Kind == kindInquiry {
-					eng.Send(r, int(m.Pay.X), sim.Payload{Kind: kindInqReply, A: val[r]})
+		inquiries = inquiries[:0]
+		for k := 0; k < ticks; k++ {
+			eng.Tick()
+			for _, r := range roots {
+				for _, m := range eng.Inbox(r) {
+					if m.Pay.Kind == kindInquiry {
+						inquiries = append(inquiries, inquiry{from: int(m.Pay.X), to: r})
+					}
 				}
 			}
 		}
-		eng.Tick()
-		for _, r := range roots {
-			for _, m := range eng.Inbox(r) {
-				if m.Pay.Kind == kindInqReply && m.Pay.A > val[r] {
-					val[r] = m.Pay.A
-				}
-			}
+		for _, q := range inquiries {
+			tr.reply(q.to, q.from, sim.Payload{Kind: kindInqReply, A: val[q.to]})
 		}
+		land(kindInqReply)
 	}
 	return &MaxResult{
 		Estimates:   val,
@@ -197,7 +155,8 @@ func Max(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]float64, 
 // Spread runs Data-spread (Algorithm 5): the source root's value is
 // spread to all roots by running Gossip-max with every other root
 // initialised to -Inf.
-func Spread(eng *sim.Engine, f *forest.Forest, rootTo []int, source int, value float64, opts Options) (*MaxResult, error) {
+func Spread(tr Transport, source int, value float64) (*MaxResult, error) {
+	_, f := tr.env()
 	if !f.IsRoot(source) {
 		return nil, fmt.Errorf("gossip: spread source %d is not a root", source)
 	}
@@ -206,14 +165,11 @@ func Spread(eng *sim.Engine, f *forest.Forest, rootTo []int, source int, value f
 		init[r] = math.Inf(-1)
 	}
 	init[source] = value
-	return Max(eng, f, rootTo, init, opts)
+	return Max(tr, init)
 }
 
 // AveOptions tune Gossip-ave.
 type AveOptions struct {
-	// Rounds is the number of push-sum iterations; 0 means the paper's
-	// O(log m + log 1/ε) with ε = n^-2, loss-inflated.
-	Rounds int
 	// TrackRoot records the per-round estimate trajectory of this root
 	// (-1 to disable): the convergence curve of Theorem 7.
 	TrackRoot int
@@ -221,22 +177,25 @@ type AveOptions struct {
 	// y_{t,i} of the analysis and records the potential Φ_t of Lemma 8
 	// every round. Costs O(m^2) memory; enable only in experiments.
 	TrackPotential bool
-	// ReliableShares retransmits each share until delivered (bounded
-	// retries) and restores it to the sender if it never arrives, so no
-	// push-sum mass is ever destroyed — the paper's "repeated calls"
-	// remedy for lossy links. The Ave aggregate does not need this
-	// (losses cancel in its ratio), but the distinguished-root Sum and
-	// Count variants do: their denominator starts as a single unit of
-	// mass whose early loss would permanently skew the result.
+	// ReliableShares retransmits each share under the transport's
+	// reliability rule and restores it to the sender if it never
+	// arrives, so no push-sum mass is ever destroyed — the paper's
+	// "repeated calls" remedy for lossy links. The Ave aggregate does
+	// not need this (losses cancel in its ratio), but the
+	// distinguished-root Sum and Count variants do: their denominator
+	// starts as a single unit of mass whose early loss would permanently
+	// skew the result.
 	ReliableShares bool
 }
 
 // AveResult is the outcome of Gossip-ave.
 type AveResult struct {
-	// Estimates holds each root's final Ave estimate s/g.
+	// Estimates holds each root's final ratio estimate s/g (NaN where
+	// the weight never arrived).
 	Estimates map[int]float64
-	// S and G are the final push-sum components per root.
-	S, G map[int]float64
+	// Mass holds each root's final push-sum state: Sum = s, Sum2 = the
+	// second-moment component, Count = the weight g.
+	Mass map[int]convergecast.MomentsVec
 	// Trajectory is the estimate of TrackRoot after each round.
 	Trajectory []float64
 	// Potential is Φ_t after each round when TrackPotential is set.
@@ -244,31 +203,27 @@ type AveResult struct {
 	Stats     sim.Counters
 }
 
-// Ave runs Algorithm 6 (push-sum over roots with tree-relay): every root
-// starts with (s, g) = (local sum, tree size) from Convergecast-sum; each
-// round it keeps half and pushes half to a random node's root. The ratio
-// s/g at the largest-tree root converges to the global average at the
-// rate of Theorem 7.
-func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergecast.SumCount, opts AveOptions) (*AveResult, error) {
-	if err := checkInputs(eng, f, rootTo); err != nil {
-		return nil, err
-	}
+// Ave runs Algorithm 6, push-sum over the roots of the transport's
+// forest: every root starts with its init vector — (s, g) = (local sum,
+// tree size) from Convergecast-sum for the average, optionally with a Σv²
+// component that rides along for the second moment — and each round it
+// keeps half and pushes half to a random node's root. The ratio s/g at
+// the largest-tree root converges to the global average at the rate of
+// Theorem 7.
+func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*AveResult, error) {
+	eng, f := tr.env()
 	start := eng.Stats()
 	roots := f.Roots()
-	s := make(map[int]float64, len(roots))
-	g := make(map[int]float64, len(roots))
+	mass := make(map[int]convergecast.MomentsVec, len(roots))
 	for _, r := range roots {
-		sc, ok := init[r]
+		mv, ok := init[r]
 		if !ok {
 			return nil, fmt.Errorf("gossip: missing init vector for root %d", r)
 		}
-		s[r] = sc.Sum
-		g[r] = sc.Count
+		mass[r] = mv
 	}
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = lossInflate(4*ceilLog2(eng.N())+24, eng)
-	}
+	rounds := tr.iterations(4*ceilLog2(eng.N()) + 24)
+	ticks := tr.ticks()
 
 	// Optional contribution tracking for the Lemma 8 potential.
 	var (
@@ -303,109 +258,109 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 		}
 		return phi
 	}
+	type shipment struct {
+		dst int
+		vec []float64 // snapshot of the shipped contribution share
+		w   float64
+	}
+	var shipped []shipment
+
+	// In reliable mode, shares are tracked until their due round: if the
+	// destination root crashes while they are in flight, the engine
+	// discards them and the sender's ack times out — the share is
+	// restored, so mid-run crashes cannot bleed push-sum mass (a no-op
+	// in the static model).
+	type inflight struct {
+		r, dst, due int
+		share       convergecast.MomentsVec
+	}
+	var pending []inflight
 
 	var trajectory, potentials []float64
 	for t := 0; t < rounds; t++ {
-		// Halve and push. The half leaves the sender regardless of
-		// delivery (loss destroys mass, as in the analysis).
-		type shipment struct {
-			dst int
-			vec []float64 // snapshot of the shipped contribution share
-			w   float64
-		}
-		var shipped []shipment
-		type inflight struct {
-			r, dst int
-			s, g   float64
-		}
-		var reliableSent []inflight
+		shipped = shipped[:0]
 		for _, r := range roots {
-			if !eng.Alive(r) {
-				// A crashed root pushes nothing: its (s, g) mass freezes
-				// in place instead of being silently halved away.
+			if !eng.Alive(r) || !tr.draw(r, opts.ReliableShares) {
+				// A crashed root pushes nothing (its mass freezes in place
+				// instead of being silently halved away), and a share with
+				// no established call stays home.
 				continue
 			}
-			relay, dst := relayTarget(eng, rootTo, r)
-			if !eng.Alive(relay) ||
-				(opts.ReliableShares && (!f.IsRoot(dst) || !eng.Alive(dst))) {
-				// The call to the relay is never established (crashed
-				// relay), or — in reliable mode — the destination cannot
-				// take the share: no live root to credit, or the root is
-				// currently down (a dead-at-send destination never has
-				// the message scheduled, so Drops-sniffing would wrongly
-				// report it delivered). Both are possible only under
-				// dynamic membership. The sender detects the failure and
-				// retains its share; only the call attempt is paid for.
-				// Silent link loss below does destroy mass, as in the
-				// paper's (1-δ) analysis.
-				eng.Send(r, relay, sim.Payload{Kind: kindAveShare})
-				continue
-			}
-			s[r] /= 2
-			g[r] /= 2
-			pay := sim.Payload{Kind: kindAveShare, A: s[r], B: g[r], X: int64(r)}
-			before := eng.Stats().Drops
-			eng.SendVia(r, relay, dst, pay)
-			delivered := eng.Stats().Drops == before
+			// Halve and push. The half leaves the sender regardless of
+			// delivery unless shares are reliable (loss destroys mass, as
+			// in the analysis).
+			m := mass[r]
+			m.Sum /= 2
+			m.Sum2 /= 2
+			m.Count /= 2
+			mass[r] = m
+			pay := sim.Payload{Kind: kindAveShare, A: m.Sum, B: m.Count, C: m.Sum2, X: int64(r)}
+			delivered, dst, due := tr.ship(r, pay, opts.ReliableShares)
 			if opts.ReliableShares {
-				for try := 0; try < 8 && !delivered; try++ {
-					before = eng.Stats().Drops
-					eng.SendVia(r, relay, dst, pay)
-					delivered = eng.Stats().Drops == before
-				}
 				if !delivered {
 					// Every retry failed: restore the share; no mass
 					// leaves the system.
-					s[r] *= 2
-					g[r] *= 2
+					m.Sum *= 2
+					m.Sum2 *= 2
+					m.Count *= 2
+					mass[r] = m
 				} else {
-					// Track the delivery: if dst crashes before the next
-					// Tick the engine discards the message, and the
-					// sender's ack times out — it restores the share
-					// (mid-run crashes only; a no-op in the static model).
-					reliableSent = append(reliableSent, inflight{r: r, dst: dst, s: pay.A, g: pay.B})
+					pending = append(pending, inflight{r: r, dst: dst, due: due, share: m})
 				}
 			}
-			if opts.TrackPotential {
+			if opts.TrackPotential && !(opts.ReliableShares && !delivered) {
 				// Mirror the halving in the contribution vectors and
 				// snapshot the shipped share before any delivery this
 				// round can mutate it. A reliably-restored share leaves
 				// the vectors untouched.
-				if !(opts.ReliableShares && !delivered) {
-					k := rootIdx[r]
-					for j := range y[k] {
-						y[k][j] /= 2
-					}
-					w[k] /= 2
-					if delivered && f.IsRoot(dst) {
-						shipped = append(shipped, shipment{
-							dst: rootIdx[dst],
-							vec: append([]float64(nil), y[k]...),
-							w:   w[k],
-						})
-					}
+				k := rootIdx[r]
+				for j := range y[k] {
+					y[k][j] /= 2
+				}
+				w[k] /= 2
+				if delivered && f.IsRoot(dst) {
+					shipped = append(shipped, shipment{
+						dst: rootIdx[dst],
+						vec: append([]float64(nil), y[k]...),
+						w:   w[k],
+					})
 				}
 			}
 		}
-		eng.Tick()
-		for _, sh := range reliableSent {
-			if !eng.Alive(sh.dst) {
-				// Ack timeout: the destination died before delivery and
-				// the engine discarded the share; put it back.
-				s[sh.r] += sh.s
-				g[sh.r] += sh.g
+		for k := 0; k < ticks; k++ {
+			eng.Tick()
+			if len(pending) > 0 {
+				kept := pending[:0]
+				for _, sh := range pending {
+					switch {
+					case sh.due > eng.Round():
+						kept = append(kept, sh) // still in flight
+					case !eng.Alive(sh.dst):
+						// Ack timeout: the destination died before
+						// delivery and the engine discarded the share.
+						m := mass[sh.r]
+						m.Sum += sh.share.Sum
+						m.Sum2 += sh.share.Sum2
+						m.Count += sh.share.Count
+						mass[sh.r] = m
+					}
+				}
+				pending = kept
 			}
-		}
-		for _, r := range roots {
-			for _, m := range eng.Inbox(r) {
-				if m.Pay.Kind == kindAveShare {
-					s[r] += m.Pay.A
-					g[r] += m.Pay.B
+			for _, r := range roots {
+				for _, msg := range eng.Inbox(r) {
+					if msg.Pay.Kind == kindAveShare {
+						m := mass[r]
+						m.Sum += msg.Pay.A
+						m.Sum2 += msg.Pay.C
+						m.Count += msg.Pay.B
+						mass[r] = m
+					}
 				}
 			}
-		}
-		if eng.WantResidual() {
-			eng.ReportResidual(EstimateSpread(roots, s, g))
+			if eng.WantResidual() {
+				eng.ReportResidual(estimateSpread(roots, mass))
+			}
 		}
 		if opts.TrackPotential {
 			for _, sh := range shipped {
@@ -417,8 +372,8 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 			potentials = append(potentials, potential())
 		}
 		if opts.TrackRoot >= 0 {
-			if gv := g[opts.TrackRoot]; gv != 0 {
-				trajectory = append(trajectory, s[opts.TrackRoot]/gv)
+			if m := mass[opts.TrackRoot]; m.Count != 0 {
+				trajectory = append(trajectory, m.Sum/m.Count)
 			} else {
 				trajectory = append(trajectory, math.NaN())
 			}
@@ -427,35 +382,33 @@ func Ave(eng *sim.Engine, f *forest.Forest, rootTo []int, init map[int]convergec
 
 	est := make(map[int]float64, len(roots))
 	for _, r := range roots {
-		if g[r] != 0 {
-			est[r] = s[r] / g[r]
+		if m := mass[r]; m.Count != 0 {
+			est[r] = m.Sum / m.Count
 		} else {
 			est[r] = math.NaN()
 		}
 	}
 	return &AveResult{
 		Estimates:  est,
-		S:          s,
-		G:          g,
+		Mass:       mass,
 		Trajectory: trajectory,
 		Potential:  potentials,
 		Stats:      eng.Stats().Sub(start),
 	}, nil
 }
 
-// EstimateSpread is the convergence residual the gossip drivers report
-// when a round observer is attached: the spread (max − min) of the
-// running ratio estimate s/g across roots with nonzero mass, which
-// push-sum drives to zero as shares mix. NaN when no root has mass yet.
-// It only reads driver state, so reporting it cannot perturb a run; the
-// roots iteration order does not affect a max/min reduction, keeping the
-// value deterministic. The sparse pipeline reports the same quantity
-// over its own share maps.
-func EstimateSpread(roots []int, s, g map[int]float64) float64 {
+// estimateSpread is the convergence residual Ave reports when a round
+// observer is attached: the spread (max − min) of the running ratio
+// estimate s/g across roots with nonzero weight, which push-sum drives to
+// zero as shares mix. NaN when no root has weight yet. It only reads
+// driver state, so reporting it cannot perturb a run; a max/min
+// reduction does not depend on the roots' order, keeping the value
+// deterministic.
+func estimateSpread(roots []int, mass map[int]convergecast.MomentsVec) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, r := range roots {
-		if gv := g[r]; gv != 0 {
-			est := s[r] / gv
+		if m := mass[r]; m.Count != 0 {
+			est := m.Sum / m.Count
 			if est < lo {
 				lo = est
 			}

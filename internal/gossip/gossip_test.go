@@ -12,8 +12,8 @@ import (
 )
 
 // phase12 runs Phases I and II: DRR forest, convergecast (max and sum) and
-// the root-address broadcast.
-func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, []int, map[int]float64, map[int]convergecast.SumCount) {
+// the root-address broadcast, and returns the tree-relay transport.
+func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, Transport, map[int]float64, map[int]convergecast.MomentsVec) {
 	t.Helper()
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
@@ -32,7 +32,11 @@ func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, rootTo, covmax, covsum
+	tr, err := Relay(eng, f, rootTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, tr, covmax, covsum
 }
 
 func TestMaxAllRootsConverge(t *testing.T) {
@@ -41,8 +45,8 @@ func TestMaxAllRootsConverge(t *testing.T) {
 		n := 2048
 		eng := sim.NewEngine(n, sim.Options{Seed: 21, Loss: loss})
 		values := agg.GenUniform(n, 0, 1000, 5)
-		f, rootTo, covmax, _ := phase12(t, eng, values)
-		res, err := Max(eng, f, rootTo, covmax, Options{})
+		_, tr, covmax, _ := phase12(t, eng, values)
+		res, err := Max(tr, covmax)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +65,8 @@ func TestMaxAfterGossipFractionTheorem5(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 22})
 	values := agg.GenUniform(n, 0, 1000, 6)
-	f, rootTo, covmax, _ := phase12(t, eng, values)
-	res, err := Max(eng, f, rootTo, covmax, Options{})
+	f, tr, covmax, _ := phase12(t, eng, values)
+	res, err := Max(tr, covmax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +87,8 @@ func TestMaxMessageComplexityLinear(t *testing.T) {
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 23})
 	values := agg.GenUniform(n, 0, 1, 7)
-	f, rootTo, covmax, _ := phase12(t, eng, values)
-	res, err := Max(eng, f, rootTo, covmax, Options{})
+	_, tr, covmax, _ := phase12(t, eng, values)
+	res, err := Max(tr, covmax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +104,9 @@ func TestSpreadReachesAllRoots(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 24, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 1, 8)
-	f, rootTo, _, _ := phase12(t, eng, values)
+	f, tr, _, _ := phase12(t, eng, values)
 	source := f.LargestRoot()
-	res, err := Spread(eng, f, rootTo, source, 1234.5, Options{})
+	res, err := Spread(tr, source, 1234.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestSpreadRejectsNonRoot(t *testing.T) {
 	n := 256
 	eng := sim.NewEngine(n, sim.Options{Seed: 25})
 	values := agg.GenUniform(n, 0, 1, 9)
-	f, rootTo, _, _ := phase12(t, eng, values)
+	f, tr, _, _ := phase12(t, eng, values)
 	nonRoot := -1
 	for i := 0; i < n; i++ {
 		if f.Member(i) && !f.IsRoot(i) {
@@ -125,7 +129,7 @@ func TestSpreadRejectsNonRoot(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Spread(eng, f, rootTo, nonRoot, 1, Options{}); err == nil {
+	if _, err := Spread(tr, nonRoot, 1); err == nil {
 		t.Fatal("non-root spread source accepted")
 	}
 }
@@ -134,9 +138,9 @@ func TestAveConvergesTheorem7(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 26})
 	values := agg.GenUniform(n, 0, 100, 10)
-	f, rootTo, _, covsum := phase12(t, eng, values)
+	f, tr, _, covsum := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: z})
+	res, err := Ave(tr, covsum, AveOptions{TrackRoot: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +149,11 @@ func TestAveConvergesTheorem7(t *testing.T) {
 		t.Fatalf("largest-root estimate %v, want %v (rel err %v)", res.Estimates[z], want, e)
 	}
 	// The trajectory must end far more accurate than it started.
-	tr := res.Trajectory
-	if len(tr) == 0 {
+	traj := res.Trajectory
+	if len(traj) == 0 {
 		t.Fatal("no trajectory recorded")
 	}
-	endErr := agg.RelError(tr[len(tr)-1], want)
+	endErr := agg.RelError(traj[len(traj)-1], want)
 	if endErr > 1e-6 {
 		t.Fatalf("trajectory end error %v", endErr)
 	}
@@ -159,15 +163,15 @@ func TestAveMassConservationLossless(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 27})
 	values := agg.GenUniform(n, 0, 10, 11)
-	f, rootTo, _, covsum := phase12(t, eng, values)
-	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: -1})
+	f, tr, _, covsum := phase12(t, eng, values)
+	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sTot, gTot float64
 	for _, r := range f.Roots() {
-		sTot += res.S[r]
-		gTot += res.G[r]
+		sTot += res.Mass[r].Sum
+		gTot += res.Mass[r].Count
 	}
 	if math.Abs(sTot-agg.Exact(agg.Sum, values, 0)) > 1e-6 {
 		t.Fatalf("push-sum lost value mass: %v", sTot)
@@ -187,9 +191,9 @@ func TestAveLargestRootOnlyGuarantee(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 28})
 	values := agg.GenSigned(n, 50, 12)
-	f, rootTo, _, covsum := phase12(t, eng, values)
+	f, tr, _, covsum := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: -1})
+	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +228,9 @@ func TestAveUnderLossStaysClose(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 29, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 100, 13)
-	f, rootTo, _, covsum := phase12(t, eng, values)
+	f, tr, _, covsum := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: z})
+	res, err := Ave(tr, covsum, AveOptions{TrackRoot: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +244,8 @@ func TestAvePotentialGeometricDecayLemma8(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 30})
 	values := agg.GenUniform(n, 0, 1, 14)
-	f, rootTo, _, covsum := phase12(t, eng, values)
-	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: -1, TrackPotential: true})
+	f, tr, _, covsum := phase12(t, eng, values)
+	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1, TrackPotential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +272,9 @@ func TestAveZeroMeanValues(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 31})
 	values := agg.GenZeroMean(n, 100, 15)
-	f, rootTo, _, covsum := phase12(t, eng, values)
+	f, tr, _, covsum := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: z})
+	res, err := Ave(tr, covsum, AveOptions{TrackRoot: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +287,13 @@ func TestMissingInitRejected(t *testing.T) {
 	n := 256
 	eng := sim.NewEngine(n, sim.Options{Seed: 32})
 	values := agg.GenUniform(n, 0, 1, 16)
-	f, rootTo, covmax, covsum := phase12(t, eng, values)
+	f, tr, covmax, covsum := phase12(t, eng, values)
 	delete(covmax, f.Roots()[0])
-	if _, err := Max(eng, f, rootTo, covmax, Options{}); err == nil {
+	if _, err := Max(tr, covmax); err == nil {
 		t.Fatal("missing max init accepted")
 	}
 	delete(covsum, f.Roots()[0])
-	if _, err := Ave(eng, f, rootTo, covsum, AveOptions{TrackRoot: -1}); err == nil {
+	if _, err := Ave(tr, covsum, AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("missing ave init accepted")
 	}
 }
@@ -301,7 +305,7 @@ func TestInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	badRootTo := make([]int, 5) // wrong length
-	if _, err := Max(eng, f, badRootTo, map[int]float64{0: 1, 4: 2}, Options{}); err == nil {
+	if _, err := Relay(eng, f, badRootTo); err == nil {
 		t.Fatal("bad rootTo length accepted")
 	}
 }
@@ -310,8 +314,8 @@ func TestWithCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 34, CrashFrac: 0.2, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 500, 17)
-	f, rootTo, covmax, _ := phase12(t, eng, values)
-	res, err := Max(eng, f, rootTo, covmax, Options{})
+	_, tr, covmax, _ := phase12(t, eng, values)
+	res, err := Max(tr, covmax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +345,11 @@ func BenchmarkGossipMaxPhase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Max(eng, dres.Forest, rootTo, covmax, Options{}); err != nil {
+		tr, err := Relay(eng, dres.Forest, rootTo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Max(tr, covmax); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,22 +372,27 @@ func TestMomentsTriplePushSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Moments(eng, f, rootTo, cov, AveOptions{TrackRoot: -1})
+	tr, err := Relay(eng, f, rootTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Ave(tr, cov, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	z := f.LargestRoot()
+	mean, m2 := res.Estimates[z], res.Mass[z].Sum2/res.Mass[z].Count
 	wantMean := agg.Exact(agg.Average, values, 0)
 	wantM2 := 0.0
 	for _, v := range values {
 		wantM2 += v * v
 	}
 	wantM2 /= float64(n)
-	if agg.RelError(res.Mean[z], wantMean) > 1e-6 {
-		t.Fatalf("mean at z = %v, want %v", res.Mean[z], wantMean)
+	if agg.RelError(mean, wantMean) > 1e-6 {
+		t.Fatalf("mean at z = %v, want %v", mean, wantMean)
 	}
-	if agg.RelError(res.M2[z], wantM2) > 1e-6 {
-		t.Fatalf("m2 at z = %v, want %v", res.M2[z], wantM2)
+	if agg.RelError(m2, wantM2) > 1e-6 {
+		t.Fatalf("m2 at z = %v, want %v", m2, wantM2)
 	}
 }
 
@@ -400,14 +413,18 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Moments(eng, f, rootTo, cov, AveOptions{TrackRoot: -1, ReliableShares: true})
+	tr, err := Relay(eng, f, rootTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Ave(tr, cov, AveOptions{TrackRoot: -1, ReliableShares: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	z := f.LargestRoot()
 	wantMean := agg.Exact(agg.Average, values, 0)
-	if agg.RelError(res.Mean[z], wantMean) > 1e-3 {
-		t.Fatalf("mean at z = %v, want %v under loss", res.Mean[z], wantMean)
+	if agg.RelError(res.Estimates[z], wantMean) > 1e-3 {
+		t.Fatalf("mean at z = %v, want %v under loss", res.Estimates[z], wantMean)
 	}
 }
 
@@ -423,7 +440,11 @@ func TestMomentsMissingInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Moments(eng, f, rootTo, map[int]convergecast.MomentsVec{}, AveOptions{TrackRoot: -1}); err == nil {
+	tr, err := Relay(eng, f, rootTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Ave(tr, map[int]convergecast.MomentsVec{}, AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("missing init accepted")
 	}
 }

@@ -39,8 +39,6 @@ type Options struct {
 	SizeCap        int // cluster size cap (0 = 4 log2 n)
 	PhaseBudget    int // rounds per phase (0 = ceil(log2 n) + 4)
 	Convergecast   convergecast.Options
-	Gossip         gossip.Options
-	AveRounds      int
 }
 
 // Result mirrors the DRR-gossip result shape for the harness.
@@ -213,7 +211,11 @@ func Max(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gres, err := gossip.Max(eng, f, rootTo, covmax, opts.Gossip)
+	tr, err := gossip.Relay(eng, f, rootTo)
+	if err != nil {
+		return nil, err
+	}
+	gres, err := gossip.Max(tr, covmax)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +248,11 @@ func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	for r, sc := range covsum {
 		keys[r] = float64(int(sc.Count))*(1<<24) + float64(r)
 	}
-	kres, err := gossip.Max(eng, f, rootTo, keys, opts.Gossip)
+	tr, err := gossip.Relay(eng, f, rootTo)
+	if err != nil {
+		return nil, err
+	}
+	kres, err := gossip.Max(tr, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -260,11 +266,11 @@ func Ave(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	if !f.IsRoot(z) {
 		return nil, fmt.Errorf("kashyap: elected node %d is not a root", z)
 	}
-	ares, err := gossip.Ave(eng, f, rootTo, covsum, gossip.AveOptions{Rounds: opts.AveRounds, TrackRoot: -1})
+	ares, err := gossip.Ave(tr, covsum, gossip.AveOptions{TrackRoot: -1})
 	if err != nil {
 		return nil, err
 	}
-	sres, err := gossip.Spread(eng, f, rootTo, z, ares.Estimates[z], opts.Gossip)
+	sres, err := gossip.Spread(tr, z, ares.Estimates[z])
 	if err != nil {
 		return nil, err
 	}

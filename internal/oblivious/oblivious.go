@@ -84,7 +84,7 @@ func Run(n int, opts Options) (*Result, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("oblivious: need n >= 2, got %d", n)
 	}
-	if opts.Loss < 0 || opts.Loss >= 1 {
+	if !(opts.Loss >= 0 && opts.Loss < 1) { // negated so NaN is rejected too
 		return nil, fmt.Errorf("oblivious: loss must be in [0,1)")
 	}
 	maxRounds := opts.MaxRounds

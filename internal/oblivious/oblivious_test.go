@@ -126,6 +126,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(10, Options{Loss: 1.0}); err == nil {
 		t.Fatal("loss=1 accepted")
 	}
+	if _, err := Run(10, Options{Loss: math.NaN()}); err == nil {
+		t.Fatal("loss=NaN accepted")
+	}
 }
 
 func TestProtocolString(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"drrgossip/internal/agg"
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/faults"
 	"drrgossip/internal/hms"
@@ -400,109 +401,34 @@ func (nw *Network) workerSession() *Network {
 	return ws
 }
 
-// Max computes the global maximum (DRR-gossip-max, Algorithm 7).
-func (nw *Network) Max(values []float64) (*Answer, error) { return nw.Run(MaxOf(values)) }
-
-// Min computes the global minimum.
-func (nw *Network) Min(values []float64) (*Answer, error) { return nw.Run(MinOf(values)) }
-
-// Sum computes the global sum (distinguished-root push-sum).
-func (nw *Network) Sum(values []float64) (*Answer, error) { return nw.Run(SumOf(values)) }
-
-// Count computes the number of surviving nodes.
-func (nw *Network) Count(values []float64) (*Answer, error) { return nw.Run(CountOf(values)) }
-
-// Average computes the global average (DRR-gossip-ave, Algorithm 8).
-func (nw *Network) Average(values []float64) (*Answer, error) { return nw.Run(AverageOf(values)) }
-
-// Rank computes Rank(q) = |{alive i : values[i] <= q}|.
-func (nw *Network) Rank(values []float64, q float64) (*Answer, error) {
-	return nw.Run(RankOf(values, q))
-}
-
-// Moments computes mean and variance in one run (Complete only).
-func (nw *Network) Moments(values []float64) (*Answer, error) { return nw.Run(MomentsOf(values)) }
-
-// Quantile approximates the φ-quantile by Rank bisection (the paper's
-// "Rank etc." reduction); see QuantileOf.
-func (nw *Network) Quantile(values []float64, phi, tol float64) (*Answer, error) {
-	return nw.Run(QuantileOf(values, phi, tol))
-}
-
-// Histogram computes len(edges)+1 bucket counts with one Rank run per
-// edge, plus one Count run for the open bucket's population when a
-// fault plan is active; see HistogramOf.
-func (nw *Network) Histogram(values []float64, edges []float64) (*Answer, error) {
-	return nw.Run(HistogramOf(values, edges))
-}
-
 // ---- execution machinery ----
 
-// protoOut is one protocol run's output: the facade-level result, plus
-// the richer moments result when the run was an OpMoments pipeline, or a
-// pre-wrapped runResult for runs outside the core pipelines (the HMS
-// sampling session, which bills its own phase breakdown).
-type protoOut struct {
-	res *core.Result
-	mom *core.MomentsResult
-	pre *runResult
+// protoFunc executes one full protocol run on a fresh engine.
+type protoFunc func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error)
+
+// pipelineKinds maps each single-run operation to the core pipeline
+// aggregate that answers it; Rank is Sum over indicator values.
+var pipelineKinds = map[Op]core.Kind{
+	OpMax: core.Max, OpMin: core.Min, OpSum: core.Sum, OpCount: core.Count,
+	OpAverage: core.Ave, OpRank: core.Sum, OpMoments: core.Moments,
 }
 
-// protoFunc executes one full protocol run on a fresh engine.
-type protoFunc func(eng *sim.Engine, ov overlay.Overlay) (protoOut, error)
-
-// dispatch selects the dense or sparse pipeline for op.
+// dispatch returns the protocol run answering op: the one core pipeline,
+// dense when the session has no overlay and routed over it otherwise.
 func dispatch(op Op, values []float64, arg float64) protoFunc {
-	return func(eng *sim.Engine, ov overlay.Overlay) (protoOut, error) {
-		var r *core.Result
-		var err error
-		switch {
-		case op == OpMoments:
-			// Guarded here as well as in aggregate(): the parallel batch
-			// path binds fault plans through dispatch directly, and the
-			// dense Moments protocol would otherwise silently run on a
-			// sparse configuration.
-			if ov != nil {
-				return protoOut{}, errMomentsTopology(ov.Name())
-			}
-			m, merr := core.Moments(eng, values, core.Options{})
-			return protoOut{mom: m}, merr
-		case ov == nil:
-			switch op {
-			case OpMax:
-				r, err = core.Max(eng, values, core.Options{})
-			case OpMin:
-				r, err = core.Min(eng, values, core.Options{})
-			case OpSum:
-				r, err = core.Sum(eng, values, core.Options{})
-			case OpCount:
-				r, err = core.Count(eng, values, core.Options{})
-			case OpAverage:
-				r, err = core.Ave(eng, values, core.Options{})
-			case OpRank:
-				r, err = core.Rank(eng, values, arg, core.Options{})
-			default:
-				return protoOut{}, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
-			}
-		default:
-			switch op {
-			case OpMax:
-				r, err = core.MaxSparse(eng, ov, values, core.SparseOptions{})
-			case OpMin:
-				r, err = core.MinSparse(eng, ov, values, core.SparseOptions{})
-			case OpSum:
-				r, err = core.SumSparse(eng, ov, values, core.SparseOptions{})
-			case OpCount:
-				r, err = core.CountSparse(eng, ov, values, core.SparseOptions{})
-			case OpAverage:
-				r, err = core.AveSparse(eng, ov, values, core.SparseOptions{})
-			case OpRank:
-				r, err = core.RankSparse(eng, ov, values, arg, core.SparseOptions{})
-			default:
-				return protoOut{}, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
-			}
+	kind, ok := pipelineKinds[op]
+	if op == OpRank {
+		values = agg.Indicator(values, arg)
+	}
+	return func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
+		if !ok {
+			return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
 		}
-		return protoOut{res: r}, err
+		res, err := core.Run(eng, ov, kind, values)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(res), nil
 	}
 }
 
@@ -527,7 +453,7 @@ func (nw *Network) engine() *sim.Engine {
 // the run as a *sim.AbortError panic, recovered here into a partial
 // runResult (the engine's accounting at the abort round) plus the abort
 // cause as the error.
-func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, mres *core.MomentsResult, err error) {
+func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
 	nw.protoRuns++
 	eng := nw.engine()
 	runIdx := nw.protoRuns
@@ -576,44 +502,21 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResu
 		// The watchdog unwound the run mid-protocol: salvage the engine's
 		// accounting as a partial runResult and surface the cause. The
 		// telemetry run still closes, so traces show the aborted run.
-		res, mres, err = nw.partialResult(eng, b), nil, ae.Err
+		res, err = nw.partialResult(eng, b), ae.Err
 		em.RunEnd(eng)
 	}()
-	out, rerr := run(eng, nw.ov)
-	if rerr != nil {
-		return nil, nil, rerr
+	res, err = run(eng, nw.ov)
+	if err != nil {
+		return nil, err
 	}
 	em.RunEnd(eng)
-	if out.pre != nil {
-		res = out.pre
-		res.Alive = eng.NumAlive()
-		if b != nil {
-			res.FaultEvents = b.Fired()
-			res.FaultCrashes = b.Crashed()
-			res.FaultRevives = b.Revived()
-		}
-		return res, nil, nil
-	}
-	if out.mom != nil {
-		res = &runResult{
-			Value:      out.mom.Mean,
-			PerNode:    out.mom.PerNodeMean,
-			Consensus:  out.mom.Consensus,
-			Rounds:     out.mom.Stats.Rounds,
-			Messages:   out.mom.Stats.Messages,
-			Drops:      out.mom.Stats.Drops,
-			PhaseCosts: phaseCosts(out.mom.Phases),
-			Alive:      eng.NumAlive(),
-		}
-	} else {
-		res = wrap(eng, out.res)
-	}
+	res.Alive = eng.NumAlive()
 	if b != nil {
 		res.FaultEvents = b.Fired()
 		res.FaultCrashes = b.Crashed()
 		res.FaultRevives = b.Revived()
 	}
-	return res, out.mom, nil
+	return res, nil
 }
 
 // execute runs op's protocol with the session's fault binding for that
@@ -623,16 +526,16 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResu
 // it (both runs are deterministic in Seed, so the measured horizon is
 // exact); every later run of the same kind — every further Rank step of
 // a Quantile or Histogram — reuses the binding.
-func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, *core.MomentsResult, error) {
+func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if nw.cfg.Faults.Empty() {
 		return nw.execOnce(nil, op, run)
 	}
 	b, err := nw.bind(ctx, op, run)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return nw.execOnce(b, op, run)
 }
@@ -649,7 +552,7 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 	}
 	horizon := 0
 	if nw.cfg.Faults.NeedsHorizon() {
-		healthy, _, err := nw.execOnce(nil, op, run)
+		healthy, err := nw.execOnce(nil, op, run)
 		if err != nil {
 			return nil, fmt.Errorf("drrgossip: horizon measurement run: %w", err)
 		}
@@ -691,16 +594,6 @@ func (nw *Network) notify(run, round int, eng telemetry.EngineView, b *faults.Bo
 	for _, o := range nw.observers {
 		o.OnRound(ri)
 	}
-}
-
-// errMomentsTopology is the query-validation error for Moments on a
-// sparse overlay. Moments is a single-run, three-component extension of
-// the dense Phase II convergecast (Σv, Σv², count); the Section 4 sparse
-// pipeline has no equivalent single run, so the limitation is reported
-// loudly instead of silently running the wrong (dense) protocol. See
-// README ("Limitations") and docs/PAPER_MAP.md.
-func errMomentsTopology(topo string) error {
-	return fmt.Errorf("%w: Moments runs only on the Complete topology; topology %q selects the Section 4 sparse pipeline, which has no single-run moments variant — run AverageOf (and derive variance from a second query) or use Topology: Complete; see docs/PAPER_MAP.md", ErrBadConfig, topo)
 }
 
 // sampleIDs draws k distinct node ids from [0, n) by a partial
@@ -759,10 +652,7 @@ func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	if err := nw.cfg.checkValues(q.Values); err != nil {
 		return nil, err
 	}
-	if q.Op == OpMoments && !nw.cfg.Topology.isComplete() {
-		return nil, errMomentsTopology(nw.cfg.Topology.String())
-	}
-	res, mom, err := nw.execute(ctx, q.Op, dispatch(q.Op, q.Values, q.Arg))
+	res, err := nw.execute(ctx, q.Op, dispatch(q.Op, q.Values, q.Arg))
 	if err != nil {
 		if isAbort(err) {
 			return nw.abortedAnswer(q.Op, res, err)
@@ -783,8 +673,8 @@ func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 		Converged:    true,
 	}
 	ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.PerNode)
-	if mom != nil {
-		ans.Mean, ans.Variance, ans.Std = mom.Mean, mom.Variance, mom.Std
+	if q.Op == OpMoments {
+		ans.Mean, ans.Variance, ans.Std = res.Value, res.Variance, math.Sqrt(math.Max(res.Variance, 0))
 	}
 	nw.fillQuality(ans, noResidual, nil)
 	return ans, nil
@@ -800,18 +690,7 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
 	step := func(op Op, arg float64) (*runResult, error) {
-		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
-		if res != nil {
-			// Bill the run — aborted steps included: the partial answer's
-			// Cost covers the work actually spent before the abort.
-			ans.Cost.Runs++
-			ans.Cost.Rounds += res.Rounds
-			ans.Cost.Messages += res.Messages
-			ans.Cost.Drops += res.Drops
-			ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-			ans.Alive = res.Alive
-			ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-		}
+		res, err := nw.subRun(ctx, ans, op, values, arg)
 		if err != nil {
 			return nil, fmt.Errorf("quantile %s step: %w", op, err)
 		}
@@ -890,22 +769,8 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	bill := func(res *runResult) {
-		// Bill the run — aborted steps included: the partial answer's
-		// Cost covers the work actually spent before the abort.
-		ans.Cost.Runs++
-		ans.Cost.Rounds += res.Rounds
-		ans.Cost.Messages += res.Messages
-		ans.Cost.Drops += res.Drops
-		ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-		ans.Alive = res.Alive
-		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-	}
 	step := func(op Op, arg float64) (*runResult, error) {
-		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
-		if res != nil {
-			bill(res)
-		}
+		res, err := nw.subRun(ctx, ans, op, values, arg)
 		if err != nil {
 			return nil, fmt.Errorf("quantile %s step: %w", op, err)
 		}
@@ -936,10 +801,10 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nw.finishAbort(ans, err)
 	}
 	var sum *hms.Summary
-	sampleRes, _, err := nw.execOnce(nil, OpQuantile, func(eng *sim.Engine, ov overlay.Overlay) (protoOut, error) {
+	sampleRes, err := nw.execOnce(nil, OpQuantile, func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
 		s, serr := hms.Sample(eng, ov, values, hms.Options{Target: t, Count: m})
 		if serr != nil {
-			return protoOut{}, serr
+			return nil, serr
 		}
 		sum = s
 		st := eng.Stats()
@@ -956,10 +821,10 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		if c, ok := s.Candidate(); ok {
 			pre.Value = c
 		}
-		return protoOut{pre: pre}, nil
+		return pre, nil
 	})
 	if sampleRes != nil {
-		bill(sampleRes)
+		bill(ans, sampleRes)
 	}
 	if err != nil {
 		if isAbort(err) {
@@ -1059,29 +924,14 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	}
 	ans := &Answer{Op: OpHistogram, Value: math.NaN(), Converged: true, Counts: make([]float64, len(edges)+1)}
 	cum := make([]float64, len(edges))
-	var last *runResult
-	// step bills one sub-run into the answer — aborted steps included, so
-	// a partial answer's Cost covers the work spent before the abort.
-	step := func(op Op, arg float64) (*runResult, error) {
-		res, _, err := nw.execute(ctx, op, dispatch(op, values, arg))
-		if res != nil {
-			ans.Cost.Runs++
-			ans.Cost.Rounds += res.Rounds
-			ans.Cost.Messages += res.Messages
-			ans.Cost.Drops += res.Drops
-			ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-			ans.Alive = res.Alive
-			ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-			last = res
-		}
-		return res, err
-	}
+	var lastRank *runResult
 	for i, edge := range edges {
-		res, err := step(OpRank, edge)
+		res, err := nw.subRun(ctx, ans, OpRank, values, edge)
 		if err != nil {
 			return nw.finishAbort(ans, fmt.Errorf("histogram edge %v: %w", edge, err))
 		}
 		cum[i] = math.Round(res.Value)
+		lastRank = res
 	}
 	ans.Counts[0] = cum[0]
 	for i := 1; i < len(edges); i++ {
@@ -1099,10 +949,9 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	// cumulative counts in every fault scenario, exactly as Quantile's
 	// bisection target is. The pre-session facade used a fresh *static*
 	// engine here, which was wrong whenever the plan changed membership.
-	lastRank := last
 	total := float64(lastRank.Alive)
 	if !nw.cfg.Faults.Empty() {
-		countRes, err := step(OpCount, 0)
+		countRes, err := nw.subRun(ctx, ans, OpCount, values, 0)
 		if err != nil {
 			return nw.finishAbort(ans, fmt.Errorf("histogram population count: %w", err))
 		}
@@ -1115,4 +964,27 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	ans.Counts[len(edges)] = total - cum[len(edges)-1]
 	nw.fillQuality(ans, noResidual, nil)
 	return ans, nil
+}
+
+// subRun executes one protocol run of a composite query (Quantile,
+// Histogram) and bills it into ans.
+func (nw *Network) subRun(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*runResult, error) {
+	res, err := nw.execute(ctx, op, dispatch(op, values, arg))
+	if res != nil {
+		bill(ans, res)
+	}
+	return res, err
+}
+
+// bill folds one run into a composite answer — aborted runs included, so
+// a partial answer's Cost covers the work actually spent before the
+// abort. The membership and fault fields describe the latest run.
+func bill(ans *Answer, res *runResult) {
+	ans.Cost.Runs++
+	ans.Cost.Rounds += res.Rounds
+	ans.Cost.Messages += res.Messages
+	ans.Cost.Drops += res.Drops
+	ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
+	ans.Alive = res.Alive
+	ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
 }

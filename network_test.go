@@ -31,11 +31,11 @@ func TestSessionReusesOneOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := nw.Average(values)
+	a, err := nw.Run(AverageOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nw.Average(values)
+	b, err := nw.Run(AverageOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCompositeQueriesAmortizeSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := nw.Histogram(values, []float64{200, 400, 600})
+	hist, err := nw.Run(HistogramOf(values, []float64{200, 400, 600}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCompositeQueriesAmortizeSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := nw2.Quantile(values, 0.5, 5.0)
+	q, err := nw2.Run(QuantileOf(values, 0.5, 5.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestHistogramAliveUnderChurnPlan(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return nw.Histogram(values, []float64{250, 2000})
+		return nw.Run(HistogramOf(values, []float64{250, 2000}))
 	}()
 	if err2 != nil {
 		t.Fatal(err2)
@@ -196,7 +196,7 @@ func TestMomentsAppliesFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := nw.Moments(values)
+	ans, err := nw.Run(MomentsOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestObserverStreamsRounds(t *testing.T) {
 	}
 	var infos []RoundInfo
 	nw.Observe(ObserverFunc(func(ri RoundInfo) { infos = append(infos, ri) }))
-	observed, err := nw.Average(values)
+	observed, err := nw.Run(AverageOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,20 +417,13 @@ func TestMomentsViaSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := nw.Moments(values)
+	ans, err := nw.Run(MomentsOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Mean != fresh.Mean || ans.Variance != fresh.Variance || ans.Std != fresh.Std ||
 		ans.Value != fresh.Mean || ans.Cost.Messages != fresh.Cost.Messages {
 		t.Fatalf("session moments drifted: %+v vs %+v", ans, fresh)
-	}
-	if _, err := New(Config{N: n, Seed: 91, Topology: Chord}); err != nil {
-		t.Fatal(err)
-	} else if nw2, _ := New(Config{N: n, Seed: 91, Topology: Chord}); nw2 != nil {
-		if _, err := nw2.Moments(values); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("sparse moments accepted: %v", err)
-		}
 	}
 }
 

@@ -30,7 +30,7 @@ const (
 	OpAverage
 	// OpRank is Rank(q) = |{alive i : values[i] <= q}|.
 	OpRank
-	// OpMoments computes mean and variance in one run (Complete only).
+	// OpMoments computes mean and variance in one run.
 	OpMoments
 	// OpQuantile computes a φ-quantile (composite). The protocol is
 	// selected by Config.QuantileMethod: Rank bisection (the default —
@@ -95,8 +95,8 @@ func AverageOf(values []float64) Query { return Query{Op: OpAverage, Values: val
 // RankOf requests Rank(q) = |{alive i : values[i] <= q}|.
 func RankOf(values []float64, q float64) Query { return Query{Op: OpRank, Values: values, Arg: q} }
 
-// MomentsOf requests mean and variance in a single protocol run
-// (Complete topology only).
+// MomentsOf requests mean and variance in a single protocol run: the
+// Average pipeline with a Σv² push-sum component, on any topology.
 func MomentsOf(values []float64) Query { return Query{Op: OpMoments, Values: values} }
 
 // QuantileOf requests the φ-quantile (0 < φ <= 1) within tol of the

@@ -2,7 +2,7 @@ package drrgossip
 
 import (
 	"errors"
-	"strings"
+	"math"
 	"testing"
 )
 
@@ -27,11 +27,11 @@ func TestWorkersBitIdenticalAnswers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", topo, planName, workers, err)
 				}
-				ave, err := nw.Average(values)
+				ave, err := nw.Run(AverageOf(values))
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d ave: %v", topo, planName, workers, err)
 				}
-				sum, err := nw.Sum(values)
+				sum, err := nw.Run(SumOf(values))
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d sum: %v", topo, planName, workers, err)
 				}
@@ -60,7 +60,7 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := nw.Average(values)
+		a, err := nw.Run(AverageOf(values))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +137,11 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := nw.Average(values)
+	a1, err := nw.Run(AverageOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := nw.Sum(values)
+	a2, err := nw.Run(SumOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 	if a2.SampleIDs[0] == -999 {
 		t.Fatal("answers share one SampleIDs backing array")
 	}
-	a3, err := nw.Count(values)
+	a3, err := nw.Run(CountOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,38 +158,46 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 	}
 }
 
-// Moments on a sparse overlay is a descriptive query-validation error on
-// every path, including the parallel batch's direct fault-binding path —
-// it must never silently run the dense protocol.
-func TestMomentsSparseTopologyError(t *testing.T) {
-	const n = 128
+// Moments is push-sum with a Σv² component, so it runs over the routed
+// Section 4 transport unchanged: on a sparse overlay its mean is the
+// Average answer bit for bit and its variance converges like the mean.
+// The concurrent batch path (which binds fault plans through dispatch
+// directly) answers it identically to sequential execution.
+func TestMomentsOnSparseOverlays(t *testing.T) {
+	const n = 512
 	values := uniformValues(n, 109)
-	cfg := Config{N: n, Seed: 111, Topology: Chord}
-
-	nw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	mean := mustExact(t, Config{N: n}, AverageOf(values))
+	s2 := 0.0
+	for _, v := range values {
+		s2 += v * v
 	}
-	_, err = nw.Moments(values)
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("session moments on chord: %v, want ErrBadConfig", err)
-	}
-	for _, want := range []string{"Moments", "Complete", "chord"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error not descriptive (missing %q): %v", want, err)
+	wantVar := s2/n - mean*mean
+	for _, topo := range []Topology{Chord, SmallWorld} {
+		cfg := Config{N: n, Seed: 111, Topology: topo}
+		mom := mustRun(t, cfg, MomentsOf(values))
+		ave := mustRun(t, cfg, AverageOf(values))
+		if mom.Mean != ave.Value || mom.Value != ave.Value {
+			t.Fatalf("%s: Moments mean %v != Average %v", topo, mom.Mean, ave.Value)
+		}
+		if rel := math.Abs(mom.Variance-wantVar) / wantVar; rel > 0.01 {
+			t.Fatalf("%s: Variance %v, want %v (rel err %v)", topo, mom.Variance, wantVar, rel)
+		}
+		if !mom.Consensus || mom.Std != math.Sqrt(mom.Variance) {
+			t.Fatalf("%s: incomplete moments answer %+v", topo, mom)
 		}
 	}
 
-	// The concurrent batch path binds fault plans through dispatch
-	// directly; with a plan attached it must surface the same error
-	// instead of silently running the dense pipeline on a sparse config.
-	faulted := cfg
-	faulted.Faults = mustPlan(t, "crash:0.1@0.5")
-	nw2, err := New(faulted)
+	faulted := Config{N: n, Seed: 111, Topology: Chord, Faults: mustPlan(t, "loss:0.1@0.2..0.6")}
+	seq := mustRun(t, faulted, MomentsOf(values))
+	nw, err := New(faulted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := nw2.RunAll([]Query{MomentsOf(values)}, BatchOptions{Parallelism: 2}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("parallel batch moments on chord: %v, want ErrBadConfig", err)
+	batch, _, err := nw.RunAll([]Query{MomentsOf(values), AverageOf(values)}, BatchOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := batch[0]; got.Mean != seq.Mean || got.Variance != seq.Variance || got.Cost != seq.Cost {
+		t.Fatalf("parallel batch moments %+v differs from sequential %+v", got, seq)
 	}
 }

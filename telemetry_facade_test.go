@@ -80,7 +80,7 @@ func TestPhaseCostsUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := nw.Average(uniformValues(512, 5))
+	a, err := nw.Run(AverageOf(uniformValues(512, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTelemetryIsReadOnlyTap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := nw.Quantile(values, 0.75, 2)
+		a, err := nw.Run(QuantileOf(values, 0.75, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestRoundInfoDeltas(t *testing.T) {
 		lastCum[ri.Run] = ri
 		lastRun = ri.Run
 	}))
-	a, err := nw.Average(uniformValues(256, 19))
+	a, err := nw.Run(AverageOf(uniformValues(256, 19)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRoundInfoResidual(t *testing.T) {
 			}
 		}
 	}))
-	if _, err := nw.Average(uniformValues(256, 29)); err != nil {
+	if _, err := nw.Run(AverageOf(uniformValues(256, 29))); err != nil {
 		t.Fatal(err)
 	}
 	if !sawPhase {
@@ -307,7 +307,7 @@ func TestQuantileSessionChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := nw.Quantile(uniformValues(512, 43), 0.9, 0.5)
+	a, err := nw.Run(QuantileOf(uniformValues(512, 43), 0.9, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestMomentsPhaseCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := nw.Moments(uniformValues(256, 53))
+	a, err := nw.Run(MomentsOf(uniformValues(256, 53)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestTelemetryFaultEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Max(uniformValues(256, 61)); err != nil {
+	if _, err := nw.Run(MaxOf(uniformValues(256, 61))); err != nil {
 		t.Fatal(err)
 	}
 	starts, ends, faults := 0, 0, 0
@@ -412,7 +412,7 @@ func TestTelemetryMetricsSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := nw.Quantile(uniformValues(256, 71), 0.5, 1)
+	a, err := nw.Run(QuantileOf(uniformValues(256, 71), 0.5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestEventDeltasCloseRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Average(uniformValues(256, 79)); err != nil {
+	if _, err := nw.Run(AverageOf(uniformValues(256, 79))); err != nil {
 		t.Fatal(err)
 	}
 	sums := map[int]sim.Counters{}

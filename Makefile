@@ -27,12 +27,17 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Documentation gate: every exported identifier in the root package,
-# internal/overlay, the async subsystem, the pipeline and its Phase III
-# transports (internal/chord, internal/drrgossip, internal/gossip,
-# internal/hms) must carry a doc comment (see cmd/godoclint).
+# internal/overlay, the async subsystem, the pipeline, its Phase I
+# builders (internal/drr, internal/localdrr and the baselines'
+# internal/kashyap and internal/pietro), Phase II (internal/convergecast),
+# its Phase III transports (internal/chord, internal/gossip,
+# internal/hms) and the DRR applications (internal/drrapps) must carry
+# a doc comment (see cmd/godoclint).
 doc-check:
 	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/async ./internal/pairwise \
-		./internal/chord ./internal/drrgossip ./internal/gossip ./internal/hms
+		./internal/chord ./internal/drrgossip ./internal/gossip ./internal/hms \
+		./internal/drr ./internal/localdrr ./internal/convergecast \
+		./internal/pietro ./internal/kashyap ./internal/drrapps
 
 # Run every examples/* program end to end; each exits nonzero when its
 # computed answers are wrong. The binaries run inside a temporary

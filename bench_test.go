@@ -58,10 +58,10 @@ func BenchmarkT1_DRRGossipAve(b *testing.B) {
 
 func BenchmarkT1_KashyapAve(b *testing.B) {
 	values := benchValues(benchN)
-	var r *kashyap.Result
+	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = kashyap.Ave(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, kashyap.Options{})
+		r, err = core.RunForest(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), kashyap.BuildForest, core.Ave, values)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,15 +134,15 @@ func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (tr gossip.Tr
 	if err != nil {
 		b.Fatal(err)
 	}
-	covmax, _, err = convergecast.Max(eng, dres.Forest, values, convergecast.Options{})
+	covmax, _, err = convergecast.Max(eng, dres.Forest, values)
 	if err != nil {
 		b.Fatal(err)
 	}
-	covsum, _, err = convergecast.Sum(eng, dres.Forest, values, convergecast.Options{})
+	covsum, _, err = convergecast.Sum(eng, dres.Forest, values)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func BenchmarkF9_LocalDRRHeight(b *testing.B) {
 	g := graph.MustRandomRegular(benchN, 8, 7)
 	var height int
 	for i := 0; i < b.N; i++ {
-		res, err := localdrr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), g, localdrr.Options{})
+		res, err := localdrr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkF10_LocalDRRTrees(b *testing.B) {
 	g := graph.Torus(64, 64)
 	var trees int
 	for i := 0; i < b.N; i++ {
-		res, err := localdrr.Run(sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)}), g, localdrr.Options{})
+		res, err := localdrr.Run(sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)}), g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,15 +350,15 @@ func BenchmarkA2_LossSweep(b *testing.B) {
 
 func BenchmarkA3_ClusterheadHeuristic(b *testing.B) {
 	values := benchValues(benchN)
-	var r *pietro.Result
+	var r *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = pietro.Max(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, pietro.Options{})
+		r, err = core.RunForest(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), pietro.Bootstrap, core.Max, values)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(r.BootstrapStats.Messages)/float64(benchN), "bootstrap-msgs/node")
+	b.ReportMetric(float64(r.Phases.DRR.Messages)/float64(benchN), "bootstrap-msgs/node")
 	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
 }
 
@@ -660,7 +660,7 @@ func BenchmarkExtElectLeader(b *testing.B) {
 	var r *drrapps.ElectionResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = drrapps.ElectLeader(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drrapps.Options{})
+		r, err = drrapps.ElectLeader(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -672,7 +672,7 @@ func BenchmarkExtSpanningTree(b *testing.B) {
 	var r *drrapps.SpanningResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = drrapps.BuildSpanningTree(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drrapps.Options{})
+		r, err = drrapps.BuildSpanningTree(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestAllAlgorithmsAgreeOnMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kres, err := kashyap.Max(sim.NewEngine(n, sim.Options{Seed: 63}), values, kashyap.Options{})
+	kres, err := core.RunForest(sim.NewEngine(n, sim.Options{Seed: 63}), kashyap.BuildForest, core.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAllAlgorithmsAgreeOnMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := pietro.Max(sim.NewEngine(n, sim.Options{Seed: 65}), values, pietro.Options{})
+	pres, err := core.RunForest(sim.NewEngine(n, sim.Options{Seed: 65}), pietro.Bootstrap, core.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAllAlgorithmsAgreeOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kres, err := kashyap.Ave(sim.NewEngine(n, sim.Options{Seed: 68}), values, kashyap.Options{})
+	kres, err := core.RunForest(sim.NewEngine(n, sim.Options{Seed: 68}), kashyap.BuildForest, core.Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMessageOrderingAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kres, err := kashyap.Ave(sim.NewEngine(n, sim.Options{Seed: 72}), values, kashyap.Options{})
+	kres, err := core.RunForest(sim.NewEngine(n, sim.Options{Seed: 72}), kashyap.BuildForest, core.Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,19 +21,9 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// Options tune Phase II.
-type Options struct {
-	// ExtraRounds pads the round cap beyond the lossless minimum to absorb
-	// retransmissions. 0 means 60 (overall failure odds ~ n·(2δ)^60).
-	ExtraRounds int
-}
-
-func (o Options) extra() int {
-	if o.ExtraRounds == 0 {
-		return 60
-	}
-	return o.ExtraRounds
-}
+// extraRounds pads each phase's round cap beyond the lossless minimum to
+// absorb retransmissions (overall failure odds ~ n·(2δ)^60).
+const extraRounds = 60
 
 // ErrIncomplete reports that some tree failed to finish within the round
 // cap (practically impossible for δ < 1/8 with the default padding).
@@ -55,7 +45,7 @@ type mergeFunc func(acc, in sim.Payload) sim.Payload
 // the phase: a dead child is no longer waited for, a node with a dead
 // parent stops retrying, and under an active fault regime an incomplete
 // phase returns the partial accumulators rather than ErrIncomplete.
-func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc, opts Options) (map[int]sim.Payload, sim.Counters, error) {
+func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc) (map[int]sim.Payload, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
@@ -82,7 +72,7 @@ func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc, 
 	}
 	calls := make([]sim.Call, n)
 	remaining := 0
-	roundCap := f.MaxHeight() + opts.extra()
+	roundCap := f.MaxHeight() + extraRounds
 	for round := 0; round < roundCap; round++ {
 		remaining = 0
 		for i := 0; i < n; i++ {
@@ -152,12 +142,12 @@ func valueInit(f *forest.Forest, values []float64, withCount, withSquare bool) [
 
 // Max runs Convergecast-max (Algorithm 2): each root learns the maximum
 // value in its tree.
-func Max(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]float64, sim.Counters, error) {
+func Max(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, sim.Counters, error) {
 	res, stats, err := up(eng, f, valueInit(f, values, false, false),
 		func(acc, in sim.Payload) sim.Payload {
 			acc.A = math.Max(acc.A, in.A)
 			return acc
-		}, opts)
+		})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -169,12 +159,12 @@ func Max(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map
 }
 
 // Min is the symmetric variant of Algorithm 2 for minima.
-func Min(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]float64, sim.Counters, error) {
+func Min(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, sim.Counters, error) {
 	res, stats, err := up(eng, f, valueInit(f, values, false, false),
 		func(acc, in sim.Payload) sim.Payload {
 			acc.A = math.Min(acc.A, in.A)
 			return acc
-		}, opts)
+		})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -206,18 +196,18 @@ type MomentsVec struct {
 
 // Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
 // (Σ values, tree size) vector; Sum2 stays 0.
-func Sum(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]MomentsVec, sim.Counters, error) {
-	return sums(eng, f, values, false, opts)
+func Sum(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]MomentsVec, sim.Counters, error) {
+	return sums(eng, f, values, false)
 }
 
 // Moments runs a three-component convergecast: each root learns its
 // tree's (Σ values, Σ values², tree size).
-func Moments(eng *sim.Engine, f *forest.Forest, values []float64, opts Options) (map[int]MomentsVec, sim.Counters, error) {
-	return sums(eng, f, values, true, opts)
+func Moments(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]MomentsVec, sim.Counters, error) {
+	return sums(eng, f, values, true)
 }
 
-func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool, opts Options) (map[int]MomentsVec, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, true, squares), addPayloads, opts)
+func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) (map[int]MomentsVec, sim.Counters, error) {
+	res, stats, err := up(eng, f, valueInit(f, values, true, squares), addPayloads)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -238,7 +228,7 @@ func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool, opt
 // completion, so mid-run crashes cannot stall the phase. Under an active
 // fault regime an incomplete broadcast returns partial results instead
 // of ErrIncomplete.
-func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload, opts Options) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
+func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
@@ -288,7 +278,7 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload, opts O
 		return rem
 	}
 	calls := make([]sim.Call, n)
-	roundCap := f.MaxTreeSize() + f.MaxHeight() + opts.extra()
+	roundCap := f.MaxTreeSize() + f.MaxHeight() + extraRounds
 	for round := 0; round < roundCap; round++ {
 		remaining = countRemaining()
 		if remaining == 0 {
@@ -338,12 +328,12 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload, opts O
 // BroadcastValue distributes one float per root to all members of its
 // tree; the per-node result is NaN for non-members and for members the
 // broadcast could not reach (crashed, or beyond a crashed ancestor).
-func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64, opts Options) ([]float64, sim.Counters, error) {
+func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64) ([]float64, sim.Counters, error) {
 	pays := make(map[int]sim.Payload, len(perRoot))
 	for r, v := range perRoot {
 		pays[r] = sim.Payload{A: v}
 	}
-	res, have, stats, err := down(eng, f, pays, opts)
+	res, have, stats, err := down(eng, f, pays)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -362,12 +352,12 @@ func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64, 
 // announces its address down its tree, so all nodes learn their root (the
 // non-address-oblivious forwarding table used by Phase III). Non-members
 // and unreached members get -1.
-func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest, opts Options) ([]int, sim.Counters, error) {
+func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
 	pays := make(map[int]sim.Payload, f.NumTrees())
 	for _, r := range f.Roots() {
 		pays[r] = sim.Payload{X: int64(r)}
 	}
-	res, have, stats, err := down(eng, f, pays, opts)
+	res, have, stats, err := down(eng, f, pays)
 	if err != nil {
 		return nil, stats, err
 	}

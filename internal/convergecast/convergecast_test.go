@@ -36,7 +36,7 @@ func TestMaxExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 1})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, -50, 50, 7)
-	got, stats, err := Max(eng, f, values, Options{})
+	got, stats, err := Max(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMinExact(t *testing.T) {
 	eng := sim.NewEngine(512, sim.Options{Seed: 2})
 	f := buildForest(t, eng)
 	values := agg.GenSigned(512, 30, 8)
-	got, _, err := Min(eng, f, values, Options{})
+	got, _, err := Min(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSumExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 3})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, 0, 10, 9)
-	got, _, err := Sum(eng, f, values, Options{})
+	got, _, err := Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSumExactUnderLoss(t *testing.T) {
 	eng := sim.NewEngine(2048, sim.Options{Seed: 4, Loss: 0.125})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(2048, 0, 100, 10)
-	got, stats, err := Sum(eng, f, values, Options{})
+	got, stats, err := Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRoundsBoundedByHeight(t *testing.T) {
 	eng := sim.NewEngine(4096, sim.Options{Seed: 5})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(4096, 0, 1, 11)
-	_, stats, err := Max(eng, f, values, Options{})
+	_, stats, err := Max(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBroadcastValue(t *testing.T) {
 	for _, r := range f.Roots() {
 		perRoot[r] = float64(r) * 1.5
 	}
-	got, stats, err := BroadcastValue(eng, f, perRoot, Options{})
+	got, stats, err := BroadcastValue(eng, f, perRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestBroadcastValue(t *testing.T) {
 func TestBroadcastRootAddr(t *testing.T) {
 	eng := sim.NewEngine(2048, sim.Options{Seed: 7, Loss: 0.1})
 	f := buildForest(t, eng)
-	got, _, err := BroadcastRootAddr(eng, f, Options{})
+	got, _, err := BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestBroadcastRootAddr(t *testing.T) {
 func TestBroadcastMissingRootPayload(t *testing.T) {
 	eng := sim.NewEngine(64, sim.Options{Seed: 8})
 	f := buildForest(t, eng)
-	_, _, err := BroadcastValue(eng, f, map[int]float64{}, Options{})
+	_, _, err := BroadcastValue(eng, f, map[int]float64{})
 	if err == nil {
 		t.Fatal("missing root payload accepted")
 	}
@@ -185,7 +185,7 @@ func TestWithCrashes(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 9, CrashFrac: 0.25, Loss: 0.05})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, 0, 10, 12)
-	got, _, err := Sum(eng, f, values, Options{})
+	got, _, err := Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Max(eng, f, []float64{1, 2}, Options{}); err == nil {
+	if _, _, err := Max(eng, f, []float64{1, 2}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -216,7 +216,7 @@ func TestHandBuiltChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(4, sim.Options{Seed: 10})
-	got, stats, err := Sum(eng, f, []float64{1, 2, 3, 4}, Options{})
+	got, stats, err := Sum(eng, f, []float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestConvergecastProperty(t *testing.T) {
 			return res.Forest
 		}()
 		values := agg.GenSigned(n, 20, uint64(seed)+1)
-		sums, _, err := Sum(eng, fo, values, Options{})
+		sums, _, err := Sum(eng, fo, values)
 		if err != nil {
 			return false
 		}
@@ -267,7 +267,7 @@ func BenchmarkConvergecastSum(b *testing.B) {
 			b.Fatal(err)
 		}
 		values := agg.GenUniform(4096, 0, 1, uint64(i))
-		if _, _, err := Sum(eng, res.Forest, values, Options{}); err != nil {
+		if _, _, err := Sum(eng, res.Forest, values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestMomentsExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 31})
 	f := buildForest(t, eng)
 	values := agg.GenSigned(1024, 10, 32)
-	got, _, err := Moments(eng, f, values, Options{})
+	got, _, err := Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestMomentsUnderLoss(t *testing.T) {
 	eng := sim.NewEngine(512, sim.Options{Seed: 33, Loss: 0.125})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(512, 0, 10, 34)
-	got, _, err := Moments(eng, f, values, Options{})
+	got, _, err := Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}

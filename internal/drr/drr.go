@@ -33,11 +33,12 @@ type Options struct {
 	// 0 means the paper's log2(n) - 1 (minimum 1). The A1 ablation
 	// experiment varies this.
 	ProbeBudget int
-	// ConnectRetries bounds connection-message retransmissions under
-	// loss. 0 means 8, which drives the failure probability below 4^-8
-	// for any δ < 1/8 (each attempt fails with probability ≤ 2δ ≤ 1/4).
-	ConnectRetries int
 }
+
+// connectRetries bounds connection-message retransmissions under loss:
+// 8 attempts drive the failure probability below 4^-8 for any δ < 1/8
+// (each attempt fails with probability ≤ 2δ ≤ 1/4).
+const connectRetries = 8
 
 // Result is the outcome of Phase I.
 type Result struct {
@@ -74,10 +75,6 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	}
 	if budget < 1 {
 		return nil, fmt.Errorf("drr: probe budget must be >= 1, got %d", budget)
-	}
-	retries := opts.ConnectRetries
-	if retries == 0 {
-		retries = 8
 	}
 	start := eng.Stats()
 
@@ -128,10 +125,10 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	// Connection: nodes that found a parent send it a connection message
 	// carrying their identifier; the parent acknowledges (idempotently, so
 	// retries after a lost ack are harmless). Unacknowledged nodes retry up
-	// to `retries` times and then fall back to being roots.
+	// to connectRetries times and then fall back to being roots.
 	acked := bitset.New(n)
 	orphans := 0
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
 		active := false
 		for i := 0; i < n; i++ {

@@ -18,14 +18,12 @@
 package drrapps
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"drrgossip/internal/convergecast"
 	"drrgossip/internal/drr"
+	"drrgossip/internal/drrgossip"
 	"drrgossip/internal/forest"
-	"drrgossip/internal/gossip"
 	"drrgossip/internal/sim"
 )
 
@@ -42,9 +40,6 @@ type ElectionResult struct {
 	Stats     sim.Counters
 }
 
-// ErrNoNodes is returned when no node is alive.
-var ErrNoNodes = errors.New("drrapps: no alive nodes")
-
 // electKey packs (rank, id) into one float64 so Gossip-max elects the
 // highest-ranked node with id as tiebreaker: rank is quantized to 2^26
 // levels and the id occupies the low 24 bits (exact for n < 2^24).
@@ -57,51 +52,33 @@ func decodeElectKey(key float64) int {
 	return int(int64(key) & (1<<24 - 1))
 }
 
-// ElectLeader elects the highest-DRR-ranked node as the common leader.
-func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
+// ElectLeader elects the highest-DRR-ranked node as the common leader:
+// DRR-gossip-max over each member's (rank, id) key, with the keys drawn
+// by Phase I itself. Each tree's candidate is its highest rank, which is
+// the root's own rank by the DRR invariant.
+func ElectLeader(eng *sim.Engine) (*ElectionResult, error) {
 	n := eng.N()
-	start := eng.Stats()
-	dres, err := drr.Run(eng, opts.DRR)
-	if err != nil {
-		return nil, err
-	}
-	f := dres.Forest
-	if f.NumTrees() == 0 {
-		return nil, ErrNoNodes
-	}
-
-	// Each tree's candidate is its highest rank — which is the root's own
-	// rank, by the DRR invariant — keyed with the root id for
-	// dissemination.
 	keys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if f.Member(i) {
-			keys[i] = electKey(dres.Ranks[i], i)
+	res, err := drrgossip.RunForest(eng, func(eng *sim.Engine) (*forest.Forest, []int, error) {
+		dres, err := drr.Run(eng, drr.Options{})
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	covmax, _, err := convergecast.Max(eng, f, keys, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, opts.Convergecast)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := gossip.Relay(eng, f, rootTo)
-	if err != nil {
-		return nil, err
-	}
-	gres, err := gossip.Max(tr, covmax)
-	if err != nil {
-		return nil, err
-	}
-	perNodeKey, _, err := convergecast.BroadcastValue(eng, f, gres.Estimates, opts.Convergecast)
+		for i := range keys {
+			if dres.Forest.Member(i) {
+				keys[i] = electKey(dres.Ranks[i], i)
+			}
+		}
+		return dres.Forest, nil, nil
+	}, drrgossip.Max, keys)
 	if err != nil {
 		return nil, err
 	}
 
+	// Every root keeps its own Gossip-max estimate, so the largest
+	// member value is the largest root estimate: the winning key.
 	maxKey := math.Inf(-1)
-	for _, v := range gres.Estimates {
+	for _, v := range res.PerNode {
 		if v > maxKey {
 			maxKey = v
 		}
@@ -110,11 +87,11 @@ func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
 	perNode := make([]int, n)
 	consensus := true
 	for i := 0; i < n; i++ {
-		if !f.Member(i) {
+		if !res.Forest.Member(i) {
 			perNode[i] = -1
 			continue
 		}
-		perNode[i] = decodeElectKey(perNodeKey[i])
+		perNode[i] = decodeElectKey(res.PerNode[i])
 		if perNode[i] != leader {
 			consensus = false
 		}
@@ -123,16 +100,9 @@ func ElectLeader(eng *sim.Engine, opts Options) (*ElectionResult, error) {
 		Leader:    leader,
 		PerNode:   perNode,
 		Consensus: consensus,
-		Forest:    f,
-		Stats:     eng.Stats().Sub(start),
+		Forest:    res.Forest,
+		Stats:     res.Stats,
 	}, nil
-}
-
-// Options tune the drrapps protocols; zero values reproduce the paper's
-// parameters.
-type Options struct {
-	DRR          drr.Options
-	Convergecast convergecast.Options
 }
 
 // SpanningResult reports a spanning-structure construction.
@@ -150,9 +120,9 @@ type SpanningResult struct {
 
 // BuildSpanningTree builds a spanning tree of the surviving nodes: DRR
 // trees with every non-leader root adopted by the leader.
-func BuildSpanningTree(eng *sim.Engine, opts Options) (*SpanningResult, error) {
+func BuildSpanningTree(eng *sim.Engine) (*SpanningResult, error) {
 	start := eng.Stats()
-	el, err := ElectLeader(eng, opts)
+	el, err := ElectLeader(eng)
 	if err != nil {
 		return nil, err
 	}

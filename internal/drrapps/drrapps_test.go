@@ -11,7 +11,7 @@ import (
 func TestElectLeaderConsensus(t *testing.T) {
 	for _, n := range []int{256, 2048} {
 		eng := sim.NewEngine(n, sim.Options{Seed: 151})
-		res, err := ElectLeader(eng, Options{})
+		res, err := ElectLeader(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestElectLeaderConsensus(t *testing.T) {
 func TestElectLeaderIsAliveAndHighRank(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 152, CrashFrac: 0.2})
-	res, err := ElectLeader(eng, Options{})
+	res, err := ElectLeader(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestElectLeaderIsAliveAndHighRank(t *testing.T) {
 func TestElectLeaderUnderLoss(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 153, Loss: 0.125})
-	res, err := ElectLeader(eng, Options{})
+	res, err := ElectLeader(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestElectLeaderComplexity(t *testing.T) {
 	// O(log n) rounds and O(n loglog n) messages — the §6 payoff.
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 154})
-	res, err := ElectLeader(eng, Options{})
+	res, err := ElectLeader(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestElectLeaderComplexity(t *testing.T) {
 func TestElectLeaderDeterministic(t *testing.T) {
 	run := func() int {
 		eng := sim.NewEngine(512, sim.Options{Seed: 155})
-		res, err := ElectLeader(eng, Options{})
+		res, err := ElectLeader(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestElectLeaderDeterministic(t *testing.T) {
 func TestBuildSpanningTree(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 156})
-	res, err := BuildSpanningTree(eng, Options{})
+	res, err := BuildSpanningTree(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBuildSpanningTree(t *testing.T) {
 func TestBuildSpanningTreeWithCrashes(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 157, CrashFrac: 0.25})
-	res, err := BuildSpanningTree(eng, Options{})
+	res, err := BuildSpanningTree(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBuildSpanningTreeWithCrashes(t *testing.T) {
 func BenchmarkElectLeader(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(4096, sim.Options{Seed: uint64(i)})
-		if _, err := ElectLeader(eng, Options{}); err != nil {
+		if _, err := ElectLeader(eng); err != nil {
 			b.Fatal(err)
 		}
 	}

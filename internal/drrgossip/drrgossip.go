@@ -5,7 +5,10 @@
 // modifications". Every aggregate runs the same skeleton, Run:
 //
 //   - Phase I builds the ranking forest: DRR on the complete graph, or
-//     Local-DRR over a sparse overlay's links (Section 4, Theorem 11);
+//     Local-DRR over a sparse overlay's links (Section 4, Theorem 11).
+//     RunForest takes any other forest builder instead: the Table 1
+//     baselines (internal/kashyap, internal/pietro) and the §6
+//     applications (internal/drrapps) differ from DRR-gossip only here;
 //   - Phase II convergecasts each tree's aggregate to its root and
 //     broadcasts the root address down the tree;
 //   - Phase III gossips among the roots and disseminates the answer down
@@ -88,14 +91,7 @@ type PhaseStats struct {
 
 // Total sums the phase counters.
 func (p PhaseStats) Total() sim.Counters {
-	t := p.DRR
-	for _, c := range []sim.Counters{p.Aggregate, p.Gossip, p.Broadcast} {
-		t.Rounds += c.Rounds
-		t.Messages += c.Messages
-		t.Drops += c.Drops
-		t.Calls += c.Calls
-	}
-	return t
+	return p.DRR.Add(p.Aggregate).Add(p.Gossip).Add(p.Broadcast)
 }
 
 // Result is the outcome of a DRR-gossip run.
@@ -144,6 +140,42 @@ func decodeKeyRoot(key float64) int {
 // Run computes kind over values on eng: on the complete graph when ov is
 // nil, over the overlay's links and routes otherwise.
 func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
+	if ov == nil {
+		return RunForest(eng, buildDRR, kind, values)
+	}
+	return run(eng, ov, func(eng *sim.Engine) (*forest.Forest, []int, error) {
+		res, err := localdrr.Run(eng, ov.Graph())
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Forest, nil, nil
+	}, kind, values)
+}
+
+// RunForest computes kind over values on the complete graph with build as
+// Phase I: any forest builder (DRR, or a baseline's clustering) feeds the
+// same Phases II–III, and its cost is billed to Phases.DRR. A builder
+// that learns each node's root address while building returns it as
+// rootTo and Phase II skips the root-address broadcast; a nil rootTo
+// makes Phase II broadcast the addresses after the convergecast. values
+// is read only after build returns, so a builder may fill it.
+func RunForest(eng *sim.Engine, build func(*sim.Engine) (f *forest.Forest, rootTo []int, err error), kind Kind, values []float64) (*Result, error) {
+	return run(eng, nil, build, kind, values)
+}
+
+// buildDRR is Phase I on the complete graph: DRR (Algorithm 1).
+func buildDRR(eng *sim.Engine) (*forest.Forest, []int, error) {
+	res, err := drr.Run(eng, drr.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Forest, nil, nil
+}
+
+// run is the three-phase skeleton: Phase I is build, and the transport
+// between roots is the overlay's routes when ov is set, the tree relay
+// otherwise.
+func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.Forest, []int, error), kind Kind, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
 	}
@@ -158,14 +190,6 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 			return nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
 		}
 	}
-	maxLike := kind == Max || kind == Min
-	if kind == Min {
-		neg := make([]float64, len(values))
-		for i, v := range values {
-			neg[i] = -v
-		}
-		values = neg
-	}
 	var ph PhaseStats
 	mark := eng.Stats()
 	// phaseEnd closes the current phase: its cost is the engine's
@@ -176,26 +200,27 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 		mark = now
 	}
 
-	// Phase I: DRR, or Local-DRR over the overlay.
+	// Phase I: the forest builder.
 	eng.SetPhase(PhaseDRR)
-	var f *forest.Forest
-	if ov == nil {
-		dres, err := drr.Run(eng, drr.Options{})
-		if err != nil {
-			return nil, err
-		}
-		f = dres.Forest
-	} else {
-		ldres, err := localdrr.Run(eng, ov.Graph(), localdrr.Options{})
-		if err != nil {
-			return nil, err
-		}
-		f = ldres.Forest
+	f, rootTo, err := build(eng)
+	if err != nil {
+		return nil, err
 	}
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
 	phaseEnd(&ph.DRR)
+
+	// Min is Max on negated values, negated only now because a builder
+	// may fill values during Phase I.
+	maxLike := kind == Max || kind == Min
+	if kind == Min {
+		neg := make([]float64, len(values))
+		for i, v := range values {
+			neg[i] = -v
+		}
+		values = neg
+	}
 
 	// Phase II: convergecast + root-address broadcast. Routed gossip
 	// needs no root addresses, but the broadcast is part of the protocol
@@ -203,7 +228,7 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 	eng.SetPhase(PhaseAggregate)
 	var tr gossip.Transport
 	if ov != nil {
-		if _, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{}); err != nil {
+		if _, _, err := convergecast.BroadcastRootAddr(eng, f); err != nil {
 			return nil, err
 		}
 		tr = gossip.Route(eng, ov, f)
@@ -211,23 +236,23 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 	var (
 		covmax map[int]float64
 		cov    map[int]convergecast.MomentsVec
-		err    error
 	)
 	switch {
 	case maxLike:
-		covmax, _, err = convergecast.Max(eng, f, values, convergecast.Options{})
+		covmax, _, err = convergecast.Max(eng, f, values)
 	case kind == Moments:
-		cov, _, err = convergecast.Moments(eng, f, values, convergecast.Options{})
+		cov, _, err = convergecast.Moments(eng, f, values)
 	default:
-		cov, _, err = convergecast.Sum(eng, f, values, convergecast.Options{})
+		cov, _, err = convergecast.Sum(eng, f, values)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if ov == nil {
-		rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
-		if err != nil {
-			return nil, err
+		if rootTo == nil {
+			if rootTo, _, err = convergecast.BroadcastRootAddr(eng, f); err != nil {
+				return nil, err
+			}
 		}
 		if tr, err = gossip.Relay(eng, f, rootTo); err != nil {
 			return nil, err
@@ -251,13 +276,13 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
-	perNode, _, err := convergecast.BroadcastValue(eng, f, g.est, convergecast.Options{})
+	perNode, _, err := convergecast.BroadcastValue(eng, f, g.est)
 	if err != nil {
 		return nil, err
 	}
 	var perVar []float64
 	if g.varEst != nil {
-		if perVar, _, err = convergecast.BroadcastValue(eng, f, g.varEst, convergecast.Options{}); err != nil {
+		if perVar, _, err = convergecast.BroadcastValue(eng, f, g.varEst); err != nil {
 			return nil, err
 		}
 	}

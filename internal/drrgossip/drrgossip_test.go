@@ -217,6 +217,36 @@ func TestPhaseStatsConsistent(t *testing.T) {
 	}
 }
 
+// A link fault installed after Phase I blocks Phase III and broadcast
+// traffic; the bill must count those blocked drops like every other
+// counter, not only the ones of Phase I.
+func TestPhaseTotalKeepsBlocked(t *testing.T) {
+	n := 512
+	eng := sim.NewEngine(n, sim.Options{Seed: 9})
+	eng.SetPhaseObserver(func(phase string) {
+		if phase == PhaseGossip {
+			eng.SetLinkFault(func(from, to int) float64 {
+				if (from < n/2) != (to < n/2) {
+					return 1
+				}
+				return 0
+			})
+		}
+	})
+	start := eng.Stats()
+	res, err := Run(eng, nil, Ave, agg.GenUniform(n, 0, 100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Stats().Sub(start)
+	if want.Blocked == 0 {
+		t.Fatal("the cut blocked nothing")
+	}
+	if res.Stats != want {
+		t.Fatalf("Stats %+v, engine delta %+v", res.Stats, want)
+	}
+}
+
 func TestValueLengthValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 53})
 	if _, err := Run(eng, nil, Max, make([]float64, 8)); err == nil {

@@ -157,11 +157,11 @@ func RunA3(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xA3, uint64(n), uint64(trial))
 			values := agg.GenUniform(n, 0, 100, seed)
 
-			pres, err := pietro.Max(sim.NewEngine(n, sim.Options{Seed: seed}), values, pietro.Options{})
+			pres, err := drrgossip.RunForest(sim.NewEngine(n, sim.Options{Seed: seed}), pietro.Bootstrap, drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}
-			b = append(b, float64(pres.BootstrapStats.Messages)/float64(n))
+			b = append(b, float64(pres.Phases.DRR.Messages)/float64(n))
 			p = append(p, float64(pres.Stats.Messages)/float64(n))
 
 			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1}), nil, drrgossip.Max, values)

@@ -25,15 +25,15 @@ func phase12(eng *sim.Engine, values []float64) (*forest.Forest, gossip.Transpor
 		return nil, nil, nil, nil, err
 	}
 	f := dres.Forest
-	covmax, _, err := convergecast.Max(eng, f, values, convergecast.Options{})
+	covmax, _, err := convergecast.Max(eng, f, values)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values, convergecast.Options{})
+	covsum, _, err := convergecast.Sum(eng, f, values)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -60,7 +60,7 @@ func RunT1(cfg Config) (*Report, error) {
 				relErr:   agg.RelError(dres.Value, want),
 			}
 
-			kres, err := kashyap.Ave(sim.NewEngine(n, sim.Options{Seed: seed + 1}), values, kashyap.Options{})
+			kres, err := drrgossip.RunForest(sim.NewEngine(n, sim.Options{Seed: seed + 1}), kashyap.BuildForest, drrgossip.Ave, values)
 			if err != nil {
 				o.err = err
 				return

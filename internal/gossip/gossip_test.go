@@ -20,15 +20,15 @@ func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, T
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	covmax, _, err := convergecast.Max(eng, f, values, convergecast.Options{})
+	covmax, _, err := convergecast.Max(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values, convergecast.Options{})
+	covsum, _, err := convergecast.Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +337,11 @@ func BenchmarkGossipMaxPhase(b *testing.B) {
 			b.Fatal(err)
 		}
 		values := agg.GenUniform(n, 0, 1, uint64(i))
-		covmax, _, err := convergecast.Max(eng, dres.Forest, values, convergecast.Options{})
+		covmax, _, err := convergecast.Max(eng, dres.Forest, values)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest, convergecast.Options{})
+		rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -364,11 +364,11 @@ func TestMomentsTriplePushSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, _, err := convergecast.Moments(eng, f, values, convergecast.Options{})
+	cov, _, err := convergecast.Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +405,11 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, _, err := convergecast.Moments(eng, f, values, convergecast.Options{})
+	cov, _, err := convergecast.Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestMomentsMissingInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f, convergecast.Options{})
+	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestClimbPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 68})
-	res, err := localdrr.Run(eng, overlay.NewChord(ring).Graph(), localdrr.Options{})
+	res, err := localdrr.Run(eng, overlay.NewChord(ring).Graph())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/drrgossip"
 	"drrgossip/internal/sim"
 )
 
 func TestBuildForestValid(t *testing.T) {
 	eng := sim.NewEngine(2048, sim.Options{Seed: 91})
-	f, rootTo, stats, err := BuildForest(eng, Options{})
+	f, rootTo, err := BuildForest(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestBuildForestValid(t *testing.T) {
 			t.Fatalf("rootTo[%d] = %d, want %d", i, rootTo[i], f.RootOf(i))
 		}
 	}
-	if stats.Rounds == 0 || stats.Messages == 0 {
+	if stats := eng.Stats(); stats.Rounds == 0 || stats.Messages == 0 {
 		t.Fatal("empty build stats")
 	}
 }
@@ -33,7 +34,7 @@ func TestBuildForestValid(t *testing.T) {
 func TestClusterSizesCapped(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 92})
-	f, _, _, err := BuildForest(eng, Options{})
+	f, _, err := BuildForest(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestClusterCountShrinks(t *testing.T) {
 	// The point of the clustering: far fewer clusters than nodes.
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 93})
-	f, _, _, err := BuildForest(eng, Options{})
+	f, _, err := BuildForest(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +64,11 @@ func TestBuildTimeBudget(t *testing.T) {
 	// broadcast overruns).
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 94})
-	opts := Options{}
-	_, _, stats, err := BuildForest(eng, opts)
-	if err != nil {
+	if _, _, err := BuildForest(eng); err != nil {
 		t.Fatal(err)
 	}
-	expect := opts.phases(n) * opts.phaseBudget(n)
+	stats := eng.Stats()
+	expect := phases(n) * phaseBudget(n)
 	if stats.Rounds < expect {
 		t.Fatalf("rounds %d below synchronous schedule %d", stats.Rounds, expect)
 	}
@@ -82,11 +82,10 @@ func TestBuildMessageComplexity(t *testing.T) {
 	// loglog n and clearly below log n.
 	n := 16384
 	eng := sim.NewEngine(n, sim.Options{Seed: 95})
-	_, _, stats, err := BuildForest(eng, Options{})
-	if err != nil {
+	if _, _, err := BuildForest(eng); err != nil {
 		t.Fatal(err)
 	}
-	perNode := float64(stats.Messages) / float64(n)
+	perNode := float64(eng.Stats().Messages) / float64(n)
 	loglog := math.Log2(math.Log2(float64(n)))
 	if perNode > 6*loglog {
 		t.Fatalf("messages per node %v > 6 loglog n = %v", perNode, 6*loglog)
@@ -97,7 +96,7 @@ func TestMaxEndToEnd(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 96})
 	values := agg.GenUniform(n, -100, 100, 1)
-	res, err := Max(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestAveEndToEnd(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 97})
 	values := agg.GenUniform(n, 0, 1000, 2)
-	res, err := Ave(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestMaxUnderLoss(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 98, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 500, 3)
-	res, err := Max(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestWithCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 99, CrashFrac: 0.2})
 	values := agg.GenUniform(n, 0, 100, 4)
-	res, err := Max(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +154,9 @@ func TestWithCrashes(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	n := 512
 	values := agg.GenUniform(n, 0, 1, 5)
-	run := func() *Result {
+	run := func() *drrgossip.Result {
 		eng := sim.NewEngine(n, sim.Options{Seed: 100})
-		res, err := Ave(eng, values, Options{})
+		res, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Ave, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +170,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 101})
-	if _, err := Max(eng, make([]float64, 4), Options{}); err == nil {
+	if _, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Max, make([]float64, 4)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -182,7 +181,7 @@ func BenchmarkKashyapMax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := Max(eng, values, Options{}); err != nil {
+		if _, err := drrgossip.RunForest(eng, BuildForest, drrgossip.Max, values); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,14 +27,12 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// Options tune Local-DRR. The zero value reproduces the paper.
-type Options struct {
-	// RankExchangeRounds repeats the neighbour rank broadcast to mask
-	// loss. 0 means 1 round when the engine is lossless, 4 otherwise.
-	RankExchangeRounds int
-	// ConnectRetries bounds connection retransmissions (0 means 8).
-	ConnectRetries int
-}
+// Rank exchange is repeated to mask loss: 1 round when the engine is
+// lossless, lossyRankExchanges otherwise.
+const lossyRankExchanges = 4
+
+// connectRetries bounds connection retransmissions, as in global DRR.
+const connectRetries = 8
 
 // Result is the outcome of Local-DRR.
 type Result struct {
@@ -50,22 +48,14 @@ const kindRank uint8 = 0x11
 const kindConnect uint8 = 0x12
 
 // Run executes Local-DRR on the engine over graph g (g.N() == eng.N()).
-func Run(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
+func Run(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	n := eng.N()
 	if g.N() != n {
 		return nil, fmt.Errorf("localdrr: graph has %d nodes, engine %d", g.N(), n)
 	}
-	exchanges := opts.RankExchangeRounds
-	if exchanges == 0 {
-		if eng.Loss() == 0 {
-			exchanges = 1
-		} else {
-			exchanges = 4
-		}
-	}
-	retries := opts.ConnectRetries
-	if retries == 0 {
-		retries = 8
+	exchanges := 1
+	if eng.Loss() != 0 {
+		exchanges = lossyRankExchanges
 	}
 	start := eng.Stats()
 
@@ -134,7 +124,7 @@ func Run(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 	acked := bitset.New(n)
 	calls := make([]sim.Call, n)
 	orphans := 0
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
 		active := false
 		for i := 0; i < n; i++ {

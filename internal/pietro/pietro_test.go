@@ -5,15 +5,19 @@ import (
 	"testing"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/drrgossip"
 	"drrgossip/internal/sim"
 )
 
 func TestBootstrapBuildsStars(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 121})
-	f, stats, err := Bootstrap(eng, Options{})
+	f, rootTo, err := Bootstrap(eng)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rootTo != nil {
+		t.Fatal("the bootstrap announced root addresses")
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
@@ -24,7 +28,7 @@ func TestBootstrapBuildsStars(t *testing.T) {
 	if f.NumMembers() != n {
 		t.Fatalf("members = %d", f.NumMembers())
 	}
-	if stats.Messages == 0 {
+	if eng.Stats().Messages == 0 {
 		t.Fatal("no bootstrap traffic")
 	}
 }
@@ -34,11 +38,10 @@ func TestBootstrapCostIsNLogN(t *testing.T) {
 	// expected probes per non-head are 1/p = log n.
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 122})
-	_, stats, err := Bootstrap(eng, Options{})
-	if err != nil {
+	if _, _, err := Bootstrap(eng); err != nil {
 		t.Fatal(err)
 	}
-	perNode := float64(stats.Messages) / float64(n)
+	perNode := float64(eng.Stats().Messages) / float64(n)
 	logn := math.Log2(float64(n))
 	// Each successful probe costs ~2 messages (query + answer); failures 1.
 	if perNode < logn/2 {
@@ -52,7 +55,7 @@ func TestBootstrapCostIsNLogN(t *testing.T) {
 func TestHeadCountNearNOverLogN(t *testing.T) {
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 123})
-	f, _, err := Bootstrap(eng, Options{})
+	f, _, err := Bootstrap(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestMaxEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 124})
 	values := agg.GenUniform(n, -50, 50, 1)
-	res, err := Max(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestAveEndToEnd(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 125})
 	values := agg.GenUniform(n, 0, 100, 2)
-	res, err := Ave(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Ave, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestUnderLossAndCrashes(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 126, Loss: 0.1, CrashFrac: 0.1})
 	values := agg.GenUniform(n, 0, 1000, 3)
-	res, err := Max(eng, values, Options{})
+	res, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +114,11 @@ func TestBootstrapShareGrows(t *testing.T) {
 	share := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 127})
 		values := agg.GenUniform(n, 0, 1, 4)
-		res, err := Max(eng, values, Options{})
+		res, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.BootstrapStats.Messages) / float64(res.Stats.Messages)
+		return float64(res.Phases.DRR.Messages) / float64(res.Stats.Messages)
 	}
 	s1 := share(1024)
 	s2 := share(16384)
@@ -129,7 +132,7 @@ func TestBootstrapShareGrows(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 128})
-	if _, err := Max(eng, make([]float64, 3), Options{}); err == nil {
+	if _, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, make([]float64, 3)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -140,7 +143,7 @@ func BenchmarkPietroMax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := Max(eng, values, Options{}); err != nil {
+		if _, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, values); err != nil {
 			b.Fatal(err)
 		}
 	}

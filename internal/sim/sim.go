@@ -112,6 +112,17 @@ type Counters struct {
 	Calls    int64 // calls placed (each call costs >=1 message)
 }
 
+// Add returns c + other, folding per-phase counters back into a total.
+func (c Counters) Add(other Counters) Counters {
+	return Counters{
+		Rounds:   c.Rounds + other.Rounds,
+		Messages: c.Messages + other.Messages,
+		Drops:    c.Drops + other.Drops,
+		Blocked:  c.Blocked + other.Blocked,
+		Calls:    c.Calls + other.Calls,
+	}
+}
+
 // Sub returns c - prev, useful for per-phase accounting.
 func (c Counters) Sub(prev Counters) Counters {
 	return Counters{

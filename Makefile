@@ -29,14 +29,15 @@ fmt-check:
 # Documentation gate: every exported identifier in the root package,
 # internal/overlay, the async subsystem, the pipeline, its Phase I
 # builders (internal/drr, internal/localdrr and the baselines'
-# internal/kashyap and internal/pietro), Phase II (internal/convergecast),
-# its Phase III transports (internal/chord, internal/gossip,
-# internal/hms) and the DRR applications (internal/drrapps) must carry
-# a doc comment (see cmd/godoclint).
+# internal/kashyap and internal/pietro), the ranking forest and its root
+# slots (internal/forest), Phase II (internal/convergecast), its Phase
+# III transports (internal/chord, internal/gossip, internal/hms) and the
+# DRR applications (internal/drrapps) must carry a doc comment (see
+# cmd/godoclint).
 doc-check:
 	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/async ./internal/pairwise \
 		./internal/chord ./internal/drrgossip ./internal/gossip ./internal/hms \
-		./internal/drr ./internal/localdrr ./internal/convergecast \
+		./internal/drr ./internal/localdrr ./internal/forest ./internal/convergecast \
 		./internal/pietro ./internal/kashyap ./internal/drrapps
 
 # Run every examples/* program end to end; each exits nonzero when its
@@ -52,6 +53,9 @@ examples:
 		echo "ok  examples/$$name"; \
 	done
 
+# Smoke-run every Go benchmark once: the BenchmarkPerf* engine and
+# facade benchmarks plus the per-package micro-benchmarks. The paper's
+# experiments run with verdicts through cmd/benchtab instead.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 

@@ -1,9 +1,9 @@
-// Benchmarks, one per paper artifact (see docs/PAPER_MAP.md): T1 is Table 1,
-// F2-F12 are the measured theorems, A1-A3 the ablations. Each benchmark
-// runs a representative configuration of the corresponding experiment and
-// reports rounds and messages-per-node via b.ReportMetric, so
-// `go test -bench=. -benchmem` regenerates the paper's evaluation
-// headline numbers. The full sweeps with shape verdicts live in
+// Benchmarks of the engine hot paths and the public facade. The
+// BenchmarkPerf* family is the pinned performance baseline (make
+// bench-perf, make bench-guard); BenchmarkFacadeAverage times one
+// AverageOf query end to end. The paper's evaluation (Table 1, the
+// measured theorems and the ablations) runs with machine-checked
+// verdicts in internal/experiments (TestT1 through TestA3) and
 // cmd/benchtab (go run ./cmd/benchtab -experiment all).
 package drrgossip
 
@@ -13,19 +13,7 @@ import (
 
 	"drrgossip/internal/agg"
 	"drrgossip/internal/chord"
-	"drrgossip/internal/convergecast"
-	"drrgossip/internal/drr"
-	"drrgossip/internal/drrapps"
-	core "drrgossip/internal/drrgossip"
-	"drrgossip/internal/gossip"
-	"drrgossip/internal/graph"
-	"drrgossip/internal/karp"
-	"drrgossip/internal/kashyap"
-	"drrgossip/internal/kempe"
-	"drrgossip/internal/localdrr"
-	"drrgossip/internal/oblivious"
 	"drrgossip/internal/overlay"
-	"drrgossip/internal/pietro"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
 	"drrgossip/internal/xrand"
@@ -34,333 +22,6 @@ import (
 const benchN = 4096
 
 func benchValues(n int) []float64 { return agg.GenUniform(n, 0, 1000, 42) }
-
-func report(b *testing.B, rounds int, messages int64, n int) {
-	b.Helper()
-	b.ReportMetric(float64(rounds), "rounds")
-	b.ReportMetric(float64(messages)/float64(n), "msgs/node")
-}
-
-// --- T1: Table 1 — the three algorithms computing Ave ------------------
-
-func BenchmarkT1_DRRGossipAve(b *testing.B) {
-	values := benchValues(benchN)
-	var r *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), nil, core.Ave, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
-
-func BenchmarkT1_KashyapAve(b *testing.B) {
-	values := benchValues(benchN)
-	var r *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = core.RunForest(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), kashyap.BuildForest, core.Ave, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
-
-func BenchmarkT1_KempePushSum(b *testing.B) {
-	values := benchValues(benchN)
-	var r *kempe.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = kempe.PushSum(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), values, kempe.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
-
-// --- F2/F3/F4: Phase I ---------------------------------------------------
-
-func BenchmarkF2_TreeCount(b *testing.B) {
-	var trees int
-	var stats sim.Counters
-	for i := 0; i < b.N; i++ {
-		res, err := drr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drr.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		trees = res.Forest.NumTrees()
-		stats = res.Stats
-	}
-	b.ReportMetric(float64(trees), "trees")
-	report(b, stats.Rounds, stats.Messages, benchN)
-}
-
-func BenchmarkF3_TreeSize(b *testing.B) {
-	var maxSize int
-	for i := 0; i < b.N; i++ {
-		res, err := drr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drr.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		maxSize = res.Forest.MaxTreeSize()
-	}
-	b.ReportMetric(float64(maxSize), "max-tree-size")
-}
-
-func BenchmarkF4_DRRMessages(b *testing.B) {
-	var probes float64
-	var stats sim.Counters
-	for i := 0; i < b.N; i++ {
-		res, err := drr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), drr.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		probes = float64(res.TotalProbes()) / float64(benchN)
-		stats = res.Stats
-	}
-	b.ReportMetric(probes, "probes/node")
-	report(b, stats.Rounds, stats.Messages, benchN)
-}
-
-// --- F5/F6/F7: Phase III -------------------------------------------------
-
-func benchPhase12(b *testing.B, eng *sim.Engine, values []float64) (tr gossip.Transport, covmax map[int]float64, covsum map[int]convergecast.MomentsVec, forestRes *drr.Result) {
-	b.Helper()
-	dres, err := drr.Run(eng, drr.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	covmax, _, err = convergecast.Max(eng, dres.Forest, values)
-	if err != nil {
-		b.Fatal(err)
-	}
-	covsum, _, err = convergecast.Sum(eng, dres.Forest, values)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tr, err = gossip.Relay(eng, dres.Forest, rootTo); err != nil {
-		b.Fatal(err)
-	}
-	return tr, covmax, covsum, dres
-}
-
-func BenchmarkF5_F6_GossipMax(b *testing.B) {
-	values := benchValues(benchN)
-	var frac float64
-	var stats sim.Counters
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(benchN, sim.Options{Seed: uint64(i)})
-		tr, covmax, _, dres := benchPhase12(b, eng, values)
-		res, err := gossip.Max(tr, covmax)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want := agg.Exact(agg.Max, values, 0)
-		have := 0
-		for _, v := range res.AfterGossip {
-			if v == want {
-				have++
-			}
-		}
-		frac = float64(have) / float64(dres.Forest.NumTrees())
-		stats = res.Stats
-	}
-	b.ReportMetric(frac, "frac-after-gossip")
-	report(b, stats.Rounds, stats.Messages, benchN)
-}
-
-func BenchmarkF7_GossipAve(b *testing.B) {
-	values := benchValues(benchN)
-	var relErr float64
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(benchN, sim.Options{Seed: uint64(i)})
-		tr, _, covsum, dres := benchPhase12(b, eng, values)
-		z := dres.Forest.LargestRoot()
-		res, err := gossip.Ave(tr, covsum, gossip.AveOptions{TrackRoot: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		relErr = agg.RelError(res.Estimates[z], agg.Exact(agg.Average, values, 0))
-	}
-	b.ReportMetric(relErr, "rel-err")
-}
-
-// --- F8: end-to-end ------------------------------------------------------
-
-func BenchmarkF8_EndToEndMax(b *testing.B) {
-	values := benchValues(benchN)
-	var r *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: 0.05}), nil, core.Max, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
-
-// --- F9/F10: Local-DRR ---------------------------------------------------
-
-func BenchmarkF9_LocalDRRHeight(b *testing.B) {
-	g := graph.MustRandomRegular(benchN, 8, 7)
-	var height int
-	for i := 0; i < b.N; i++ {
-		res, err := localdrr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		height = res.Forest.MaxHeight()
-	}
-	b.ReportMetric(float64(height), "max-height")
-}
-
-func BenchmarkF10_LocalDRRTrees(b *testing.B) {
-	g := graph.Torus(64, 64)
-	var trees int
-	for i := 0; i < b.N; i++ {
-		res, err := localdrr.Run(sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)}), g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		trees = res.Forest.NumTrees()
-	}
-	b.ReportMetric(float64(trees), "trees")
-	b.ReportMetric(g.HarmonicDegreeSum(), "harmonic-sum")
-}
-
-// --- F11: Chord ----------------------------------------------------------
-
-func BenchmarkF11_DRRGossipOnChord(b *testing.B) {
-	n := 1024
-	ring := chord.MustNew(n, chord.Options{Bits: 40})
-	values := benchValues(n)
-	var r *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = core.Run(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), overlay.NewChord(ring), core.Max, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, n)
-}
-
-func BenchmarkF11_UniformGossipOnChord(b *testing.B) {
-	n := 1024
-	ring := chord.MustNew(n, chord.Options{Bits: 40})
-	values := benchValues(n)
-	var r *kempe.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: uint64(i)}), ring, values, kempe.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, n)
-}
-
-// --- F12: lower bound ----------------------------------------------------
-
-func BenchmarkF12_ObliviousKnowledge(b *testing.B) {
-	var r *oblivious.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = oblivious.Run(benchN, oblivious.Options{Protocol: oblivious.PushPull, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(r.MessagesHalf)/float64(benchN), "msgs/node-to-half")
-	b.ReportMetric(float64(r.RoundsAll), "rounds-to-all")
-}
-
-func BenchmarkF12_KarpRumor(b *testing.B) {
-	var r *karp.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = karp.Spread(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), 0, karp.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(r.Transmissions)/float64(benchN), "transmissions/node")
-	b.ReportMetric(float64(r.RoundsToAllInformed), "rounds")
-}
-
-// --- A1/A2/A3: ablations -------------------------------------------------
-
-func BenchmarkA1_ProbeBudget(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		budget int
-	}{
-		{"half", drr.DefaultProbeBudget(benchN) / 2},
-		{"paper", drr.DefaultProbeBudget(benchN)},
-		{"double", 2 * drr.DefaultProbeBudget(benchN)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var trees int
-			var stats sim.Counters
-			for i := 0; i < b.N; i++ {
-				res, err := drr.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}),
-					drr.Options{ProbeBudget: tc.budget})
-				if err != nil {
-					b.Fatal(err)
-				}
-				trees = res.Forest.NumTrees()
-				stats = res.Stats
-			}
-			b.ReportMetric(float64(trees), "trees")
-			report(b, stats.Rounds, stats.Messages, benchN)
-		})
-	}
-}
-
-func BenchmarkA2_LossSweep(b *testing.B) {
-	values := benchValues(benchN)
-	for _, tc := range []struct {
-		name string
-		loss float64
-	}{
-		{"d0", 0}, {"d06", 0.06}, {"d125", 0.125},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var r *core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i), Loss: tc.loss}), nil, core.Max, values)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-		})
-	}
-}
-
-func BenchmarkA3_ClusterheadHeuristic(b *testing.B) {
-	values := benchValues(benchN)
-	var r *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = core.RunForest(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), pietro.Bootstrap, core.Max, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(r.Phases.DRR.Messages)/float64(benchN), "bootstrap-msgs/node")
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
 
 // --- perf: pinned engine hot-path benchmarks -----------------------------
 //
@@ -639,44 +300,4 @@ func BenchmarkFacadeAverage(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- extensions ----------------------------------------------------------
-
-func BenchmarkExtMoments(b *testing.B) {
-	values := benchValues(benchN)
-	var r *core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = core.Run(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}), nil, core.Moments, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
-
-func BenchmarkExtElectLeader(b *testing.B) {
-	var r *drrapps.ElectionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = drrapps.ElectLeader(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
-}
-
-func BenchmarkExtSpanningTree(b *testing.B) {
-	var r *drrapps.SpanningResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = drrapps.BuildSpanningTree(sim.NewEngine(benchN, sim.Options{Seed: uint64(i)}))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(r.Depth), "tree-depth")
-	report(b, r.Stats.Rounds, r.Stats.Messages, benchN)
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/faults"
 )
 
 func uniformValues(n int, seed uint64) []float64 {
@@ -166,8 +167,15 @@ func TestConfigValidation(t *testing.T) {
 		{N: 8, Seed: 1, Loss: math.NaN()},
 		{N: 8, Seed: 1, CrashFraction: math.NaN()},
 		{N: 8, Seed: 1, Mode: Async, AsyncEps: math.NaN()},
-		{N: 8, Seed: 1, Faults: mustPlan(t, "loss:nan@0.2..0.8")},
-		{N: 8, Seed: 1, Faults: mustPlan(t, "loss:NaN@0.1..0.9")},
+		// ParseFaultPlan already refuses a NaN loss; a plan built in code
+		// meets the same check at New.
+		{N: 8, Seed: 1, Faults: faults.LossSpike(math.NaN(), faults.AtFrac(0.2), faults.AtFrac(0.8))},
+		{N: 8, Seed: 1, Faults: faults.LossSpike(1.5, faults.AtFrac(0.1), faults.AtFrac(0.9))},
+	}
+	for _, spec := range []string{"loss:nan@0.2..0.8", "loss:NaN@0.1..0.9", "loss:1.5@0.2..0.8"} {
+		if _, err := ParseFaultPlan(spec); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("ParseFaultPlan(%q) error = %v, want ErrBadConfig", spec, err)
+		}
 	}
 	for i, cfg := range cases {
 		vals := values

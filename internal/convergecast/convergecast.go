@@ -39,19 +39,20 @@ const (
 // the transport).
 type mergeFunc func(acc, in sim.Payload) sim.Payload
 
-// up runs the generic upward aggregation and returns per-root payload
-// accumulators. Liveness is re-evaluated every round so that mid-run
-// crashes (dynamic membership) degrade the result instead of stalling
-// the phase: a dead child is no longer waited for, a node with a dead
-// parent stops retrying, and under an active fault regime an incomplete
-// phase returns the partial accumulators rather than ErrIncomplete.
-func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc) (map[int]sim.Payload, sim.Counters, error) {
+// up runs the generic upward aggregation, merging into the per-node
+// accumulators acc in place, and returns them; a root's entry then holds
+// its tree's aggregate. Liveness is re-evaluated every round so that
+// mid-run crashes (dynamic membership) degrade the result instead of
+// stalling the phase: a dead child is no longer waited for, a node with
+// a dead parent stops retrying, and under an active fault regime an
+// incomplete phase returns the partial accumulators rather than
+// ErrIncomplete.
+func up(eng *sim.Engine, f *forest.Forest, acc []sim.Payload, merge mergeFunc) ([]sim.Payload, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
 	}
 	start := eng.Stats()
-	acc := append([]sim.Payload(nil), init...)
 	merged := bitset.New(n) // child -> contribution registered at parent
 	acked := bitset.New(n)  // child -> knows it was registered
 	// expects reports whether node i still owes its parent a delivery:
@@ -118,11 +119,7 @@ func up(eng *sim.Engine, f *forest.Forest, init []sim.Payload, merge mergeFunc) 
 	if remaining > 0 && !eng.Faulty() {
 		return nil, stats, ErrIncomplete
 	}
-	out := make(map[int]sim.Payload, f.NumTrees())
-	for _, r := range f.Roots() {
-		out[r] = acc[r]
-	}
-	return out, stats, nil
+	return acc, stats, nil
 }
 
 // valueInit builds per-node payload accumulators with A = value.
@@ -141,8 +138,8 @@ func valueInit(f *forest.Forest, values []float64, withCount, withSquare bool) [
 }
 
 // Max runs Convergecast-max (Algorithm 2): each root learns the maximum
-// value in its tree.
-func Max(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, sim.Counters, error) {
+// value in its tree. The result is indexed by root slot.
+func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
 	res, stats, err := up(eng, f, valueInit(f, values, false, false),
 		func(acc, in sim.Payload) sim.Payload {
 			acc.A = math.Max(acc.A, in.A)
@@ -151,26 +148,9 @@ func Max(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, 
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make(map[int]float64, len(res))
-	for r, p := range res {
-		out[r] = p.A
-	}
-	return out, stats, nil
-}
-
-// Min is the symmetric variant of Algorithm 2 for minima.
-func Min(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]float64, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, false, false),
-		func(acc, in sim.Payload) sim.Payload {
-			acc.A = math.Min(acc.A, in.A)
-			return acc
-		})
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make(map[int]float64, len(res))
-	for r, p := range res {
-		out[r] = p.A
+	out := make([]float64, f.NumTrees())
+	for k, r := range f.Roots() {
+		out[k] = res[r].A
 	}
 	return out, stats, nil
 }
@@ -195,57 +175,56 @@ type MomentsVec struct {
 }
 
 // Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
-// (Σ values, tree size) vector; Sum2 stays 0.
-func Sum(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]MomentsVec, sim.Counters, error) {
+// (Σ values, tree size) vector; Sum2 stays 0. The result is indexed by
+// root slot.
+func Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
 	return sums(eng, f, values, false)
 }
 
 // Moments runs a three-component convergecast: each root learns its
-// tree's (Σ values, Σ values², tree size).
-func Moments(eng *sim.Engine, f *forest.Forest, values []float64) (map[int]MomentsVec, sim.Counters, error) {
+// tree's (Σ values, Σ values², tree size). The result is indexed by root
+// slot.
+func Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
 	return sums(eng, f, values, true)
 }
 
-func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) (map[int]MomentsVec, sim.Counters, error) {
+func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]MomentsVec, sim.Counters, error) {
 	res, stats, err := up(eng, f, valueInit(f, values, true, squares), addPayloads)
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make(map[int]MomentsVec, len(res))
-	for r, p := range res {
-		out[r] = MomentsVec{Sum: p.A, Sum2: p.B, Count: p.C}
+	out := make([]MomentsVec, f.NumTrees())
+	for k, r := range f.Roots() {
+		out[k] = MomentsVec{Sum: res[r].A, Sum2: res[r].B, Count: res[r].C}
 	}
 	return out, stats, nil
 }
 
-// down pushes per-root payloads to every tree member. A node sends to one
-// child per round (the one-call-per-round constraint), retrying
-// unacknowledged children; delivered children start forwarding to their
-// own subtrees the next round. Liveness is re-evaluated every round:
-// dead children are skipped (their subtrees go unserved — degraded
-// delivery, reported through the returned have mask), and unreachable
-// subtrees (a dead or payload-less ancestor) stop counting toward
-// completion, so mid-run crashes cannot stall the phase. Under an active
-// fault regime an incomplete broadcast returns partial results instead
-// of ErrIncomplete.
-func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
+// down pushes the per-root payloads, indexed by root slot, to every tree
+// member. A node sends to one child per round (the one-call-per-round
+// constraint), retrying unacknowledged children; delivered children
+// start forwarding to their own subtrees the next round. Liveness is
+// re-evaluated every round: dead children are skipped (their subtrees go
+// unserved — degraded delivery, reported through the returned have
+// mask), and unreachable subtrees (a dead or payload-less ancestor) stop
+// counting toward completion, so mid-run crashes cannot stall the phase.
+// Under an active fault regime an incomplete broadcast returns partial
+// results instead of ErrIncomplete.
+func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+	}
+	if len(perRoot) != f.NumTrees() {
+		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(perRoot), f.NumTrees())
 	}
 	start := eng.Stats()
 	have := bitset.New(n)
 	pay := make([]sim.Payload, n)
 	nextChild := make([]int, n) // index into Children(i) of next un-acked child
-	for i := 0; i < n; i++ {
-		if f.Member(i) && f.IsRoot(i) {
-			p, ok := perRoot[i]
-			if !ok {
-				return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: missing payload for root %d", i)
-			}
-			have.Set(i)
-			pay[i] = p
-		}
+	for k, r := range f.Roots() {
+		have.Set(r)
+		pay[r] = perRoot[k]
 	}
 	// order lists members parents-before-children for the per-round
 	// reachability sweep; reach[i] = node i holds or can still receive
@@ -325,13 +304,13 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot map[int]sim.Payload) ([]sim
 	return pay, have, stats, nil
 }
 
-// BroadcastValue distributes one float per root to all members of its
-// tree; the per-node result is NaN for non-members and for members the
+// BroadcastValue distributes one float per root, indexed by root slot,
+// to all members of its tree; the per-node result is NaN for non-members and for members the
 // broadcast could not reach (crashed, or beyond a crashed ancestor).
-func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64) ([]float64, sim.Counters, error) {
-	pays := make(map[int]sim.Payload, len(perRoot))
-	for r, v := range perRoot {
-		pays[r] = sim.Payload{A: v}
+func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
+	pays := make([]sim.Payload, len(perRoot))
+	for k, v := range perRoot {
+		pays[k] = sim.Payload{A: v}
 	}
 	res, have, stats, err := down(eng, f, pays)
 	if err != nil {
@@ -353,9 +332,9 @@ func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot map[int]float64) 
 // non-address-oblivious forwarding table used by Phase III). Non-members
 // and unreached members get -1.
 func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
-	pays := make(map[int]sim.Payload, f.NumTrees())
-	for _, r := range f.Roots() {
-		pays[r] = sim.Payload{X: int64(r)}
+	pays := make([]sim.Payload, f.NumTrees())
+	for k, r := range f.Roots() {
+		pays[k] = sim.Payload{X: int64(r)}
 	}
 	res, have, stats, err := down(eng, f, pays)
 	if err != nil {

@@ -40,32 +40,16 @@ func TestMaxExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		want := agg.Exact(agg.Max, treeValues(f, values, r), 0)
-		if got[r] != want {
-			t.Fatalf("root %d: max = %v, want %v", r, got[r], want)
+		if got[k] != want {
+			t.Fatalf("root %d: max = %v, want %v", r, got[k], want)
 		}
 	}
 	// O(n) messages: every non-root sends once + ack.
 	nonRoots := int64(f.NumMembers() - f.NumTrees())
 	if stats.Messages != 2*nonRoots {
 		t.Fatalf("messages = %d, want %d", stats.Messages, 2*nonRoots)
-	}
-}
-
-func TestMinExact(t *testing.T) {
-	eng := sim.NewEngine(512, sim.Options{Seed: 2})
-	f := buildForest(t, eng)
-	values := agg.GenSigned(512, 30, 8)
-	got, _, err := Min(eng, f, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.Roots() {
-		want := agg.Exact(agg.Min, treeValues(f, values, r), 0)
-		if got[r] != want {
-			t.Fatalf("root %d: min = %v, want %v", r, got[r], want)
-		}
 	}
 }
 
@@ -78,16 +62,16 @@ func TestSumExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	totalCount := 0.0
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
 		wantSum := agg.Exact(agg.Sum, tv, 0)
-		if math.Abs(got[r].Sum-wantSum) > 1e-9 {
-			t.Fatalf("root %d: sum = %v, want %v", r, got[r].Sum, wantSum)
+		if math.Abs(got[k].Sum-wantSum) > 1e-9 {
+			t.Fatalf("root %d: sum = %v, want %v", r, got[k].Sum, wantSum)
 		}
-		if got[r].Count != float64(len(tv)) {
-			t.Fatalf("root %d: count = %v, want %d", r, got[r].Count, len(tv))
+		if got[k].Count != float64(len(tv)) || got[k].Count != float64(f.TreeSizes()[k]) {
+			t.Fatalf("root %d: count = %v, want %d", r, got[k].Count, len(tv))
 		}
-		totalCount += got[r].Count
+		totalCount += got[k].Count
 	}
 	if totalCount != float64(f.NumMembers()) {
 		t.Fatalf("tree sizes sum to %v, want %d", totalCount, f.NumMembers())
@@ -104,9 +88,9 @@ func TestSumExactUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
-		if math.Abs(got[r].Sum-agg.Exact(agg.Sum, tv, 0)) > 1e-9 {
+		if math.Abs(got[k].Sum-agg.Exact(agg.Sum, tv, 0)) > 1e-9 {
 			t.Fatalf("root %d sum wrong under loss", r)
 		}
 	}
@@ -131,9 +115,9 @@ func TestRoundsBoundedByHeight(t *testing.T) {
 func TestBroadcastValue(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 6})
 	f := buildForest(t, eng)
-	perRoot := make(map[int]float64)
-	for _, r := range f.Roots() {
-		perRoot[r] = float64(r) * 1.5
+	perRoot := make([]float64, f.NumTrees())
+	for k, r := range f.Roots() {
+		perRoot[k] = float64(r) * 1.5
 	}
 	got, stats, err := BroadcastValue(eng, f, perRoot)
 	if err != nil {
@@ -175,9 +159,10 @@ func TestBroadcastRootAddr(t *testing.T) {
 func TestBroadcastMissingRootPayload(t *testing.T) {
 	eng := sim.NewEngine(64, sim.Options{Seed: 8})
 	f := buildForest(t, eng)
-	_, _, err := BroadcastValue(eng, f, map[int]float64{})
-	if err == nil {
-		t.Fatal("missing root payload accepted")
+	for _, m := range []int{0, f.NumTrees() - 1, f.NumTrees() + 1} {
+		if _, _, err := BroadcastValue(eng, f, make([]float64, m)); err == nil {
+			t.Fatalf("%d root payloads for %d trees accepted", m, f.NumTrees())
+		}
 	}
 }
 
@@ -281,14 +266,14 @@ func TestMomentsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range f.Roots() {
+	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
 		wantSum := agg.Exact(agg.Sum, tv, 0)
 		wantSum2 := 0.0
 		for _, v := range tv {
 			wantSum2 += v * v
 		}
-		mv := got[r]
+		mv := got[k]
 		if math.Abs(mv.Sum-wantSum) > 1e-9 || math.Abs(mv.Sum2-wantSum2) > 1e-9 {
 			t.Fatalf("root %d moments = %+v, want sum %v sum2 %v", r, mv, wantSum, wantSum2)
 		}

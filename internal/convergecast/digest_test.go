@@ -1,0 +1,104 @@
+package convergecast
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"drrgossip/internal/agg"
+	"drrgossip/internal/forest"
+	"drrgossip/internal/sim"
+)
+
+// digester hashes float64s and counters bit for bit.
+type digester struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func newDigester() *digester { return &digester{h: fnv.New64a()} }
+
+func (d *digester) u64(x uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], x)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) f64(xs ...float64) {
+	d.u64(uint64(len(xs)))
+	for _, x := range xs {
+		d.u64(math.Float64bits(x))
+	}
+}
+
+func (d *digester) counters(c sim.Counters) {
+	for _, x := range []int64{int64(c.Rounds), c.Messages, c.Drops, c.Blocked, c.Calls} {
+		d.u64(uint64(x))
+	}
+}
+
+// TestPhase2Digests pins Max, Sum and Moments per-root outputs (hashed
+// in Roots() order) and the per-node BroadcastValue result bit for bit,
+// with their costs, with and without loss and initial crashes. A change
+// to how per-root state is stored or iterated must leave every digest
+// unchanged.
+func TestPhase2Digests(t *testing.T) {
+	faults := map[string]sim.Options{
+		"lossless": {},
+		"loss0.1":  {Loss: 0.1},
+		"crash0.2": {CrashFrac: 0.2},
+	}
+	want := map[string]uint64{
+		"n=256/lossless":  0x6fe31b1210f0adf7,
+		"n=256/loss0.1":   0xca7e57e3760dd2a3,
+		"n=256/crash0.2":  0x5233c037d7e00d4c,
+		"n=2048/lossless": 0xab7219ff3fb76c89,
+		"n=2048/loss0.1":  0x69c5203fe7b543e1,
+		"n=2048/crash0.2": 0xfff4950959e5947e,
+	}
+	for _, n := range []int{256, 2048} {
+		for name, opts := range faults {
+			key := fmt.Sprintf("n=%d/%s", n, name)
+			opts.Seed = uint64(n) + 50
+			eng := sim.NewEngine(n, opts)
+			f := buildForest(t, eng)
+			values := agg.GenUniform(n, -500, 500, uint64(n)+51)
+			d := newDigester()
+
+			mx, stats, err := Max(eng, f, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range mx {
+				d.f64(v)
+			}
+			d.counters(stats)
+			for _, run := range []func(*sim.Engine, *forest.Forest, []float64) ([]MomentsVec, sim.Counters, error){Sum, Moments} {
+				mv, stats, err := run(eng, f, values)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range mv {
+					d.f64(v.Sum, v.Sum2, v.Count)
+				}
+				d.counters(stats)
+			}
+			perRoot := make([]float64, len(mx))
+			for k, v := range mx {
+				perRoot[k] = v / 3
+			}
+			bc, stats, err := BroadcastValue(eng, f, perRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.f64(bc...)
+			d.counters(stats)
+
+			if got := d.h.Sum64(); got != want[key] {
+				t.Errorf("%s: got %#x, want %#x", key, got, want[key])
+			}
+		}
+	}
+}

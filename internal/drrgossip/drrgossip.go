@@ -234,8 +234,8 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 		tr = gossip.Route(eng, ov, f)
 	}
 	var (
-		covmax map[int]float64
-		cov    map[int]convergecast.MomentsVec
+		covmax []float64
+		cov    []convergecast.MomentsVec
 	)
 	switch {
 	case maxLike:
@@ -295,8 +295,8 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 		// stands in.
 		value = perNode[f.LargestRoot()]
 		if !finite(value) {
-			if r := fallbackRoot(eng, f, g.est); r >= 0 {
-				value = g.est[r]
+			if k := fallbackRoot(eng, f, g.est); k >= 0 {
+				value = g.est[k]
 			}
 		}
 	}
@@ -319,10 +319,10 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 }
 
 // phase3 is a combiner's outcome: the per-root values the trees
-// disseminate and the answer they carry.
+// disseminate, indexed by root slot, and the answer they carry.
 type phase3 struct {
-	est    map[int]float64 // per-root value to disseminate
-	varEst map[int]float64 // per-root variance (Moments only)
+	est    []float64 // per-root value to disseminate
+	varEst []float64 // per-root variance (Moments only)
 	// value and variance are the answer (push-sum combiners only; the
 	// max combiner's answer is read after dissemination).
 	value, variance float64
@@ -331,12 +331,12 @@ type phase3 struct {
 // pushSum is the push-sum combiner: elect the largest-tree root z,
 // push-sum towards it, and spread z's estimate (and, for Moments, its
 // variance) to every root.
-func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, cov map[int]convergecast.MomentsVec) (*phase3, error) {
+func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, cov []convergecast.MomentsVec) (*phase3, error) {
 	// (a) Gossip-max on (tree size, root id) keys elects the largest-tree
 	// root z; every root learns the winning key, hence z.
-	keys := make(map[int]float64, f.NumTrees())
-	for r, mv := range cov {
-		keys[r] = largestKey(int(mv.Count), r)
+	keys := make([]float64, len(cov))
+	for k, mv := range cov {
+		keys[k] = largestKey(int(mv.Count), f.Roots()[k])
 	}
 	kres, err := gossip.Max(tr, keys)
 	if err != nil {
@@ -352,16 +352,17 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, 
 			maxKey = v
 		}
 	}
-	z, err := electRoot(eng, f, maxKey, keys)
+	zk, err := electRoot(eng, f, maxKey, keys)
 	if err != nil {
 		return nil, err
 	}
+	z := f.Roots()[zk]
 
 	// (b) Push-sum; the guarantee (Theorem 7) holds at z. Sum and Count
 	// ship reliable (acknowledged) shares: their distinguished-root
 	// denominator is a single unit of mass whose loss cannot be averaged
 	// away, unlike the Ave ratio where losses cancel.
-	ares, err := gossip.Ave(tr, pushInit(kind, cov, z), gossip.AveOptions{
+	ares, err := gossip.Ave(tr, pushInit(kind, cov, zk), gossip.AveOptions{
 		TrackRoot:      -1,
 		ReliableShares: kind == Sum || kind == Count,
 	})
@@ -372,10 +373,10 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, 
 	// (c) Data-spread of z's estimate to all roots. Under mid-run crashes
 	// z's estimate can be NaN (or z freshly dead); the spread then
 	// carries the best surviving estimate instead.
-	src := z
-	if !finite(ares.Estimates[z]) {
-		if r := fallbackRoot(eng, f, ares.Estimates); r >= 0 {
-			src = r
+	src := zk
+	if !finite(ares.Estimates[zk]) {
+		if k := fallbackRoot(eng, f, ares.Estimates); k >= 0 {
+			src = k
 		}
 	}
 	g := &phase3{value: ares.Estimates[src]}
@@ -396,51 +397,51 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, 
 	return g, nil
 }
 
-// electRoot resolves the distinguished root from the won election key.
-// In a healthy run the decoded winner is a live root and is returned
-// as-is. When mid-run crashes killed it (its tree's mass would be
-// unreachable), the election falls back to the live root with the
-// largest own key — deterministically, since Roots() is sorted — so the
+// electRoot resolves the slot of the distinguished root from the won
+// election key. In a healthy run the decoded winner is a live root and
+// is returned as-is. When mid-run crashes killed it (its tree's mass
+// would be unreachable), the election falls back to the live root with
+// the largest own key — deterministically, in slot order — so the
 // push-sum denominator is placed where it can still circulate.
-func electRoot(eng *sim.Engine, f *forest.Forest, maxKey float64, keys map[int]float64) (int, error) {
+func electRoot(eng *sim.Engine, f *forest.Forest, maxKey float64, keys []float64) (int, error) {
 	z := decodeKeyRoot(maxKey)
 	if f.IsRoot(z) && eng.Alive(z) {
-		return z, nil
+		return f.Slot(z), nil
 	}
 	best, bestKey := -1, math.Inf(-1)
-	for _, r := range f.Roots() {
-		if eng.Alive(r) && keys[r] > bestKey {
-			best, bestKey = r, keys[r]
+	for k, r := range f.Roots() {
+		if eng.Alive(r) && keys[k] > bestKey {
+			best, bestKey = k, keys[k]
 		}
 	}
 	if best >= 0 {
 		return best, nil
 	}
 	if f.IsRoot(z) {
-		return z, nil // every root is dead; keep the elected one
+		return f.Slot(z), nil // every root is dead; keep the elected one
 	}
 	return -1, fmt.Errorf("drrgossip: elected node %d is not a root", z)
 }
 
 // pushInit builds the push-sum start vectors from the per-tree
-// convergecast results, given the elected largest root z.
-func pushInit(kind Kind, cov map[int]convergecast.MomentsVec, z int) map[int]convergecast.MomentsVec {
+// convergecast results, given the slot zk of the elected largest root z.
+func pushInit(kind Kind, cov []convergecast.MomentsVec, zk int) []convergecast.MomentsVec {
 	if kind == Ave || kind == Moments {
 		// (tree sums, tree size): ratios converge to Σsums/Σsizes.
 		return cov
 	}
-	init := make(map[int]convergecast.MomentsVec, len(cov))
-	for r, mv := range cov {
+	init := make([]convergecast.MomentsVec, len(cov))
+	for k, mv := range cov {
 		g := 0.0
-		if r == z {
+		if k == zk {
 			g = 1
 		}
 		if kind == Count {
 			// (tree size, [r==z]): ratios converge to Σsizes/1 = n_alive.
-			init[r] = convergecast.MomentsVec{Sum: mv.Count, Count: g}
+			init[k] = convergecast.MomentsVec{Sum: mv.Count, Count: g}
 		} else {
 			// (tree sum, [r==z]): ratios converge to Σsums/1.
-			init[r] = convergecast.MomentsVec{Sum: mv.Sum, Count: g}
+			init[k] = convergecast.MomentsVec{Sum: mv.Sum, Count: g}
 		}
 	}
 	return init
@@ -448,19 +449,16 @@ func pushInit(kind Kind, cov map[int]convergecast.MomentsVec, z int) map[int]con
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// fallbackRoot picks the root whose estimate stands in when the
-// preferred answer is not finite (mid-run crashes): the first live root
-// with a finite estimate, else any dead root's frozen finite estimate as
-// a last resort, in sorted root order; -1 when no root has one. Faulty
-// runs thus report a degraded answer instead of NaN.
-func fallbackRoot(eng *sim.Engine, f *forest.Forest, est map[int]float64) int {
+// fallbackRoot picks the slot of the root whose estimate stands in when
+// the preferred answer is not finite (mid-run crashes): the first live
+// root with a finite estimate, else any dead root's frozen finite
+// estimate as a last resort, in slot order; -1 when no root has one.
+// Faulty runs thus report a degraded answer instead of NaN.
+func fallbackRoot(eng *sim.Engine, f *forest.Forest, est []float64) int {
 	for _, pass := range [2]bool{true, false} { // live roots first
-		for _, r := range f.Roots() {
-			if eng.Alive(r) != pass {
-				continue
-			}
-			if v, ok := est[r]; ok && finite(v) {
-				return r
+		for k, r := range f.Roots() {
+			if eng.Alive(r) == pass && finite(est[k]) {
+				return k
 			}
 		}
 	}

@@ -18,8 +18,8 @@ import (
 
 // phase12 runs DRR + convergecast + root broadcast, the common setup of
 // the Phase III experiments, and returns the forest, the tree-relay
-// transport over it and the per-root max and sum vectors.
-func phase12(eng *sim.Engine, values []float64) (*forest.Forest, gossip.Transport, map[int]float64, map[int]convergecast.MomentsVec, error) {
+// transport over it and the per-root max and sum vectors by root slot.
+func phase12(eng *sim.Engine, values []float64) (*forest.Forest, gossip.Transport, []float64, []convergecast.MomentsVec, error) {
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
 		return nil, nil, nil, nil, err

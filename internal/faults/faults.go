@@ -213,31 +213,31 @@ func (p *Plan) Validate(n int) error {
 		return nil
 	}
 	for i, ev := range p.Events {
-		if err := ev.validate(n); err != nil {
+		err := ev.check()
+		if err == nil {
+			err = ev.checkRange(n)
+		}
+		if err != nil {
 			return fmt.Errorf("%w: event %d (%s): %v", ErrBadPlan, i, ev.Kind, err)
 		}
 	}
 	return nil
 }
 
-// validate checks one event. The fractional range checks are negated
-// in-range tests so NaN, for which every comparison is false, is rejected
-// too.
-func (ev Event) validate(n int) error {
+// check validates the event's fields that do not depend on the network
+// size; Parse runs it on every event. The fractional range checks are
+// negated in-range tests so NaN, for which every comparison is false, is
+// rejected too.
+func (ev Event) check() error {
 	if ev.At.Round < 0 || !(ev.At.Frac >= 0 && ev.At.Frac <= 1) ||
 		ev.End.Round < 0 || !(ev.End.Frac >= 0 && ev.End.Frac <= 1) {
 		return fmt.Errorf("timing out of range (rounds >= 0, fractions in [0,1])")
 	}
-	for _, id := range ev.Nodes {
-		if id < 0 || id >= n {
-			return fmt.Errorf("node %d out of range [0,%d)", id, n)
-		}
-	}
 	if !(ev.Frac >= 0 && ev.Frac <= 1) {
 		return fmt.Errorf("node fraction %g out of [0,1]", ev.Frac)
 	}
-	if ev.Count < 0 || ev.Count > n {
-		return fmt.Errorf("node count %d out of [0,%d]", ev.Count, n)
+	if ev.Count < 0 {
+		return fmt.Errorf("negative node count %d", ev.Count)
 	}
 	switch ev.Kind {
 	case Crash:
@@ -251,12 +251,12 @@ func (ev Event) validate(n int) error {
 			return fmt.Errorf("burst loss %g out of (0,1)", ev.Loss)
 		}
 	case Partition:
-		if ev.Groups < 2 || ev.Groups > n {
-			return fmt.Errorf("partition needs 2..n groups, got %d", ev.Groups)
+		if ev.Groups < 2 {
+			return fmt.Errorf("partition needs at least 2 groups, got %d", ev.Groups)
 		}
 	case LinkDown:
-		if ev.A < 0 || ev.A >= n || ev.B < 0 || ev.B >= n || ev.A == ev.B {
-			return fmt.Errorf("link %d-%d invalid for n=%d", ev.A, ev.B, n)
+		if ev.A < 0 || ev.B < 0 || ev.A == ev.B {
+			return fmt.Errorf("link %d-%d invalid", ev.A, ev.B)
 		}
 	case Flaky:
 		if !(ev.Loss > 0 && ev.Loss <= 1) {
@@ -274,6 +274,26 @@ func (ev Event) validate(n int) error {
 		}
 	default:
 		return fmt.Errorf("unknown kind")
+	}
+	return nil
+}
+
+// checkRange validates the event's node ids, node count, group count and
+// link endpoints against a network of n nodes.
+func (ev Event) checkRange(n int) error {
+	for _, id := range ev.Nodes {
+		if id < 0 || id >= n {
+			return fmt.Errorf("node %d out of range [0,%d)", id, n)
+		}
+	}
+	if ev.Count > n {
+		return fmt.Errorf("node count %d out of [0,%d]", ev.Count, n)
+	}
+	if ev.Kind == Partition && ev.Groups > n {
+		return fmt.Errorf("partition needs 2..n groups, got %d", ev.Groups)
+	}
+	if ev.Kind == LinkDown && (ev.A >= n || ev.B >= n) {
+		return fmt.Errorf("link %d-%d invalid for n=%d", ev.A, ev.B, n)
 	}
 	return nil
 }

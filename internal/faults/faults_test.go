@@ -68,6 +68,8 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"loss:0.2@0.6..0.0",   // zero window end
 		";;",                  // no events at all
 		"part:two@0.25..0.75", // bad group count
+		"loss:1.5@0.2..0.8",   // burst loss above 1
+		"loss:NaN@0.2..0.8",   // NaN burst loss
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); !errors.Is(err, ErrBadPlan) {

@@ -39,7 +39,9 @@ import (
 )
 
 // Parse parses a fault-plan spec string. An empty spec (or "none") is
-// the empty plan.
+// the empty plan. Parse rejects every event Validate would reject for
+// any network size (a loss outside its range, NaN, a crash with no
+// nodes); the checks against the node count wait for Validate.
 func Parse(spec string) (*Plan, error) {
 	text := strings.TrimSpace(spec)
 	if text == "" || strings.EqualFold(text, "none") {
@@ -52,6 +54,9 @@ func Parse(spec string) (*Plan, error) {
 			continue
 		}
 		ev, err := parseEvent(part)
+		if err == nil {
+			err = ev.check()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %q: %v", ErrBadPlan, part, err)
 		}

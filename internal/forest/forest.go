@@ -20,12 +20,17 @@ const (
 )
 
 // Forest is an immutable rooted forest. Build instances with FromParents.
+//
+// The trees are numbered densely by root slot: slot k is the tree rooted
+// at Roots()[k], so slots follow ascending root id. Phases II–III keep
+// every per-root value in a slice indexed by slot.
 type Forest struct {
 	parent   []int
 	children [][]int
-	rootOf   []int // per-node root (NotMember for non-members)
+	slot     []int // per-node root slot (-1 for non-members)
 	depth    []int // per-node depth from its root (0 at roots)
-	roots    []int // sorted root list
+	roots    []int // sorted root list: roots[k] is slot k's root
+	sizes    []int // per-slot tree size
 	members  int
 }
 
@@ -37,15 +42,20 @@ func FromParents(parent []int) (*Forest, error) {
 	f := &Forest{
 		parent:   append([]int(nil), parent...),
 		children: make([][]int, n),
-		rootOf:   make([]int, n),
+		slot:     make([]int, n),
 		depth:    make([]int, n),
 	}
+	// Roots and non-members resolve at once; every other member is
+	// resolved below by walking up to a resolved ancestor.
+	const unresolved = -2
 	for i, p := range parent {
 		switch {
 		case p == Root:
+			f.slot[i] = len(f.roots)
 			f.roots = append(f.roots, i)
 			f.members++
 		case p == NotMember:
+			f.slot[i] = -1
 		case p < 0 || p >= n:
 			return nil, fmt.Errorf("forest: node %d has out-of-range parent %d", i, p)
 		case p == i:
@@ -53,56 +63,30 @@ func FromParents(parent []int) (*Forest, error) {
 		case parent[p] == NotMember:
 			return nil, fmt.Errorf("forest: node %d has non-member parent %d", i, p)
 		default:
+			f.slot[i] = unresolved
 			f.children[p] = append(f.children[p], i)
 			f.members++
 		}
 	}
-	// Resolve roots and depths iteratively with cycle detection: walk each
-	// unresolved path once, marking as we return.
-	const unresolved = -3
-	for i := range f.rootOf {
-		f.rootOf[i] = unresolved
-	}
+	// Every parent is a member, so each walk ends at a resolved node
+	// unless it loops; mark the path's slots and depths on the way back.
+	f.sizes = make([]int, len(f.roots))
 	var stack []int
 	for i := 0; i < n; i++ {
-		if f.rootOf[i] != unresolved {
-			continue
-		}
-		if parent[i] == NotMember {
-			f.rootOf[i] = NotMember
-			continue
-		}
-		stack = stack[:0]
-		cur := i
-		for {
-			if f.rootOf[cur] != unresolved {
-				break // reached resolved region
-			}
-			if parent[cur] == Root {
-				f.rootOf[cur] = cur
-				f.depth[cur] = 0
-				break
-			}
+		for cur := i; f.slot[cur] == unresolved; cur = parent[cur] {
 			stack = append(stack, cur)
 			if len(stack) > n {
 				return nil, errors.New("forest: cycle detected")
 			}
-			cur = parent[cur]
-			if parent[cur] == NotMember {
-				return nil, fmt.Errorf("forest: path from %d leaves the forest at %d", i, cur)
-			}
-		}
-		if f.rootOf[cur] == NotMember {
-			return nil, fmt.Errorf("forest: path from %d reaches non-member %d", i, cur)
 		}
 		for k := len(stack) - 1; k >= 0; k-- {
 			v := stack[k]
-			p := parent[v]
-			if f.rootOf[p] == unresolved {
-				return nil, errors.New("forest: cycle detected")
-			}
-			f.rootOf[v] = f.rootOf[p]
-			f.depth[v] = f.depth[p] + 1
+			f.slot[v] = f.slot[parent[v]]
+			f.depth[v] = f.depth[parent[v]] + 1
+		}
+		stack = stack[:0]
+		if k := f.slot[i]; k >= 0 {
+			f.sizes[k]++
 		}
 	}
 	return f, nil
@@ -133,54 +117,47 @@ func (f *Forest) IsLeaf(i int) bool {
 	return f.Member(i) && len(f.children[i]) == 0
 }
 
-// Roots returns the sorted list of tree roots. The caller must not modify
-// it.
+// Roots returns the sorted list of tree roots: Roots()[k] is the root of
+// slot k. The caller must not modify it.
 func (f *Forest) Roots() []int { return f.roots }
 
-// NumTrees returns the number of trees.
+// NumTrees returns the number of trees, and so of root slots.
 func (f *Forest) NumTrees() int { return len(f.roots) }
 
+// Slot returns the root slot of node i's tree, the k with Roots()[k] ==
+// RootOf(i), or -1 for non-members.
+func (f *Forest) Slot(i int) int { return f.slot[i] }
+
 // RootOf returns the root of node i's tree (NotMember for non-members).
-func (f *Forest) RootOf(i int) int { return f.rootOf[i] }
+func (f *Forest) RootOf(i int) int {
+	if k := f.slot[i]; k >= 0 {
+		return f.roots[k]
+	}
+	return NotMember
+}
 
 // Depth returns node i's distance from its root (0 for roots and
 // non-members).
-func (f *Forest) Depth(i int) int {
-	if !f.Member(i) {
+func (f *Forest) Depth(i int) int { return f.depth[i] }
+
+// TreeSize returns the number of nodes in the tree rooted at root (0 when
+// root is not a root).
+func (f *Forest) TreeSize(root int) int {
+	if !f.IsRoot(root) {
 		return 0
 	}
-	return f.depth[i]
+	return f.sizes[f.slot[root]]
 }
 
-// TreeSize returns the number of nodes in the tree rooted at root.
-func (f *Forest) TreeSize(root int) int {
-	size := 0
-	for i := range f.rootOf {
-		if f.rootOf[i] == root && f.Member(i) {
-			size++
-		}
-	}
-	return size
-}
-
-// TreeSizes returns a map from root to tree size.
-func (f *Forest) TreeSizes() map[int]int {
-	sizes := make(map[int]int, len(f.roots))
-	for i, r := range f.rootOf {
-		if r >= 0 && f.Member(i) {
-			sizes[r]++
-		}
-	}
-	return sizes
-}
+// TreeSizes returns the tree sizes by root slot. The caller must not
+// modify it.
+func (f *Forest) TreeSizes() []int { return f.sizes }
 
 // MaxTreeSize returns the largest tree size (0 for an empty forest).
 func (f *Forest) MaxTreeSize() int {
 	m := 0
-	for _, s := range f.TreeSizes() {
-		if s > m {
-			m = s
-		}
+	for _, s := range f.sizes {
+		m = max(m, s)
 	}
 	return m
 }
@@ -191,23 +168,25 @@ func (f *Forest) LargestRoot() int {
 	if len(f.roots) == 0 {
 		panic("forest: LargestRoot of empty forest")
 	}
-	sizes := f.TreeSizes()
-	best, bestSize := -1, -1
-	for _, r := range f.roots {
-		if s := sizes[r]; s > bestSize || (s == bestSize && r < best) {
-			best, bestSize = r, s
+	best := 0
+	for k, s := range f.sizes {
+		if s > f.sizes[best] {
+			best = k
 		}
 	}
-	return best
+	return f.roots[best]
 }
 
 // Height returns the height of the tree rooted at root: the maximum depth
-// among its members (0 for a singleton tree).
+// among its members (0 for a singleton tree, and when root is not a root).
 func (f *Forest) Height(root int) int {
 	h := 0
-	for i, r := range f.rootOf {
-		if r == root && f.depth[i] > h {
-			h = f.depth[i]
+	if !f.IsRoot(root) {
+		return h
+	}
+	for i, k := range f.slot {
+		if k == f.slot[root] {
+			h = max(h, f.depth[i])
 		}
 	}
 	return h
@@ -216,10 +195,8 @@ func (f *Forest) Height(root int) int {
 // MaxHeight returns the maximum tree height in the forest.
 func (f *Forest) MaxHeight() int {
 	h := 0
-	for i, r := range f.rootOf {
-		if r >= 0 && f.depth[i] > h {
-			h = f.depth[i]
-		}
+	for _, d := range f.depth {
+		h = max(h, d)
 	}
 	return h
 }
@@ -306,27 +283,34 @@ func (f *Forest) Repair(alive func(int) bool) (*Forest, int) {
 // tests on protocol-constructed forests.
 func (f *Forest) Validate() error {
 	seen := 0
-	for _, r := range f.roots {
-		if !f.IsRoot(r) {
-			return fmt.Errorf("forest: listed root %d is not a root", r)
+	for k, r := range f.roots {
+		if !f.IsRoot(r) || f.slot[r] != k {
+			return fmt.Errorf("forest: listed root %d is not the root of slot %d", r, k)
 		}
 	}
+	sizes := make([]int, len(f.roots))
 	for i := 0; i < f.N(); i++ {
 		if !f.Member(i) {
 			continue
 		}
 		seen++
-		r := f.rootOf[i]
-		if r < 0 || !f.IsRoot(r) {
-			return fmt.Errorf("forest: node %d has invalid root %d", i, r)
+		k := f.slot[i]
+		if k < 0 || k >= len(f.roots) {
+			return fmt.Errorf("forest: node %d has invalid root slot %d", i, k)
 		}
+		sizes[k]++
 		if p := f.parent[i]; p >= 0 {
 			if f.depth[i] != f.depth[p]+1 {
 				return fmt.Errorf("forest: depth mismatch at %d", i)
 			}
-			if f.rootOf[p] != r {
+			if f.slot[p] != k {
 				return fmt.Errorf("forest: root mismatch along edge (%d,%d)", i, p)
 			}
+		}
+	}
+	for k, s := range sizes {
+		if s != f.sizes[k] {
+			return fmt.Errorf("forest: slot %d holds %d members, size says %d", k, s, f.sizes[k])
 		}
 	}
 	if seen != f.members {

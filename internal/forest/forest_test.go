@@ -56,8 +56,7 @@ func TestRootOfAndDepth(t *testing.T) {
 
 func TestSizesHeightsLargest(t *testing.T) {
 	f := sample(t)
-	sizes := f.TreeSizes()
-	if sizes[0] != 4 || sizes[4] != 1 {
+	if sizes := f.TreeSizes(); len(sizes) != 2 || sizes[0] != 4 || sizes[1] != 1 {
 		t.Fatalf("TreeSizes = %v", sizes)
 	}
 	if f.TreeSize(0) != 4 || f.TreeSize(4) != 1 {
@@ -149,6 +148,73 @@ func TestLargestRootTieBreaksLow(t *testing.T) {
 	}
 }
 
+func TestLargestRootTieBreaksLowAcrossSlots(t *testing.T) {
+	// Roots 0, 1, 4 with sizes 1, 3, 3: the tie between slots 1 and 2
+	// goes to the lower root id, 1.
+	f, err := FromParents([]int{Root, Root, 1, 1, Root, 4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.LargestRoot(); got != 1 {
+		t.Fatalf("LargestRoot = %d, want 1", got)
+	}
+	if f.MaxTreeSize() != 3 {
+		t.Fatalf("MaxTreeSize = %d, want 3", f.MaxTreeSize())
+	}
+}
+
+// checkSlots verifies the dense root index: slot k is Roots()[k], every
+// member maps to its root's slot, non-members to -1, and TreeSizes()[k]
+// counts slot k's members.
+func checkSlots(t *testing.T, f *Forest) {
+	t.Helper()
+	roots := f.Roots()
+	if len(f.TreeSizes()) != len(roots) || f.NumTrees() != len(roots) {
+		t.Fatalf("%d sizes, %d trees for %d roots", len(f.TreeSizes()), f.NumTrees(), len(roots))
+	}
+	for k, r := range roots {
+		if f.Slot(r) != k {
+			t.Fatalf("Slot(Roots()[%d] = %d) = %d", k, r, f.Slot(r))
+		}
+		if k > 0 && roots[k-1] >= r {
+			t.Fatalf("roots not ascending: %v", roots)
+		}
+	}
+	count := make([]int, len(roots))
+	for i := 0; i < f.N(); i++ {
+		k := f.Slot(i)
+		if !f.Member(i) {
+			if k != -1 {
+				t.Fatalf("non-member %d has slot %d", i, k)
+			}
+			continue
+		}
+		if roots[k] != f.RootOf(i) {
+			t.Fatalf("node %d: slot %d holds root %d, RootOf = %d", i, k, roots[k], f.RootOf(i))
+		}
+		count[k]++
+	}
+	for k, c := range count {
+		if f.TreeSizes()[k] != c || f.TreeSize(roots[k]) != c {
+			t.Fatalf("slot %d: TreeSizes %d, TreeSize %d, members %d", k, f.TreeSizes()[k], f.TreeSize(roots[k]), c)
+		}
+	}
+}
+
+func TestRootSlots(t *testing.T) {
+	f := sample(t)
+	checkSlots(t, f)
+	wantSlot := []int{0, 0, 0, 0, 1, -1}
+	for i, want := range wantSlot {
+		if f.Slot(i) != want {
+			t.Fatalf("Slot(%d) = %d, want %d", i, f.Slot(i), want)
+		}
+	}
+	if f.TreeSize(1) != 0 || f.TreeSize(5) != 0 {
+		t.Fatal("TreeSize of a non-root is not 0")
+	}
+}
+
 func TestLargestRootEmptyPanics(t *testing.T) {
 	f, _ := FromParents([]int{NotMember})
 	defer func() {
@@ -199,6 +265,7 @@ func TestForestProperties(t *testing.T) {
 		if fo.Validate() != nil {
 			return false
 		}
+		checkSlots(t, fo)
 		// Tree sizes sum to member count.
 		total := 0
 		for _, s := range fo.TreeSizes() {

@@ -39,5 +39,6 @@ func FuzzFromParents(f *testing.F) {
 		if total != fo.NumMembers() {
 			t.Fatalf("tree sizes inconsistent for %v", parents)
 		}
+		checkSlots(t, fo)
 	})
 }

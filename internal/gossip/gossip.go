@@ -58,45 +58,42 @@ func ceilLog2(n int) int {
 	return l
 }
 
-// MaxResult is the outcome of Gossip-max.
+// MaxResult is the outcome of Gossip-max. Per-root values are indexed by
+// root slot.
 type MaxResult struct {
 	// Estimates holds each root's final Max estimate (after sampling).
-	Estimates map[int]float64
+	Estimates []float64
 	// AfterGossip holds the estimates after the gossip procedure only —
 	// the quantity Theorem 5 bounds (a constant fraction of roots already
 	// hold the true Max).
-	AfterGossip map[int]float64
+	AfterGossip []float64
 	Stats       sim.Counters
 }
 
-// Max runs Algorithm 4 on the roots of the transport's forest. init maps
-// every root to its initial value (e.g. the convergecast-max of its
-// tree). The gossip procedure runs O(log n) iterations, the sampling
+// Max runs Algorithm 4 on the roots of the transport's forest. init holds
+// every root's initial value by root slot (e.g. the convergecast-max of
+// its tree). The gossip procedure runs O(log n) iterations, the sampling
 // procedure O(log n) more, each scaled by the transport (loss-inflated on
 // the relay) and each taking the transport's exchange time.
-func Max(tr Transport, init map[int]float64) (*MaxResult, error) {
+func Max(tr Transport, init []float64) (*MaxResult, error) {
 	eng, f := tr.env()
-	start := eng.Stats()
 	roots := f.Roots()
-	val := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		v, ok := init[r]
-		if !ok {
-			return nil, fmt.Errorf("gossip: missing init value for root %d", r)
-		}
-		val[r] = v
+	if len(init) != len(roots) {
+		return nil, fmt.Errorf("gossip: %d init values for %d roots", len(init), len(roots))
 	}
+	start := eng.Stats()
+	val := append([]float64(nil), init...)
 	gossipRounds := tr.iterations(2*ceilLog2(eng.N()) + 12)
 	sampleRounds := tr.iterations(ceilLog2(eng.N()) + 8)
 	ticks := tr.ticks()
 	// land lets one exchange arrive, adopting every larger value of kind.
 	land := func(kind uint8) {
-		for k := 0; k < ticks; k++ {
+		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			for _, r := range roots {
+			for k, r := range roots {
 				for _, m := range eng.Inbox(r) {
-					if m.Pay.Kind == kind && m.Pay.A > val[r] {
-						val[r] = m.Pay.A
+					if m.Pay.Kind == kind && m.Pay.A > val[k] {
+						val[k] = m.Pay.A
 					}
 				}
 			}
@@ -107,21 +104,18 @@ func Max(tr Transport, init map[int]float64) (*MaxResult, error) {
 	// Roots that crash mid-run place no further calls (their estimate
 	// freezes; the rest of the clique keeps gossiping).
 	for t := 0; t < gossipRounds; t++ {
-		for _, r := range roots {
+		for k, r := range roots {
 			if eng.Alive(r) {
-				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[r]})
+				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[k]})
 			}
 		}
 		land(kindGossipVal)
 	}
-	after := make(map[int]float64, len(val))
-	for r, v := range val {
-		after[r] = v
-	}
+	after := append([]float64(nil), val...)
 
 	// Sampling procedure: inquire a random node's root, which replies
 	// with its value; adopt it if larger.
-	type inquiry struct{ from, to int } // inquirer, responder
+	type inquiry struct{ from, to int } // inquirer root, responder slot
 	var inquiries []inquiry
 	for t := 0; t < sampleRounds; t++ {
 		for _, r := range roots {
@@ -130,18 +124,18 @@ func Max(tr Transport, init map[int]float64) (*MaxResult, error) {
 			}
 		}
 		inquiries = inquiries[:0]
-		for k := 0; k < ticks; k++ {
+		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			for _, r := range roots {
+			for k, r := range roots {
 				for _, m := range eng.Inbox(r) {
 					if m.Pay.Kind == kindInquiry {
-						inquiries = append(inquiries, inquiry{from: int(m.Pay.X), to: r})
+						inquiries = append(inquiries, inquiry{from: int(m.Pay.X), to: k})
 					}
 				}
 			}
 		}
 		for _, q := range inquiries {
-			tr.reply(q.to, q.from, sim.Payload{Kind: kindInqReply, A: val[q.to]})
+			tr.reply(roots[q.to], q.from, sim.Payload{Kind: kindInqReply, A: val[q.to]})
 		}
 		land(kindInqReply)
 	}
@@ -160,11 +154,11 @@ func Spread(tr Transport, source int, value float64) (*MaxResult, error) {
 	if !f.IsRoot(source) {
 		return nil, fmt.Errorf("gossip: spread source %d is not a root", source)
 	}
-	init := make(map[int]float64, f.NumTrees())
-	for _, r := range f.Roots() {
-		init[r] = math.Inf(-1)
+	init := make([]float64, f.NumTrees())
+	for k := range init {
+		init[k] = math.Inf(-1)
 	}
-	init[source] = value
+	init[f.Slot(source)] = value
 	return Max(tr, init)
 }
 
@@ -188,14 +182,15 @@ type AveOptions struct {
 	ReliableShares bool
 }
 
-// AveResult is the outcome of Gossip-ave.
+// AveResult is the outcome of Gossip-ave. Per-root values are indexed by
+// root slot.
 type AveResult struct {
 	// Estimates holds each root's final ratio estimate s/g (NaN where
 	// the weight never arrived).
-	Estimates map[int]float64
+	Estimates []float64
 	// Mass holds each root's final push-sum state: Sum = s, Sum2 = the
 	// second-moment component, Count = the weight g.
-	Mass map[int]convergecast.MomentsVec
+	Mass []convergecast.MomentsVec
 	// Trajectory is the estimate of TrackRoot after each round.
 	Trajectory []float64
 	// Potential is Φ_t after each round when TrackPotential is set.
@@ -204,38 +199,37 @@ type AveResult struct {
 }
 
 // Ave runs Algorithm 6, push-sum over the roots of the transport's
-// forest: every root starts with its init vector — (s, g) = (local sum,
-// tree size) from Convergecast-sum for the average, optionally with a Σv²
-// component that rides along for the second moment — and each round it
-// keeps half and pushes half to a random node's root. The ratio s/g at
-// the largest-tree root converges to the global average at the rate of
-// Theorem 7.
-func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*AveResult, error) {
+// forest: every root starts with its init vector, indexed by root slot —
+// (s, g) = (local sum, tree size) from Convergecast-sum for the average,
+// optionally with a Σv² component that rides along for the second moment
+// — and each round it keeps half and pushes half to a random node's root.
+// The ratio s/g at the largest-tree root converges to the global average
+// at the rate of Theorem 7.
+func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveResult, error) {
 	eng, f := tr.env()
-	start := eng.Stats()
 	roots := f.Roots()
-	mass := make(map[int]convergecast.MomentsVec, len(roots))
-	for _, r := range roots {
-		mv, ok := init[r]
-		if !ok {
-			return nil, fmt.Errorf("gossip: missing init vector for root %d", r)
-		}
-		mass[r] = mv
+	if len(init) != len(roots) {
+		return nil, fmt.Errorf("gossip: %d init vectors for %d roots", len(init), len(roots))
 	}
+	track := -1
+	if opts.TrackRoot >= 0 {
+		if !f.IsRoot(opts.TrackRoot) {
+			return nil, fmt.Errorf("gossip: tracked node %d is not a root", opts.TrackRoot)
+		}
+		track = f.Slot(opts.TrackRoot)
+	}
+	start := eng.Stats()
+	mass := append([]convergecast.MomentsVec(nil), init...)
 	rounds := tr.iterations(4*ceilLog2(eng.N()) + 24)
 	ticks := tr.ticks()
 
-	// Optional contribution tracking for the Lemma 8 potential.
+	// Optional contribution tracking for the Lemma 8 potential, indexed
+	// by root slot.
 	var (
-		rootIdx map[int]int
-		y       [][]float64 // y[i][j]: root i's contribution from root j
-		w       []float64   // dummy weights, w0 = 1
+		y [][]float64 // y[i][j]: root i's contribution from root j
+		w []float64   // dummy weights, w0 = 1
 	)
 	if opts.TrackPotential {
-		rootIdx = make(map[int]int, len(roots))
-		for k, r := range roots {
-			rootIdx[r] = k
-		}
 		m := len(roots)
 		y = make([][]float64, m)
 		for k := range y {
@@ -259,7 +253,7 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 		return phi
 	}
 	type shipment struct {
-		dst int
+		dst int       // destination slot
 		vec []float64 // snapshot of the shipped contribution share
 		w   float64
 	}
@@ -271,7 +265,7 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 	// restored, so mid-run crashes cannot bleed push-sum mass (a no-op
 	// in the static model).
 	type inflight struct {
-		r, dst, due int
+		k, dst, due int // sender slot, destination node, ack deadline
 		share       convergecast.MomentsVec
 	}
 	var pending []inflight
@@ -279,7 +273,7 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 	var trajectory, potentials []float64
 	for t := 0; t < rounds; t++ {
 		shipped = shipped[:0]
-		for _, r := range roots {
+		for k, r := range roots {
 			if !eng.Alive(r) || !tr.draw(r, opts.ReliableShares) {
 				// A crashed root pushes nothing (its mass freezes in place
 				// instead of being silently halved away), and a share with
@@ -289,11 +283,10 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 			// Halve and push. The half leaves the sender regardless of
 			// delivery unless shares are reliable (loss destroys mass, as
 			// in the analysis).
-			m := mass[r]
+			m := &mass[k]
 			m.Sum /= 2
 			m.Sum2 /= 2
 			m.Count /= 2
-			mass[r] = m
 			pay := sim.Payload{Kind: kindAveShare, A: m.Sum, B: m.Count, C: m.Sum2, X: int64(r)}
 			delivered, dst, due := tr.ship(r, pay, opts.ReliableShares)
 			if opts.ReliableShares {
@@ -303,9 +296,8 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 					m.Sum *= 2
 					m.Sum2 *= 2
 					m.Count *= 2
-					mass[r] = m
 				} else {
-					pending = append(pending, inflight{r: r, dst: dst, due: due, share: m})
+					pending = append(pending, inflight{k: k, dst: dst, due: due, share: *m})
 				}
 			}
 			if opts.TrackPotential && !(opts.ReliableShares && !delivered) {
@@ -313,21 +305,20 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 				// snapshot the shipped share before any delivery this
 				// round can mutate it. A reliably-restored share leaves
 				// the vectors untouched.
-				k := rootIdx[r]
 				for j := range y[k] {
 					y[k][j] /= 2
 				}
 				w[k] /= 2
 				if delivered && f.IsRoot(dst) {
 					shipped = append(shipped, shipment{
-						dst: rootIdx[dst],
+						dst: f.Slot(dst),
 						vec: append([]float64(nil), y[k]...),
 						w:   w[k],
 					})
 				}
 			}
 		}
-		for k := 0; k < ticks; k++ {
+		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
 			if len(pending) > 0 {
 				kept := pending[:0]
@@ -338,28 +329,26 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 					case !eng.Alive(sh.dst):
 						// Ack timeout: the destination died before
 						// delivery and the engine discarded the share.
-						m := mass[sh.r]
+						m := &mass[sh.k]
 						m.Sum += sh.share.Sum
 						m.Sum2 += sh.share.Sum2
 						m.Count += sh.share.Count
-						mass[sh.r] = m
 					}
 				}
 				pending = kept
 			}
-			for _, r := range roots {
+			for k, r := range roots {
 				for _, msg := range eng.Inbox(r) {
 					if msg.Pay.Kind == kindAveShare {
-						m := mass[r]
+						m := &mass[k]
 						m.Sum += msg.Pay.A
 						m.Sum2 += msg.Pay.C
 						m.Count += msg.Pay.B
-						mass[r] = m
 					}
 				}
 			}
 			if eng.WantResidual() {
-				eng.ReportResidual(estimateSpread(roots, mass))
+				eng.ReportResidual(estimateSpread(mass))
 			}
 		}
 		if opts.TrackPotential {
@@ -371,22 +360,14 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 			}
 			potentials = append(potentials, potential())
 		}
-		if opts.TrackRoot >= 0 {
-			if m := mass[opts.TrackRoot]; m.Count != 0 {
-				trajectory = append(trajectory, m.Sum/m.Count)
-			} else {
-				trajectory = append(trajectory, math.NaN())
-			}
+		if track >= 0 {
+			trajectory = append(trajectory, ratio(mass[track]))
 		}
 	}
 
-	est := make(map[int]float64, len(roots))
-	for _, r := range roots {
-		if m := mass[r]; m.Count != 0 {
-			est[r] = m.Sum / m.Count
-		} else {
-			est[r] = math.NaN()
-		}
+	est := make([]float64, len(mass))
+	for k, m := range mass {
+		est[k] = ratio(m)
 	}
 	return &AveResult{
 		Estimates:  est,
@@ -397,6 +378,14 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 	}, nil
 }
 
+// ratio is a root's push-sum estimate s/g, NaN while it has no weight.
+func ratio(m convergecast.MomentsVec) float64 {
+	if m.Count == 0 {
+		return math.NaN()
+	}
+	return m.Sum / m.Count
+}
+
 // estimateSpread is the convergence residual Ave reports when a round
 // observer is attached: the spread (max − min) of the running ratio
 // estimate s/g across roots with nonzero weight, which push-sum drives to
@@ -404,10 +393,10 @@ func Ave(tr Transport, init map[int]convergecast.MomentsVec, opts AveOptions) (*
 // driver state, so reporting it cannot perturb a run; a max/min
 // reduction does not depend on the roots' order, keeping the value
 // deterministic.
-func estimateSpread(roots []int, mass map[int]convergecast.MomentsVec) float64 {
+func estimateSpread(mass []convergecast.MomentsVec) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, r := range roots {
-		if m := mass[r]; m.Count != 0 {
+	for _, m := range mass {
+		if m.Count != 0 {
 			est := m.Sum / m.Count
 			if est < lo {
 				lo = est

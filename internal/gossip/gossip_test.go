@@ -13,7 +13,7 @@ import (
 
 // phase12 runs Phases I and II: DRR forest, convergecast (max and sum) and
 // the root-address broadcast, and returns the tree-relay transport.
-func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, Transport, map[int]float64, map[int]convergecast.MomentsVec) {
+func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, Transport, []float64, []convergecast.MomentsVec) {
 	t.Helper()
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
@@ -51,9 +51,9 @@ func TestMaxAllRootsConverge(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := agg.Exact(agg.Max, values, 0)
-		for r, v := range res.Estimates {
+		for k, v := range res.Estimates {
 			if v != want {
-				t.Fatalf("loss=%v: root %d has %v, want %v", loss, r, v, want)
+				t.Fatalf("loss=%v: root slot %d has %v, want %v", loss, k, v, want)
 			}
 		}
 	}
@@ -110,9 +110,9 @@ func TestSpreadReachesAllRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, v := range res.Estimates {
+	for k, v := range res.Estimates {
 		if v != 1234.5 {
-			t.Fatalf("root %d got %v after spread", r, v)
+			t.Fatalf("root slot %d got %v after spread", k, v)
 		}
 	}
 }
@@ -145,8 +145,8 @@ func TestAveConvergesTheorem7(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := agg.Exact(agg.Average, values, 0)
-	if e := agg.RelError(res.Estimates[z], want); e > 1e-6 {
-		t.Fatalf("largest-root estimate %v, want %v (rel err %v)", res.Estimates[z], want, e)
+	if e := agg.RelError(res.Estimates[f.Slot(z)], want); e > 1e-6 {
+		t.Fatalf("largest-root estimate %v, want %v (rel err %v)", res.Estimates[f.Slot(z)], want, e)
 	}
 	// The trajectory must end far more accurate than it started.
 	traj := res.Trajectory
@@ -163,15 +163,15 @@ func TestAveMassConservationLossless(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 27})
 	values := agg.GenUniform(n, 0, 10, 11)
-	f, tr, _, covsum := phase12(t, eng, values)
+	_, tr, _, covsum := phase12(t, eng, values)
 	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sTot, gTot float64
-	for _, r := range f.Roots() {
-		sTot += res.Mass[r].Sum
-		gTot += res.Mass[r].Count
+	for _, m := range res.Mass {
+		sTot += m.Sum
+		gTot += m.Count
 	}
 	if math.Abs(sTot-agg.Exact(agg.Sum, values, 0)) > 1e-6 {
 		t.Fatalf("push-sum lost value mass: %v", sTot)
@@ -198,8 +198,8 @@ func TestAveLargestRootOnlyGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := agg.Exact(agg.Average, values, 0)
-	if e := math.Abs(res.Estimates[z] - want); e > 0.01 {
-		t.Fatalf("largest root estimate %v, want %v", res.Estimates[z], want)
+	if e := math.Abs(res.Estimates[f.Slot(z)] - want); e > 0.01 {
+		t.Fatalf("largest root estimate %v, want %v", res.Estimates[f.Slot(z)], want)
 	}
 	var errs []float64
 	for _, v := range res.Estimates {
@@ -235,8 +235,8 @@ func TestAveUnderLossStaysClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := agg.Exact(agg.Average, values, 0)
-	if e := agg.RelError(res.Estimates[z], want); e > 0.05 {
-		t.Fatalf("estimate %v vs %v: rel err %v too large under loss", res.Estimates[z], want, e)
+	if e := agg.RelError(res.Estimates[f.Slot(z)], want); e > 0.05 {
+		t.Fatalf("estimate %v vs %v: rel err %v too large under loss", res.Estimates[f.Slot(z)], want, e)
 	}
 }
 
@@ -278,8 +278,8 @@ func TestAveZeroMeanValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Estimates[z]) > 1e-6 {
-		t.Fatalf("zero-mean estimate %v", res.Estimates[z])
+	if math.Abs(res.Estimates[f.Slot(z)]) > 1e-6 {
+		t.Fatalf("zero-mean estimate %v", res.Estimates[f.Slot(z)])
 	}
 }
 
@@ -288,13 +288,22 @@ func TestMissingInitRejected(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 32})
 	values := agg.GenUniform(n, 0, 1, 16)
 	f, tr, covmax, covsum := phase12(t, eng, values)
-	delete(covmax, f.Roots()[0])
-	if _, err := Max(tr, covmax); err == nil {
-		t.Fatal("missing max init accepted")
+	for _, init := range [][]float64{covmax[1:], append(covmax, 0)} {
+		if _, err := Max(tr, init); err == nil {
+			t.Fatalf("%d max init values for %d roots accepted", len(init), f.NumTrees())
+		}
 	}
-	delete(covsum, f.Roots()[0])
-	if _, err := Ave(tr, covsum, AveOptions{TrackRoot: -1}); err == nil {
-		t.Fatal("missing ave init accepted")
+	for _, init := range [][]convergecast.MomentsVec{covsum[1:], append(covsum, convergecast.MomentsVec{})} {
+		if _, err := Ave(tr, init, AveOptions{TrackRoot: -1}); err == nil {
+			t.Fatalf("%d ave init vectors for %d roots accepted", len(init), f.NumTrees())
+		}
+	}
+	nonRoot := f.Roots()[0] + 1
+	for f.IsRoot(nonRoot) {
+		nonRoot++
+	}
+	if _, err := Ave(tr, covsum, AveOptions{TrackRoot: nonRoot}); err == nil {
+		t.Fatalf("tracking non-root %d accepted", nonRoot)
 	}
 }
 
@@ -321,9 +330,9 @@ func TestWithCrashes(t *testing.T) {
 	}
 	aliveVals := agg.Subset(values, eng.AliveIDs())
 	want := agg.Exact(agg.Max, aliveVals, 0)
-	for r, v := range res.Estimates {
+	for k, v := range res.Estimates {
 		if v != want {
-			t.Fatalf("root %d has %v, want alive-max %v", r, v, want)
+			t.Fatalf("root slot %d has %v, want alive-max %v", k, v, want)
 		}
 	}
 }
@@ -380,7 +389,7 @@ func TestMomentsTriplePushSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := f.LargestRoot()
+	z := f.Slot(f.LargestRoot())
 	mean, m2 := res.Estimates[z], res.Mass[z].Sum2/res.Mass[z].Count
 	wantMean := agg.Exact(agg.Average, values, 0)
 	wantM2 := 0.0
@@ -421,7 +430,7 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := f.LargestRoot()
+	z := f.Slot(f.LargestRoot())
 	wantMean := agg.Exact(agg.Average, values, 0)
 	if agg.RelError(res.Estimates[z], wantMean) > 1e-3 {
 		t.Fatalf("mean at z = %v, want %v under loss", res.Estimates[z], wantMean)
@@ -444,7 +453,7 @@ func TestMomentsMissingInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Ave(tr, map[int]convergecast.MomentsVec{}, AveOptions{TrackRoot: -1}); err == nil {
-		t.Fatal("missing init accepted")
+	if _, err := Ave(tr, make([]convergecast.MomentsVec, f.NumTrees()-1), AveOptions{TrackRoot: -1}); err == nil {
+		t.Fatal("init one short of the root count accepted")
 	}
 }

@@ -64,6 +64,31 @@ func BenchmarkPerfEngineSendLossy(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfEngineSendEach measures the neighbourhood round Local-DRR's
+// rank exchange runs on: n senders × 16 neighbours through SendEach, each
+// receipt folded into a per-receiver max, plus the Tick. No Message is
+// queued, so the round is allocation-free at any size.
+func BenchmarkPerfEngineSendEach(b *testing.B) {
+	const n, deg = 1024, 16
+	e := sim.NewEngine(n, sim.Options{Seed: 6, Loss: 0.02})
+	to := make([][]int, n)
+	for s := range to {
+		for k := 0; k < deg; k++ {
+			to[s] = append(to[s], (s+1+k*(n/deg))%n)
+		}
+	}
+	heard := make([]int, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < n; s++ {
+			e.SendEach(s, to[s], func(r int) { heard[r] = max(heard[r], s) })
+		}
+		e.Tick()
+	}
+	b.ReportMetric(float64(e.Stats().Messages)/float64(b.N)/n, "msgs/node")
+}
+
 // BenchmarkPerfEngineRouted measures the routed transport (staggered
 // multi-round deliveries through the ring buffer).
 func BenchmarkPerfEngineRouted(b *testing.B) {

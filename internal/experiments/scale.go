@@ -66,12 +66,12 @@ const sc1MemLegN = 1_000_000
 
 // sc1MemBudgetMB is the peak-RSS budget for the chord memory leg at
 // n = 10^6. The leg runs under a soft runtime memory limit
-// (sc1MemLimit) that makes the GC bound the transient Θ(|E|) rank-burst
-// heap — the live set is ~5 GB of in-flight messages, unconstrained GC
-// headroom used to push peak RSS past 11 GB — and the budget allows
-// ~2 GB of non-heap/overshoot slack on top of that limit. The implicit
-// graph itself contributes nothing (the materialized chord adjacency it
-// replaced added ~1 GB on its own).
+// (sc1MemLimit), and the budget allows ~2 GB of non-heap/overshoot
+// slack on top of that limit. The leg peaks near 0.4 GB (2-vCPU x86-64
+// host): Local-DRR's O(|E|) rank exchange keeps only O(n) state, so the
+// budget is headroom, not a fit. The implicit graph itself contributes
+// nothing (the materialized chord adjacency it replaced added ~1 GB on
+// its own).
 const sc1MemBudgetMB = 10240
 
 // sc1MemLimit is the soft Go runtime memory limit active during the

@@ -25,8 +25,11 @@ const (
 // at Roots()[k], so slots follow ascending root id. Phases II–III keep
 // every per-root value in a slice indexed by slot.
 type Forest struct {
-	parent   []int
-	children [][]int
+	parent []int
+	// Children in CSR form: node i's children, ascending, are
+	// kids[kidStart[i]:kidStart[i+1]] (kidStart has n+1 entries).
+	kidStart []int
+	kids     []int
 	slot     []int // per-node root slot (-1 for non-members)
 	depth    []int // per-node depth from its root (0 at roots)
 	roots    []int // sorted root list: roots[k] is slot k's root
@@ -41,7 +44,7 @@ func FromParents(parent []int) (*Forest, error) {
 	n := len(parent)
 	f := &Forest{
 		parent:   append([]int(nil), parent...),
-		children: make([][]int, n),
+		kidStart: make([]int, n+1),
 		slot:     make([]int, n),
 		depth:    make([]int, n),
 	}
@@ -64,8 +67,21 @@ func FromParents(parent []int) (*Forest, error) {
 			return nil, fmt.Errorf("forest: node %d has non-member parent %d", i, p)
 		default:
 			f.slot[i] = unresolved
-			f.children[p] = append(f.children[p], i)
+			f.kidStart[p]++
 			f.members++
+		}
+	}
+	// Counting pass: the inclusive prefix sum turns kidStart[p] into the
+	// end of p's child range; filing children in descending id then walks
+	// each end back to its start and leaves every range sorted ascending.
+	for i := 1; i <= n; i++ {
+		f.kidStart[i] += f.kidStart[i-1]
+	}
+	f.kids = make([]int, f.kidStart[n])
+	for i := n - 1; i >= 0; i-- {
+		if p := parent[i]; p >= 0 {
+			f.kidStart[p]--
+			f.kids[f.kidStart[p]] = i
 		}
 	}
 	// Every parent is a member, so each walk ends at a resolved node
@@ -107,14 +123,17 @@ func (f *Forest) Parent(i int) int { return f.parent[i] }
 
 // Children returns node i's children (sorted ascending by construction).
 // The caller must not modify the returned slice.
-func (f *Forest) Children(i int) []int { return f.children[i] }
+func (f *Forest) Children(i int) []int {
+	lo, hi := f.kidStart[i], f.kidStart[i+1]
+	return f.kids[lo:hi:hi]
+}
 
 // IsRoot reports whether node i is a tree root.
 func (f *Forest) IsRoot(i int) bool { return f.parent[i] == Root }
 
 // IsLeaf reports whether node i is a member with no children.
 func (f *Forest) IsLeaf(i int) bool {
-	return f.Member(i) && len(f.children[i]) == 0
+	return f.Member(i) && f.kidStart[i] == f.kidStart[i+1]
 }
 
 // Roots returns the sorted list of tree roots: Roots()[k] is the root of
@@ -202,7 +221,8 @@ func (f *Forest) MaxHeight() int {
 }
 
 // LeavesFirst returns members ordered by decreasing depth (leaves before
-// their parents): the schedule order for convergecast.
+// their parents), ascending id within a depth: the schedule order for
+// convergecast.
 func (f *Forest) LeavesFirst() []int {
 	maxD := 0
 	for i := range f.depth {
@@ -210,15 +230,23 @@ func (f *Forest) LeavesFirst() []int {
 			maxD = f.depth[i]
 		}
 	}
-	buckets := make([][]int, maxD+1)
-	for i := range f.depth {
+	// Counting sort on maxD-depth: start[k] is where the members at depth
+	// maxD-k begin in the output.
+	start := make([]int, maxD+2)
+	for i, d := range f.depth {
 		if f.Member(i) {
-			buckets[f.depth[i]] = append(buckets[f.depth[i]], i)
+			start[maxD-d+1]++
 		}
 	}
-	out := make([]int, 0, f.members)
-	for d := maxD; d >= 0; d-- {
-		out = append(out, buckets[d]...)
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	out := make([]int, f.members)
+	for i, d := range f.depth {
+		if f.Member(i) {
+			out[start[maxD-d]] = i
+			start[maxD-d]++
+		}
 	}
 	return out
 }

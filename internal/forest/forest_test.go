@@ -298,6 +298,74 @@ func TestForestProperties(t *testing.T) {
 	}
 }
 
+// TestCSRMatchesSliceReference checks the CSR children and the
+// counting-sort LeavesFirst against the per-node child slices and
+// per-depth buckets they replace, on random forests whose labels are
+// shuffled so parents may sit on either side of their children.
+func TestCSRMatchesSliceReference(t *testing.T) {
+	for seed := uint64(0); seed < 50; seed++ {
+		n := 1 + int(seed*37%300)
+		parents := randomParents(n, seed)
+		perm := xrand.Derive(seed, 0xC5, uint64(n)).Perm(n)
+		shuffled := make([]int, n)
+		for i, p := range parents {
+			if p >= 0 {
+				p = perm[p]
+			}
+			shuffled[perm[i]] = p
+		}
+		for _, par := range [][]int{parents, shuffled} {
+			f, err := FromParents(par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			children := make([][]int, n)
+			maxD := 0
+			for i, p := range par {
+				if p >= 0 {
+					children[p] = append(children[p], i)
+				}
+				if f.Member(i) {
+					maxD = max(maxD, f.Depth(i))
+				}
+			}
+			buckets := make([][]int, maxD+1)
+			for i := range par {
+				if f.Member(i) {
+					buckets[f.Depth(i)] = append(buckets[f.Depth(i)], i)
+				}
+			}
+			var order []int
+			for d := maxD; d >= 0; d-- {
+				order = append(order, buckets[d]...)
+			}
+			for i := 0; i < n; i++ {
+				got := f.Children(i)
+				if len(got) != len(children[i]) || cap(got) != len(got) {
+					t.Fatalf("seed %d: Children(%d) = %v (cap %d), want %v", seed, i, got, cap(got), children[i])
+				}
+				for k := range got {
+					if got[k] != children[i][k] {
+						t.Fatalf("seed %d: Children(%d) = %v, want %v", seed, i, got, children[i])
+					}
+				}
+				if f.IsLeaf(i) != (f.Member(i) && len(children[i]) == 0) {
+					t.Fatalf("seed %d: IsLeaf(%d) = %v", seed, i, f.IsLeaf(i))
+				}
+			}
+			got := f.LeavesFirst()
+			if len(got) != len(order) {
+				t.Fatalf("seed %d: LeavesFirst has %d members, want %d", seed, len(got), len(order))
+			}
+			for k := range got {
+				if got[k] != order[k] {
+					t.Fatalf("seed %d: LeavesFirst = %v, want %v", seed, got, order)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkFromParents(b *testing.B) {
 	parents := randomParents(8192, 1)
 	b.ResetTimer()

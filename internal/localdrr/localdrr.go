@@ -44,7 +44,6 @@ type Result struct {
 	Orphans int
 }
 
-const kindRank uint8 = 0x11
 const kindConnect uint8 = 0x12
 
 // Run executes Local-DRR on the engine over graph g (g.N() == eng.N()).
@@ -70,8 +69,15 @@ func Run(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 
 	// Rank exchange: every node sends its rank to all neighbours (the
 	// sparse model allows simultaneous neighbour messages in one round).
+	// A receiver only needs the best rank it heard, so each exchange
+	// folds receipts into heard/heardFrom as they are sent — senders in
+	// ascending id, first maximum kept — and after the Tick folds those
+	// into best/bestRank for receivers still alive: the same result, tie
+	// for tie, as scanning the delivered inboxes in send order.
 	best := make([]int, n) // highest-ranked neighbour heard from, -1 none
 	bestRank := make([]float64, n)
+	heardFrom := make([]int, n) // this exchange's best sender, -1 none
+	heard := make([]float64, n)
 	for i := range best {
 		best[i] = -1
 		bestRank[i] = math.Inf(-1)
@@ -81,25 +87,28 @@ func Run(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	// implicit/CSR representations must not be touched from here.
 	nbuf := make([]int, 0, 64)
 	for r := 0; r < exchanges; r++ {
+		for i := range heard {
+			heardFrom[i] = -1
+			heard[i] = math.Inf(-1)
+		}
 		for i := 0; i < n; i++ {
 			if !eng.Alive(i) {
 				continue
 			}
 			nbuf = g.NeighborsInto(i, nbuf)
-			for _, nb := range nbuf {
-				eng.Send(i, nb, sim.Payload{Kind: kindRank, A: ranks[i], X: int64(i)})
-			}
+			from, rank := i, ranks[i]
+			eng.SendEach(from, nbuf, func(to int) {
+				if rank > heard[to] {
+					heard[to] = rank
+					heardFrom[to] = from
+				}
+			})
 		}
 		eng.Tick()
 		sim.ParallelFor(n, func(i int) {
-			if !eng.Alive(i) {
-				return
-			}
-			for _, m := range eng.Inbox(i) {
-				if m.Pay.Kind == kindRank && m.Pay.A > bestRank[i] {
-					bestRank[i] = m.Pay.A
-					best[i] = int(m.Pay.X)
-				}
+			if eng.Alive(i) && heard[i] > bestRank[i] {
+				bestRank[i] = heard[i]
+				best[i] = heardFrom[i]
 			}
 		})
 	}

@@ -267,8 +267,8 @@ func NewEngine(n int, opts Options) *Engine {
 		rngs:     make([]xrand.Stream, n),
 		rngSet:   make([]bool, n),
 		// Enough pooled capacity for several steady-state rounds of
-		// O(n) traffic; burst rounds (e.g. an O(|E|) rank exchange) may
-		// exceed it and are then freed rather than retained.
+		// O(n) traffic; a rarer larger round is freed rather than
+		// retained.
 		poolBudget: max(8192, 4*n),
 	}
 	e.Reset(opts)
@@ -727,10 +727,10 @@ func (e *Engine) PendingEmpty() bool { return e.inflight == 0 }
 
 // recycle parks a drained queue's backing array in the pool for reuse by
 // any slot×shard queue, unless retaining it would push the pool past its
-// capacity budget — burst arrays (an O(|E|) rank exchange at 10^7 nodes)
-// are dropped for the GC instead of ballooning the resident set. Pool
-// traffic happens only on the engine's sequential path (Tick's drain
-// loop, Reset, scheduleAt), never from delivery workers.
+// capacity budget — arrays from a round that queued far more than O(n)
+// messages are dropped for the GC instead of ballooning the resident
+// set. Pool traffic happens only on the engine's sequential path (Tick's
+// drain loop, Reset, scheduleAt), never from delivery workers.
 func (e *Engine) recycle(q []Message) {
 	if c := cap(q); c > 0 && e.poolCap+c <= e.poolBudget {
 		e.pool = append(e.pool, q[:0])
@@ -804,6 +804,30 @@ func (e *Engine) Send(from, to int, p Payload) {
 	}
 	if e.attempt(from, to) {
 		e.scheduleAt(e.c.Rounds+1, Message{From: from, To: to, Pay: p})
+	}
+}
+
+// SendEach transmits one message from `from` to each of to[0], to[1], …
+// in order — the sparse model's neighbourhood round — and hands every
+// survivor straight to deliver instead of queuing a Message. Each
+// element costs exactly what Send costs: one message billed, one
+// sequence number, the same loss, link-fault and receiver-alive checks,
+// so the counters and every later loss decision match len(to) Send
+// calls. A dead sender is a no-op, as in Send.
+//
+// Nothing reaches the ring or the inboxes. The contract is the caller's:
+// it treats each receipt as delivered at the next Tick and drops those
+// whose receiver is not Alive after it, exactly as Tick discards
+// messages to a node crashed in the meantime. deliver runs on the
+// engine's sequential path, in send order.
+func (e *Engine) SendEach(from int, to []int, deliver func(to int)) {
+	if !e.alive.Test(from) {
+		return
+	}
+	for _, t := range to {
+		if e.attempt(from, t) {
+			deliver(t)
+		}
 	}
 }
 

@@ -27,18 +27,19 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Documentation gate: every exported identifier in the root package,
+# the engine (internal/sim) and its fault layer (internal/faults),
 # internal/overlay, the async subsystem, the pipeline, its Phase I
 # builders (internal/drr, internal/localdrr and the baselines'
 # internal/kashyap and internal/pietro), the ranking forest and its root
-# slots (internal/forest), Phase II (internal/convergecast), its Phase
-# III transports (internal/chord, internal/gossip, internal/hms) and the
-# DRR applications (internal/drrapps) must carry a doc comment (see
-# cmd/godoclint).
+# slots (internal/forest), Phase II (internal/convergecast) and its
+# Phase III transports (internal/chord, internal/gossip, internal/hms)
+# must carry a doc comment (see cmd/godoclint).
 doc-check:
-	$(GO) run ./cmd/godoclint . ./internal/overlay ./internal/async ./internal/pairwise \
+	$(GO) run ./cmd/godoclint . ./internal/sim ./internal/faults ./internal/overlay \
+		./internal/async ./internal/pairwise \
 		./internal/chord ./internal/drrgossip ./internal/gossip ./internal/hms \
 		./internal/drr ./internal/localdrr ./internal/forest ./internal/convergecast \
-		./internal/pietro ./internal/kashyap ./internal/drrapps
+		./internal/pietro ./internal/kashyap
 
 # Run every examples/* program end to end; each exits nonzero when its
 # computed answers are wrong. The binaries run inside a temporary

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"drrgossip/internal/agg"
-	"drrgossip/internal/drrapps"
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/kashyap"
@@ -18,12 +17,12 @@ import (
 // baselineRun is the part of a forest protocol's outcome a refactor of
 // the shared Phases II–III must preserve.
 type baselineRun struct {
-	value     float64   // the aggregate, or the leader id
-	perNode   []float64 // per-node values, leader beliefs or parents
+	value     float64   // the aggregate
+	perNode   []float64 // every node's final value
 	consensus bool
 	stats     sim.Counters // the whole run
-	phase1    sim.Counters // forest building alone (zero when not reported)
-	trees     int          // forest trees; the spanning tree's depth
+	phase1    sim.Counters // forest building alone
+	trees     int          // forest trees
 }
 
 func (b baselineRun) digest() uint64 {
@@ -53,36 +52,14 @@ func (b baselineRun) digest() uint64 {
 	return h.Sum64()
 }
 
-func intsAsFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // baselineAlgos runs each forest protocol outside the facade: the two
 // Table 1 baselines (Phase I clusterhead bootstrap and Kashyap merge
-// phases) and the §6 applications over DRR.
+// phases).
 var baselineAlgos = map[string]func(eng *sim.Engine, values []float64) (baselineRun, error){
 	"pietro-max":  forestAlgo(pietro.Bootstrap, core.Max),
 	"pietro-ave":  forestAlgo(pietro.Bootstrap, core.Ave),
 	"kashyap-max": forestAlgo(kashyap.BuildForest, core.Max),
 	"kashyap-ave": forestAlgo(kashyap.BuildForest, core.Ave),
-	"elect": func(eng *sim.Engine, _ []float64) (baselineRun, error) {
-		r, err := drrapps.ElectLeader(eng)
-		if err != nil {
-			return baselineRun{}, err
-		}
-		return baselineRun{float64(r.Leader), intsAsFloats(r.PerNode), r.Consensus, r.Stats, sim.Counters{}, r.Forest.NumTrees()}, nil
-	},
-	"span": func(eng *sim.Engine, _ []float64) (baselineRun, error) {
-		r, err := drrapps.BuildSpanningTree(eng)
-		if err != nil {
-			return baselineRun{}, err
-		}
-		return baselineRun{float64(r.Leader), intsAsFloats(r.Parent), true, r.Stats, sim.Counters{}, r.Depth}, nil
-	},
 }
 
 // forestAlgo runs the shared Phases II–III over a baseline's Phase I.
@@ -96,8 +73,8 @@ func forestAlgo(build func(*sim.Engine) (*forest.Forest, []int, error), kind cor
 	}
 }
 
-// TestBaselineDigests pins the Table 1 baselines and the §6 DRR
-// applications bit for bit on lossless, lossy, crashed and lossy+crashed
+// TestBaselineDigests pins the Table 1 baselines bit for bit on
+// lossless, lossy, crashed and lossy+crashed
 // engines: value, every per-node bit, consensus, the bill and its Phase I
 // share, and the forest's tree count.
 func TestBaselineDigests(t *testing.T) {
@@ -146,22 +123,6 @@ func TestBaselineDigests(t *testing.T) {
 		{"kashyap-ave", "crash", 1024, 103, 0xb0910486cc373b8d},
 		{"kashyap-ave", "loss+crash", 64, 17, 0x62fe8d9848719f88},
 		{"kashyap-ave", "loss+crash", 1024, 145, 0xd1f99118a4ffecfb},
-		{"elect", "clean", 64, 13, 0x9f689e4223f93ec1},
-		{"elect", "clean", 1024, 105, 0x5e8dad4c78195e0e},
-		{"elect", "loss", 64, 15, 0x58ce88084e93ad10},
-		{"elect", "loss", 1024, 120, 0xbb2e3e05b65285ea},
-		{"elect", "crash", 64, 10, 0x5cfee716f147d27c},
-		{"elect", "crash", 1024, 103, 0xad019e87cc3cc7b5},
-		{"elect", "loss+crash", 64, 13, 0xed31b0366f40a6c1},
-		{"elect", "loss+crash", 1024, 119, 0xb61018ce3321408f},
-		{"span", "clean", 64, 5, 0x60bac22f3dfd401},
-		{"span", "clean", 1024, 10, 0x62ffaec6abd5db1},
-		{"span", "loss", 64, 6, 0x266421cd9c22d8fb},
-		{"span", "loss", 1024, 8, 0x12337f76599ee98b},
-		{"span", "crash", 64, 5, 0xd8145849ccc3d702},
-		{"span", "crash", 1024, 10, 0x63ecaf5a604b06f},
-		{"span", "loss+crash", 64, 4, 0xcdcfc388cfe5c343},
-		{"span", "loss+crash", 1024, 10, 0xfc5162b211de6318},
 	}
 	for _, r := range rows {
 		opts := engines[r.engine]

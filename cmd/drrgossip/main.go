@@ -18,7 +18,7 @@
 //	go run ./cmd/drrgossip -n 4096 -agg histogram -edges 250,500,750
 //	go run ./cmd/drrgossip -n 1024 -agg average -faults "crash:0.2@0.5"
 //	go run ./cmd/drrgossip -n 1024 -agg sum -faults "churn:0.3:40" -progress 200
-//	go run ./cmd/drrgossip -n 1000000 -agg average -topology chord -workers 8
+//	go run ./cmd/drrgossip -n 1000000 -agg average -topology chord
 //	go run ./cmd/drrgossip -n 4096 -agg quantile -trace trace.json   # chrome://tracing
 //	go run ./cmd/drrgossip -n 4096 -agg average -events run.jsonl
 //	go run ./cmd/drrgossip -n 100000 -agg quantile -http 127.0.0.1:8123
@@ -60,7 +60,6 @@ func main() {
 		quantMethod = flag.String("quantile-method", "bisect",
 			"quantile driver: bisect (the golden reference) or hms (Haeupler–Mohapatra–Su gossip sampling)")
 		progress = flag.Int("progress", 0, "stream a live progress line to stderr every K rounds (0 = off)")
-		workers  = flag.Int("workers", 0, "in-run delivery shards for large n (0/1 = sequential; results identical for any value)")
 		lo       = flag.Float64("lo", 0, "value range low")
 		hi       = flag.Float64("hi", 1000, "value range high")
 		trace    = flag.String("trace", "", "write the session as a Chrome trace-event timeline to this file (chrome://tracing, ui.perfetto.dev)")
@@ -69,7 +68,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := drrgossip.Config{N: *n, Seed: *seed, Loss: *loss, CrashFraction: *crash, Workers: *workers}
+	cfg := drrgossip.Config{N: *n, Seed: *seed, Loss: *loss, CrashFraction: *crash}
 	topo, err := drrgossip.ParseTopology(*topology)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drrgossip: %v\n", err)

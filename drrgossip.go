@@ -63,14 +63,13 @@
 //
 // # Scale
 //
-// A single run scales to a million nodes: Config.Workers shards the
-// engine's delivery step within the run (answers stay bit-identical
-// for any worker count), and Config.SampleNodes bounds how much
-// per-node state an Answer materializes (none by default; AllNodes for
-// the full vector). The SC1 experiment (cmd/benchtab -experiment SC1)
-// is the scaling study behind the README's "Scaling" section; see
-// docs/ARCHITECTURE.md for how sharding preserves determinism and
-// docs/PAPER_MAP.md for the theorem-to-code map.
+// A single run scales to a million nodes: the engine's Tick touches only
+// the inboxes it fills, and Config.SampleNodes bounds how much per-node
+// state an Answer materializes (none by default; AllNodes for the full
+// vector). The SC1 experiment (cmd/benchtab -experiment SC1) is the
+// scaling study behind the README's "Scaling" section; see
+// docs/ARCHITECTURE.md for the memory model and docs/PAPER_MAP.md for
+// the theorem-to-code map.
 package drrgossip
 
 import (
@@ -256,7 +255,8 @@ type Config struct {
 	CrashFraction float64
 	// Topology selects Complete (default) or a sparse overlay.
 	Topology Topology
-	// ChordBits sets the Chord identifier width (0 = 40).
+	// ChordBits sets the Chord identifier width: 0 means 40, otherwise
+	// it must lie in [1,62] with 2^ChordBits >= N.
 	ChordBits int
 	// ChordHashed places Chord identifiers pseudo-randomly instead of
 	// evenly (more realistic, slightly non-uniform sampling).
@@ -279,12 +279,11 @@ type Config struct {
 	// path then installs no observers and allocates nothing extra
 	// (pinned by the bench guard). See docs/OBSERVABILITY.md.
 	Telemetry *telemetry.Options
-	// Workers shards a single run's delivery step across this many
-	// goroutines inside the engine (0 or 1 = sequential). Answers are
-	// bit-identical for any value — sharding is a speed knob for large N
-	// (see README, "Scaling"), not a semantic one. It is independent of
-	// BatchOptions.Parallelism, which fans *whole runs* of a batch across
-	// workers.
+	// Workers is accepted for compatibility; negative values are still
+	// rejected. BatchOptions.Parallelism is the parallelism knob: it fans
+	// whole runs of a batch across workers.
+	//
+	// Deprecated: has no effect.
 	Workers int
 	// SampleNodes controls how much per-node state a query's Answer
 	// materializes:
@@ -294,7 +293,7 @@ type Config struct {
 	//	 k > 0        Answer.PerNode holds the final values of min(k, N)
 	//	              nodes drawn deterministically from (Seed, N, k) —
 	//	              the ids are reported in Answer.SampleIDs and are
-	//	              identical for any Workers value;
+	//	              identical for every query of the session;
 	//	 AllNodes     the full N-entry PerNode slice.
 	SampleNodes int
 	// Mode selects the execution model: Sync (default) runs the paper's
@@ -459,6 +458,14 @@ func (c Config) validate() error {
 	if err := overlay.Check(c.Topology.spec(), c.N); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
+	if c.Topology.name == "chord" {
+		if c.ChordBits < 0 || c.ChordBits > 62 {
+			return fmt.Errorf("%w: ChordBits must be 0 (= 40) or in [1,62], got %d", ErrBadConfig, c.ChordBits)
+		}
+		if c.ChordBits != 0 && 1<<c.ChordBits < c.N {
+			return fmt.Errorf("%w: N = %d exceeds the 2^%d Chord identifier space", ErrBadConfig, c.N, c.ChordBits)
+		}
+	}
 	return nil
 }
 
@@ -471,7 +478,7 @@ func (c Config) checkValues(values []float64) error {
 }
 
 func (c Config) simOptions() sim.Options {
-	return sim.Options{Seed: c.Seed, Loss: c.Loss, CrashFrac: c.CrashFraction, Shards: c.Workers}
+	return sim.Options{Seed: c.Seed, Loss: c.Loss, CrashFrac: c.CrashFraction}
 }
 
 func (c Config) asyncOptions() async.Options {

@@ -171,6 +171,11 @@ func TestConfigValidation(t *testing.T) {
 		// meets the same check at New.
 		{N: 8, Seed: 1, Faults: faults.LossSpike(math.NaN(), faults.AtFrac(0.2), faults.AtFrac(0.8))},
 		{N: 8, Seed: 1, Faults: faults.LossSpike(1.5, faults.AtFrac(0.1), faults.AtFrac(0.9))},
+		// Chord's identifier width is checked at New like every other
+		// limit, not left to the ring constructor's raw error.
+		{N: 64, Seed: 1, Topology: Chord, ChordBits: -3},
+		{N: 64, Seed: 1, Topology: Chord, ChordBits: 63},
+		{N: 64, Seed: 1, Topology: Chord, ChordBits: 3}, // 2^3 < 64 identifiers
 	}
 	for _, spec := range []string{"loss:nan@0.2..0.8", "loss:NaN@0.1..0.9", "loss:1.5@0.2..0.8"} {
 		if _, err := ParseFaultPlan(spec); !errors.Is(err, ErrBadConfig) {
@@ -178,11 +183,7 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	for i, cfg := range cases {
-		vals := values
-		if cfg.N == 1 {
-			vals = values[:1]
-		}
-		if _, err := runOnce(cfg, MaxOf(vals)); !errors.Is(err, ErrBadConfig) {
+		if _, err := runOnce(cfg, MaxOf(uniformValues(cfg.N, 1))); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("case %d: error = %v, want ErrBadConfig", i, err)
 		}
 	}

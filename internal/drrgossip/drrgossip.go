@@ -7,8 +7,8 @@
 //   - Phase I builds the ranking forest: DRR on the complete graph, or
 //     Local-DRR over a sparse overlay's links (Section 4, Theorem 11).
 //     RunForest takes any other forest builder instead: the Table 1
-//     baselines (internal/kashyap, internal/pietro) and the §6
-//     applications (internal/drrapps) differ from DRR-gossip only here;
+//     baselines (internal/kashyap, internal/pietro) differ from
+//     DRR-gossip only here;
 //   - Phase II convergecasts each tree's aggregate to its root and
 //     broadcasts the root address down the tree;
 //   - Phase III gossips among the roots and disseminates the answer down

@@ -165,25 +165,15 @@ func RunAS1(cfg Config) (*Report, error) {
 
 	// Determinism: the async engine is strictly sequential, so repeats are
 	// bit-identical structurally — pinned here end to end through the
-	// facade, including a run with a different Workers value (a sync-mode
-	// speed knob the async path must ignore).
+	// facade.
 	det, _, err := as1Run(cfg, facade.Complete, "uniform", n, values)
-	if err != nil {
-		return nil, err
-	}
-	detW, err := facade.New(facade.Config{N: n, Seed: xrand.Hash(cfg.Seed, 0xA51, uint64(n)),
-		Mode: facade.Async, AsyncEps: as1Eps, Workers: 8})
-	if err != nil {
-		return nil, err
-	}
-	detWAns, err := detW.Run(facade.AverageOf(values))
 	if err != nil {
 		return nil, err
 	}
 
 	comp, sw := answers["complete"], answers["smallworld"]
 	uni := comp["uniform"]
-	detOK := sameAsyncAnswer(det, uni) && sameAsyncAnswer(detWAns, uni)
+	detOK := sameAsyncAnswer(det, uni)
 	rep.Verdicts = append(rep.Verdicts,
 		verdictf(fmt.Sprintf("uniform pairwise converges to ε=%.0e on complete at n=%d, mean exact", as1Eps, n),
 			uni.Converged && agg.RelError(uni.Value, agg.Exact(agg.Average, values, 0)) <= 10*as1Eps,
@@ -201,8 +191,8 @@ func RunAS1(cfg Config) (*Report, error) {
 			"drr %d msgs (%.1f/n) vs uniform pairwise %d msgs (%.1f/n)",
 			comp["drr"].Cost.Messages, float64(comp["drr"].Cost.Messages)/float64(n),
 			uni.Cost.Messages, float64(uni.Cost.Messages)/float64(n)),
-		verdictf("async runs are bit-identical across repeats and Workers values",
-			detOK, "repeat value %.9g cost %+v; workers=8 value %.9g", det.Value, det.Cost, detWAns.Value),
+		verdictf("async runs are bit-identical across repeats",
+			detOK, "repeat value %.9g cost %+v", det.Value, det.Cost),
 	)
 	return rep, nil
 }

@@ -52,14 +52,12 @@ type qh1Point struct {
 // so every row is a differential test; the verdicts pin the agreement
 // bound, the asymptotic shapes (the HMS sampling session is ~ log n
 // rounds and its run count stays bounded, while bisection's run count
-// grows like log n because tol shrinks with n), the headline round
-// ratio at the largest Complete point, and delivery-shard bit-identity
-// of the HMS driver.
+// grows like log n because tol shrinks with n) and the headline round
+// ratio at the largest Complete point.
 func RunQH1(cfg Config) (*Report, error) {
 	completeNs := []int{1000, 10000, 100000, 1000000}
 	chordNs := []int{1000, 10000, 100000}
 	ratioBound := 5.0
-	identN := 10000
 	if cfg.Quick {
 		completeNs = []int{1000, 10000, 100000}
 		chordNs = []int{1000, 10000}
@@ -68,17 +66,17 @@ func RunQH1(cfg Config) (*Report, error) {
 		// full tier enforces >= 5x at 10^6.
 		ratioBound = 3.0
 	}
-	return runQH1(cfg, completeNs, chordNs, ratioBound, identN)
+	return runQH1(cfg, completeNs, chordNs, ratioBound)
 }
 
-func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64, identN int) (*Report, error) {
+func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64) (*Report, error) {
 	rep := &Report{ID: "QH1", Title: "Fast quantiles: HMS sampling driver vs bisection golden reference"}
 
-	measure := func(topo drrgossip.Topology, n int, method drrgossip.QuantileMethod, workers int) (*drrgossip.Answer, time.Duration, error) {
+	measure := func(topo drrgossip.Topology, n int, method drrgossip.QuantileMethod) (*drrgossip.Answer, time.Duration, error) {
 		values := agg.GenUniform(n, 0, 1000, xrand.Hash(cfg.Seed, 0x911, uint64(n)))
 		net, err := drrgossip.New(drrgossip.Config{
 			N: n, Seed: xrand.Hash(cfg.Seed, 0x912, uint64(n)), Topology: topo,
-			Workers: workers, QuantileMethod: method, Telemetry: cfg.Telemetry,
+			QuantileMethod: method, Telemetry: cfg.Telemetry,
 		})
 		if err != nil {
 			return nil, 0, err
@@ -100,11 +98,11 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64, identN in
 		ns   []int
 	}{{drrgossip.Complete, completeNs}, {drrgossip.Chord, chordNs}} {
 		for _, n := range lad.ns {
-			h, hEl, err := measure(lad.topo, n, drrgossip.QuantileHMS, sc1Workers)
+			h, hEl, err := measure(lad.topo, n, drrgossip.QuantileHMS)
 			if err != nil {
 				return nil, err
 			}
-			b, bEl, err := measure(lad.topo, n, drrgossip.QuantileBisect, sc1Workers)
+			b, bEl, err := measure(lad.topo, n, drrgossip.QuantileBisect)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +117,7 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64, identN in
 		}
 	}
 
-	tb := tablefmt.New(fmt.Sprintf("QH1: median to tol=1000/n, HMS vs bisection (workers=%d)", sc1Workers),
+	tb := tablefmt.New("QH1: median to tol=1000/n, HMS vs bisection",
 		"topo", "n", "hms runs", "bis runs", "hms rounds", "bis rounds", "ratio", "Δmethods/tol", "Δexact hms", "elapsed")
 	for _, p := range points {
 		tb.AddRow(fmt.Sprint(p.topo), float64(p.n),
@@ -168,26 +166,6 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64, identN in
 	}
 	ratio := float64(top.bis.Cost.Rounds) / float64(top.hms.Cost.Rounds)
 
-	// Shard bit-identity of the new driver: the delivery-sharded engine
-	// must not perturb a single bit of the HMS answer or its cost.
-	base, _, err := measure(drrgossip.Complete, identN, drrgossip.QuantileHMS, 1)
-	if err != nil {
-		return nil, err
-	}
-	identical := true
-	identDetail := fmt.Sprintf("workers 1/4/8 agree at n=%d: value %.10g, cost %+v", identN, base.Value, base.Cost)
-	for _, w := range []int{4, 8} {
-		alt, _, err := measure(drrgossip.Complete, identN, drrgossip.QuantileHMS, w)
-		if err != nil {
-			return nil, err
-		}
-		if alt.Value != base.Value || alt.Converged != base.Converged || alt.Cost != base.Cost {
-			identical = false
-			identDetail = fmt.Sprintf("workers %d: value %.10g cost %+v vs workers 1: %.10g %+v",
-				w, alt.Value, alt.Cost, base.Value, base.Cost)
-		}
-	}
-
 	rep.Verdicts = append(rep.Verdicts,
 		verdictf("HMS and bisection agree within 2·tol at every ladder point", agree, "%s", agreeDetail),
 		verdictf("HMS spends fewer aggregate runs than bisection at every point", fewer, "%s", fewerDetail),
@@ -200,7 +178,6 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64, identN in
 		verdictf(fmt.Sprintf("HMS needs ≥%.0f× fewer rounds at n=%d on Complete", ratioBound, top.n),
 			ratio >= ratioBound, "bisect %d rounds / hms %d rounds = %.2f×",
 			top.bis.Cost.Rounds, top.hms.Cost.Rounds, ratio),
-		verdictf("HMS answers are bit-identical across delivery shard counts", identical, "%s", identDetail),
 	)
 	return rep, nil
 }

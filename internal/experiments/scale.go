@@ -3,15 +3,11 @@
 // numbers that only become interesting (and falsifiable) at large n.
 // SC1 sweeps the Ave pipeline from n = 10^3 up to n = 10^7 on the
 // Complete, Chord and SmallWorld topologies through the public session
-// facade in scale mode (Config.Workers sharded delivery, no PerNode
-// materialization), fits the observed rounds and message bills against
-// the per-topology reference curves, and pins two contracts:
-//
-//   - sharding: the largest tractable Chord size re-run with 1, 4 and 8
-//     workers must be bit-identical;
-//   - memory: the chord memory leg (n = 10^6 in both tiers) must fit a
-//     fixed peak-RSS budget, and the implicit chord graph must be at
-//     least 5× smaller than materialized [][]int adjacency lists.
+// facade in scale mode (no PerNode materialization), fits the observed
+// rounds and message bills against the per-topology reference curves,
+// and pins the memory contract: the chord memory leg (n = 10^6 in both
+// tiers) must fit a fixed peak-RSS budget, and the implicit chord graph
+// must be at least 5× smaller than materialized [][]int adjacency lists.
 //
 // Reference curves per topology (the paper proves different bounds for
 // dense and sparse networks — fitting everything against n log log n
@@ -41,11 +37,6 @@ import (
 	"drrgossip/internal/tablefmt"
 	"drrgossip/internal/xrand"
 )
-
-// sc1Workers is the delivery shard count the scale runs use. Any value
-// yields bit-identical numbers (the sharding contract SC1 itself
-// verifies), so the report does not depend on the host's core count.
-const sc1Workers = 8
 
 // sc1Topologies are the topologies the scaling study sweeps.
 var sc1Topologies = []facade.Topology{facade.Complete, facade.Chord, facade.SmallWorld}
@@ -77,11 +68,6 @@ const sc1MemBudgetMB = 10240
 // sc1MemLimit is the soft Go runtime memory limit active during the
 // memory leg (see sc1MemBudgetMB).
 const sc1MemLimit = 8 << 30
-
-// sc1ShardMax caps the size of the worker-sweep legs: chord at 10^7 is
-// a multi-hour single run, so the sharding contract is pinned at a
-// million nodes (still the scale-mode acceptance bar).
-const sc1ShardMax = 1_000_000
 
 // sc1Sizes returns the sweep sizes: the full tier tops out at ten
 // million nodes (Complete and Chord only — see sc1SmallWorldCap), the
@@ -146,7 +132,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 		// killer; restored on return.
 		defer debug.SetMemoryLimit(debug.SetMemoryLimit(100 << 30))
 	}
-	tb := tablefmt.New(fmt.Sprintf("SC1: Ave at scale (workers=%d, lossless)", sc1Workers),
+	tb := tablefmt.New("SC1: Ave at scale (lossless)",
 		"topology", "n", "rounds", "msgs", "msgs/n", "msgs/(n loglog n)", "trees", "elapsed", "graphMB", "rssMB")
 
 	// series[topo][metric] parallels topoNs[topo]: the SmallWorld ladder
@@ -166,9 +152,9 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	// measure runs one Ave through the facade; graphMB is the live-heap
 	// delta retained by the session build (overlay storage dominates it:
 	// ~0 for implicit Complete/Chord, the CSR arrays for SmallWorld).
-	measure := func(topo facade.Topology, n, workers int, values []float64) (*facade.Answer, time.Duration, float64, error) {
+	measure := func(topo facade.Topology, n int, values []float64) (*facade.Answer, time.Duration, float64, error) {
 		fc := facade.Config{N: n, Seed: xrand.Hash(cfg.Seed, 0x5C1, uint64(n)), Topology: topo,
-			Workers: workers, Telemetry: cfg.Telemetry}
+			Telemetry: cfg.Telemetry}
 		h0 := liveHeapMB()
 		net, err := facade.New(fc)
 		if err != nil {
@@ -186,7 +172,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	memBudgetMB := max(1536, sc1MemBudgetMB*memLegN/sc1MemLegN)
 	memValues := genValues(memLegN)
 	prevLimit := debug.SetMemoryLimit(sc1MemLimit)
-	memAns, memElapsed, _, err := measure(facade.Chord, memLegN, sc1Workers, memValues)
+	memAns, memElapsed, _, err := measure(facade.Chord, memLegN, memValues)
 	debug.SetMemoryLimit(prevLimit)
 	if err != nil {
 		return nil, fmt.Errorf("SC1 memory leg chord n=%d: %w", memLegN, err)
@@ -221,14 +207,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	}
 	lists, ig, ring = nil, nil, nil
 
-	chordMax := sizes[len(sizes)-1]
-	chordShardN := min(chordMax, sc1ShardMax)
-	type shardLeg struct {
-		ans     *facade.Answer
-		elapsed time.Duration
-	}
-	shardLegs := map[int]shardLeg{} // workers -> chord run at chordShardN
-
 	capped := false
 	for _, topo := range topos {
 		for _, n := range sizes {
@@ -237,16 +215,13 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 				continue
 			}
 			values := genValues(n)
-			ans, elapsed, graphMB, err := measure(topo, n, sc1Workers, values)
+			ans, elapsed, graphMB, err := measure(topo, n, values)
 			if err != nil {
 				return nil, fmt.Errorf("SC1 %s n=%d: %w", topo, n, err)
 			}
 			want := agg.Exact(agg.Average, values, 0)
 			if agg.RelError(ans.Value, want) > 1e-4 {
 				return nil, fmt.Errorf("SC1 %s n=%d: Ave %v drifted from exact %v", topo, n, ans.Value, want)
-			}
-			if topo == facade.Chord && n == chordShardN {
-				shardLegs[sc1Workers] = shardLeg{ans: ans, elapsed: elapsed}
 			}
 			nf := float64(n)
 			loglog := math.Log2(math.Log2(nf))
@@ -261,32 +236,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	tb.AddNote("elapsed and rssMB (peak RSS via VmHWM, monotone across rows) are host-dependent observability columns; graphMB is the live-heap delta retained by the session build; every other column is deterministic in the seed")
 	if capped {
 		tb.AddNote("smallworld capped at n=%d: its Θ(n) root count makes the routed bill ~n·log² n (the full ladder is carried by complete and chord; the old 3×10^5 storage ceiling is gone with the CSR builder)", sc1SmallWorldCap)
-	}
-
-	// Sharding contract: Chord Ave must be bit-identical for 1, 4 and 8
-	// workers at the million-node scale-mode acceptance bar (the sweep
-	// above already produced the workers=8 leg).
-	values := genValues(chordShardN)
-	for _, workers := range []int{1, 4, 8} {
-		if _, done := shardLegs[workers]; done {
-			continue
-		}
-		ans, elapsed, _, err := measure(facade.Chord, chordShardN, workers, values)
-		if err != nil {
-			return nil, fmt.Errorf("SC1 shard check workers=%d: %w", workers, err)
-		}
-		shardLegs[workers] = shardLeg{ans: ans, elapsed: elapsed}
-	}
-	ref := shardLegs[1].ans
-	shardOK := true
-	shardDetail := ""
-	for _, workers := range []int{1, 4, 8} {
-		leg := shardLegs[workers]
-		shardDetail += fmt.Sprintf("w=%d: value %.9g cost %+v (%.1fs); ",
-			workers, leg.ans.Value, leg.ans.Cost, leg.elapsed.Seconds())
-		if !sameAnswer(leg.ans, ref) {
-			shardOK = false
-		}
 	}
 
 	comp, chrd, sw := series["complete"], series["chord"], series["smallworld"]
@@ -315,8 +264,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 		verdictf("smallworld: per-node messages stay polylogarithmic (closer to log² n than √n)",
 			metrics.CloserShape(swNs, sw["msgs/n"], metrics.ShapeLog2N, shapeSqrtN),
 			"msgs/n %v -> %v", sw["msgs/n"][0], last(sw["msgs/n"])),
-		verdictf(fmt.Sprintf("sharded execution is bit-identical for workers ∈ {1,4,8} at n=%d (chord)", chordShardN),
-			shardOK, "%s", shardDetail),
 		verdictf(fmt.Sprintf("chord n=%d: implicit graph is ≥5× leaner than materialized slice adjacency", memLegN),
 			listsMB >= 5*math.Max(implicitMB, 0.25),
 			"implicit %.2f MB vs materialized %.1f MB", implicitMB, listsMB),
@@ -325,11 +272,4 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 			"peak RSS %.0f MB after the %0.1fs pipeline run (cost %+v)", memPeak, memElapsed.Seconds(), memAns.Cost),
 	)
 	return rep, nil
-}
-
-// sameAnswer reports whether two runs produced bit-identical results in
-// every deterministic field.
-func sameAnswer(a, b *facade.Answer) bool {
-	return a.Value == b.Value && a.Cost == b.Cost && a.Consensus == b.Consensus &&
-		a.Trees == b.Trees && a.Alive == b.Alive
 }

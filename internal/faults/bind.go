@@ -249,12 +249,9 @@ func orient(a, b int) [2]int {
 // attached to — equal (plan, n, seed, horizon) stay bit-deterministic
 // across attachments.
 //
-// Shard safety: the engine invokes the round hook on its sequential
-// path, before any sharded delivery work for that round starts, and the
-// link-fault predicate only from the sequential send path — so a Bound
-// needs no locking under sim.Options.Shards > 1 and fault application
-// is bit-identical for any shard count (pinned by the facade's
-// TestWorkersBitIdenticalAnswers).
+// The engine invokes the round hook at the top of Tick, before that
+// round's deliveries, and the link-fault predicate only from its
+// sequential send path, so a Bound needs no locking.
 func (b *Bound) Attach(eng Host) {
 	b.eng = eng
 	b.remaining = make(map[int][]action, len(b.actions))
@@ -294,8 +291,10 @@ func (b *Bound) Clone() *Bound {
 // Fired returns the number of actions applied so far.
 func (b *Bound) Fired() int { return b.fired }
 
-// Crashed and Revived count node state transitions applied so far.
+// Crashed counts the crash transitions applied so far.
 func (b *Bound) Crashed() int { return b.crashed }
+
+// Revived counts the revive transitions applied so far.
 func (b *Bound) Revived() int { return b.revived }
 
 // Rounds returns the sorted rounds at which the schedule acts (useful

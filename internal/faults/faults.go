@@ -66,6 +66,8 @@ var kindNames = map[Kind]string{
 	Partition: "part", LinkDown: "link", Flaky: "flaky", ChurnKind: "churn",
 }
 
+// String returns the kind's spec keyword ("crash", "loss", …), or
+// Kind(n) for an unknown value.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
@@ -106,6 +108,8 @@ func (t Timing) resolve(horizon int) int {
 	return r
 }
 
+// String renders t in spec form: "<r>r" for an absolute round, the bare
+// fraction (always with a decimal point or exponent) otherwise.
 func (t Timing) String() string {
 	if t.Round > 0 || t.Frac == 0 {
 		return fmt.Sprintf("%dr", t.Round)

@@ -180,3 +180,76 @@ func TestCountersSubIncludesBlocked(t *testing.T) {
 		t.Fatalf("Sub = %+v", d)
 	}
 }
+
+// Bitset regression: the alive set's semantics under Crash/Revive must
+// be exactly the pre-bitset []bool behaviour — idempotent transitions,
+// NumAlive accounting, a sorted (and cache-invalidated) AliveIDs view,
+// and delivery-time discarding of messages to dead nodes.
+func TestAliveBitsetSemanticsUnderCrashRevive(t *testing.T) {
+	const n = 70 // crosses a 64-bit word boundary
+	e := NewEngine(n, Options{Seed: 3})
+	if e.NumAlive() != n || !e.Alive(0) || !e.Alive(n-1) {
+		t.Fatalf("fresh engine: NumAlive=%d", e.NumAlive())
+	}
+	e.Crash(63)
+	e.Crash(64)
+	e.Crash(64) // idempotent
+	if e.NumAlive() != n-2 || e.Alive(63) || e.Alive(64) {
+		t.Fatalf("after crashes: NumAlive=%d alive63=%v alive64=%v", e.NumAlive(), e.Alive(63), e.Alive(64))
+	}
+	ids := e.AliveIDs()
+	if len(ids) != n-2 {
+		t.Fatalf("AliveIDs len %d, want %d", len(ids), n-2)
+	}
+	for k := 1; k < len(ids); k++ {
+		if ids[k] <= ids[k-1] {
+			t.Fatal("AliveIDs not strictly increasing")
+		}
+	}
+	for _, id := range ids {
+		if id == 63 || id == 64 {
+			t.Fatal("AliveIDs contains a crashed node")
+		}
+	}
+	// Cache invalidation on Revive.
+	e.Revive(64)
+	e.Revive(64) // idempotent
+	if e.NumAlive() != n-1 {
+		t.Fatalf("after revive: NumAlive=%d", e.NumAlive())
+	}
+	found := false
+	for _, id := range e.AliveIDs() {
+		if id == 64 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("AliveIDs cache not invalidated by Revive")
+	}
+	// A message in flight to a node that crashes before delivery is
+	// discarded (but was paid for).
+	e.Send(0, 10, Payload{Kind: 1})
+	e.Crash(10)
+	before := e.Stats().Messages
+	e.Tick()
+	if len(e.Inbox(10)) != 0 {
+		t.Fatal("crashed node received a message")
+	}
+	if e.Stats().Messages != before {
+		t.Fatal("Tick changed the message counter")
+	}
+	// Reset restores the full population.
+	e.Reset(Options{Seed: 3})
+	if e.NumAlive() != n || !e.Alive(10) || !e.Alive(63) {
+		t.Fatalf("Reset did not restore the alive set: NumAlive=%d", e.NumAlive())
+	}
+	// The static crash model keeps at least one node alive even at
+	// extreme CrashFrac, via InitialCrashSet's keep-one rule.
+	e.Reset(Options{Seed: 5, CrashFrac: 0.999999})
+	if e.NumAlive() < 1 {
+		t.Fatal("keep-one-alive rule violated")
+	}
+	if ids := InitialCrashSet(n, Options{Seed: 5, CrashFrac: 0.999999}); len(ids) != n-e.NumAlive() {
+		t.Fatalf("InitialCrashSet inconsistent with Reset: %d crashed, %d alive", len(ids), e.NumAlive())
+	}
+}

@@ -40,21 +40,14 @@
 // link-fault predicate is consulted only from the engine's sequential
 // send path.
 //
-// # Sharded delivery (scale mode)
+// # Delivery
 //
-// With Options.Shards > 1 the engine partitions the node id space into
-// contiguous shards and parallelises Tick's delivery step across them:
-// every in-flight message is queued, at send time, on the delivery-round
-// slot of the shard owning its destination, and at Tick each shard's
-// worker clears the shard's previously filled inboxes and files its own
-// queue — an ordered merge, since a shard queue preserves the engine's
-// sequential send order restricted to that shard, and each inbox belongs
-// to exactly one shard. No worker touches another shard's state and the
-// counters are folded sequentially, so results are bit-identical to
-// sequential execution for any shard count (pinned by shard_test.go).
-// Inboxes are cleared lazily (only those filled at the previous Tick),
-// which keeps Tick O(messages delivered) instead of O(n) — the change
-// that makes million-node runs affordable.
+// Every in-flight message is queued, at send time, on the ring slot of
+// its delivery round, and Tick files that slot's queue into the inboxes
+// in send order on the engine's sequential path. Inboxes are cleared
+// lazily (only those filled at the previous Tick), which keeps Tick
+// O(messages delivered) instead of O(n) — the change that makes
+// million-node runs affordable.
 package sim
 
 import (
@@ -96,11 +89,6 @@ type Options struct {
 	Seed      uint64  // master seed; equal seeds give identical runs
 	Loss      float64 // per-message drop probability δ ∈ [0,1)
 	CrashFrac float64 // fraction of nodes crashed before the protocol starts
-	// Shards is the number of delivery shards Tick fans message filing
-	// across (<= 1 means sequential delivery; values are clamped to the
-	// node count and an internal ceiling). Results are bit-identical for
-	// any value — sharding is a within-run speed knob, not a semantic one.
-	Shards int
 }
 
 // Counters aggregates the engine's accounting.
@@ -152,7 +140,7 @@ type LinkFault func(from, to int) float64
 // sequentially in node order.
 //
 // The hot path is allocation-free: in-flight messages live in a ring
-// buffer of per-round, per-shard delivery slots whose backing arrays are
+// buffer of per-round delivery queues whose backing arrays are
 // recycled across rounds, per-node RNG streams are stored by value and
 // reseeded in place, the alive set is a dense bitset with a cached
 // sorted-ID view, and only the inboxes actually filled at the previous
@@ -172,18 +160,17 @@ type Engine struct {
 
 	inbox [][]Message // per-node messages delivered at the last Tick
 
-	// ring holds in-flight messages keyed by delivery round and
-	// destination shard: ring[r&ringMask][shardOf(to)] is the queue for
-	// absolute round r. A drained queue's backing array is detached from
-	// its slot and recycled through the shared pool below, so
-	// steady-state scheduling allocates nothing; the ring grows (power of
-	// two) when a routed send's horizon exceeds it.
-	ring     [][][]Message
+	// ring holds in-flight messages keyed by delivery round:
+	// ring[r&ringMask] is the queue for absolute round r. A drained
+	// queue's backing array is detached from its slot and recycled through
+	// the pool below, so steady-state scheduling allocates nothing; the
+	// ring grows (power of two) when a routed send's horizon exceeds it.
+	ring     [][]Message
 	ringMask int
 	inflight int // messages scheduled and not yet delivered or discarded
 
-	// pool recycles drained queue backing arrays across ring slots and
-	// shards (LIFO). Before pooling, every slot×shard queue kept its own
+	// pool recycles drained queue backing arrays across ring slots
+	// (LIFO). Before pooling, every slot queue kept its own
 	// high-water capacity forever, so routed sends spreading bursts over
 	// 2·log n future slots retained the sum of per-slot peaks; the pool
 	// bounds total retained queue capacity by poolBudget — arrays that
@@ -192,12 +179,9 @@ type Engine struct {
 	poolCap    int // total capacity currently parked in pool
 	poolBudget int // retention cap, in messages (64 B each)
 
-	// shards/shardSize partition the node id space for Tick's delivery
-	// step; touched[s] lists the shard-s inboxes filled at the last Tick
-	// (the only ones that need clearing at the next one).
-	shards    int
-	shardSize int
-	touched   [][]int
+	// touched lists the inboxes filled at the last Tick (the only ones
+	// that need clearing at the next one).
+	touched []int
 
 	seq uint64 // message sequence for loss hashing
 
@@ -262,7 +246,7 @@ func NewEngine(n int, opts Options) *Engine {
 		alive:    bitset.New(n),
 		aliveIDs: make([]int, 0, n),
 		inbox:    make([][]Message, n),
-		ring:     make([][][]Message, initialRingSize),
+		ring:     make([][]Message, initialRingSize),
 		ringMask: initialRingSize - 1,
 		rngs:     make([]xrand.Stream, n),
 		rngSet:   make([]bool, n),
@@ -275,25 +259,6 @@ func NewEngine(n int, opts Options) *Engine {
 	return e
 }
 
-// maxShards caps the delivery shard count: each ring slot keeps one
-// queue per shard, so unboundedly many shards would waste memory without
-// adding parallelism any real machine can use.
-const maxShards = 256
-
-// normShards clamps a configured shard count to [1, min(n, maxShards)].
-func normShards(shards, n int) int {
-	if shards < 1 {
-		return 1
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	return shards
-}
-
 // Reset reinitializes the engine in place to the state NewEngine(e.N(),
 // opts) would produce — counters zeroed, alive set rebuilt from opts'
 // static crash model, message sequence and RNG streams reseeded, hooks
@@ -301,9 +266,7 @@ func normShards(shards, n int) int {
 // already grown. A Reset engine is bit-for-bit equivalent to a fresh one:
 // equal (n, opts) produce identical counters, loss decisions and results
 // whether the engine is new or reused, which is what lets a session run
-// many protocol executions on one allocation. Changing opts.Shards
-// between Resets re-partitions the delivery queues (and only then
-// reallocates them); it cannot change any result.
+// many protocol executions on one allocation.
 func (e *Engine) Reset(opts Options) {
 	if !(opts.Loss >= 0 && opts.Loss < 1) { // negated so NaN is rejected too
 		panic("sim: Loss must be in [0,1)")
@@ -327,26 +290,13 @@ func (e *Engine) Reset(opts Options) {
 	// Drained or abandoned queues go back to the pool (the pool itself
 	// survives Reset — reusing an engine is exactly when recycled
 	// capacity pays off).
-	for slot := range e.ring {
-		for sh := range e.ring[slot] {
-			if q := e.ring[slot][sh]; q != nil {
-				e.ring[slot][sh] = nil
-				e.recycle(q)
-			}
+	for slot, q := range e.ring {
+		if q != nil {
+			e.ring[slot] = nil
+			e.recycle(q)
 		}
 	}
-	if s := normShards(opts.Shards, e.n); s != e.shards {
-		e.shards = s
-		e.shardSize = (e.n + s - 1) / s
-		for slot := range e.ring {
-			e.ring[slot] = make([][]Message, s)
-		}
-		e.touched = make([][]int, s)
-	} else {
-		for sh := range e.touched {
-			e.touched[sh] = e.touched[sh][:0]
-		}
-	}
+	e.touched = e.touched[:0]
 	e.inflight = 0
 	for i := range e.rngSet {
 		e.rngSet[i] = false
@@ -368,9 +318,6 @@ func (e *Engine) N() int { return e.n }
 
 // NumAlive returns the number of non-crashed nodes.
 func (e *Engine) NumAlive() int { return e.nAliv }
-
-// Shards returns the effective delivery shard count (>= 1).
-func (e *Engine) Shards() int { return e.shards }
 
 // Alive reports whether node i is currently alive. In the static model
 // this is fixed at construction (initial crashes); with dynamic
@@ -439,10 +386,7 @@ func (e *Engine) SetLinkFault(f LinkFault) { e.linkFault = f }
 // SetRoundHook installs (or, with nil, removes) a hook invoked at the top
 // of every Tick with the new round number, before that round's messages
 // are delivered — the attachment point for fault schedulers: a node
-// crashed by the hook at round r never sees its round-r deliveries. The
-// hook always runs on the engine's sequential path, before any sharded
-// delivery work starts, so fault application is shard-safe by
-// construction.
+// crashed by the hook at round r never sees its round-r deliveries.
 func (e *Engine) SetRoundHook(h func(round int)) { e.roundHook = h }
 
 // SetRoundObserver installs (or, with nil, removes) a read-only tap
@@ -630,48 +574,11 @@ func (e *Engine) Charge(k int64) {
 	e.c.Messages += k
 }
 
-// deliverShard performs one shard's Tick work: clear the shard inboxes
-// filled at the previous round, then file this round's shard queue in
-// send order. It touches only shard-local state (the shard's inboxes,
-// touched list and queue), so shards can run concurrently without
-// synchronisation; the alive bitset is read-only during delivery (the
-// round hook has already run).
-func (e *Engine) deliverShard(slot, sh int) {
-	tl := e.touched[sh]
-	for _, i := range tl {
-		e.inbox[i] = e.inbox[i][:0]
-	}
-	tl = tl[:0]
-	for _, m := range e.ring[slot][sh] {
-		if e.alive.Test(m.To) {
-			if len(e.inbox[m.To]) == 0 {
-				tl = append(tl, m.To)
-			}
-			e.inbox[m.To] = append(e.inbox[m.To], m)
-		}
-	}
-	e.touched[sh] = tl
-}
-
-// parallelTickFloor is the per-round work (queued messages plus inboxes
-// to clear) below which Tick files deliveries sequentially even when
-// shards > 1: near-empty rounds are common in the routed sparse
-// pipelines, and goroutine fan-out would cost more than it saves. The
-// cutover is computed from deterministic engine state, and the
-// sequential path iterates shards in the same order with the same
-// per-shard logic, so the choice cannot change any result. A variable
-// (not a const) so the sharding contract tests can force the concurrent
-// path at small n.
-var parallelTickFloor = 2048
-
 // Tick advances to the next round: the round hook (if any) runs first,
 // then messages sent previously (and routed messages whose hop count has
 // elapsed) become visible in the recipients' inboxes. Messages addressed
-// to a node that has crashed since they were sent are discarded.
-//
-// With Options.Shards > 1 the delivery step fans across one worker per
-// shard (see the package comment); the result is bit-identical to
-// sequential delivery for any shard count.
+// to a node that has crashed since they were sent are discarded. Only
+// the inboxes filled at the previous Tick are cleared.
 func (e *Engine) Tick() {
 	e.c.Rounds++
 	if e.abortCheck != nil && e.c.Rounds%e.abortEvery == 0 {
@@ -682,37 +589,23 @@ func (e *Engine) Tick() {
 	if e.roundHook != nil {
 		e.roundHook(e.c.Rounds)
 	}
+	for _, i := range e.touched {
+		e.inbox[i] = e.inbox[i][:0]
+	}
+	e.touched = e.touched[:0]
 	slot := e.c.Rounds & e.ringMask
-	if e.shards == 1 {
-		e.deliverShard(slot, 0)
-	} else {
-		work := 0
-		for sh := 0; sh < e.shards; sh++ {
-			work += len(e.ring[slot][sh]) + len(e.touched[sh])
-		}
-		if work < parallelTickFloor {
-			for sh := 0; sh < e.shards; sh++ {
-				e.deliverShard(slot, sh)
+	msgs := e.ring[slot]
+	for _, m := range msgs {
+		if e.alive.Test(m.To) {
+			if len(e.inbox[m.To]) == 0 {
+				e.touched = append(e.touched, m.To)
 			}
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(e.shards)
-			for sh := 0; sh < e.shards; sh++ {
-				go func(sh int) {
-					defer wg.Done()
-					e.deliverShard(slot, sh)
-				}(sh)
-			}
-			wg.Wait()
+			e.inbox[m.To] = append(e.inbox[m.To], m)
 		}
 	}
-	for sh := range e.ring[slot] {
-		if msgs := e.ring[slot][sh]; msgs != nil {
-			e.inflight -= len(msgs)
-			e.ring[slot][sh] = nil
-			e.recycle(msgs) // back to the shared pool (or the GC)
-		}
-	}
+	e.inflight -= len(msgs)
+	e.ring[slot] = nil
+	e.recycle(msgs) // back to the pool (or the GC)
 	if e.observer != nil {
 		e.observer(e.c.Rounds)
 	}
@@ -726,11 +619,10 @@ func (e *Engine) Inbox(i int) []Message { return e.inbox[i] }
 func (e *Engine) PendingEmpty() bool { return e.inflight == 0 }
 
 // recycle parks a drained queue's backing array in the pool for reuse by
-// any slot×shard queue, unless retaining it would push the pool past its
+// any slot's queue, unless retaining it would push the pool past its
 // capacity budget — arrays from a round that queued far more than O(n)
 // messages are dropped for the GC instead of ballooning the resident
-// set. Pool traffic happens only on the engine's sequential path (Tick's
-// drain loop, Reset, scheduleAt), never from delivery workers.
+// set.
 func (e *Engine) recycle(q []Message) {
 	if c := cap(q); c > 0 && e.poolCap+c <= e.poolBudget {
 		e.pool = append(e.pool, q[:0])
@@ -752,45 +644,37 @@ func (e *Engine) popQueue() []Message {
 
 // scheduleAt enqueues a delivery for the given absolute round (which is
 // always in the future: sends schedule at e.c.Rounds+k, k >= 1, so a
-// slot holds messages for exactly one round at a time). Queuing by the
-// destination's shard at send time is what keeps Tick's per-shard filing
-// an ordered merge of the sequential send order.
+// slot holds messages for exactly one round at a time).
 func (e *Engine) scheduleAt(round int, m Message) {
 	if round-e.c.Rounds >= len(e.ring) {
 		e.growRing(round - e.c.Rounds + 1)
 	}
 	slot := round & e.ringMask
-	sh := m.To / e.shardSize
-	q := e.ring[slot][sh]
+	q := e.ring[slot]
 	if q == nil {
 		q = e.popQueue()
 	}
-	e.ring[slot][sh] = append(q, m)
+	e.ring[slot] = append(q, m)
 	e.inflight++
 }
 
 // growRing widens the delivery ring to at least `need` slots (next power
-// of two), re-filing the occupied slots at their new positions. Per-shard
-// queues move wholesale (drained slots are nil; their capacity lives in
-// the pool), so nothing in flight or recycled is lost.
+// of two), re-filing the occupied slots at their new positions. Queues
+// move wholesale (drained slots are nil; their capacity lives in the
+// pool), so nothing in flight or recycled is lost.
 func (e *Engine) growRing(need int) {
 	size := len(e.ring)
 	for size < need {
 		size <<= 1
 	}
-	ring := make([][][]Message, size)
+	ring := make([][]Message, size)
 	mask := size - 1
 	// Old slot s holds messages due at the unique round r in
 	// (Rounds, Rounds+oldSize] with r ≡ s (mod oldSize).
 	base := e.c.Rounds + 1
-	for s, queues := range e.ring {
+	for s, q := range e.ring {
 		r := base + ((s - base) & e.ringMask)
-		ring[r&mask] = queues
-	}
-	for s := range ring {
-		if ring[s] == nil {
-			ring[s] = make([][]Message, e.shards)
-		}
+		ring[r&mask] = q
 	}
 	e.ring = ring
 	e.ringMask = mask

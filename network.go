@@ -599,7 +599,7 @@ func (nw *Network) notify(run, round int, eng telemetry.EngineView, b *faults.Bo
 // sampleIDs draws k distinct node ids from [0, n) by a partial
 // Fisher-Yates shuffle seeded from (seed, n, k) only, returned sorted.
 // Being independent of everything else in a run, the sample is identical
-// across repeated queries, engine reuse, and any Workers (shard) count.
+// across repeated queries and engine reuse.
 func sampleIDs(seed uint64, n, k int) []int {
 	if k > n {
 		k = n

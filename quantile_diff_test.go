@@ -116,34 +116,3 @@ func TestQuantileHMSGoldens(t *testing.T) {
 		}
 	}
 }
-
-// The HMS path inherits the facade's determinism contract: answers are
-// bit-identical for any Config.Workers (delivery sharding is a speed
-// knob, not a semantic one).
-func TestQuantileHMSWorkersBitIdentical(t *testing.T) {
-	const n = 1024
-	values := uniformValues(n, 93)
-	run := func(workers int) *Answer {
-		cfg := Config{N: n, Seed: 94, Workers: workers, QuantileMethod: QuantileHMS}
-		nw, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ans, err := nw.Run(QuantileOf(values, 0.5, 1.0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans
-	}
-	base := run(1)
-	for _, w := range []int{4, 8} {
-		got := run(w)
-		if got.Value != base.Value || got.Converged != base.Converged {
-			t.Fatalf("Workers=%d: value %v/%v vs %v/%v",
-				w, got.Value, got.Converged, base.Value, base.Converged)
-		}
-		if got.Cost != base.Cost {
-			t.Fatalf("Workers=%d: cost drifted: %+v vs %+v", w, got.Cost, base.Cost)
-		}
-	}
-}

@@ -271,7 +271,7 @@ type Answer struct {
 	// SampleIDs lists the node ids PerNode covers when Config.SampleNodes
 	// requested a sample (sorted ascending; nil for AllNodes and for the
 	// default of no materialization). The sample is a pure function of
-	// (Seed, N, SampleNodes) — identical across runs and Workers values.
+	// (Seed, N, SampleNodes) — identical across runs.
 	SampleIDs []int
 	// Consensus reports whether all surviving nodes agree exactly
 	// (single-run queries only).

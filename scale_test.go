@@ -6,57 +6,15 @@ import (
 	"testing"
 )
 
-// Config.Workers shards a single run's delivery step inside the engine;
-// the scale-mode contract is that answers are bit-identical for any
-// worker count, on dense and sparse topologies, with and without a
-// dynamic fault plan.
-func TestWorkersBitIdenticalAnswers(t *testing.T) {
-	const n = 512
-	values := uniformValues(n, 101)
-	plans := map[string]string{"static": "", "churn": "churn:0.25:30;loss:0.2@0.4..0.8"}
-	for _, topo := range []Topology{Complete, Chord} {
-		for planName, spec := range plans {
-			base := Config{N: n, Seed: 103, Loss: 0.02, Topology: topo, SampleNodes: AllNodes}
-			if spec != "" {
-				base.Faults = mustPlan(t, spec)
-			}
-			run := func(workers int) (*Answer, *Answer) {
-				cfg := base
-				cfg.Workers = workers
-				nw, err := New(cfg)
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", topo, planName, workers, err)
-				}
-				ave, err := nw.Run(AverageOf(values))
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d ave: %v", topo, planName, workers, err)
-				}
-				sum, err := nw.Run(SumOf(values))
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d sum: %v", topo, planName, workers, err)
-				}
-				return ave, sum
-			}
-			seqAve, seqSum := run(1)
-			for _, workers := range []int{0, 4, 8} {
-				ave, sum := run(workers)
-				label := topo.String() + "/" + planName
-				answersEqual(t, label+"/ave", seqAve, ave)
-				answersEqual(t, label+"/sum", seqSum, sum)
-			}
-		}
-	}
-}
-
 // Config.SampleNodes edge cases: 0 materializes nothing, k > N clamps,
 // AllNodes keeps the historical full vector, and a sample is a pure
-// function of (Seed, N, k) — identical across sessions and Workers.
+// function of (Seed, N, k) — identical across sessions.
 func TestSampleNodesEdgeCases(t *testing.T) {
 	const n = 256
 	values := uniformValues(n, 105)
 
-	run := func(sample, workers int) *Answer {
-		nw, err := New(Config{N: n, Seed: 107, SampleNodes: sample, Workers: workers})
+	run := func(sample int) *Answer {
+		nw, err := New(Config{N: n, Seed: 107, SampleNodes: sample})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,19 +26,19 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 	}
 
 	// Default (0): no per-node copy at all.
-	if a := run(0, 1); a.PerNode != nil || a.SampleIDs != nil {
+	if a := run(0); a.PerNode != nil || a.SampleIDs != nil {
 		t.Fatalf("SampleNodes=0 materialized state: PerNode %d, SampleIDs %d", len(a.PerNode), len(a.SampleIDs))
 	}
 
 	// AllNodes: the full vector, no sample ids.
-	full := run(AllNodes, 1)
+	full := run(AllNodes)
 	if len(full.PerNode) != n || full.SampleIDs != nil {
 		t.Fatalf("AllNodes: PerNode %d, SampleIDs %v", len(full.PerNode), full.SampleIDs)
 	}
 
 	// k > 0: k sorted distinct ids whose values agree with the full run.
 	k := 17
-	sampled := run(k, 1)
+	sampled := run(k)
 	if len(sampled.PerNode) != k || len(sampled.SampleIDs) != k {
 		t.Fatalf("SampleNodes=%d: PerNode %d, SampleIDs %d", k, len(sampled.PerNode), len(sampled.SampleIDs))
 	}
@@ -96,21 +54,19 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Deterministic across workers and across sessions.
-	for _, workers := range []int{4, 8} {
-		again := run(k, workers)
-		if len(again.SampleIDs) != k {
-			t.Fatalf("workers=%d: sample size %d", workers, len(again.SampleIDs))
-		}
-		for i := range again.SampleIDs {
-			if again.SampleIDs[i] != sampled.SampleIDs[i] || again.PerNode[i] != sampled.PerNode[i] {
-				t.Fatalf("workers=%d: sample drifted at %d", workers, i)
-			}
+	// Deterministic across sessions.
+	again := run(k)
+	if len(again.SampleIDs) != k {
+		t.Fatalf("second session: sample size %d", len(again.SampleIDs))
+	}
+	for i := range again.SampleIDs {
+		if again.SampleIDs[i] != sampled.SampleIDs[i] || again.PerNode[i] != sampled.PerNode[i] {
+			t.Fatalf("second session: sample drifted at %d", i)
 		}
 	}
 
 	// k > N clamps to N (every node, still sorted ids).
-	clamped := run(10*n, 1)
+	clamped := run(10 * n)
 	if len(clamped.PerNode) != n || len(clamped.SampleIDs) != n {
 		t.Fatalf("SampleNodes>n: PerNode %d, SampleIDs %d", len(clamped.PerNode), len(clamped.SampleIDs))
 	}
@@ -123,7 +79,8 @@ func TestSampleNodesEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Validation: below AllNodes is rejected, as is a negative Workers.
+	// Validation: below AllNodes is rejected, as is a negative (and
+	// otherwise ignored) Workers.
 	if _, err := New(Config{N: n, Seed: 1, SampleNodes: -2}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("SampleNodes=-2 accepted: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Facade-level telemetry contract: per-phase cost attribution sums
 // exactly to the aggregate Cost on every op and topology, telemetry is
 // a bit-identical read-only tap, event streams are deterministic across
-// engine shards and batch parallelism, and a Quantile session exports a
+// batch parallelism, and a Quantile session exports a
 // valid Chrome trace.
 
 package drrgossip
@@ -122,9 +122,9 @@ func TestTelemetryIsReadOnlyTap(t *testing.T) {
 
 // eventStream runs a fixed batch with telemetry attached and returns
 // the captured events.
-func eventStream(t *testing.T, workers, parallelism int, faultSpec string) []telemetry.Event {
+func eventStream(t *testing.T, parallelism int, faultSpec string) []telemetry.Event {
 	t.Helper()
-	cfg := Config{N: 512, Seed: 33, Loss: 0.02, Workers: workers}
+	cfg := Config{N: 512, Seed: 33, Loss: 0.02}
 	if faultSpec != "" {
 		p, err := ParseFaultPlan(faultSpec)
 		if err != nil {
@@ -180,38 +180,25 @@ func checkEventOrder(t *testing.T, label string, evs []telemetry.Event) {
 }
 
 // TestEventOrderingDeterministic pins the satellite contract: the event
-// stream is sorted by (run, round, seq) and bit-identical across
-// Config.Workers values and RunAll parallelism degrees. Without a fault
-// plan the parallel stream also matches sequential execution exactly;
-// with one, the parallel path resolves every fault binding up front (its
-// horizon pre-runs lead the stream instead of interleaving), so the pin
-// there is identity across parallelism degrees and engine shard counts.
+// stream is sorted by (run, round, seq) and bit-identical across RunAll
+// parallelism degrees. Without a fault plan the parallel stream also
+// matches sequential execution exactly; with one, the parallel path
+// resolves every fault binding up front (its horizon pre-runs lead the
+// stream instead of interleaving), so the pin there is identity across
+// parallelism degrees.
 func TestEventOrderingDeterministic(t *testing.T) {
 	for _, spec := range []string{"", "crash:0.05@0.4"} {
-		sequential := eventStream(t, 0, 1, spec)
+		sequential := eventStream(t, 1, spec)
 		checkEventOrder(t, "spec "+spec+" sequential", sequential)
-		base := eventStream(t, 0, 2, spec)
+		base := eventStream(t, 2, spec)
 		checkEventOrder(t, "spec "+spec+" parallel", base)
 		if spec == "" && !reflect.DeepEqual(sequential, base) {
 			t.Errorf("no-fault parallel stream differs from sequential (%d vs %d events)",
 				len(base), len(sequential))
 		}
-		if got := eventStream(t, 4, 1, spec); !reflect.DeepEqual(sequential, got) {
-			t.Errorf("spec %q: workers=4 stream differs from workers=0 (%d vs %d events)",
-				spec, len(got), len(sequential))
-		}
-		for _, variant := range []struct {
-			name                 string
-			workers, parallelism int
-		}{
-			{"parallel=4", 0, 4},
-			{"workers=4/parallel=4", 4, 4},
-		} {
-			got := eventStream(t, variant.workers, variant.parallelism, spec)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("spec %q: %s event stream differs from parallel=2 (%d vs %d events)",
-					spec, variant.name, len(got), len(base))
-			}
+		if got := eventStream(t, 4, spec); !reflect.DeepEqual(base, got) {
+			t.Errorf("spec %q: parallel=4 event stream differs from parallel=2 (%d vs %d events)",
+				spec, len(got), len(base))
 		}
 	}
 }

@@ -33,9 +33,10 @@ fmt-check:
 # internal/kashyap and internal/pietro), the ranking forest and its root
 # slots (internal/forest), Phase II (internal/convergecast) and its
 # Phase III transports (internal/chord, internal/gossip, internal/hms)
-# must carry a doc comment (see cmd/godoclint).
+# and the telemetry event stream, the only per-round tap
+# (internal/telemetry), must carry a doc comment (see cmd/godoclint).
 doc-check:
-	$(GO) run ./cmd/godoclint . ./internal/sim ./internal/faults ./internal/overlay \
+	$(GO) run ./cmd/godoclint . ./internal/sim ./internal/faults ./internal/overlay ./internal/telemetry \
 		./internal/async ./internal/pairwise \
 		./internal/chord ./internal/drrgossip ./internal/gossip ./internal/hms \
 		./internal/drr ./internal/localdrr ./internal/forest ./internal/convergecast \

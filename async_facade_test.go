@@ -110,9 +110,10 @@ func TestAsyncAnswerShape(t *testing.T) {
 	}
 }
 
-// Observers and telemetry are read-only taps in Async mode exactly as in
-// Sync: the event stream carries run/phase/round/fault/run-end events
-// with monotone counters, and attaching them changes no answer bit.
+// Telemetry, with the engine observers it installs, is a read-only tap
+// in Async mode exactly as in Sync: the event stream carries
+// run/phase/round/fault/run-end events with monotone counters, and
+// attaching it changes no answer bit.
 func TestAsyncObserversAndTelemetry(t *testing.T) {
 	const n = 128
 	values := uniformValues(n, 85)
@@ -130,49 +131,46 @@ func TestAsyncObserversAndTelemetry(t *testing.T) {
 	}
 
 	var buf telemetry.Buffer
-	var rounds []RoundInfo
 	tapped, err := New(Config{N: n, Seed: 86, Mode: Async, Faults: plan, SampleNodes: AllNodes,
 		Telemetry: &telemetry.Options{Sink: &buf, RoundEvery: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tapped.Observe(ObserverFunc(func(ri RoundInfo) { rounds = append(rounds, ri) }))
 	got, err := tapped.Run(AverageOf(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	answersEqual(t, "telemetry+observer tap", want, got)
+	answersEqual(t, "telemetry tap", want, got)
 
 	kinds := map[telemetry.Kind]int{}
+	var rounds []telemetry.Event
 	for _, ev := range buf.Events() {
 		kinds[ev.Kind]++
+		if ev.Kind == telemetry.KindRound {
+			rounds = append(rounds, ev)
+		}
 	}
 	if kinds[telemetry.KindRunStart] == 0 || kinds[telemetry.KindRunEnd] == 0 {
 		t.Fatalf("run events missing: %v", kinds)
 	}
-	if kinds[telemetry.KindRound] == 0 {
+	if len(rounds) == 0 {
 		t.Fatalf("no round samples at stride 64 over %d events: %v", got.Cost.Rounds, kinds)
 	}
 	if kinds[telemetry.KindFault] == 0 {
 		t.Fatalf("no fault events from the crash plan: %v", kinds)
 	}
-	if len(rounds) == 0 {
-		t.Fatal("observer saw no events")
-	}
 	// The stream covers two runs (the horizon pre-run, then the faulted
-	// run); counters are monotone within each run and reset between them.
-	last := RoundInfo{}
-	for i, ri := range rounds {
-		if ri.Run != last.Run {
-			last = RoundInfo{Run: ri.Run}
+	// run); round samples are monotone within each run and reset between
+	// them.
+	last := telemetry.Event{}
+	for i, ev := range rounds {
+		if ev.Run != last.Run {
+			last = telemetry.Event{Run: ev.Run}
 		}
-		if ri.Round <= last.Round || ri.Messages < last.Messages {
-			t.Fatalf("observer stream not monotone at %d: %+v after %+v", i, ri, last)
+		if ev.Round <= last.Round || ev.Counters.Messages < last.Counters.Messages {
+			t.Fatalf("round stream not monotone at %d: %+v after %+v", i, ev, last)
 		}
-		last = ri
-	}
-	if last.FaultEvents == 0 {
-		t.Fatal("observer never saw the fault count")
+		last = ev
 	}
 }
 

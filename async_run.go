@@ -1,9 +1,9 @@
 // Async-mode execution: the session facade's driver for the classical
 // asynchronous pairwise-averaging family (internal/async engine,
 // internal/pairwise protocol). The structure mirrors the synchronous
-// path — execAsyncOnce is execOnce, bindAsync is bind — so telemetry,
-// observers and fault plans behave identically across the two execution
-// models; only the engine and the protocol underneath differ.
+// path — execAsyncOnce is execOnce, bindAsync is bind — so telemetry and
+// fault plans behave identically across the two execution models; only
+// the engine and the protocol underneath differ.
 
 package drrgossip
 
@@ -16,7 +16,6 @@ import (
 	"drrgossip/internal/faults"
 	"drrgossip/internal/graph"
 	"drrgossip/internal/pairwise"
-	"drrgossip/internal/sim"
 )
 
 // runAsync answers a query in Async mode. The pairwise family computes
@@ -87,32 +86,22 @@ func (nw *Network) bindAsync(ctx context.Context, values []float64) (*faults.Bou
 }
 
 // execAsyncOnce performs one pairwise-averaging run on a fresh async
-// engine, attaching the bound fault schedule (if any), the session's
-// observers and the telemetry emitter — the Async-mode counterpart of
+// engine, attaching the bound fault schedule (if any), the query
+// watchdog and the telemetry emitter — the Async-mode counterpart of
 // execOnce. Engines are rebuilt per run (they are a heap plus two stream
 // arrays; there is no delivery machinery worth pooling), which keeps
 // every run an independent pure function of (Config, values).
 func (nw *Network) execAsyncOnce(b *faults.Bound, values []float64) (*Answer, error) {
 	nw.protoRuns++
-	runIdx := nw.protoRuns
 	eng := async.NewEngine(nw.cfg.N, nw.cfg.asyncOptions())
 	em := nw.em
 	if em.Enabled() {
-		em.RunStart(runIdx, OpAverage.String(), eng)
+		em.RunStart(nw.protoRuns, OpAverage.String(), eng)
 		eng.SetPhaseObserver(func(string) { em.Phase(eng) })
 		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(eng, node, alive) })
 	}
-	wantRounds := em.WantsRounds()
-	if len(nw.observers) > 0 || wantRounds {
-		nw.lastRound = sim.Counters{}
-		eng.SetEventObserver(func(events int) {
-			if wantRounds {
-				em.Round(eng)
-			}
-			if len(nw.observers) > 0 {
-				nw.notify(runIdx, events, eng, b)
-			}
-		})
+	if em.WantsRounds() {
+		eng.SetEventObserver(func(int) { em.Round(eng) })
 	}
 	if nw.wd != nil {
 		eng.SetAbortCheck(nw.wd.check, abortStrideAsync)

@@ -87,7 +87,7 @@ func run() int {
 		trials   = flag.Int("trials", 0, "override trials per configuration (0 = default)")
 		jsonOut  = flag.Bool("json", false, "additionally write each report as machine-readable BENCH_<ID>.json")
 		faults   = flag.String("faults", "", `fault plan applied to supporting experiments (e.g. "crash:0.2@0.5"; see ParseFaultPlan)`)
-		progress = flag.Bool("progress", false, "stream live per-round progress from session-API experiments (FT1, QB1) to stderr")
+		progress = flag.Bool("progress", false, "stream live per-round progress from session-API experiments (FT1, AS1, QH1, QB1) to stderr")
 		workers  = flag.Int("workers", 0, "fan independent replications across this many workers (0 = GOMAXPROCS, 1 = sequential); reports are bit-identical for any value")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")

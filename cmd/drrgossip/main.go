@@ -86,12 +86,15 @@ func main() {
 	values := agg.GenUniform(*n, *lo, *hi, *seed)
 
 	// Assemble the telemetry taps: an in-memory buffer for the Chrome
-	// trace, a JSONL writer for -events, live metrics for -http. File
-	// sinks get full per-round fidelity; metrics alone only need a
-	// coarse stride.
+	// trace, a JSONL writer for -events, live metrics for -http and the
+	// -progress printer. File sinks get full per-round fidelity; the
+	// others only need a coarse stride.
 	var traceBuf *telemetry.Buffer
 	var jsonl *telemetry.JSONL
 	var sinks []telemetry.Sink
+	if *progress > 0 {
+		sinks = append(sinks, &progressSink{every: *progress})
+	}
 	if *trace != "" {
 		traceBuf = &telemetry.Buffer{}
 		sinks = append(sinks, traceBuf)
@@ -113,8 +116,11 @@ func main() {
 	}
 	if sink := telemetry.Multi(sinks...); sink != nil {
 		every := 64
-		if *trace != "" || *events != "" {
+		switch {
+		case *trace != "" || *events != "":
 			every = 1
+		case *progress > 0:
+			every = *progress
 		}
 		cfg.Telemetry = &telemetry.Options{Sink: sink, RoundEvery: every}
 	}
@@ -148,15 +154,6 @@ func main() {
 
 	net, err := drrgossip.New(cfg)
 	fail(err)
-	if *progress > 0 {
-		every := *progress
-		net.Observe(drrgossip.ObserverFunc(func(ri drrgossip.RoundInfo) {
-			if ri.Round%every == 0 {
-				fmt.Fprintf(os.Stderr, "  run %d round %6d [%-9s] alive %d msgs %d drops %d faults %d\n",
-					ri.Run, ri.Round, ri.Phase, ri.Alive, ri.Messages, ri.Drops, ri.FaultEvents)
-			}
-		}))
-	}
 	ans, err := net.Run(query)
 	fail(err)
 
@@ -215,6 +212,28 @@ func main() {
 		fail(err)
 		fmt.Printf("  trace     wrote %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
 			*trace, len(traceBuf.Events()))
+	}
+}
+
+// progressSink prints a live progress line to stderr on every round
+// event whose round is a multiple of every. The faults column counts
+// the fault events (crash/revive transitions) the run has seen so far.
+type progressSink struct {
+	every  int
+	faults int
+}
+
+func (p *progressSink) Emit(ev *telemetry.Event) {
+	switch ev.Kind {
+	case telemetry.KindRunStart:
+		p.faults = 0
+	case telemetry.KindFault:
+		p.faults++
+	case telemetry.KindRound:
+		if ev.Round%p.every == 0 {
+			fmt.Fprintf(os.Stderr, "  run %d round %6d [%-9s] alive %d msgs %d drops %d faults %d\n",
+				ev.Run, ev.Round, ev.Phase, ev.Alive, ev.Counters.Messages, ev.Counters.Drops, p.faults)
+		}
 	}
 }
 

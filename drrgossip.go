@@ -28,9 +28,10 @@
 // Consensus, a Cost bill); Network.RunAll executes a batch against one
 // overlay/crash-set and additionally returns the aggregate bill, and
 // Network.RunContext supports cancellation between protocol runs.
-// Observers (Network.Observe) stream per-round progress — round, phase,
-// alive count, message counters, fault events — without perturbing the
-// run. ExactOf computes the reference value a query should converge to:
+// Config.Telemetry streams run, phase, per-round and fault events —
+// round, phase, alive count, counter deltas, convergence residual —
+// without perturbing the run. ExactOf computes the reference value a
+// query should converge to:
 //
 //	want, err := drrgossip.ExactOf(cfg, drrgossip.AverageOf(values))
 //

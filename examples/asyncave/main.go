@@ -4,7 +4,7 @@
 // asynchronous pairwise averaging on Poisson clocks (Mode: Async) — and
 // the example prints the bills in the shared accounting unit (one
 // transmission = one message) plus a convergence-residual table streamed
-// live from the async runs through a session observer. The async legs
+// live from the async runs through a telemetry sink. The async legs
 // sweep the three peer-selection policies on a Chord overlay,
 // showing why greedy selection (GGE, sample-greedy) earns its place in
 // the literature: fewer exchanges to the same ε.
@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"drrgossip"
+	"drrgossip/internal/telemetry"
 )
 
 const (
@@ -27,15 +28,15 @@ const (
 )
 
 // residualTap records the convergence residual (the spread of the alive
-// estimates) at fixed event strides, building the walkthrough's table.
+// estimates) from the round events, which the async engine emits every
+// RoundEvery dispatched events, building the walkthrough's table.
 type residualTap struct {
-	every int
-	rows  map[int]float64 // events -> residual
+	rows map[int]float64 // events -> residual
 }
 
-func (rt *residualTap) OnRound(ri drrgossip.RoundInfo) {
-	if ri.Round%rt.every == 0 && !math.IsNaN(ri.Residual) {
-		rt.rows[ri.Round] = ri.Residual
+func (rt *residualTap) Emit(ev *telemetry.Event) {
+	if ev.Kind == telemetry.KindRound && !math.IsNaN(ev.Residual) {
+		rt.rows[ev.Round] = ev.Residual
 	}
 }
 
@@ -76,16 +77,16 @@ func main() {
 	// peer-selection policy, each streaming its residual trajectory.
 	taps := map[string]*residualTap{}
 	for _, peer := range []string{"uniform", "gge", "samplegreedy"} {
+		tap := &residualTap{rows: map[int]float64{}}
+		taps[peer] = tap
 		net, err := drrgossip.New(drrgossip.Config{
 			N: n, Seed: seed, Topology: drrgossip.Chord,
 			Mode: drrgossip.Async, AsyncPeer: peer, AsyncEps: eps,
+			Telemetry: &telemetry.Options{Sink: tap, RoundEvery: 4 * n},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		tap := &residualTap{every: 4 * n, rows: map[int]float64{}}
-		taps[peer] = tap
-		net.Observe(tap)
 		ans, err := net.Run(drrgossip.AverageOf(values))
 		if err != nil {
 			log.Fatal(err)

@@ -1,7 +1,7 @@
 // Queries: the session API end to end — one reusable drrgossip.Network
 // answers a dashboard-style batch of typed queries (extrema, average,
 // two quantiles, a histogram) over a Chord overlay while a fault plan
-// churns the membership, with a per-round Observer streaming live
+// churns the membership, with a telemetry sink streaming live
 // progress. The point of the session: the overlay is built once and the
 // fault plan is measured/bound once per operation kind, no matter how
 // many Rank steps the quantiles and the histogram spend.
@@ -16,7 +16,26 @@ import (
 
 	"drrgossip"
 	"drrgossip/internal/agg"
+	"drrgossip/internal/telemetry"
 )
+
+// progress prints a line per round event, with the number of fault
+// events (crash/revive transitions) the run has seen so far.
+type progress struct {
+	faults int
+}
+
+func (p *progress) Emit(ev *telemetry.Event) {
+	switch ev.Kind {
+	case telemetry.KindRunStart:
+		p.faults = 0
+	case telemetry.KindFault:
+		p.faults++
+	case telemetry.KindRound:
+		fmt.Printf("  … run %2d round %6d [%-9s] alive %4d, %7d msgs, %d fault events\n",
+			ev.Run, ev.Round, ev.Phase, ev.Alive, ev.Counters.Messages, p.faults)
+	}
+}
 
 func main() {
 	const n = 1024
@@ -24,7 +43,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := drrgossip.Config{N: n, Seed: 7, Topology: drrgossip.Chord, Faults: plan}
+	// Live progress: one line every 2000 simulated rounds. Telemetry is a
+	// read-only tap — results are bit-identical with or without it.
+	cfg := drrgossip.Config{N: n, Seed: 7, Topology: drrgossip.Chord, Faults: plan,
+		Telemetry: &telemetry.Options{Sink: &progress{}, RoundEvery: 2000}}
 
 	// Per-node metric: request latencies, uniform in [0, 500) ms.
 	latency := agg.GenUniform(n, 0, 500, 11)
@@ -33,15 +55,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Live progress: one line every 2000 simulated rounds. Observers are
-	// read-only — results are bit-identical with or without them.
-	net.Observe(drrgossip.ObserverFunc(func(ri drrgossip.RoundInfo) {
-		if ri.Round%2000 == 0 {
-			fmt.Printf("  … run %2d round %6d [%-9s] alive %4d, %7d msgs, %d fault events\n",
-				ri.Run, ri.Round, ri.Phase, ri.Alive, ri.Messages, ri.FaultEvents)
-		}
-	}))
 
 	fmt.Printf("latency dashboard over %d nodes (chord overlay, faults %s)\n\n", n, plan)
 	batch := []drrgossip.Query{

@@ -1,10 +1,10 @@
 // Telemetry: the observability layer end to end. A datacenter of
 // machines reports per-node request latency; the operator asks for the
-// p99 in-network and watches the session run: a live per-phase table
-// streamed from round observers, structured events mirrored to three
-// sinks at once (in-memory buffer, JSON Lines file, live counters), a
-// per-phase cost bill on the answer, and finally the whole session
-// exported as a Chrome trace-event timeline.
+// p99 in-network and watches the session run: structured events
+// mirrored to four sinks at once (a live per-phase table, an in-memory
+// buffer, a JSON Lines file, live counters), a per-phase cost bill on
+// the answer, and finally the whole session exported as a Chrome
+// trace-event timeline.
 //
 //	go run ./examples/telemetry
 //	# then open telemetry_trace.json in chrome://tracing or ui.perfetto.dev
@@ -23,6 +23,50 @@ import (
 	"drrgossip/internal/xrand"
 )
 
+// phaseTable is the live view: it folds each event's counter delta into
+// a per-run×phase row and prints the row when the run leaves the phase.
+type phaseTable struct {
+	cur *phaseRow
+}
+
+type phaseRow struct {
+	run      int
+	phase    string
+	rounds   int
+	messages int64
+	residual float64
+}
+
+func (t *phaseTable) Emit(ev *telemetry.Event) {
+	if t.cur != nil {
+		t.cur.rounds += ev.Delta.Rounds
+		t.cur.messages += ev.Delta.Messages
+		if !math.IsNaN(ev.Residual) {
+			t.cur.residual = ev.Residual
+		}
+	}
+	switch ev.Kind {
+	case telemetry.KindPhase:
+		t.flush()
+		t.cur = &phaseRow{run: ev.Run, phase: ev.Phase, residual: math.NaN()}
+	case telemetry.KindRunEnd:
+		t.flush()
+	}
+}
+
+func (t *phaseTable) flush() {
+	if t.cur == nil {
+		return
+	}
+	res := "      —"
+	if !math.IsNaN(t.cur.residual) {
+		res = fmt.Sprintf("%7.1e", t.cur.residual)
+	}
+	fmt.Printf("  run %2d  %-10s %6d rounds %9d msgs  residual %s\n",
+		t.cur.run, t.cur.phase, t.cur.rounds, t.cur.messages, res)
+	t.cur = nil
+}
+
 func main() {
 	const machines = 4096
 	const seed = 2718
@@ -36,11 +80,13 @@ func main() {
 		latency[i] = 12 * math.Exp(0.4*z)
 	}
 
-	// Three sinks tap the same event stream: a Buffer retains every
-	// event for the Chrome trace, a JSONL writer streams them to disk,
-	// and Metrics folds them into live counters (the same aggregator
-	// the -http endpoints serve). RoundEvery 1 asks for full per-round
-	// fidelity — file sinks want every round, not a sampled stride.
+	// Four sinks tap the same event stream: a phaseTable prints the live
+	// view, a Buffer retains every event for the Chrome trace, a JSONL
+	// writer streams them to disk, and Metrics folds them into live
+	// counters (the same aggregator the -http endpoints serve).
+	// RoundEvery 1 asks for full per-round fidelity — file sinks want
+	// every round, not a sampled stride. Sinks are read-only taps:
+	// attaching them leaves every result and counter bit-identical.
 	var buf telemetry.Buffer
 	f, err := os.Create("telemetry_events.jsonl")
 	if err != nil {
@@ -55,7 +101,7 @@ func main() {
 		Seed: seed,
 		Loss: 0.02,
 		Telemetry: &telemetry.Options{
-			Sink:       telemetry.Multi(&buf, jsonl, metrics),
+			Sink:       telemetry.Multi(&phaseTable{}, &buf, jsonl, metrics),
 			RoundEvery: 1,
 		},
 	}
@@ -64,49 +110,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A round observer drives the live view: fold each round into a
-	// per-run×phase accumulator and print a table line whenever a run
-	// finishes a phase. Observers are read-only taps — installing one
-	// leaves every result and counter bit-identical.
-	type phaseRow struct {
-		run      int
-		phase    string
-		rounds   int
-		messages int64
-		residual float64
-	}
-	var cur *phaseRow
-	flush := func() {
-		if cur == nil {
-			return
-		}
-		res := "      —"
-		if !math.IsNaN(cur.residual) {
-			res = fmt.Sprintf("%7.1e", cur.residual)
-		}
-		fmt.Printf("  run %2d  %-10s %6d rounds %9d msgs  residual %s\n",
-			cur.run, cur.phase, cur.rounds, cur.messages, res)
-		cur = nil
-	}
-	net.Observe(drrgossip.ObserverFunc(func(ri drrgossip.RoundInfo) {
-		if cur == nil || cur.run != ri.Run || cur.phase != ri.Phase {
-			flush()
-			cur = &phaseRow{run: ri.Run, phase: ri.Phase, residual: math.NaN()}
-		}
-		cur.rounds++
-		cur.messages += ri.Delta.Messages
-		if !math.IsNaN(ri.Residual) {
-			cur.residual = ri.Residual
-		}
-	}))
-
 	fmt.Printf("p99 latency over %d machines (δ=0.02) — live phase trace:\n\n", machines)
 	ans, err := net.Run(drrgossip.QuantileOf(latency, 0.99, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	flush()
-
 	fmt.Printf("\np99 latency ≈ %.2f ms   (converged %v, %d machines alive)\n",
 		ans.Value, ans.Converged, ans.Alive)
 

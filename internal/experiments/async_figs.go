@@ -51,13 +51,11 @@ func as1Ladder(cfg Config) []int {
 // value against the exact mean of the population.
 func as1Run(cfg Config, topo facade.Topology, peer string, n int, values []float64) (*facade.Answer, time.Duration, error) {
 	fc := facade.Config{N: n, Seed: xrand.Hash(cfg.Seed, 0xA51, uint64(n)), Topology: topo,
-		Mode: facade.Async, AsyncPeer: peer, AsyncEps: as1Eps, Telemetry: cfg.Telemetry}
+		Mode: facade.Async, AsyncPeer: peer, AsyncEps: as1Eps,
+		Telemetry: cfg.sessionTelemetry("AS1 "+topo.String()+"/"+peer, 10*n)}
 	net, err := facade.New(fc)
 	if err != nil {
 		return nil, 0, err
-	}
-	if obs := cfg.progressObserver("AS1 "+topo.String()+"/"+peer, 10*n); obs != nil {
-		net.Observe(obs)
 	}
 	start := time.Now()
 	ans, err := net.Run(facade.AverageOf(values))

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 
-	"drrgossip"
 	"drrgossip/internal/telemetry"
 )
 
@@ -36,8 +35,8 @@ type Config struct {
 	// and ignores this.
 	FaultSpec string
 	// Progress, when non-nil, receives live per-round progress lines from
-	// the experiments that run through the session API (FT1, QB1), via a
-	// drrgossip.Observer. Nil keeps runs silent.
+	// the experiments that run through the session API (FT1, AS1, QH1,
+	// QB1), via a telemetry sink. Nil keeps runs silent.
 	Progress io.Writer
 	// Workers caps the goroutines the sweeps fan independent replications
 	// across (0 = GOMAXPROCS, 1 = sequential). Reports are bit-identical
@@ -62,19 +61,53 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// progressObserver returns a throttled observer streaming one line per
-// `every` rounds to cfg.Progress, or nil when progress is off.
-func (c Config) progressObserver(label string, every int) drrgossip.Observer {
+// sessionTelemetry returns the telemetry options for one experiment
+// session: cfg.Telemetry as is when progress is off, otherwise a
+// progress sink streaming one line per `every` rounds to cfg.Progress,
+// combined with cfg.Telemetry's sink at the coarsest stride serving
+// both.
+func (c Config) sessionTelemetry(label string, every int) *telemetry.Options {
 	if c.Progress == nil {
-		return nil
+		return c.Telemetry
 	}
-	w := c.Progress
-	return drrgossip.ObserverFunc(func(ri drrgossip.RoundInfo) {
-		if ri.Round%every == 0 {
-			fmt.Fprintf(w, "%s: run %d round %d [%s] alive %d msgs %d faults %d\n",
-				label, ri.Run, ri.Round, ri.Phase, ri.Alive, ri.Messages, ri.FaultEvents)
+	opts := telemetry.Options{Sink: &progressSink{w: c.Progress, label: label, every: every}, RoundEvery: every}
+	if c.Telemetry != nil {
+		opts.Sink = telemetry.Multi(c.Telemetry.Sink, opts.Sink)
+		opts.RoundEvery = gcd(every, c.Telemetry.RoundEvery)
+	}
+	return &opts
+}
+
+// progressSink writes one progress line to w on every round event whose
+// round is a multiple of every. The faults column counts the fault
+// events (crash/revive transitions) the run has seen so far.
+type progressSink struct {
+	w      io.Writer
+	label  string
+	every  int
+	faults int
+}
+
+func (p *progressSink) Emit(ev *telemetry.Event) {
+	switch ev.Kind {
+	case telemetry.KindRunStart:
+		p.faults = 0
+	case telemetry.KindFault:
+		p.faults++
+	case telemetry.KindRound:
+		if ev.Round%p.every == 0 {
+			fmt.Fprintf(p.w, "%s: run %d round %d [%s] alive %d msgs %d faults %d\n",
+				p.label, ev.Run, ev.Round, ev.Phase, ev.Alive, ev.Counters.Messages, p.faults)
 		}
-	})
+	}
+}
+
+// gcd returns the greatest common divisor of a and b (gcd(a, 0) = a).
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func (c Config) trials(def int) int {

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"drrgossip"
+	"drrgossip/internal/agg"
+	"drrgossip/internal/telemetry"
 )
 
 // quickCfg keeps CI fast; the harness binary runs the full sizes.
@@ -150,5 +155,53 @@ func TestItoa(t *testing.T) {
 		if got := itoa(c.n); got != c.want {
 			t.Fatalf("itoa(%d) = %q", c.n, got)
 		}
+	}
+}
+
+// With Progress set, sessionTelemetry combines a progress sink with
+// cfg.Telemetry at a stride serving both: progress lines land only on
+// their own stride and count the run's fault events, and the caller's
+// sink still receives the session's stream.
+func TestSessionTelemetryProgress(t *testing.T) {
+	var buf telemetry.Buffer
+	tel := &telemetry.Options{Sink: &buf, RoundEvery: 4}
+	if got := (Config{Telemetry: tel}).sessionTelemetry("P", 10); got != tel {
+		t.Fatalf("progress off must pass cfg.Telemetry through, got %+v", got)
+	}
+	var out strings.Builder
+	opts := Config{Progress: &out, Telemetry: tel}.sessionTelemetry("P", 10)
+	if opts.RoundEvery != 2 {
+		t.Fatalf("combined stride = %d, want gcd(10, 4) = 2", opts.RoundEvery)
+	}
+	plan, err := drrgossip.ParseFaultPlan("crash:0.1@0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	net, err := drrgossip.New(drrgossip.Config{N: n, Seed: 3, Faults: plan, Telemetry: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(drrgossip.AverageOf(agg.GenUniform(n, 0, 1, 5))); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var run, round, alive, faults int
+	var msgs int64
+	var phase string
+	for _, line := range lines {
+		if _, err := fmt.Sscanf(line, "P: run %d round %d %s alive %d msgs %d faults %d",
+			&run, &round, &phase, &alive, &msgs, &faults); err != nil {
+			t.Fatalf("unparsable progress line %q: %v", line, err)
+		}
+		if round%10 != 0 {
+			t.Fatalf("progress line off its stride: %q", line)
+		}
+	}
+	if run != 2 || faults == 0 || alive == n {
+		t.Fatalf("last progress line should show the faulted run's crashes: %q", lines[len(lines)-1])
+	}
+	if len(buf.Events()) == 0 {
+		t.Fatal("cfg.Telemetry's sink saw no events")
 	}
 }

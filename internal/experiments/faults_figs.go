@@ -79,8 +79,8 @@ func RunFT1(cfg Config) (*Report, error) {
 			sim.ForEachRun(trials, cfg.workers(), func(trial int) {
 				o := &outs[trial]
 				fc := drrgossip.Config{
-					N: n, Seed: cfg.Seed + uint64(trial)*7919,
-					Topology: topo, Faults: plan, Telemetry: cfg.Telemetry,
+					N: n, Seed: cfg.Seed + uint64(trial)*7919, Topology: topo, Faults: plan,
+					Telemetry: cfg.sessionTelemetry(fmt.Sprintf("FT1 %s/%s", spec, topo), 500),
 				}
 				// One session per (scenario, topology, trial): the overlay
 				// and the per-op fault bindings are shared by the batch, and
@@ -90,9 +90,6 @@ func RunFT1(cfg Config) (*Report, error) {
 				if err != nil {
 					o.err = fmt.Errorf("FT1 %s/%s: %w", spec, topo, err)
 					return
-				}
-				if obs := cfg.progressObserver(fmt.Sprintf("FT1 %s/%s", spec, topo), 500); obs != nil {
-					net.Observe(obs)
 				}
 				o.answers, o.bill, o.err = net.RunAll([]drrgossip.Query{
 					drrgossip.AverageOf(values),

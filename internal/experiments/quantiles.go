@@ -76,13 +76,10 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64) (*Report,
 		values := agg.GenUniform(n, 0, 1000, xrand.Hash(cfg.Seed, 0x911, uint64(n)))
 		net, err := drrgossip.New(drrgossip.Config{
 			N: n, Seed: xrand.Hash(cfg.Seed, 0x912, uint64(n)), Topology: topo,
-			QuantileMethod: method, Telemetry: cfg.Telemetry,
+			QuantileMethod: method, Telemetry: cfg.sessionTelemetry("QH1", 1000),
 		})
 		if err != nil {
 			return nil, 0, err
-		}
-		if obs := cfg.progressObserver("QH1", 1000); obs != nil {
-			net.Observe(obs)
 		}
 		start := time.Now()
 		ans, err := net.Run(drrgossip.QuantileOf(values, qh1Phi, qh1Tol(n)))

@@ -35,12 +35,9 @@ func RunQB1(cfg Config) (*Report, error) {
 		"query", "runs", "rounds", "msg/n", "drops", "pre-runs", "binds", "elapsed")
 
 	net, err := drrgossip.New(drrgossip.Config{N: n, Seed: cfg.Seed + 0xB1, Topology: drrgossip.Chord,
-		Faults: plan, Telemetry: cfg.Telemetry})
+		Faults: plan, Telemetry: cfg.sessionTelemetry("QB1", 1000)})
 	if err != nil {
 		return nil, err
-	}
-	if obs := cfg.progressObserver("QB1", 1000); obs != nil {
-		net.Observe(obs)
 	}
 
 	// The last edge sits above the whole value range, so the open bucket

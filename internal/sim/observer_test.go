@@ -105,13 +105,6 @@ func TestResidual(t *testing.T) {
 	if !math.IsNaN(e.Residual()) {
 		t.Fatalf("fresh engine residual = %v, want NaN", e.Residual())
 	}
-	if e.Observed() {
-		t.Fatal("fresh engine must not report Observed")
-	}
-	e.SetRoundObserver(func(int) {})
-	if !e.Observed() {
-		t.Fatal("engine with round observer must report Observed")
-	}
 	e.ReportResidual(0.5)
 	if e.Residual() != 0.5 {
 		t.Fatalf("residual = %v", e.Residual())
@@ -167,7 +160,9 @@ func TestResetClearsObservabilityState(t *testing.T) {
 	if !math.IsNaN(e.Residual()) {
 		t.Fatalf("Reset left residual %v", e.Residual())
 	}
-	if e.Observed() {
+	// At the stride of 1 that Reset restores, a residual is due every
+	// round exactly while a round observer is installed.
+	if e.WantResidual() {
 		t.Fatal("Reset left a round observer installed")
 	}
 	e.SetRoundObserver(func(int) {})

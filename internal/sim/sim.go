@@ -432,18 +432,13 @@ func (e *Engine) SetMembershipObserver(f func(node int, alive bool)) { e.memberO
 
 // ReportResidual records the driver's current convergence residual (for
 // the gossip drivers: the spread of the running ratio estimate across
-// roots). Pure observability: protocols report it only when an observer
-// is installed (see Observed), so the static hot path never computes it.
+// roots). Pure observability: protocols report it only when it is due
+// (see WantResidual), so the static hot path never computes it.
 func (e *Engine) ReportResidual(r float64) { e.residual = r }
 
 // Residual returns the last driver-reported convergence residual, or NaN
 // when the running protocol has not reported one.
 func (e *Engine) Residual() float64 { return e.residual }
-
-// Observed reports whether a round observer is installed. Protocol
-// drivers gate optional observability work (residual computation) on it
-// so that unobserved runs pay nothing.
-func (e *Engine) Observed() bool { return e.observer != nil }
 
 // SetResidualStride declares how often the reported residual is actually
 // read: every k-th round (the facade derives k from its telemetry

@@ -54,8 +54,7 @@ func NewEmitter(opts Options) *Emitter {
 func (em *Emitter) Enabled() bool { return em != nil }
 
 // WantsRounds reports whether per-round samples were requested — the
-// facade installs an engine round observer only then (or when session
-// observers need one anyway).
+// facade installs an engine round observer only then.
 func (em *Emitter) WantsRounds() bool { return em != nil && em.roundEvery > 0 }
 
 // RoundEvery returns the configured per-round sampling stride (0 = no

@@ -80,8 +80,8 @@ func (k Kind) String() string {
 // the emitter reuses one Event between Emit calls, so sinks that retain
 // events must copy them (Ring and Buffer do).
 type Event struct {
-	// Run numbers the protocol run within the session (1-based, same
-	// numbering as RoundInfo.Run).
+	// Run numbers the protocol run within the session (1-based, counting
+	// composite sub-runs and horizon-measurement pre-runs).
 	Run int
 	// Seq orders the run's events (1-based, strictly increasing).
 	Seq uint64

@@ -45,26 +45,43 @@ func TestMetamorphicRelations(t *testing.T) {
 		{"Min(8v) = 8 Min(v)", MinOf(values), MinOf(scaled), func(x float64) float64 { return 8 * x }},
 		{"Rank(8v, 8q) = Rank(v, q)", RankOf(values, q), RankOf(scaled, 8*q), func(x float64) float64 { return x }},
 	}
+	check := func(nw *Network, label, name string, base, trans Query, mapBase func(float64) float64) {
+		t.Helper()
+		b, err := nw.Run(base)
+		if err != nil {
+			t.Fatalf("%s %s: base run: %v", label, name, err)
+		}
+		tr, err := nw.Run(trans)
+		if err != nil {
+			t.Fatalf("%s %s: transformed run: %v", label, name, err)
+		}
+		if want := mapBase(b.Value); math.Float64bits(tr.Value) != math.Float64bits(want) {
+			t.Errorf("%s: %s broken: transformed %v, mapped base %v", label, name, tr.Value, want)
+		}
+		if tr.Cost != b.Cost {
+			t.Errorf("%s: %s: bill drifted: transformed %+v, base %+v", label, name, tr.Cost, b.Cost)
+		}
+	}
 	for _, c := range configs {
 		nw, err := New(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for _, r := range relations {
-			base, err := nw.Run(r.base)
+			check(nw, c.name, r.name, r.base, r.trans, r.mapBase)
+		}
+		// Quantile(8v, φ, 0) = 8·Quantile(v, φ, 0) under both drivers. The
+		// smallworld plan row drives HMS into its fallback bisection, so
+		// both bisection paths are covered.
+		for _, method := range []QuantileMethod{QuantileBisect, QuantileHMS} {
+			cfg := c.cfg
+			cfg.QuantileMethod = method
+			nw, err := New(cfg)
 			if err != nil {
-				t.Fatalf("%s %s: base run: %v", c.name, r.name, err)
+				t.Fatalf("%s: %v", c.name, err)
 			}
-			trans, err := nw.Run(r.trans)
-			if err != nil {
-				t.Fatalf("%s %s: transformed run: %v", c.name, r.name, err)
-			}
-			if want := r.mapBase(base.Value); math.Float64bits(trans.Value) != math.Float64bits(want) {
-				t.Errorf("%s: %s broken: transformed %v, mapped base %v", c.name, r.name, trans.Value, want)
-			}
-			if trans.Cost != base.Cost {
-				t.Errorf("%s: %s: bill drifted: transformed %+v, base %+v", c.name, r.name, trans.Cost, base.Cost)
-			}
+			check(nw, c.name+"/"+method.String(), "Quantile(8v, 0.9) = 8 Quantile(v, 0.9)",
+				QuantileOf(values, 0.9, 0), QuantileOf(scaled, 0.9, 0), func(x float64) float64 { return 8 * x })
 		}
 	}
 }

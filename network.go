@@ -32,62 +32,6 @@ import (
 // its overlay exactly once no matter how many queries run against it.
 var overlayBuilds atomic.Int64
 
-// RoundInfo is the per-round snapshot streamed to Observers: which
-// protocol run of the session is executing, how far it is, and the
-// engine's live accounting at the end of that round.
-type RoundInfo struct {
-	// Run numbers the protocol runs of the session (1-based, counting
-	// horizon-measurement pre-runs too).
-	Run int
-	// Round is the run's current round.
-	Round int
-	// Phase is the protocol phase label ("drr", "aggregate", "gossip",
-	// "broadcast") the run reported for this round.
-	Phase string
-	// Alive is the number of live nodes at the end of the round.
-	Alive int
-	// Messages and Drops are the run's cumulative counters so far.
-	Messages int64
-	Drops    int64
-	// Delta is the round's own share of the counters — the change since
-	// the previous observed round — so observers no longer recompute it
-	// from consecutive snapshots.
-	Delta RoundDelta
-	// Residual is the protocol's convergence residual at the end of the
-	// round when the running driver reports one (the gossip phases report
-	// the spread of the root ratio estimates); NaN otherwise.
-	Residual float64
-	// FaultEvents is the number of fault-plan actions applied so far in
-	// this run (0 without a plan).
-	FaultEvents int
-}
-
-// RoundDelta is the per-round change of the engine counters carried by
-// RoundInfo.Delta: messages sent, messages lost to link failure,
-// messages killed by installed link faults, and synchronous calls
-// placed during that round.
-type RoundDelta struct {
-	Messages int64
-	Drops    int64
-	Blocked  int64
-	Calls    int64
-}
-
-// Observer receives one callback per simulated round. Observers are
-// read-only taps: they cannot perturb the run, and installing one leaves
-// every result and counter bit-identical. OnRound is called from the
-// engine's sequential round loop — keep it fast (it is on the hot path)
-// and do not call back into the Network from it.
-type Observer interface {
-	OnRound(RoundInfo)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(RoundInfo)
-
-// OnRound calls f.
-func (f ObserverFunc) OnRound(ri RoundInfo) { f(ri) }
-
 // SessionStats is the session-level accounting a Network keeps on top of
 // per-query Cost: the work New amortizes across queries.
 type SessionStats struct {
@@ -138,14 +82,9 @@ type Network struct {
 	// replicas recompute the identical set).
 	sample []int
 
-	observers []Observer
-
 	// em is the session's telemetry emitter (nil when Config.Telemetry is
 	// unset — the "telemetry off" state every hot path checks for free).
-	// lastRound is the previous observed round's counter snapshot, the
-	// baseline for RoundInfo.Delta; it is reset at every run start.
-	em        *telemetry.Emitter
-	lastRound sim.Counters
+	em *telemetry.Emitter
 
 	// wd is the watchdog of the query currently in flight (nil between
 	// queries and whenever the config sets no Deadline/RoundBudget and
@@ -183,15 +122,6 @@ func New(cfg Config) (*Network, error) {
 
 // Config returns the configuration the session was built with.
 func (nw *Network) Config() Config { return nw.cfg }
-
-// Observe registers an observer for every subsequent protocol round of
-// the session and returns the Network for chaining. Observers stack.
-func (nw *Network) Observe(o Observer) *Network {
-	if o != nil {
-		nw.observers = append(nw.observers, o)
-	}
-	return nw
-}
 
 // Stats returns the session's amortization accounting.
 func (nw *Network) Stats() SessionStats {
@@ -261,9 +191,8 @@ type BatchOptions struct {
 	// fault bindings — and every protocol run is seeded from Config.Seed
 	// exactly as in sequential execution, so the answers are
 	// bit-identical for any parallelism (see README, "Determinism").
-	// Session observers are not streamed during a concurrent batch:
-	// per-round callbacks from concurrent engines would interleave
-	// nondeterministically.
+	// Config.Telemetry still sees one deterministic stream: each query's
+	// events are buffered and forwarded in query order.
 	Parallelism int
 }
 
@@ -389,10 +318,10 @@ func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers 
 
 // workerSession replicates the session for one RunAll worker: the same
 // config and the same (immutable, safely shared) overlay, per-worker
-// clones of the fault bindings, a per-worker pooled engine, and no
-// observers. Worker sessions never rebuild the overlay and their own
-// SessionStats are discarded; the parent folds the batch into its
-// accounting deterministically.
+// clones of the fault bindings and a per-worker pooled engine. Worker
+// sessions never rebuild the overlay and their own SessionStats are
+// discarded; the parent folds the batch into its accounting
+// deterministically.
 func (nw *Network) workerSession() *Network {
 	ws := &Network{cfg: nw.cfg, ov: nw.ov, bounds: make(map[Op]*faults.Bound, len(nw.bounds))}
 	for op, b := range nw.bounds {
@@ -446,43 +375,26 @@ func (nw *Network) engine() *sim.Engine {
 }
 
 // execOnce performs one protocol run on the pooled engine, attaching the
-// bound fault schedule (if any), the session's observers, the query
-// watchdog, and the telemetry emitter's engine hooks. The engine Reset
-// at the top clears every hook from the previous run, so runs cannot
-// leak observability state into each other. A watchdog abort unwinds
-// the run as a *sim.AbortError panic, recovered here into a partial
-// runResult (the engine's accounting at the abort round) plus the abort
-// cause as the error.
+// bound fault schedule (if any), the query watchdog, and the telemetry
+// emitter's engine hooks. The engine Reset at the top clears every hook
+// from the previous run, so runs cannot leak observability state into
+// each other. A watchdog abort unwinds the run as a *sim.AbortError
+// panic, recovered here into a partial runResult (the engine's
+// accounting at the abort round) plus the abort cause as the error.
 func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
 	nw.protoRuns++
 	eng := nw.engine()
-	runIdx := nw.protoRuns
 	em := nw.em
 	if em.Enabled() {
-		em.RunStart(runIdx, op.String(), eng)
+		em.RunStart(nw.protoRuns, op.String(), eng)
 		eng.SetPhaseObserver(func(string) { em.Phase(eng) })
 		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(eng, node, alive) })
 	}
-	wantRounds := em.WantsRounds()
-	if len(nw.observers) > 0 || wantRounds {
-		nw.lastRound = sim.Counters{}
-		eng.SetRoundObserver(func(round int) {
-			if wantRounds {
-				em.Round(eng)
-			}
-			if len(nw.observers) > 0 {
-				nw.notify(runIdx, round, eng, b)
-			}
-		})
-		// Residuals are only read on the rounds surfaced to a consumer:
-		// every round when RoundInfo observers are attached, else on the
-		// telemetry round-event stride. The drivers skip the O(roots)
-		// spread scan on all other rounds.
-		if len(nw.observers) > 0 {
-			eng.SetResidualStride(1)
-		} else {
-			eng.SetResidualStride(em.RoundEvery())
-		}
+	if em.WantsRounds() {
+		eng.SetRoundObserver(func(int) { em.Round(eng) })
+		// Residuals are only read on the rounds surfaced as round events;
+		// the drivers skip the O(roots) spread scan on all other rounds.
+		eng.SetResidualStride(em.RoundEvery())
 	}
 	if nw.wd != nil {
 		eng.SetAbortCheck(nw.wd.check, abortStrideSync)
@@ -569,31 +481,6 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 	nw.planBinds++
 	nw.bounds[op] = b
 	return b, nil
-}
-
-// notify fans a round snapshot out to the observers. In Async mode the
-// same path streams per-event snapshots, with the dispatched event count
-// standing in for the round index.
-func (nw *Network) notify(run, round int, eng telemetry.EngineView, b *faults.Bound) {
-	st := eng.Stats()
-	d := st.Sub(nw.lastRound)
-	nw.lastRound = st
-	ri := RoundInfo{
-		Run:      run,
-		Round:    round,
-		Phase:    eng.Phase(),
-		Alive:    eng.NumAlive(),
-		Messages: st.Messages,
-		Drops:    st.Drops,
-		Delta:    RoundDelta{Messages: d.Messages, Drops: d.Drops, Blocked: d.Blocked, Calls: d.Calls},
-		Residual: eng.Residual(),
-	}
-	if b != nil {
-		ri.FaultEvents = b.Fired()
-	}
-	for _, o := range nw.observers {
-		o.OnRound(ri)
-	}
 }
 
 // sampleIDs draws k distinct node ids from [0, n) by a partial
@@ -689,13 +576,7 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	step := func(op Op, arg float64) (*runResult, error) {
-		res, err := nw.subRun(ctx, ans, op, values, arg)
-		if err != nil {
-			return nil, fmt.Errorf("quantile %s step: %w", op, err)
-		}
-		return res, nil
-	}
+	step := nw.quantileStep(ctx, ans, values)
 	minRes, err := step(OpMin, 0)
 	if err != nil {
 		return nw.finishAbort(ans, err)
@@ -709,12 +590,33 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 		return nw.finishAbort(ans, err)
 	}
 	target := math.Ceil(phi * math.Round(countRes.Value))
-	lo, hi := minRes.Value, maxRes.Value
+	return nw.bisect(ans, minRes.Value, maxRes.Value, tol, target, step)
+}
+
+// quantileStep returns the step function of a quantile query: one
+// aggregate run of op over values, billed into ans, its error labelled
+// with the step.
+func (nw *Network) quantileStep(ctx context.Context, ans *Answer, values []float64) func(Op, float64) (*runResult, error) {
+	return func(op Op, arg float64) (*runResult, error) {
+		res, err := nw.subRun(ctx, ans, op, values, arg)
+		if err != nil {
+			return nil, fmt.Errorf("quantile %s step: %w", op, err)
+		}
+		return res, nil
+	}
+}
+
+// bisect finishes a quantile query by value bisection of the bracket
+// [lo, hi], one Rank step per probe, until the bracket is within tol
+// (default: 2^-20 of its width) or the query reaches maxQuantileRuns.
+// The answer is the bracket's upper end; a degenerate bracket (constant
+// values) answers at once.
+func (nw *Network) bisect(ans *Answer, lo, hi, tol, target float64, step func(Op, float64) (*runResult, error)) (*Answer, error) {
 	if tol <= 0 {
 		tol = (hi - lo) / (1 << 20)
 	}
-	if tol <= 0 { // constant values
-		ans.Value = lo
+	if tol <= 0 {
+		ans.Value = math.Max(lo, hi)
 		nw.fillQuality(ans, noResidual, nil)
 		return ans, nil
 	}
@@ -769,13 +671,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nil, err
 	}
 	ans := &Answer{Op: OpQuantile, Converged: true}
-	step := func(op Op, arg float64) (*runResult, error) {
-		res, err := nw.subRun(ctx, ans, op, values, arg)
-		if err != nil {
-			return nil, fmt.Errorf("quantile %s step: %w", op, err)
-		}
-		return res, nil
-	}
+	step := nw.quantileStep(ctx, ans, values)
 	// The target rank needs the alive population size m. With no static
 	// crashes and no dynamic plan every node stays alive, so m == N is
 	// known without spending a run; otherwise a Count run measures it.
@@ -887,30 +783,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	if hi < lo {
 		hi = lo
 	}
-	if tol <= 0 {
-		tol = (hi - lo) / (1 << 20)
-	}
-	if tol <= 0 { // degenerate bracket
-		ans.Value = hi
-		nw.fillQuality(ans, noResidual, nil)
-		return ans, nil
-	}
-	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
-		mid := lo + (hi-lo)/2
-		rankRes, err := step(OpRank, mid)
-		if err != nil {
-			return nw.finishAbort(ans, err)
-		}
-		if math.Round(rankRes.Value) >= float64(t) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	ans.Converged = hi-lo <= tol
-	ans.Value = hi
-	nw.fillQuality(ans, noResidual, nil)
-	return ans, nil
+	return nw.bisect(ans, lo, hi, tol, float64(t), step)
 }
 
 // histogram computes the bucket counts with one Rank run per edge. Every

@@ -8,6 +8,7 @@ import (
 
 	"drrgossip/internal/agg"
 	"drrgossip/internal/faults"
+	"drrgossip/internal/telemetry"
 )
 
 func mustPlan(t *testing.T, spec string) *faults.Plan {
@@ -294,19 +295,19 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled run: %v, want context.Canceled", err)
 	}
 
-	// Cancel from an observer once the second protocol run starts: the
-	// quantile must stop after that run instead of finishing its ~12.
-	nw2, err := New(Config{N: n, Seed: 85})
+	// Cancel from a telemetry sink once the second protocol run starts:
+	// the quantile must stop in that run instead of finishing its ~12.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	cancelAtRun2 := sinkFunc(func(ev *telemetry.Event) {
+		if ev.Kind == telemetry.KindRunStart && ev.Run >= 2 {
+			cancel2()
+		}
+	})
+	nw2, err := New(Config{N: n, Seed: 85, Telemetry: &telemetry.Options{Sink: cancelAtRun2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	nw2.Observe(ObserverFunc(func(ri RoundInfo) {
-		if ri.Run >= 2 {
-			cancel2()
-		}
-	}))
 	if _, err := nw2.RunContext(ctx2, QuantileOf(values, 0.5, 1.0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-quantile cancel: %v, want context.Canceled", err)
 	}
@@ -315,8 +316,8 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// Observers stream every round with phase attribution and cannot perturb
-// the run.
+// At RoundEvery 1 the engine round observer streams one round event per
+// round with phase attribution, and the tap cannot perturb the run.
 func TestObserverStreamsRounds(t *testing.T) {
 	const n = 256
 	values := uniformValues(n, 88)
@@ -324,44 +325,34 @@ func TestObserverStreamsRounds(t *testing.T) {
 
 	plain := mustRun(t, cfg, AverageOf(values))
 
-	nw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []RoundInfo
-	nw.Observe(ObserverFunc(func(ri RoundInfo) { infos = append(infos, ri) }))
-	observed, err := nw.Run(AverageOf(values))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var buf telemetry.Buffer
+	cfg.Telemetry = &telemetry.Options{Sink: &buf, RoundEvery: 1}
+	observed := mustRun(t, cfg, AverageOf(values))
+	answersEqual(t, "RoundEvery 1 tap", plain, observed)
 
-	if observed.Value != plain.Value || observed.Cost.Messages != plain.Cost.Messages ||
-		observed.Cost.Rounds != plain.Cost.Rounds {
-		t.Fatalf("observer perturbed the run: %+v vs %+v", observed, plain)
+	var rounds []telemetry.Event
+	for _, ev := range buf.Events() {
+		if ev.Kind == telemetry.KindRound {
+			rounds = append(rounds, ev)
+		}
 	}
-	if len(infos) != plain.Cost.Rounds {
-		t.Fatalf("observed %d rounds, run took %d", len(infos), plain.Cost.Rounds)
+	if len(rounds) != plain.Cost.Rounds {
+		t.Fatalf("streamed %d round events, run took %d rounds", len(rounds), plain.Cost.Rounds)
 	}
 	phases := map[string]bool{}
-	for i, ri := range infos {
-		if ri.Round != i+1 {
-			t.Fatalf("round %d reported as %d", i+1, ri.Round)
+	for i, ev := range rounds {
+		if ev.Round != i+1 {
+			t.Fatalf("round %d reported as %d", i+1, ev.Round)
 		}
-		if ri.Run != 1 || ri.Alive != n {
-			t.Fatalf("bad round info: %+v", ri)
+		if ev.Run != 1 || ev.Alive != n {
+			t.Fatalf("bad round event: %+v", ev)
 		}
-		phases[ri.Phase] = true
+		phases[ev.Phase] = true
 	}
 	for _, want := range []string{"drr", "aggregate", "gossip", "broadcast"} {
 		if !phases[want] {
-			t.Fatalf("phase %q never observed (saw %v)", want, phases)
+			t.Fatalf("phase %q never streamed (saw %v)", want, phases)
 		}
-	}
-	// Messages sent in the final round are counted after the last Tick,
-	// so the last snapshot trails the final total by at most that round's
-	// sends — but never exceeds it.
-	if last := infos[len(infos)-1]; last.Messages == 0 || last.Messages > plain.Cost.Messages {
-		t.Fatalf("final observed messages %d out of range (run total %d)", last.Messages, plain.Cost.Messages)
 	}
 }
 
@@ -396,6 +387,19 @@ func TestExactOf(t *testing.T) {
 	}
 	if _, err := ExactOf(cfg, MaxOf(values[:10])); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("length mismatch accepted: %v", err)
+	}
+	// ExactOf validates the Config as New does: an out-of-range Loss used
+	// to panic in the engine, an out-of-range CrashFraction to answer.
+	for _, bad := range []Config{
+		{N: n, Loss: math.NaN()},
+		{N: n, Loss: 1.5},
+		{N: n, CrashFraction: 2},
+		{N: n, CrashFraction: math.NaN()},
+	} {
+		if _, err := ExactOf(bad, MaxOf(values)); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("ExactOf(Loss %v, CrashFraction %v): err = %v, want ErrBadConfig",
+				bad.Loss, bad.CrashFraction, err)
+		}
 	}
 	nw, err := New(cfg)
 	if err != nil {

@@ -376,11 +376,11 @@ type Quality struct {
 // crash model. It supports every scalar operation (OpMax..OpRank and
 // OpQuantile, for which it returns the exact φ-quantile of the surviving
 // values); OpMoments and OpHistogram have no single reference value and
-// return an error, as do unknown operations, mismatched input and an
-// out-of-range φ.
+// return an error, as do a Config that New would reject, unknown
+// operations, mismatched input and an out-of-range φ.
 func ExactOf(cfg Config, q Query) (float64, error) {
-	if cfg.N < 2 {
-		return 0, fmt.Errorf("%w: N must be >= 2, got %d", ErrBadConfig, cfg.N)
+	if err := cfg.validate(); err != nil {
+		return 0, err
 	}
 	if len(q.Values) != cfg.N {
 		return 0, fmt.Errorf("%w: %d values for N=%d", ErrBadConfig, len(q.Values), cfg.N)

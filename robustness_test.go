@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"drrgossip/internal/telemetry"
 )
 
 // The degradation contract's acceptance bar: a query limited by
@@ -119,23 +121,23 @@ func TestCompositeAbortKeepsPartialCost(t *testing.T) {
 }
 
 // Mid-run cancellation (satellite: RunContext granularity): a context
-// cancelled from an observer during a run aborts that run within one
-// watchdog stride and surfaces the partial answer with the context
+// cancelled from a telemetry sink during a run aborts that run within
+// one watchdog stride and surfaces the partial answer with the context
 // error.
 func TestMidRunCancellationReturnsPartial(t *testing.T) {
 	const n = 128
 	values := uniformValues(n, 41)
-	nw, err := New(Config{N: n, Seed: 17})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelAt3 := sinkFunc(func(ev *telemetry.Event) {
+		if ev.Kind == telemetry.KindRound && ev.Round >= 3 {
+			cancel()
+		}
+	})
+	nw, err := New(Config{N: n, Seed: 17, Telemetry: &telemetry.Options{Sink: cancelAt3, RoundEvery: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	nw.Observe(ObserverFunc(func(ri RoundInfo) {
-		if ri.Round >= 3 {
-			cancel()
-		}
-	}))
 	ans, err := nw.RunContext(ctx, MaxOf(values))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

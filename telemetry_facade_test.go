@@ -17,6 +17,12 @@ import (
 	"drrgossip/internal/telemetry"
 )
 
+// sinkFunc adapts a function to telemetry.Sink, for tests that act on
+// the event stream as it is emitted.
+type sinkFunc func(ev *telemetry.Event)
+
+func (f sinkFunc) Emit(ev *telemetry.Event) { f(ev) }
+
 // sumPhases folds a PhaseCosts slice back into a Cost-shaped bill.
 func sumPhases(pcs []PhaseCost) (rounds int, messages, drops int64) {
 	for _, pc := range pcs {
@@ -203,85 +209,33 @@ func TestEventOrderingDeterministic(t *testing.T) {
 	}
 }
 
-// TestRoundInfoDeltas pins satellite 6: RoundInfo carries per-round
-// counter deltas that sum back to the run totals, including Blocked
-// under a partition plan.
-func TestRoundInfoDeltas(t *testing.T) {
-	plan, err := ParseFaultPlan("part:2@0.2..0.8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := New(Config{N: 256, Seed: 17, Loss: 0.05, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perRun := map[int]*RoundDelta{}
-	lastCum := map[int]RoundInfo{}
-	var lastRun int
-	nw.Observe(ObserverFunc(func(ri RoundInfo) {
-		d := perRun[ri.Run]
-		if d == nil {
-			d = &RoundDelta{}
-			perRun[ri.Run] = d
-		}
-		d.Messages += ri.Delta.Messages
-		d.Drops += ri.Delta.Drops
-		d.Blocked += ri.Delta.Blocked
-		d.Calls += ri.Delta.Calls
-		lastCum[ri.Run] = ri
-		lastRun = ri.Run
-	}))
-	a, err := nw.Run(AverageOf(uniformValues(256, 19)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := perRun[lastRun]
-	if got == nil {
-		t.Fatal("no rounds observed")
-	}
-	// The deltas telescope: summed over a run they reproduce the run's
-	// last cumulative snapshot exactly. (The run total in Cost can exceed
-	// the last snapshot by messages sent after the final Tick.)
-	cum := lastCum[lastRun]
-	if got.Messages != cum.Messages || got.Drops != cum.Drops {
-		t.Errorf("delta sums (%d msgs, %d drops) != last snapshot (%d, %d)",
-			got.Messages, got.Drops, cum.Messages, cum.Drops)
-	}
-	if a.Cost.Messages < cum.Messages || a.Cost.Drops < cum.Drops {
-		t.Errorf("cost (%d, %d) below last snapshot (%d, %d)",
-			a.Cost.Messages, a.Cost.Drops, cum.Messages, cum.Drops)
-	}
-	if got.Blocked == 0 {
-		t.Error("partition plan produced no Blocked delta — satellite contract broken")
-	}
-}
-
-// TestRoundInfoResidual checks the richer RoundInfo: during the gossip
-// phase of an observed Average run the driver reports a residual, and it
+// TestRoundEventResidual checks that during the gossip phase of an
+// Average run the driver reports a residual on the round events, and it
 // is finite at least once.
-func TestRoundInfoResidual(t *testing.T) {
-	nw, err := New(Config{N: 256, Seed: 23})
+func TestRoundEventResidual(t *testing.T) {
+	var buf telemetry.Buffer
+	nw, err := New(Config{N: 256, Seed: 23, Telemetry: &telemetry.Options{Sink: &buf, RoundEvery: 1}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Run(AverageOf(uniformValues(256, 29))); err != nil {
 		t.Fatal(err)
 	}
 	sawFinite := false
 	sawPhase := false
-	nw.Observe(ObserverFunc(func(ri RoundInfo) {
-		if ri.Phase == "gossip" {
+	for _, ev := range buf.Events() {
+		if ev.Kind == telemetry.KindRound && ev.Phase == "gossip" {
 			sawPhase = true
-			if !math.IsNaN(ri.Residual) {
+			if !math.IsNaN(ev.Residual) {
 				sawFinite = true
 			}
 		}
-	}))
-	if _, err := nw.Run(AverageOf(uniformValues(256, 29))); err != nil {
-		t.Fatal(err)
 	}
 	if !sawPhase {
-		t.Fatal("observer never saw the gossip phase")
+		t.Fatal("no round event in the gossip phase")
 	}
 	if !sawFinite {
-		t.Error("no finite residual observed during the gossip phase")
+		t.Error("no finite residual on a gossip-phase round event")
 	}
 }
 
@@ -412,37 +366,64 @@ func TestTelemetryMetricsSink(t *testing.T) {
 	_ = a
 }
 
-// sumDeltas folds an event stream's deltas per run and checks them
-// against each run's closing totals.
+// TestEventDeltasCloseRuns checks that an event stream's deltas, folded
+// per run, reproduce each run's closing totals — including Blocked under
+// a partition plan, which must actually block traffic.
 func TestEventDeltasCloseRuns(t *testing.T) {
-	var buf telemetry.Buffer
-	nw, err := New(Config{N: 256, Seed: 73, Loss: 0.1, Telemetry: &telemetry.Options{Sink: &buf, RoundEvery: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(AverageOf(uniformValues(256, 79))); err != nil {
-		t.Fatal(err)
-	}
-	sums := map[int]sim.Counters{}
-	finals := map[int]sim.Counters{}
-	for _, ev := range buf.Events() {
-		s := sums[ev.Run]
-		s.Rounds += ev.Delta.Rounds
-		s.Messages += ev.Delta.Messages
-		s.Drops += ev.Delta.Drops
-		s.Blocked += ev.Delta.Blocked
-		s.Calls += ev.Delta.Calls
-		sums[ev.Run] = s
-		if ev.Kind == telemetry.KindRunEnd {
-			finals[ev.Run] = ev.Counters
+	for _, tc := range []struct {
+		cfg  Config
+		spec string
+	}{
+		{Config{N: 256, Seed: 73, Loss: 0.1}, ""},
+		{Config{N: 256, Seed: 17, Loss: 0.05}, "part:2@0.2..0.8"},
+	} {
+		var buf telemetry.Buffer
+		cfg := tc.cfg
+		cfg.Telemetry = &telemetry.Options{Sink: &buf, RoundEvery: 1}
+		if tc.spec != "" {
+			plan, err := ParseFaultPlan(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = plan
 		}
-	}
-	if len(finals) == 0 {
-		t.Fatal("no completed runs in stream")
-	}
-	for run, final := range finals {
-		if sums[run] != final {
-			t.Errorf("run %d: delta sum %+v != final %+v", run, sums[run], final)
+		nw, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := nw.Run(AverageOf(uniformValues(256, 79)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := map[int]sim.Counters{}
+		finals := map[int]sim.Counters{}
+		lastRun := 0
+		for _, ev := range buf.Events() {
+			s := sums[ev.Run]
+			s.Rounds += ev.Delta.Rounds
+			s.Messages += ev.Delta.Messages
+			s.Drops += ev.Delta.Drops
+			s.Blocked += ev.Delta.Blocked
+			s.Calls += ev.Delta.Calls
+			sums[ev.Run] = s
+			if ev.Kind == telemetry.KindRunEnd {
+				finals[ev.Run] = ev.Counters
+				lastRun = ev.Run
+			}
+		}
+		if len(finals) == 0 {
+			t.Fatalf("%q: no completed runs in stream", tc.spec)
+		}
+		for run, final := range finals {
+			if sums[run] != final {
+				t.Errorf("%q run %d: delta sum %+v != final %+v", tc.spec, run, sums[run], final)
+			}
+		}
+		if last := finals[lastRun]; last.Messages != a.Cost.Messages || last.Rounds != a.Cost.Rounds {
+			t.Errorf("%q: closing counters %+v != answer cost %+v", tc.spec, last, a.Cost)
+		}
+		if tc.spec != "" && sums[lastRun].Blocked == 0 {
+			t.Errorf("%q: partition plan produced no Blocked delta", tc.spec)
 		}
 	}
 }

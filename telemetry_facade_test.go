@@ -209,6 +209,62 @@ func TestEventOrderingDeterministic(t *testing.T) {
 	}
 }
 
+// TestRoundInfoDeltas checks the per-round counter deltas of the round
+// events: the deltas of a run's events up to its last round event sum to
+// that event's cumulative Counters, the run's Cost is at least that
+// snapshot, and a partition plan shows up as a Blocked delta.
+func TestRoundInfoDeltas(t *testing.T) {
+	plan, err := ParseFaultPlan("part:2@0.2..0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf telemetry.Buffer
+	nw, err := New(Config{N: 256, Seed: 17, Loss: 0.05, Faults: plan,
+		Telemetry: &telemetry.Options{Sink: &buf, RoundEvery: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := nw.Run(AverageOf(uniformValues(256, 19)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := map[int]sim.Counters{}
+	lastRound := map[int]telemetry.Event{}
+	atLastRound := map[int]sim.Counters{}
+	lastRun := -1
+	for _, ev := range buf.Events() {
+		d := perRun[ev.Run]
+		d.Rounds += ev.Delta.Rounds
+		d.Messages += ev.Delta.Messages
+		d.Drops += ev.Delta.Drops
+		d.Blocked += ev.Delta.Blocked
+		d.Calls += ev.Delta.Calls
+		perRun[ev.Run] = d
+		if ev.Kind == telemetry.KindRound {
+			lastRound[ev.Run] = ev
+			atLastRound[ev.Run] = d
+			lastRun = ev.Run
+		}
+	}
+	if lastRun < 0 {
+		t.Fatal("no round events")
+	}
+	// The deltas telescope: summed up to a run's last round event they
+	// reproduce that event's cumulative snapshot exactly. (The run total
+	// in Cost can exceed it by messages sent after the final Tick.)
+	got, cum := atLastRound[lastRun], lastRound[lastRun].Counters
+	if got != cum {
+		t.Errorf("delta sums %+v != last round snapshot %+v", got, cum)
+	}
+	if a.Cost.Messages < cum.Messages || a.Cost.Drops < cum.Drops {
+		t.Errorf("cost (%d, %d) below last round snapshot (%d, %d)",
+			a.Cost.Messages, a.Cost.Drops, cum.Messages, cum.Drops)
+	}
+	if got.Blocked == 0 {
+		t.Error("partition plan produced no Blocked delta on the round events")
+	}
+}
+
 // TestRoundEventResidual checks that during the gossip phase of an
 // Average run the driver reports a residual on the round events, and it
 // is finite at least once.

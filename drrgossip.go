@@ -79,7 +79,6 @@ import (
 	"strings"
 	"time"
 
-	"drrgossip/internal/async"
 	"drrgossip/internal/chord"
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/faults"
@@ -362,9 +361,10 @@ type RetryPolicy struct {
 // per-node vector on every Answer.
 const AllNodes = -1
 
-// runResult is one protocol run's record inside the session machinery:
-// the consensus value, the full per-node vector (NaN for crashed nodes)
-// and the run's bill. Queries fold runs into an Answer.
+// runResult is one protocol run's record inside the session machinery,
+// for either execution model: the consensus value, the full per-node
+// vector (NaN for crashed nodes) and the run's bill. Queries fold runs
+// into an Answer.
 type runResult struct {
 	// Value is the consensus value (the mean for OpMoments).
 	Value float64
@@ -378,6 +378,21 @@ type runResult struct {
 	PhaseCosts []PhaseCost
 	// Trees is the number of DRR trees built in Phase I.
 	Trees int
+	// Converged reports whether the run met its tolerance: always for a
+	// completed synchronous pipeline (they are exact), per the AsyncEps
+	// spread for pairwise averaging, never for a salvaged partial run.
+	Converged bool
+	// Residual is the closing convergence residual: the estimate spread
+	// in Async mode, noResidual for the synchronous pipelines.
+	Residual float64
+	// Clock is the simulated time the run spanned (Async mode only) and
+	// Exchanges its committed pairwise exchanges.
+	Clock     float64
+	Exchanges int64
+	// Horizon is the run's length on the fault plan's clock — rounds in
+	// Sync mode, fault ticks (Clock quantized at async.TicksPerUnit) in
+	// Async mode — which a horizon-measurement pre-run binds plans to.
+	Horizon int
 	// Alive is the number of nodes alive when the run ended.
 	Alive int
 	// FaultEvents counts the fault actions the plan applied during the
@@ -482,10 +497,6 @@ func (c Config) simOptions() sim.Options {
 	return sim.Options{Seed: c.Seed, Loss: c.Loss, CrashFrac: c.CrashFraction}
 }
 
-func (c Config) asyncOptions() async.Options {
-	return async.Options{Seed: c.Seed, Loss: c.Loss, CrashFrac: c.CrashFraction}
-}
-
 func (c Config) engine() *sim.Engine {
 	return sim.NewEngine(c.N, c.simOptions())
 }
@@ -521,6 +532,9 @@ func wrap(res *core.Result) *runResult {
 		Drops:      res.Stats.Drops,
 		PhaseCosts: phaseCosts(res.Phases),
 		Trees:      res.Forest.NumTrees(),
+		Converged:  true,
+		Residual:   noResidual,
+		Horizon:    res.Stats.Rounds,
 	}
 }
 

@@ -13,7 +13,9 @@
 //
 // # Determinism contract
 //
-// Every run is a pure function of (n, Options):
+// Every run is a pure function of (n, sim.Options) — the engine takes
+// the synchronous engine's options, so a session configures both
+// engines from one value:
 //
 //   - Per-node clocks are xrand streams derived from (Seed, clock
 //     domain, node); the exponential gaps of node i never depend on what
@@ -66,8 +68,8 @@ import (
 
 // TicksPerUnit is the fault-tick quantization: how many round-hook ticks
 // one unit of simulated time spans. A power of two keeps tick boundaries
-// exact in float arithmetic. At the default clock rate (1 tick per node
-// per unit time) one fault tick is ~n/1024 node activations, fine enough
+// exact in float arithmetic. At the clock rate of 1 tick per node per
+// unit time, one fault tick is ~n/1024 node activations, fine enough
 // that fractional fault timings land within a fraction of a percent of
 // their wall-clock target.
 const TicksPerUnit = 1024
@@ -82,31 +84,11 @@ const (
 	rngDomainNode  = 0x52 // per-node protocol streams
 )
 
-// Options configure an Engine.
-type Options struct {
-	// Seed drives every clock gap, loss decision and protocol stream;
-	// equal (n, Options) give bit-identical runs.
-	Seed uint64
-	// Loss is the per-transmission drop probability δ ∈ [0,1).
-	Loss float64
-	// CrashFrac crashes this fraction of nodes before the run starts,
-	// selecting the same nodes as a sim.Engine with the same seed
-	// (sim.InitialCrashSet), so sync and async answers are comparable
-	// over one surviving population.
-	CrashFrac float64
-	// Rate is the default Poisson clock rate per node in ticks per unit
-	// of simulated time (0 means 1). Rates, when non-nil, overrides the
-	// rate per node; a node with rate <= 0 never ticks (its events are
-	// never scheduled — the "zero-rate" edge case).
-	Rate  float64
-	Rates []float64
-}
-
 // Engine is the asynchronous event-driven scheduler. It is not safe for
 // concurrent use; drivers dispatch events strictly sequentially.
 type Engine struct {
 	n     int
-	opts  Options
+	opts  sim.Options
 	now   float64
 	c     sim.Counters
 	alive *bitset.Set
@@ -130,16 +112,17 @@ type Engine struct {
 
 	// abortCheck is the run watchdog (SetAbortCheck): consulted every
 	// abortEvery dispatched events in Run; a non-nil error stops the
-	// loop and is recorded in aborted.
+	// loop.
 	abortCheck func(events int) error
 	abortEvery int
-	aborted    error
 }
 
 // NewEngine builds an engine for n nodes: derives the per-node clock and
-// protocol streams, applies the initial crash set, and schedules every
-// positive-rate node's first tick from time 0.
-func NewEngine(n int, opts Options) *Engine {
+// protocol streams, applies the initial crash set — the same nodes a
+// sim.Engine with equal options crashes (sim.InitialCrashSet), so sync
+// and async answers are comparable over one surviving population — and
+// schedules every node's first tick from time 0.
+func NewEngine(n int, opts sim.Options) *Engine {
 	e := &Engine{
 		n:        n,
 		opts:     opts,
@@ -154,7 +137,7 @@ func NewEngine(n int, opts Options) *Engine {
 		e.clocks[i] = xrand.DeriveStream(opts.Seed, rngDomainClock, uint64(i))
 		e.rngs[i] = xrand.DeriveStream(opts.Seed, rngDomainNode, uint64(i))
 	}
-	for _, i := range sim.InitialCrashSet(n, sim.Options{Seed: opts.Seed, CrashFrac: opts.CrashFrac}) {
+	for _, i := range sim.InitialCrashSet(n, opts) {
 		e.alive.Clear(i)
 		e.nAliv--
 	}
@@ -165,28 +148,13 @@ func NewEngine(n int, opts Options) *Engine {
 	return e
 }
 
-// rate returns node i's clock rate under the Options defaulting rules.
-func (e *Engine) rate(i int) float64 {
-	if e.opts.Rates != nil {
-		return e.opts.Rates[i]
-	}
-	if e.opts.Rate == 0 {
-		return 1
-	}
-	return e.opts.Rate
-}
-
-// schedule pushes node i's next clock tick, an exponential gap after
-// e.now drawn from i's own clock stream. Zero- and negative-rate nodes
-// are never scheduled.
+// schedule pushes node i's next clock tick, an exponential gap of mean
+// 1 (every node ticks at rate 1 per unit of simulated time) after e.now,
+// drawn from i's own clock stream.
 func (e *Engine) schedule(i int) {
-	rate := e.rate(i)
-	if rate <= 0 {
-		return
-	}
 	// 1-Float64() is in (0,1], so the log is finite and the gap > 0:
 	// time strictly advances and a node can never tick twice at once.
-	gap := -math.Log(1-e.clocks[i].Float64()) / rate
+	gap := -math.Log(1 - e.clocks[i].Float64())
 	e.seq++
 	e.heap.push(event{at: e.now + gap, node: int32(i), seq: e.seq})
 }
@@ -258,18 +226,20 @@ func (e *Engine) SetLinkFault(f sim.LinkFault) { e.linkFault = f }
 // fault ticks.
 func (e *Engine) SetRoundHook(h func(tick int)) { e.tickHook = h }
 
-// SetEventObserver installs a read-only tap invoked after every
-// dispatched event (alive or not), with the running event count.
-func (e *Engine) SetEventObserver(f func(events int)) { e.observer = f }
+// SetRoundObserver installs a read-only tap invoked after every
+// dispatched event (alive or not), with the running event count — the
+// async reading of sim.Engine.SetRoundObserver, whose name it shares so
+// the facade wires both engines through one interface.
+func (e *Engine) SetRoundObserver(f func(events int)) { e.observer = f }
 
 // SetAbortCheck installs (or, with nil, removes) a run watchdog: the
 // Run loop consults f every `every` dispatched events (every < 1 means
 // every event) with the running event count, and a non-nil error stops
-// the loop gracefully — the engine records it (see Aborted) and Run
-// returns, so drivers close their books on the partial state instead of
-// unwinding. Like the synchronous counterpart (sim.Engine.SetAbortCheck)
-// it is control-plane only: a run the check never aborts is
-// bit-identical to one without a check installed.
+// the loop gracefully: Run returns, so drivers close their books on the
+// partial state instead of unwinding. The engine keeps no record of the
+// error; the check's owner does. Like the synchronous counterpart
+// (sim.Engine.SetAbortCheck) it is control-plane only: a run the check
+// never aborts is bit-identical to one without a check installed.
 func (e *Engine) SetAbortCheck(f func(events int) error, every int) {
 	if every < 1 {
 		every = 1
@@ -277,10 +247,6 @@ func (e *Engine) SetAbortCheck(f func(events int) error, every int) {
 	e.abortCheck = f
 	e.abortEvery = every
 }
-
-// Aborted returns the error the abort check stopped the last Run with,
-// or nil when no abort occurred.
-func (e *Engine) Aborted() error { return e.aborted }
 
 // SetMembershipObserver installs a read-only tap on Crash/Revive
 // transitions (the telemetry fault events).
@@ -315,7 +281,7 @@ func (e *Engine) Residual() float64 { return e.residual }
 // crossed, bills the event, and schedules the node's next tick. It
 // returns the ticking node and whether it is alive (drivers skip the
 // protocol action of dead nodes); ok is false when no events are
-// scheduled at all (every node has rate <= 0).
+// scheduled at all (an engine with no nodes).
 func (e *Engine) Step() (node int, alive, ok bool) {
 	if e.heap.len() == 0 {
 		return -1, false, false
@@ -341,8 +307,7 @@ func (e *Engine) Step() (node int, alive, ok bool) {
 // observer (after the handler, so observers see the post-action state),
 // then stop. It returns the number of events dispatched in this call.
 // The loop ends when stop reports true, maxEvents is reached, no events
-// are scheduled, or the installed abort check rejects the run (Aborted
-// then reports why).
+// are scheduled, or the installed abort check rejects the run.
 func (e *Engine) Run(handler func(node int), stop func() bool, maxEvents int) int {
 	events := 0
 	for events < maxEvents {
@@ -358,8 +323,7 @@ func (e *Engine) Run(handler func(node int), stop func() bool, maxEvents int) in
 			e.observer(e.c.Rounds)
 		}
 		if e.abortCheck != nil && e.c.Rounds%e.abortEvery == 0 {
-			if err := e.abortCheck(e.c.Rounds); err != nil {
-				e.aborted = err
+			if e.abortCheck(e.c.Rounds) != nil {
 				break
 			}
 		}

@@ -64,36 +64,6 @@ func TestHeapTotalOrder(t *testing.T) {
 	}
 }
 
-// Nodes with rate <= 0 must never tick; everyone else must keep their
-// own tick stream. An engine whose every node has rate 0 dispatches
-// nothing and Run terminates immediately.
-func TestZeroRateNodes(t *testing.T) {
-	e := NewEngine(4, Options{Seed: 11, Rates: []float64{1, 0, 2, -1}})
-	seen := make(map[int]int)
-	n := e.Run(func(u int) { seen[u]++ }, func() bool { return false }, 500)
-	if n != 500 {
-		t.Fatalf("dispatched %d events, want 500", n)
-	}
-	if seen[1] != 0 || seen[3] != 0 {
-		t.Fatalf("zero/negative-rate nodes ticked: %v", seen)
-	}
-	if seen[0] == 0 || seen[2] == 0 {
-		t.Fatalf("positive-rate nodes never ticked: %v", seen)
-	}
-	// Rate 2 ticks about twice as often as rate 1 over 500 events.
-	if seen[2] < seen[0] {
-		t.Fatalf("rate-2 node ticked less than rate-1 node: %v", seen)
-	}
-
-	dead := NewEngine(3, Options{Seed: 11, Rate: -1})
-	if _, _, ok := dead.Step(); ok {
-		t.Fatal("all-zero-rate engine dispatched an event")
-	}
-	if n := dead.Run(func(int) { t.Fatal("handler ran") }, func() bool { return false }, 10); n != 0 {
-		t.Fatalf("all-zero-rate Run dispatched %d events", n)
-	}
-}
-
 // Crashing a node must not change anyone's clock draws: the dispatched
 // (time, node) sequence is identical with and without the crash, the
 // dead node's ticks are reported not-alive, and a revived node resumes
@@ -105,7 +75,7 @@ func TestCrashKeepsClockSequence(t *testing.T) {
 		node int
 	}
 	run := func(crash bool) ([]tick, []bool) {
-		e := NewEngine(n, Options{Seed: 21})
+		e := NewEngine(n, sim.Options{Seed: 21})
 		ticks := make([]tick, 0, events)
 		alives := make([]bool, 0, events)
 		for i := 0; i < events; i++ {
@@ -156,7 +126,7 @@ func TestCrashKeepsClockSequence(t *testing.T) {
 // Exchange billing: every attempt is 2 messages on success, and a dead
 // partner fails the handshake after the request leg (1 message).
 func TestExchangeBilling(t *testing.T) {
-	e := NewEngine(4, Options{Seed: 31})
+	e := NewEngine(4, sim.Options{Seed: 31})
 	if !e.Exchange(0, 1) {
 		t.Fatal("lossless exchange failed")
 	}
@@ -178,9 +148,9 @@ func TestExchangeBilling(t *testing.T) {
 // in order, before the event that crossed the boundary — even when one
 // event crosses several boundaries at once (slow clocks, fine ticks).
 func TestFaultTickMonotone(t *testing.T) {
-	// Rate 1/64 per node: consecutive events are ~64 time units apart at
-	// n=1, so each one crosses many TicksPerUnit boundaries.
-	e := NewEngine(1, Options{Seed: 41, Rate: 1.0 / 64})
+	// At n=1 consecutive events are ~1 time unit apart, so each one
+	// crosses ~TicksPerUnit boundaries.
+	e := NewEngine(1, sim.Options{Seed: 41})
 	var ticks []int
 	e.SetRoundHook(func(tick int) { ticks = append(ticks, tick) })
 	for i := 0; i < 3; i++ {
@@ -238,7 +208,7 @@ func TestFaultPlanParity(t *testing.T) {
 
 	// Asynchronous replay: same plan, same seed, same horizon read in
 	// fault ticks; run past horizon/TicksPerUnit time units.
-	asyncEng := NewEngine(n, Options{Seed: 7})
+	asyncEng := NewEngine(n, sim.Options{Seed: 7})
 	var asyncTrans []transition
 	asyncEng.SetMembershipObserver(func(node int, alive bool) {
 		asyncTrans = append(asyncTrans, transition{when: asyncEng.tick, node: node, alive: alive})
@@ -293,7 +263,7 @@ func TestFaultPlanParity(t *testing.T) {
 // rate.
 func TestLossDeterministic(t *testing.T) {
 	run := func() (sim.Counters, int) {
-		e := NewEngine(64, Options{Seed: 51, Loss: 0.3})
+		e := NewEngine(64, sim.Options{Seed: 51, Loss: 0.3})
 		okCount := 0
 		for i := 0; i < 500; i++ {
 			u := i % 64
@@ -324,7 +294,7 @@ func TestInitialCrashParity(t *testing.T) {
 	const n = 128
 	opts := sim.Options{Seed: 61, CrashFrac: 0.2}
 	syncEng := sim.NewEngine(n, opts)
-	asyncEng := NewEngine(n, Options{Seed: 61, CrashFrac: 0.2})
+	asyncEng := NewEngine(n, sim.Options{Seed: 61, CrashFrac: 0.2})
 	if syncEng.NumAlive() != asyncEng.NumAlive() {
 		t.Fatalf("alive counts diverged: sync %d async %d", syncEng.NumAlive(), asyncEng.NumAlive())
 	}

@@ -26,10 +26,11 @@
 // One committed exchange = one request + one reply = 2 messages, the
 // same per-transmission accounting unit as the synchronous pipelines.
 // Convergence is measured on the spread (max − min) of the alive nodes'
-// estimates; the driver sweeps it every Options.CheckEvery events and
-// stops at Options.Eps. Exchanges-to-ε on the complete graph grows as
-// Θ(n log n) for fixed ε (Boyd, Ghosh, Prabhakar, Shah) — the curve the
-// AS1 experiment fits, and the bill DRR-gossip's O(n log log n) beats.
+// estimates; the driver sweeps it every n events (one sweep per
+// expected full clock rotation) and stops at Options.Eps. Exchanges-to-ε
+// on the complete graph grows as Θ(n log n) for fixed ε (Boyd, Ghosh,
+// Prabhakar, Shah) — the curve the AS1 experiment fits, and the bill
+// DRR-gossip's O(n log log n) beats.
 package pairwise
 
 import (
@@ -50,10 +51,6 @@ type Options struct {
 	// Eps is the convergence threshold: the run stops when the spread
 	// (max − min over alive nodes' estimates) is <= Eps. 0 means 1e-6.
 	Eps float64
-	// CheckEvery is the number of events between convergence sweeps
-	// (0 = n: one sweep per expected full clock rotation). Sweeps are
-	// O(n) reads; the protocol itself never needs them.
-	CheckEvery int
 	// MaxEvents caps the event loop for runs that cannot reach Eps
 	// (isolated nodes, slow-mixing graphs); the Result then reports
 	// Converged == false. 0 picks 64n + 32·n·ceil(log2 n).
@@ -196,10 +193,6 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 	if eps == 0 {
 		eps = 1e-6
 	}
-	check := opts.CheckEvery
-	if check <= 0 {
-		check = n
-	}
 	maxEvents := opts.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = defaultMaxEvents(n)
@@ -220,9 +213,11 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 		avg := p.OnRequest(v, xu)
 		p.OnReply(u, v, avg)
 	}
+	// The convergence sweep is an O(n) read the protocol itself never
+	// needs, so it runs once every n events: amortized O(1) per event.
 	stop := func() bool {
 		sinceCheck++
-		if sinceCheck >= check {
+		if sinceCheck >= n {
 			sinceCheck = 0
 			spread = p.Spread(eng.Alive)
 			eng.ReportResidual(spread)

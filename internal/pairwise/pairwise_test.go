@@ -6,6 +6,7 @@ import (
 
 	"drrgossip/internal/async"
 	"drrgossip/internal/graph"
+	"drrgossip/internal/sim"
 )
 
 func lineGraph(t *testing.T, n int) *graph.Graph {
@@ -38,7 +39,7 @@ func emptyGraph(t *testing.T, n int) *graph.Graph {
 // A single node is converged by definition: zero events, zero
 // exchanges, its own value as the answer.
 func TestSingleNode(t *testing.T) {
-	eng := async.NewEngine(1, async.Options{Seed: 3})
+	eng := async.NewEngine(1, sim.Options{Seed: 3})
 	res, err := Ave(eng, nil, []float64{42}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestAlreadyConverged(t *testing.T) {
 	for i := range values {
 		values[i] = 7.5
 	}
-	eng := async.NewEngine(n, async.Options{Seed: 5})
+	eng := async.NewEngine(n, sim.Options{Seed: 5})
 	res, err := Ave(eng, nil, values, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestAlreadyConverged(t *testing.T) {
 func TestEmptyGraphTerminates(t *testing.T) {
 	const n = 8
 	values := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	eng := async.NewEngine(n, async.Options{Seed: 7})
+	eng := async.NewEngine(n, sim.Options{Seed: 7})
 	res, err := Ave(eng, emptyGraph(t, n), values, nil, Options{MaxEvents: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestMeanInvariantUnderLoss(t *testing.T) {
 		values[i] = float64(i * i % 37)
 		sum += values[i]
 	}
-	eng := async.NewEngine(n, async.Options{Seed: 9, Loss: 0.3})
+	eng := async.NewEngine(n, sim.Options{Seed: 9, Loss: 0.3})
 	res, err := Ave(eng, nil, values, nil, Options{MaxEvents: 5000, Eps: 1e-9})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestSelectorsAgreeOnMean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := async.NewEngine(n, async.Options{Seed: 13})
+		eng := async.NewEngine(n, sim.Options{Seed: 13})
 		// A path mixes in Θ(n²) per constant-factor spread reduction — far
 		// past the default cap; give the run the room the topology needs.
 		res, err := Ave(eng, g, values, sel, Options{Eps: 1e-9, MaxEvents: 2_000_000})
@@ -150,7 +151,7 @@ func TestSelectorsAgreeOnMean(t *testing.T) {
 // GGE refuses the complete graph (its cache is O(n²) there); the other
 // selectors accept it. Unknown names are rejected with the catalog.
 func TestSelectorValidation(t *testing.T) {
-	eng := async.NewEngine(4, async.Options{Seed: 15})
+	eng := async.NewEngine(4, sim.Options{Seed: 15})
 	if _, err := Ave(eng, nil, []float64{1, 2, 3, 4}, GGE(), Options{}); err == nil {
 		t.Fatal("gge accepted the complete graph")
 	}
@@ -165,7 +166,7 @@ func TestSelectorValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		eng := async.NewEngine(4, async.Options{Seed: 15})
+		eng := async.NewEngine(4, sim.Options{Seed: 15})
 		if _, err := Ave(eng, nil, []float64{1, 2, 3, 4}, sel, Options{}); err != nil {
 			t.Fatalf("%s on complete: %v", name, err)
 		}
@@ -187,7 +188,7 @@ func TestGGECacheConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := async.NewEngine(n, async.Options{Seed: 17})
+	eng := async.NewEngine(n, sim.Options{Seed: 17})
 	eng.Run(func(u int) {
 		v, xu, ok := p.OnTick(u, eng.RNG(u))
 		if !ok {
@@ -217,9 +218,9 @@ func TestCrashMidRunFreezesNode(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i)
 	}
-	eng := async.NewEngine(n, async.Options{Seed: 19})
+	eng := async.NewEngine(n, sim.Options{Seed: 19})
 	crashed := false
-	eng.SetEventObserver(func(events int) {
+	eng.SetRoundObserver(func(events int) {
 		if events == 100 && !crashed {
 			crashed = true
 			eng.Crash(3)

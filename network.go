@@ -18,10 +18,13 @@ import (
 	"sync/atomic"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/async"
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/faults"
+	"drrgossip/internal/graph"
 	"drrgossip/internal/hms"
 	"drrgossip/internal/overlay"
+	"drrgossip/internal/pairwise"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
 	"drrgossip/internal/xrand"
@@ -88,8 +91,8 @@ type Network struct {
 
 	// wd is the watchdog of the query currently in flight (nil between
 	// queries and whenever the config sets no Deadline/RoundBudget and
-	// the context is uncancellable). runQuery installs it; execOnce and
-	// execAsyncOnce hand it to the engines as their abort check.
+	// the context is uncancellable). runQuery installs it; execOnce hands
+	// it to the engine as its abort check.
 	wd *watchdog
 
 	queries     int
@@ -164,8 +167,8 @@ func (nw *Network) runQuery(ctx context.Context, q Query) (*Answer, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	if nw.cfg.Mode == Async {
-		return nw.runAsync(ctx, q)
+	if err := nw.supports(q.Op); err != nil {
+		return nil, err
 	}
 	switch q.Op {
 	case OpMax, OpMin, OpSum, OpCount, OpAverage, OpRank, OpMoments:
@@ -248,24 +251,13 @@ func (nw *Network) RunAllContext(ctx context.Context, queries []Query, opts ...B
 // observe another.
 func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers int) ([]*Answer, Cost, error) {
 	if !nw.cfg.Faults.Empty() {
-		if nw.cfg.Mode == Async {
-			// One binding serves the whole async batch (OpAverage only);
-			// resolve it on the first average query's values.
-			for _, q := range queries {
-				if q.Op != OpAverage {
-					continue
-				}
-				if _, err := nw.bindAsync(ctx, q.Values); err != nil {
-					return nil, Cost{}, fmt.Errorf("binding fault plan for %s: %w", OpAverage, err)
-				}
-				break
+		for _, q := range queries {
+			if nw.supports(q.Op) != nil {
+				continue // its worker reports the error, in query order
 			}
-		} else {
-			for _, q := range queries {
-				for _, op := range q.baseOps(true) {
-					if _, err := nw.bind(ctx, op, dispatch(op, q.Values, q.Arg)); err != nil {
-						return nil, Cost{}, fmt.Errorf("binding fault plan for %s: %w", op, err)
-					}
+			for _, op := range q.baseOps(true) {
+				if _, err := nw.bind(ctx, op, nw.dispatch(op, q.Values, q.Arg)); err != nil {
+					return nil, Cost{}, fmt.Errorf("binding fault plan for %s: %w", op, err)
 				}
 			}
 		}
@@ -332,8 +324,24 @@ func (nw *Network) workerSession() *Network {
 
 // ---- execution machinery ----
 
-// protoFunc executes one full protocol run on a fresh engine.
-type protoFunc func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error)
+// runEngine is what the run executor needs of an engine: the host a
+// fault binding attaches to, the read-only view telemetry samples, and
+// the observer and watchdog setters. The synchronous *sim.Engine and the
+// event-driven *async.Engine both satisfy it, so one execOnce drives
+// either (an async "round" is a dispatched event).
+type runEngine interface {
+	faults.Host
+	telemetry.EngineView
+	SetPhaseObserver(f func(phase string))
+	SetMembershipObserver(f func(node int, alive bool))
+	SetRoundObserver(f func(round int))
+	SetAbortCheck(f func(progress int) error, every int)
+}
+
+// protoFunc executes one full protocol run on a fresh engine: a
+// *sim.Engine in Sync mode, an *async.Engine in Async mode (engine and
+// dispatch both follow Config.Mode).
+type protoFunc func(eng runEngine, ov overlay.Overlay) (*runResult, error)
 
 // pipelineKinds maps each single-run operation to the core pipeline
 // aggregate that answers it; Rank is Sum over indicator values.
@@ -342,18 +350,37 @@ var pipelineKinds = map[Op]core.Kind{
 	OpAverage: core.Ave, OpRank: core.Sum, OpMoments: core.Moments,
 }
 
-// dispatch returns the protocol run answering op: the one core pipeline,
-// dense when the session has no overlay and routed over it otherwise.
-func dispatch(op Op, values []float64, arg float64) protoFunc {
-	kind, ok := pipelineKinds[op]
+// supports rejects the operations the session's execution model has no
+// protocol for. The pairwise family computes averages, so Async mode
+// routes only OpAverage; everything else reports a loud error rather
+// than silently running the wrong protocol.
+func (nw *Network) supports(op Op) error {
+	if nw.cfg.Mode == Async && op != OpAverage {
+		return fmt.Errorf("%w: Mode Async currently computes AverageOf only (pairwise averaging); %s needs Mode Sync", ErrBadConfig, op)
+	}
+	return nil
+}
+
+// dispatch returns the protocol run answering op: pairwise averaging in
+// Async mode (supports admits only OpAverage there), otherwise the one
+// core pipeline, dense when the session has no overlay and routed over
+// it otherwise. It is kept small enough for the compiler to inline (the
+// pipeline-kind lookup sits inside the returned closure for that
+// reason), so the closure stays on the caller's stack instead of costing
+// every protocol run a heap allocation.
+func (nw *Network) dispatch(op Op, values []float64, arg float64) protoFunc {
+	if nw.cfg.Mode == Async {
+		return nw.pairwiseAverage(values)
+	}
 	if op == OpRank {
 		values = agg.Indicator(values, arg)
 	}
-	return func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
+	return func(eng runEngine, ov overlay.Overlay) (*runResult, error) {
+		kind, ok := pipelineKinds[op]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
 		}
-		res, err := core.Run(eng, ov, kind, values)
+		res, err := core.Run(eng.(*sim.Engine), ov, kind, values)
 		if err != nil {
 			return nil, err
 		}
@@ -361,43 +388,89 @@ func dispatch(op Op, values []float64, arg float64) protoFunc {
 	}
 }
 
-// engine returns the session's pooled engine, Reset to the run's initial
-// state — one engine allocation per session (and per RunAll worker), not
-// per protocol run. Reset is pinned bit-identical to NewEngine, so
-// pooling cannot change a single counter or result.
-func (nw *Network) engine() *sim.Engine {
+// pairwiseAverage is Async mode's protocol run: the classical
+// randomized pairwise averaging of values (internal/pairwise) with the
+// session's peer-selection policy, over the overlay's links (any pair on
+// Complete). A watchdog abort stops the event loop gracefully and the
+// driver closes its books on the surviving estimates, so an aborted run
+// still reports its genuine partial state.
+func (nw *Network) pairwiseAverage(values []float64) protoFunc {
+	return func(eng runEngine, ov overlay.Overlay) (*runResult, error) {
+		sel, err := pairwise.NewSelector(nw.cfg.AsyncPeer)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		}
+		var g *graph.Graph
+		if ov != nil {
+			g = ov.Graph()
+		}
+		res, err := pairwise.Ave(eng.(*async.Engine), g, values, sel, pairwise.Options{Eps: nw.cfg.AsyncEps})
+		if err != nil {
+			return nil, err
+		}
+		return &runResult{
+			Value:     res.Value,
+			PerNode:   res.PerNode,
+			Consensus: res.Spread == 0,
+			Rounds:    res.Events,
+			Messages:  res.Stats.Messages,
+			Drops:     res.Stats.Drops,
+			Converged: res.Converged,
+			Residual:  res.Spread,
+			Clock:     res.Clock,
+			Exchanges: res.Exchanges,
+			Horizon:   int(math.Ceil(res.Clock * async.TicksPerUnit)),
+		}, nil
+	}
+}
+
+// engine returns the engine for the next protocol run and the watchdog
+// polling stride that suits it. Sync mode reuses the session's pooled
+// engine, Reset to the run's initial state — one engine allocation per
+// session (and per RunAll worker), not per protocol run; Reset is pinned
+// bit-identical to NewEngine, so pooling cannot change a single counter
+// or result. Async mode builds a fresh engine per run: it is a heap plus
+// two stream arrays, with no delivery machinery worth pooling.
+func (nw *Network) engine() (runEngine, int) {
+	if nw.cfg.Mode == Async {
+		return async.NewEngine(nw.cfg.N, nw.cfg.simOptions()), abortStrideAsync
+	}
 	if nw.eng == nil {
 		nw.eng = nw.cfg.engine()
 	} else {
 		nw.eng.Reset(nw.cfg.simOptions())
 	}
-	return nw.eng
-}
-
-// execOnce performs one protocol run on the pooled engine, attaching the
-// bound fault schedule (if any), the query watchdog, and the telemetry
-// emitter's engine hooks. The engine Reset at the top clears every hook
-// from the previous run, so runs cannot leak observability state into
-// each other. A watchdog abort unwinds the run as a *sim.AbortError
-// panic, recovered here into a partial runResult (the engine's
-// accounting at the abort round) plus the abort cause as the error.
-func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
-	nw.protoRuns++
-	eng := nw.engine()
-	em := nw.em
-	if em.Enabled() {
-		em.RunStart(nw.protoRuns, op.String(), eng)
-		eng.SetPhaseObserver(func(string) { em.Phase(eng) })
-		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(eng, node, alive) })
-	}
-	if em.WantsRounds() {
-		eng.SetRoundObserver(func(int) { em.Round(eng) })
+	if nw.em.WantsRounds() {
 		// Residuals are only read on the rounds surfaced as round events;
 		// the drivers skip the O(roots) spread scan on all other rounds.
-		eng.SetResidualStride(em.RoundEvery())
+		nw.eng.SetResidualStride(nw.em.RoundEvery())
+	}
+	return nw.eng, abortStrideSync
+}
+
+// execOnce performs one protocol run on the mode's engine, attaching the
+// bound fault schedule (if any), the query watchdog and the telemetry
+// hooks; every run starts on a fresh or Reset engine, so no hook leaks
+// between runs. A watchdog abort returns the run's partial record with
+// the abort cause: the sync engine unwinds its drivers by a
+// *sim.AbortError panic, recovered here with only the bill to salvage,
+// while the async engine stops its event loop and the pairwise driver
+// closes its books on the surviving estimates.
+func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
+	nw.protoRuns++
+	eng, stride := nw.engine()
+	em := nw.em
+	if em.Enabled() {
+		var view telemetry.EngineView = eng
+		em.RunStart(nw.protoRuns, op.String(), view)
+		eng.SetPhaseObserver(func(string) { em.Phase(view) })
+		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(view, node, alive) })
+		if em.WantsRounds() {
+			eng.SetRoundObserver(func(int) { em.Round(view) })
+		}
 	}
 	if nw.wd != nil {
-		eng.SetAbortCheck(nw.wd.check, abortStrideSync)
+		eng.SetAbortCheck(nw.wd.check, stride)
 	}
 	if b != nil {
 		b.Attach(eng)
@@ -407,37 +480,44 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResu
 		if r == nil {
 			return
 		}
-		ae, ok := r.(*sim.AbortError)
-		if !ok {
+		if _, ok := r.(*sim.AbortError); !ok {
 			panic(r)
 		}
-		// The watchdog unwound the run mid-protocol: salvage the engine's
-		// accounting as a partial runResult and surface the cause. The
-		// telemetry run still closes, so traces show the aborted run.
-		res, err = nw.partialResult(eng, b), ae.Err
-		em.RunEnd(eng)
+		// No consensus value exists mid-pipeline: salvage the bill alone.
+		// The telemetry run still closes, so traces show the aborted run.
+		res, err = nw.closeRun(eng, b, billOnly(eng.Stats())), nw.wd.aborted()
 	}()
 	res, err = run(eng, nw.ov)
 	if err != nil {
 		return nil, err
 	}
-	em.RunEnd(eng)
+	return nw.closeRun(eng, b, res), nw.wd.aborted()
+}
+
+// billOnly is the record of a run that produced a bill but no consensus
+// value (Value NaN): an aborted pipeline, or HMS's sampling session.
+func billOnly(st sim.Counters) *runResult {
+	return &runResult{Value: math.NaN(), Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops, Residual: noResidual}
+}
+
+// closeRun ends one run's telemetry and stamps its record with the
+// closing membership and the fault binding's counters.
+func (nw *Network) closeRun(eng runEngine, b *faults.Bound, res *runResult) *runResult {
+	nw.em.RunEnd(eng)
 	res.Alive = eng.NumAlive()
 	if b != nil {
 		res.FaultEvents = b.Fired()
 		res.FaultCrashes = b.Crashed()
 		res.FaultRevives = b.Revived()
 	}
-	return res, nil
+	return res
 }
 
 // execute runs op's protocol with the session's fault binding for that
-// operation kind, creating the binding on first use. Plans whose events
-// are placed by horizon fraction need the run's healthy length: the
-// first query of each Op kind executes one unfaulted pre-run to measure
-// it (both runs are deterministic in Seed, so the measured horizon is
-// exact); every later run of the same kind — every further Rank step of
-// a Quantile or Histogram — reuses the binding.
+// operation kind, creating the binding on first use (see bind): the
+// first query of each Op kind may execute an unfaulted horizon pre-run;
+// every later run of the same kind — every further Rank step of a
+// Quantile or Histogram — reuses the binding.
 func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -453,11 +533,16 @@ func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResul
 }
 
 // bind returns the session's fault binding for op, resolving it on first
-// use (including the horizon-measurement pre-run when the plan places
-// events by horizon fraction). The measured horizon depends only on the
-// operation's pipeline shape — protocol control flow is value-independent
-// (values ride payloads; rounds, calls and loss decisions do not read
-// them) — so any query of the same op kind resolves the same binding.
+// use. Plans that place events by horizon fraction first measure the
+// healthy run's length (runResult.Horizon: rounds, or fault ticks in
+// Async mode) with one unfaulted pre-run; both runs are deterministic in
+// Seed, so the horizon is exact. A synchronous pipeline's length depends
+// only on its shape (values ride payloads; control flow never reads
+// them), so any query of the same op kind resolves the same binding. An
+// async run's length depends on the values, so its horizon is measured
+// on the first average query's values and reused for the session. A
+// pre-run the watchdog aborts leaves no trustworthy horizon and fails
+// the binding with the abort cause.
 func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Bound, error) {
 	if b, ok := nw.bounds[op]; ok {
 		return b, nil
@@ -469,7 +554,7 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 			return nil, fmt.Errorf("drrgossip: horizon measurement run: %w", err)
 		}
 		nw.horizonRuns++
-		horizon = healthy.Rounds
+		horizon = healthy.Horizon
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -513,9 +598,12 @@ func sampleIDs(seed uint64, n, k int) []int {
 
 // materializePerNode renders a run's full per-node vector according to
 // Config.SampleNodes: untouched for AllNodes, dropped by default, or
-// copied down to the session's deterministic sample.
+// copied down to the session's deterministic sample. A run without a
+// vector (an aborted synchronous pipeline) materializes nothing.
 func (nw *Network) materializePerNode(full []float64) (values []float64, ids []int) {
 	switch {
+	case full == nil:
+		return nil, nil
 	case nw.cfg.SampleNodes == AllNodes:
 		return full, nil
 	case nw.cfg.SampleNodes == 0:
@@ -534,36 +622,51 @@ func (nw *Network) materializePerNode(full []float64) (values []float64, ids []i
 	}
 }
 
-// aggregate answers the single-run operations (OpMax..OpRank, OpMoments).
+// aggregate answers the single-run operations (OpMax..OpRank,
+// OpMoments; OpAverage alone in Async mode).
 func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	if err := nw.cfg.checkValues(q.Values); err != nil {
 		return nil, err
 	}
-	res, err := nw.execute(ctx, q.Op, dispatch(q.Op, q.Values, q.Arg))
-	if err != nil {
-		if isAbort(err) {
-			return nw.abortedAnswer(q.Op, res, err)
-		}
+	res, err := nw.execute(ctx, q.Op, nw.dispatch(q.Op, q.Values, q.Arg))
+	if err != nil && !isAbort(err) {
 		return nil, err
 	}
-	ans := &Answer{
-		Op:           q.Op,
-		Value:        res.Value,
-		Consensus:    res.Consensus,
-		Cost:         Cost{Runs: 1, Rounds: res.Rounds, Messages: res.Messages, Drops: res.Drops},
-		PhaseCosts:   res.PhaseCosts,
-		Trees:        res.Trees,
-		Alive:        res.Alive,
-		FaultEvents:  res.FaultEvents,
-		FaultCrashes: res.FaultCrashes,
-		FaultRevives: res.FaultRevives,
-		Converged:    true,
+	return nw.answer(q.Op, res, err)
+}
+
+// answer renders one run as a single-run query's Answer, in either
+// execution model. cause is the watchdog's abort cause (nil for a
+// complete run): a partial answer keeps whatever the run salvaged — NaN
+// and no per-node state for a synchronous pipeline, the closing
+// estimates and their spread for pairwise averaging — never claims
+// convergence, and carries the reason in Quality. res is nil when the
+// abort hit before any protocol run (a pre-cancelled context or an
+// aborted horizon pre-run), giving a zero-cost partial answer. Only
+// terminal causes (cancellation) come back as the error too.
+func (nw *Network) answer(op Op, res *runResult, cause error) (*Answer, error) {
+	ans := &Answer{Op: op, Value: math.NaN()}
+	residual := float64(noResidual)
+	if res != nil {
+		ans.Value = res.Value
+		ans.Consensus = res.Consensus
+		ans.Cost = Cost{Runs: 1, Rounds: res.Rounds, Messages: res.Messages, Drops: res.Drops, Clock: res.Clock}
+		ans.PhaseCosts = res.PhaseCosts
+		ans.Trees = res.Trees
+		ans.Alive = res.Alive
+		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
+		ans.Exchanges = res.Exchanges
+		ans.Converged = res.Converged && cause == nil
+		ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.PerNode)
+		if op == OpMoments && cause == nil {
+			ans.Mean, ans.Variance, ans.Std = res.Value, res.Variance, math.Sqrt(math.Max(res.Variance, 0))
+		}
+		residual = res.Residual
 	}
-	ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.PerNode)
-	if q.Op == OpMoments {
-		ans.Mean, ans.Variance, ans.Std = res.Value, res.Variance, math.Sqrt(math.Max(res.Variance, 0))
+	nw.fillQuality(ans, residual, cause)
+	if terminalAbort(cause) {
+		return ans, cause
 	}
-	nw.fillQuality(ans, noResidual, nil)
 	return ans, nil
 }
 
@@ -610,10 +713,15 @@ func (nw *Network) quantileStep(ctx context.Context, ans *Answer, values []float
 // [lo, hi], one Rank step per probe, until the bracket is within tol
 // (default: 2^-20 of its width) or the query reaches maxQuantileRuns.
 // The answer is the bracket's upper end; a degenerate bracket (constant
-// values) answers at once.
+// values) answers at once. A bracket wider than math.MaxFloat64 (finite
+// ends of opposite sign near the limits) is halved without forming
+// hi − lo; every other bracket takes the plain arithmetic.
 func (nw *Network) bisect(ans *Answer, lo, hi, tol, target float64, step func(Op, float64) (*runResult, error)) (*Answer, error) {
 	if tol <= 0 {
 		tol = (hi - lo) / (1 << 20)
+		if math.IsInf(tol, 1) {
+			tol = (hi/2 - lo/2) / (1 << 19)
+		}
 	}
 	if tol <= 0 {
 		ans.Value = math.Max(lo, hi)
@@ -622,6 +730,9 @@ func (nw *Network) bisect(ans *Answer, lo, hi, tol, target float64, step func(Op
 	}
 	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
 		mid := lo + (hi-lo)/2
+		if math.IsInf(mid, 0) {
+			mid = lo/2 + hi/2
+		}
 		rankRes, err := step(OpRank, mid)
 		if err != nil {
 			return nw.finishAbort(ans, err)
@@ -697,23 +808,18 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nw.finishAbort(ans, err)
 	}
 	var sum *hms.Summary
-	sampleRes, err := nw.execOnce(nil, OpQuantile, func(eng *sim.Engine, ov overlay.Overlay) (*runResult, error) {
-		s, serr := hms.Sample(eng, ov, values, hms.Options{Target: t, Count: m})
+	sampleRes, err := nw.execOnce(nil, OpQuantile, func(eng runEngine, ov overlay.Overlay) (*runResult, error) {
+		s, serr := hms.Sample(eng.(*sim.Engine), ov, values, hms.Options{Target: t, Count: m})
 		if serr != nil {
 			return nil, serr
 		}
 		sum = s
 		st := eng.Stats()
-		pre := &runResult{
-			Value:    math.NaN(),
-			Rounds:   st.Rounds,
-			Messages: st.Messages,
-			Drops:    st.Drops,
-			PhaseCosts: []PhaseCost{{
-				Phase: hms.PhaseName, Rounds: st.Rounds,
-				Messages: st.Messages, Drops: st.Drops, Calls: st.Calls,
-			}},
-		}
+		pre := billOnly(st)
+		pre.PhaseCosts = []PhaseCost{{
+			Phase: hms.PhaseName, Rounds: st.Rounds,
+			Messages: st.Messages, Drops: st.Drops, Calls: st.Calls,
+		}}
 		if c, ok := s.Candidate(); ok {
 			pre.Value = c
 		}
@@ -842,7 +948,7 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 // subRun executes one protocol run of a composite query (Quantile,
 // Histogram) and bills it into ans.
 func (nw *Network) subRun(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*runResult, error) {
-	res, err := nw.execute(ctx, op, dispatch(op, values, arg))
+	res, err := nw.execute(ctx, op, nw.dispatch(op, values, arg))
 	if res != nil {
 		bill(ans, res)
 	}

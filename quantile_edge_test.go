@@ -188,3 +188,94 @@ func TestQuantilePhiValidationBeforeBinding(t *testing.T) {
 		}
 	})
 }
+
+// rampValues returns 0, 1, …, n-1.
+func rampValues(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(i)
+	}
+	return v
+}
+
+// Non-finite inputs have no well-defined bisection bracket: an infinite
+// maximum used to come back as the "converged" median, and an infinite
+// minimum made every midpoint -Inf. QuantileOf rejects them — NaN too —
+// with ErrBadConfig before any protocol run or fault-plan binding, in
+// both methods, and ExactOf applies the same check.
+func TestQuantileRejectsNonFiniteValues(t *testing.T) {
+	const n = 256
+	plan, err := ParseFaultPlan("crash:0.2@0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		values := rampValues(n)
+		values[7] = bad
+		q := QuantileOf(values, 0.5, 0)
+		bothMethods(t, func(t *testing.T, m QuantileMethod) {
+			nw, err := New(Config{N: n, Seed: 1, QuantileMethod: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans, err := nw.Run(q); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("v[7]=%v: want ErrBadConfig, got %v (answer %+v)", bad, err, ans)
+			}
+			if st := nw.Stats(); st.ProtocolRuns != 0 {
+				t.Fatalf("v[7]=%v: rejected query still spent %d protocol runs", bad, st.ProtocolRuns)
+			}
+			faulted, err := New(Config{N: n, Seed: 1, QuantileMethod: m, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := faulted.RunAll([]Query{MaxOf(rampValues(n)), q}); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("v[7]=%v: batch accepted: %v", bad, err)
+			}
+			if st := faulted.Stats(); st.PlanBinds != 0 || st.ProtocolRuns != 0 {
+				t.Fatalf("v[7]=%v: rejected batch still bound or ran: %+v", bad, st)
+			}
+		})
+		if _, err := ExactOf(Config{N: n, Seed: 1}, q); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("ExactOf with v[7]=%v: want ErrBadConfig, got %v", bad, err)
+		}
+	}
+}
+
+// Finite values whose range overflows: max − min = ±1.7e308 spans more
+// than math.MaxFloat64. The bisection must halve the bracket without
+// forming that difference — it used to take an infinite default
+// tolerance (answering the maximum as the "converged" median after 3
+// runs) or an infinite midpoint (burning every run to answer +Inf).
+func TestQuantileOverflowingRange(t *testing.T) {
+	const n = 256
+	values := rampValues(n)
+	values[7], values[8] = 1.7e308, -1.7e308
+	cfg := Config{N: n, Seed: 1}
+	want, err := ExactOf(cfg, QuantileOf(values, 0.5, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want != 128 {
+		t.Fatalf("exact median %v, want 128", want)
+	}
+	bothMethods(t, func(t *testing.T, m QuantileMethod) {
+		cfg := cfg
+		cfg.QuantileMethod = m
+		// tol 0 picks range/2^20, itself finite: 3.4e308/2^20.
+		for _, tc := range []struct{ tol, resolution float64 }{
+			{0, 1.7e308 / (1 << 19)},
+			{0.5, 0.5},
+		} {
+			ans := runQuantile(t, cfg, values, 0.5, tc.tol)
+			if math.IsInf(ans.Value, 0) || math.IsNaN(ans.Value) || ans.Value < want {
+				t.Fatalf("tol=%v: got %v (converged %v), want a finite bracket end >= %v", tc.tol, ans.Value, ans.Converged, want)
+			}
+			if ans.Converged && ans.Value-want > tc.resolution {
+				t.Errorf("tol=%v: converged to %v, more than %v above the exact %v", tc.tol, ans.Value, tc.resolution, want)
+			}
+			if ans.Cost.Runs > maxQuantileRuns {
+				t.Errorf("tol=%v: %d runs exceed the cap", tc.tol, ans.Cost.Runs)
+			}
+		}
+	})
+}

@@ -65,7 +65,8 @@ type Query struct {
 	// Op is the requested aggregate operation.
 	Op Op
 	// Values holds one input value per node (len(Values) must equal
-	// Config.N of the Network the query runs on).
+	// Config.N of the Network the query runs on). QuantileOf needs them
+	// finite: ±Inf and NaN leave the bisection bracket undefined.
 	Values []float64
 	// Arg is the operation parameter: the Rank threshold q, or the
 	// Quantile target φ. Unused otherwise.
@@ -99,8 +100,9 @@ func RankOf(values []float64, q float64) Query { return Query{Op: OpRank, Values
 // Average pipeline with a Σv² push-sum component, on any topology.
 func MomentsOf(values []float64) Query { return Query{Op: OpMoments, Values: values} }
 
-// QuantileOf requests the φ-quantile (0 < φ <= 1) within tol of the
-// value range; tol <= 0 picks range/2^20. The executing protocol is the
+// QuantileOf requests the φ-quantile (0 < φ <= 1) of finite values
+// within tol of the value range; tol <= 0 picks range/2^20. Non-finite
+// values are rejected with ErrBadConfig. The executing protocol is the
 // session's Config.QuantileMethod (bisection by default; the HMS method
 // certifies the exact quantile on healthy sessions, in which case tol
 // only bounds its fallback path).
@@ -120,6 +122,8 @@ func HistogramOf(values []float64, edges []float64) Query {
 // in-range test so NaN (for which every comparison is false) is
 // rejected too: a NaN φ, tolerance or histogram edge would otherwise
 // slip past the drivers' guards and surface as a silently wrong answer.
+// A quantile's values must be finite for the same reason: an infinite
+// end leaves the bisection bracket without a midpoint.
 func (q Query) validate() error {
 	switch q.Op {
 	case OpQuantile:
@@ -128,6 +132,11 @@ func (q Query) validate() error {
 		}
 		if math.IsNaN(q.Tol) {
 			return fmt.Errorf("%w: Quantile tol must not be NaN", ErrBadConfig)
+		}
+		for i, v := range q.Values {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("%w: Quantile values must be finite, got %v at node %d", ErrBadConfig, v, i)
+			}
 		}
 	case OpHistogram:
 		if len(q.Edges) == 0 {
@@ -377,9 +386,13 @@ type Quality struct {
 // OpQuantile, for which it returns the exact φ-quantile of the surviving
 // values); OpMoments and OpHistogram have no single reference value and
 // return an error, as do a Config that New would reject, unknown
-// operations, mismatched input and an out-of-range φ.
+// operations, mismatched input and any query Run rejects up front (an
+// out-of-range φ, non-finite quantile values).
 func ExactOf(cfg Config, q Query) (float64, error) {
 	if err := cfg.validate(); err != nil {
+		return 0, err
+	}
+	if err := q.validate(); err != nil {
 		return 0, err
 	}
 	if len(q.Values) != cfg.N {
@@ -400,9 +413,6 @@ func ExactOf(cfg Config, q Query) (float64, error) {
 	case OpRank:
 		return agg.Exact(agg.Rank, alive, q.Arg), nil
 	case OpQuantile:
-		if !(q.Arg > 0 && q.Arg <= 1) {
-			return 0, fmt.Errorf("%w: phi must be in (0,1]", ErrBadConfig)
-		}
 		return agg.Quantile(alive, q.Arg), nil
 	default:
 		return 0, fmt.Errorf("%w: no scalar reference value for %s", ErrBadConfig, q.Op)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"drrgossip/internal/faults"
-	"drrgossip/internal/sim"
 )
 
 // ErrDeadlineExceeded is the abort cause of a query run stopped by
@@ -48,11 +47,14 @@ const noResidual = -1
 
 // watchdog is the per-query abort check installed on the engines for
 // the duration of one query attempt: round/event budget, context
-// cancellation, wall-clock deadline — cheapest test first.
+// cancellation, wall-clock deadline — cheapest test first. It remembers
+// the cause it aborted with, which is how the executor learns that a run
+// it got back was cut short (a query stops at its first abort).
 type watchdog struct {
 	ctx      context.Context
 	deadline time.Time
 	budget   int
+	cause    error
 }
 
 // newWatchdog builds the query's watchdog, or nil when nothing could
@@ -71,18 +73,25 @@ func (nw *Network) newWatchdog(ctx context.Context) *watchdog {
 
 // check is the engine-facing watchdog hook, consulted every abort
 // stride with the run's progress counter (rounds or events). A non-nil
-// return aborts the run.
+// return aborts the run and is remembered as the abort cause.
 func (w *watchdog) check(progress int) error {
 	if w.budget > 0 && progress > w.budget {
-		return ErrRoundBudget
+		w.cause = ErrRoundBudget
+	} else if err := w.ctx.Err(); err != nil {
+		w.cause = err
+	} else if !w.deadline.IsZero() && !time.Now().Before(w.deadline) {
+		w.cause = ErrDeadlineExceeded
 	}
-	if err := w.ctx.Err(); err != nil {
-		return err
+	return w.cause
+}
+
+// aborted returns the cause the watchdog aborted a run with: nil when it
+// never tripped, or when no watchdog is installed at all.
+func (w *watchdog) aborted() error {
+	if w == nil {
+		return nil
 	}
-	if !w.deadline.IsZero() && !time.Now().Before(w.deadline) {
-		return ErrDeadlineExceeded
-	}
-	return nil
+	return w.cause
 }
 
 // isAbort reports whether err originated from a watchdog abort (or a
@@ -115,19 +124,6 @@ func abortReason(err error) string {
 	}
 }
 
-// reasonErr is abortReason's inverse, for paths that retained only the
-// label (a partial answer's Quality) but need the sentinel back.
-func reasonErr(reason string) error {
-	switch reason {
-	case ReasonDeadline:
-		return ErrDeadlineExceeded
-	case ReasonRoundBudget:
-		return ErrRoundBudget
-	default:
-		return context.Canceled
-	}
-}
-
 // fillQuality stamps the answer's Quality block from its own fields and
 // the abort cause (nil for complete runs). residual is the model's
 // closing residual (noResidual for the synchronous pipelines).
@@ -140,44 +136,6 @@ func (nw *Network) fillQuality(ans *Answer, residual float64, cause error) {
 		Residual:      residual,
 		SurvivorBound: float64(ans.FaultCrashes) / float64(nw.cfg.N),
 	}
-}
-
-// partialResult salvages what an aborted synchronous run can still
-// report: the engine's accounting and membership at the abort round. No
-// consensus value exists mid-protocol, so Value is NaN.
-func (nw *Network) partialResult(eng *sim.Engine, b *faults.Bound) *runResult {
-	st := eng.Stats()
-	res := &runResult{
-		Value:    math.NaN(),
-		Rounds:   st.Rounds,
-		Messages: st.Messages,
-		Drops:    st.Drops,
-		Alive:    eng.NumAlive(),
-	}
-	if b != nil {
-		res.FaultEvents, res.FaultCrashes, res.FaultRevives = b.Fired(), b.Crashed(), b.Revived()
-	}
-	return res
-}
-
-// abortedAnswer renders an aborted single-run query as a degraded
-// Answer: the bill covers the work actually done, Converged is false,
-// and Quality carries the abort reason. res may be nil (the abort hit
-// before any protocol run — a pre-cancelled context or an aborted
-// horizon pre-run), giving a zero-cost partial answer.
-func (nw *Network) abortedAnswer(op Op, res *runResult, cause error) (*Answer, error) {
-	ans := &Answer{Op: op, Value: math.NaN()}
-	if res != nil {
-		ans.Value = res.Value
-		ans.Cost = Cost{Runs: 1, Rounds: res.Rounds, Messages: res.Messages, Drops: res.Drops}
-		ans.Alive = res.Alive
-		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-	}
-	nw.fillQuality(ans, noResidual, cause)
-	if terminalAbort(cause) {
-		return ans, cause
-	}
-	return ans, nil
 }
 
 // finishAbort closes a composite query (Quantile, Histogram) whose

@@ -51,13 +51,9 @@
 package sim
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"drrgossip/internal/bitset"
-	"drrgossip/internal/xrand"
 )
 
 // Payload is the fixed-size message body. The paper limits message length
@@ -134,10 +130,11 @@ const (
 // consulted on every transmission attempt while installed.
 type LinkFault func(from, to int) float64
 
-// Engine is the synchronous round simulator. It is not safe for concurrent
-// use; within a round, protocols may parallelize their pure per-node
-// computation with ParallelFor and then perform all Engine calls
-// sequentially in node order.
+// Engine is the synchronous round simulator: the shared Core plus the
+// delivery machinery. It is not safe for concurrent use; within a round,
+// protocols may parallelize their pure per-node computation with
+// ParallelFor and then perform all Engine calls sequentially in node
+// order.
 //
 // The hot path is allocation-free: in-flight messages live in a ring
 // buffer of per-round delivery queues whose backing arrays are
@@ -147,16 +144,7 @@ type LinkFault func(from, to int) float64
 // Tick are cleared. An Engine can be reused for a new run with Reset,
 // which reproduces NewEngine's state bit-for-bit without reallocating.
 type Engine struct {
-	n     int
-	opts  Options
-	c     Counters
-	alive *bitset.Set // current membership (bit i = node i alive)
-	nAliv int
-
-	// aliveIDs caches the sorted alive-node list; Crash and Revive mark
-	// it dirty instead of callers rebuilding it every round.
-	aliveIDs   []int
-	aliveDirty bool
+	Core
 
 	inbox [][]Message // per-node messages delivered at the last Tick
 
@@ -182,39 +170,6 @@ type Engine struct {
 	// touched lists the inboxes filled at the last Tick (the only ones
 	// that need clearing at the next one).
 	touched []int
-
-	seq uint64 // message sequence for loss hashing
-
-	// rngs holds the per-node streams by value, reseeded lazily in place.
-	// rngSet deliberately stays a []bool rather than a bitset: RNG is
-	// called from ParallelFor workers, and concurrent first-use writes to
-	// distinct bool slots are safe where read-modify-write of a shared
-	// bitset word would race.
-	rngs   []xrand.Stream
-	rngSet []bool
-
-	linkFault LinkFault       // nil = all links healthy
-	roundHook func(round int) // runs at the top of every Tick
-	observer  func(round int) // read-only per-round tap, runs at the end of Tick
-	phase     string          // protocol-reported phase label (observability only)
-
-	// Observability taps (read-only, like observer): phaseObs fires on
-	// SetPhase label changes, memberObs on Crash/Revive transitions, and
-	// residual holds the driver-reported convergence residual (NaN when
-	// the running protocol reports none). residualStride is how often the
-	// residual is actually read (every k-th round); drivers gate the
-	// O(roots) spread computation on WantResidual so coarse consumers do
-	// not pay per-tick scans.
-	phaseObs       func(phase string)
-	memberObs      func(node int, alive bool)
-	residual       float64
-	residualStride int
-
-	// abortCheck is the run watchdog (SetAbortCheck): consulted every
-	// abortEvery rounds at the top of Tick; a non-nil error aborts the
-	// run by panicking with *AbortError.
-	abortCheck func(round int) error
-	abortEvery int
 }
 
 // AbortError is the panic value Tick raises when the installed abort
@@ -241,22 +196,16 @@ func NewEngine(n int, opts Options) *Engine {
 	if n < 1 {
 		panic("sim: need at least one node")
 	}
-	e := &Engine{
-		n:        n,
-		alive:    bitset.New(n),
-		aliveIDs: make([]int, 0, n),
+	return &Engine{
+		Core:     NewCore(n, opts, hashDomainLoss, rngDomainNode),
 		inbox:    make([][]Message, n),
 		ring:     make([][]Message, initialRingSize),
 		ringMask: initialRingSize - 1,
-		rngs:     make([]xrand.Stream, n),
-		rngSet:   make([]bool, n),
 		// Enough pooled capacity for several steady-state rounds of
 		// O(n) traffic; a rarer larger round is freed rather than
 		// retained.
 		poolBudget: max(8192, 4*n),
 	}
-	e.Reset(opts)
-	return e
 }
 
 // Reset reinitializes the engine in place to the state NewEngine(e.N(),
@@ -268,22 +217,7 @@ func NewEngine(n int, opts Options) *Engine {
 // whether the engine is new or reused, which is what lets a session run
 // many protocol executions on one allocation.
 func (e *Engine) Reset(opts Options) {
-	if !(opts.Loss >= 0 && opts.Loss < 1) { // negated so NaN is rejected too
-		panic("sim: Loss must be in [0,1)")
-	}
-	e.opts = opts
-	e.c = Counters{}
-	e.seq = 0
-	e.alive.Fill()
-	e.nAliv = e.n
-	// InitialCrashSet is the single source of truth for the static crash
-	// model (including the keep-one-alive rule), so a round-0 crash plan
-	// over the same set is equivalent by construction.
-	for _, i := range InitialCrashSet(e.n, opts) {
-		e.alive.Clear(i)
-		e.nAliv--
-	}
-	e.aliveDirty = true
+	e.reset(opts)
 	for i := range e.inbox {
 		e.inbox[i] = e.inbox[i][:0]
 	}
@@ -298,264 +232,6 @@ func (e *Engine) Reset(opts Options) {
 	}
 	e.touched = e.touched[:0]
 	e.inflight = 0
-	for i := range e.rngSet {
-		e.rngSet[i] = false
-	}
-	e.linkFault = nil
-	e.roundHook = nil
-	e.observer = nil
-	e.phase = ""
-	e.phaseObs = nil
-	e.memberObs = nil
-	e.residual = math.NaN()
-	e.residualStride = 1
-	e.abortCheck = nil
-	e.abortEvery = 0
-}
-
-// N returns the number of nodes (alive or crashed).
-func (e *Engine) N() int { return e.n }
-
-// NumAlive returns the number of non-crashed nodes.
-func (e *Engine) NumAlive() int { return e.nAliv }
-
-// Alive reports whether node i is currently alive. In the static model
-// this is fixed at construction (initial crashes); with dynamic
-// membership it changes over the run via Crash and Revive, so per-round
-// protocol logic must not cache it.
-func (e *Engine) Alive(i int) bool { return e.alive.Test(i) }
-
-// AliveIDs returns the ids of currently alive nodes in increasing order.
-// The returned slice is owned by the engine and valid until the next
-// Crash or Revive; callers must not modify it. (Protocols consult it
-// every round under fault plans, so it is cached rather than rebuilt.)
-func (e *Engine) AliveIDs() []int {
-	if e.aliveDirty {
-		e.aliveIDs = e.aliveIDs[:0]
-		e.alive.ForEach(func(i int) {
-			e.aliveIDs = append(e.aliveIDs, i)
-		})
-		e.aliveDirty = false
-	}
-	return e.aliveIDs
-}
-
-// RNG returns node i's private random stream. Streams are independent
-// across nodes, so parallel per-node stepping is deterministic.
-func (e *Engine) RNG(i int) *xrand.Stream {
-	if !e.rngSet[i] {
-		e.rngs[i] = xrand.DeriveStream(e.opts.Seed, rngDomainNode, uint64(i))
-		e.rngSet[i] = true
-	}
-	return &e.rngs[i]
-}
-
-// Crash removes node i from the network mid-run: it stops sending,
-// receiving and answering calls, and messages already in flight to it are
-// discarded at delivery time. Crashing a dead node is a no-op.
-func (e *Engine) Crash(i int) {
-	if e.alive.Test(i) {
-		e.alive.Clear(i)
-		e.nAliv--
-		e.aliveDirty = true
-		if e.memberObs != nil {
-			e.memberObs(i, false)
-		}
-	}
-}
-
-// Revive rejoins node i after a crash. The node comes back with an empty
-// inbox; any protocol state it re-enters with is the protocol's concern.
-// Reviving a live node is a no-op.
-func (e *Engine) Revive(i int) {
-	if !e.alive.Test(i) {
-		e.alive.Set(i)
-		e.nAliv++
-		e.aliveDirty = true
-		if e.memberObs != nil {
-			e.memberObs(i, true)
-		}
-	}
-}
-
-// SetLinkFault installs (or, with nil, removes) the per-link fault
-// predicate. With none installed the engine behaves exactly like the
-// static model.
-func (e *Engine) SetLinkFault(f LinkFault) { e.linkFault = f }
-
-// SetRoundHook installs (or, with nil, removes) a hook invoked at the top
-// of every Tick with the new round number, before that round's messages
-// are delivered — the attachment point for fault schedulers: a node
-// crashed by the hook at round r never sees its round-r deliveries.
-func (e *Engine) SetRoundHook(h func(round int)) { e.roundHook = h }
-
-// SetRoundObserver installs (or, with nil, removes) a read-only tap
-// invoked at the end of every Tick with the round just formed — after
-// the round hook has applied any fault actions and the round's messages
-// have been filed into inboxes. Observers exist for progress streaming
-// and metrics: they are deliberately separate from SetRoundHook so that
-// installing one does not flip Faulty() (which would change protocol
-// degradation behaviour) and cannot perturb the run.
-func (e *Engine) SetRoundObserver(f func(round int)) { e.observer = f }
-
-// SetPhase records the protocol phase label ("drr", "gossip", …) the
-// run is currently in. It is pure observability — protocols update it as
-// they move through their pipeline so round observers can report where
-// the time goes; the engine itself never reads it. Setting the label it
-// already carries is a no-op (the phase observer fires on changes only).
-func (e *Engine) SetPhase(p string) {
-	if p == e.phase {
-		return
-	}
-	e.phase = p
-	if e.phaseObs != nil {
-		e.phaseObs(p)
-	}
-}
-
-// Phase returns the label last recorded with SetPhase ("" before the
-// first phase).
-func (e *Engine) Phase() string { return e.phase }
-
-// SetPhaseObserver installs (or, with nil, removes) a read-only tap
-// fired from SetPhase whenever the phase label changes, with the label
-// being entered. Like SetRoundObserver it cannot perturb the run and
-// does not flip Faulty().
-func (e *Engine) SetPhaseObserver(f func(phase string)) { e.phaseObs = f }
-
-// SetMembershipObserver installs (or, with nil, removes) a read-only tap
-// fired from Crash and Revive on actual membership transitions (crashing
-// a dead node or reviving a live one stays silent), with the node id and
-// its new liveness. Like SetRoundObserver it cannot perturb the run and
-// does not flip Faulty().
-func (e *Engine) SetMembershipObserver(f func(node int, alive bool)) { e.memberObs = f }
-
-// ReportResidual records the driver's current convergence residual (for
-// the gossip drivers: the spread of the running ratio estimate across
-// roots). Pure observability: protocols report it only when it is due
-// (see WantResidual), so the static hot path never computes it.
-func (e *Engine) ReportResidual(r float64) { e.residual = r }
-
-// Residual returns the last driver-reported convergence residual, or NaN
-// when the running protocol has not reported one.
-func (e *Engine) Residual() float64 { return e.residual }
-
-// SetResidualStride declares how often the reported residual is actually
-// read: every k-th round (the facade derives k from its telemetry
-// round-event stride). WantResidual is then due only on rounds a reader
-// will surface, so coarse monitoring does not pay a per-tick O(roots)
-// spread scan in the gossip drivers. k < 1 means every round. Reset
-// restores the default of 1.
-func (e *Engine) SetResidualStride(k int) {
-	if k < 1 {
-		k = 1
-	}
-	e.residualStride = k
-}
-
-// WantResidual reports whether a driver should compute and report its
-// convergence residual before the upcoming Tick: a round observer must
-// be installed and the upcoming round must land on the residual stride,
-// so the freshly reported value is exactly what that round's readers
-// see.
-func (e *Engine) WantResidual() bool {
-	return e.observer != nil && (e.c.Rounds+1)%e.residualStride == 0
-}
-
-// Faulty reports whether a fault regime is installed (a round hook or a
-// link fault). Protocols use it to degrade gracefully — returning
-// partial results where the static model would fail fast. A round
-// observer alone does not make the engine faulty.
-func (e *Engine) Faulty() bool { return e.roundHook != nil || e.linkFault != nil }
-
-// SetAbortCheck installs (or, with nil, removes) a run watchdog: f is
-// consulted at the top of every `every`-th Tick with the new round
-// number (every < 1 means every round), and a non-nil error aborts the
-// run by panicking with *AbortError wrapping it — the only way to stop
-// protocol drivers, which own their round loops, mid-run. The check
-// runs on the engine's sequential path before the round's fault hook
-// and deliveries, and is deliberately separate from the fault hooks so
-// installing one does not flip Faulty(). It is control-plane only: a
-// run the check never aborts is bit-identical to one without a check
-// installed. Reset removes it.
-func (e *Engine) SetAbortCheck(f func(round int) error, every int) {
-	if every < 1 {
-		every = 1
-	}
-	e.abortCheck = f
-	e.abortEvery = every
-}
-
-// InitialCrashSet returns the node ids NewEngine(n, opts) crashes
-// before round 1 — NewEngine itself builds its alive set from this, so
-// fault plans reproduce the static crash model exactly with round-0
-// crash events over the same set.
-func InitialCrashSet(n int, opts Options) []int {
-	if opts.CrashFrac <= 0 {
-		return nil
-	}
-	var ids []int
-	for i := 0; i < n; i++ {
-		if xrand.HashFloat(opts.Seed, hashDomainCrash, uint64(i)) < opts.CrashFrac {
-			ids = append(ids, i)
-		}
-	}
-	if len(ids) == n {
-		ids = ids[1:] // NewEngine keeps node 0 alive when all would crash
-	}
-	return ids
-}
-
-// Seed returns the engine's master seed.
-func (e *Engine) Seed() uint64 { return e.opts.Seed }
-
-// Loss returns the configured per-message drop probability δ.
-func (e *Engine) Loss() float64 { return e.opts.Loss }
-
-// Stats returns a snapshot of the accounting counters.
-func (e *Engine) Stats() Counters { return e.c }
-
-// Round returns the current round number (0 before the first Tick).
-func (e *Engine) Round() int { return e.c.Rounds }
-
-// attempt accounts one transmission and reports whether it survived link
-// loss, any installed link fault, and the destination being alive. A
-// message to a crashed node is counted (it was sent) but never delivered.
-// The loss decision hashes the message sequence number exactly as in the
-// static model, so runs without an installed link fault are bit-for-bit
-// identical to the pre-dynamic engine.
-func (e *Engine) attempt(from, to int) bool {
-	e.seq++
-	e.c.Messages++
-	if e.linkFault == nil {
-		// Fast path (the static model with healthy links): no fault
-		// predicate to consult, and with Loss == 0 no hash either. The
-		// sequence number still advances exactly as in the slow path, so
-		// installing a fault mid-run cannot shift later loss decisions.
-		if e.opts.Loss == 0 {
-			return e.alive.Test(to)
-		}
-		if xrand.HashFloat(e.opts.Seed, hashDomainLoss, e.seq) < e.opts.Loss {
-			e.c.Drops++
-			return false
-		}
-		return e.alive.Test(to)
-	}
-	eff := e.opts.Loss
-	if x := e.linkFault(from, to); x > 0 {
-		if x >= 1 {
-			e.c.Drops++
-			e.c.Blocked++
-			return false
-		}
-		eff = 1 - (1-eff)*(1-x) // independent fault and link loss
-	}
-	if eff > 0 &&
-		xrand.HashFloat(e.opts.Seed, hashDomainLoss, e.seq) < eff {
-		e.c.Drops++
-		return false
-	}
-	return e.alive.Test(to)
 }
 
 // Charge accounts k extra message transmissions without delivering
@@ -575,20 +251,18 @@ func (e *Engine) Charge(k int64) {
 // to a node that has crashed since they were sent are discarded. Only
 // the inboxes filled at the previous Tick are cleared.
 func (e *Engine) Tick() {
-	e.c.Rounds++
-	if e.abortCheck != nil && e.c.Rounds%e.abortEvery == 0 {
-		if err := e.abortCheck(e.c.Rounds); err != nil {
-			panic(&AbortError{Err: err})
-		}
+	round := e.Advance()
+	if err := e.CheckAbort(); err != nil {
+		panic(&AbortError{Err: err})
 	}
 	if e.roundHook != nil {
-		e.roundHook(e.c.Rounds)
+		e.roundHook(round)
 	}
 	for _, i := range e.touched {
 		e.inbox[i] = e.inbox[i][:0]
 	}
 	e.touched = e.touched[:0]
-	slot := e.c.Rounds & e.ringMask
+	slot := round & e.ringMask
 	msgs := e.ring[slot]
 	for _, m := range msgs {
 		if e.alive.Test(m.To) {
@@ -601,9 +275,7 @@ func (e *Engine) Tick() {
 	e.inflight -= len(msgs)
 	e.ring[slot] = nil
 	e.recycle(msgs) // back to the pool (or the GC)
-	if e.observer != nil {
-		e.observer(e.c.Rounds)
-	}
+	e.ObserveRound()
 }
 
 // Inbox returns the messages delivered to node i at the last Tick. The
@@ -681,7 +353,7 @@ func (e *Engine) Send(from, to int, p Payload) {
 	if !e.alive.Test(from) {
 		return
 	}
-	if e.attempt(from, to) {
+	if e.Attempt(from, to) {
 		e.scheduleAt(e.c.Rounds+1, Message{From: from, To: to, Pay: p})
 	}
 }
@@ -704,7 +376,7 @@ func (e *Engine) SendEach(from int, to []int, deliver func(to int)) {
 		return
 	}
 	for _, t := range to {
-		if e.attempt(from, t) {
+		if e.Attempt(from, t) {
 			deliver(t)
 		}
 	}
@@ -724,10 +396,10 @@ func (e *Engine) SendVia(from, relay, dst int, p Payload) {
 		e.Send(from, dst, p)
 		return
 	}
-	if !e.attempt(from, relay) {
+	if !e.Attempt(from, relay) {
 		return
 	}
-	if e.attempt(relay, dst) {
+	if e.Attempt(relay, dst) {
 		e.scheduleAt(e.c.Rounds+1, Message{From: from, To: dst, Pay: p})
 	}
 }
@@ -744,7 +416,7 @@ func (e *Engine) SendRouted(from int, path []int, p Payload) {
 	}
 	prev := from
 	for _, hop := range path {
-		if !e.attempt(prev, hop) {
+		if !e.Attempt(prev, hop) {
 			return
 		}
 		prev = hop
@@ -774,7 +446,7 @@ func (e *Engine) SendRoutedReliable(from int, path []int, p Payload, retries int
 	for _, hop := range path {
 		ok := false
 		for t := 0; t < retries && !ok; t++ {
-			ok = e.attempt(prev, hop)
+			ok = e.Attempt(prev, hop)
 		}
 		if !ok {
 			return false
@@ -808,15 +480,14 @@ func (e *Engine) ResolveCalls(
 		if !c.Active || !e.alive.Test(from) {
 			continue
 		}
-		e.c.Calls++
-		if !e.attempt(from, c.To) {
+		if !e.Call(from, c.To) {
 			continue // request lost, link faulted, or callee dead
 		}
 		resp, ok := handle(c.To, from, c.Pay)
 		if !ok {
 			continue
 		}
-		if e.attempt(c.To, from) && onReply != nil {
+		if e.Attempt(c.To, from) && onReply != nil {
 			onReply(from, resp)
 		}
 	}

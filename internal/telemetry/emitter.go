@@ -6,8 +6,9 @@ import "drrgossip/internal/sim"
 // progress index (synchronous rounds, or dispatched events on the async
 // engine — both expose it as Round), the phase label, live membership
 // and the driver-reported convergence residual. Both sim.Engine and
-// async.Engine satisfy it, so one emitter serves both execution models
-// and a sink cannot tell them apart beyond the op name.
+// async.Engine satisfy it through the sim.Core they embed, so one
+// emitter serves both execution models and a sink cannot tell them
+// apart beyond the op name.
 type EngineView interface {
 	Stats() sim.Counters
 	Round() int

@@ -326,9 +326,10 @@ func (nw *Network) workerSession() *Network {
 
 // runEngine is what the run executor needs of an engine: the host a
 // fault binding attaches to, the read-only view telemetry samples, and
-// the observer and watchdog setters. The synchronous *sim.Engine and the
-// event-driven *async.Engine both satisfy it, so one execOnce drives
-// either (an async "round" is a dispatched event).
+// the observer and watchdog setters, all of them sim.Core methods. The
+// synchronous *sim.Engine and the event-driven *async.Engine both embed
+// that core, so one execOnce drives either (an async "round" is a
+// dispatched event); protocols assert their concrete engine back.
 type runEngine interface {
 	faults.Host
 	telemetry.EngineView

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt fmt-check doc-check examples bench bench-smoke bench-perf bench-guard bench-scale bench-scale-full bench-async bench-quantile bench-quantile-full chaos chaos-full ci
+.PHONY: all build test test-short race vet fmt fmt-check doc-check loc examples bench bench-smoke bench-perf bench-guard bench-scale bench-scale-full bench-async bench-quantile bench-quantile-full chaos chaos-full ci
 
 all: ci
 
@@ -41,6 +41,11 @@ doc-check:
 		./internal/chord ./internal/drrgossip ./internal/gossip ./internal/hms \
 		./internal/drr ./internal/localdrr ./internal/forest ./internal/convergecast \
 		./internal/pietro ./internal/kashyap
+
+# Non-test Go lines in the main module (bench/ is its own module): the
+# net-lines figure each change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Run every examples/* program end to end; each exits nonzero when its
 # computed answers are wrong. The binaries run inside a temporary

@@ -352,9 +352,6 @@ type RetryPolicy struct {
 	// Attempts is the maximum number of epoch-restart re-runs after the
 	// initial attempt (>= 1).
 	Attempts int
-	// SeedStride is the seed advance per attempt; 0 picks a large odd
-	// default so every epoch draws independent randomness.
-	SeedStride uint64
 }
 
 // AllNodes is the Config.SampleNodes sentinel requesting the full

@@ -7,9 +7,9 @@
 // streams, the transmission attempt and its billing, the fault,
 // observer and watchdog hook slots, all shared with the synchronous
 // engine — plus a scheduler of its own: the event heap and the clocks.
-// The protocol (e.g. internal/pairwise) is a node state machine the
-// driver steps on each dispatched tick; nothing in the engine knows what
-// a protocol message means.
+// The protocol (e.g. internal/pairwise) runs its node action on each
+// dispatched tick; nothing in the engine knows what a protocol message
+// means.
 //
 // # Determinism contract
 //

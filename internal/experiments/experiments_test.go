@@ -93,8 +93,8 @@ func TestA3(t *testing.T)  { runAndCheck(t, "A3") }
 
 // SC1 at test-sized sweeps: the fits need a few decades of n to
 // discriminate shapes, so the unit test runs a shrunken size ladder and
-// requires the deterministic verdict (Ave correctness is checked inside
-// runSC1; the graph-footprint ratio must hold at any size) while
+// requires the memory-budget verdict (Ave correctness is checked inside
+// runSC1; a 16000-node leg sits far under its 1.5 GB budget) while
 // logging the asymptotic-fit verdicts, which the CI smoke tier
 // (benchtab -experiment SC1 -quick, n up to 10^5) enforces at full
 // strength.
@@ -107,9 +107,9 @@ func TestSC1SmallSizes(t *testing.T) {
 		t.Fatal("SC1 produced no tables")
 	}
 	for _, v := range rep.Verdicts {
-		if strings.Contains(v.Name, "≥5×") {
+		if strings.Contains(v.Name, "fits the fixed budget") {
 			if !v.Pass {
-				t.Errorf("SC1 deterministic verdict failed: %s (%s)", v.Name, v.Detail)
+				t.Errorf("SC1 memory-budget verdict failed: %s (%s)", v.Name, v.Detail)
 			}
 			continue
 		}

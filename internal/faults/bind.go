@@ -107,16 +107,8 @@ func (p *Plan) Bind(n int, seed uint64, horizon int) (*Bound, error) {
 	if p.NeedsHorizon() && horizon <= 0 {
 		return nil, fmt.Errorf("%w: plan has fractional timings or churn but no horizon", ErrBadPlan)
 	}
-	b := &Bound{
-		n:         n,
-		actions:   make(map[int][]action),
-		bursts:    make(map[int]float64),
-		parts:     make(map[int][]int),
-		severed:   make(map[[2]int]int),
-		flaky:     make(map[int]flakyArea),
-		down:      make([]int, n),
-		burstKeep: 1,
-	}
+	b := &Bound{n: n, actions: make(map[int][]action)}
+	b.resetRuntime()
 	if p.Empty() {
 		return b, nil
 	}
@@ -259,13 +251,7 @@ func (b *Bound) Attach(eng Host) {
 	for r, acts := range b.actions {
 		b.remaining[r] = acts
 	}
-	b.bursts = make(map[int]float64)
-	b.parts = make(map[int][]int)
-	b.severed = make(map[[2]int]int)
-	b.flaky = make(map[int]flakyArea)
-	b.down = make([]int, b.n)
-	b.fired, b.crashed, b.revived = 0, 0, 0
-	b.recompose()
+	b.resetRuntime()
 	eng.SetLinkFault(b.linkFault)
 	eng.SetRoundHook(b.onRound)
 	b.onRound(0)
@@ -277,16 +263,22 @@ func (b *Bound) Attach(eng Host) {
 // attach their own replica of the same resolved plan — the schedule was
 // fixed by Bind, so every clone replays the identical actions.
 func (b *Bound) Clone() *Bound {
-	return &Bound{
-		n:         b.n,
-		actions:   b.actions,
-		bursts:    make(map[int]float64),
-		parts:     make(map[int][]int),
-		severed:   make(map[[2]int]int),
-		flaky:     make(map[int]flakyArea),
-		down:      make([]int, b.n),
-		burstKeep: 1,
-	}
+	c := &Bound{n: b.n, actions: b.actions}
+	c.resetRuntime()
+	return c
+}
+
+// resetRuntime gives b fresh attachment state: no active bursts,
+// partitions, severed links, flaky regions or crash holds, and nothing
+// fired yet.
+func (b *Bound) resetRuntime() {
+	b.bursts = make(map[int]float64)
+	b.parts = make(map[int][]int)
+	b.severed = make(map[[2]int]int)
+	b.flaky = make(map[int]flakyArea)
+	b.down = make([]int, b.n)
+	b.fired, b.crashed, b.revived = 0, 0, 0
+	b.recompose()
 }
 
 // Fired returns the number of actions applied so far.

@@ -9,17 +9,14 @@
 // (Üstebay, Oreshkin, Coates, Rabbat, "Greedy Gossip with
 // Eavesdropping"), and sample-greedy (Shin, He, Tsourdos). See select.go.
 //
-// # Node state machine
+// # Node action
 //
-// The protocol is a transport-agnostic state machine (Proto): OnTick
-// proposes a partner and emits the request, OnRequest is the partner's
-// inbox→outbox step (average, commit, reply), OnReply commits the
-// initiator. The simulated driver (Ave) delivers the handshake through
-// async.Engine.Exchange — which decides loss and billing for both legs
-// up front, so a failed handshake commits neither endpoint and the
-// population mean stays invariant (the reliable-handshake assumption of
-// the pairwise-averaging analyses). A real-transport backend would
-// deliver the same three steps over sockets; the machine cannot tell.
+// A ticking node proposes to the partner its selector picks and runs
+// the handshake through async.Engine.Exchange, which decides loss and
+// billing for both legs up front. Only when both legs survive do the two
+// endpoints commit the average of their estimates, so a failed handshake
+// commits neither and the population mean stays invariant (the
+// reliable-handshake assumption of the pairwise-averaging analyses).
 //
 // # Cost model
 //
@@ -40,7 +37,6 @@ import (
 	"drrgossip/internal/async"
 	"drrgossip/internal/graph"
 	"drrgossip/internal/sim"
-	"drrgossip/internal/xrand"
 )
 
 // Phase is the label the driver reports for the single protocol phase.
@@ -79,80 +75,49 @@ type Result struct {
 	Stats sim.Counters
 }
 
-// Proto is the pairwise-averaging node state machine. Its three steps
-// are the whole protocol; everything else (clocks, transport, billing,
-// faults) lives in the engine driving it.
-type Proto struct {
-	st  state
-	sel Selector
-
-	// Exchanges counts committed exchanges so far.
-	Exchanges int64
-}
-
-// NewProto builds the machine for n nodes holding values, over graph g
-// (nil means the complete graph) with the given peer-selection policy.
-func NewProto(n int, g *graph.Graph, values []float64, sel Selector) (*Proto, error) {
+// newState validates the run's inputs and builds its state over a copy
+// of values, with sel's per-run caches initialized.
+func newState(n int, g *graph.Graph, values []float64, sel Selector) (*state, error) {
 	if len(values) != n {
 		return nil, fmt.Errorf("pairwise: %d values for n=%d", len(values), n)
 	}
 	if g != nil && g.N() != n {
 		return nil, fmt.Errorf("pairwise: graph has %d nodes, engine %d", g.N(), n)
 	}
-	if sel == nil {
-		sel = Uniform()
-	}
-	p := &Proto{sel: sel}
-	p.st = state{n: n, g: g, x: append([]float64(nil), values...)}
-	if err := sel.init(&p.st); err != nil {
+	st := &state{n: n, g: g, x: append([]float64(nil), values...)}
+	if err := sel.init(st); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return st, nil
 }
 
-// OnTick is node u's clock action: pick a partner and emit the request
-// carrying u's current estimate. ok is false when u has no candidate
-// (isolated node), in which case nothing is sent.
-func (p *Proto) OnTick(u int, rng *xrand.Stream) (partner int, xu float64, ok bool) {
-	v := p.sel.pick(&p.st, u, rng)
-	if v < 0 {
-		return -1, 0, false
+// exchange is node u's clock action: u proposes to the partner sel
+// picks and, when the engine's handshake survives, both endpoints commit
+// the average of their estimates and sel's broadcast tap fires
+// (eavesdropping policies refresh what u's and v's neighbors overheard).
+// It reports whether an exchange committed.
+func (st *state) exchange(eng *async.Engine, sel Selector, u int) bool {
+	v := sel.pick(st, u, eng.RNG(u))
+	if v < 0 || !eng.Exchange(u, v) {
+		return false
 	}
-	return v, p.st.x[u], true
+	avg := (st.x[u] + st.x[v]) / 2
+	st.x[u], st.x[v] = avg, avg
+	sel.committed(st, u, v)
+	return true
 }
 
-// OnRequest is partner v's inbox→outbox step: average the received
-// estimate with its own, commit, and reply with the average.
-func (p *Proto) OnRequest(v int, xu float64) (avg float64) {
-	avg = (xu + p.st.x[v]) / 2
-	p.st.x[v] = avg
-	return avg
-}
-
-// OnReply commits initiator u with the averaged estimate and closes the
-// exchange: both endpoints now hold avg, and the selectors' broadcast
-// tap fires (eavesdropping policies refresh what u's and v's neighbors
-// overheard).
-func (p *Proto) OnReply(u, v int, avg float64) {
-	p.st.x[u] = avg
-	p.Exchanges++
-	p.sel.committed(&p.st, u, v)
-}
-
-// X returns the live per-node estimate vector (not a copy).
-func (p *Proto) X() []float64 { return p.st.x }
-
-// Spread returns max − min of the estimates over nodes where alive
+// spread returns max − min of the estimates over nodes where alive
 // reports true (0 when fewer than two such nodes exist).
-func (p *Proto) Spread(alive func(int) bool) float64 {
+func (st *state) spread(alive func(int) bool) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	seen := 0
-	for i := 0; i < p.st.n; i++ {
+	for i := 0; i < st.n; i++ {
 		if !alive(i) {
 			continue
 		}
 		seen++
-		v := p.st.x[i]
+		v := st.x[i]
 		if v < lo {
 			lo = v
 		}
@@ -185,7 +150,10 @@ func defaultMaxEvents(n int) int {
 // (engine options, g, values, selector) give bit-identical results.
 func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts Options) (*Result, error) {
 	n := eng.N()
-	p, err := NewProto(n, g, values, sel)
+	if sel == nil {
+		sel = Uniform()
+	}
+	st, err := newState(n, g, values, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -198,20 +166,15 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 		maxEvents = defaultMaxEvents(n)
 	}
 	eng.SetPhase(Phase)
-	spread := p.Spread(eng.Alive)
+	spread := st.spread(eng.Alive)
 	eng.ReportResidual(spread)
 	converged := spread <= eps
 	sinceCheck := 0
+	var exchanges int64
 	handler := func(u int) {
-		v, xu, ok := p.OnTick(u, eng.RNG(u))
-		if !ok {
-			return
+		if st.exchange(eng, sel, u) {
+			exchanges++
 		}
-		if !eng.Exchange(u, v) {
-			return
-		}
-		avg := p.OnRequest(v, xu)
-		p.OnReply(u, v, avg)
 	}
 	// The convergence sweep is an O(n) read the protocol itself never
 	// needs, so it runs once every n events: amortized O(1) per event.
@@ -219,7 +182,7 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 		sinceCheck++
 		if sinceCheck >= n {
 			sinceCheck = 0
-			spread = p.Spread(eng.Alive)
+			spread = st.spread(eng.Alive)
 			eng.ReportResidual(spread)
 			converged = spread <= eps
 		}
@@ -231,15 +194,15 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 	}
 	if !converged {
 		// The cap can land between sweeps; close the books on live state.
-		spread = p.Spread(eng.Alive)
+		spread = st.spread(eng.Alive)
 		eng.ReportResidual(spread)
 		converged = spread <= eps
 	}
 	res := &Result{
-		PerNode:   p.st.x,
+		PerNode:   st.x,
 		Converged: converged,
 		Spread:    spread,
-		Exchanges: p.Exchanges,
+		Exchanges: exchanges,
 		Events:    events,
 		Clock:     eng.Now(),
 		Stats:     eng.Stats(),
@@ -247,7 +210,7 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 	sum, alive := 0.0, 0
 	for i := 0; i < n; i++ {
 		if eng.Alive(i) {
-			sum += p.st.x[i]
+			sum += st.x[i]
 			alive++
 		} else {
 			res.PerNode[i] = math.NaN()

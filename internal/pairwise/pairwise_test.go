@@ -184,22 +184,12 @@ func TestGGECacheConsistency(t *testing.T) {
 	}
 	g := lineGraph(t, n)
 	sel := GGE()
-	p, err := NewProto(n, g, values, sel)
+	st, err := newState(n, g, values, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := async.NewEngine(n, sim.Options{Seed: 17})
-	eng.Run(func(u int) {
-		v, xu, ok := p.OnTick(u, eng.RNG(u))
-		if !ok {
-			return
-		}
-		if !eng.Exchange(u, v) {
-			return
-		}
-		p.OnReply(u, v, p.OnRequest(v, xu))
-	}, func() bool { return false }, 500)
-	st := &p.st
+	eng.Run(func(u int) { st.exchange(eng, sel, u) }, func() bool { return false }, 500)
 	for u := 0; u < n; u++ {
 		for pos := st.off[u]; pos < st.off[u+1]; pos++ {
 			if got, want := st.heard[pos], st.x[st.nbr[pos]]; got != want {

@@ -16,7 +16,7 @@ import (
 )
 
 // Selector is a pluggable peer-selection policy. Selectors are stateful
-// per run (init builds per-run caches) and must be used by one Proto at
+// per run (init builds per-run caches) and must be used by one run at
 // a time; NewSelector builds a fresh one from its registry name.
 type Selector interface {
 	// Name returns the policy's registry name.

@@ -167,10 +167,10 @@ func retryable(ans *Answer) bool {
 	return !ans.Converged
 }
 
-// defaultSeedStride is the RetryPolicy.SeedStride default: the odd
-// 64-bit golden-ratio constant, so successive epochs land in
-// well-separated regions of the seed space.
-const defaultSeedStride = 0x9E3779B97F4A7C15
+// retrySeedStride is the seed advance per retry attempt: the odd 64-bit
+// golden-ratio constant, so successive epochs land in well-separated
+// regions of the seed space.
+const retrySeedStride = 0x9E3779B97F4A7C15
 
 // runWithRetry executes one query, then — when a RetryPolicy is set and
 // the answer is retryable — re-runs it on shadow epoch sessions until
@@ -184,14 +184,10 @@ func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 	if pol == nil || err != nil || ans == nil || !retryable(ans) {
 		return ans, err
 	}
-	stride := pol.SeedStride
-	if stride == 0 {
-		stride = defaultSeedStride
-	}
 	best := ans
 	cost := ans.Cost
 	for attempt := 1; attempt <= pol.Attempts; attempt++ {
-		shadow := nw.epochSession(uint64(attempt) * stride)
+		shadow := nw.epochSession(uint64(attempt) * retrySeedStride)
 		next, err := shadow.runQuery(ctx, q)
 		nw.protoRuns += shadow.protoRuns
 		nw.horizonRuns += shadow.horizonRuns

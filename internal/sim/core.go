@@ -232,33 +232,23 @@ func (c *Core) Advance() int {
 // without an installed link fault are bit-for-bit identical to the
 // static model.
 func (c *Core) Attempt(from, to int) bool {
+	// The sequence number advances even when no hash is drawn (Loss 0,
+	// no fault), so installing a fault mid-run cannot shift later loss
+	// decisions.
 	c.seq++
 	c.c.Messages++
-	if c.linkFault == nil {
-		// Fast path (the static model with healthy links): no fault
-		// predicate to consult, and with Loss == 0 no hash either. The
-		// sequence number still advances exactly as in the slow path, so
-		// installing a fault mid-run cannot shift later loss decisions.
-		if c.opts.Loss == 0 {
-			return c.alive.Test(to)
-		}
-		if xrand.HashFloat(c.opts.Seed, c.lossDomain, c.seq) < c.opts.Loss {
-			c.c.Drops++
-			return false
-		}
-		return c.alive.Test(to)
-	}
 	eff := c.opts.Loss
-	if x := c.linkFault(from, to); x > 0 {
-		if x >= 1 {
-			c.c.Drops++
-			c.c.Blocked++
-			return false
+	if c.linkFault != nil {
+		if x := c.linkFault(from, to); x > 0 {
+			if x >= 1 {
+				c.c.Drops++
+				c.c.Blocked++
+				return false
+			}
+			eff = 1 - (1-eff)*(1-x) // independent fault and link loss
 		}
-		eff = 1 - (1-eff)*(1-x) // independent fault and link loss
 	}
-	if eff > 0 &&
-		xrand.HashFloat(c.opts.Seed, c.lossDomain, c.seq) < eff {
+	if eff > 0 && xrand.HashFloat(c.opts.Seed, c.lossDomain, c.seq) < eff {
 		c.c.Drops++
 		return false
 	}

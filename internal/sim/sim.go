@@ -10,7 +10,10 @@
 // and the baselines) live in their own packages and drive the engine round
 // by round. Every transmission attempt, including relay hops, acks and
 // retransmissions, is counted as one message, which is the quantity the
-// paper's message-complexity results bound.
+// paper's message-complexity results bound. That bookkeeping — membership,
+// node streams, the transmission attempt and every hook slot — lives in
+// Core, which the asynchronous engine (internal/async) embeds as well;
+// Engine adds the round scheduler and its delivery machinery.
 //
 // # Dynamic membership and link faults
 //

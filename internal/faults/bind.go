@@ -47,10 +47,10 @@ type action struct {
 // the two hook points the schedule installs itself on. Both engines
 // satisfy it through the sim.Core they embed — sim.Engine reads the
 // round hook's argument as its synchronous round index, async.Engine as
-// a wall-clock fault tick
-// (async.TicksPerUnit ticks per unit of simulated time) — so one plan
-// grammar, one Bind and one action schedule serve both execution
-// models; only the horizon's unit differs at Bind time.
+// a wall-clock fault tick (async.TicksPerUnit ticks per unit of
+// simulated time) — so one plan grammar, one Bind and one action
+// schedule serve both execution models; only the horizon's unit differs
+// at Bind time.
 type Host interface {
 	Alive(i int) bool
 	Crash(i int)

@@ -430,8 +430,9 @@ func (nw *Network) pairwiseAverage(values []float64) protoFunc {
 // engine, Reset to the run's initial state — one engine allocation per
 // session (and per RunAll worker), not per protocol run; Reset is pinned
 // bit-identical to NewEngine, so pooling cannot change a single counter
-// or result. Async mode builds a fresh engine per run: it is a heap plus
-// two stream arrays, with no delivery machinery worth pooling.
+// or result. Async mode builds a fresh engine per run: it is the core
+// plus a heap and the clock streams, with no delivery machinery worth
+// pooling.
 func (nw *Network) engine() (runEngine, int) {
 	if nw.cfg.Mode == Async {
 		return async.NewEngine(nw.cfg.N, nw.cfg.simOptions()), abortStrideAsync

@@ -228,7 +228,11 @@ func BenchmarkPerfTelemetry(b *testing.B) {
 
 // BenchmarkPerfRunAllBatch compares sequential and concurrent execution
 // of one query batch (answers are bit-identical; see the determinism
-// regression) — the wall-clock case for RunAll's opt-in parallelism.
+// regression) — the wall-clock case for RunAll's opt-in parallelism —
+// and times a faulted session's set-up: New plus the first RunAll on a
+// SmallWorld overlay under a fraction-timed loss burst, whose horizon
+// pre-runs (one per pipeline shape) run across the batch's workers. Its
+// allocs/op and B/op let the guard catch set-up allocation regressions.
 func BenchmarkPerfRunAllBatch(b *testing.B) {
 	const n = 2048
 	values := benchValues(n)
@@ -236,23 +240,37 @@ func BenchmarkPerfRunAllBatch(b *testing.B) {
 		MaxOf(values), MinOf(values), SumOf(values), CountOf(values),
 		AverageOf(values), RankOf(values, 500),
 	}
+	plan, err := ParseFaultPlan("loss:0.1@0.2..0.8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sparse := benchValues(1024)
 	// The worker count is pinned (not GOMAXPROCS) so allocs/op — which
 	// includes the per-worker engine and binding clones — is
 	// machine-independent and safe for the bench-guard baseline; the
 	// wall-clock benefit of the fan-out still shows wherever cores exist.
 	for _, tc := range []struct {
 		name    string
+		cfg     Config
+		queries []Query
 		workers int
-	}{{"sequential", 1}, {"parallel", 4}} {
+	}{
+		{"sequential", Config{N: n}, queries, 1},
+		{"parallel", Config{N: n}, queries, 4},
+		{"faulted-setup", Config{N: 1024, Topology: SmallWorld, Faults: plan}, []Query{
+			MaxOf(sparse), SumOf(sparse), CountOf(sparse), AverageOf(sparse), RankOf(sparse, 500),
+		}, 2},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			workers := tc.workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				nw, err := New(Config{N: n, Seed: uint64(i) + 1})
+				cfg := tc.cfg
+				cfg.Seed = uint64(i) + 1
+				nw, err := New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := nw.RunAll(queries, BatchOptions{Parallelism: workers}); err != nil {
+				if _, _, err := nw.RunAll(tc.queries, BatchOptions{Parallelism: tc.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,7 @@
 // two quantiles, a histogram) over a Chord overlay while a fault plan
 // churns the membership, with a telemetry sink streaming live
 // progress. The point of the session: the overlay is built once and the
-// fault plan is measured/bound once per operation kind, no matter how
+// fault plan is measured/bound once per pipeline shape, no matter how
 // many Rank steps the quantiles and the histogram spend.
 //
 //	go run ./examples/queries

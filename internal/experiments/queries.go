@@ -17,7 +17,7 @@ import (
 // facade paid one overlay build plus one horizon-measurement pre-run
 // *per internal step*. The verdicts pin the amortized accounting: one
 // overlay build per session, at most one horizon pre-run and one plan
-// bind per operation kind, correct answers throughout. The table (and
+// bind per pipeline shape, correct answers throughout. The table (and
 // its BENCH_QB1.json form) tracks the cost trajectory over time.
 func RunQB1(cfg Config) (*Report, error) {
 	n := 512
@@ -101,18 +101,20 @@ func RunQB1(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Two op kinds for the histogram: rank (shared by every edge) and the
-	// count that measures the open bucket's population.
-	histOnce := histStats.HorizonRuns == 2 && histStats.PlanBinds == 2 &&
-		histStats.ProtocolRuns == 2+len(edges)+1
-	// Quantile adds min and max on top of the rank and count bindings the
-	// histogram already created: four op kinds for the whole session.
-	quantAmortized := finalStats.HorizonRuns == 4 && finalStats.PlanBinds == 4
+	// One pipeline shape for the histogram: the sum pipeline behind every
+	// edge's rank and the count that measures the open bucket's
+	// population.
+	histOnce := histStats.HorizonRuns == 1 && histStats.PlanBinds == 1 &&
+		histStats.ProtocolRuns == 1+len(edges)+1
+	// Quantile adds the max shape (min and max) to the sum binding the
+	// histogram already created: two pipeline shapes for the whole
+	// session.
+	quantAmortized := finalStats.HorizonRuns == 2 && finalStats.PlanBinds == 2
 	rep.Verdicts = append(rep.Verdicts,
-		verdictf("histogram binds the fault plan once per op kind (rank + count), not per edge",
+		verdictf("histogram binds the fault plan once per pipeline shape (rank and count share the sum pipeline), not per edge",
 			histOnce, "pre-runs %d, binds %d, protocol runs %d for %d edges",
 			histStats.HorizonRuns, histStats.PlanBinds, histStats.ProtocolRuns, len(edges)),
-		verdictf("quantile reuses the session's rank+count bindings (4 op kinds total, not one per step)",
+		verdictf("quantile reuses the session's sum binding (2 pipeline shapes total, not one per step)",
 			quantAmortized, "session pre-runs %d, binds %d after %d quantile runs",
 			finalStats.HorizonRuns, finalStats.PlanBinds, quant.Cost.Runs),
 		verdictf("histogram buckets stay consistent under the mid-run crash (non-negative, empty open bucket)",

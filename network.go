@@ -2,9 +2,9 @@
 // network, mirroring the paper's economics — one preprocessing
 // investment amortized across many aggregate computations. New(cfg)
 // validates the Config, builds the overlay graph and (lazily) measures
-// the fault-plan horizon exactly once; the typed queries of query.go
-// then run against the standing session, so a Quantile (up to ~80
-// bisection Rank steps) or a Histogram (one Rank per edge) pays
+// the fault-plan horizon once per pipeline shape; the typed queries of
+// query.go then run against the standing session, so a Quantile (up to
+// ~80 bisection Rank steps) or a Histogram (one Rank per edge) pays
 // O(build + steps) instead of O(steps × build).
 
 package drrgossip
@@ -13,8 +13,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"drrgossip/internal/agg"
@@ -44,18 +44,28 @@ type SessionStats struct {
 	// sub-runs and horizon-measurement pre-runs.
 	ProtocolRuns int
 	// HorizonRuns counts horizon-measurement pre-runs (at most one per
-	// distinct Op for plans with fractional timings; 0 otherwise).
+	// pipeline shape for plans with fractional timings; 0 otherwise).
 	HorizonRuns int
-	// PlanBinds counts fault-plan bindings (at most one per distinct Op).
+	// PlanBinds counts fault-plan bindings (at most one per pipeline
+	// shape: Max and Min share one, Sum, Count and Rank share one, and
+	// Average and Moments have one each; in Async mode, one per Op).
 	PlanBinds int
 	// OverlayBuilt reports whether the session built a sparse overlay
 	// (always exactly once, at New).
 	OverlayBuilt bool
 }
 
+// add folds another session's query and run counts into s.
+func (s *SessionStats) add(o SessionStats) {
+	s.Queries += o.Queries
+	s.ProtocolRuns += o.ProtocolRuns
+	s.HorizonRuns += o.HorizonRuns
+	s.PlanBinds += o.PlanBinds
+}
+
 // Network is a reusable session on one simulated network: New validates
 // the Config once, builds the sparse overlay once, and lazily measures
-// the fault-plan horizon and binds the plan once per operation kind —
+// the fault-plan horizon and binds the plan once per pipeline shape —
 // after which every query reuses the standing state. Queries themselves
 // stay independent: each protocol run starts from a fresh engine seeded
 // by Config.Seed, so a Network's answers are bit-identical to those of a
@@ -74,11 +84,17 @@ type Network struct {
 	// times. RunAll workers pool their own engines the same way.
 	eng *sim.Engine
 
-	// bounds caches the fault plan resolved per operation kind: the
-	// horizon (total healthy rounds) differs between the max- and
-	// ave-pipelines, so fractional event timings resolve per Op — but
-	// only once per Op, not once per call.
+	// bounds caches the fault plan resolved per pipeline shape (keyed by
+	// shapeOf): the horizon (total healthy rounds) differs between the
+	// max-, sum- and ave-pipelines, so fractional event timings resolve
+	// per shape — but only once per shape, not once per call.
 	bounds map[Op]*faults.Bound
+
+	// used lists the binding keys bind has served, in order of first use.
+	// RunAll's workers reset it per query, so the batch can forward each
+	// pre-resolved binding's pre-run just before the first query that
+	// used it.
+	used []Op
 
 	// sample caches the Config.SampleNodes id set (computed once per
 	// session; a pure function of Seed, N and SampleNodes, so worker
@@ -95,10 +111,9 @@ type Network struct {
 	// it to the engine as its abort check.
 	wd *watchdog
 
-	queries     int
-	protoRuns   int
-	horizonRuns int
-	planBinds   int
+	// stats is the session's accounting (OverlayBuilt is filled in by
+	// Stats).
+	stats SessionStats
 }
 
 // New validates cfg and builds the session: the overlay graph is
@@ -128,13 +143,9 @@ func (nw *Network) Config() Config { return nw.cfg }
 
 // Stats returns the session's amortization accounting.
 func (nw *Network) Stats() SessionStats {
-	return SessionStats{
-		Queries:      nw.queries,
-		ProtocolRuns: nw.protoRuns,
-		HorizonRuns:  nw.horizonRuns,
-		PlanBinds:    nw.planBinds,
-		OverlayBuilt: nw.ov != nil,
-	}
+	st := nw.stats
+	st.OverlayBuilt = nw.ov != nil
+	return st
 }
 
 // Exact returns the reference value the query should converge to over
@@ -155,7 +166,7 @@ func (nw *Network) Run(q Query) (*Answer, error) { return nw.RunContext(context.
 // Config.Retry is set, non-converged answers are re-run on shadow
 // epochs before being returned.
 func (nw *Network) RunContext(ctx context.Context, q Query) (*Answer, error) {
-	nw.queries++
+	nw.stats.Queries++
 	return nw.runWithRetry(ctx, q)
 }
 
@@ -195,12 +206,14 @@ type BatchOptions struct {
 	// exactly as in sequential execution, so the answers are
 	// bit-identical for any parallelism (see README, "Determinism").
 	// Config.Telemetry still sees one deterministic stream: each query's
-	// events are buffered and forwarded in query order.
+	// events are buffered and forwarded in query order, each horizon
+	// pre-run's just before those of the first query that used its
+	// binding.
 	Parallelism int
 }
 
 // RunAll executes a batch of queries against the session — one overlay,
-// one crash-set, one fault binding per operation kind — and returns the
+// one crash-set, one fault binding per pipeline shape — and returns the
 // per-query answers together with the batch's aggregate bill. An
 // optional BatchOptions opts the batch into concurrent execution.
 func (nw *Network) RunAll(queries []Query, opts ...BatchOptions) ([]*Answer, Cost, error) {
@@ -242,78 +255,157 @@ func (nw *Network) RunAllContext(ctx context.Context, queries []Query, opts ...B
 	return answers, total, nil
 }
 
-// runAllParallel fans the batch across workers. The contract is
-// bit-identical answers: every protocol run is independently seeded by
-// Config.Seed and runs on a worker-private engine, and the fault
-// bindings are resolved once up front (sequentially, on the session
-// engine — the same pre-runs sequential execution would perform) and
-// then cloned per worker, so no mutable state is shared and no run can
-// observe another.
+// runAllParallel fans the batch across workers and returns exactly what
+// sequential execution would: the same answers, bill, error,
+// SessionStats and telemetry stream. Every protocol run is seeded by
+// Config.Seed and runs on a worker-private engine, so no mutable state
+// is shared. Before the fan-out, the worker sessions resolve the fault
+// bindings the batch lacks (see prebinds), each under a fresh watchdog,
+// and every worker gets a clone of each, so no worker re-measures a
+// shape. A resolution that fails or aborts is dropped: the query that
+// needs the shape then resolves it itself, as sequential execution
+// would.
 func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers int) ([]*Answer, Cost, error) {
-	if !nw.cfg.Faults.Empty() {
-		for _, q := range queries {
-			if nw.supports(q.Op) != nil {
-				continue // its worker reports the error, in query order
+	sessions := make([]*Network, workers)
+	// free holds every worker session: at most `workers` units run at
+	// once, so a unit never waits for a session.
+	free := make(chan *Network, workers)
+	for k := range sessions {
+		sessions[k] = nw.workerSession()
+		free <- sessions[k]
+	}
+	// onWorker runs fn on a free worker session from fresh accounting
+	// (runs numbered from 1, no binding keys used), buffering its events
+	// in u when the session has telemetry, and records the unit in u.
+	onWorker := func(u *batchUnit, fn func(ws *Network)) {
+		ws := <-free
+		ws.stats, ws.used = SessionStats{}, nil
+		if nw.em.Enabled() {
+			ws.em = telemetry.NewEmitter(telemetry.Options{Sink: &u.events, RoundEvery: nw.em.RoundEvery()})
+		}
+		fn(ws)
+		ws.em = nil
+		u.stats, u.used = ws.stats, ws.used
+		free <- ws
+	}
+
+	pre := nw.prebinds(queries)
+	sim.ForEachRun(len(pre), workers, func(j int) {
+		p := &pre[j]
+		onWorker(&p.unit, func(ws *Network) {
+			if ctx.Err() != nil {
+				return // sequential execution would not start the pre-run
 			}
-			for _, op := range q.baseOps(true) {
-				if _, err := nw.bind(ctx, op, nw.dispatch(op, q.Values, q.Arg)); err != nil {
-					return nil, Cost{}, fmt.Errorf("binding fault plan for %s: %w", op, err)
-				}
+			ws.wd = ws.newWatchdog(ctx)
+			// A failed resolution leaves p.b nil: the query that needs
+			// the shape resolves it itself and reports the failure.
+			p.b, _ = ws.resolve(ctx, p.q.Op, ws.dispatch(p.q.Op, p.q.Values, p.q.Arg))
+			ws.wd = nil
+		})
+	})
+	for _, p := range pre {
+		if p.b != nil {
+			for _, ws := range sessions {
+				ws.bounds[p.key] = p.b.Clone()
 			}
 		}
 	}
+
+	units := make([]batchUnit, len(queries))
 	answers := make([]*Answer, len(queries))
 	errs := make([]error, len(queries))
-	// With telemetry attached, each query's event stream is captured in
-	// its own Buffer and forwarded to the session sink during the ordered
-	// reduction below — the sink sees one deterministic stream in query
-	// order no matter how the workers interleaved.
-	var bufs []telemetry.Buffer
-	if nw.em.Enabled() {
-		bufs = make([]telemetry.Buffer, len(queries))
-	}
-	pool := sync.Pool{New: func() any { return nw.workerSession() }}
 	sim.ForEachRun(len(queries), workers, func(i int) {
-		ws := pool.Get().(*Network)
-		if bufs != nil {
-			// Runs are numbered per query from 0 here; the reduction
-			// rebases them onto the session's run counter.
-			ws.protoRuns = 0
-			ws.em = telemetry.NewEmitter(telemetry.Options{Sink: &bufs[i], RoundEvery: nw.em.RoundEvery()})
-		}
-		answers[i], errs[i] = ws.RunContext(ctx, queries[i])
-		ws.em = nil
-		pool.Put(ws)
+		onWorker(&units[i], func(ws *Network) {
+			answers[i], errs[i] = ws.RunContext(ctx, queries[i])
+		})
 	})
-	// Deterministic reduction in query order: the error of the
+	// Deterministic reduction in query order: each pre-resolved binding
+	// is adopted (its pre-run counted and its events forwarded) just
+	// before the first query that used it, and the error of the
 	// lowest-indexed failing query wins, with the preceding answers —
 	// exactly what sequential execution would have returned.
 	out := make([]*Answer, 0, len(queries))
 	var total Cost
 	for i := range queries {
-		nw.queries++
-		if bufs != nil {
-			for _, ev := range bufs[i].Events() {
-				ev.Run += nw.protoRuns
-				nw.em.Forward(&ev)
+		for _, key := range units[i].used {
+			for j := range pre {
+				if p := &pre[j]; p.key == key && p.b != nil {
+					nw.fold(&p.unit)
+					nw.bounds[key], p.b = p.b, nil
+				}
 			}
 		}
+		nw.fold(&units[i])
 		if errs[i] != nil {
 			return out, total, fmt.Errorf("query %d (%s): %w", i, queries[i].Op, errs[i])
 		}
 		out = append(out, answers[i])
 		total = total.Add(answers[i].Cost)
-		nw.protoRuns += answers[i].Cost.Runs
 	}
 	return out, total, nil
+}
+
+// prebind is one fault binding a parallel batch resolves before fanning
+// out: its key, the single-run query to measure it with, the binding
+// (nil if resolution failed, and again once the session adopted it)
+// and the worker unit that resolved it.
+type prebind struct {
+	key  Op
+	q    Query
+	b    *faults.Bound
+	unit batchUnit
+}
+
+// prebinds lists the fault bindings a batch needs that the session
+// lacks, one per pipeline shape, each with the first run that needs it:
+// the first of the first query's runs (see Query.firstRuns), in query
+// order, whose shape it is.
+func (nw *Network) prebinds(queries []Query) []prebind {
+	if nw.cfg.Faults.Empty() {
+		return nil
+	}
+	var pre []prebind
+	for _, q := range queries {
+		if nw.supports(q.Op) != nil {
+			continue // its worker reports the error, in query order
+		}
+		for _, r := range q.firstRuns() {
+			key := nw.shapeOf(r.Op)
+			_, bound := nw.bounds[key]
+			if !bound && !slices.ContainsFunc(pre, func(p prebind) bool { return p.key == key }) {
+				pre = append(pre, prebind{key: key, q: r})
+			}
+		}
+	}
+	return pre
+}
+
+// batchUnit is one piece of a parallel batch done on a worker session —
+// a query, or the resolution of one fault binding — as the batch's
+// in-order reduction needs it: what the piece added to the worker's
+// accounting, the binding keys it used and, with telemetry on, its
+// buffered events.
+type batchUnit struct {
+	stats  SessionStats
+	used   []Op
+	events telemetry.Buffer
+}
+
+// fold adds a worker unit to the session's accounting and forwards its
+// buffered events, their run numbers rebased onto the session's.
+func (nw *Network) fold(u *batchUnit) {
+	for _, ev := range u.events.Events() {
+		ev.Run += nw.stats.ProtocolRuns
+		nw.em.Forward(&ev)
+	}
+	nw.stats.add(u.stats)
 }
 
 // workerSession replicates the session for one RunAll worker: the same
 // config and the same (immutable, safely shared) overlay, per-worker
 // clones of the fault bindings and a per-worker pooled engine. Worker
-// sessions never rebuild the overlay and their own SessionStats are
-// discarded; the parent folds the batch into its accounting
-// deterministically.
+// sessions never rebuild the overlay; the parent folds their accounting
+// into its own in query order.
 func (nw *Network) workerSession() *Network {
 	ws := &Network{cfg: nw.cfg, ov: nw.ov, bounds: make(map[Op]*faults.Bound, len(nw.bounds))}
 	for op, b := range nw.bounds {
@@ -459,12 +551,12 @@ func (nw *Network) engine() (runEngine, int) {
 // while the async engine stops its event loop and the pairwise driver
 // closes its books on the surviving estimates.
 func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
-	nw.protoRuns++
+	nw.stats.ProtocolRuns++
 	eng, stride := nw.engine()
 	em := nw.em
 	if em.Enabled() {
 		var view telemetry.EngineView = eng
-		em.RunStart(nw.protoRuns, op.String(), view)
+		em.RunStart(nw.stats.ProtocolRuns, op.String(), view)
 		eng.SetPhaseObserver(func(string) { em.Phase(view) })
 		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(view, node, alive) })
 		if em.WantsRounds() {
@@ -515,10 +607,10 @@ func (nw *Network) closeRun(eng runEngine, b *faults.Bound, res *runResult) *run
 	return res
 }
 
-// execute runs op's protocol with the session's fault binding for that
-// operation kind, creating the binding on first use (see bind): the
-// first query of each Op kind may execute an unfaulted horizon pre-run;
-// every later run of the same kind — every further Rank step of a
+// execute runs op's protocol with the session's fault binding for its
+// pipeline shape, creating the binding on first use (see bind): the
+// first run of each shape may execute an unfaulted horizon pre-run;
+// every later run of the same shape — every further Rank step of a
 // Quantile or Histogram — reuses the binding.
 func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, error) {
 	if err := ctx.Err(); err != nil {
@@ -534,28 +626,63 @@ func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResul
 	return nw.execOnce(b, op, run)
 }
 
-// bind returns the session's fault binding for op, resolving it on first
-// use. Plans that place events by horizon fraction first measure the
-// healthy run's length (runResult.Horizon: rounds, or fault ticks in
-// Async mode) with one unfaulted pre-run; both runs are deterministic in
-// Seed, so the horizon is exact. A synchronous pipeline's length depends
-// only on its shape (values ride payloads; control flow never reads
-// them), so any query of the same op kind resolves the same binding. An
-// async run's length depends on the values, so its horizon is measured
-// on the first average query's values and reused for the session. A
-// pre-run the watchdog aborts leaves no trustworthy horizon and fails
-// the binding with the abort cause.
+// shapeOf returns the key of op's fault binding: its pipeline shape. A
+// synchronous run's length depends only on its pipeline's message
+// pattern (values ride payloads; control flow never reads them), and
+// Min is Max on negated values while Count and Rank are Sum over other
+// payloads, so they share the horizon — hence the binding — of Max and
+// Sum. Average ships unacknowledged push-sum shares where Sum ships
+// reliable ones, and Moments spreads a second value, so each keeps its
+// own. An async run's length depends on the values, so Async mode keys
+// per Op.
+func (nw *Network) shapeOf(op Op) Op {
+	if nw.cfg.Mode == Sync {
+		switch op {
+		case OpMin:
+			return OpMax
+		case OpCount, OpRank:
+			return OpSum
+		}
+	}
+	return op
+}
+
+// bind returns the session's fault binding for op's pipeline shape,
+// resolving it with run on first use (see resolve), and notes the shape
+// in used.
 func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Bound, error) {
-	if b, ok := nw.bounds[op]; ok {
+	key := nw.shapeOf(op)
+	if !slices.Contains(nw.used, key) {
+		nw.used = append(nw.used, key)
+	}
+	if b, ok := nw.bounds[key]; ok {
 		return b, nil
 	}
+	b, err := nw.resolve(ctx, op, run)
+	if err != nil {
+		return nil, err
+	}
+	nw.bounds[key] = b
+	return b, nil
+}
+
+// resolve binds the fault plan for op's pipeline shape. Plans that place
+// events by horizon fraction first measure the healthy run's length
+// (runResult.Horizon: rounds, or fault ticks in Async mode) with one
+// unfaulted pre-run of run; both runs are deterministic in Seed, so the
+// horizon is exact, and any run of the same shape measures the same one
+// (see shapeOf). An async run's horizon is measured on the first
+// average query's values and reused for the session. A pre-run the
+// watchdog aborts leaves no trustworthy horizon and fails the binding
+// with the abort cause.
+func (nw *Network) resolve(ctx context.Context, op Op, run protoFunc) (*faults.Bound, error) {
 	horizon := 0
 	if nw.cfg.Faults.NeedsHorizon() {
 		healthy, err := nw.execOnce(nil, op, run)
 		if err != nil {
 			return nil, fmt.Errorf("drrgossip: horizon measurement run: %w", err)
 		}
-		nw.horizonRuns++
+		nw.stats.HorizonRuns++
 		horizon = healthy.Horizon
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -565,8 +692,7 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	nw.planBinds++
-	nw.bounds[op] = b
+	nw.stats.PlanBinds++
 	return b, nil
 }
 
@@ -674,7 +800,7 @@ func (nw *Network) answer(op Op, res *runResult, cause error) (*Answer, error) {
 
 // quantile approximates the φ-quantile by bisection over the value
 // range, one Rank run per step. All steps run against the same session,
-// so the overlay and the per-Op fault bindings are reused throughout —
+// so the overlay and the per-shape fault bindings are reused throughout —
 // the amortization the session API exists for.
 func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol float64) (*Answer, error) {
 	if err := nw.cfg.checkValues(values); err != nil {

@@ -58,9 +58,9 @@ func TestSessionReusesOneOverlay(t *testing.T) {
 
 // The amortization acceptance bar: a composite query builds the overlay
 // and binds the fault plan once per call — one horizon pre-run and one
-// binding for all of Histogram's edges (and one per operation kind for
-// Quantile), instead of one per internal Rank step as before the
-// session redesign.
+// binding for all of Histogram's edges and its population count (and
+// one per pipeline shape for Quantile), instead of one per internal Rank
+// step as before the session redesign.
 func TestCompositeQueriesAmortizeSetup(t *testing.T) {
 	values := uniformValues(256, 78)
 	cfg := Config{N: 256, Seed: 77, Topology: Chord,
@@ -75,12 +75,13 @@ func TestCompositeQueriesAmortizeSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := nw.Stats()
-	// Two operation kinds: rank (shared by all three edges) and the count
-	// that measures the open bucket's population — not one per edge.
-	if st.HorizonRuns != 2 || st.PlanBinds != 2 {
-		t.Fatalf("histogram should measure and bind once per op kind: %+v", st)
+	// One pipeline shape: the sum pipeline behind every edge's Rank and
+	// the Count that measures the open bucket's population — not one per
+	// edge, nor one per operation kind.
+	if st.HorizonRuns != 1 || st.PlanBinds != 1 {
+		t.Fatalf("histogram should measure and bind once per pipeline shape: %+v", st)
 	}
-	if st.ProtocolRuns != 2+hist.Cost.Runs || hist.Cost.Runs != 4 {
+	if st.ProtocolRuns != 1+hist.Cost.Runs || hist.Cost.Runs != 4 {
 		t.Fatalf("histogram runs off: stats %+v, cost %+v", st, hist.Cost)
 	}
 
@@ -93,12 +94,12 @@ func TestCompositeQueriesAmortizeSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := nw2.Stats()
-	// Four operation kinds (min, max, count, rank) measure and bind once
-	// each; every further bisection step reuses the rank binding.
-	if st2.HorizonRuns != 4 || st2.PlanBinds != 4 {
-		t.Fatalf("quantile should bind once per op kind: %+v", st2)
+	// Two pipeline shapes measure and bind once each: max (shared by min
+	// and max) and sum (shared by count and every bisection rank step).
+	if st2.HorizonRuns != 2 || st2.PlanBinds != 2 {
+		t.Fatalf("quantile should bind once per pipeline shape: %+v", st2)
 	}
-	if q.Cost.Runs <= 4 || st2.ProtocolRuns != 4+q.Cost.Runs {
+	if q.Cost.Runs <= 4 || st2.ProtocolRuns != 2+q.Cost.Runs {
 		t.Fatalf("quantile pre-run accounting off: stats %+v, cost %+v", st2, q.Cost)
 	}
 

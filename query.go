@@ -155,22 +155,21 @@ func (q Query) validate() error {
 	return nil
 }
 
-// baseOps lists the single-run operation kinds a query dispatches:
-// composites expand to their constituent runs (Quantile bisects with
-// Min, Max, Count and Rank; a Histogram runs one Rank per edge, plus —
-// under a fault plan — the population Count). RunAll's concurrent path
-// uses this to resolve every fault binding before fanning out.
-func (q Query) baseOps(faulted bool) []Op {
+// firstRuns lists, for a faulted session, the single-run queries with
+// which q first dispatches each of its operation kinds: composites
+// expand to their constituent runs (a Quantile to its Min, Max and
+// Count — its Rank steps reuse Count's pipeline shape, so they never
+// need a binding of their own — and a Histogram to the Rank of its first
+// edge plus the population Count). RunAll's concurrent path pre-resolves
+// the fault bindings these need before fanning out.
+func (q Query) firstRuns() []Query {
 	switch q.Op {
 	case OpQuantile:
-		return []Op{OpMin, OpMax, OpCount, OpRank}
+		return []Query{MinOf(q.Values), MaxOf(q.Values), CountOf(q.Values)}
 	case OpHistogram:
-		if faulted {
-			return []Op{OpRank, OpCount}
-		}
-		return []Op{OpRank}
+		return []Query{RankOf(q.Values, q.Edges[0]), CountOf(q.Values)}
 	default:
-		return []Op{q.Op}
+		return []Query{q}
 	}
 }
 

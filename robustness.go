@@ -189,9 +189,7 @@ func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 	for attempt := 1; attempt <= pol.Attempts; attempt++ {
 		shadow := nw.epochSession(uint64(attempt) * retrySeedStride)
 		next, err := shadow.runQuery(ctx, q)
-		nw.protoRuns += shadow.protoRuns
-		nw.horizonRuns += shadow.horizonRuns
-		nw.planBinds += shadow.planBinds
+		nw.stats.add(shadow.stats)
 		if err != nil {
 			// Cancelled (or failed) mid-retry: surface the error with the
 			// best completed attempt so far.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,6 +93,65 @@ func TestRoundBudgetDeterministicPartial(t *testing.T) {
 	// Budget 5, stride 16: the watchdog trips at the first poll.
 	if a.Cost.Rounds != abortStrideSync {
 		t.Fatalf("Cost.Rounds = %d, want %d", a.Cost.Rounds, abortStrideSync)
+	}
+}
+
+// A parallel RunAll resolves its horizon pre-runs before fanning out,
+// under a watchdog of their own, so aborts reach them exactly as they
+// reach the pre-runs of sequential execution: answers, bill, error and
+// SessionStats at Parallelism 2 equal those at Parallelism 1. The budget
+// row aborts every pre-run (zero-cost partial answers); the cancelled
+// row starts none; the composite row aborts an HMS Quantile's first
+// faulted Count after its pre-run, so the Max-shape binding the batch
+// pre-resolved for the Quantile's Min and Max is never used, and must
+// not be counted either.
+func TestRunAllParallelAbortParity(t *testing.T) {
+	const n = 256
+	values := uniformValues(n, 5)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	crash := mustPlan(t, "crash:0.05@0.5")
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		ctx     context.Context
+		queries []Query
+	}{
+		{"round-budget", Config{N: n, Seed: 3, Faults: crash, RoundBudget: 50},
+			context.Background(), []Query{SumOf(values), MaxOf(values)}},
+		{"cancelled", Config{N: n, Seed: 3, Faults: crash},
+			cancelled, []Query{SumOf(values), MaxOf(values)}},
+		{"composite-budget", Config{N: n, Seed: 3, Faults: mustPlan(t, "crash:0.3@0.5;rejoin@0.7"),
+			RoundBudget: 208, QuantileMethod: QuantileHMS},
+			context.Background(), []Query{QuantileOf(values, 0.5, 0), SumOf(values)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				digests []uint64
+				bill    Cost
+				err     string
+				stats   SessionStats
+			}
+			run := func(workers int) outcome {
+				nw, err := New(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers, bill, err := nw.RunAllContext(tc.ctx, tc.queries, BatchOptions{Parallelism: workers})
+				o := outcome{bill: bill, stats: nw.Stats()}
+				if err != nil {
+					o.err = err.Error()
+				}
+				for _, a := range answers {
+					o.digests = append(o.digests, outcomeDigest(a, nil, SessionStats{}))
+				}
+				return o
+			}
+			seq, par := run(1), run(2)
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("parallel batch diverged from sequential:\n seq %+v\n par %+v", seq, par)
+			}
+		})
 	}
 }
 

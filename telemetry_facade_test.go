@@ -187,20 +187,20 @@ func checkEventOrder(t *testing.T, label string, evs []telemetry.Event) {
 
 // TestEventOrderingDeterministic pins the satellite contract: the event
 // stream is sorted by (run, round, seq) and bit-identical across RunAll
-// parallelism degrees. Without a fault plan the parallel stream also
-// matches sequential execution exactly; with one, the parallel path
-// resolves every fault binding up front (its horizon pre-runs lead the
-// stream instead of interleaving), so the pin there is identity across
-// parallelism degrees.
+// parallelism degrees, and for this batch of single-run queries it
+// matches sequential execution exactly — with a fault plan too, where
+// the parallel path resolves the horizon pre-runs up front and forwards
+// each one's events just before those of the first query that used its
+// binding, where sequential execution ran it.
 func TestEventOrderingDeterministic(t *testing.T) {
 	for _, spec := range []string{"", "crash:0.05@0.4"} {
 		sequential := eventStream(t, 1, spec)
 		checkEventOrder(t, "spec "+spec+" sequential", sequential)
 		base := eventStream(t, 2, spec)
 		checkEventOrder(t, "spec "+spec+" parallel", base)
-		if spec == "" && !reflect.DeepEqual(sequential, base) {
-			t.Errorf("no-fault parallel stream differs from sequential (%d vs %d events)",
-				len(base), len(sequential))
+		if !reflect.DeepEqual(sequential, base) {
+			t.Errorf("spec %q: parallel stream differs from sequential (%d vs %d events)",
+				spec, len(base), len(sequential))
 		}
 		if got := eventStream(t, 4, spec); !reflect.DeepEqual(base, got) {
 			t.Errorf("spec %q: parallel=4 event stream differs from parallel=2 (%d vs %d events)",

@@ -102,3 +102,100 @@ func TestPhase2Digests(t *testing.T) {
 		}
 	}
 }
+
+// TestBroadcastDigests pins the per-node outputs of BroadcastRootAddr
+// and BroadcastValue bit for bit, with their costs, lossless, lossy,
+// under initial crashes and under mid-run crashes: in the "midcrash"
+// row a round hook crashes a fixed set of non-root members a few rounds
+// into each broadcast, so some subtrees go unserved. A change to how
+// the broadcast stores or derives what a reached node holds must leave
+// every digest unchanged.
+func TestBroadcastDigests(t *testing.T) {
+	faults := map[string]sim.Options{
+		"lossless": {},
+		"loss0.1":  {Loss: 0.1},
+		"crash0.2": {CrashFrac: 0.2},
+		"midcrash": {Loss: 0.05},
+	}
+	want := map[string]uint64{
+		"n=256/lossless":  0xa9275c807f324f4a,
+		"n=256/loss0.1":   0x67145e32f86117cd,
+		"n=256/crash0.2":  0x789be15a63404b76,
+		"n=256/midcrash":  0x813c852d00263d2c,
+		"n=2048/lossless": 0xfa42253dfd81e7b1,
+		"n=2048/loss0.1":  0x6b06fc77307eccd6,
+		"n=2048/crash0.2": 0xba484c9b64d30775,
+		"n=2048/midcrash": 0x60117ea69b6721d6,
+	}
+	for _, n := range []int{256, 2048} {
+		for name, opts := range faults {
+			key := fmt.Sprintf("n=%d/%s", n, name)
+			opts.Seed = uint64(n) + 70
+			eng := sim.NewEngine(n, opts)
+			f := buildForest(t, eng)
+			values := agg.GenUniform(n, -500, 500, uint64(n)+71)
+			// crashAt arms the hook to crash every non-root member i with
+			// i%7 == salt, three rounds into the phase that follows.
+			crashAt := func(salt int) {
+				if name != "midcrash" {
+					return
+				}
+				at := eng.Round() + 3
+				eng.SetRoundHook(func(round int) {
+					if round != at {
+						return
+					}
+					for i := 0; i < n; i++ {
+						if f.Member(i) && !f.IsRoot(i) && i%7 == salt {
+							eng.Crash(i)
+						}
+					}
+				})
+			}
+			d := newDigester()
+
+			crashAt(2)
+			addr, stats, err := BroadcastRootAddr(eng, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range addr {
+				d.u64(uint64(int64(a)))
+			}
+			d.counters(stats)
+
+			sums, stats, err := Sum(eng, f, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.counters(stats)
+			perRoot := make([]float64, len(sums))
+			for k, v := range sums {
+				perRoot[k] = v.Sum / v.Count
+			}
+			crashAt(5)
+			bc, stats, err := BroadcastValue(eng, f, perRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.f64(bc...)
+			d.counters(stats)
+
+			if name == "midcrash" {
+				// The row is only a spec if the crashes cut subtrees off.
+				unreached := 0
+				for i, a := range addr {
+					if f.Member(i) && a < 0 {
+						unreached++
+					}
+				}
+				if unreached == 0 {
+					t.Fatalf("%s: mid-run crashes left every member reached", key)
+				}
+			}
+			if got := d.h.Sum64(); got != want[key] {
+				t.Errorf("%s: got %#x, want %#x", key, got, want[key])
+			}
+		}
+	}
+}

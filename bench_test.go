@@ -13,6 +13,8 @@ import (
 
 	"drrgossip/internal/agg"
 	"drrgossip/internal/chord"
+	"drrgossip/internal/convergecast"
+	"drrgossip/internal/drr"
 	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
@@ -137,6 +139,41 @@ func BenchmarkPerfEngineReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Reset(sim.Options{Seed: uint64(i), Loss: 0.05})
+	}
+}
+
+// BenchmarkPerfPhase2 measures Phase II on a fixed DRR forest: one
+// convergecast-sum, the root-address broadcast and a value broadcast per
+// iteration, all on one engine. The call rounds run on the engine's
+// call buffer and the broadcasts return only their reach mask, so
+// allocs/op and B/op pin only the per-run bookkeeping: bitsets, child
+// cursors, accumulators and the per-node results.
+func BenchmarkPerfPhase2(b *testing.B) {
+	const n = 4096
+	e := sim.NewEngine(n, sim.Options{Seed: 8})
+	res, err := drr.Run(e, drr.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := res.Forest
+	values := benchValues(n)
+	perRoot := make([]float64, f.NumTrees())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sums, _, err := convergecast.Sum(e, f, values)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k, v := range sums {
+			perRoot[k] = v.Sum / v.Count
+		}
+		if _, _, err := convergecast.BroadcastRootAddr(e, f); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := convergecast.BroadcastValue(e, f, perRoot); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

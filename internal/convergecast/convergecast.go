@@ -71,7 +71,7 @@ func up(eng *sim.Engine, f *forest.Forest, acc []sim.Payload, merge mergeFunc) (
 		}
 		return true
 	}
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	remaining := 0
 	roundCap := f.MaxHeight() + extraRounds
 	for round := 0; round < roundCap; round++ {
@@ -201,30 +201,27 @@ func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]
 }
 
 // down pushes the per-root payloads, indexed by root slot, to every tree
-// member. A node sends to one child per round (the one-call-per-round
-// constraint), retrying unacknowledged children; delivered children
-// start forwarding to their own subtrees the next round. Liveness is
-// re-evaluated every round: dead children are skipped (their subtrees go
-// unserved — degraded delivery, reported through the returned have
-// mask), and unreachable subtrees (a dead or payload-less ancestor) stop
-// counting toward completion, so mid-run crashes cannot stall the phase.
-// Under an active fault regime an incomplete broadcast returns partial
-// results instead of ErrIncomplete.
-func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) ([]sim.Payload, *bitset.Set, sim.Counters, error) {
+// member and returns the mask of members reached. A node only ever
+// receives from its parent, so a reached node i holds its root slot's
+// payload, perRoot[f.Slot(i)]. A node calls one child per round,
+// retrying unacknowledged ones; delivered children forward to their own
+// subtrees from the next round. Liveness is re-evaluated every round:
+// dead children are skipped and unreachable subtrees stop counting
+// toward completion, so mid-run crashes cannot stall the phase; under an
+// active fault regime an incomplete broadcast returns the partial mask.
+func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) (*bitset.Set, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
-		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
 	}
 	if len(perRoot) != f.NumTrees() {
-		return nil, nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(perRoot), f.NumTrees())
+		return nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(perRoot), f.NumTrees())
 	}
 	start := eng.Stats()
 	have := bitset.New(n)
-	pay := make([]sim.Payload, n)
 	nextChild := make([]int, n) // index into Children(i) of next un-acked child
-	for k, r := range f.Roots() {
+	for _, r := range f.Roots() {
 		have.Set(r)
-		pay[r] = perRoot[k]
 	}
 	// order lists members parents-before-children for the per-round
 	// reachability sweep; reach[i] = node i holds or can still receive
@@ -256,7 +253,7 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) ([]sim.Paylo
 		}
 		return rem
 	}
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	roundCap := f.MaxTreeSize() + f.MaxHeight() + extraRounds
 	for round := 0; round < roundCap; round++ {
 		remaining = countRemaining()
@@ -278,16 +275,13 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) ([]sim.Paylo
 			if nextChild[i] >= len(kids) {
 				continue
 			}
-			p := pay[i]
+			p := perRoot[f.Slot(i)]
 			p.Kind = kindDown
 			calls[i] = sim.Call{Active: true, To: kids[nextChild[i]], Pay: p}
 		}
 		eng.ResolveCalls(calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
-				if !have.Test(callee) {
-					have.Set(callee)
-					pay[callee] = req
-				}
+				have.Set(callee)
 				return sim.Payload{Kind: kindDown}, true
 			},
 			func(caller int, resp sim.Payload) {
@@ -299,27 +293,28 @@ func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) ([]sim.Paylo
 	remaining = countRemaining()
 	stats := eng.Stats().Sub(start)
 	if remaining > 0 && !eng.Faulty() {
-		return nil, nil, stats, ErrIncomplete
+		return nil, stats, ErrIncomplete
 	}
-	return pay, have, stats, nil
+	return have, stats, nil
 }
 
 // BroadcastValue distributes one float per root, indexed by root slot,
-// to all members of its tree; the per-node result is NaN for non-members and for members the
-// broadcast could not reach (crashed, or beyond a crashed ancestor).
+// to all members of its tree: a reached node i gets perRoot[f.Slot(i)];
+// non-members and unreached members (crashed, or beyond a crashed
+// ancestor) get NaN.
 func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
 	pays := make([]sim.Payload, len(perRoot))
 	for k, v := range perRoot {
 		pays[k] = sim.Payload{A: v}
 	}
-	res, have, stats, err := down(eng, f, pays)
+	have, stats, err := down(eng, f, pays)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make([]float64, eng.N())
 	for i := range out {
 		if have.Test(i) {
-			out[i] = res[i].A
+			out[i] = perRoot[f.Slot(i)]
 		} else {
 			out[i] = math.NaN()
 		}
@@ -329,21 +324,21 @@ func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]flo
 
 // BroadcastRootAddr performs the Phase II address broadcast: every root
 // announces its address down its tree, so all nodes learn their root (the
-// non-address-oblivious forwarding table used by Phase III). Non-members
-// and unreached members get -1.
+// non-address-oblivious forwarding table used by Phase III). A reached
+// node gets its root slot's address, f.RootOf(i); the others get -1.
 func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
 	pays := make([]sim.Payload, f.NumTrees())
 	for k, r := range f.Roots() {
 		pays[k] = sim.Payload{X: int64(r)}
 	}
-	res, have, stats, err := down(eng, f, pays)
+	have, stats, err := down(eng, f, pays)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make([]int, eng.N())
 	for i := range out {
 		if have.Test(i) {
-			out[i] = int(res[i].X)
+			out[i] = f.RootOf(i)
 		} else {
 			out[i] = -1
 		}

@@ -97,7 +97,7 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	})
 
 	// Probing: one random sample per round per still-searching node.
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	for k := 0; k < budget; k++ {
 		eng.Tick()
 		sim.ParallelFor(n, func(i int) {

@@ -216,7 +216,7 @@ func Sample(eng *sim.Engine, ov overlay.Overlay, values []float64, opts Options)
 // synchronous reply. One engine round.
 func denseBatch(eng *sim.Engine, values []float64, streams []xrand.Stream, collect func(float64)) {
 	n := eng.N()
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	for i := 0; i < n; i++ {
 		if !eng.Alive(i) {
 			continue

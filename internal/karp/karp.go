@@ -92,7 +92,7 @@ func Spread(eng *sim.Engine, source int, opts Options) (*Result, error) {
 	var transmissions int64
 	res := &Result{RoundsToAllInformed: -1}
 
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	active := func(i int) bool { return informed[i] && ctr[i] < ctMax }
 	// encode packs a node's state into a payload.
 	encode := func(i int, kind uint8) sim.Payload {

@@ -82,11 +82,12 @@ func BuildForest(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 		}
 	}
 	isRoot := func(i int) bool { return parent[i] == forest.Root }
-	calls := make([]sim.Call, n)
 	maxSize := sizeCap(n)
 
 	for phase := 0; phase < phases(n); phase++ {
 		phaseStart := eng.Round()
+		// Per phase: the closing root-address broadcast reuses the buffer.
+		calls := eng.CallSlots()
 		for sub := 0; sub < mergeSubRounds; sub++ {
 			// Role flip: proposers seek adoption, acceptors adopt.
 			proposer := make([]bool, n)

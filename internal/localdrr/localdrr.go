@@ -131,7 +131,7 @@ func Run(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	// set is a dense bitset (n/8 bytes) mutated only from the sequential
 	// ResolveCalls path.
 	acked := bitset.New(n)
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	orphans := 0
 	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()

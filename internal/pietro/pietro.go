@@ -58,7 +58,7 @@ func Bootstrap(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 			parent[i] = -3 // searching
 		}
 	}
-	calls := make([]sim.Call, n)
+	calls := eng.CallSlots()
 	for probe := 0; probe < probeCap(n); probe++ {
 		eng.Tick()
 		searching := false

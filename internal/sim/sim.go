@@ -173,6 +173,8 @@ type Engine struct {
 	// touched lists the inboxes filled at the last Tick (the only ones
 	// that need clearing at the next one).
 	touched []int
+
+	calls []Call // the call buffer CallSlots hands out, kept across Reset
 }
 
 // AbortError is the panic value Tick raises when the installed abort
@@ -458,6 +460,19 @@ func (e *Engine) SendRoutedReliable(from int, path []int, p Payload, retries int
 	}
 	e.scheduleAt(e.c.Rounds+len(path), Message{From: from, To: path[len(path)-1], Pay: p})
 	return true
+}
+
+// CallSlots returns the engine's n-slot call buffer with every slot
+// inactive, ready to fill and pass to ResolveCalls. It is allocated on
+// first use and survives Reset, so a pooled engine runs every call round
+// of every run on one buffer. Each call returns the same backing array,
+// cleared: a driver must not hold it across another driver's call round.
+func (e *Engine) CallSlots() []Call {
+	if e.calls == nil {
+		e.calls = make([]Call, e.n)
+	}
+	clear(e.calls)
+	return e.calls
 }
 
 // ResolveCalls performs one synchronous call round. calls[i] describes the

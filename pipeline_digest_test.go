@@ -59,6 +59,14 @@ func TestPipelineDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	burstPlan, err := ParseFaultPlan("loss:0.1@0.2..0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flakyPartPlan, err := ParseFaultPlan("flaky:0.2:0.5@0.2..0.8;part:2@0.3..0.7")
+	if err != nil {
+		t.Fatal(err)
+	}
 	configs := map[string]Config{
 		"complete":       {N: 512, Seed: 3},
 		"complete-lossy": {N: 480, Seed: 4, Loss: 0.05, CrashFraction: 0.1},
@@ -67,6 +75,10 @@ func TestPipelineDigests(t *testing.T) {
 		"chord-lossy":    {N: 384, Seed: 7, Topology: Chord, Loss: 0.05},
 		"smallworld":     {N: 500, Seed: 8, Topology: SmallWorld},
 		"torus":          {N: 504, Seed: 9, Topology: Torus},
+		// Lossy landmark routing under link-level faults: a loss burst,
+		// and a flaky region overlapping a partition.
+		"smallworld-lossy-burst": {N: 500, Seed: 10, Topology: SmallWorld, Loss: 0.02, Faults: burstPlan},
+		"torus-flaky-part":       {N: 504, Seed: 11, Topology: Torus, Loss: 0.02, Faults: flakyPartPlan},
 	}
 	queries := map[string]func(v []float64) Query{
 		"max":     MaxOf,
@@ -134,6 +146,22 @@ func TestPipelineDigests(t *testing.T) {
 		{"chord-lossy", "moments", 17, 0x260fb6c6daa8bb6b},
 		{"smallworld", "moments", 91, 0xbe8ea0df566f0ef1},
 		{"torus", "moments", 121, 0xf9aa07787537599},
+		// Lossy landmark routing under a loss burst, and under a flaky
+		// region overlapping a partition.
+		{"smallworld-lossy-burst", "max", 93, 0xd96f991302f360cb},
+		{"smallworld-lossy-burst", "min", 93, 0x75c1fd23f706ecfb},
+		{"smallworld-lossy-burst", "sum", 93, 0x6f5de83af3ffe895},
+		{"smallworld-lossy-burst", "count", 93, 0xa98b0d02d9c0861c},
+		{"smallworld-lossy-burst", "average", 93, 0x7266a854e2d626a2},
+		{"smallworld-lossy-burst", "rank", 93, 0x3cc54fe6d3a7257d},
+		{"smallworld-lossy-burst", "moments", 93, 0xed7f02947582e061},
+		{"torus-flaky-part", "max", 101, 0xf22d6c07757f56a4},
+		{"torus-flaky-part", "min", 101, 0x8f1f73e89967857f},
+		{"torus-flaky-part", "sum", 101, 0x15ac51f417f0b670},
+		{"torus-flaky-part", "count", 101, 0xa3b652f098c0c1a3},
+		{"torus-flaky-part", "average", 101, 0xc45581b2b4ddb8e0},
+		{"torus-flaky-part", "rank", 101, 0xeeb5a36704c9f1d7},
+		{"torus-flaky-part", "moments", 101, 0xfb0baf099fd9ff52},
 	}
 	sessions := make(map[string]*Network)
 	for _, r := range rows {

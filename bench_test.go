@@ -15,6 +15,7 @@ import (
 	"drrgossip/internal/chord"
 	"drrgossip/internal/convergecast"
 	"drrgossip/internal/drr"
+	"drrgossip/internal/faults"
 	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
@@ -104,6 +105,42 @@ func BenchmarkPerfEngineRouted(b *testing.B) {
 			e.SendRouted(s, path, sim.Payload{})
 		}
 		e.Tick()
+	}
+}
+
+// BenchmarkPerfEngineRoutedLossy is EngineRouted on a lossy engine
+// (Loss 0.02) driven by an attached fault binding whose loss bursts open
+// and close every other round pair, so every hop draws a loss hash and
+// the binding swaps the engine's link predicate in and out. Past warm-up
+// it is allocation-free.
+func BenchmarkPerfEngineRoutedLossy(b *testing.B) {
+	const n, warm = 1024, 64
+	e := sim.NewEngine(n, sim.Options{Seed: 3, Loss: 0.02})
+	var plan faults.Plan
+	for k := 0; 4*k < warm+b.N; k++ {
+		plan.Events = append(plan.Events, faults.Event{
+			Kind: faults.LossBurst, At: faults.At(4*k + 1), End: faults.At(4*k + 3), Loss: 0.1,
+		})
+	}
+	bound, err := plan.Bind(n, 3, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound.Attach(e)
+	path := []int{7, 19, 83, 211}
+	step := func() {
+		for s := 0; s < 64; s++ {
+			e.SendRouted(s, path, sim.Payload{})
+		}
+		e.Tick()
+	}
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

@@ -6,6 +6,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"drrgossip/internal/sim"
@@ -88,6 +89,12 @@ type Bound struct {
 	burstKeep float64     // Π (1 - loss) over active bursts, sorted by id
 	partList  [][]int     // active partitions sorted by id
 	flakyList []flakyArea // active flaky regions sorted by id
+	ids       []int       // recompose's sorted-handle scratch
+
+	// The link predicates recompose chooses between, built once at the
+	// first Attach so that swapping them allocates nothing: fullLink is
+	// linkFault, burstLink its burst-only special case.
+	fullLink, burstLink sim.LinkFault
 }
 
 type flakyArea struct {
@@ -242,17 +249,27 @@ func orient(a, b int) [2]int {
 // attached to — equal (plan, n, seed, horizon) stay bit-deterministic
 // across attachments.
 //
+// The round hook stays installed for the whole run, so the engine
+// reports Faulty() throughout. The link-fault predicate is installed
+// only while a link-level fault (burst, partition, severed link, flaky
+// region) is active, and then in its cheapest equivalent form: a
+// constant for bursts alone, the full per-link check otherwise. Between
+// windows the engine's transmission attempt pays no predicate call.
+//
 // The engine invokes the round hook at the top of Tick, before that
 // round's deliveries, and the link-fault predicate only from its
 // sequential send path, so a Bound needs no locking.
 func (b *Bound) Attach(eng Host) {
+	if b.fullLink == nil {
+		b.fullLink = b.linkFault
+		b.burstLink = func(int, int) float64 { return 1 - b.burstKeep }
+	}
 	b.eng = eng
 	b.remaining = make(map[int][]action, len(b.actions))
 	for r, acts := range b.actions {
 		b.remaining[r] = acts
 	}
 	b.resetRuntime()
-	eng.SetLinkFault(b.linkFault)
 	eng.SetRoundHook(b.onRound)
 	b.onRound(0)
 }
@@ -397,29 +414,50 @@ func (b *Bound) onRound(round int) {
 
 // recompose rebuilds the order-stable composites from the active sets,
 // iterating in sorted handle order so repeated runs multiply floats in
-// the same order.
+// the same order, and installs the link predicate they call for on the
+// attached engine (see linkPredicate).
 func (b *Bound) recompose() {
 	b.burstKeep = 1
-	for _, id := range sortedKeys(b.bursts) {
+	b.ids = appendSortedKeys(b.ids[:0], b.bursts)
+	for _, id := range b.ids {
 		b.burstKeep *= 1 - b.bursts[id]
 	}
 	b.partList = b.partList[:0]
-	for _, id := range sortedKeys(b.parts) {
+	b.ids = appendSortedKeys(b.ids[:0], b.parts)
+	for _, id := range b.ids {
 		b.partList = append(b.partList, b.parts[id])
 	}
 	b.flakyList = b.flakyList[:0]
-	for _, id := range sortedKeys(b.flaky) {
+	b.ids = appendSortedKeys(b.ids[:0], b.flaky)
+	for _, id := range b.ids {
 		b.flakyList = append(b.flakyList, b.flaky[id])
+	}
+	if b.eng != nil {
+		b.eng.SetLinkFault(b.linkPredicate())
 	}
 }
 
-func sortedKeys[V any](m map[int]V) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// linkPredicate returns the cheapest predicate equal to linkFault on
+// every link for the active windows: nil when no link-level fault is
+// active (linkFault would return 0 everywhere), the constant burst loss
+// when only bursts are, linkFault itself otherwise.
+func (b *Bound) linkPredicate() sim.LinkFault {
+	switch {
+	case len(b.partList) > 0 || len(b.severed) > 0 || len(b.flakyList) > 0:
+		return b.fullLink
+	case len(b.bursts) > 0:
+		return b.burstLink
 	}
-	sort.Ints(ids)
-	return ids
+	return nil
+}
+
+// appendSortedKeys appends m's keys to dst in increasing order.
+func appendSortedKeys[V any](dst []int, m map[int]V) []int {
+	for id := range m {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // linkFault is the engine's per-transmission predicate: 1 severs the

@@ -23,10 +23,13 @@
 package gossip
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"drrgossip/internal/convergecast"
+	"drrgossip/internal/forest"
 	"drrgossip/internal/sim"
 )
 
@@ -90,13 +93,13 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	land := func(kind uint8) {
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			for k, r := range roots {
-				for _, m := range eng.Inbox(r) {
+			eachLanded(eng, f, func(k int) {
+				for _, m := range eng.Inbox(roots[k]) {
 					if m.Pay.Kind == kind && m.Pay.A > val[k] {
 						val[k] = m.Pay.A
 					}
 				}
-			}
+			})
 		}
 	}
 
@@ -126,12 +129,16 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 		inquiries = inquiries[:0]
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			for k, r := range roots {
-				for _, m := range eng.Inbox(r) {
+			start := len(inquiries)
+			if eachLanded(eng, f, func(k int) {
+				for _, m := range eng.Inbox(roots[k]) {
 					if m.Pay.Kind == kindInquiry {
 						inquiries = append(inquiries, inquiry{from: int(m.Pay.X), to: k})
 					}
 				}
+			}) {
+				// Replies go out in responder-slot order, as after a scan.
+				slices.SortStableFunc(inquiries[start:], func(a, b inquiry) int { return cmp.Compare(a.to, b.to) })
 			}
 		}
 		for _, q := range inquiries {
@@ -337,8 +344,8 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 				}
 				pending = kept
 			}
-			for k, r := range roots {
-				for _, msg := range eng.Inbox(r) {
+			eachLanded(eng, f, func(k int) {
+				for _, msg := range eng.Inbox(roots[k]) {
 					if msg.Pay.Kind == kindAveShare {
 						m := &mass[k]
 						m.Sum += msg.Pay.A
@@ -346,7 +353,7 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 						m.Count += msg.Pay.B
 					}
 				}
-			}
+			})
 			if eng.WantResidual() {
 				eng.ReportResidual(estimateSpread(mass))
 			}
@@ -376,6 +383,30 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 		Potential:  potentials,
 		Stats:      eng.Stats().Sub(start),
 	}, nil
+}
+
+// eachLanded calls visit with the slot of every root the last Tick may
+// have delivered to. When deliveries are sparse (4·len(Delivered) <
+// roots, as on a routed exchange spread over its ~30 ticks) it visits
+// just the delivered roots, in delivery order, and reports true;
+// otherwise it scans every slot in order, which is cheaper once most
+// roots hear something each Tick, and reports false. A root's own inbox
+// is read in arrival order either way, so per-root accumulations are
+// unchanged; a caller whose output order spans roots sorts it by slot
+// when eachLanded reports true.
+func eachLanded(eng *sim.Engine, f *forest.Forest, visit func(k int)) bool {
+	if got := eng.Delivered(); 4*len(got) < f.NumTrees() {
+		for _, i := range got {
+			if f.IsRoot(i) {
+				visit(f.Slot(i))
+			}
+		}
+		return true
+	}
+	for k := 0; k < f.NumTrees(); k++ {
+		visit(k)
+	}
+	return false
 }
 
 // ratio is a root's push-sum estimate s/g, NaN while it has no weight.

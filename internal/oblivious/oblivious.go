@@ -103,10 +103,11 @@ func Run(n int, opts Options) (*Result, error) {
 	}
 	res := &Result{N: n, Protocol: opts.Protocol, RoundsHalf: -1, RoundsAll: -1}
 	var seq uint64
+	lossKey := xrand.KeyOf(opts.Seed, 0x0B12)
 	deliver := func() bool {
 		seq++
 		res.Messages++
-		return opts.Loss == 0 || xrand.HashFloat(opts.Seed, 0x0B12, seq) >= opts.Loss
+		return opts.Loss == 0 || lossKey.Float(seq) >= opts.Loss
 	}
 
 	for round := 1; round <= maxRounds; round++ {

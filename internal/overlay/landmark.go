@@ -101,30 +101,30 @@ func (l *Landmark) Graph() *graph.Graph { return l.g }
 // Landmark returns the tree root (exposed for tests).
 func (l *Landmark) Landmark() int { return l.landmark }
 
-// AppendRoute implements Overlay: find the lowest common ancestor of
-// both endpoints in the landmark tree, append the ascent from `from` up
-// to it, then the to-side ascent reversed in place into top-down order.
-// Every hop is a tree edge, hence a graph edge.
+// AppendRoute implements Overlay: climb both endpoints to their lowest
+// common ancestor in the landmark tree, appending the from-side ascent
+// as it goes, then write the to-side descent top-down into the
+// depth[to] − depth[lca] slots it needs. Every hop is a tree edge, hence
+// a graph edge.
 func (l *Landmark) AppendRoute(dst []int, from, to int) []int {
-	lca, b := from, to
-	for l.depth[lca] > l.depth[b] {
-		lca = l.parent[lca]
-	}
-	for l.depth[b] > l.depth[lca] {
-		b = l.parent[b]
-	}
-	for lca != b {
-		lca, b = l.parent[lca], l.parent[b]
-	}
-	for a := from; a != lca; {
+	a, b := from, to
+	for l.depth[a] > l.depth[b] {
 		a = l.parent[a]
 		dst = append(dst, a)
 	}
-	down := len(dst)
-	for b := to; b != lca; b = l.parent[b] {
-		dst = append(dst, b)
+	for l.depth[b] > l.depth[a] {
+		b = l.parent[b]
 	}
-	slices.Reverse(dst[down:])
+	for a != b {
+		a, b = l.parent[a], l.parent[b]
+		dst = append(dst, a)
+	}
+	end := len(dst) + l.depth[to] - l.depth[a]
+	dst = slices.Grow(dst, end-len(dst))[:end]
+	for b := to; b != a; b = l.parent[b] {
+		end--
+		dst[end] = b
+	}
 	return dst
 }
 

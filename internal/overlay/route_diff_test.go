@@ -67,6 +67,23 @@ func TestLandmarkAppendRouteMatchesReference(t *testing.T) {
 						}
 					}
 				}
+				// Degenerate and one-sided routes appended into a buffer
+				// with no spare capacity: the route grows dst in place.
+				deep := 0
+				for i := 0; i < n; i++ {
+					if l.depth[i] > l.depth[deep] {
+						deep = i
+					}
+				}
+				mid := l.parent[l.parent[deep]]
+				for _, pair := range [][2]int{{deep, deep}, {mid, mid}, {mid, deep}, {deep, mid}, {l.landmark, deep}, {deep, l.landmark}} {
+					from, to := pair[0], pair[1]
+					tight := slices.Clip(slices.Clone(prefix))
+					got := l.AppendRoute(tight, from, to)
+					if want := l.refRoute(from, to); !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+						t.Fatalf("AppendRoute(%d, %d) onto a full %v = %v, reference %v", from, to, prefix, got, want)
+					}
+				}
 				a, b := xrand.New(23), xrand.New(23)
 				for trial := 0; trial < 4*n; trial++ {
 					from := (trial * 7) % n

@@ -32,9 +32,10 @@ type Core struct {
 	aliveIDs   []int
 	aliveDirty bool
 
-	seq        uint64 // transmission sequence for loss hashing
-	lossDomain uint64 // hash domain of the per-transmission loss decisions
-	rngDomain  uint64 // derivation domain of the per-node streams
+	seq        uint64    // transmission sequence for loss hashing
+	lossDomain uint64    // hash domain of the per-transmission loss decisions
+	lossKey    xrand.Key // hash key of (Seed, lossDomain), fixed per reset
+	rngDomain  uint64    // derivation domain of the per-node streams
 
 	// rngs holds the per-node streams by value, derived lazily in place.
 	// rngSet deliberately stays a []bool rather than a bitset: RNG is
@@ -95,6 +96,7 @@ func (c *Core) reset(opts Options) {
 	c.opts = opts
 	c.c = Counters{}
 	c.seq = 0
+	c.lossKey = xrand.KeyOf(opts.Seed, c.lossDomain)
 	c.alive.Fill()
 	c.nAliv = c.n
 	// InitialCrashSet is the single source of truth for the static crash
@@ -128,8 +130,9 @@ func InitialCrashSet(n int, opts Options) []int {
 		return nil
 	}
 	var ids []int
+	key := xrand.KeyOf(opts.Seed, hashDomainCrash)
 	for i := 0; i < n; i++ {
-		if xrand.HashFloat(opts.Seed, hashDomainCrash, uint64(i)) < opts.CrashFrac {
+		if key.Float(uint64(i)) < opts.CrashFrac {
 			ids = append(ids, i)
 		}
 	}
@@ -225,12 +228,14 @@ func (c *Core) Advance() int {
 }
 
 // Attempt accounts one transmission from -> to and reports whether it
-// survived: the loss decision hashes the transmission sequence number,
-// compounded with any installed link fault, and only then is the
-// receiver's liveness checked. A transmission to a crashed node is
-// billed (it was sent) but never survives, and bills no Drop. Runs
-// without an installed link fault are bit-for-bit identical to the
-// static model.
+// survived: the loss decision hashes the transmission sequence number
+// under the key of (Seed, loss domain) computed at reset, compounded
+// with any installed link fault, and only then is the receiver's
+// liveness checked. A transmission to a crashed node is billed (it was
+// sent) but never survives, and bills no Drop. Runs without an
+// installed link fault are bit-for-bit identical to the static model;
+// a fault binding installs one only while a link-level fault is active,
+// so between its windows no predicate is called.
 func (c *Core) Attempt(from, to int) bool {
 	// The sequence number advances even when no hash is drawn (Loss 0,
 	// no fault), so installing a fault mid-run cannot shift later loss
@@ -248,7 +253,7 @@ func (c *Core) Attempt(from, to int) bool {
 			eff = 1 - (1-eff)*(1-x) // independent fault and link loss
 		}
 	}
-	if eff > 0 && xrand.HashFloat(c.opts.Seed, c.lossDomain, c.seq) < eff {
+	if eff > 0 && c.lossKey.Float(c.seq) < eff {
 		c.c.Drops++
 		return false
 	}
@@ -264,7 +269,9 @@ func (c *Core) Call(from, to int) bool {
 
 // SetLinkFault installs (or, with nil, removes) the per-link fault
 // predicate, consulted on every transmission attempt. With none
-// installed the engine behaves exactly like the static model.
+// installed the engine behaves exactly like the static model. A fault
+// binding swaps it at round boundaries: nil while no link-level fault
+// is active, so only windows with one pay a call per attempt.
 func (c *Core) SetLinkFault(f LinkFault) { c.linkFault = f }
 
 // SetRoundHook installs (or, with nil, removes) the fault scheduler's
@@ -362,8 +369,10 @@ func (c *Core) WantResidual() bool {
 
 // Faulty reports whether a fault regime is installed (a round hook or a
 // link fault). Protocols use it to degrade gracefully — returning
-// partial results where the static model would fail fast. Observers
-// alone do not make the engine faulty.
+// partial results where the static model would fail fast. An attached
+// fault binding keeps its round hook for the whole run, so the engine
+// stays faulty between link-fault windows, while the predicate itself
+// is removed. Observers alone do not make the engine faulty.
 func (c *Core) Faulty() bool { return c.roundHook != nil || c.linkFault != nil }
 
 // SetAbortCheck installs (or, with nil, removes) a run watchdog: f is

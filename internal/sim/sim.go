@@ -38,10 +38,14 @@
 // are derived from (seed, node) so that goroutine-parallel stepping (see
 // ParallelFor) cannot perturb results, and per-message loss is a
 // stateless hash of (seed, message sequence number), with sequence
-// numbers assigned in deterministic node order. Fault hooks preserve
-// this: they run at deterministic points (round boundaries) and the
-// link-fault predicate is consulted only from the engine's sequential
-// send path.
+// numbers assigned in deterministic node order; the constant (seed,
+// domain) prefix is hashed once per reset (xrand.Key), so each draw
+// mixes in only the sequence number. Fault hooks preserve this: they run
+// at deterministic points (round boundaries) and the link-fault
+// predicate is consulted only from the engine's sequential send path. A
+// fault binding (internal/faults) installs that predicate only while a
+// link-level fault is active and removes it between windows, keeping
+// its round hook, so Faulty() stays true for the whole run.
 //
 // # Delivery
 //
@@ -286,6 +290,13 @@ func (e *Engine) Tick() {
 // Inbox returns the messages delivered to node i at the last Tick. The
 // returned slice is valid until the next Tick.
 func (e *Engine) Inbox(i int) []Message { return e.inbox[i] }
+
+// Delivered returns the nodes whose inboxes the last Tick filled, each
+// once, in order of first delivery; every other inbox is empty. Drivers
+// that read a few inboxes out of many walk it instead of scanning. The
+// slice is owned by the engine and valid until the next Tick; callers
+// must not modify it.
+func (e *Engine) Delivered() []int { return e.touched }
 
 // PendingEmpty reports whether any message is still in flight.
 func (e *Engine) PendingEmpty() bool { return e.inflight == 0 }

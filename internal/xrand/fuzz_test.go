@@ -27,3 +27,13 @@ func FuzzStreamBounds(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeyMatchesHash checks the keyed form against HashFloat(a, b, c)
+// on arbitrary identifiers.
+func FuzzKeyMatchesHash(f *testing.F) {
+	f.Add(uint64(1), uint64(0x10), uint64(1))
+	f.Add(uint64(1<<63), uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, a, b, c uint64) {
+		checkKey(t, a, b, c)
+	})
+}

@@ -108,7 +108,7 @@ func (s *Stream) IntnOther(n, self int) int {
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) * 0x1p-53
+	return toFloat(s.Uint64())
 }
 
 // Bool returns true with probability p.
@@ -169,8 +169,27 @@ func Hash(ids ...uint64) uint64 {
 
 // HashFloat maps identifiers to a uniform value in [0, 1), statelessly.
 func HashFloat(ids ...uint64) float64 {
-	return float64(Hash(ids...)>>11) * 0x1p-53
+	return toFloat(Hash(ids...))
 }
+
+// Key is the hash state of a fixed identifier prefix: KeyOf(a, b).Float(c)
+// equals HashFloat(a, b, c) bit for bit, but mixes in only the last
+// identifier. Loops that hash many ids under one constant prefix (the
+// engine's per-transmission loss draw, per-node crash selection) compute
+// the key once and pay two Mix64 per id instead of two per identifier.
+type Key uint64
+
+// KeyOf returns the key of the identifier prefix ids.
+func KeyOf(ids ...uint64) Key { return Key(Hash(ids...)) }
+
+// Hash returns Hash(prefix..., id).
+func (k Key) Hash(id uint64) uint64 { return Mix64(uint64(k) ^ Mix64(id+goldenGamma)) }
+
+// Float returns HashFloat(prefix..., id).
+func (k Key) Float(id uint64) float64 { return toFloat(k.Hash(id)) }
+
+// toFloat maps a hash to [0, 1) with 53 bits of precision.
+func toFloat(h uint64) float64 { return float64(h>>11) * 0x1p-53 }
 
 // mixGamma turns an arbitrary value into a valid (odd, well-mixed) gamma.
 func mixGamma(x uint64) uint64 {

@@ -193,6 +193,30 @@ func TestHashStateless(t *testing.T) {
 	}
 }
 
+// A key over a fixed prefix must reproduce the full hash bit for bit:
+// the engine's loss draws and crash selection hash through keys.
+func TestKeyMatchesHash(t *testing.T) {
+	rng := New(5)
+	for i := 0; i < 10000; i++ {
+		a, b, c := rng.Uint64(), rng.Uint64(), rng.Uint64()
+		checkKey(t, a, b, c)
+	}
+	if KeyOf().Hash(7) != Hash(7) || KeyOf(3).Float(7) != HashFloat(3, 7) {
+		t.Fatal("key over a short prefix diverges from Hash")
+	}
+}
+
+func checkKey(t *testing.T, a, b, c uint64) {
+	t.Helper()
+	k := KeyOf(a, b)
+	if got, want := k.Hash(c), Hash(a, b, c); got != want {
+		t.Fatalf("KeyOf(%d, %d).Hash(%d) = %#x, Hash = %#x", a, b, c, got, want)
+	}
+	if got, want := k.Float(c), HashFloat(a, b, c); got != want {
+		t.Fatalf("KeyOf(%d, %d).Float(%d) = %v, HashFloat = %v", a, b, c, got, want)
+	}
+}
+
 func TestHashFloatRange(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
 		f := HashFloat(42, i)

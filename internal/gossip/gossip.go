@@ -91,15 +91,26 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	ticks := tr.ticks()
 	// land lets one exchange arrive, adopting every larger value of kind.
 	land := func(kind uint8) {
+		adopt := func(k int) {
+			for _, m := range eng.Inbox(roots[k]) {
+				if m.Pay.Kind == kind && m.Pay.A > val[k] {
+					val[k] = m.Pay.A
+				}
+			}
+		}
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			eachLanded(eng, f, func(k int) {
-				for _, m := range eng.Inbox(roots[k]) {
-					if m.Pay.Kind == kind && m.Pay.A > val[k] {
-						val[k] = m.Pay.A
+			if got, sparse := landed(eng, f); sparse {
+				for _, i := range got {
+					if f.IsRoot(i) {
+						adopt(f.Slot(i))
 					}
 				}
-			})
+			} else {
+				for k := range roots {
+					adopt(k)
+				}
+			}
 		}
 	}
 
@@ -120,6 +131,13 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	// with its value; adopt it if larger.
 	type inquiry struct{ from, to int } // inquirer root, responder slot
 	var inquiries []inquiry
+	gather := func(k int) {
+		for _, m := range eng.Inbox(roots[k]) {
+			if m.Pay.Kind == kindInquiry {
+				inquiries = append(inquiries, inquiry{from: int(m.Pay.X), to: k})
+			}
+		}
+	}
 	for t := 0; t < sampleRounds; t++ {
 		for _, r := range roots {
 			if eng.Alive(r) {
@@ -129,16 +147,19 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 		inquiries = inquiries[:0]
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			start := len(inquiries)
-			if eachLanded(eng, f, func(k int) {
-				for _, m := range eng.Inbox(roots[k]) {
-					if m.Pay.Kind == kindInquiry {
-						inquiries = append(inquiries, inquiry{from: int(m.Pay.X), to: k})
+			if got, sparse := landed(eng, f); sparse {
+				start := len(inquiries)
+				for _, i := range got {
+					if f.IsRoot(i) {
+						gather(f.Slot(i))
 					}
 				}
-			}) {
 				// Replies go out in responder-slot order, as after a scan.
 				slices.SortStableFunc(inquiries[start:], func(a, b inquiry) int { return cmp.Compare(a.to, b.to) })
+			} else {
+				for k := range roots {
+					gather(k)
+				}
 			}
 		}
 		for _, q := range inquiries {
@@ -276,6 +297,16 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 		share       convergecast.MomentsVec
 	}
 	var pending []inflight
+	credit := func(k int) {
+		for _, msg := range eng.Inbox(roots[k]) {
+			if msg.Pay.Kind == kindAveShare {
+				m := &mass[k]
+				m.Sum += msg.Pay.A
+				m.Sum2 += msg.Pay.C
+				m.Count += msg.Pay.B
+			}
+		}
+	}
 
 	var trajectory, potentials []float64
 	for t := 0; t < rounds; t++ {
@@ -344,16 +375,17 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 				}
 				pending = kept
 			}
-			eachLanded(eng, f, func(k int) {
-				for _, msg := range eng.Inbox(roots[k]) {
-					if msg.Pay.Kind == kindAveShare {
-						m := &mass[k]
-						m.Sum += msg.Pay.A
-						m.Sum2 += msg.Pay.C
-						m.Count += msg.Pay.B
+			if got, sparse := landed(eng, f); sparse {
+				for _, i := range got {
+					if f.IsRoot(i) {
+						credit(f.Slot(i))
 					}
 				}
-			})
+			} else {
+				for k := range roots {
+					credit(k)
+				}
+			}
 			if eng.WantResidual() {
 				eng.ReportResidual(estimateSpread(mass))
 			}
@@ -385,28 +417,17 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 	}, nil
 }
 
-// eachLanded calls visit with the slot of every root the last Tick may
-// have delivered to. When deliveries are sparse (4·len(Delivered) <
-// roots, as on a routed exchange spread over its ~30 ticks) it visits
-// just the delivered roots, in delivery order, and reports true;
-// otherwise it scans every slot in order, which is cheaper once most
-// roots hear something each Tick, and reports false. A root's own inbox
-// is read in arrival order either way, so per-root accumulations are
-// unchanged; a caller whose output order spans roots sorts it by slot
-// when eachLanded reports true.
-func eachLanded(eng *sim.Engine, f *forest.Forest, visit func(k int)) bool {
-	if got := eng.Delivered(); 4*len(got) < f.NumTrees() {
-		for _, i := range got {
-			if f.IsRoot(i) {
-				visit(f.Slot(i))
-			}
-		}
-		return true
-	}
-	for k := 0; k < f.NumTrees(); k++ {
-		visit(k)
-	}
-	return false
+// landed returns the nodes the last Tick delivered to (each once, in
+// delivery order) and whether they are few enough, 4·len < roots as on a
+// routed exchange spread over its ~30 ticks, that a driver should read
+// just the delivered roots' inboxes. Otherwise it scans every root,
+// which is cheaper once most roots hear something each Tick. A root's
+// own inbox is read in arrival order either way, so per-root
+// accumulations are unchanged; output whose order spans roots is sorted
+// by slot after a sparse walk.
+func landed(eng *sim.Engine, f *forest.Forest) ([]int, bool) {
+	got := eng.Delivered()
+	return got, 4*len(got) < f.NumTrees()
 }
 
 // ratio is a root's push-sum estimate s/g, NaN while it has no weight.

@@ -44,10 +44,11 @@ func Derive(seed uint64, ids ...uint64) *Stream {
 // stream table, which reseeds slots in place when an engine is reused)
 // and must not pay one heap allocation per stream.
 func DeriveStream(seed uint64, ids ...uint64) Stream {
-	h := Mix64(seed)
+	k := Key(Mix64(seed))
 	for _, id := range ids {
-		h = Mix64(h ^ Mix64(id+goldenGamma))
+		k = Key(k.Hash(id))
 	}
+	h := uint64(k)
 	return Stream{state: h, gamma: mixGamma(h + goldenGamma)}
 }
 
@@ -160,11 +161,11 @@ func Mix64(x uint64) uint64 {
 // uses it for per-message loss decisions so that parallel delivery order
 // cannot change outcomes.
 func Hash(ids ...uint64) uint64 {
-	h := uint64(0x8A5CD789635D2DFF)
+	k := Key(0x8A5CD789635D2DFF)
 	for _, id := range ids {
-		h = Mix64(h ^ Mix64(id+goldenGamma))
+		k = Key(k.Hash(id))
 	}
-	return h
+	return uint64(k)
 }
 
 // HashFloat maps identifiers to a uniform value in [0, 1), statelessly.
@@ -176,7 +177,9 @@ func HashFloat(ids ...uint64) float64 {
 // equals HashFloat(a, b, c) bit for bit, but mixes in only the last
 // identifier. Loops that hash many ids under one constant prefix (the
 // engine's per-transmission loss draw, per-node crash selection) compute
-// the key once and pay two Mix64 per id instead of two per identifier.
+// the key once and pay two Mix64 per id instead of two for every
+// identifier of the full sequence. Key.Hash is the one mixing step that
+// Hash and DeriveStream fold over their identifiers.
 type Key uint64
 
 // KeyOf returns the key of the identifier prefix ids.

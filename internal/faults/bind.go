@@ -91,10 +91,9 @@ type Bound struct {
 	flakyList []flakyArea // active flaky regions sorted by id
 	ids       []int       // recompose's sorted-handle scratch
 
-	// The link predicates recompose chooses between, built once at the
-	// first Attach so that swapping them allocates nothing: fullLink is
-	// linkFault, burstLink its burst-only special case.
-	fullLink, burstLink sim.LinkFault
+	// linkFault as a function value, built once at the first Attach so
+	// that installing and removing it allocates nothing.
+	link sim.LinkFault
 }
 
 type flakyArea struct {
@@ -252,17 +251,15 @@ func orient(a, b int) [2]int {
 // The round hook stays installed for the whole run, so the engine
 // reports Faulty() throughout. The link-fault predicate is installed
 // only while a link-level fault (burst, partition, severed link, flaky
-// region) is active, and then in its cheapest equivalent form: a
-// constant for bursts alone, the full per-link check otherwise. Between
-// windows the engine's transmission attempt pays no predicate call.
+// region) is active. Between windows the engine's transmission attempt
+// pays no predicate call.
 //
 // The engine invokes the round hook at the top of Tick, before that
 // round's deliveries, and the link-fault predicate only from its
 // sequential send path, so a Bound needs no locking.
 func (b *Bound) Attach(eng Host) {
-	if b.fullLink == nil {
-		b.fullLink = b.linkFault
-		b.burstLink = func(int, int) float64 { return 1 - b.burstKeep }
+	if b.link == nil {
+		b.link = b.linkFault
 	}
 	b.eng = eng
 	b.remaining = make(map[int][]action, len(b.actions))
@@ -414,8 +411,9 @@ func (b *Bound) onRound(round int) {
 
 // recompose rebuilds the order-stable composites from the active sets,
 // iterating in sorted handle order so repeated runs multiply floats in
-// the same order, and installs the link predicate they call for on the
-// attached engine (see linkPredicate).
+// the same order, and installs linkFault on the attached engine while a
+// link-level fault is active, nil otherwise (linkFault would return 0
+// on every link).
 func (b *Bound) recompose() {
 	b.burstKeep = 1
 	b.ids = appendSortedKeys(b.ids[:0], b.bursts)
@@ -432,23 +430,14 @@ func (b *Bound) recompose() {
 	for _, id := range b.ids {
 		b.flakyList = append(b.flakyList, b.flaky[id])
 	}
-	if b.eng != nil {
-		b.eng.SetLinkFault(b.linkPredicate())
+	if b.eng == nil {
+		return
 	}
-}
-
-// linkPredicate returns the cheapest predicate equal to linkFault on
-// every link for the active windows: nil when no link-level fault is
-// active (linkFault would return 0 everywhere), the constant burst loss
-// when only bursts are, linkFault itself otherwise.
-func (b *Bound) linkPredicate() sim.LinkFault {
-	switch {
-	case len(b.partList) > 0 || len(b.severed) > 0 || len(b.flakyList) > 0:
-		return b.fullLink
-	case len(b.bursts) > 0:
-		return b.burstLink
+	if len(b.bursts) > 0 || len(b.partList) > 0 || len(b.severed) > 0 || len(b.flakyList) > 0 {
+		b.eng.SetLinkFault(b.link)
+	} else {
+		b.eng.SetLinkFault(nil)
 	}
-	return nil
 }
 
 // appendSortedKeys appends m's keys to dst in increasing order.

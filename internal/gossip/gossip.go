@@ -29,7 +29,6 @@ import (
 	"slices"
 
 	"drrgossip/internal/convergecast"
-	"drrgossip/internal/forest"
 	"drrgossip/internal/sim"
 )
 
@@ -88,7 +87,7 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	val := append([]float64(nil), init...)
 	gossipRounds := tr.iterations(2*ceilLog2(eng.N()) + 12)
 	sampleRounds := tr.iterations(ceilLog2(eng.N()) + 8)
-	ticks := tr.ticks()
+	ticks, walk := tr.ticks(), walksDeliveries(tr)
 	// land lets one exchange arrive, adopting every larger value of kind.
 	land := func(kind uint8) {
 		adopt := func(k int) {
@@ -100,8 +99,8 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 		}
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			if got, sparse := landed(eng, f); sparse {
-				for _, i := range got {
+			if walk {
+				for _, i := range eng.Delivered() {
 					if f.IsRoot(i) {
 						adopt(f.Slot(i))
 					}
@@ -147,9 +146,9 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 		inquiries = inquiries[:0]
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
-			if got, sparse := landed(eng, f); sparse {
+			if walk {
 				start := len(inquiries)
-				for _, i := range got {
+				for _, i := range eng.Delivered() {
 					if f.IsRoot(i) {
 						gather(f.Slot(i))
 					}
@@ -249,7 +248,7 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 	start := eng.Stats()
 	mass := append([]convergecast.MomentsVec(nil), init...)
 	rounds := tr.iterations(4*ceilLog2(eng.N()) + 24)
-	ticks := tr.ticks()
+	ticks, walk := tr.ticks(), walksDeliveries(tr)
 
 	// Optional contribution tracking for the Lemma 8 potential, indexed
 	// by root slot.
@@ -375,8 +374,8 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 				}
 				pending = kept
 			}
-			if got, sparse := landed(eng, f); sparse {
-				for _, i := range got {
+			if walk {
+				for _, i := range eng.Delivered() {
 					if f.IsRoot(i) {
 						credit(f.Slot(i))
 					}
@@ -417,18 +416,16 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 	}, nil
 }
 
-// landed returns the nodes the last Tick delivered to (each once, in
-// delivery order) and whether they are few enough, 4·len < roots as on a
-// routed exchange spread over its ~30 ticks, that a driver should read
-// just the delivered roots' inboxes. Otherwise it scans every root,
-// which is cheaper once most roots hear something each Tick. A root's
-// own inbox is read in arrival order either way, so per-root
-// accumulations are unchanged; output whose order spans roots is sorted
-// by slot after a sparse walk.
-func landed(eng *sim.Engine, f *forest.Forest) ([]int, bool) {
-	got := eng.Delivered()
-	return got, 4*len(got) < f.NumTrees()
-}
+// walksDeliveries reports whether the drivers read only the inboxes of
+// the nodes the last Tick delivered to (sim.Engine.Delivered) instead of
+// scanning every root. A routed exchange spreads its landings over its
+// ticks() rounds, so a tick reaches a small share of the roots (under a
+// quarter on all but a handful of the bench workloads' routed ticks); a
+// relay exchange lands in one tick and reaches a quarter or more of them,
+// where the scan is cheaper. A root's own inbox is read in arrival order
+// either way, so per-root accumulations are unchanged; output whose order
+// spans roots is sorted by slot after a walk.
+func walksDeliveries(tr Transport) bool { return tr.ticks() > 1 }
 
 // ratio is a root's push-sum estimate s/g, NaN while it has no weight.
 func ratio(m convergecast.MomentsVec) float64 {

@@ -207,7 +207,7 @@ func TestAsyncFaultHorizonBinding(t *testing.T) {
 }
 
 // RunAll with Parallelism must reproduce sequential answers in Async
-// mode (worker sessions clone the one async fault binding).
+// mode (worker sessions share the one async fault binding).
 func TestAsyncRunAllParallel(t *testing.T) {
 	const n = 128
 	plan, err := ParseFaultPlan("crash:0.2@0.5;rejoin@0.9")

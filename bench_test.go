@@ -320,7 +320,7 @@ func BenchmarkPerfRunAllBatch(b *testing.B) {
 	}
 	sparse := benchValues(1024)
 	// The worker count is pinned (not GOMAXPROCS) so allocs/op — which
-	// includes the per-worker engine and binding clones — is
+	// includes the per-worker engines and binding caches — is
 	// machine-independent and safe for the bench-guard baseline; the
 	// wall-clock benefit of the fan-out still shows wherever cores exist.
 	for _, tc := range []struct {

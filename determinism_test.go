@@ -79,7 +79,7 @@ func TestDeterminismAcrossParallelForScheduling(t *testing.T) {
 // sequential execution — for any worker count, any GOMAXPROCS, with and
 // without a fault plan, on dense and sparse topologies, including
 // composite queries (Quantile bisection, Histogram edges) whose fault
-// bindings are resolved up front and cloned per worker.
+// bindings are resolved up front and shared by every worker.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	const n = 256
 	values := uniformValues(n, 91)

@@ -201,7 +201,7 @@ func TestFaultPlanParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.Attach(syncEng)
+	sr := sb.Attach(syncEng)
 	for syncRound = 1; syncRound <= horizon; syncRound++ {
 		syncEng.Tick()
 	}
@@ -217,7 +217,7 @@ func TestFaultPlanParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab.Attach(asyncEng)
+	ar := ab.Attach(asyncEng)
 	for asyncEng.Now() < float64(horizon)/TicksPerUnit+1 {
 		if _, _, ok := asyncEng.Step(); !ok {
 			t.Fatal("ran out of events")
@@ -235,9 +235,9 @@ func TestFaultPlanParity(t *testing.T) {
 			t.Fatalf("transition %d diverged: sync %+v async %+v", i, syncTrans[i], asyncTrans[i])
 		}
 	}
-	if ab.Fired() != sb.Fired() || ab.Crashed() != sb.Crashed() || ab.Revived() != sb.Revived() {
+	if ar.Fired() != sr.Fired() || ar.Crashed() != sr.Crashed() || ar.Revived() != sr.Revived() {
 		t.Fatalf("bound accounting diverged: sync fired=%d c=%d r=%d, async fired=%d c=%d r=%d",
-			sb.Fired(), sb.Crashed(), sb.Revived(), ab.Fired(), ab.Crashed(), ab.Revived())
+			sr.Fired(), sr.Crashed(), sr.Revived(), ar.Fired(), ar.Crashed(), ar.Revived())
 	}
 
 	// Golden pin: crash:0.25 at the 50% mark of a 2048-tick horizon takes

@@ -1,13 +1,13 @@
-// Binding: resolving a symbolic Plan against (n, seed, horizon) into a
-// concrete per-round action schedule, and driving a sim.Engine with it.
+// Binding: resolving a symbolic Plan against (n, seed, horizon) into an
+// immutable round-sorted action schedule, and replaying it on an engine.
 
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"drrgossip/internal/sim"
 	"drrgossip/internal/xrand"
@@ -20,31 +20,35 @@ const (
 	actRevive
 	actReviveAll
 	actReviveSome
-	actBurstStart
-	actBurstEnd
-	actPartStart
-	actPartEnd
-	actSever
-	actRestore
-	actFlakyStart
-	actFlakyEnd
+	actOpen
+	actClose
 )
 
 // action is one concrete state change at a known round.
 type action struct {
+	round int
 	kind  actionKind
-	id    int     // window handle (bursts, partitions, flaky regions)
+	win   int     // actOpen/actClose: index into Bound.windows
 	nodes []int   // crash/revive sets
 	auto  bool    // actRevive: scheduled end of a crash hold (vs. a user Rejoin)
 	count int     // actReviveSome: how many dead nodes to revive
 	frac  float64 // actReviveSome: fraction of the dead to revive
 	order []int   // actReviveSome: node preference order (a permutation)
-	loss  float64 // burst/flaky extra loss
-	part  []int   // per-node group id (partitions)
-	link  [2]int  // severed link
 }
 
-// Host is the engine surface a Bound drives: membership control plus
+// window is one link-level fault event resolved at Bind time. While it
+// is open, a LossBurst drops with extra probability loss on every link, a
+// Flaky region does so on every link touching a member, a Partition
+// severs the links between its groups and a LinkDown severs its link.
+type window struct {
+	kind Kind
+	loss float64 // LossBurst, Flaky
+	in   []bool  // Flaky: per-node membership
+	part []int   // Partition: per-node group id
+	link [2]int  // LinkDown: the endpoints, lower first
+}
+
+// Host is the engine surface a Replay drives: membership control plus
 // the two hook points the schedule installs itself on. Both engines
 // satisfy it through the sim.Core they embed — sim.Engine reads the
 // round hook's argument as its synchronous round index, async.Engine as
@@ -61,44 +65,13 @@ type Host interface {
 }
 
 // Bound is a plan resolved against a concrete (n, seed, horizon): a
-// deterministic per-round schedule of engine state changes. Attach binds
-// it to an engine; re-attaching to a fresh engine resets the runtime
-// state and replays the identical schedule, so one binding can drive a
-// sequence of runs (the session facade's amortization). A Bound drives
-// one engine at a time and is not safe for concurrent engines.
+// deterministic schedule of engine state changes. It is immutable once
+// Bind returns, so one Bound may drive any number of runs, concurrent
+// ones included; each Attach starts a Replay holding that run's state.
 type Bound struct {
 	n       int
-	actions map[int][]action // the immutable schedule Bind resolved
-
-	eng       Host
-	remaining map[int][]action  // this attachment's not-yet-fired rounds
-	bursts    map[int]float64   // active loss bursts
-	parts     map[int][]int     // active partitions: handle -> group ids
-	severed   map[[2]int]int    // severed link -> refcount
-	flaky     map[int]flakyArea // active flaky regions
-	down      []int             // per-node crash-hold refcount: overlapping
-	// crash windows must all expire before an auto-revive brings the
-	// node back (a user Rejoin clears every hold instead)
-	fired   int
-	crashed int
-	revived int
-
-	// Order-stable composites derived from the active sets above,
-	// recomputed whenever actions change them: map iteration order must
-	// not leak into per-link float arithmetic, or bit-determinism breaks.
-	burstKeep float64     // Π (1 - loss) over active bursts, sorted by id
-	partList  [][]int     // active partitions sorted by id
-	flakyList []flakyArea // active flaky regions sorted by id
-	ids       []int       // recompose's sorted-handle scratch
-
-	// linkFault as a function value, built once at the first Attach so
-	// that installing and removing it allocates nothing.
-	link sim.LinkFault
-}
-
-type flakyArea struct {
-	in   []bool
-	loss float64
+	acts    []action // sorted by round; plan order within a round
+	windows []window // the plan's link-level faults, in plan order
 }
 
 // Bind resolves the plan. horizon is the anticipated total number of
@@ -113,8 +86,7 @@ func (p *Plan) Bind(n int, seed uint64, horizon int) (*Bound, error) {
 	if p.NeedsHorizon() && horizon <= 0 {
 		return nil, fmt.Errorf("%w: plan has fractional timings or churn but no horizon", ErrBadPlan)
 	}
-	b := &Bound{n: n, actions: make(map[int][]action)}
-	b.resetRuntime()
+	b := &Bound{n: n}
 	if p.Empty() {
 		return b, nil
 	}
@@ -153,41 +125,35 @@ func (p *Plan) Bind(n int, seed uint64, horizon int) (*Bound, error) {
 					order: xrand.Derive(seed, 0xFA, uint64(idx)).Perm(n),
 				})
 			}
-		case LossBurst:
-			b.add(at, action{kind: actBurstStart, id: idx, loss: ev.Loss})
-			if end != math.MaxInt {
-				b.add(end, action{kind: actBurstEnd, id: idx})
+		case LossBurst, Partition, LinkDown, Flaky:
+			w := window{kind: ev.Kind, loss: ev.Loss}
+			switch ev.Kind {
+			case Partition:
+				w.part = partitionGroups(n, ev.Groups, seed, idx)
+			case LinkDown:
+				w.link = orient(ev.A, ev.B)
+			case Flaky:
+				w.in = make([]bool, n)
+				for _, i := range ev.selectNodes(n, seed, idx) {
+					w.in[i] = true
+				}
 			}
-		case Partition:
-			part := partitionGroups(n, ev.Groups, seed, idx)
-			b.add(at, action{kind: actPartStart, id: idx, part: part})
+			b.windows = append(b.windows, w)
+			b.add(at, action{kind: actOpen, win: len(b.windows) - 1})
 			if end != math.MaxInt {
-				b.add(end, action{kind: actPartEnd, id: idx})
-			}
-		case LinkDown:
-			link := orient(ev.A, ev.B)
-			b.add(at, action{kind: actSever, link: link})
-			if end != math.MaxInt {
-				b.add(end, action{kind: actRestore, link: link})
-			}
-		case Flaky:
-			nodes := ev.selectNodes(n, seed, idx)
-			b.add(at, action{kind: actFlakyStart, id: idx, nodes: nodes, loss: ev.Loss})
-			if end != math.MaxInt {
-				b.add(end, action{kind: actFlakyEnd, id: idx})
+				b.add(end, action{kind: actClose, win: len(b.windows) - 1})
 			}
 		case ChurnKind:
 			b.expandChurn(ev, n, seed, idx, horizon)
 		}
 	}
+	slices.SortStableFunc(b.acts, func(x, y action) int { return cmp.Compare(x.round, y.round) })
 	return b, nil
 }
 
 func (b *Bound) add(round int, a action) {
-	if round < 0 {
-		round = 0
-	}
-	b.actions[round] = append(b.actions[round], a)
+	a.round = max(round, 0)
+	b.acts = append(b.acts, a)
 }
 
 // expandChurn unrolls a Poisson churn process over [1, horizon]: crash
@@ -239,132 +205,131 @@ func orient(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// Attach installs the schedule on the engine: round-0 actions apply
-// immediately (the static initial-crash special case), the rest fire
-// from the engine's round hook. Attach overwrites any previously
-// installed round hook or link fault on the engine, and resets the
-// Bound's own runtime state (active windows, crash holds, counters), so
-// the same binding replays its exact schedule on every engine it is
-// attached to — equal (plan, n, seed, horizon) stay bit-deterministic
-// across attachments.
+// Rounds returns the sorted rounds at which the schedule acts (useful
+// for reports and tests).
+func (b *Bound) Rounds() []int {
+	var out []int
+	for _, a := range b.acts {
+		if len(out) == 0 || out[len(out)-1] != a.round {
+			out = append(out, a.round)
+		}
+	}
+	return out
+}
+
+// Replay is one run of a Bound on one engine: how far the schedule has
+// fired, which windows are open, the crash holds and the counters the
+// run reports. Attach creates it.
+type Replay struct {
+	b    *Bound
+	eng  Host
+	next int   // index in b.acts of the first action not yet reached
+	open []int // open windows, ascending
+	down []int // per-node crash-hold refcount: overlapping crash windows
+	// must all expire before an auto-revive brings the node back (a user
+	// Rejoin clears every hold instead)
+	fired   int
+	crashed int
+	revived int
+
+	// Composites of the open windows, folded in window order so that
+	// every run multiplies its floats in the same order.
+	burstKeep float64   // Π (1 - loss) over open bursts
+	perLink   []*window // open partitions, severed links and flaky regions
+
+	// linkFault as a function value, built once per Attach so that
+	// installing and removing it allocates nothing.
+	link sim.LinkFault
+}
+
+// Attach starts a replay of the schedule on the engine: round-0 actions
+// apply immediately (the static initial-crash special case), the rest
+// fire from the engine's round hook. Attach overwrites any previously
+// installed round hook or link fault on the engine. Every Attach replays
+// the identical schedule from the start, so equal (plan, n, seed,
+// horizon) stay bit-deterministic across runs.
+//
+// The hook must see rounds in increasing order. Both engines call it
+// for every round without gaps: sim.Engine at the top of each Tick,
+// before that round's deliveries, and async.Engine for every fault tick
+// its clock crosses. The actions of a round the hook never sees, such as
+// one before an Attach made mid-run, never fire.
 //
 // The round hook stays installed for the whole run, so the engine
 // reports Faulty() throughout. The link-fault predicate is installed
 // only while a link-level fault (burst, partition, severed link, flaky
-// region) is active. Between windows the engine's transmission attempt
-// pays no predicate call.
-//
-// The engine invokes the round hook at the top of Tick, before that
-// round's deliveries, and the link-fault predicate only from its
-// sequential send path, so a Bound needs no locking.
-func (b *Bound) Attach(eng Host) {
-	if b.link == nil {
-		b.link = b.linkFault
-	}
-	b.eng = eng
-	b.remaining = make(map[int][]action, len(b.actions))
-	for r, acts := range b.actions {
-		b.remaining[r] = acts
-	}
-	b.resetRuntime()
-	eng.SetRoundHook(b.onRound)
-	b.onRound(0)
-}
-
-// Clone returns an unattached Bound sharing this binding's immutable
-// schedule but none of its runtime state. A Bound drives one engine at a
-// time; cloning lets concurrent runs (e.g. a parallel query batch) each
-// attach their own replica of the same resolved plan — the schedule was
-// fixed by Bind, so every clone replays the identical actions.
-func (b *Bound) Clone() *Bound {
-	c := &Bound{n: b.n, actions: b.actions}
-	c.resetRuntime()
-	return c
-}
-
-// resetRuntime gives b fresh attachment state: no active bursts,
-// partitions, severed links, flaky regions or crash holds, and nothing
-// fired yet.
-func (b *Bound) resetRuntime() {
-	b.bursts = make(map[int]float64)
-	b.parts = make(map[int][]int)
-	b.severed = make(map[[2]int]int)
-	b.flaky = make(map[int]flakyArea)
-	b.down = make([]int, b.n)
-	b.fired, b.crashed, b.revived = 0, 0, 0
-	b.recompose()
+// region) is open. Between windows the engine's transmission attempt
+// pays no predicate call. The engine calls both from its sequential
+// path, so a Replay needs no locking; the Bound it reads is immutable.
+func (b *Bound) Attach(eng Host) *Replay {
+	r := &Replay{b: b, eng: eng, down: make([]int, b.n)}
+	r.link = r.linkFault
+	r.recompose()
+	eng.SetRoundHook(r.onRound)
+	r.onRound(0)
+	return r
 }
 
 // Fired returns the number of actions applied so far.
-func (b *Bound) Fired() int { return b.fired }
+func (r *Replay) Fired() int { return r.fired }
 
 // Crashed counts the crash transitions applied so far.
-func (b *Bound) Crashed() int { return b.crashed }
+func (r *Replay) Crashed() int { return r.crashed }
 
 // Revived counts the revive transitions applied so far.
-func (b *Bound) Revived() int { return b.revived }
-
-// Rounds returns the sorted rounds at which the schedule acts (useful
-// for reports and tests).
-func (b *Bound) Rounds() []int {
-	out := make([]int, 0, len(b.actions))
-	for r := range b.actions {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
+func (r *Replay) Revived() int { return r.revived }
 
 // onRound applies the actions scheduled for the given round.
-func (b *Bound) onRound(round int) {
-	acts, ok := b.remaining[round]
-	if !ok {
-		return
-	}
-	for _, a := range acts {
-		b.fired++
+func (r *Replay) onRound(round int) {
+	acts, fired := r.b.acts, r.fired
+	for ; r.next < len(acts) && acts[r.next].round <= round; r.next++ {
+		a := &acts[r.next]
+		if a.round < round {
+			continue // a round the hook never saw
+		}
+		r.fired++
 		switch a.kind {
 		case actCrash:
 			for _, i := range a.nodes {
-				b.down[i]++
-				if b.eng.Alive(i) {
-					b.crashed++
+				r.down[i]++
+				if r.eng.Alive(i) {
+					r.crashed++
 				}
-				b.eng.Crash(i)
+				r.eng.Crash(i)
 			}
 		case actRevive:
 			for _, i := range a.nodes {
 				if a.auto {
 					// End of one crash hold: the node comes back only
 					// when no other crash window still covers it.
-					if b.down[i] > 0 {
-						b.down[i]--
+					if r.down[i] > 0 {
+						r.down[i]--
 					}
-					if b.down[i] > 0 {
+					if r.down[i] > 0 {
 						continue
 					}
 				} else {
-					b.down[i] = 0 // an explicit rejoin clears every hold
+					r.down[i] = 0 // an explicit rejoin clears every hold
 				}
-				if !b.eng.Alive(i) {
-					b.revived++
+				if !r.eng.Alive(i) {
+					r.revived++
 				}
-				b.eng.Revive(i)
+				r.eng.Revive(i)
 			}
 		case actReviveAll:
-			for i := 0; i < b.n; i++ {
-				b.down[i] = 0
-				if !b.eng.Alive(i) {
-					b.revived++
-					b.eng.Revive(i)
+			for i := range r.down {
+				r.down[i] = 0
+				if !r.eng.Alive(i) {
+					r.revived++
+					r.eng.Revive(i)
 				}
 			}
 		case actReviveSome:
 			left := a.count
 			if left == 0 {
 				dead := 0
-				for i := 0; i < b.n; i++ {
-					if !b.eng.Alive(i) {
+				for i := range r.down {
+					if !r.eng.Alive(i) {
 						dead++
 					}
 				}
@@ -374,98 +339,67 @@ func (b *Bound) onRound(round int) {
 				if left == 0 {
 					break
 				}
-				if !b.eng.Alive(i) {
-					b.down[i] = 0
-					b.revived++
-					b.eng.Revive(i)
+				if !r.eng.Alive(i) {
+					r.down[i] = 0
+					r.revived++
+					r.eng.Revive(i)
 					left--
 				}
 			}
-		case actBurstStart:
-			b.bursts[a.id] = a.loss
-		case actBurstEnd:
-			delete(b.bursts, a.id)
-		case actPartStart:
-			b.parts[a.id] = a.part
-		case actPartEnd:
-			delete(b.parts, a.id)
-		case actSever:
-			b.severed[a.link]++
-		case actRestore:
-			if b.severed[a.link]--; b.severed[a.link] <= 0 {
-				delete(b.severed, a.link)
+		case actOpen:
+			i, _ := slices.BinarySearch(r.open, a.win)
+			r.open = slices.Insert(r.open, i, a.win)
+		case actClose:
+			if i, ok := slices.BinarySearch(r.open, a.win); ok {
+				r.open = slices.Delete(r.open, i, i+1)
 			}
-		case actFlakyStart:
-			in := make([]bool, b.n)
-			for _, i := range a.nodes {
-				in[i] = true
-			}
-			b.flaky[a.id] = flakyArea{in: in, loss: a.loss}
-		case actFlakyEnd:
-			delete(b.flaky, a.id)
 		}
 	}
-	delete(b.remaining, round)
-	b.recompose()
+	if r.fired > fired {
+		r.recompose()
+	}
 }
 
-// recompose rebuilds the order-stable composites from the active sets,
-// iterating in sorted handle order so repeated runs multiply floats in
-// the same order, and installs linkFault on the attached engine while a
-// link-level fault is active, nil otherwise (linkFault would return 0
-// on every link).
-func (b *Bound) recompose() {
-	b.burstKeep = 1
-	b.ids = appendSortedKeys(b.ids[:0], b.bursts)
-	for _, id := range b.ids {
-		b.burstKeep *= 1 - b.bursts[id]
+// recompose folds the open windows, in window order, into burstKeep and
+// perLink, and installs linkFault on the engine while any window is
+// open, nil otherwise (linkFault would return 0 on every link).
+func (r *Replay) recompose() {
+	r.burstKeep = 1
+	r.perLink = r.perLink[:0]
+	for _, i := range r.open {
+		if w := &r.b.windows[i]; w.kind == LossBurst {
+			r.burstKeep *= 1 - w.loss
+		} else {
+			r.perLink = append(r.perLink, w)
+		}
 	}
-	b.partList = b.partList[:0]
-	b.ids = appendSortedKeys(b.ids[:0], b.parts)
-	for _, id := range b.ids {
-		b.partList = append(b.partList, b.parts[id])
-	}
-	b.flakyList = b.flakyList[:0]
-	b.ids = appendSortedKeys(b.ids[:0], b.flaky)
-	for _, id := range b.ids {
-		b.flakyList = append(b.flakyList, b.flaky[id])
-	}
-	if b.eng == nil {
-		return
-	}
-	if len(b.bursts) > 0 || len(b.partList) > 0 || len(b.severed) > 0 || len(b.flakyList) > 0 {
-		b.eng.SetLinkFault(b.link)
+	if len(r.open) > 0 {
+		r.eng.SetLinkFault(r.link)
 	} else {
-		b.eng.SetLinkFault(nil)
+		r.eng.SetLinkFault(nil)
 	}
-}
-
-// appendSortedKeys appends m's keys to dst in increasing order.
-func appendSortedKeys[V any](dst []int, m map[int]V) []int {
-	for id := range m {
-		dst = append(dst, id)
-	}
-	slices.Sort(dst)
-	return dst
 }
 
 // linkFault is the engine's per-transmission predicate: 1 severs the
-// link (an active partition separates the endpoints, or the link is
-// blacked out), otherwise active bursts and flaky regions compound as
+// link (an open partition separates the endpoints, or the link is
+// blacked out), otherwise open bursts and flaky regions compound as
 // independent extra loss.
-func (b *Bound) linkFault(from, to int) float64 {
-	for _, part := range b.partList {
-		if part[from] != part[to] {
-			return 1
-		}
-	}
-	if len(b.severed) > 0 && b.severed[orient(from, to)] > 0 {
-		return 1
-	}
-	keep := b.burstKeep
-	for i := range b.flakyList {
-		if fa := &b.flakyList[i]; fa.in[from] || fa.in[to] {
-			keep *= 1 - fa.loss
+func (r *Replay) linkFault(from, to int) float64 {
+	keep := r.burstKeep
+	for _, w := range r.perLink {
+		switch w.kind {
+		case Partition:
+			if w.part[from] != w.part[to] {
+				return 1
+			}
+		case LinkDown:
+			if orient(from, to) == w.link {
+				return 1
+			}
+		case Flaky:
+			if w.in[from] || w.in[to] {
+				keep *= 1 - w.loss
+			}
 		}
 	}
 	return 1 - keep

@@ -8,12 +8,14 @@
 //
 // A Plan is symbolic: event times may be absolute rounds or fractions of
 // a run horizon, and node sets may be given as fractions of n. Bind
-// resolves a plan against a concrete network size, seed and horizon,
-// producing a Bound schedule that attaches to a sim.Engine via the
-// engine's dynamic-membership hooks (Crash/Revive, SetLinkFault,
-// SetRoundHook). Binding and execution are fully deterministic: the same
-// (plan, n, seed, horizon) always crashes the same nodes at the same
-// rounds, so faulty runs are exactly as reproducible as healthy ones.
+// resolves a plan against a concrete network size, seed and horizon into
+// an immutable Bound that any number of runs may share; each Attach to
+// an engine starts that run's Replay, which applies the schedule through
+// the engine's dynamic-membership hooks (Crash/Revive, SetLinkFault,
+// SetRoundHook) as the round hook reports rounds in increasing order.
+// Binding and replay are fully deterministic: the same (plan, n, seed,
+// horizon) always crashes the same nodes at the same rounds, so faulty
+// runs are exactly as reproducible as healthy ones.
 //
 // The paper's CrashFrac model is the degenerate plan that crashes
 // sim.InitialCrashSet at round 0; see FromCrashFrac. With an empty plan

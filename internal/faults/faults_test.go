@@ -158,7 +158,7 @@ func TestCrashAndRejoinDriveEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 7})
-	b.Attach(eng)
+	rp := b.Attach(eng)
 	for eng.Round() < 9 {
 		eng.Tick()
 	}
@@ -169,16 +169,16 @@ func TestCrashAndRejoinDriveEngine(t *testing.T) {
 	if eng.NumAlive() != n-8 {
 		t.Fatalf("round 10: %d alive, want %d", eng.NumAlive(), n-8)
 	}
-	if b.Crashed() != 8 {
-		t.Fatalf("Crashed() = %d, want 8", b.Crashed())
+	if rp.Crashed() != 8 {
+		t.Fatalf("Crashed() = %d, want 8", rp.Crashed())
 	}
 	for eng.Round() < 20 {
 		eng.Tick()
 	}
-	if eng.NumAlive() != n || b.Revived() != 8 {
-		t.Fatalf("round 20: %d alive (revived %d), want all back", eng.NumAlive(), b.Revived())
+	if eng.NumAlive() != n || rp.Revived() != 8 {
+		t.Fatalf("round 20: %d alive (revived %d), want all back", eng.NumAlive(), rp.Revived())
 	}
-	if b.Fired() == 0 {
+	if rp.Fired() == 0 {
 		t.Fatal("no actions fired")
 	}
 }
@@ -188,7 +188,7 @@ func TestCrashAndRejoinDriveEngine(t *testing.T) {
 // independent random subset that mostly misses the crashed set.
 func TestRejoinFractionRevivesDeadNodes(t *testing.T) {
 	n := 100
-	run := func(spec string, seed uint64) (*Bound, *sim.Engine) {
+	run := func(spec string, seed uint64) (*Replay, *sim.Engine) {
 		t.Helper()
 		p, err := Parse(spec)
 		if err != nil {
@@ -199,22 +199,22 @@ func TestRejoinFractionRevivesDeadNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.NewEngine(n, sim.Options{Seed: seed})
-		b.Attach(eng)
+		rp := b.Attach(eng)
 		for eng.Round() < 10 {
 			eng.Tick()
 		}
-		return b, eng
+		return rp, eng
 	}
 	// A bare rejoin brings every dead node back.
-	b, eng := run("crash:0.25@5r;rejoin@10r", 13)
-	if eng.NumAlive() != 100 || b.Revived() != 25 {
-		t.Fatalf("bare rejoin: alive %d (revived %d), want 100 (25)", eng.NumAlive(), b.Revived())
+	rp, eng := run("crash:0.25@5r;rejoin@10r", 13)
+	if eng.NumAlive() != 100 || rp.Revived() != 25 {
+		t.Fatalf("bare rejoin: alive %d (revived %d), want 100 (25)", eng.NumAlive(), rp.Revived())
 	}
 	// A fractional rejoin revives that share of the dead: 25 dead,
 	// rejoin:0.2 → ceil(0.2·25) = 5 revived.
-	b, eng = run("crash:0.25@5r;rejoin:0.2@10r", 13)
-	if eng.NumAlive() != 80 || b.Revived() != 5 {
-		t.Fatalf("rejoin:0.2: alive %d (revived %d), want 80 (5)", eng.NumAlive(), b.Revived())
+	rp, eng = run("crash:0.25@5r;rejoin:0.2@10r", 13)
+	if eng.NumAlive() != 80 || rp.Revived() != 5 {
+		t.Fatalf("rejoin:0.2: alive %d (revived %d), want 80 (5)", eng.NumAlive(), rp.Revived())
 	}
 	// A count rejoin revives exactly that many dead nodes.
 	_, eng = run("crash:0.5@5r;rejoin:10@10r", 14)
@@ -408,7 +408,7 @@ func TestChurnExpansion(t *testing.T) {
 		t.Fatal("churn expanded to nothing")
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 9})
-	b.Attach(eng)
+	rp := b.Attach(eng)
 	minAlive := n
 	for r := 0; r < horizon; r++ {
 		eng.Tick()
@@ -418,8 +418,8 @@ func TestChurnExpansion(t *testing.T) {
 	}
 	// Expected 50 crash events with 10-round downtimes: membership must
 	// actually dip, and with rejoins it must recover most of the way.
-	if b.Crashed() < 20 || b.Crashed() > 100 {
-		t.Fatalf("churn crashes = %d, want around 50", b.Crashed())
+	if rp.Crashed() < 20 || rp.Crashed() > 100 {
+		t.Fatalf("churn crashes = %d, want around 50", rp.Crashed())
 	}
 	if minAlive == n {
 		t.Fatal("churn never removed a node")

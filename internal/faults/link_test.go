@@ -32,7 +32,7 @@ func TestLinkPredicateOnlyWhileActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &predHost{Engine: sim.NewEngine(n, sim.Options{Seed: 9})}
-	b.Attach(h)
+	rp := b.Attach(h)
 	quiet := map[int]bool{1: true, 12: true, 13: true, 16: true, 17: true, 20: true, 21: true}
 	for r := 1; r <= 21; r++ {
 		h.Tick()
@@ -44,7 +44,7 @@ func TestLinkPredicateOnlyWhileActive(t *testing.T) {
 		}
 		for from := 0; from < n; from++ {
 			for to := 0; to < n; to++ {
-				want := b.linkFault(from, to)
+				want := rp.linkFault(from, to)
 				got := 0.0
 				if h.pred != nil {
 					got = h.pred(from, to)
@@ -57,31 +57,47 @@ func TestLinkPredicateOnlyWhileActive(t *testing.T) {
 	}
 }
 
-// Opening and closing a loss burst swaps the engine's predicate without
-// allocating once the Bound's maps and the engine's queues are warm.
+// Opening and closing a link-level window — a loss burst, a flaky
+// region, a partition or a severed link — swaps the engine's predicate
+// without allocating once the replay's window lists and the engine's
+// queues are warm.
 func TestBurstWindowAllocatesNothing(t *testing.T) {
 	const n, windows = 64, 200
-	var p Plan
-	for k := 0; k < windows; k++ {
-		p.Events = append(p.Events, Event{Kind: LossBurst, At: At(2*k + 1), End: At(2*k + 2), Loss: 0.1})
-	}
-	b, err := p.Bind(n, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine(n, sim.Options{Seed: 1, Loss: 0.02})
-	b.Attach(eng)
-	allocs := testing.AllocsPerRun(windows-1, func() { // plus one warm-up call
-		for i := 0; i < n; i++ {
-			eng.Send(i, (i+1)%n, sim.Payload{})
-		}
-		eng.Tick() // a burst starts
-		eng.Tick() // and ends
-	})
-	if allocs != 0 {
-		t.Fatalf("a burst window allocates %v objects", allocs)
-	}
-	if b.Fired() != 2*windows || eng.Stats().Drops == 0 {
-		t.Fatalf("fired %d actions with %d drops, want %d and some", b.Fired(), eng.Stats().Drops, 2*windows)
+	for _, row := range []struct {
+		name string
+		ev   Event
+	}{
+		{"burst", Event{Kind: LossBurst, Loss: 0.1}},
+		{"flaky", Event{Kind: Flaky, Frac: 0.25, Loss: 0.5}},
+		{"partition", Event{Kind: Partition, Groups: 2}},
+		{"link", Event{Kind: LinkDown, A: 0, B: 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var p Plan
+			for k := 0; k < windows; k++ {
+				ev := row.ev
+				ev.At, ev.End = At(2*k+1), At(2*k+2)
+				p.Events = append(p.Events, ev)
+			}
+			b, err := p.Bind(n, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := sim.NewEngine(n, sim.Options{Seed: 1, Loss: 0.02})
+			rp := b.Attach(eng)
+			allocs := testing.AllocsPerRun(windows-1, func() { // plus one warm-up call
+				for i := 0; i < n; i++ {
+					eng.Send(i, (i+1)%n, sim.Payload{})
+				}
+				eng.Tick() // a window opens
+				eng.Tick() // and closes
+			})
+			if allocs != 0 {
+				t.Fatalf("a %s window allocates %v objects", row.name, allocs)
+			}
+			if rp.Fired() != 2*windows || eng.Stats().Drops == 0 {
+				t.Fatalf("fired %d actions with %d drops, want %d and some", rp.Fired(), eng.Stats().Drops, 2*windows)
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ func TestBoundReattachReplaysSchedule(t *testing.T) {
 	}
 	run := func() snapshot {
 		eng := sim.NewEngine(n, sim.Options{Seed: 7})
-		b.Attach(eng)
+		rp := b.Attach(eng)
 		var s snapshot
 		for r := 1; r <= 24; r++ {
 			// Traffic through the loss-burst window so drops accrue.
@@ -39,7 +39,7 @@ func TestBoundReattachReplaysSchedule(t *testing.T) {
 				s.aliveMid = eng.NumAlive()
 			}
 		}
-		s.fired, s.crashed, s.revived = b.Fired(), b.Crashed(), b.Revived()
+		s.fired, s.crashed, s.revived = rp.Fired(), rp.Crashed(), rp.Revived()
 		s.aliveEnd = eng.NumAlive()
 		s.drops = eng.Stats().Drops
 		return s

@@ -12,6 +12,7 @@ package drrgossip
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -200,9 +201,9 @@ func (nw *Network) runQuery(ctx context.Context, q Query) (*Answer, error) {
 type BatchOptions struct {
 	// Parallelism fans the batch's queries across up to this many worker
 	// goroutines (0 or 1 runs sequentially; the count is clamped to the
-	// batch size). Each worker owns a full replica of the execution
-	// state — its own pooled engine and its own clones of the session's
-	// fault bindings — and every protocol run is seeded from Config.Seed
+	// batch size). Each worker owns its own pooled engine and shares the
+	// session's fault bindings, which are immutable (every run replays
+	// its binding afresh), and every protocol run is seeded from Config.Seed
 	// exactly as in sequential execution, so the answers are
 	// bit-identical for any parallelism (see README, "Determinism").
 	// Config.Telemetry still sees one deterministic stream: each query's
@@ -261,10 +262,10 @@ func (nw *Network) RunAllContext(ctx context.Context, queries []Query, opts ...B
 // Config.Seed and runs on a worker-private engine, so no mutable state
 // is shared. Before the fan-out, the worker sessions resolve the fault
 // bindings the batch lacks (see prebinds), each under a fresh watchdog,
-// and every worker gets a clone of each, so no worker re-measures a
-// shape. A resolution that fails or aborts is dropped: the query that
-// needs the shape then resolves it itself, as sequential execution
-// would.
+// and every worker shares each (a binding is immutable; each run
+// replays it afresh), so no worker re-measures a shape. A resolution
+// that fails or aborts is dropped: the query that needs the shape then
+// resolves it itself, as sequential execution would.
 func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers int) ([]*Answer, Cost, error) {
 	sessions := make([]*Network, workers)
 	// free holds every worker session: at most `workers` units run at
@@ -306,7 +307,7 @@ func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers 
 	for _, p := range pre {
 		if p.b != nil {
 			for _, ws := range sessions {
-				ws.bounds[p.key] = p.b.Clone()
+				ws.bounds[p.key] = p.b
 			}
 		}
 	}
@@ -402,16 +403,13 @@ func (nw *Network) fold(u *batchUnit) {
 }
 
 // workerSession replicates the session for one RunAll worker: the same
-// config and the same (immutable, safely shared) overlay, per-worker
-// clones of the fault bindings and a per-worker pooled engine. Worker
+// config, the same overlay and the same fault bindings (all immutable
+// and safely shared; the worker's own copy of the binding cache lets it
+// add the shapes it resolves) and a per-worker pooled engine. Worker
 // sessions never rebuild the overlay; the parent folds their accounting
 // into its own in query order.
 func (nw *Network) workerSession() *Network {
-	ws := &Network{cfg: nw.cfg, ov: nw.ov, bounds: make(map[Op]*faults.Bound, len(nw.bounds))}
-	for op, b := range nw.bounds {
-		ws.bounds[op] = b.Clone()
-	}
-	return ws
+	return &Network{cfg: nw.cfg, ov: nw.ov, bounds: maps.Clone(nw.bounds)}
 }
 
 // ---- execution machinery ----
@@ -566,8 +564,9 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResu
 	if nw.wd != nil {
 		eng.SetAbortCheck(nw.wd.check, stride)
 	}
+	var rp *faults.Replay
 	if b != nil {
-		b.Attach(eng)
+		rp = b.Attach(eng)
 	}
 	defer func() {
 		r := recover()
@@ -579,13 +578,13 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResu
 		}
 		// No consensus value exists mid-pipeline: salvage the bill alone.
 		// The telemetry run still closes, so traces show the aborted run.
-		res, err = nw.closeRun(eng, b, billOnly(eng.Stats())), nw.wd.aborted()
+		res, err = nw.closeRun(eng, rp, billOnly(eng.Stats())), nw.wd.aborted()
 	}()
 	res, err = run(eng, nw.ov)
 	if err != nil {
 		return nil, err
 	}
-	return nw.closeRun(eng, b, res), nw.wd.aborted()
+	return nw.closeRun(eng, rp, res), nw.wd.aborted()
 }
 
 // billOnly is the record of a run that produced a bill but no consensus
@@ -595,14 +594,14 @@ func billOnly(st sim.Counters) *runResult {
 }
 
 // closeRun ends one run's telemetry and stamps its record with the
-// closing membership and the fault binding's counters.
-func (nw *Network) closeRun(eng runEngine, b *faults.Bound, res *runResult) *runResult {
+// closing membership and the fault replay's counters.
+func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, res *runResult) *runResult {
 	nw.em.RunEnd(eng)
 	res.Alive = eng.NumAlive()
-	if b != nil {
-		res.FaultEvents = b.Fired()
-		res.FaultCrashes = b.Crashed()
-		res.FaultRevives = b.Revived()
+	if rp != nil {
+		res.FaultEvents = rp.Fired()
+		res.FaultCrashes = rp.Crashed()
+		res.FaultRevives = rp.Revived()
 	}
 	return res
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"bufio"
 	"fmt"
 	"math"
 	"os"
@@ -451,19 +450,6 @@ func (b *refBound) linkFault(from, to int) float64 {
 	return 1 - keep
 }
 
-// replayCounters is what a run reports of the actions it applied.
-type replayCounters interface {
-	Fired() int
-	Crashed() int
-	Revived() int
-}
-
-// attachBound attaches the binding under test to h and returns the
-// counters of the run it drives.
-func attachBound(b *Bound, h Host) replayCounters {
-	return b.Attach(h)
-}
-
 // refCases cover every event kind and the corners of the window and
 // crash-hold bookkeeping: overlapping windows on one link (written both
 // ways round) and overlapping bursts, windows that close in the round
@@ -511,7 +497,7 @@ var faultTestSpecs = []string{
 	"loss:0.1@2r..6r;loss:0.3@4r..10r;flaky:0.2:0.5@8r..12r;part:2@14r..16r;link:3-5@18r..20r",
 }
 
-// maxRefRounds caps how far past its last action a differential run goes.
+// maxRefRounds caps the rounds a differential run replays.
 const maxRefRounds = 300
 
 // diffBind binds p at (n, seed, horizon) both as the current Bound and
@@ -547,7 +533,7 @@ func diffBind(t testing.TB, p *Plan, n int, seed uint64, horizon, late int) {
 		gh.Tick()
 		wh.Tick()
 	}
-	gc := attachBound(got, gh)
+	gc := got.Attach(gh)
 	want.Attach(wh)
 	for r := late; r <= last; r++ {
 		if r > late {
@@ -651,22 +637,20 @@ func TestBindMatchesReference(t *testing.T) {
 
 // corpusSpecs returns the plan= fields of a chaos corpus file.
 func corpusSpecs(tb testing.TB, path string) []string {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer f.Close()
 	var specs []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		for _, field := range strings.Fields(sc.Text()) {
-			if spec, ok := strings.CutPrefix(field, "plan="); ok && !strings.HasPrefix(sc.Text(), "#") {
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		for _, field := range strings.Fields(line) {
+			if spec, ok := strings.CutPrefix(field, "plan="); ok {
 				specs = append(specs, spec)
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		tb.Fatal(err)
 	}
 	return specs
 }

@@ -1,14 +1,16 @@
 package faults
 
 import (
+	"sync"
 	"testing"
 
 	"drrgossip/internal/sim"
 )
 
-// A Bound can drive a sequence of engines: each Attach resets the
-// runtime state and replays the identical schedule, so the session
-// facade can bind a plan once and reuse it across protocol runs.
+// A Bound can drive a sequence of engines, and several at once: each
+// Attach starts a fresh replay of the identical schedule, so the session
+// facade can bind a plan once and reuse it across protocol runs and
+// RunAll workers.
 func TestBoundReattachReplaysSchedule(t *testing.T) {
 	const n = 64
 	p, err := Parse("crash:0.25@4r..12r;loss:0.3@2r..20r")
@@ -52,5 +54,21 @@ func TestBoundReattachReplaysSchedule(t *testing.T) {
 	second := run()
 	if first != second {
 		t.Fatalf("re-attached Bound diverged:\n first  %+v\n second %+v", first, second)
+	}
+	// The Bound is immutable, so concurrent runs may share it.
+	var wg sync.WaitGroup
+	shared := make([]snapshot, 4)
+	for i := range shared {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			shared[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range shared {
+		if s != first {
+			t.Fatalf("concurrent replay %d diverged:\n first  %+v\n got    %+v", i, first, s)
+		}
 	}
 }

@@ -203,7 +203,7 @@ type BatchOptions struct {
 	// goroutines (0 or 1 runs sequentially; the count is clamped to the
 	// batch size). Each worker owns its own pooled engine and shares the
 	// session's fault bindings, which are immutable (every run replays
-	// its binding afresh), and every protocol run is seeded from Config.Seed
+	// its binding afresh). Every protocol run is seeded from Config.Seed
 	// exactly as in sequential execution, so the answers are
 	// bit-identical for any parallelism (see README, "Determinism").
 	// Config.Telemetry still sees one deterministic stream: each query's

@@ -1,13 +1,13 @@
 // Command godoclint is the repository's documentation gate: it fails
 // (exit 1) when an exported package-level identifier in any of the given
 // directories lacks a doc comment. CI runs it over the root drrgossip
-// package and internal/overlay (see the Makefile's doc-check target), so
-// the public API surface cannot grow undocumented.
+// package and every internal package (see the Makefile's doc-check
+// target), so the API surface cannot grow undocumented.
 //
 // Usage:
 //
 //	go run ./cmd/godoclint .
-//	go run ./cmd/godoclint . ./internal/overlay
+//	go run ./cmd/godoclint . ./internal/*/
 //
 // The check covers exported functions, methods on exported receiver
 // types, type declarations, and package-level const/var declarations

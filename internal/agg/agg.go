@@ -15,10 +15,15 @@ import (
 type Kind int
 
 const (
+	// Min is the smallest value.
 	Min Kind = iota
+	// Max is the largest value.
 	Max
+	// Sum is the total of the values.
 	Sum
+	// Count is the number of values.
 	Count
+	// Average is the arithmetic mean of the values.
 	Average
 	// Rank is parameterised: Rank(q) = |{i : v_i <= q}|.
 	Rank
@@ -43,9 +48,6 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
-
-// Kinds lists every supported aggregate.
-var Kinds = []Kind{Min, Max, Sum, Count, Average, Rank}
 
 // Exact computes the reference value of the aggregate over values. arg is
 // the Rank threshold q and is ignored by the other kinds. It panics on an

@@ -25,9 +25,6 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// Len returns the capacity in bits.
-func (s *Set) Len() int { return s.n }
-
 // Set sets bit i.
 func (s *Set) Set(i int) {
 	s.check(i)
@@ -76,16 +73,6 @@ func (s *Set) UnionWith(other *Set) {
 	}
 	for i, w := range other.words {
 		s.words[i] |= w
-	}
-}
-
-// IntersectWith ands other into s. Both sets must have the same capacity.
-func (s *Set) IntersectWith(other *Set) {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch in IntersectWith")
-	}
-	for i, w := range other.words {
-		s.words[i] &= w
 	}
 }
 

@@ -65,21 +65,6 @@ func TestUnionWith(t *testing.T) {
 	}
 }
 
-func TestIntersectWith(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(1)
-	a.Set(65)
-	a.Set(5)
-	b.Set(65)
-	b.Set(5)
-	b.Set(9)
-	a.IntersectWith(b)
-	if a.Count() != 2 || !a.Test(5) || !a.Test(65) {
-		t.Fatalf("intersection wrong: count=%d", a.Count())
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := New(64)
 	a.Set(10)

@@ -52,6 +52,7 @@ type Violation struct {
 	Detail string
 }
 
+// String renders the violation as "invariant: detail".
 func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 
 // tier classifies how much the case's plan may legitimately degrade

@@ -135,10 +135,6 @@ func (r *Ring) arc(i int) uint64 {
 	return (r.ID(i) - prev) & (r.space - 1)
 }
 
-// Arc returns the length of the identifier arc owned by node i. Exposed
-// for the sampler's bias analysis in tests.
-func (r *Ring) Arc(i int) uint64 { return r.arc(i) }
-
 // SuccessorOf returns the node owning identifier id: the first node whose
 // identifier is >= id in clockwise order (wrapping to node 0).
 func (r *Ring) SuccessorOf(id uint64) int {
@@ -157,25 +153,6 @@ func (r *Ring) SuccessorOf(id uint64) int {
 		return 0
 	}
 	return i
-}
-
-// Fingers returns node i's deduplicated finger set (sorted node indices;
-// always includes the successor since 2^0 is a finger target). The set is
-// computed on demand — the ring stores no finger tables — so every call
-// allocates a fresh slice the caller owns.
-func (r *Ring) Fingers(i int) []int {
-	fs := make([]int, 0, r.bits)
-	fs = r.appendFingers(i, fs)
-	sort.Ints(fs)
-	// Dedup in place (several shifts can land on the same successor).
-	w := 0
-	for k, f := range fs {
-		if k == 0 || f != fs[k-1] {
-			fs[w] = f
-			w++
-		}
-	}
-	return fs[:w]
 }
 
 // appendFingers appends successor(ID(i) + 2^k) for every k, excluding i

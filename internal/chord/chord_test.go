@@ -2,6 +2,7 @@ package chord
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"drrgossip/internal/xrand"
@@ -28,8 +29,8 @@ func TestEvenPlacementIDs(t *testing.T) {
 		if r.ID(i) != uint64(i*8) {
 			t.Fatalf("even ID(%d) = %d", i, r.ID(i))
 		}
-		if r.Arc(i) != 8 {
-			t.Fatalf("even Arc(%d) = %d", i, r.Arc(i))
+		if r.arc(i) != 8 {
+			t.Fatalf("even arc(%d) = %d", i, r.arc(i))
 		}
 	}
 }
@@ -109,19 +110,26 @@ func TestRouteToNode(t *testing.T) {
 	}
 }
 
+// fingers returns node i's deduplicated finger set in ascending order.
+func fingers(r *Ring, i int) []int {
+	fs := r.appendFingers(i, nil)
+	slices.Sort(fs)
+	return slices.Compact(fs)
+}
+
 func TestFingersIncludeSuccessor(t *testing.T) {
 	r := MustNew(50, Options{Bits: 24, Placement: Hashed, Seed: 1})
 	for i := 0; i < 50; i++ {
 		succ := (i + 1) % 50
 		found := false
-		for _, f := range r.Fingers(i) {
+		for _, f := range fingers(r, i) {
 			if f == succ {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("node %d fingers %v missing successor %d", i, r.Fingers(i), succ)
+			t.Fatalf("node %d fingers %v missing successor %d", i, fingers(r, i), succ)
 		}
 	}
 }
@@ -129,7 +137,7 @@ func TestFingersIncludeSuccessor(t *testing.T) {
 func TestFingerCountLogarithmic(t *testing.T) {
 	r := MustNew(1024, Options{Bits: 40, Placement: Hashed, Seed: 2})
 	for i := 0; i < 1024; i += 37 {
-		if f := len(r.Fingers(i)); f > 40 || f < 2 {
+		if f := len(fingers(r, i)); f > 40 || f < 2 {
 			t.Fatalf("node %d has %d fingers", i, f)
 		}
 	}
@@ -298,7 +306,7 @@ func TestFingerDistanceHalving(t *testing.T) {
 	r := MustNew(64, Options{Bits: 12})
 	for i := 0; i < 64; i++ {
 		far := 0
-		for _, f := range r.Fingers(i) {
+		for _, f := range fingers(r, i) {
 			gap := (f - i + 64) % 64
 			if gap > far {
 				far = gap

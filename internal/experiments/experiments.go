@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"drrgossip/internal/telemetry"
@@ -227,16 +226,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	reg := Registry()
-	ids := make([]string, len(reg))
-	for i, e := range reg {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // verdictf builds a verdict with a formatted detail string.
 func verdictf(name string, pass bool, format string, args ...any) Verdict {
 	return Verdict{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)}
@@ -249,14 +238,4 @@ func floats(xs []int) []float64 {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-// sortedKeys returns map keys in increasing order (deterministic tables).
-func sortedKeys[M ~map[int]V, V any](m M) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }

@@ -39,13 +39,13 @@ func runAndCheck(t *testing.T, id string) *Report {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"T1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "OV1", "FT1", "QB1", "QH1", "SC1", "AS1", "CH1", "A1", "A2", "A3"}
-	got := IDs()
+	got := Registry()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("registry[%d] = %s, want %s", i, got[i], want[i])
+		if got[i].ID != want[i] {
+			t.Fatalf("registry[%d] = %s, want %s", i, got[i].ID, want[i])
 		}
 	}
 	if _, ok := ByID("t1"); !ok {

@@ -131,11 +131,6 @@ func (f *Forest) Children(i int) []int {
 // IsRoot reports whether node i is a tree root.
 func (f *Forest) IsRoot(i int) bool { return f.parent[i] == Root }
 
-// IsLeaf reports whether node i is a member with no children.
-func (f *Forest) IsLeaf(i int) bool {
-	return f.Member(i) && f.kidStart[i] == f.kidStart[i+1]
-}
-
 // Roots returns the sorted list of tree roots: Roots()[k] is the root of
 // slot k. The caller must not modify it.
 func (f *Forest) Roots() []int { return f.roots }
@@ -194,21 +189,6 @@ func (f *Forest) LargestRoot() int {
 		}
 	}
 	return f.roots[best]
-}
-
-// Height returns the height of the tree rooted at root: the maximum depth
-// among its members (0 for a singleton tree, and when root is not a root).
-func (f *Forest) Height(root int) int {
-	h := 0
-	if !f.IsRoot(root) {
-		return h
-	}
-	for i, k := range f.slot {
-		if k == f.slot[root] {
-			h = max(h, f.depth[i])
-		}
-	}
-	return h
 }
 
 // MaxHeight returns the maximum tree height in the forest.
@@ -279,32 +259,6 @@ func RepairParents(parent []int, alive func(int) bool) int {
 		}
 	}
 	return promoted
-}
-
-// Repair returns a copy of the forest with crashed nodes removed and
-// orphaned subtrees re-rooted (see RepairParents), plus the number of
-// subtree promotions — the Phase I repair path for dynamic membership.
-// When nothing died the receiver is returned unchanged.
-func (f *Forest) Repair(alive func(int) bool) (*Forest, int) {
-	dirty := false
-	for i := range f.parent {
-		if f.Member(i) && !alive(i) {
-			dirty = true
-			break
-		}
-	}
-	if !dirty {
-		return f, 0
-	}
-	parent := append([]int(nil), f.parent...)
-	promoted := RepairParents(parent, alive)
-	nf, err := FromParents(parent)
-	if err != nil {
-		// RepairParents only removes nodes and promotes orphans from an
-		// already-valid forest, so this is unreachable.
-		panic("forest: repair produced invalid forest: " + err.Error())
-	}
-	return nf, promoted
 }
 
 // Validate re-checks all structural invariants; it is used by property

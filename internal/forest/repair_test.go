@@ -23,18 +23,27 @@ func TestRepairParents(t *testing.T) {
 	}
 }
 
-func TestForestRepair(t *testing.T) {
-	f, err := FromParents([]int{Root, 0, 1, 1, Root, 4, NotMember})
+// repair heals a copy of a valid parent vector the way drr and localdrr
+// do and builds the repaired forest.
+func repair(t *testing.T, parent []int, alive func(int) bool) (*Forest, int) {
+	t.Helper()
+	parent = append([]int(nil), parent...)
+	promoted := RepairParents(parent, alive)
+	nf, err := FromParents(parent)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("repaired vector invalid: %v", err)
 	}
-	// Nothing dead: same forest back, zero promotions.
-	same, promoted := f.Repair(func(int) bool { return true })
-	if same != f || promoted != 0 {
-		t.Fatal("no-op repair rebuilt the forest")
+	return nf, promoted
+}
+
+func TestForestRepair(t *testing.T) {
+	parent := []int{Root, 0, 1, 1, Root, 4, NotMember}
+	// Nothing dead: zero promotions.
+	if _, promoted := repair(t, parent, func(int) bool { return true }); promoted != 0 {
+		t.Fatalf("no-op repair promoted %d", promoted)
 	}
 	// Kill node 1: its children 2 and 3 become roots of their own trees.
-	nf, promoted := f.Repair(func(i int) bool { return i != 1 })
+	nf, promoted := repair(t, parent, func(i int) bool { return i != 1 })
 	if promoted != 2 {
 		t.Fatalf("promoted = %d, want 2", promoted)
 	}
@@ -53,19 +62,11 @@ func TestForestRepair(t *testing.T) {
 	if err := nf.Validate(); err != nil {
 		t.Fatalf("repaired forest invalid: %v", err)
 	}
-	// The original forest is untouched (Repair copies).
-	if !f.Member(1) || f.NumTrees() != 2 {
-		t.Fatal("Repair mutated the receiver")
-	}
 }
 
 func TestForestRepairChain(t *testing.T) {
 	// Chain 0 <- 1 <- 2 <- 3 with both 1 and 2 dead: 3 must root itself.
-	f, err := FromParents([]int{Root, 0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nf, promoted := f.Repair(func(i int) bool { return i == 0 || i == 3 })
+	nf, promoted := repair(t, []int{Root, 0, 1, 2}, func(i int) bool { return i == 0 || i == 3 })
 	if promoted != 1 {
 		t.Fatalf("promoted = %d, want 1", promoted)
 	}

@@ -1,16 +1,17 @@
-// Package kempe implements the uniform-gossip baseline of Kempe, Dobra
-// and Gehrke (FOCS 2003), the algorithm Table 1 compares DRR-gossip
-// against: Push-Sum for Average/Sum and Push-Max for Max/Min.
+// Package kempe implements the two uniform-gossip baselines of Kempe,
+// Dobra and Gehrke (FOCS 2003) that the experiments compare DRR-gossip
+// against.
 //
-// Every node gossips every round, so the protocol is address-oblivious,
-// takes O(log n) rounds, and uses Θ(n log n) messages — time-optimal but a
+// PushSum computes the Average on the complete graph (Table 1). Every
+// node gossips every round, so the protocol is address-oblivious, takes
+// O(log n) rounds, and uses Θ(n log n) messages — time-optimal but a
 // log n / log log n factor more messages than DRR-gossip (and, by
 // Theorem 15, message-optimal among address-oblivious algorithms).
 //
-// The Chord variants (PushSumOnChord, PushMaxOnChord) route each gossip
-// message with the overlay's O(log n)-hop protocol, giving the
-// O(log^2 n) time and O(n log^2 n) messages that Section 4 contrasts
-// with DRR-gossip's O(n log n) messages on Chord.
+// PushMaxOnChord computes the Max on Chord, routing each gossip message
+// with the overlay's O(log n)-hop protocol. That gives the O(log^2 n)
+// time and O(n log^2 n) messages that Section 4 contrasts with
+// DRR-gossip's O(n log n) messages on Chord.
 package kempe
 
 import (
@@ -59,49 +60,6 @@ func inflate(base int, eng *sim.Engine) int {
 		loss = 0.45
 	}
 	return int(math.Ceil(float64(base)/((1-2*loss)*alive))) + 1
-}
-
-// PushMax runs uniform push gossip for Max: every round every node sends
-// its current maximum to a uniformly random other node.
-func PushMax(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), eng.N())
-	}
-	n := eng.N()
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = inflate(2*ceilLog2(n)+12, eng)
-	}
-	start := eng.Stats()
-	est := make([]float64, n)
-	for i := range est {
-		if eng.Alive(i) {
-			est[i] = values[i]
-		} else {
-			est[i] = math.NaN()
-		}
-	}
-	for t := 0; t < rounds; t++ {
-		for i := 0; i < n; i++ {
-			if !eng.Alive(i) {
-				continue
-			}
-			target := eng.RNG(i).IntnOther(n, i)
-			eng.Send(i, target, sim.Payload{Kind: kindMax, A: est[i]})
-		}
-		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
-			if !eng.Alive(i) {
-				return
-			}
-			for _, m := range eng.Inbox(i) {
-				if m.Pay.Kind == kindMax && m.Pay.A > est[i] {
-					est[i] = m.Pay.A
-				}
-			}
-		})
-	}
-	return &Result{Estimates: est, Stats: eng.Stats().Sub(start)}, nil
 }
 
 // PushSum runs the Push-Sum protocol for the Average: every node keeps
@@ -171,8 +129,9 @@ func PushSum(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
 	return &Result{Estimates: est, S: s, W: w, Stats: eng.Stats().Sub(start)}, nil
 }
 
-// PushMaxOnChord is PushMax where every gossip message is routed over the
-// Chord overlay (uniform random target via the sampling protocol).
+// PushMaxOnChord runs push gossip for Max: every round every node sends
+// its current maximum to a uniform random node, routed over the Chord
+// overlay by the sampling protocol.
 // Time O(log^2 n), messages O(n log^2 n).
 func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts Options) (*Result, error) {
 	if len(values) != eng.N() {
@@ -217,101 +176,4 @@ func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts Op
 		}
 	}
 	return &Result{Estimates: est, Stats: eng.Stats().Sub(start)}, nil
-}
-
-// PushSumOnChord is PushSum with Chord-routed shares. Time O(log^2 n),
-// messages O(n log^2 n).
-func PushSumOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts Options) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), eng.N())
-	}
-	if ring.N() != eng.N() {
-		return nil, fmt.Errorf("kempe: ring has %d nodes, engine %d", ring.N(), eng.N())
-	}
-	if eng.NumAlive() != eng.N() {
-		return nil, fmt.Errorf("kempe: chord baseline requires all nodes alive")
-	}
-	n := eng.N()
-	iters := opts.Rounds
-	if iters == 0 {
-		iters = inflate(4*ceilLog2(n)+24, eng)
-	}
-	ticks := 2*ceilLog2(n) + 2
-	start := eng.Stats()
-	s := append([]float64(nil), values...)
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	var path []int // one route buffer for every routed message
-	for t := 0; t < iters; t++ {
-		for i := 0; i < n; i++ {
-			var totalHops int
-			_, path, totalHops = ring.AppendSample(path[:0], eng.RNG(i), i)
-			if extra := totalHops - len(path); extra > 0 {
-				eng.Charge(int64(extra))
-			}
-			if len(path) == 0 {
-				continue
-			}
-			s[i] /= 2
-			w[i] /= 2
-			eng.SendRouted(i, path, sim.Payload{Kind: kindShare, A: s[i], B: w[i]})
-		}
-		for k := 0; k < ticks; k++ {
-			eng.Tick()
-			for i := 0; i < n; i++ {
-				for _, m := range eng.Inbox(i) {
-					if m.Pay.Kind == kindShare {
-						s[i] += m.Pay.A
-						w[i] += m.Pay.B
-					}
-				}
-			}
-		}
-	}
-	est := make([]float64, n)
-	for i := range est {
-		if w[i] != 0 {
-			est[i] = s[i] / w[i]
-		} else {
-			est[i] = math.NaN()
-		}
-	}
-	return &Result{Estimates: est, Stats: eng.Stats().Sub(start)}, nil
-}
-
-// Rank computes Rank(q) = |{alive i : values[i] <= q}| with uniform
-// gossip, following Kempe et al.'s reduction of quantile/rank queries to
-// push-sum over indicator values scaled by a node count: every node runs
-// push-sum on (indicator, 1/n-distinguished weight)... in the
-// address-oblivious setting nodes cannot designate a distinguished peer,
-// so the standard form computes the indicator average and multiplies by
-// the (globally known) network size n. With crashes the count of alive
-// nodes is estimated by a second push-sum over membership indicators.
-func Rank(eng *sim.Engine, values []float64, q float64, opts Options) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), eng.N())
-	}
-	ind := make([]float64, len(values))
-	for i, v := range values {
-		if v <= q {
-			ind[i] = 1
-		}
-	}
-	avgRes, err := PushSum(eng, ind, opts)
-	if err != nil {
-		return nil, err
-	}
-	// The indicator average times the alive count is the rank; alive
-	// count = n when there are no crashes, else estimated by averaging
-	// constant-1 values (trivially 1) times... the engine's alive count
-	// is global knowledge here, matching the paper's assumption that n
-	// is known.
-	alive := float64(eng.NumAlive())
-	est := make([]float64, len(avgRes.Estimates))
-	for i, v := range avgRes.Estimates {
-		est[i] = v * alive
-	}
-	return &Result{Estimates: est, S: avgRes.S, W: avgRes.W, Stats: avgRes.Stats}, nil
 }

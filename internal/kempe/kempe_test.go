@@ -9,57 +9,6 @@ import (
 	"drrgossip/internal/sim"
 )
 
-func TestPushMaxConverges(t *testing.T) {
-	n := 2048
-	eng := sim.NewEngine(n, sim.Options{Seed: 71})
-	values := agg.GenUniform(n, -100, 100, 1)
-	res, err := PushMax(eng, values, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := agg.Exact(agg.Max, values, 0)
-	for i, v := range res.Estimates {
-		if v != want {
-			t.Fatalf("node %d estimate %v, want %v", i, v, want)
-		}
-	}
-}
-
-func TestPushMaxSpikePlacement(t *testing.T) {
-	// Adversarial: a single spike must still reach everyone.
-	n := 1024
-	eng := sim.NewEngine(n, sim.Options{Seed: 72})
-	values := agg.GenSpike(n, 999, 2)
-	res, err := PushMax(eng, values, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res.Estimates {
-		if v != 999 {
-			t.Fatalf("node %d missed the spike: %v", i, v)
-		}
-	}
-}
-
-func TestPushMaxMessageComplexity(t *testing.T) {
-	// Exactly n alive messages per round: Θ(n log n) total.
-	n := 4096
-	eng := sim.NewEngine(n, sim.Options{Seed: 73})
-	values := agg.GenUniform(n, 0, 1, 3)
-	res, err := PushMax(eng, values, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := int64(res.Stats.Rounds)
-	if res.Stats.Messages != rounds*int64(n) {
-		t.Fatalf("messages %d != rounds %d * n", res.Stats.Messages, rounds)
-	}
-	logn := math.Log2(float64(n))
-	if float64(rounds) < logn || float64(rounds) > 8*logn {
-		t.Fatalf("rounds %d not Θ(log n)", rounds)
-	}
-}
-
 func TestPushSumConverges(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 74})
@@ -163,26 +112,6 @@ func TestPushMaxOnChord(t *testing.T) {
 	}
 }
 
-func TestPushSumOnChord(t *testing.T) {
-	n := 256
-	ring, err := chord.New(n, chord.Options{Bits: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine(n, sim.Options{Seed: 79})
-	values := agg.GenUniform(n, 0, 100, 9)
-	res, err := PushSumOnChord(eng, ring, values, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := agg.Exact(agg.Average, values, 0)
-	for i, v := range res.Estimates {
-		if e := agg.RelError(v, want); e > 1e-5 {
-			t.Fatalf("node %d estimate %v, want %v", i, v, want)
-		}
-	}
-}
-
 func TestChordBaselineValidation(t *testing.T) {
 	ring, err := chord.New(64, chord.Options{Bits: 20})
 	if err != nil {
@@ -200,9 +129,6 @@ func TestChordBaselineValidation(t *testing.T) {
 
 func TestValueLengthValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 82})
-	if _, err := PushMax(eng, make([]float64, 4), Options{}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
 	if _, err := PushSum(eng, make([]float64, 4), Options{}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
@@ -216,43 +142,6 @@ func BenchmarkPushSum(b *testing.B) {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
 		if _, err := PushSum(eng, values, Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestRankBaseline(t *testing.T) {
-	n := 2048
-	eng := sim.NewEngine(n, sim.Options{Seed: 83})
-	values := agg.GenUniform(n, 0, 100, 10)
-	q := 37.5
-	res, err := Rank(eng, values, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := agg.Exact(agg.Rank, values, q)
-	for i, v := range res.Estimates {
-		if agg.RelError(v, want) > 1e-4 {
-			t.Fatalf("node %d rank %v, want %v", i, v, want)
-		}
-	}
-}
-
-func TestRankBaselineWithCrashes(t *testing.T) {
-	n := 2048
-	eng := sim.NewEngine(n, sim.Options{Seed: 84, CrashFrac: 0.2})
-	values := agg.GenUniform(n, 0, 100, 11)
-	q := 50.0
-	res, err := Rank(eng, values, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := agg.Exact(agg.Rank, agg.Subset(values, eng.AliveIDs()), q)
-	for i, v := range res.Estimates {
-		if !eng.Alive(i) {
-			continue
-		}
-		if agg.RelError(v, want) > 1e-3 {
-			t.Fatalf("node %d rank %v, want %v", i, v, want)
 		}
 	}
 }

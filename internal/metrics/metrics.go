@@ -56,6 +56,7 @@ type Fit struct {
 	R2      float64 // coefficient of determination
 }
 
+// String renders the fit as "C * shape (relRMSE r)".
 func (f Fit) String() string {
 	return fmt.Sprintf("%.4g * %s (relRMSE %.3f)", f.C, f.Shape.Name, f.RelRMSE)
 }
@@ -93,22 +94,6 @@ func FitShape(ns, ys []float64, s Shape) Fit {
 	return Fit{Shape: s, C: c, RelRMSE: math.Sqrt(relSq / float64(len(ns))), R2: r2}
 }
 
-// FitBest fits every candidate shape and returns the fits sorted by
-// ascending relative RMSE (best first).
-func FitBest(ns, ys []float64, shapes []Shape) []Fit {
-	fits := make([]Fit, 0, len(shapes))
-	for _, s := range shapes {
-		fits = append(fits, FitShape(ns, ys, s))
-	}
-	sort.Slice(fits, func(i, j int) bool { return fits[i].RelRMSE < fits[j].RelRMSE })
-	return fits
-}
-
-// BestShape returns the name of the best-fitting shape.
-func BestShape(ns, ys []float64, shapes []Shape) string {
-	return FitBest(ns, ys, shapes)[0].Shape.Name
-}
-
 // AffineFit is the result of fitting y ≈ A + C·f(n) — the form real
 // measurements take when protocols add constant round/message overheads
 // on top of the asymptotic term.
@@ -119,6 +104,7 @@ type AffineFit struct {
 	R2      float64
 }
 
+// String renders the fit as "A + C * shape (relRMSE r)".
 func (f AffineFit) String() string {
 	return fmt.Sprintf("%.4g + %.4g * %s (relRMSE %.3f)", f.A, f.C, f.Shape.Name, f.RelRMSE)
 }
@@ -251,15 +237,3 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Ratio pairs two measured series and returns ys[i]/xs[i] elementwise.
-func Ratio(ys, xs []float64) []float64 {
-	if len(ys) != len(xs) {
-		panic("metrics: Ratio length mismatch")
-	}
-	r := make([]float64, len(ys))
-	for i := range ys {
-		r[i] = ys[i] / xs[i]
-	}
-	return r
-}

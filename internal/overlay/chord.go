@@ -22,9 +22,6 @@ func NewChord(ring *chord.Ring) *Chord {
 	return &Chord{ring: ring, g: ring.Graph()}
 }
 
-// Ring exposes the underlying ring (for Chord-specific baselines).
-func (c *Chord) Ring() *chord.Ring { return c.ring }
-
 // Name implements Overlay.
 func (c *Chord) Name() string { return c.g.Name() }
 

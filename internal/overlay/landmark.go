@@ -98,9 +98,6 @@ func (l *Landmark) Name() string { return l.g.Name() }
 // Graph implements Overlay.
 func (l *Landmark) Graph() *graph.Graph { return l.g }
 
-// Landmark returns the tree root (exposed for tests).
-func (l *Landmark) Landmark() int { return l.landmark }
-
 // AppendRoute implements Overlay: climb both endpoints to their lowest
 // common ancestor in the landmark tree, appending the from-side ascent
 // as it goes, then write the to-side descent top-down into the

@@ -197,9 +197,6 @@ func (b *Buffer) Emit(ev *Event) { b.events = append(b.events, *ev) }
 // slice is the buffer's backing store; copy it before further Emits.
 func (b *Buffer) Events() []Event { return b.events }
 
-// Reset drops the captured events, keeping capacity.
-func (b *Buffer) Reset() { b.events = b.events[:0] }
-
 // multi fans events out to several sinks in order.
 type multi struct{ sinks []Sink }
 

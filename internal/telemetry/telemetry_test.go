@@ -77,10 +77,6 @@ func TestBuffer(t *testing.T) {
 	if len(b.Events()) != 2 {
 		t.Fatalf("buffer kept %d events, want 2", len(b.Events()))
 	}
-	b.Reset()
-	if len(b.Events()) != 0 {
-		t.Fatal("Reset did not drop events")
-	}
 }
 
 func TestMulti(t *testing.T) {

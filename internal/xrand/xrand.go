@@ -52,15 +52,6 @@ func DeriveStream(seed uint64, ids ...uint64) Stream {
 	return Stream{state: h, gamma: mixGamma(h + goldenGamma)}
 }
 
-// Split returns a new Stream statistically independent from s; s itself
-// advances. Useful to hand a child generator to a sub-computation without
-// coupling its consumption pattern to the parent's.
-func (s *Stream) Split() *Stream {
-	st := s.next()
-	g := mixGamma(s.next())
-	return &Stream{state: st, gamma: g}
-}
-
 // next advances the state and returns the raw (unmixed) state.
 func (s *Stream) next() uint64 {
 	s.state += s.gamma

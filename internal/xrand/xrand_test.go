@@ -167,20 +167,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(10)
-	child := parent.Split()
-	seen := make(map[uint64]bool)
-	for i := 0; i < 2000; i++ {
-		seen[parent.Uint64()] = true
-	}
-	for i := 0; i < 2000; i++ {
-		if seen[child.Uint64()] {
-			t.Fatalf("split child collided with parent at step %d", i)
-		}
-	}
-}
-
 func TestHashStateless(t *testing.T) {
 	if Hash(1, 2, 3) != Hash(1, 2, 3) {
 		t.Fatal("Hash not deterministic")

@@ -32,9 +32,10 @@ doc-check:
 	$(GO) run ./cmd/godoclint . ./internal/*/
 
 # Non-test Go lines in the main module (bench/ is its own module): the
-# net-lines figure each change reports.
+# net-lines figure each change reports. Go files under testdata/ are
+# fixtures, not program code.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Run every examples/* program end to end; each exits nonzero when its
 # computed answers are wrong. The binaries run inside a temporary

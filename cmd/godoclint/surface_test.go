@@ -42,7 +42,6 @@ var keep = map[string]string{
 	"graph.Graph.Regular":      "degree oracle of the graph generator tests",
 	"graph.Star":               "worst-case fixture of the overlay and Local-DRR tests",
 	"hms.Walk.Probes":          "certification-walk cost the HMS tests bound",
-	"metrics.FitShape":         "one-parameter reference fitter through which the shape tests check the live Shape curves",
 	"metrics.MessageShapes":    "shape list the fit tests run over",
 	"sim.AbortError.Unwrap":    "errors.Is and errors.As call it through an unnamed interface",
 	"sim.Engine.PendingEmpty":  "engine invariant the delivery, reset and SendEach tests assert",

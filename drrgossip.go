@@ -79,7 +79,6 @@ import (
 	"strings"
 	"time"
 
-	"drrgossip/internal/chord"
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/faults"
 	"drrgossip/internal/overlay"
@@ -255,12 +254,6 @@ type Config struct {
 	CrashFraction float64
 	// Topology selects Complete (default) or a sparse overlay.
 	Topology Topology
-	// ChordBits sets the Chord identifier width: 0 means 40, otherwise
-	// it must lie in [1,62] with 2^ChordBits >= N.
-	ChordBits int
-	// ChordHashed places Chord identifiers pseudo-randomly instead of
-	// evenly (more realistic, slightly non-uniform sampling).
-	ChordHashed bool
 	// Faults optionally injects a dynamic fault plan — mid-run crashes
 	// and rejoins, partitions, loss bursts, link blackouts, churn — built
 	// with ParseFaultPlan or the internal/faults generators. Plans with
@@ -471,14 +464,6 @@ func (c Config) validate() error {
 	if err := overlay.Check(c.Topology.spec(), c.N); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	if c.Topology.name == "chord" {
-		if c.ChordBits < 0 || c.ChordBits > 62 {
-			return fmt.Errorf("%w: ChordBits must be 0 (= 40) or in [1,62], got %d", ErrBadConfig, c.ChordBits)
-		}
-		if c.ChordBits != 0 && 1<<c.ChordBits < c.N {
-			return fmt.Errorf("%w: N = %d exceeds the 2^%d Chord identifier space", ErrBadConfig, c.N, c.ChordBits)
-		}
-	}
 	return nil
 }
 
@@ -496,24 +481,6 @@ func (c Config) simOptions() sim.Options {
 
 func (c Config) engine() *sim.Engine {
 	return sim.NewEngine(c.N, c.simOptions())
-}
-
-// buildOverlay constructs the configured sparse overlay. Chord honours
-// the ChordBits/ChordHashed knobs; everything else builds through the
-// registry, seeded by Config.Seed.
-func (c Config) buildOverlay() (overlay.Overlay, error) {
-	if c.Topology.name != "chord" {
-		return overlay.Build(c.Topology.spec(), c.N, c.Seed)
-	}
-	placement := chord.Even
-	if c.ChordHashed {
-		placement = chord.Hashed
-	}
-	ring, err := chord.New(c.N, chord.Options{Bits: c.ChordBits, Placement: placement, Seed: c.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return overlay.NewChord(ring), nil
 }
 
 // wrap renders a core pipeline result as the session's run record; the

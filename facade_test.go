@@ -171,11 +171,6 @@ func TestConfigValidation(t *testing.T) {
 		// meets the same check at New.
 		{N: 8, Seed: 1, Faults: faults.LossSpike(math.NaN(), faults.AtFrac(0.2), faults.AtFrac(0.8))},
 		{N: 8, Seed: 1, Faults: faults.LossSpike(1.5, faults.AtFrac(0.1), faults.AtFrac(0.9))},
-		// Chord's identifier width is checked at New like every other
-		// limit, not left to the ring constructor's raw error.
-		{N: 64, Seed: 1, Topology: Chord, ChordBits: -3},
-		{N: 64, Seed: 1, Topology: Chord, ChordBits: 63},
-		{N: 64, Seed: 1, Topology: Chord, ChordBits: 3}, // 2^3 < 64 identifiers
 	}
 	for _, spec := range []string{"loss:nan@0.2..0.8", "loss:NaN@0.1..0.9", "loss:1.5@0.2..0.8"} {
 		if _, err := ParseFaultPlan(spec); !errors.Is(err, ErrBadConfig) {
@@ -493,12 +488,6 @@ func TestChordParityPreRefactor(t *testing.T) {
 			cfg:  Config{N: 1024, Seed: 61, Topology: Chord},
 			max:  golden{value: 997.7031111253385, rounds: 1831, messages: 54051, trees: 57},
 			ave:  golden{value: 500.2693236525921, rounds: 5263, messages: 108039, trees: 57},
-		},
-		{
-			name: "hashed300",
-			cfg:  Config{N: 300, Seed: 5, Topology: Chord, ChordBits: 30, ChordHashed: true},
-			max:  golden{value: 999.6730652081209, rounds: 1597, messages: 18028, trees: 21},
-			ave:  golden{value: 501.86318670372515, rounds: 4573, messages: 40047, trees: 21},
 		},
 		{
 			name: "lossy512",

@@ -1,21 +1,36 @@
 // Package drr implements Phase I of DRR-gossip: Distributed Random
-// Ranking (Algorithm 1 of the paper).
+// Ranking (Algorithm 1 of the paper) on the complete graph, and its
+// Section 4 variant Local-DRR on sparse graphs.
 //
-// Every node chooses a rank independently and uniformly at random from
-// [0,1], then probes up to log2(n)-1 random nodes, one per round, until it
-// finds a node of higher rank; it connects to the first such node (sending
-// a connection message) or becomes a root if none is found. Because every
-// edge goes from lower to higher rank, the result is a forest of disjoint
-// trees with, whp, O(n/log n) trees (Theorem 2) of size O(log n) each
-// (Theorem 3), built in O(log n) rounds with O(n log log n) messages
-// (Theorem 4).
+// Both algorithms let every node choose a rank independently and
+// uniformly at random from [0,1] and connect to a higher-ranked node,
+// or become a root if it knows none. They differ only in how a node
+// finds that parent:
 //
-// Faithfulness under the failure model: a probe whose request or reply is
-// lost still consumes one of the node's log n - 1 attempts (the node
-// learns nothing that round). Connection messages are acknowledged and
-// retransmitted a bounded number of times — the paper's "repeated calls"
-// remark — and a node whose connection never succeeds becomes a root,
-// keeping the forest well defined.
+//   - Run (DRR) probes up to log2(n)-1 random nodes, one per round,
+//     and takes the first node of higher rank. The result has, whp,
+//     O(n/log n) trees (Theorem 2) of size O(log n) each (Theorem 3),
+//     built in O(log n) rounds with O(n log log n) messages (Theorem 4).
+//   - RunLocal (Local-DRR) exchanges ranks with its immediate
+//     neighbours (it may message all of them in one round, the standard
+//     message-passing assumption) and takes its highest-ranked
+//     neighbour. The trees have height O(log n) whp on any graph
+//     (Theorem 11), the expected tree count is Σ_i 1/(d_i + 1)
+//     (Theorem 13), and the phase costs O(1) rounds and O(|E|) messages.
+//
+// Every edge goes from lower to higher rank, so the result is a forest.
+// The connection step after the parent choice is shared: the child
+// sends its parent a connection message carrying its identifier.
+//
+// Faithfulness under the failure model: a probe whose request or reply
+// is lost still consumes one of the node's log n - 1 attempts (the node
+// learns nothing that round). Under loss Local-DRR repeats the rank
+// exchange a few rounds and ranks only the neighbours it heard from;
+// every edge still goes to a strictly higher rank, so loss only shifts
+// the tree boundaries. Connection messages are acknowledged and
+// retransmitted a bounded number of times — the paper's "repeated
+// calls" remark — and a node whose connection never succeeds becomes a
+// root, keeping the forest well defined.
 package drr
 
 import (
@@ -24,6 +39,7 @@ import (
 
 	"drrgossip/internal/bitset"
 	"drrgossip/internal/forest"
+	"drrgossip/internal/graph"
 	"drrgossip/internal/sim"
 )
 
@@ -40,11 +56,17 @@ type Options struct {
 // (each attempt fails with probability ≤ 2δ ≤ 1/4).
 const connectRetries = 8
 
+// Local-DRR repeats the rank exchange to mask loss: 1 round when the
+// engine is lossless, lossyRankExchanges otherwise.
+const lossyRankExchanges = 4
+
 // Result is the outcome of Phase I.
 type Result struct {
 	Forest *forest.Forest
 	Ranks  []float64 // the random ranks (NaN for crashed nodes)
-	Probes []int     // probes actually used per node (0 for crashed)
+	// Probes counts the probes each node used (0 for crashed). It is
+	// nil for Local-DRR, which does not probe.
+	Probes []int
 	Stats  sim.Counters
 	// Orphans counts nodes that found a higher-ranked parent but whose
 	// connection message never got acknowledged; they became roots.
@@ -77,32 +99,18 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("drr: probe budget must be >= 1, got %d", budget)
 	}
 	start := eng.Stats()
+	ranks, parent := drawRanks(eng)
 
-	ranks := make([]float64, n)
-	parent := make([]int, n)
-	// found/acked are per-node membership sets; dense bitsets keep the
-	// Phase I state at n/8 bytes apiece, which matters at million-node
-	// scale. They are only mutated on the engine's sequential paths
-	// (ResolveCalls handlers); ParallelFor workers read them.
-	found := bitset.New(n)
+	// Probing: one random sample per round per still-searching node. A
+	// node stops once parent[i] >= 0; parent is only written on the
+	// engine's sequential path (ResolveCalls), ParallelFor workers read it.
 	probes := make([]int, n)
-	sim.ParallelFor(n, func(i int) {
-		if eng.Alive(i) {
-			ranks[i] = eng.RNG(i).Float64()
-			parent[i] = forest.Root
-		} else {
-			ranks[i] = math.NaN()
-			parent[i] = forest.NotMember
-		}
-	})
-
-	// Probing: one random sample per round per still-searching node.
 	calls := eng.CallSlots()
 	for k := 0; k < budget; k++ {
 		eng.Tick()
 		sim.ParallelFor(n, func(i int) {
 			calls[i] = sim.Call{}
-			if !eng.Alive(i) || found.Test(i) {
+			if !eng.Alive(i) || parent[i] >= 0 {
 				return
 			}
 			u := eng.RNG(i).IntnOther(n, i)
@@ -116,24 +124,128 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 			},
 			func(caller int, resp sim.Payload) {
 				if resp.A > ranks[caller] {
-					found.Set(caller)
 					parent[caller] = int(resp.X)
 				}
 			})
 	}
+	return connect(eng, start, ranks, probes, parent)
+}
 
-	// Connection: nodes that found a parent send it a connection message
-	// carrying their identifier; the parent acknowledges (idempotently, so
-	// retries after a lost ack are harmless). Unacknowledged nodes retry up
-	// to connectRetries times and then fall back to being roots.
+// RunLocal executes Local-DRR on the engine over graph g (g.N() ==
+// eng.N()) and returns the ranking forest.
+func RunLocal(eng *sim.Engine, g *graph.Graph) (*Result, error) {
+	n := eng.N()
+	if g.N() != n {
+		return nil, fmt.Errorf("drr: graph has %d nodes, engine %d", g.N(), n)
+	}
+	exchanges := 1
+	if eng.Loss() != 0 {
+		exchanges = lossyRankExchanges
+	}
+	start := eng.Stats()
+	ranks, parent := drawRanks(eng)
+
+	// Rank exchange: every node sends its rank to all neighbours (the
+	// sparse model allows simultaneous neighbour messages in one round).
+	// A receiver only needs the best rank it heard, so each exchange
+	// folds receipts into heard/heardFrom as they are sent — senders in
+	// ascending id, first maximum kept — and after the Tick folds those
+	// into best/bestRank for receivers still alive: the same result, tie
+	// for tie, as scanning the delivered inboxes in send order.
+	best := make([]int, n) // highest-ranked neighbour heard from, -1 none
+	bestRank := make([]float64, n)
+	heardFrom := make([]int, n) // this exchange's best sender, -1 none
+	heard := make([]float64, n)
+	for i := range best {
+		best[i] = -1
+		bestRank[i] = math.Inf(-1)
+	}
+	// nbuf is this run's private neighbour buffer: parallel batch workers
+	// share one overlay graph, so the graph-owned Neighbors scratch of
+	// implicit/CSR representations must not be touched from here.
+	nbuf := make([]int, 0, 64)
+	for r := 0; r < exchanges; r++ {
+		for i := range heard {
+			heardFrom[i] = -1
+			heard[i] = math.Inf(-1)
+		}
+		for i := 0; i < n; i++ {
+			if !eng.Alive(i) {
+				continue
+			}
+			nbuf = g.NeighborsInto(i, nbuf)
+			from, rank := i, ranks[i]
+			eng.SendEach(from, nbuf, func(to int) {
+				if rank > heard[to] {
+					heard[to] = rank
+					heardFrom[to] = from
+				}
+			})
+		}
+		eng.Tick()
+		sim.ParallelFor(n, func(i int) {
+			if eng.Alive(i) && heard[i] > bestRank[i] {
+				bestRank[i] = heard[i]
+				best[i] = heardFrom[i]
+			}
+		})
+	}
+
+	// Local decision: connect to the highest-ranked neighbour if it
+	// outranks us, else become a root. Membership is decided by who is
+	// alive now, after the exchange rounds.
+	for i := 0; i < n; i++ {
+		switch {
+		case !eng.Alive(i):
+			parent[i] = forest.NotMember
+		case best[i] >= 0 && bestRank[i] > ranks[i]:
+			parent[i] = best[i]
+		default:
+			parent[i] = forest.Root
+		}
+	}
+	return connect(eng, start, ranks, nil, parent)
+}
+
+// drawRanks draws every alive node's rank from its own RNG stream and
+// makes it a root; crashed nodes get a NaN rank and stay out of the
+// forest.
+func drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
+	n := eng.N()
+	ranks = make([]float64, n)
+	parent = make([]int, n)
+	sim.ParallelFor(n, func(i int) {
+		if eng.Alive(i) {
+			ranks[i] = eng.RNG(i).Float64()
+			parent[i] = forest.Root
+		} else {
+			ranks[i] = math.NaN()
+			parent[i] = forest.NotMember
+		}
+	})
+	return ranks, parent
+}
+
+// connect is the connection step both algorithms end with. Every node
+// with a parent (parent[i] >= 0) sends it a connection message carrying
+// its identifier; the parent acknowledges (idempotently, so retries
+// after a lost ack are harmless). Unacknowledged nodes retry up to
+// connectRetries times and then fall back to being roots. The result's
+// Stats are the engine's counters since start.
+func connect(eng *sim.Engine, start sim.Counters, ranks []float64, probes, parent []int) (*Result, error) {
+	n := eng.N()
+	// The ack set is a dense bitset (n/8 bytes, which matters at
+	// million-node scale) mutated only from the sequential ResolveCalls
+	// path.
 	acked := bitset.New(n)
+	calls := eng.CallSlots()
 	orphans := 0
 	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
 		active := false
 		for i := 0; i < n; i++ {
 			calls[i] = sim.Call{}
-			if !eng.Alive(i) || !found.Test(i) || acked.Test(i) {
+			if !eng.Alive(i) || parent[i] < 0 || acked.Test(i) {
 				continue
 			}
 			active = true
@@ -151,11 +263,10 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 			})
 	}
 	for i := 0; i < n; i++ {
-		if found.Test(i) && !acked.Test(i) {
+		if parent[i] >= 0 && !acked.Test(i) {
 			// The child cannot be sure its parent registered it; failing
 			// open to a root keeps the forest consistent.
 			parent[i] = forest.Root
-			found.Clear(i)
 			orphans++
 		}
 	}

@@ -1,4 +1,4 @@
-package localdrr
+package drr
 
 import (
 	"fmt"
@@ -14,7 +14,7 @@ import (
 
 const kindRank uint8 = 0x11
 
-// runInbox is Run as it was when the rank exchange went through
+// runInbox is RunLocal as it was when the rank exchange went through
 // eng.Send and eng.Inbox: every rank became a queued Message and each
 // receiver scanned its delivered inbox. It is kept verbatim as the
 // differential reference for the SendEach exchange.
@@ -137,7 +137,7 @@ func runInbox(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	}, nil
 }
 
-// TestRankExchangeMatchesInboxReference runs Run and the verbatim
+// TestRankExchangeMatchesInboxReference runs RunLocal and the verbatim
 // Send/Inbox reference on twin engines and demands bit-identical
 // results — parent vector, ranks, phase counters, orphan count — and
 // identical engine state afterwards, across overlays and engine
@@ -196,7 +196,7 @@ func TestRankExchangeMatchesInboxReference(t *testing.T) {
 						eng.SetRoundHook(flap(eng))
 					}
 				}
-				got, err := Run(engs[0], g)
+				got, err := RunLocal(engs[0], g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -248,14 +248,14 @@ func TestRunAllocsFlatInN(t *testing.T) {
 		eng := sim.NewEngine(n, opts)
 		return testing.AllocsPerRun(3, func() {
 			eng.Reset(opts)
-			if _, err := Run(eng, g); err != nil {
+			if _, err := RunLocal(eng, g); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(1<<11), allocs(1<<13)
 	if large > small+8 {
-		t.Fatalf("Run allocates %.0f objects at n=2^13 vs %.0f at n=2^11; want flat in n", large, small)
+		t.Fatalf("RunLocal allocates %.0f objects at n=2^13 vs %.0f at n=2^11; want flat in n", large, small)
 	}
-	t.Logf("objects per Run: %.0f at n=2^11, %.0f at n=2^13", small, large)
+	t.Logf("objects per RunLocal: %.0f at n=2^11, %.0f at n=2^13", small, large)
 }

@@ -1,4 +1,4 @@
-package localdrr
+package drr
 
 import (
 	"math"
@@ -9,10 +9,10 @@ import (
 	"drrgossip/internal/sim"
 )
 
-func run(t *testing.T, g *graph.Graph, opts sim.Options) *Result {
+func runLocal(t *testing.T, g *graph.Graph, opts sim.Options) *Result {
 	t.Helper()
 	eng := sim.NewEngine(g.N(), opts)
-	res, err := Run(eng, g)
+	res, err := RunLocal(eng, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func run(t *testing.T, g *graph.Graph, opts sim.Options) *Result {
 }
 
 func TestForestValidOnRing(t *testing.T) {
-	res := run(t, graph.Ring(500), sim.Options{Seed: 1})
+	res := runLocal(t, graph.Ring(500), sim.Options{Seed: 1})
 	if err := res.Forest.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestForestValidOnRing(t *testing.T) {
 
 func TestParentIsNeighbourWithHigherRank(t *testing.T) {
 	g := graph.MustRandomRegular(400, 6, 3)
-	res := run(t, g, sim.Options{Seed: 2})
+	res := runLocal(t, g, sim.Options{Seed: 2})
 	f := res.Forest
 	for i := 0; i < f.N(); i++ {
 		p := f.Parent(i)
@@ -49,7 +49,7 @@ func TestParentIsNeighbourWithHigherRank(t *testing.T) {
 
 func TestLosslessParentIsHighestNeighbour(t *testing.T) {
 	g := graph.Torus(10, 10)
-	res := run(t, g, sim.Options{Seed: 3})
+	res := runLocal(t, g, sim.Options{Seed: 3})
 	f := res.Forest
 	for i := 0; i < f.N(); i++ {
 		bestNb, bestRank := -1, math.Inf(-1)
@@ -70,7 +70,7 @@ func TestLosslessParentIsHighestNeighbour(t *testing.T) {
 
 func TestRootsAreLocalMaxima(t *testing.T) {
 	g := graph.Ring(300)
-	res := run(t, g, sim.Options{Seed: 4})
+	res := runLocal(t, g, sim.Options{Seed: 4})
 	for _, r := range res.Forest.Roots() {
 		for _, nb := range g.Neighbors(r) {
 			if res.Ranks[nb] > res.Ranks[r] {
@@ -88,7 +88,7 @@ func TestHeightTheorem11(t *testing.T) {
 		graph.MustRandomRegular(4096, 8, 5),
 		graph.Hypercube(12),
 	} {
-		res := run(t, g, sim.Options{Seed: 6})
+		res := runLocal(t, g, sim.Options{Seed: 6})
 		h := float64(res.Forest.MaxHeight())
 		bound := 6 * math.Log2(float64(g.N()))
 		if h > bound {
@@ -106,7 +106,7 @@ func TestTreeCountTheorem13(t *testing.T) {
 		{graph.Torus(50, 60)},
 		{graph.MustRandomRegular(3000, 9, 7)},
 	} {
-		res := run(t, tc.g, sim.Options{Seed: 8})
+		res := runLocal(t, tc.g, sim.Options{Seed: 8})
 		got := float64(res.Forest.NumTrees())
 		want := tc.g.HarmonicDegreeSum()
 		if math.Abs(got-want) > 6*math.Sqrt(want) {
@@ -118,7 +118,7 @@ func TestTreeCountTheorem13(t *testing.T) {
 func TestOnChordGraph(t *testing.T) {
 	r := chord.MustNew(1024, chord.Options{Bits: 30, Placement: chord.Hashed, Seed: 9})
 	g := r.Graph()
-	res := run(t, g, sim.Options{Seed: 10})
+	res := runLocal(t, g, sim.Options{Seed: 10})
 	if err := res.Forest.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestOnChordGraph(t *testing.T) {
 
 func TestConstantRoundsLinearMessages(t *testing.T) {
 	g := graph.MustRandomRegular(2048, 8, 11)
-	res := run(t, g, sim.Options{Seed: 12})
+	res := runLocal(t, g, sim.Options{Seed: 12})
 	// 1 rank-exchange round + <= 8 connection rounds.
 	if res.Stats.Rounds > 10 {
 		t.Fatalf("rounds = %d", res.Stats.Rounds)
@@ -144,7 +144,7 @@ func TestConstantRoundsLinearMessages(t *testing.T) {
 func TestUnderLossStillValid(t *testing.T) {
 	g := graph.Torus(40, 40)
 	eng := sim.NewEngine(g.N(), sim.Options{Seed: 13, Loss: 0.125})
-	res, err := Run(eng, g)
+	res, err := RunLocal(eng, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestUnderLossStillValid(t *testing.T) {
 	}
 }
 
-func TestWithCrashes(t *testing.T) {
+func TestLocalWithCrashes(t *testing.T) {
 	g := graph.MustRandomRegular(1000, 6, 14)
 	eng := sim.NewEngine(g.N(), sim.Options{Seed: 15, CrashFrac: 0.2})
-	res, err := Run(eng, g)
+	res, err := RunLocal(eng, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +176,15 @@ func TestWithCrashes(t *testing.T) {
 
 func TestGraphSizeMismatch(t *testing.T) {
 	eng := sim.NewEngine(10, sim.Options{Seed: 1})
-	if _, err := Run(eng, graph.Ring(20)); err == nil {
+	if _, err := RunLocal(eng, graph.Ring(20)); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
 
-func TestDeterminism(t *testing.T) {
+func TestLocalDeterminism(t *testing.T) {
 	g := graph.Ring(256)
-	a := run(t, g, sim.Options{Seed: 16})
-	b := run(t, g, sim.Options{Seed: 16})
+	a := runLocal(t, g, sim.Options{Seed: 16})
+	b := runLocal(t, g, sim.Options{Seed: 16})
 	for i := 0; i < 256; i++ {
 		if a.Forest.Parent(i) != b.Forest.Parent(i) {
 			t.Fatalf("forests differ at %d", i)
@@ -197,7 +197,7 @@ func TestStarGraph(t *testing.T) {
 	// every leaf outranking the hub becomes a singleton root (its only
 	// neighbour is lower-ranked); the hub attaches to its best leaf if one
 	// outranks it.
-	res := run(t, graph.Star(100), sim.Options{Seed: 17})
+	res := runLocal(t, graph.Star(100), sim.Options{Seed: 17})
 	if err := res.Forest.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func BenchmarkLocalDRRTorus(b *testing.B) {
 	g := graph.Torus(64, 64)
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)})
-		if _, err := Run(eng, g); err != nil {
+		if _, err := RunLocal(eng, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestHeavyTailBarabasiAlbert(t *testing.T) {
 	// do; Theorem 13's harmonic sum still nails the tree count and
 	// Theorem 11's height bound still holds.
 	g := graph.BarabasiAlbert(4096, 3, 21)
-	res := run(t, g, sim.Options{Seed: 22})
+	res := runLocal(t, g, sim.Options{Seed: 22})
 	if err := res.Forest.Validate(); err != nil {
 		t.Fatal(err)
 	}

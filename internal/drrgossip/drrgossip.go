@@ -44,7 +44,6 @@ import (
 	"drrgossip/internal/drr"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
-	"drrgossip/internal/localdrr"
 	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 )
@@ -140,16 +139,13 @@ func decodeKeyRoot(key float64) int {
 // Run computes kind over values on eng: on the complete graph when ov is
 // nil, over the overlay's links and routes otherwise.
 func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
-	if ov == nil {
-		return RunForest(eng, buildDRR, kind, values)
-	}
-	return run(eng, ov, func(eng *sim.Engine) (*forest.Forest, []int, error) {
-		res, err := localdrr.Run(eng, ov.Graph())
-		if err != nil {
-			return nil, nil, err
+	build := buildDRR
+	if ov != nil {
+		build = func(eng *sim.Engine) (*forest.Forest, []int, error) {
+			return phaseOne(drr.RunLocal(eng, ov.Graph()))
 		}
-		return res.Forest, nil, nil
-	}, kind, values)
+	}
+	return run(eng, ov, build, kind, values)
 }
 
 // RunForest computes kind over values on the complete graph with build as
@@ -165,7 +161,12 @@ func RunForest(eng *sim.Engine, build func(*sim.Engine) (f *forest.Forest, rootT
 
 // buildDRR is Phase I on the complete graph: DRR (Algorithm 1).
 func buildDRR(eng *sim.Engine) (*forest.Forest, []int, error) {
-	res, err := drr.Run(eng, drr.Options{})
+	return phaseOne(drr.Run(eng, drr.Options{}))
+}
+
+// phaseOne adapts a DRR or Local-DRR outcome to a forest builder's
+// results; neither learns the root addresses.
+func phaseOne(res *drr.Result, err error) (*forest.Forest, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,6 +52,38 @@ func TestMaxOnChordHashedPlacement(t *testing.T) {
 	}
 }
 
+// TestHashedChordGolden pins Max and Ave on a 300-node Chord ring with
+// hashed 30-bit identifiers, a ring the topology registry does not
+// build, to golden numbers that must never drift.
+func TestHashedChordGolden(t *testing.T) {
+	n := 300
+	ring, err := chord.New(n, chord.Options{Bits: 30, Placement: chord.Hashed, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := agg.GenUniform(n, 0, 1000, 6)
+	for _, c := range []struct {
+		kind            Kind
+		value           float64
+		rounds          int
+		messages, drops int64
+		trees           int
+	}{
+		{kind: Max, value: 999.6730652081209, rounds: 1597, messages: 18028, trees: 21},
+		{kind: Ave, value: 501.86318670372515, rounds: 4573, messages: 40047, trees: 21},
+	} {
+		res, err := Run(sim.NewEngine(n, sim.Options{Seed: 5}), overlay.NewChord(ring), c.kind, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Value != c.value || res.Stats.Rounds != c.rounds || res.Stats.Messages != c.messages ||
+			res.Stats.Drops != c.drops || res.Forest.NumTrees() != c.trees {
+			t.Fatalf("kind %d drifted: got (value=%v rounds=%d msgs=%d drops=%d trees=%d), want %+v",
+				c.kind, res.Value, res.Stats.Rounds, res.Stats.Messages, res.Stats.Drops, res.Forest.NumTrees(), c)
+		}
+	}
+}
+
 func TestAveOnChordEndToEnd(t *testing.T) {
 	n := 1024
 	ring := evenRing(t, n)

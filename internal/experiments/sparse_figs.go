@@ -5,10 +5,10 @@ import (
 
 	"drrgossip/internal/agg"
 	"drrgossip/internal/chord"
+	"drrgossip/internal/drr"
 	"drrgossip/internal/drrgossip"
 	"drrgossip/internal/graph"
 	"drrgossip/internal/kempe"
-	"drrgossip/internal/localdrr"
 	"drrgossip/internal/metrics"
 	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
@@ -47,7 +47,7 @@ func RunF9(cfg Config) (*Report, error) {
 				seed := xrand.Hash(cfg.Seed, 0xF9, uint64(n), uint64(trial))
 				g := b.build(n, seed)
 				eng := sim.NewEngine(g.N(), sim.Options{Seed: seed})
-				res, err := localdrr.Run(eng, g)
+				res, err := drr.RunLocal(eng, g)
 				if err != nil {
 					return nil, err
 				}
@@ -122,7 +122,7 @@ func RunF10(cfg Config) (*Report, error) {
 			g := b.build(seed)
 			expect = g.HarmonicDegreeSum()
 			eng := sim.NewEngine(g.N(), sim.Options{Seed: seed})
-			res, err := localdrr.Run(eng, g)
+			res, err := drr.RunLocal(eng, g)
 			if err != nil {
 				return nil, err
 			}

@@ -23,8 +23,8 @@ func TestRepairParents(t *testing.T) {
 	}
 }
 
-// repair heals a copy of a valid parent vector the way drr and localdrr
-// do and builds the repaired forest.
+// repair heals a copy of a valid parent vector the way drr's connection
+// step does and builds the repaired forest.
 func repair(t *testing.T, parent []int, alive func(int) bool) (*Forest, int) {
 	t.Helper()
 	parent = append([]int(nil), parent...)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"drrgossip/internal/chord"
-	"drrgossip/internal/localdrr"
+	"drrgossip/internal/drr"
 	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 )
@@ -16,7 +16,7 @@ func TestClimbPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 68})
-	res, err := localdrr.Run(eng, overlay.NewChord(ring).Graph())
+	res, err := drr.RunLocal(eng, overlay.NewChord(ring).Graph())
 	if err != nil {
 		t.Fatal(err)
 	}

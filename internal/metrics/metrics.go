@@ -4,9 +4,9 @@
 // The paper's claims are asymptotic (e.g. DRR-gossip uses O(n log log n)
 // messages while uniform gossip uses O(n log n)). The experiments verify
 // such claims by measuring a quantity at several network sizes and asking
-// which candidate growth shape c·f(n) explains the measurements best, via
-// one-parameter least squares. Absolute constants are reported but never
-// asserted; only the winning shape is.
+// which candidate growth shape A + C·f(n) explains the measurements best,
+// via least squares. Absolute constants are reported but never asserted;
+// only the winning shape is.
 package metrics
 
 import (
@@ -15,7 +15,7 @@ import (
 	"sort"
 )
 
-// Shape is a candidate growth function f(n) for one-parameter fits y ≈ c·f(n).
+// Shape is a candidate growth function f(n) for fits y ≈ A + C·f(n).
 type Shape struct {
 	Name string
 	F    func(n float64) float64
@@ -47,52 +47,6 @@ var TimeShapes = []Shape{ShapeConst, ShapeLogLogN, ShapeLogN, ShapeLogNLogL, Sha
 
 // MessageShapes are the candidates used when fitting message counts.
 var MessageShapes = []Shape{ShapeN, ShapeNLogLogN, ShapeNLogN, ShapeNLog2N, ShapeN2}
-
-// Fit is the result of fitting y ≈ C·f(n) for a single shape.
-type Fit struct {
-	Shape   Shape
-	C       float64 // least-squares constant
-	RelRMSE float64 // root mean square of (y - C·f)/y
-	R2      float64 // coefficient of determination
-}
-
-// String renders the fit as "C * shape (relRMSE r)".
-func (f Fit) String() string {
-	return fmt.Sprintf("%.4g * %s (relRMSE %.3f)", f.C, f.Shape.Name, f.RelRMSE)
-}
-
-// FitShape fits y ≈ C·f(n) by least squares over the given samples.
-// ns and ys must have equal nonzero length and ys must be positive.
-func FitShape(ns, ys []float64, s Shape) Fit {
-	if len(ns) != len(ys) || len(ns) == 0 {
-		panic("metrics: FitShape needs equal-length nonempty samples")
-	}
-	var sfy, sff float64
-	for i := range ns {
-		f := s.F(ns[i])
-		sfy += f * ys[i]
-		sff += f * f
-	}
-	c := sfy / sff
-	var sse, sst, relSq float64
-	mean := Mean(ys)
-	for i := range ns {
-		pred := c * s.F(ns[i])
-		d := ys[i] - pred
-		sse += d * d
-		m := ys[i] - mean
-		sst += m * m
-		if ys[i] != 0 {
-			r := d / ys[i]
-			relSq += r * r
-		}
-	}
-	r2 := 1.0
-	if sst > 0 {
-		r2 = 1 - sse/sst
-	}
-	return Fit{Shape: s, C: c, RelRMSE: math.Sqrt(relSq / float64(len(ns))), R2: r2}
-}
 
 // AffineFit is the result of fitting y ≈ A + C·f(n) — the form real
 // measurements take when protocols add constant round/message overheads

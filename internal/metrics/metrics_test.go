@@ -9,28 +9,32 @@ import (
 
 var testSizes = []float64{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
-// planted generates y = c*f(n)*(1+noise) and checks the fitter recovers the
-// planted shape against the given competitors.
+// checkPlanted draws y = c*f(n)*(1+noise) under 200 noise seeds and
+// checks that the affine fitter recovers the planted shape: it is the
+// best fit in more draws than any competitor, and its own fitted
+// constant stays within 20% of c in every draw. A single draw cannot
+// decide this, because the intercept costs the fit a degree of freedom
+// on nine sizes: 5% noise makes affine n beat planted n loglog n in
+// about one draw in five.
 func checkPlanted(t *testing.T, c float64, planted Shape, competitors []Shape, noise float64) {
 	t.Helper()
-	rng := xrand.New(123)
+	const draws = 200
+	wins := map[string]int{}
 	ys := make([]float64, len(testSizes))
-	for i, n := range testSizes {
-		ys[i] = c * planted.F(n) * (1 + noise*(2*rng.Float64()-1))
-	}
-	var fits []Fit
-	best := 0
-	for k, s := range competitors {
-		fits = append(fits, FitShape(testSizes, ys, s))
-		if fits[k].RelRMSE < fits[best].RelRMSE {
-			best = k
+	for seed := uint64(0); seed < draws; seed++ {
+		rng := xrand.New(seed)
+		for i, n := range testSizes {
+			ys[i] = c * planted.F(n) * (1 + noise*(2*rng.Float64()-1))
+		}
+		wins[FitAffineBest(testSizes, ys, competitors)[0].Shape.Name]++
+		if f := FitAffine(testSizes, ys, planted); math.Abs(f.C-c)/c > 0.2 {
+			t.Fatalf("seed %d: planted constant %v, recovered %v", seed, c, f.C)
 		}
 	}
-	if fits[best].Shape.Name != planted.Name {
-		t.Fatalf("planted %q, best fit %q (fits: %v)", planted.Name, fits[best].Shape.Name, fits)
-	}
-	if math.Abs(fits[best].C-c)/c > 0.2 {
-		t.Fatalf("planted constant %v, recovered %v", c, fits[best].C)
+	for _, s := range competitors {
+		if s.Name != planted.Name && wins[s.Name] >= wins[planted.Name] {
+			t.Fatalf("planted %q wins %d of %d draws, %q wins %d", planted.Name, wins[planted.Name], draws, s.Name, wins[s.Name])
+		}
 	}
 }
 
@@ -57,9 +61,9 @@ func TestFitRecoversLog2N(t *testing.T) {
 func TestFitExact(t *testing.T) {
 	ns := []float64{100, 200, 400}
 	ys := []float64{500, 1000, 2000} // y = 5n
-	f := FitShape(ns, ys, ShapeN)
-	if math.Abs(f.C-5) > 1e-9 {
-		t.Fatalf("C = %v, want 5", f.C)
+	f := FitAffine(ns, ys, ShapeN)
+	if math.Abs(f.A) > 1e-9 || math.Abs(f.C-5) > 1e-9 {
+		t.Fatalf("A, C = %v, %v, want 0, 5", f.A, f.C)
 	}
 	if f.RelRMSE > 1e-12 {
 		t.Fatalf("RelRMSE = %v for exact fit", f.RelRMSE)
@@ -67,15 +71,6 @@ func TestFitExact(t *testing.T) {
 	if math.Abs(f.R2-1) > 1e-12 {
 		t.Fatalf("R2 = %v for exact fit", f.R2)
 	}
-}
-
-func TestFitShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths did not panic")
-		}
-	}()
-	FitShape([]float64{1}, []float64{1, 2}, ShapeN)
 }
 
 func TestMeanStd(t *testing.T) {
@@ -141,8 +136,8 @@ func TestShapeSeparation(t *testing.T) {
 		for i, n := range testSizes {
 			ys[i] = 2.7 * p.slow.F(n)
 		}
-		slowFit := FitShape(testSizes, ys, p.slow)
-		fastFit := FitShape(testSizes, ys, p.fast)
+		slowFit := FitAffine(testSizes, ys, p.slow)
+		fastFit := FitAffine(testSizes, ys, p.fast)
 		if slowFit.RelRMSE >= fastFit.RelRMSE {
 			t.Fatalf("%s data: slow fit %v not better than fast fit %v",
 				p.slow.Name, slowFit.RelRMSE, fastFit.RelRMSE)

@@ -129,7 +129,7 @@ func New(cfg Config) (*Network, error) {
 		nw.em = telemetry.NewEmitter(*cfg.Telemetry)
 	}
 	if !cfg.Topology.isComplete() {
-		ov, err := cfg.buildOverlay()
+		ov, err := overlay.Build(cfg.Topology.spec(), cfg.N, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -44,6 +44,7 @@ var keep = map[string]string{
 	"hms.Walk.Probes":          "certification-walk cost the HMS tests bound",
 	"metrics.MessageShapes":    "shape list the fit tests run over",
 	"sim.AbortError.Unwrap":    "errors.Is and errors.As call it through an unnamed interface",
+	"sim.Core.AliveIDs":        "survivor list the facade, baseline and engine tests compute exact references over",
 	"sim.Engine.PendingEmpty":  "engine invariant the delivery, reset and SendEach tests assert",
 	"telemetry.NewRing":        "ring sink of the gated BenchmarkPerfTelemetry paired benchmark",
 	"telemetry.Ring.Events":    "ring read-out the telemetry tests check",

@@ -55,7 +55,7 @@ func TestAllAlgorithmsAgreeOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: 69}), values, kempe.Options{})
+	mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: 69}), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMessageOrderingAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: 73}), values, kempe.Options{})
+	mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: 73}), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestChordDRRBeatsChordUniformOnMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ures, err := kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: 79}), ring, values, kempe.Options{})
+	ures, err := kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: 79}), ring, values)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ type Options struct {
 	// Corpus is a set of pinned reproducer lines (Case.String form)
 	// replayed before the generated cases — the regression corpus.
 	Corpus []string
-	// ShrinkBudget caps the battery evaluations spent minimising each
-	// failure (0 = DefaultShrinkBudget).
-	ShrinkBudget int
 	// ForceMethod, when non-nil, overrides every generated case's
 	// quantile method — the per-method calibration campaigns pin both
 	// drivers to the same case sequence. Corpus lines keep their own.
@@ -82,7 +79,7 @@ func Fuzz(opts Options) (*Report, error) {
 		if len(vs) == 0 {
 			return
 		}
-		min := Shrink(c, func(cand Case) bool { return len(CheckCase(cand)) > 0 }, opts.ShrinkBudget)
+		min := Shrink(c, func(cand Case) bool { return len(CheckCase(cand)) > 0 }, DefaultShrinkBudget)
 		rep.Failures = append(rep.Failures, Failure{
 			Case:       c,
 			Violations: vs,

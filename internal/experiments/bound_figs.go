@@ -40,7 +40,7 @@ func RunF12(cfg Config) (*Report, error) {
 			oa = append(oa, float64(ores.MessagesAll)/float64(n))
 
 			// Rumor spreading: one value to everyone.
-			kres, err := karp.Spread(sim.NewEngine(n, sim.Options{Seed: seed + 1}), 0, karp.Options{})
+			kres, err := karp.Spread(sim.NewEngine(n, sim.Options{Seed: seed + 1}), 0)
 			if err != nil {
 				return nil, err
 			}

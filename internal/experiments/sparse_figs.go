@@ -173,7 +173,7 @@ func RunF11(cfg Config) (*Report, error) {
 				okAll = false
 			}
 
-			kres, err := kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: seed + 1}), ring, values, kempe.Options{})
+			kres, err := kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: seed + 1}), ring, values)
 			if err != nil {
 				return nil, err
 			}

@@ -71,7 +71,7 @@ func RunT1(cfg Config) (*Report, error) {
 				relErr:   agg.RelError(kres.Value, want),
 			}
 
-			mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: seed + 2}), values, kempe.Options{})
+			mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: seed + 2}), values)
 			if err != nil {
 				o.err = err
 				return

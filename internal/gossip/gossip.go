@@ -39,11 +39,11 @@ const (
 	kindAveShare  uint8 = 0x34
 )
 
-// lossInflate scales a round budget by the paper's 1/(1-ρ) factor, where
+// LossInflate scales a round budget by the paper's 1/(1-ρ) factor, where
 // ρ = 2δ is the per-relay link-failure probability, further divided by the
 // alive fraction (shares aimed at initially-crashed relays are wasted
 // rounds).
-func lossInflate(base int, eng *sim.Engine) int {
+func LossInflate(base int, eng *sim.Engine) int {
 	rho := 2 * eng.Loss()
 	if rho >= 0.9 {
 		rho = 0.9
@@ -52,7 +52,9 @@ func lossInflate(base int, eng *sim.Engine) int {
 	return int(math.Ceil(float64(base)/((1-rho)*alive))) + 1
 }
 
-func ceilLog2(n int) int {
+// CeilLog2 is ⌈log2 n⌉, at least 1: the log n of the paper's round
+// budgets.
+func CeilLog2(n int) int {
 	l := int(math.Ceil(math.Log2(float64(n))))
 	if l < 1 {
 		l = 1
@@ -74,55 +76,19 @@ type MaxResult struct {
 
 // Max runs Algorithm 4 on the roots of the transport's forest. init holds
 // every root's initial value by root slot (e.g. the convergecast-max of
-// its tree). The gossip procedure runs O(log n) iterations, the sampling
-// procedure O(log n) more, each scaled by the transport (loss-inflated on
-// the relay) and each taking the transport's exchange time.
+// its tree). The gossip procedure (Push) runs O(log n) iterations, the
+// sampling procedure O(log n) more, each scaled by the transport
+// (loss-inflated on the relay) and each taking the transport's exchange
+// time.
 func Max(tr Transport, init []float64) (*MaxResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
-	if len(init) != len(roots) {
-		return nil, fmt.Errorf("gossip: %d init values for %d roots", len(init), len(roots))
-	}
 	start := eng.Stats()
 	val := append([]float64(nil), init...)
-	gossipRounds := tr.iterations(2*ceilLog2(eng.N()) + 12)
-	sampleRounds := tr.iterations(ceilLog2(eng.N()) + 8)
-	ticks, walk := tr.ticks(), walksDeliveries(tr)
-	// land lets one exchange arrive, adopting every larger value of kind.
-	land := func(kind uint8) {
-		adopt := func(k int) {
-			for _, m := range eng.Inbox(roots[k]) {
-				if m.Pay.Kind == kind && m.Pay.A > val[k] {
-					val[k] = m.Pay.A
-				}
-			}
-		}
-		for tick := 0; tick < ticks; tick++ {
-			eng.Tick()
-			if walk {
-				for _, i := range eng.Delivered() {
-					if f.IsRoot(i) {
-						adopt(f.Slot(i))
-					}
-				}
-			} else {
-				for k := range roots {
-					adopt(k)
-				}
-			}
-		}
-	}
-
-	// Gossip procedure: push the current estimate to a random node's root.
-	// Roots that crash mid-run place no further calls (their estimate
-	// freezes; the rest of the clique keeps gossiping).
-	for t := 0; t < gossipRounds; t++ {
-		for k, r := range roots {
-			if eng.Alive(r) {
-				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[k]})
-			}
-		}
-		land(kindGossipVal)
+	gossipRounds := tr.iterations(2*CeilLog2(eng.N()) + 12)
+	sampleRounds := tr.iterations(CeilLog2(eng.N()) + 8)
+	if err := Push(tr, val, gossipRounds); err != nil {
+		return nil, err
 	}
 	after := append([]float64(nil), val...)
 
@@ -137,6 +103,7 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 			}
 		}
 	}
+	ticks, walk := tr.ticks(), walksDeliveries(tr)
 	for t := 0; t < sampleRounds; t++ {
 		for _, r := range roots {
 			if eng.Alive(r) {
@@ -146,31 +113,65 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 		inquiries = inquiries[:0]
 		for tick := 0; tick < ticks; tick++ {
 			eng.Tick()
+			start := len(inquiries)
+			eachLanded(tr, gather)
 			if walk {
-				start := len(inquiries)
-				for _, i := range eng.Delivered() {
-					if f.IsRoot(i) {
-						gather(f.Slot(i))
-					}
-				}
 				// Replies go out in responder-slot order, as after a scan.
 				slices.SortStableFunc(inquiries[start:], func(a, b inquiry) int { return cmp.Compare(a.to, b.to) })
-			} else {
-				for k := range roots {
-					gather(k)
-				}
 			}
 		}
 		for _, q := range inquiries {
 			tr.reply(roots[q.to], q.from, sim.Payload{Kind: kindInqReply, A: val[q.to]})
 		}
-		land(kindInqReply)
+		land(tr, val, kindInqReply)
 	}
 	return &MaxResult{
 		Estimates:   val,
 		AfterGossip: after,
 		Stats:       eng.Stats().Sub(start),
 	}, nil
+}
+
+// Push runs the gossip procedure of Gossip-max for the given number of
+// iterations: every live root pushes its estimate to a random node's
+// root, and every root adopts each larger value that lands. val holds
+// the estimates by root slot and is updated in place. Roots that crash
+// mid-run place no further calls (their estimate freezes; the rest of
+// the clique keeps gossiping). Max runs it before its sampling
+// procedure; on the singleton forest it is the uniform push gossip of
+// Kempe et al.
+func Push(tr Transport, val []float64, iterations int) error {
+	eng, f := tr.env()
+	roots := f.Roots()
+	if len(val) != len(roots) {
+		return fmt.Errorf("gossip: %d init values for %d roots", len(val), len(roots))
+	}
+	for t := 0; t < iterations; t++ {
+		for k, r := range roots {
+			if eng.Alive(r) {
+				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[k]})
+			}
+		}
+		land(tr, val, kindGossipVal)
+	}
+	return nil
+}
+
+// land lets one exchange arrive, adopting every larger value of kind.
+func land(tr Transport, val []float64, kind uint8) {
+	eng, f := tr.env()
+	roots := f.Roots()
+	adopt := func(k int) {
+		for _, m := range eng.Inbox(roots[k]) {
+			if m.Pay.Kind == kind && m.Pay.A > val[k] {
+				val[k] = m.Pay.A
+			}
+		}
+	}
+	for tick := tr.ticks(); tick > 0; tick-- {
+		eng.Tick()
+		eachLanded(tr, adopt)
+	}
 }
 
 // Spread runs Data-spread (Algorithm 5): the source root's value is
@@ -247,8 +248,8 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 	}
 	start := eng.Stats()
 	mass := append([]convergecast.MomentsVec(nil), init...)
-	rounds := tr.iterations(4*ceilLog2(eng.N()) + 24)
-	ticks, walk := tr.ticks(), walksDeliveries(tr)
+	rounds := tr.iterations(4*CeilLog2(eng.N()) + 24)
+	ticks := tr.ticks()
 
 	// Optional contribution tracking for the Lemma 8 potential, indexed
 	// by root slot.
@@ -374,17 +375,7 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 				}
 				pending = kept
 			}
-			if walk {
-				for _, i := range eng.Delivered() {
-					if f.IsRoot(i) {
-						credit(f.Slot(i))
-					}
-				}
-			} else {
-				for k := range roots {
-					credit(k)
-				}
-			}
+			eachLanded(tr, credit)
 			if eng.WantResidual() {
 				eng.ReportResidual(estimateSpread(mass))
 			}
@@ -426,6 +417,25 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 // either way, so per-root accumulations are unchanged; output whose order
 // spans roots is sorted by slot after a walk.
 func walksDeliveries(tr Transport) bool { return tr.ticks() > 1 }
+
+// eachLanded calls read with the slot of every root whose inbox the last
+// Tick may have filled: the roots among eng.Delivered(), in order of
+// first delivery, when the transport walks deliveries, and every root in
+// slot order otherwise.
+func eachLanded(tr Transport, read func(k int)) {
+	eng, f := tr.env()
+	if walksDeliveries(tr) {
+		for _, i := range eng.Delivered() {
+			if f.IsRoot(i) {
+				read(f.Slot(i))
+			}
+		}
+		return
+	}
+	for k := 0; k < f.NumTrees(); k++ {
+		read(k)
+	}
+}
 
 // ratio is a root's push-sum estimate s/g, NaN while it has no weight.
 func ratio(m convergecast.MomentsVec) float64 {

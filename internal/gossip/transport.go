@@ -70,7 +70,7 @@ func Relay(eng *sim.Engine, f *forest.Forest, rootTo []int) (Transport, error) {
 
 func (t *relay) env() (*sim.Engine, *forest.Forest) { return t.eng, t.f }
 
-func (t *relay) iterations(base int) int { return lossInflate(base, t.eng) }
+func (t *relay) iterations(base int) int { return LossInflate(base, t.eng) }
 
 func (t *relay) ticks() int { return 1 }
 
@@ -173,7 +173,7 @@ func (t *route) ship(r int, pay sim.Payload, reliable bool) (bool, int, int) {
 		t.eng.SendRouted(r, t.path, pay)
 		return true, dst, due
 	}
-	return t.eng.SendRoutedReliable(r, t.path, pay, 0), dst, due
+	return t.eng.SendRoutedReliable(r, t.path, pay), dst, due
 }
 
 // appendClimb appends the tree path from node j up to its root

@@ -63,9 +63,6 @@ type Options struct {
 	Target int
 	// Count is the alive population m, as measured by a Count run.
 	Count int
-	// Batches overrides the number of sampling batches (0 = the default
-	// 2·ceil(log2 m) + 24, the O(log n) schedule of the paper).
-	Batches int
 }
 
 // Summary is the outcome of a sampling session: the retained in-interval
@@ -89,13 +86,6 @@ type Summary struct {
 	Target, Count int
 	// Batches is the number of sampling batches executed.
 	Batches int
-}
-
-// defaultBatches is the O(log n) sampling schedule: enough batches that
-// every population value near the target is expected to appear ~b times
-// in the multiset (miss probability e^-b per value).
-func defaultBatches(m int) int {
-	return 2*ceilLog2(m) + 24
 }
 
 func ceilLog2(n int) int {
@@ -134,11 +124,12 @@ func epochSizes(batches int) []int {
 	return sizes
 }
 
-// Sample runs one sampling session on the engine: Batches gossip-sampling
-// batches with interval pruning between epochs. ov selects the transport:
-// nil uses the complete graph's synchronous calls (one round per batch),
-// non-nil routes request/reply pairs over the overlay (2·RouteBound
-// rounds per batch). values[i] is node i's input.
+// Sample runs one sampling session on the engine: 2·⌈log2 m⌉ + 24
+// gossip-sampling batches (the O(log n) schedule of the paper, m =
+// opts.Count) with interval pruning between epochs. ov selects the
+// transport: nil uses the complete graph's synchronous calls (one round
+// per batch), non-nil routes request/reply pairs over the overlay
+// (2·RouteBound rounds per batch). values[i] is node i's input.
 func Sample(eng *sim.Engine, ov overlay.Overlay, values []float64, opts Options) (*Summary, error) {
 	n := eng.N()
 	if len(values) != n {
@@ -158,10 +149,10 @@ func Sample(eng *sim.Engine, ov overlay.Overlay, values []float64, opts Options)
 	if t > m {
 		t = m
 	}
-	batches := opts.Batches
-	if batches <= 0 {
-		batches = defaultBatches(m)
-	}
+	// The O(log n) sampling schedule: enough batches that every
+	// population value near the target is expected to appear ~b times in
+	// the multiset (miss probability e^-b per value).
+	batches := 2*ceilLog2(m) + 24
 	eng.SetPhase(PhaseName)
 
 	s := &Summary{

@@ -23,15 +23,6 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// Options tune the spreader; zero values pick contract defaults.
-type Options struct {
-	// CounterMax is the counter value at which a player stops
-	// transmitting (0 = ceil(log2 log2 n) + 4).
-	CounterMax int
-	// MaxRounds bounds the run (0 = 6 log2 n + 30, loss-inflated).
-	MaxRounds int
-}
-
 // Result reports a rumor-spreading run.
 type Result struct {
 	// RoundsToAllInformed is the first round at which every alive node
@@ -50,10 +41,9 @@ type Result struct {
 
 const kindExchange uint8 = 0x71
 
-func (o Options) counterMax(n int) int {
-	if o.CounterMax != 0 {
-		return o.CounterMax
-	}
+// counterMax is the counter value at which a player stops transmitting:
+// ceil(log2 log2 n) + 4.
+func counterMax(n int) int {
 	loglog := math.Ceil(math.Log2(math.Log2(float64(n))))
 	if loglog < 1 {
 		loglog = 1
@@ -61,10 +51,8 @@ func (o Options) counterMax(n int) int {
 	return int(loglog) + 4
 }
 
-func (o Options) maxRounds(n int, loss float64) int {
-	if o.MaxRounds != 0 {
-		return o.MaxRounds
-	}
+// maxRounds bounds the run: 6 log2 n + 30, loss-inflated.
+func maxRounds(n int, loss float64) int {
 	base := 6*int(math.Ceil(math.Log2(float64(n)))) + 30
 	if loss > 0 {
 		base = int(float64(base)/(1-2*math.Min(loss, 0.4))) + 1
@@ -74,7 +62,7 @@ func (o Options) maxRounds(n int, loss float64) int {
 
 // Spread spreads a rumor from source to all nodes. The source must be
 // alive.
-func Spread(eng *sim.Engine, source int, opts Options) (*Result, error) {
+func Spread(eng *sim.Engine, source int) (*Result, error) {
 	n := eng.N()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("karp: source %d out of range", source)
@@ -83,8 +71,8 @@ func Spread(eng *sim.Engine, source int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("karp: source %d crashed", source)
 	}
 	start := eng.Stats()
-	ctMax := opts.counterMax(n)
-	maxRounds := opts.maxRounds(n, eng.Loss())
+	ctMax := counterMax(n)
+	budget := maxRounds(n, eng.Loss())
 
 	informed := make([]bool, n)
 	ctr := make([]int, n)
@@ -104,7 +92,7 @@ func Spread(eng *sim.Engine, source int, opts Options) (*Result, error) {
 	}
 
 	round := 0
-	for ; round < maxRounds; round++ {
+	for ; round < budget; round++ {
 		anyActive := false
 		for i := 0; i < n; i++ {
 			calls[i] = sim.Call{}

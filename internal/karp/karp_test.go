@@ -10,7 +10,7 @@ import (
 func TestSpreadInformsAll(t *testing.T) {
 	for _, n := range []int{256, 2048} {
 		eng := sim.NewEngine(n, sim.Options{Seed: 111})
-		res, err := Spread(eng, 0, Options{})
+		res, err := Spread(eng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func TestSpreadInformsAll(t *testing.T) {
 func TestRoundsLogarithmic(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 112})
-	res, err := Spread(eng, 5, Options{})
+	res, err := Spread(eng, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTransmissionsNLogLogN(t *testing.T) {
 	// transmissions-per-node like loglog n (flat), not like log n (+2).
 	perNode := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 113})
-		res, err := Spread(eng, 0, Options{})
+		res, err := Spread(eng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,12 +68,11 @@ func TestProtocolQuiesces(t *testing.T) {
 	// end well before the round cap.
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 114})
-	opts := Options{}
-	res, err := Spread(eng, 0, opts)
+	res, err := Spread(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds >= opts.maxRounds(n, 0) {
+	if res.Rounds >= maxRounds(n, 0) {
 		t.Fatalf("protocol did not quiesce: ran %d rounds", res.Rounds)
 	}
 }
@@ -81,7 +80,7 @@ func TestProtocolQuiesces(t *testing.T) {
 func TestUnderLoss(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 115, Loss: 0.125})
-	res, err := Spread(eng, 0, Options{})
+	res, err := Spread(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestWithCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 116, CrashFrac: 0.25})
 	src := eng.AliveIDs()[0]
-	res, err := Spread(eng, src, Options{})
+	res, err := Spread(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestWithCrashes(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine(64, sim.Options{Seed: 117, CrashFrac: 0.5})
-	if _, err := Spread(eng, -1, Options{}); err == nil {
+	if _, err := Spread(eng, -1); err == nil {
 		t.Fatal("negative source accepted")
 	}
 	var dead int
@@ -115,7 +114,7 @@ func TestValidation(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Spread(eng, dead, Options{}); err == nil {
+	if _, err := Spread(eng, dead); err == nil {
 		t.Fatal("crashed source accepted")
 	}
 }
@@ -123,7 +122,7 @@ func TestValidation(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() *Result {
 		eng := sim.NewEngine(512, sim.Options{Seed: 118})
-		res, err := Spread(eng, 0, Options{})
+		res, err := Spread(eng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +138,7 @@ func BenchmarkSpread(b *testing.B) {
 	n := 4096
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := Spread(eng, 0, Options{}); err != nil {
+		if _, err := Spread(eng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,10 @@
 // Package kempe implements the two uniform-gossip baselines of Kempe,
 // Dobra and Gehrke (FOCS 2003) that the experiments compare DRR-gossip
-// against.
+// against, as DRR-gossip's Phase III on the singleton forest: every node
+// is its own root, so the root-level gossip of internal/gossip becomes
+// gossip among all n nodes. That is the whole difference the paper makes
+// — DRR-gossip runs the same push-sum and push-max among its
+// O(n/log n) tree roots.
 //
 // PushSum computes the Average on the complete graph (Table 1). Every
 // node gossips every round, so the protocol is address-oblivious, takes
@@ -19,21 +23,12 @@ import (
 	"math"
 
 	"drrgossip/internal/chord"
+	"drrgossip/internal/convergecast"
+	"drrgossip/internal/forest"
+	"drrgossip/internal/gossip"
+	"drrgossip/internal/overlay"
 	"drrgossip/internal/sim"
 )
-
-const (
-	kindShare uint8 = 0x51
-	kindMax   uint8 = 0x52
-)
-
-// Options tune the baselines; zero values pick paper-scaled defaults.
-type Options struct {
-	// Rounds is the number of gossip rounds (0 = O(log n) defaults:
-	// 2 log n + 12 for Push-Max, 4 log n + 24 for Push-Sum, inflated for
-	// loss and crashes).
-	Rounds int
-}
 
 // Result reports a baseline run.
 type Result struct {
@@ -45,135 +40,83 @@ type Result struct {
 	Stats sim.Counters
 }
 
-func ceilLog2(n int) int {
-	l := int(math.Ceil(math.Log2(float64(n))))
-	if l < 1 {
-		l = 1
+// singletons is the forest of n one-node trees: node i is the root in
+// slot i. Initially-crashed nodes are roots too, so a node a fault plan
+// revives gossips again, as a uniform-gossip node does.
+func singletons(n int) *forest.Forest {
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = forest.Root
 	}
-	return l
-}
-
-func inflate(base int, eng *sim.Engine) int {
-	alive := float64(eng.NumAlive()) / float64(eng.N())
-	loss := eng.Loss()
-	if loss > 0.45 {
-		loss = 0.45
+	f, err := forest.FromParents(parent)
+	if err != nil {
+		panic(err) // a forest of roots has no cycle and no dangling parent
 	}
-	return int(math.Ceil(float64(base)/((1-2*loss)*alive))) + 1
+	return f
 }
 
 // PushSum runs the Push-Sum protocol for the Average: every node keeps
 // (s, w), halves both each round, keeps one half and sends the other to a
 // uniformly random node; s/w converges to the global average at every
-// node in O(log n + log 1/ε) rounds.
+// node in O(log n + log 1/ε) rounds. It is gossip.Ave over the relay
+// transport on the singleton forest, where each node relays to itself.
 //
-// A share aimed at an initially-crashed node is retained (the call is
-// never established); a share lost to link failure destroys mass, exactly
-// as in the DRR-gossip Phase III analysis.
-func PushSum(eng *sim.Engine, values []float64, opts Options) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), eng.N())
-	}
+// A share aimed at a crashed node is retained (the call is never
+// established); a share lost to link failure destroys mass, exactly as
+// in the DRR-gossip Phase III analysis.
+func PushSum(eng *sim.Engine, values []float64) (*Result, error) {
 	n := eng.N()
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = inflate(4*ceilLog2(n)+24, eng)
+	if len(values) != n {
+		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), n)
 	}
-	start := eng.Stats()
-	s := make([]float64, n)
-	w := make([]float64, n)
-	for i := range s {
+	self := make([]int, n)
+	init := make([]convergecast.MomentsVec, n)
+	for i := range self {
+		self[i] = i
 		if eng.Alive(i) {
-			s[i] = values[i]
-			w[i] = 1
+			init[i] = convergecast.MomentsVec{Sum: values[i], Count: 1}
 		}
 	}
-	for t := 0; t < rounds; t++ {
-		for i := 0; i < n; i++ {
-			if !eng.Alive(i) {
-				continue
-			}
-			target := eng.RNG(i).IntnOther(n, i)
-			if !eng.Alive(target) {
-				eng.Send(i, target, sim.Payload{Kind: kindShare}) // failed call attempt
-				continue
-			}
-			s[i] /= 2
-			w[i] /= 2
-			eng.Send(i, target, sim.Payload{Kind: kindShare, A: s[i], B: w[i]})
-		}
-		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
-			if !eng.Alive(i) {
-				return
-			}
-			for _, m := range eng.Inbox(i) {
-				if m.Pay.Kind == kindShare {
-					s[i] += m.Pay.A
-					w[i] += m.Pay.B
-				}
-			}
-		})
+	tr, err := gossip.Relay(eng, singletons(n), self)
+	if err != nil {
+		return nil, err
 	}
-	est := make([]float64, n)
-	for i := range est {
-		switch {
-		case !eng.Alive(i):
-			est[i] = math.NaN()
-		case w[i] != 0:
-			est[i] = s[i] / w[i]
-		default:
-			est[i] = math.NaN()
+	ave, err := gossip.Ave(tr, init, gossip.AveOptions{TrackRoot: -1})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Estimates: ave.Estimates, S: make([]float64, n), W: make([]float64, n), Stats: ave.Stats}
+	for i, m := range ave.Mass {
+		res.S[i], res.W[i] = m.Sum, m.Count
+		if !eng.Alive(i) {
+			res.Estimates[i] = math.NaN()
 		}
 	}
-	return &Result{Estimates: est, S: s, W: w, Stats: eng.Stats().Sub(start)}, nil
+	return res, nil
 }
 
 // PushMaxOnChord runs push gossip for Max: every round every node sends
 // its current maximum to a uniform random node, routed over the Chord
-// overlay by the sampling protocol.
+// overlay by the sampling protocol. It is gossip.Push over the Chord
+// route transport on the singleton forest, for the relay's loss-inflated
+// 2⌈log2 n⌉+12 iterations.
 // Time O(log^2 n), messages O(n log^2 n).
-func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64, opts Options) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), eng.N())
+func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64) (*Result, error) {
+	n := eng.N()
+	if len(values) != n {
+		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), n)
 	}
-	if ring.N() != eng.N() {
-		return nil, fmt.Errorf("kempe: ring has %d nodes, engine %d", ring.N(), eng.N())
+	if ring.N() != n {
+		return nil, fmt.Errorf("kempe: ring has %d nodes, engine %d", ring.N(), n)
 	}
-	if eng.NumAlive() != eng.N() {
+	if eng.NumAlive() != n {
 		return nil, fmt.Errorf("kempe: chord baseline requires all nodes alive")
 	}
-	n := eng.N()
-	iters := opts.Rounds
-	if iters == 0 {
-		iters = inflate(2*ceilLog2(n)+12, eng)
-	}
-	ticks := 2*ceilLog2(n) + 2
 	start := eng.Stats()
 	est := append([]float64(nil), values...)
-	var path []int // one route buffer for every routed message
-	for t := 0; t < iters; t++ {
-		for i := 0; i < n; i++ {
-			var totalHops int
-			_, path, totalHops = ring.AppendSample(path[:0], eng.RNG(i), i)
-			if extra := totalHops - len(path); extra > 0 {
-				eng.Charge(int64(extra))
-			}
-			if len(path) == 0 {
-				continue
-			}
-			eng.SendRouted(i, path, sim.Payload{Kind: kindMax, A: est[i]})
-		}
-		for k := 0; k < ticks; k++ {
-			eng.Tick()
-			for i := 0; i < n; i++ {
-				for _, m := range eng.Inbox(i) {
-					if m.Pay.Kind == kindMax && m.Pay.A > est[i] {
-						est[i] = m.Pay.A
-					}
-				}
-			}
-		}
+	tr := gossip.Route(eng, overlay.NewChord(ring), singletons(n))
+	if err := gossip.Push(tr, est, gossip.LossInflate(2*gossip.CeilLog2(n)+12, eng)); err != nil {
+		return nil, err
 	}
 	return &Result{Estimates: est, Stats: eng.Stats().Sub(start)}, nil
 }

@@ -13,7 +13,7 @@ func TestPushSumConverges(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 74})
 	values := agg.GenUniform(n, 0, 1000, 4)
-	res, err := PushSum(eng, values, Options{})
+	res, err := PushSum(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +29,12 @@ func TestPushSumMassConservation(t *testing.T) {
 	n := 512
 	eng := sim.NewEngine(n, sim.Options{Seed: 75})
 	values := agg.GenSigned(n, 10, 5)
-	res, err := PushSum(eng, values, Options{Rounds: 5})
+	res, err := PushSum(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// After only 5 rounds estimates differ, but with zero loss the mass
-	// identities ΣS = Σ values and ΣW = n must hold exactly.
+	// With zero loss no share is destroyed, so the mass identities
+	// ΣS = Σ values and ΣW = n hold after the full run.
 	var sTot, wTot float64
 	for i := 0; i < n; i++ {
 		sTot += res.S[i]
@@ -52,7 +52,7 @@ func TestPushSumWithCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 76, CrashFrac: 0.25})
 	values := agg.GenUniform(n, 0, 100, 6)
-	res, err := PushSum(eng, values, Options{})
+	res, err := PushSum(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPushSumUnderLoss(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 77, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 100, 7)
-	res, err := PushSum(eng, values, Options{})
+	res, err := PushSum(eng, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPushMaxOnChord(t *testing.T) {
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 78})
 	values := agg.GenUniform(n, 0, 100, 8)
-	res, err := PushMaxOnChord(eng, ring, values, Options{})
+	res, err := PushMaxOnChord(eng, ring, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +118,18 @@ func TestChordBaselineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(32, sim.Options{Seed: 80})
-	if _, err := PushMaxOnChord(eng, ring, make([]float64, 32), Options{}); err == nil {
+	if _, err := PushMaxOnChord(eng, ring, make([]float64, 32)); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 	eng2 := sim.NewEngine(64, sim.Options{Seed: 81, CrashFrac: 0.5})
-	if _, err := PushMaxOnChord(eng2, ring, make([]float64, 64), Options{}); err == nil {
+	if _, err := PushMaxOnChord(eng2, ring, make([]float64, 64)); err == nil {
 		t.Fatal("crashed chord accepted")
 	}
 }
 
 func TestValueLengthValidation(t *testing.T) {
 	eng := sim.NewEngine(16, sim.Options{Seed: 82})
-	if _, err := PushSum(eng, make([]float64, 4), Options{}); err == nil {
+	if _, err := PushSum(eng, make([]float64, 4)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -140,7 +140,7 @@ func BenchmarkPushSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
-		if _, err := PushSum(eng, values, Options{}); err != nil {
+		if _, err := PushSum(eng, values); err != nil {
 			b.Fatal(err)
 		}
 	}

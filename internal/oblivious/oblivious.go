@@ -55,10 +55,9 @@ func (p Protocol) String() string {
 
 // Options configure a knowledge-spreading run.
 type Options struct {
-	Protocol  Protocol
-	MaxRounds int     // 0 = 8 log2 n + 40
-	Loss      float64 // per-message drop probability
-	Seed      uint64
+	Protocol Protocol
+	Loss     float64 // per-message drop probability
+	Seed     uint64
 }
 
 // Result reports when the adversary criterion was met.
@@ -87,10 +86,7 @@ func Run(n int, opts Options) (*Result, error) {
 	if !(opts.Loss >= 0 && opts.Loss < 1) { // negated so NaN is rejected too
 		return nil, fmt.Errorf("oblivious: loss must be in [0,1)")
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 8*int(math.Ceil(math.Log2(float64(n)))) + 40
-	}
+	maxRounds := 8*int(math.Ceil(math.Log2(float64(n)))) + 40
 
 	cur := make([]*bitset.Set, n)
 	next := make([]*bitset.Set, n)

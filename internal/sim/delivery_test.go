@@ -45,7 +45,7 @@ func trafficRun(e *Engine) string {
 				}
 				e.SendRouted(from, path, Payload{Kind: 3, X: int64(k)})
 			default:
-				e.SendRoutedReliable(from, []int{to}, Payload{Kind: 4, X: int64(k)}, 3)
+				sendReliable3(e, from, to, Payload{Kind: 4, X: int64(k)})
 			}
 		}
 		if round%5 == 2 {
@@ -68,6 +68,22 @@ func trafficRun(e *Engine) string {
 	}
 	fmt.Fprintf(h, "%+v", e.Stats())
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sendReliable3 is a one-hop SendRoutedReliable with a budget of 3
+// attempts instead of 8. trafficRun's digest was recorded while the
+// budget was an argument and this pattern passed 3, so it replays that
+// budget to keep the recorded trace.
+func sendReliable3(e *Engine, from, to int, p Payload) {
+	if !e.alive.Test(from) {
+		return
+	}
+	for t := 0; t < 3; t++ {
+		if e.Attempt(from, to) {
+			e.scheduleAt(e.c.Rounds+1, Message{From: from, To: to, Pay: p})
+			return
+		}
+	}
 }
 
 // deliveryTraceDigest pins trafficRun's inboxes and counters on a fresh

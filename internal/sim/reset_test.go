@@ -22,7 +22,7 @@ func driveEngine(t *testing.T, e *Engine) (Counters, []int64) {
 		if round%3 == 0 {
 			e.SendVia(0, 1%n, 2%n, Payload{Y: int64(round)})
 			e.SendRouted(0, []int{1 % n, 2 % n, 3 % n}, Payload{Y: int64(round)})
-			e.SendRoutedReliable(0, []int{3 % n, 1 % n}, Payload{}, 0)
+			e.SendRoutedReliable(0, []int{3 % n, 1 % n}, Payload{})
 		}
 		if round == 10 {
 			e.Crash(n / 2)

@@ -441,27 +441,23 @@ func (e *Engine) SendRouted(from int, path []int, p Payload) {
 }
 
 // SendRoutedReliable is SendRouted with link-layer retransmission: each
-// hop is retried until an attempt survives loss, up to retries attempts
-// per hop (retries <= 0 means 8). Every attempt is paid for, so the
-// expected cost per hop is 1/(1-δ) messages — the paper's "repeated
-// calls" remedy, which protocols whose push-sum mass must never be
+// hop is retried until an attempt survives loss, up to 8 attempts per
+// hop. Every attempt is paid for, so the expected cost per hop is
+// 1/(1-δ) messages — the paper's "repeated calls" remedy, which protocols whose push-sum mass must never be
 // destroyed (the distinguished-root Sum and Count) use for their routed
 // shares. It reports whether the payload was scheduled; on success it is
 // delivered after len(path) rounds, exactly like SendRouted. A crashed
 // relay exhausts its hop budget (retransmission cannot revive a node),
 // so callers can restore unsent mass when it returns false. Like
 // SendRouted, it reads path only during the call.
-func (e *Engine) SendRoutedReliable(from int, path []int, p Payload, retries int) bool {
+func (e *Engine) SendRoutedReliable(from int, path []int, p Payload) bool {
 	if !e.alive.Test(from) || len(path) == 0 {
 		return false
-	}
-	if retries <= 0 {
-		retries = 8
 	}
 	prev := from
 	for _, hop := range path {
 		ok := false
-		for t := 0; t < retries && !ok; t++ {
+		for t := 0; t < 8 && !ok; t++ {
 			ok = e.Attempt(prev, hop)
 		}
 		if !ok {

@@ -580,7 +580,7 @@ func TestSendViaDeadRelayConsumesMessage(t *testing.T) {
 
 func TestSendRoutedReliableNoLossMatchesSendRouted(t *testing.T) {
 	e := NewEngine(5, Options{Seed: 46})
-	if !e.SendRoutedReliable(0, []int{1, 2, 3}, Payload{X: 5}, 0) {
+	if !e.SendRoutedReliable(0, []int{1, 2, 3}, Payload{X: 5}) {
 		t.Fatal("lossless reliable send failed")
 	}
 	if e.Stats().Messages != 3 {
@@ -600,7 +600,7 @@ func TestSendRoutedReliableRetransmitsThroughLoss(t *testing.T) {
 	const trials = 100
 	delivered := 0
 	for i := 0; i < trials; i++ {
-		if e.SendRoutedReliable(0, []int{1, 2}, Payload{}, 0) {
+		if e.SendRoutedReliable(0, []int{1, 2}, Payload{}) {
 			delivered++
 		}
 		e.Tick()
@@ -637,11 +637,11 @@ func TestSendRoutedReliableDeadRelayFails(t *testing.T) {
 			}
 		}
 	}
-	if e.SendRoutedReliable(src, []int{hop1, dead, dst}, Payload{}, 4) {
+	if e.SendRoutedReliable(src, []int{hop1, dead, dst}, Payload{}) {
 		t.Fatal("reliable send through dead relay claims delivery")
 	}
 	// Empty path is a no-op.
-	if e.SendRoutedReliable(src, nil, Payload{}, 4) {
+	if e.SendRoutedReliable(src, nil, Payload{}) {
 		t.Fatal("empty-path reliable send claims delivery")
 	}
 }

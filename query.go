@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/sim"
 )
 
 // Op enumerates the aggregate operations a Query can request.
@@ -397,7 +398,18 @@ func ExactOf(cfg Config, q Query) (float64, error) {
 	if len(q.Values) != cfg.N {
 		return 0, fmt.Errorf("%w: %d values for N=%d", ErrBadConfig, len(q.Values), cfg.N)
 	}
-	alive := agg.Subset(q.Values, cfg.engine().AliveIDs())
+	// The survivors are the complement of the static crash set, which
+	// is ascending, so they come out in node order.
+	crashed := sim.InitialCrashSet(cfg.N, cfg.simOptions())
+	ids := make([]int, 0, cfg.N-len(crashed))
+	for i := 0; i < cfg.N; i++ {
+		if len(crashed) > 0 && crashed[0] == i {
+			crashed = crashed[1:]
+			continue
+		}
+		ids = append(ids, i)
+	}
+	alive := agg.Subset(q.Values, ids)
 	switch q.Op {
 	case OpMin:
 		return agg.Exact(agg.Min, alive, 0), nil

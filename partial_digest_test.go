@@ -103,7 +103,8 @@ func outcomeDigest(a *Answer, err error, st SessionStats) uint64 {
 // (selectors, loss and static crashes, sparse overlays, a horizon
 // pre-run, SampleNodes) and every partial answer (round-budget aborts
 // mid-run and inside a horizon pre-run, pre-cancelled contexts) in both
-// modes. Each row runs its query twice on one session, so the digests
+// modes, plus the complete Sync exits no other table pins (composite
+// queries, a sampled Moments run, a retried query). Each row runs its query twice on one session, so the digests
 // also cover the cached fault bindings and the SessionStats after each
 // query; a batch row runs the pair through RunAll at Parallelism 2.
 func TestAsyncAndPartialDigests(t *testing.T) {
@@ -122,6 +123,8 @@ func TestAsyncAndPartialDigests(t *testing.T) {
 	average := func(v []float64) Query { return AverageOf(v) }
 	quantile := func(v []float64) Query { return QuantileOf(v, 0.9, 0) }
 	maxOf := func(v []float64) Query { return MaxOf(v) }
+	histogram := func(v []float64) Query { return HistogramOf(v, []float64{250, 500, 750}) }
+	moments := func(v []float64) Query { return MomentsOf(v) }
 	type row struct {
 		name   string
 		cfg    Config
@@ -170,6 +173,32 @@ func TestAsyncAndPartialDigests(t *testing.T) {
 		{name: "sync/cancelled", query: average, ctx: cancelled,
 			cfg:    Config{Seed: 24, SampleNodes: AllNodes},
 			digest: [2]uint64{0x4a16f4caa905f30e, 0xab7aec003633586d}},
+		// Complete Sync exits of the composite and sampled queries: both
+		// quantile drivers (HMS certified, and HMS falling back to
+		// bisection under a plan), histograms with and without a plan's
+		// population Count, a sampled Moments run, and a retried query
+		// whose third attempt completes.
+		{name: "sync/quantile-bisect", query: quantile,
+			cfg:    Config{Seed: 31},
+			digest: [2]uint64{0xad5ce798a62fde2b, 0x51d992d894ce1a60}},
+		{name: "sync/quantile-hms", query: quantile,
+			cfg:    Config{Seed: 32, QuantileMethod: QuantileHMS},
+			digest: [2]uint64{0x3cc4fbf17632629a, 0x88c6278c7786c5f5}},
+		{name: "sync/quantile-hms-fallback", query: quantile,
+			cfg:    Config{Seed: 33, QuantileMethod: QuantileHMS, Faults: crash20},
+			digest: [2]uint64{0x5b0fa2a76fe4baed, 0x68984d8b4f020feb}},
+		{name: "sync/histogram", query: histogram,
+			cfg:    Config{Seed: 34},
+			digest: [2]uint64{0xa66148162bb60146, 0x1f906c9229ccd860}},
+		{name: "sync/histogram-plan", query: histogram,
+			cfg:    Config{Seed: 35, Faults: crash20},
+			digest: [2]uint64{0x8c7d837606288f51, 0x4d1bc1bf10e8887e}},
+		{name: "sync/moments-sampled", query: moments,
+			cfg:    Config{Seed: 36, SampleNodes: 16},
+			digest: [2]uint64{0xf1e6796253647645, 0xbdb07b0dc2f984a5}},
+		{name: "sync/retry-completes", query: average,
+			cfg:    Config{Seed: 43, RoundBudget: 208, Retry: &RetryPolicy{Attempts: 3}},
+			digest: [2]uint64{0xa56b410074086c85, 0x176854f5e3f9163}},
 	}
 	for _, r := range rows {
 		cfg := r.cfg

@@ -69,7 +69,7 @@ func forestAlgo(build func(*sim.Engine) (*forest.Forest, []int, error), kind cor
 		if err != nil {
 			return baselineRun{}, err
 		}
-		return baselineRun{r.Value, r.PerNode, r.Consensus, r.Stats, r.Phases.DRR, r.Forest.NumTrees()}, nil
+		return baselineRun{r.Value, r.PerNode, r.Consensus, r.Stats, eng.Billed(core.PhaseDRR), r.Forest.NumTrees()}, nil
 	}
 }
 

@@ -351,48 +351,6 @@ type RetryPolicy struct {
 // per-node vector on every Answer.
 const AllNodes = -1
 
-// runResult is one protocol run's record inside the session machinery,
-// for either execution model: the consensus value, the full per-node
-// vector (NaN for crashed nodes) and the run's bill. Queries fold runs
-// into an Answer.
-type runResult struct {
-	// Value is the consensus value (the mean for OpMoments).
-	Value float64
-	// Variance is the population variance (OpMoments only).
-	Variance   float64
-	PerNode    []float64
-	Consensus  bool
-	Rounds     int
-	Messages   int64
-	Drops      int64
-	PhaseCosts []PhaseCost
-	// Trees is the number of DRR trees built in Phase I.
-	Trees int
-	// Converged reports whether the run met its tolerance: always for a
-	// completed synchronous pipeline (they are exact), per the AsyncEps
-	// spread for pairwise averaging, never for a salvaged partial run.
-	Converged bool
-	// Residual is the closing convergence residual: the estimate spread
-	// in Async mode, noResidual for the synchronous pipelines.
-	Residual float64
-	// Clock is the simulated time the run spanned (Async mode only) and
-	// Exchanges its committed pairwise exchanges.
-	Clock     float64
-	Exchanges int64
-	// Horizon is the run's length on the fault plan's clock — rounds in
-	// Sync mode, fault ticks (Clock quantized at async.TicksPerUnit) in
-	// Async mode — which a horizon-measurement pre-run binds plans to.
-	Horizon int
-	// Alive is the number of nodes alive when the run ended.
-	Alive int
-	// FaultEvents counts the fault actions the plan applied during the
-	// run; FaultCrashes and FaultRevives count the node transitions among
-	// them.
-	FaultEvents  int
-	FaultCrashes int
-	FaultRevives int
-}
-
 // ErrBadConfig reports an invalid Config.
 var ErrBadConfig = errors.New("drrgossip: invalid config")
 
@@ -481,41 +439,6 @@ func (c Config) simOptions() sim.Options {
 
 func (c Config) engine() *sim.Engine {
 	return sim.NewEngine(c.N, c.simOptions())
-}
-
-// wrap renders a core pipeline result as the session's run record; the
-// session fills in the membership and fault fields.
-func wrap(res *core.Result) *runResult {
-	return &runResult{
-		Value:      res.Value,
-		Variance:   res.Variance,
-		PerNode:    res.PerNode,
-		Consensus:  res.Consensus,
-		Rounds:     res.Stats.Rounds,
-		Messages:   res.Stats.Messages,
-		Drops:      res.Stats.Drops,
-		PhaseCosts: phaseCosts(res.Phases),
-		Trees:      res.Forest.NumTrees(),
-		Converged:  true,
-		Residual:   noResidual,
-		Horizon:    res.Stats.Rounds,
-	}
-}
-
-// phaseCosts renders a core per-phase breakdown as the facade's bill,
-// in pipeline execution order. The pipeline totals its Stats from
-// exactly these four counters, so the slice sums to the run's
-// Rounds/Messages/Drops without adjustment.
-func phaseCosts(ph core.PhaseStats) []PhaseCost {
-	mk := func(name string, c sim.Counters) PhaseCost {
-		return PhaseCost{Phase: name, Rounds: c.Rounds, Messages: c.Messages, Drops: c.Drops, Calls: c.Calls}
-	}
-	return []PhaseCost{
-		mk(core.PhaseDRR, ph.DRR),
-		mk(core.PhaseAggregate, ph.Aggregate),
-		mk(core.PhaseGossip, ph.Gossip),
-		mk(core.PhaseBroadcast, ph.Broadcast),
-	}
 }
 
 // ParseFaultPlan parses a fault-plan spec string (see internal/faults:

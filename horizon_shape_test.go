@@ -34,7 +34,7 @@ func TestHorizonDependsOnPipelineShape(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s pre-run: %v", label, op, err)
 					}
-					horizon[op] = res.Horizon
+					horizon[op] = nw.horizon(res)
 				}
 				for _, pair := range merged {
 					a, b := pair[0], pair[1]

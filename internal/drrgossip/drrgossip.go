@@ -49,8 +49,9 @@ import (
 )
 
 // Phase labels the pipeline records on the engine (sim.SetPhase) as it
-// progresses, so per-round observers can attribute time to the paper's
-// phases. Observability only — no protocol logic reads them.
+// progresses: the engine's ledger bills each phase under its label, and
+// per-round observers attribute time to the paper's phases by it. No
+// protocol logic reads them.
 const (
 	PhaseDRR       = "drr"       // Phase I: (Local-)DRR forest building
 	PhaseAggregate = "aggregate" // Phase II: convergecast + root-address broadcast
@@ -80,19 +81,6 @@ const (
 	Moments
 )
 
-// PhaseStats breaks the run's cost into the paper's phases.
-type PhaseStats struct {
-	DRR       sim.Counters // Phase I
-	Aggregate sim.Counters // Phase II: convergecast + root-address broadcast
-	Gossip    sim.Counters // Phase III: gossip-max (+ gossip-ave + data-spread)
-	Broadcast sim.Counters // final dissemination down the trees
-}
-
-// Total sums the phase counters.
-func (p PhaseStats) Total() sim.Counters {
-	return p.DRR.Add(p.Aggregate).Add(p.Gossip).Add(p.Broadcast)
-}
-
 // Result is the outcome of a DRR-gossip run.
 type Result struct {
 	// Value is the aggregate at the distinguished root (the consensus
@@ -106,8 +94,9 @@ type Result struct {
 	// (and, for Moments, the same variance).
 	Consensus bool
 	Forest    *forest.Forest
-	Phases    PhaseStats
-	Stats     sim.Counters
+	// Stats is the run's bill. Its split by phase is the engine's ledger
+	// (sim.Core.Ledger), labelled with the Phase constants.
+	Stats sim.Counters
 }
 
 // ErrNoNodes is returned when the engine has no alive nodes to aggregate.
@@ -150,7 +139,7 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 
 // RunForest computes kind over values on the complete graph with build as
 // Phase I: any forest builder (DRR, or a baseline's clustering) feeds the
-// same Phases II–III, and its cost is billed to Phases.DRR. A builder
+// same Phases II–III, and its cost is billed to PhaseDRR. A builder
 // that learns each node's root address while building returns it as
 // rootTo and Phase II skips the root-address broadcast; a nil rootTo
 // makes Phase II broadcast the addresses after the convergecast. values
@@ -191,15 +180,7 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 			return nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
 		}
 	}
-	var ph PhaseStats
-	mark := eng.Stats()
-	// phaseEnd closes the current phase: its cost is the engine's
-	// counters since the previous boundary.
-	phaseEnd := func(c *sim.Counters) {
-		now := eng.Stats()
-		*c = now.Sub(mark)
-		mark = now
-	}
+	start := eng.Stats()
 
 	// Phase I: the forest builder.
 	eng.SetPhase(PhaseDRR)
@@ -210,7 +191,6 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-	phaseEnd(&ph.DRR)
 
 	// Min is Max on negated values, negated only now because a builder
 	// may fill values during Phase I.
@@ -259,7 +239,6 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 			return nil, err
 		}
 	}
-	phaseEnd(&ph.Aggregate)
 
 	// Phase III: root gossip with the kind's combiner.
 	eng.SetPhase(PhaseGossip)
@@ -273,7 +252,6 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 	} else if g, err = pushSum(eng, f, tr, kind, cov); err != nil {
 		return nil, err
 	}
-	phaseEnd(&ph.Gossip)
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
@@ -287,7 +265,6 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 			return nil, err
 		}
 	}
-	phaseEnd(&ph.Broadcast)
 
 	value := g.value
 	if maxLike {
@@ -307,8 +284,7 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 		PerNode:   perNode,
 		Consensus: consensus(eng, f, value, perNode, g.variance, perVar),
 		Forest:    f,
-		Phases:    ph,
-		Stats:     ph.Total(),
+		Stats:     eng.Stats().Sub(start),
 	}
 	if kind == Min {
 		res.Value = -res.Value

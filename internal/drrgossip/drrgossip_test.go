@@ -2,6 +2,7 @@ package drrgossip
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -206,13 +207,22 @@ func TestPhaseStatsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats != res.Phases.Total() {
-		t.Fatalf("Stats %+v != phase total %+v", res.Stats, res.Phases.Total())
+	var total sim.Counters
+	var labels []string
+	for _, b := range eng.Ledger() {
+		total = total.Add(b.Counters)
+		labels = append(labels, b.Phase)
+	}
+	if want := []string{PhaseDRR, PhaseAggregate, PhaseGossip, PhaseBroadcast}; !slices.Equal(labels, want) {
+		t.Fatalf("ledger phases %v, want %v", labels, want)
+	}
+	if res.Stats != total {
+		t.Fatalf("Stats %+v != ledger total %+v", res.Stats, total)
 	}
 	if res.Stats.Messages != eng.Stats().Messages {
 		t.Fatalf("accounted %d of %d engine messages", res.Stats.Messages, eng.Stats().Messages)
 	}
-	if res.Phases.DRR.Messages == 0 || res.Phases.Gossip.Messages == 0 {
+	if eng.Billed(PhaseDRR).Messages == 0 || eng.Billed(PhaseGossip).Messages == 0 {
 		t.Fatal("empty phase counters")
 	}
 }

@@ -157,11 +157,12 @@ func RunA3(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xA3, uint64(n), uint64(trial))
 			values := agg.GenUniform(n, 0, 100, seed)
 
-			pres, err := drrgossip.RunForest(sim.NewEngine(n, sim.Options{Seed: seed}), pietro.Bootstrap, drrgossip.Max, values)
+			peng := sim.NewEngine(n, sim.Options{Seed: seed})
+			pres, err := drrgossip.RunForest(peng, pietro.Bootstrap, drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}
-			b = append(b, float64(pres.Phases.DRR.Messages)/float64(n))
+			b = append(b, float64(peng.Billed(drrgossip.PhaseDRR).Messages)/float64(n))
 			p = append(p, float64(pres.Stats.Messages)/float64(n))
 
 			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1}), nil, drrgossip.Max, values)

@@ -227,26 +227,35 @@ func RunF8(cfg Config) (*Report, error) {
 	values := agg.GenUniform(n, 0, 1000, seed)
 	loss := 0.05
 
-	maxRes, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), nil, drrgossip.Max, values)
+	maxEng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss})
+	maxRes, err := drrgossip.Run(maxEng, nil, drrgossip.Max, values)
 	if err != nil {
 		return nil, err
 	}
-	aveRes, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss}), nil, drrgossip.Ave, values)
+	aveEng := sim.NewEngine(n, sim.Options{Seed: seed + 1, Loss: loss})
+	aveRes, err := drrgossip.Run(aveEng, nil, drrgossip.Ave, values)
 	if err != nil {
 		return nil, err
 	}
 
 	tb := tablefmt.New("End-to-end DRR-gossip at n="+itoa(n)+", δ=0.05: per-phase cost",
 		"algorithm", "phase", "rounds", "messages")
-	addPhases := func(name string, ph drrgossip.PhaseStats) {
-		tb.AddRow(name, "I DRR", ph.DRR.Rounds, ph.DRR.Messages)
-		tb.AddRow(name, "II convergecast+bcast", ph.Aggregate.Rounds, ph.Aggregate.Messages)
-		tb.AddRow(name, "III gossip", ph.Gossip.Rounds, ph.Gossip.Messages)
-		tb.AddRow(name, "final broadcast", ph.Broadcast.Rounds, ph.Broadcast.Messages)
-		tb.AddRow(name, "total", ph.Total().Rounds, ph.Total().Messages)
+	// Each row reads the engine's ledger by phase label.
+	phases := []struct{ row, label string }{
+		{"I DRR", drrgossip.PhaseDRR},
+		{"II convergecast+bcast", drrgossip.PhaseAggregate},
+		{"III gossip", drrgossip.PhaseGossip},
+		{"final broadcast", drrgossip.PhaseBroadcast},
 	}
-	addPhases("max", maxRes.Phases)
-	addPhases("ave", aveRes.Phases)
+	addPhases := func(name string, eng *sim.Engine, res *drrgossip.Result) {
+		for _, ph := range phases {
+			c := eng.Billed(ph.label)
+			tb.AddRow(name, ph.row, c.Rounds, c.Messages)
+		}
+		tb.AddRow(name, "total", res.Stats.Rounds, res.Stats.Messages)
+	}
+	addPhases("max", maxEng, maxRes)
+	addPhases("ave", aveEng, aveRes)
 
 	wantMax := agg.Exact(agg.Max, values, 0)
 	wantAve := agg.Exact(agg.Average, values, 0)

@@ -290,25 +290,6 @@ func merge(dst, src []float64) []float64 {
 	return out
 }
 
-// Candidate returns the retained sample at the globally estimated target
-// position — the best probe-free point estimate of the quantile (used as
-// the sampling run's reported Value; the Walk refines it with exact
-// probes).
-func (s *Summary) Candidate() (float64, bool) {
-	if len(s.In) == 0 || s.Total == 0 || s.Count <= 0 {
-		return 0, false
-	}
-	k := float64(s.Total)*float64(s.Target)/float64(s.Count) - float64(s.Below)
-	idx := int(math.Ceil(k)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.In) {
-		idx = len(s.In) - 1
-	}
-	return s.In[idx], true
-}
-
 // shrink prunes the candidate interval to the estimated target
 // neighborhood with a 4σ margin in sample-index space: the number of
 // samples at or below the target value is concentrated around

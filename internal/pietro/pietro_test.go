@@ -118,7 +118,7 @@ func TestBootstrapShareGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.Phases.DRR.Messages) / float64(res.Stats.Messages)
+		return float64(eng.Billed(drrgossip.PhaseDRR).Messages) / float64(res.Stats.Messages)
 	}
 	s1 := share(1024)
 	s2 := share(16384)

@@ -48,7 +48,13 @@ type Core struct {
 	linkFault LinkFault       // nil = all links healthy
 	roundHook func(round int) // the fault scheduler's hook
 	observer  func(round int) // read-only per-progress tap
-	phase     string          // protocol-reported phase label (observability only)
+
+	// phase is the protocol-reported phase label. ledger holds the bill
+	// of every phase closed so far, in order, and mark the counters at
+	// the open phase's start (see SetPhase and Ledger).
+	phase  string
+	ledger []PhaseBill
+	mark   Counters
 
 	// Observability taps (read-only, like observer): phaseObs fires on
 	// SetPhase label changes, memberObs on Crash/Revive transitions, and
@@ -112,6 +118,8 @@ func (c *Core) reset(opts Options) {
 	c.roundHook = nil
 	c.observer = nil
 	c.phase = ""
+	c.ledger = c.ledger[:0]
+	c.mark = Counters{}
 	c.phaseObs = nil
 	c.memberObs = nil
 	c.residual = math.NaN()
@@ -302,24 +310,73 @@ func (c *Core) ObserveRound() {
 	}
 }
 
+// PhaseBill is one phase's share of a run's counters: what the engine
+// billed between the SetPhase call that opened the phase and the one
+// that closed it.
+type PhaseBill struct {
+	Phase string
+	Counters
+}
+
 // SetPhase records the protocol phase label ("drr", "gossip", …) the
-// run is currently in. It is pure observability — protocols update it as
-// they move through their pipeline so observers can report where the
-// time goes; the engine itself never reads it. Setting the label it
-// already carries is a no-op (the phase observer fires on changes only).
+// run is currently in. Protocols update it as they move through their
+// pipeline; observers report where the time goes by it, and the engine
+// bills by it: a label change closes the outgoing phase, appending its
+// counters to the ledger (see Ledger). Setting the label it already
+// carries is a no-op (the phase observer fires on changes only). The
+// label never changes what a run does.
 func (c *Core) SetPhase(p string) {
 	if p == c.phase {
 		return
 	}
+	if b, ok := c.openPhase(); ok {
+		c.ledger = append(c.ledger, b)
+	}
+	c.mark = c.c
 	c.phase = p
 	if c.phaseObs != nil {
 		c.phaseObs(p)
 	}
 }
 
+// openPhase returns the open phase's bill up to now, and whether it
+// belongs in the ledger: every labelled phase does, and the unlabelled
+// stretch before the first SetPhase only when it billed anything.
+func (c *Core) openPhase() (PhaseBill, bool) {
+	b := PhaseBill{Phase: c.phase, Counters: c.c.Sub(c.mark)}
+	return b, c.phase != "" || b.Counters != (Counters{})
+}
+
 // Phase returns the label last recorded with SetPhase ("" before the
 // first phase).
 func (c *Core) Phase() string { return c.phase }
+
+// Ledger returns the run's per-phase bill in execution order: every
+// closed phase, then the open one up to now. The entries sum exactly to
+// Stats(), aborted runs included. The slice is owned by the engine and
+// valid until the next SetPhase or Reset; once the engine has held its
+// longest ledger, neither Ledger nor a Reset allocates.
+func (c *Core) Ledger() []PhaseBill {
+	b, ok := c.openPhase()
+	if !ok {
+		return c.ledger
+	}
+	l := append(c.ledger, b)
+	c.ledger = l[:len(l)-1] // keep any grown capacity for the next run
+	return l
+}
+
+// Billed returns the counters the ledger bills to phase label p, summed
+// over every phase carrying it.
+func (c *Core) Billed(p string) Counters {
+	var sum Counters
+	for _, b := range c.Ledger() {
+		if b.Phase == p {
+			sum = sum.Add(b.Counters)
+		}
+	}
+	return sum
+}
 
 // SetPhaseObserver installs (or, with nil, removes) a read-only tap
 // fired from SetPhase whenever the phase label changes, with the label

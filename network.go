@@ -427,12 +427,17 @@ type runEngine interface {
 	SetMembershipObserver(f func(node int, alive bool))
 	SetRoundObserver(f func(round int))
 	SetAbortCheck(f func(progress int) error, every int)
+	Ledger() []sim.PhaseBill
 }
 
-// protoFunc executes one full protocol run on a fresh engine: a
+// protoFunc executes one full protocol run on a fresh engine — a
 // *sim.Engine in Sync mode, an *async.Engine in Async mode (engine and
-// dispatch both follow Config.Mode).
-type protoFunc func(eng runEngine, ov overlay.Overlay) (*runResult, error)
+// dispatch both follow Config.Mode) — and returns the one-run Answer it
+// becomes: Cost.Runs 1, the full per-node vector in PerNode and the
+// closing residual in Quality.Residual. The executor stamps the
+// membership and fault fields; single-run queries finish the Answer in
+// place, composite queries fold it into theirs.
+type protoFunc func(eng runEngine, ov overlay.Overlay) (*Answer, error)
 
 // pipelineKinds maps each single-run operation to the core pipeline
 // aggregate that answers it; Rank is Sum over indicator values.
@@ -466,7 +471,7 @@ func (nw *Network) dispatch(op Op, values []float64, arg float64) protoFunc {
 	if op == OpRank {
 		values = agg.Indicator(values, arg)
 	}
-	return func(eng runEngine, ov overlay.Overlay) (*runResult, error) {
+	return func(eng runEngine, ov overlay.Overlay) (*Answer, error) {
 		kind, ok := pipelineKinds[op]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
@@ -475,8 +480,44 @@ func (nw *Network) dispatch(op Op, values []float64, arg float64) protoFunc {
 		if err != nil {
 			return nil, err
 		}
-		return wrap(res), nil
+		return pipelineAnswer(eng, op, res), nil
 	}
+}
+
+// pipelineAnswer renders a completed synchronous pipeline run of op as
+// its one-run Answer. The pipelines are exact, so the run converged.
+func pipelineAnswer(eng runEngine, op Op, res *core.Result) *Answer {
+	a := billed(eng)
+	a.Value, a.PerNode, a.Consensus = res.Value, res.PerNode, res.Consensus
+	a.Trees = res.Forest.NumTrees()
+	a.Converged = true
+	if op == OpMoments {
+		a.Mean, a.Variance, a.Std = res.Value, res.Variance, math.Sqrt(math.Max(res.Variance, 0))
+	}
+	return a
+}
+
+// billed returns the one-run Answer of a synchronous run that has only
+// its bill so far: Value NaN, the engine's counters and its phase ledger
+// as PhaseCosts. A completed pipeline fills in the rest; an aborted run
+// and HMS's sampling session keep it as it is.
+func billed(eng runEngine) *Answer {
+	st := eng.Stats()
+	a := newAnswer(0)
+	a.Cost = Cost{Runs: 1, Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops}
+	if ledger := eng.Ledger(); len(ledger) > 0 {
+		a.PhaseCosts = make([]PhaseCost, len(ledger))
+		for i, b := range ledger {
+			a.PhaseCosts[i] = PhaseCost{Phase: b.Phase, Rounds: b.Rounds, Messages: b.Messages, Drops: b.Drops, Calls: b.Calls}
+		}
+	}
+	return a
+}
+
+// newAnswer returns an op Answer that no run has filled yet: Value NaN
+// and no residual.
+func newAnswer(op Op) *Answer {
+	return &Answer{Op: op, Value: math.NaN(), Quality: Quality{Residual: noResidual}}
 }
 
 // pairwiseAverage is Async mode's protocol run: the classical
@@ -486,7 +527,7 @@ func (nw *Network) dispatch(op Op, values []float64, arg float64) protoFunc {
 // driver closes its books on the surviving estimates, so an aborted run
 // still reports its genuine partial state.
 func (nw *Network) pairwiseAverage(values []float64) protoFunc {
-	return func(eng runEngine, ov overlay.Overlay) (*runResult, error) {
+	return func(eng runEngine, ov overlay.Overlay) (*Answer, error) {
 		sel, err := pairwise.NewSelector(nw.cfg.AsyncPeer)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -499,18 +540,14 @@ func (nw *Network) pairwiseAverage(values []float64) protoFunc {
 		if err != nil {
 			return nil, err
 		}
-		return &runResult{
+		return &Answer{
 			Value:     res.Value,
 			PerNode:   res.PerNode,
 			Consensus: res.Spread == 0,
-			Rounds:    res.Events,
-			Messages:  res.Stats.Messages,
-			Drops:     res.Stats.Drops,
-			Converged: res.Converged,
-			Residual:  res.Spread,
-			Clock:     res.Clock,
+			Cost:      Cost{Runs: 1, Rounds: res.Events, Messages: res.Stats.Messages, Drops: res.Stats.Drops, Clock: res.Clock},
 			Exchanges: res.Exchanges,
-			Horizon:   int(math.Ceil(res.Clock * async.TicksPerUnit)),
+			Converged: res.Converged,
+			Quality:   Quality{Residual: res.Spread},
 		}, nil
 	}
 }
@@ -540,15 +577,15 @@ func (nw *Network) engine() (runEngine, int) {
 	return nw.eng, abortStrideSync
 }
 
-// execOnce performs one protocol run on the mode's engine, attaching the
-// bound fault schedule (if any), the query watchdog and the telemetry
-// hooks; every run starts on a fresh or Reset engine, so no hook leaks
-// between runs. A watchdog abort returns the run's partial record with
-// the abort cause: the sync engine unwinds its drivers by a
+// execOnce performs one protocol run of op on the mode's engine,
+// attaching the bound fault schedule (if any), the query watchdog and
+// the telemetry hooks; every run starts on a fresh or Reset engine, so
+// no hook leaks between runs. A watchdog abort returns the run's partial
+// Answer with the abort cause: the sync engine unwinds its drivers by a
 // *sim.AbortError panic, recovered here with only the bill to salvage,
 // while the async engine stops its event loop and the pairwise driver
 // closes its books on the surviving estimates.
-func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResult, err error) {
+func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (ans *Answer, err error) {
 	nw.stats.ProtocolRuns++
 	eng, stride := nw.engine()
 	em := nw.em
@@ -578,32 +615,29 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (res *runResu
 		}
 		// No consensus value exists mid-pipeline: salvage the bill alone.
 		// The telemetry run still closes, so traces show the aborted run.
-		res, err = nw.closeRun(eng, rp, billOnly(eng.Stats())), nw.wd.aborted()
+		salvage := billed(eng)
+		salvage.PhaseCosts = nil
+		ans, err = nw.closeRun(eng, rp, op, salvage), nw.wd.aborted()
 	}()
-	res, err = run(eng, nw.ov)
+	ans, err = run(eng, nw.ov)
 	if err != nil {
 		return nil, err
 	}
-	return nw.closeRun(eng, rp, res), nw.wd.aborted()
+	return nw.closeRun(eng, rp, op, ans), nw.wd.aborted()
 }
 
-// billOnly is the record of a run that produced a bill but no consensus
-// value (Value NaN): an aborted pipeline, or HMS's sampling session.
-func billOnly(st sim.Counters) *runResult {
-	return &runResult{Value: math.NaN(), Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops, Residual: noResidual}
-}
-
-// closeRun ends one run's telemetry and stamps its record with the
+// closeRun ends one run's telemetry and stamps its Answer with op, the
 // closing membership and the fault replay's counters.
-func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, res *runResult) *runResult {
+func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, op Op, ans *Answer) *Answer {
 	nw.em.RunEnd(eng)
-	res.Alive = eng.NumAlive()
+	ans.Op = op
+	ans.Alive = eng.NumAlive()
 	if rp != nil {
-		res.FaultEvents = rp.Fired()
-		res.FaultCrashes = rp.Crashed()
-		res.FaultRevives = rp.Revived()
+		ans.FaultEvents = rp.Fired()
+		ans.FaultCrashes = rp.Crashed()
+		ans.FaultRevives = rp.Revived()
 	}
-	return res
+	return ans
 }
 
 // execute runs op's protocol with the session's fault binding for its
@@ -611,7 +645,7 @@ func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, res *runResult) *r
 // first run of each shape may execute an unfaulted horizon pre-run;
 // every later run of the same shape — every further Rank step of a
 // Quantile or Histogram — reuses the binding.
-func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*runResult, error) {
+func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -667,8 +701,7 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 
 // resolve binds the fault plan for op's pipeline shape. Plans that place
 // events by horizon fraction first measure the healthy run's length
-// (runResult.Horizon: rounds, or fault ticks in Async mode) with one
-// unfaulted pre-run of run; both runs are deterministic in Seed, so the
+// (see horizon) with one unfaulted pre-run of run; both runs are deterministic in Seed, so the
 // horizon is exact, and any run of the same shape measures the same one
 // (see shapeOf). An async run's horizon is measured on the first
 // average query's values and reused for the session. A pre-run the
@@ -682,7 +715,7 @@ func (nw *Network) resolve(ctx context.Context, op Op, run protoFunc) (*faults.B
 			return nil, fmt.Errorf("drrgossip: horizon measurement run: %w", err)
 		}
 		nw.stats.HorizonRuns++
-		horizon = healthy.Horizon
+		horizon = nw.horizon(healthy)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -693,6 +726,16 @@ func (nw *Network) resolve(ctx context.Context, op Op, run protoFunc) (*faults.B
 	}
 	nw.stats.PlanBinds++
 	return b, nil
+}
+
+// horizon is a healthy run's length on the fault plan's clock: rounds in
+// Sync mode, fault ticks (Clock quantized at async.TicksPerUnit) in Async
+// mode.
+func (nw *Network) horizon(healthy *Answer) int {
+	if nw.cfg.Mode == Async {
+		return int(math.Ceil(healthy.Cost.Clock * async.TicksPerUnit))
+	}
+	return healthy.Cost.Rounds
 }
 
 // sampleIDs draws k distinct node ids from [0, n) by a partial
@@ -750,51 +793,27 @@ func (nw *Network) materializePerNode(full []float64) (values []float64, ids []i
 }
 
 // aggregate answers the single-run operations (OpMax..OpRank,
-// OpMoments; OpAverage alone in Async mode).
+// OpMoments; OpAverage alone in Async mode) by finishing their one run's
+// Answer. An abort that hit before any protocol run (a pre-cancelled
+// context or an aborted horizon pre-run) gives a zero-cost partial
+// answer.
 func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	if err := nw.cfg.checkValues(q.Values); err != nil {
 		return nil, err
 	}
-	res, err := nw.execute(ctx, q.Op, nw.dispatch(q.Op, q.Values, q.Arg))
-	if err != nil && !isAbort(err) {
-		return nil, err
+	ans, err := nw.execute(ctx, q.Op, nw.dispatch(q.Op, q.Values, q.Arg))
+	if ans == nil {
+		ans = newAnswer(q.Op)
 	}
-	return nw.answer(q.Op, res, err)
+	return nw.finish(ans, err)
 }
 
-// answer renders one run as a single-run query's Answer, in either
-// execution model. cause is the watchdog's abort cause (nil for a
-// complete run): a partial answer keeps whatever the run salvaged — NaN
-// and no per-node state for a synchronous pipeline, the closing
-// estimates and their spread for pairwise averaging — never claims
-// convergence, and carries the reason in Quality. res is nil when the
-// abort hit before any protocol run (a pre-cancelled context or an
-// aborted horizon pre-run), giving a zero-cost partial answer. Only
-// terminal causes (cancellation) come back as the error too.
-func (nw *Network) answer(op Op, res *runResult, cause error) (*Answer, error) {
-	ans := &Answer{Op: op, Value: math.NaN()}
-	residual := float64(noResidual)
-	if res != nil {
-		ans.Value = res.Value
-		ans.Consensus = res.Consensus
-		ans.Cost = Cost{Runs: 1, Rounds: res.Rounds, Messages: res.Messages, Drops: res.Drops, Clock: res.Clock}
-		ans.PhaseCosts = res.PhaseCosts
-		ans.Trees = res.Trees
-		ans.Alive = res.Alive
-		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
-		ans.Exchanges = res.Exchanges
-		ans.Converged = res.Converged && cause == nil
-		ans.PerNode, ans.SampleIDs = nw.materializePerNode(res.PerNode)
-		if op == OpMoments && cause == nil {
-			ans.Mean, ans.Variance, ans.Std = res.Value, res.Variance, math.Sqrt(math.Max(res.Variance, 0))
-		}
-		residual = res.Residual
-	}
-	nw.fillQuality(ans, residual, cause)
-	if terminalAbort(cause) {
-		return ans, cause
-	}
-	return ans, nil
+// newComposite returns the Answer a composite query (Quantile,
+// Histogram) folds its runs into.
+func newComposite(op Op) *Answer {
+	ans := newAnswer(op)
+	ans.Converged = true
+	return ans
 }
 
 // quantile approximates the φ-quantile by bisection over the value
@@ -805,45 +824,31 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
-	ans := &Answer{Op: OpQuantile, Converged: true}
-	step := nw.quantileStep(ctx, ans, values)
-	minRes, err := step(OpMin, 0)
+	ans := newComposite(OpQuantile)
+	minRes, err := nw.step(ctx, ans, OpMin, values, 0)
 	if err != nil {
-		return nw.finishAbort(ans, err)
+		return nw.finish(ans, err)
 	}
-	maxRes, err := step(OpMax, 0)
+	maxRes, err := nw.step(ctx, ans, OpMax, values, 0)
 	if err != nil {
-		return nw.finishAbort(ans, err)
+		return nw.finish(ans, err)
 	}
-	countRes, err := step(OpCount, 0)
+	countRes, err := nw.step(ctx, ans, OpCount, values, 0)
 	if err != nil {
-		return nw.finishAbort(ans, err)
+		return nw.finish(ans, err)
 	}
 	target := math.Ceil(phi * math.Round(countRes.Value))
-	return nw.bisect(ans, minRes.Value, maxRes.Value, tol, target, step)
-}
-
-// quantileStep returns the step function of a quantile query: one
-// aggregate run of op over values, billed into ans, its error labelled
-// with the step.
-func (nw *Network) quantileStep(ctx context.Context, ans *Answer, values []float64) func(Op, float64) (*runResult, error) {
-	return func(op Op, arg float64) (*runResult, error) {
-		res, err := nw.subRun(ctx, ans, op, values, arg)
-		if err != nil {
-			return nil, fmt.Errorf("quantile %s step: %w", op, err)
-		}
-		return res, nil
-	}
+	return nw.bisect(ctx, ans, values, minRes.Value, maxRes.Value, tol, target)
 }
 
 // bisect finishes a quantile query by value bisection of the bracket
-// [lo, hi], one Rank step per probe, until the bracket is within tol
+// [lo, hi], one Rank step over values per probe, until the bracket is within tol
 // (default: 2^-20 of its width) or the query reaches maxQuantileRuns.
 // The answer is the bracket's upper end; a degenerate bracket (constant
 // values) answers at once. A bracket wider than math.MaxFloat64 (finite
 // ends of opposite sign near the limits) is halved without forming
 // hi − lo; every other bracket takes the plain arithmetic.
-func (nw *Network) bisect(ans *Answer, lo, hi, tol, target float64, step func(Op, float64) (*runResult, error)) (*Answer, error) {
+func (nw *Network) bisect(ctx context.Context, ans *Answer, values []float64, lo, hi, tol, target float64) (*Answer, error) {
 	if tol <= 0 {
 		tol = (hi - lo) / (1 << 20)
 		if math.IsInf(tol, 1) {
@@ -852,17 +857,16 @@ func (nw *Network) bisect(ans *Answer, lo, hi, tol, target float64, step func(Op
 	}
 	if tol <= 0 {
 		ans.Value = math.Max(lo, hi)
-		nw.fillQuality(ans, noResidual, nil)
-		return ans, nil
+		return nw.finish(ans, nil)
 	}
 	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
 		mid := lo + (hi-lo)/2
 		if math.IsInf(mid, 0) {
 			mid = lo/2 + hi/2
 		}
-		rankRes, err := step(OpRank, mid)
+		rankRes, err := nw.step(ctx, ans, OpRank, values, mid)
 		if err != nil {
-			return nw.finishAbort(ans, err)
+			return nw.finish(ans, err)
 		}
 		if math.Round(rankRes.Value) >= target {
 			hi = mid
@@ -874,8 +878,7 @@ func (nw *Network) bisect(ans *Answer, lo, hi, tol, target float64, step func(Op
 	// looser answer, so say so instead of silently returning it.
 	ans.Converged = hi-lo <= tol
 	ans.Value = hi
-	nw.fillQuality(ans, noResidual, nil)
-	return ans, nil
+	return nw.finish(ans, nil)
 }
 
 // maxQuantileRuns caps the total aggregate runs a Quantile query may
@@ -908,16 +911,15 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
-	ans := &Answer{Op: OpQuantile, Converged: true}
-	step := nw.quantileStep(ctx, ans, values)
+	ans := newComposite(OpQuantile)
 	// The target rank needs the alive population size m. With no static
 	// crashes and no dynamic plan every node stays alive, so m == N is
 	// known without spending a run; otherwise a Count run measures it.
 	m := nw.cfg.N
 	if nw.cfg.CrashFraction > 0 || !nw.cfg.Faults.Empty() {
-		countRes, err := step(OpCount, 0)
+		countRes, err := nw.step(ctx, ans, OpCount, values, 0)
 		if err != nil {
-			return nw.finishAbort(ans, err)
+			return nw.finish(ans, err)
 		}
 		m = int(math.Round(countRes.Value))
 		if m < 1 {
@@ -932,34 +934,20 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		t = m
 	}
 	if err := ctx.Err(); err != nil {
-		return nw.finishAbort(ans, err)
+		return nw.finish(ans, err)
 	}
 	var sum *hms.Summary
-	sampleRes, err := nw.execOnce(nil, OpQuantile, func(eng runEngine, ov overlay.Overlay) (*runResult, error) {
-		s, serr := hms.Sample(eng.(*sim.Engine), ov, values, hms.Options{Target: t, Count: m})
-		if serr != nil {
-			return nil, serr
+	sample, err := nw.execOnce(nil, OpQuantile, func(eng runEngine, ov overlay.Overlay) (*Answer, error) {
+		s, err := hms.Sample(eng.(*sim.Engine), ov, values, hms.Options{Target: t, Count: m})
+		if err != nil {
+			return nil, err
 		}
 		sum = s
-		st := eng.Stats()
-		pre := billOnly(st)
-		pre.PhaseCosts = []PhaseCost{{
-			Phase: hms.PhaseName, Rounds: st.Rounds,
-			Messages: st.Messages, Drops: st.Drops, Calls: st.Calls,
-		}}
-		if c, ok := s.Candidate(); ok {
-			pre.Value = c
-		}
-		return pre, nil
+		return billed(eng), nil
 	})
-	if sampleRes != nil {
-		bill(ans, sampleRes)
-	}
+	ans.fold(sample)
 	if err != nil {
-		if isAbort(err) {
-			return nw.finishAbort(ans, fmt.Errorf("quantile sample session: %w", err))
-		}
-		return nil, fmt.Errorf("quantile sample session: %w", err)
+		return nw.finish(ans, fmt.Errorf("quantile sample session: %w", err))
 	}
 	w := hms.NewWalk(sum)
 	for ans.Cost.Runs < maxQuantileRuns {
@@ -967,16 +955,15 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		if !ok {
 			break
 		}
-		rankRes, err := step(OpRank, q)
+		rankRes, err := nw.step(ctx, ans, OpRank, values, q)
 		if err != nil {
-			return nw.finishAbort(ans, err)
+			return nw.finish(ans, err)
 		}
 		w.Observe(q, int(math.Round(rankRes.Value)))
 	}
 	if v, exact := w.Exact(); exact && nw.cfg.Faults.Empty() {
 		ans.Value = v
-		nw.fillQuality(ans, noResidual, nil)
-		return ans, nil
+		return nw.finish(ans, nil)
 	}
 	// No trusted certificate. With a dynamic fault plan attached the
 	// walk's exactness certificates are unsound — the sampling session
@@ -992,18 +979,18 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	lo, loOK, hi, hiOK := w.Bracket()
 	clamp := !nw.cfg.Faults.Empty()
 	if !loOK || clamp {
-		minRes, err := step(OpMin, 0)
+		minRes, err := nw.step(ctx, ans, OpMin, values, 0)
 		if err != nil {
-			return nw.finishAbort(ans, err)
+			return nw.finish(ans, err)
 		}
 		if !loOK || lo < minRes.Value {
 			lo = minRes.Value
 		}
 	}
 	if !hiOK || clamp {
-		maxRes, err := step(OpMax, 0)
+		maxRes, err := nw.step(ctx, ans, OpMax, values, 0)
 		if err != nil {
-			return nw.finishAbort(ans, err)
+			return nw.finish(ans, err)
 		}
 		if !hiOK || hi > maxRes.Value {
 			hi = maxRes.Value
@@ -1016,7 +1003,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	if hi < lo {
 		hi = lo
 	}
-	return nw.bisect(ans, lo, hi, tol, float64(t), step)
+	return nw.bisect(ctx, ans, values, lo, hi, tol, float64(t))
 }
 
 // histogram computes the bucket counts with one Rank run per edge. Every
@@ -1028,13 +1015,14 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
-	ans := &Answer{Op: OpHistogram, Value: math.NaN(), Converged: true, Counts: make([]float64, len(edges)+1)}
+	ans := newComposite(OpHistogram)
+	ans.Counts = make([]float64, len(edges)+1)
 	cum := make([]float64, len(edges))
-	var lastRank *runResult
+	var lastRank *Answer
 	for i, edge := range edges {
-		res, err := nw.subRun(ctx, ans, OpRank, values, edge)
+		res, err := nw.step(ctx, ans, OpRank, values, edge)
 		if err != nil {
-			return nw.finishAbort(ans, fmt.Errorf("histogram edge %v: %w", edge, err))
+			return nw.finish(ans, err)
 		}
 		cum[i] = math.Round(res.Value)
 		lastRank = res
@@ -1057,9 +1045,9 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	// engine here, which was wrong whenever the plan changed membership.
 	total := float64(lastRank.Alive)
 	if !nw.cfg.Faults.Empty() {
-		countRes, err := nw.subRun(ctx, ans, OpCount, values, 0)
+		countRes, err := nw.step(ctx, ans, OpCount, values, 0)
 		if err != nil {
-			return nw.finishAbort(ans, fmt.Errorf("histogram population count: %w", err))
+			return nw.finish(ans, err)
 		}
 		total = math.Round(countRes.Value)
 		// The answer's membership fields describe the Rank runs the counts
@@ -1068,29 +1056,31 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = lastRank.FaultEvents, lastRank.FaultCrashes, lastRank.FaultRevives
 	}
 	ans.Counts[len(edges)] = total - cum[len(edges)-1]
-	nw.fillQuality(ans, noResidual, nil)
-	return ans, nil
+	return nw.finish(ans, nil)
 }
 
-// subRun executes one protocol run of a composite query (Quantile,
-// Histogram) and bills it into ans.
-func (nw *Network) subRun(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*runResult, error) {
-	res, err := nw.execute(ctx, op, nw.dispatch(op, values, arg))
-	if res != nil {
-		bill(ans, res)
+// step executes one protocol run of op over values for the composite
+// query ans (Quantile, Histogram) and folds it into ans. The error names
+// the step.
+func (nw *Network) step(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*Answer, error) {
+	run, err := nw.execute(ctx, op, nw.dispatch(op, values, arg))
+	ans.fold(run)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s step: %w", ans.Op, op, err)
 	}
-	return res, err
+	return run, nil
 }
 
-// bill folds one run into a composite answer — aborted runs included, so
+// fold bills one run into a composite answer — aborted runs included, so
 // a partial answer's Cost covers the work actually spent before the
-// abort. The membership and fault fields describe the latest run.
-func bill(ans *Answer, res *runResult) {
-	ans.Cost.Runs++
-	ans.Cost.Rounds += res.Rounds
-	ans.Cost.Messages += res.Messages
-	ans.Cost.Drops += res.Drops
-	ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, res.PhaseCosts)
-	ans.Alive = res.Alive
-	ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = res.FaultEvents, res.FaultCrashes, res.FaultRevives
+// abort; a run that never started (nil) bills nothing. The membership
+// and fault fields describe the latest run.
+func (ans *Answer) fold(run *Answer) {
+	if run == nil {
+		return
+	}
+	ans.Cost = ans.Cost.Add(run.Cost)
+	ans.PhaseCosts = mergePhaseCosts(ans.PhaseCosts, run.PhaseCosts)
+	ans.Alive = run.Alive
+	ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = run.FaultEvents, run.FaultCrashes, run.FaultRevives
 }

@@ -13,7 +13,6 @@ package drrgossip
 import (
 	"context"
 	"errors"
-	"math"
 	"time"
 
 	"drrgossip/internal/faults"
@@ -124,34 +123,37 @@ func abortReason(err error) string {
 	}
 }
 
-// fillQuality stamps the answer's Quality block from its own fields and
-// the abort cause (nil for complete runs). residual is the model's
-// closing residual (noResidual for the synchronous pipelines).
-func (nw *Network) fillQuality(ans *Answer, residual float64, cause error) {
+// fillQuality stamps the answer's Quality block from its own fields,
+// the residual its run reported and the abort cause (nil for complete
+// runs).
+func (nw *Network) fillQuality(ans *Answer, cause error) {
 	ans.Quality = Quality{
 		Partial:       cause != nil,
 		Reason:        abortReason(cause),
 		AliveFraction: float64(ans.Alive) / float64(nw.cfg.N),
 		Converged:     ans.Converged,
-		Residual:      residual,
+		Residual:      ans.Quality.Residual,
 		SurvivorBound: float64(ans.FaultCrashes) / float64(nw.cfg.N),
 	}
 }
 
-// finishAbort closes a composite query (Quantile, Histogram) whose
-// current step was aborted: the answer keeps the cost and fault
-// accounting accumulated so far, drops any half-derived value, and
-// reports the abort through Quality. Non-abort errors pass through
-// unchanged (no answer).
-func (nw *Network) finishAbort(ans *Answer, err error) (*Answer, error) {
-	if !isAbort(err) {
-		return nil, err
+// finish closes a query's Answer, single-run or composite. cause is the
+// abort cause (nil for a complete query): a partial answer keeps
+// whatever its runs salvaged — the bill always; NaN for an aborted
+// synchronous pipeline or composite, the closing estimates and their
+// spread for pairwise averaging — never claims convergence, and carries
+// the reason in Quality. Errors that are not aborts pass through with no
+// answer, and only terminal causes (cancellation) come back as the error
+// too. PerNode is materialized as Config.SampleNodes asks.
+func (nw *Network) finish(ans *Answer, cause error) (*Answer, error) {
+	if cause != nil && !isAbort(cause) {
+		return nil, cause
 	}
-	ans.Converged = false
-	ans.Value = math.NaN()
-	nw.fillQuality(ans, noResidual, err)
-	if terminalAbort(err) {
-		return ans, err
+	ans.Converged = ans.Converged && cause == nil
+	ans.PerNode, ans.SampleIDs = nw.materializePerNode(ans.PerNode)
+	nw.fillQuality(ans, cause)
+	if terminalAbort(cause) {
+		return ans, cause
 	}
 	return ans, nil
 }

@@ -339,8 +339,8 @@ type Config struct {
 // same doomed schedule. Deadline- and cancellation-aborted answers are
 // not retried (their budget is already spent); round-budget aborts and
 // non-converged completions are. Answer.Quality.Retries reports how
-// many restarts an answer consumed, and its Cost accumulates over all
-// attempts.
+// many restarts an answer consumed, and its Cost and PhaseCosts
+// accumulate over all attempts.
 type RetryPolicy struct {
 	// Attempts is the maximum number of epoch-restart re-runs after the
 	// initial attempt (>= 1).

@@ -613,11 +613,10 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (ans *Answer,
 		if _, ok := r.(*sim.AbortError); !ok {
 			panic(r)
 		}
-		// No consensus value exists mid-pipeline: salvage the bill alone.
-		// The telemetry run still closes, so traces show the aborted run.
-		salvage := billed(eng)
-		salvage.PhaseCosts = nil
-		ans, err = nw.closeRun(eng, rp, op, salvage), nw.wd.aborted()
+		// No consensus value exists mid-pipeline: salvage the bill alone,
+		// split by the phases run so far. The telemetry run still closes,
+		// so traces show the aborted run.
+		ans, err = nw.closeRun(eng, rp, op, billed(eng)), nw.wd.aborted()
 	}()
 	ans, err = run(eng, nw.ov)
 	if err != nil {

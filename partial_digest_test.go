@@ -163,10 +163,10 @@ func TestAsyncAndPartialDigests(t *testing.T) {
 			digest: [2]uint64{0x5b5bb8410985e0a0, 0x372fd2a061fdb083}},
 		{name: "sync/round-budget-average", query: average,
 			cfg:    Config{Seed: 21, RoundBudget: 20, SampleNodes: AllNodes},
-			digest: [2]uint64{0xc5b618350a8c07fe, 0xf9ec16899af6f99e}},
+			digest: [2]uint64{0x3465553462a3b94c, 0xcda8ab183280136c}},
 		{name: "sync/round-budget-quantile", query: quantile,
 			cfg:    Config{Seed: 22, RoundBudget: 100},
-			digest: [2]uint64{0xe12dcc47530f8b8c, 0xab264ce9d8dfc2a}},
+			digest: [2]uint64{0x1f4a400c880712f3, 0xf5c5a7853d88a255}},
 		{name: "sync/round-budget-aborts-prerun", query: average,
 			cfg:    Config{Seed: 23, Faults: crash20, RoundBudget: 20, SampleNodes: AllNodes},
 			digest: [2]uint64{0x342065d6a0c6d853, 0x9add0ff2d0ea7e33}},
@@ -198,7 +198,7 @@ func TestAsyncAndPartialDigests(t *testing.T) {
 			digest: [2]uint64{0xf1e6796253647645, 0xbdb07b0dc2f984a5}},
 		{name: "sync/retry-completes", query: average,
 			cfg:    Config{Seed: 43, RoundBudget: 208, Retry: &RetryPolicy{Attempts: 3}},
-			digest: [2]uint64{0xa56b410074086c85, 0x176854f5e3f9163}},
+			digest: [2]uint64{0xa0d143e20c00b3ba, 0x44c5ff9321c98edc}},
 	}
 	for _, r := range rows {
 		cfg := r.cfg

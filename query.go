@@ -233,8 +233,9 @@ type PhaseCost struct {
 
 // mergePhaseCosts folds src into dst by phase name, appending unseen
 // phases in first-seen order. Every pipeline reports its phases in the
-// same execution order (drr, aggregate, gossip, broadcast), so
-// composite queries accumulate into a stable four-entry slice.
+// same execution order (drr, aggregate, gossip, broadcast), an aborted
+// one a prefix of it, so composite and retried queries accumulate into
+// a stable slice.
 func mergePhaseCosts(dst, src []PhaseCost) []PhaseCost {
 	for _, pc := range src {
 		merged := false
@@ -288,9 +289,13 @@ type Answer struct {
 	// Cost is the query's accumulated protocol bill.
 	Cost Cost
 	// PhaseCosts attributes Cost to the protocol phases in execution
-	// order (drr, aggregate, gossip, broadcast), accumulated across all
-	// of a composite query's runs. The entries sum exactly to
-	// Cost.Rounds, Cost.Messages and Cost.Drops.
+	// order (drr, aggregate, gossip, broadcast, and "sample" for the HMS
+	// sampling session), accumulated across all of a query's runs: a
+	// composite's steps and a retried query's attempts. The entries sum
+	// exactly to Cost.Rounds, Cost.Messages and Cost.Drops, partial
+	// answers included, since an aborted run bills the phases it
+	// reached. The one exception is Async mode: pairwise averaging has
+	// no phases, and its answers carry nil PhaseCosts.
 	PhaseCosts []PhaseCost
 	// Trees is the number of DRR trees built in Phase I (last run).
 	Trees int

@@ -177,9 +177,9 @@ const retrySeedStride = 0x9E3779B97F4A7C15
 // runWithRetry executes one query, then — when a RetryPolicy is set and
 // the answer is retryable — re-runs it on shadow epoch sessions until
 // an attempt converges or the attempts are exhausted. The returned
-// answer is the last attempt's, its Cost accumulated over every attempt
-// (the query paid for all of them) and Quality.Retries counting the
-// restarts.
+// answer is the last attempt's, its Cost and PhaseCosts accumulated over
+// every attempt (the query paid for all of them) and Quality.Retries
+// counting the restarts.
 func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 	ans, err := nw.runQuery(ctx, q)
 	pol := nw.cfg.Retry
@@ -187,7 +187,6 @@ func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 		return ans, err
 	}
 	best := ans
-	cost := ans.Cost
 	for attempt := 1; attempt <= pol.Attempts; attempt++ {
 		shadow := nw.epochSession(uint64(attempt) * retrySeedStride)
 		next, err := shadow.runQuery(ctx, q)
@@ -197,8 +196,8 @@ func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 			// best completed attempt so far.
 			return best, err
 		}
-		cost = cost.Add(next.Cost)
-		next.Cost = cost
+		next.Cost = best.Cost.Add(next.Cost)
+		next.PhaseCosts = mergePhaseCosts(best.PhaseCosts, next.PhaseCosts)
 		next.Quality.Retries = attempt
 		best = next
 		if !retryable(next) {

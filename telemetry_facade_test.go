@@ -34,9 +34,9 @@ func sumPhases(pcs []PhaseCost) (rounds int, messages, drops int64) {
 }
 
 // TestPhaseCostsSumToCost is the golden pin of the acceptance criterion:
-// for every op on Complete and Chord, Answer.PhaseCosts sums exactly to
-// Answer.Cost — the dense and sparse pipelines account bit-identically
-// to their totals.
+// for every op on Complete and Chord, and for partial and retried
+// answers, Answer.PhaseCosts sums exactly to Answer.Cost — the dense and
+// sparse pipelines account bit-identically to their totals.
 func TestPhaseCostsSumToCost(t *testing.T) {
 	phaseOrder := []string{"drr", "aggregate", "gossip", "broadcast"}
 	for _, topo := range []Topology{Complete, Chord} {
@@ -71,6 +71,38 @@ func TestPhaseCostsSumToCost(t *testing.T) {
 				t.Errorf("%s/%s: phase sum (%d, %d, %d) != cost (%d, %d, %d)",
 					topo, q.Op, rounds, messages, drops, a.Cost.Rounds, a.Cost.Messages, a.Cost.Drops)
 			}
+		}
+	}
+	// Answers of runs cut short: a round-budget abort of a single run, a
+	// composite whose Rank step is aborted, and a retried query whose
+	// earlier attempts were aborted. A salvaged run bills the phases it
+	// reached, and a retried answer folds every attempt's phases.
+	cases := []struct {
+		name    string
+		cfg     Config
+		q       Query
+		retries int
+	}{
+		{"round-budget-average", Config{N: 256, Seed: 21, RoundBudget: 20}, AverageOf(uniformValues(256, 121)), 0},
+		{"round-budget-quantile", Config{N: 256, Seed: 22, RoundBudget: 100}, QuantileOf(uniformValues(256, 122), 0.9, 0), 0},
+		{"retried-average", Config{N: 256, Seed: 43, RoundBudget: 208, Retry: &RetryPolicy{Attempts: 3}}, AverageOf(uniformValues(256, 67)), 2},
+	}
+	for _, c := range cases {
+		a, err := runOnce(c.cfg, c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if a.Quality.Partial == (c.retries > 0) || a.Quality.Retries != c.retries {
+			t.Fatalf("%s: partial %v after %d retries, want partial %v after %d",
+				c.name, a.Quality.Partial, a.Quality.Retries, c.retries == 0, c.retries)
+		}
+		if len(a.PhaseCosts) == 0 {
+			t.Fatalf("%s: no phase costs for cost %+v", c.name, a.Cost)
+		}
+		rounds, messages, drops := sumPhases(a.PhaseCosts)
+		if rounds != a.Cost.Rounds || messages != a.Cost.Messages || drops != a.Cost.Drops {
+			t.Errorf("%s: phase sum (%d, %d, %d) != cost (%d, %d, %d)",
+				c.name, rounds, messages, drops, a.Cost.Rounds, a.Cost.Messages, a.Cost.Drops)
 		}
 	}
 }

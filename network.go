@@ -99,7 +99,8 @@ type Network struct {
 
 	// sample caches the Config.SampleNodes id set (computed once per
 	// session; a pure function of Seed, N and SampleNodes, so worker
-	// replicas recompute the identical set).
+	// replicas recompute the identical set, and retry epochs, whose
+	// Seed differs, share the session's).
 	sample []int
 
 	// em is the session's telemetry emitter (nil when Config.Telemetry is
@@ -778,17 +779,24 @@ func (nw *Network) materializePerNode(full []float64) (values []float64, ids []i
 	case nw.cfg.SampleNodes == 0:
 		return nil, nil
 	default:
-		if nw.sample == nil {
-			nw.sample = sampleIDs(nw.cfg.Seed, nw.cfg.N, nw.cfg.SampleNodes)
-		}
-		out := make([]float64, len(nw.sample))
-		for i, id := range nw.sample {
+		ids := nw.sampleSet()
+		out := make([]float64, len(ids))
+		for i, id := range ids {
 			out[i] = full[id]
 		}
 		// Answers own their SampleIDs: hand out a copy so mutating one
 		// answer's slice cannot skew another's (or the session's cache).
-		return out, append([]int(nil), nw.sample...)
+		return out, append([]int(nil), ids...)
 	}
+}
+
+// sampleSet returns the session's Config.SampleNodes id set (nil when
+// the config asks for no sample), drawing it on first use.
+func (nw *Network) sampleSet() []int {
+	if nw.sample == nil && nw.cfg.SampleNodes > 0 {
+		nw.sample = sampleIDs(nw.cfg.Seed, nw.cfg.N, nw.cfg.SampleNodes)
+	}
+	return nw.sample
 }
 
 // aggregate answers the single-run operations (OpMax..OpRank,

@@ -208,14 +208,15 @@ func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 }
 
 // epochSession replicates the session for one retry epoch: the same
-// (immutable) overlay, the config re-seeded by seedOffset, fresh fault
-// bindings (the new seed draws new crash sets and loss decisions under
-// the same symbolic plan), and no observers or telemetry — retries are
-// follow-up work of the same query, and their round streams would
-// interleave confusingly with the primary session's.
+// (immutable) overlay and per-node sample, the config re-seeded by
+// seedOffset, fresh fault bindings (the new seed draws new crash sets
+// and loss decisions under the same symbolic plan), and no observers or
+// telemetry — retries are follow-up work of the same query, and their
+// round streams would interleave confusingly with the primary
+// session's.
 func (nw *Network) epochSession(seedOffset uint64) *Network {
 	cfg := nw.cfg
 	cfg.Seed += seedOffset
 	cfg.Retry = nil
-	return &Network{cfg: cfg, ov: nw.ov, bounds: make(map[Op]*faults.Bound)}
+	return &Network{cfg: cfg, ov: nw.ov, bounds: make(map[Op]*faults.Bound), sample: nw.sampleSet()}
 }

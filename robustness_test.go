@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -333,6 +334,40 @@ func TestRetryPolicyEpochRestart(t *testing.T) {
 	}
 	if ans3.Quality.Retries != 0 || !ans3.Quality.Partial {
 		t.Fatalf("deadline abort should not retry: %+v", ans3.Quality)
+	}
+}
+
+// TestRetryPolicyKeepsSessionSample checks that a retried answer's
+// SampleIDs are the session's sample: an epoch restart re-seeds the
+// protocol, not the per-node sample, which Config.SampleNodes promises
+// is identical for every query of the session. The first attempt on
+// the ring does not reach AsyncEps, so the answer is the retry's.
+func TestRetryPolicyKeepsSessionSample(t *testing.T) {
+	const n = 256
+	cfg := Config{N: n, Seed: 43, Mode: Async, Topology: Ring, AsyncEps: 1e-12, SampleNodes: 4}
+	plain, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Retry = &RetryPolicy{Attempts: 1}
+	retried, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := uniformValues(n, 67)
+	want, err := plain.Run(AverageOf(values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := retried.Run(AverageOf(values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Quality.Retries != 1 {
+		t.Fatalf("Retries = %d, want 1", got.Quality.Retries)
+	}
+	if !slices.Equal(got.SampleIDs, want.SampleIDs) || len(got.SampleIDs) != 4 {
+		t.Fatalf("retried answer samples nodes %v, session samples %v", got.SampleIDs, want.SampleIDs)
 	}
 }
 

@@ -52,16 +52,6 @@ func LossInflate(base int, eng *sim.Engine) int {
 	return int(math.Ceil(float64(base)/((1-rho)*alive))) + 1
 }
 
-// CeilLog2 is ⌈log2 n⌉, at least 1: the log n of the paper's round
-// budgets.
-func CeilLog2(n int) int {
-	l := int(math.Ceil(math.Log2(float64(n))))
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // MaxResult is the outcome of Gossip-max. Per-root values are indexed by
 // root slot.
 type MaxResult struct {
@@ -85,8 +75,8 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	roots := f.Roots()
 	start := eng.Stats()
 	val := append([]float64(nil), init...)
-	gossipRounds := tr.iterations(2*CeilLog2(eng.N()) + 12)
-	sampleRounds := tr.iterations(CeilLog2(eng.N()) + 8)
+	gossipRounds := tr.iterations(2*sim.CeilLog2(eng.N()) + 12)
+	sampleRounds := tr.iterations(sim.CeilLog2(eng.N()) + 8)
 	if err := Push(tr, val, gossipRounds); err != nil {
 		return nil, err
 	}
@@ -248,7 +238,7 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 	}
 	start := eng.Stats()
 	mass := append([]convergecast.MomentsVec(nil), init...)
-	rounds := tr.iterations(4*CeilLog2(eng.N()) + 24)
+	rounds := tr.iterations(4*sim.CeilLog2(eng.N()) + 24)
 	ticks := tr.ticks()
 
 	// Optional contribution tracking for the Lemma 8 potential, indexed

@@ -88,14 +88,6 @@ type Summary struct {
 	Batches int
 }
 
-func ceilLog2(n int) int {
-	l := int(math.Ceil(math.Log2(float64(n))))
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // epochSizes returns the batch counts between interval shrinks: two quick
 // bootstrap epochs localize the interval while the retained multiset is
 // still the whole population sample, then steady chunks densify it.
@@ -152,7 +144,7 @@ func Sample(eng *sim.Engine, ov overlay.Overlay, values []float64, opts Options)
 	// The O(log n) sampling schedule: enough batches that every
 	// population value near the target is expected to appear ~b times in
 	// the multiset (miss probability e^-b per value).
-	batches := 2*ceilLog2(m) + 24
+	batches := 2*sim.CeilLog2(m) + 24
 	eng.SetPhase(PhaseName)
 
 	s := &Summary{

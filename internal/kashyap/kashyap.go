@@ -38,17 +38,9 @@ const (
 // mergeSubRounds is the number of merge attempts per phase.
 const mergeSubRounds = 3
 
-func ceilLog2(n int) int {
-	l := int(math.Ceil(math.Log2(float64(n))))
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // phases is the number of merge phases: ceil(log2 log2 n), at least 2.
 func phases(n int) int {
-	p := int(math.Ceil(math.Log2(float64(ceilLog2(n)))))
+	p := int(math.Ceil(math.Log2(float64(sim.CeilLog2(n)))))
 	if p < 2 {
 		p = 2
 	}
@@ -56,11 +48,11 @@ func phases(n int) int {
 }
 
 // sizeCap caps cluster sizes at 4 log2 n.
-func sizeCap(n int) int { return 4 * ceilLog2(n) }
+func sizeCap(n int) int { return 4 * sim.CeilLog2(n) }
 
 // phaseBudget is the synchronous round budget of one phase,
 // ceil(log2 n) + 4.
-func phaseBudget(n int) int { return ceilLog2(n) + 4 }
+func phaseBudget(n int) int { return sim.CeilLog2(n) + 4 }
 
 // BuildForest runs the clustering phases and returns the cluster forest
 // plus each node's root address, refreshed by the last phase's broadcast.

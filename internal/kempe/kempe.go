@@ -115,7 +115,7 @@ func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64) (*Resul
 	start := eng.Stats()
 	est := append([]float64(nil), values...)
 	tr := gossip.Route(eng, overlay.NewChord(ring), singletons(n))
-	if err := gossip.Push(tr, est, gossip.LossInflate(2*gossip.CeilLog2(n)+12, eng)); err != nil {
+	if err := gossip.Push(tr, est, gossip.LossInflate(2*sim.CeilLog2(n)+12, eng)); err != nil {
 		return nil, err
 	}
 	return &Result{Estimates: est, Stats: eng.Stats().Sub(start)}, nil

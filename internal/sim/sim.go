@@ -58,6 +58,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,16 @@ func (c Counters) Sub(prev Counters) Counters {
 		Blocked:  c.Blocked - prev.Blocked,
 		Calls:    c.Calls - prev.Calls,
 	}
+}
+
+// CeilLog2 is ⌈log2 n⌉, at least 1: the log n of the paper's round
+// budgets.
+func CeilLog2(n int) int {
+	l := int(math.Ceil(math.Log2(float64(n))))
+	if l < 1 {
+		l = 1
+	}
+	return l
 }
 
 const (

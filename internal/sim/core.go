@@ -9,7 +9,8 @@ import (
 
 // Core is the state both engines share: membership, per-node protocol
 // streams, the transmission attempt with its loss hashing and billing,
-// and the fault, observer and watchdog hook slots. sim.Engine and
+// the per-phase ledger of that bill, and the fault, observer and
+// watchdog hook slots. sim.Engine and
 // async.Engine embed it by value and add only their scheduler — the
 // delivery ring and Tick here, the event heap and clocks in
 // internal/async — so a fault binding, a telemetry tap or a watchdog
@@ -347,8 +348,9 @@ func (c *Core) openPhase() (PhaseBill, bool) {
 	return b, c.phase != "" || b.Counters != (Counters{})
 }
 
-// Phase returns the label last recorded with SetPhase ("" before the
-// first phase).
+// Phase returns the open phase's label: the one last recorded with
+// SetPhase ("" before the first phase), under which the ledger bills the
+// engine's work until the next label change.
 func (c *Core) Phase() string { return c.phase }
 
 // Ledger returns the run's per-phase bill in execution order: every

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -42,7 +43,7 @@ func TestRoundObserver(t *testing.T) {
 	}
 }
 
-// SetPhase is plain observability state.
+// SetPhase records the label Phase reports.
 func TestPhaseLabel(t *testing.T) {
 	e := NewEngine(2, Options{Seed: 1})
 	if e.Phase() != "" {
@@ -73,6 +74,66 @@ func TestPhaseObserver(t *testing.T) {
 	e.SetPhase("broadcast")
 	if len(seen) != 2 {
 		t.Fatal("removed phase observer still fired")
+	}
+}
+
+// The ledger bills each phase between its label changes: unlabelled
+// work before the first label gets a row of its own, repeating a label
+// opens no new phase, the open phase is billed up to now, and the rows
+// sum to Stats. Reset truncates it, and a warm engine runs a phased run
+// and its Reset without allocating.
+func TestPhaseLedger(t *testing.T) {
+	e := NewEngine(4, Options{Seed: 1})
+	if l := e.Ledger(); len(l) != 0 {
+		t.Fatalf("fresh ledger %v", l)
+	}
+	e.Send(0, 1, Payload{})
+	e.SetPhase("drr")
+	e.Send(1, 2, Payload{})
+	e.Tick()
+	e.SetPhase("drr")
+	e.SetPhase("gossip")
+	e.Send(2, 3, Payload{})
+	e.Send(3, 0, Payload{})
+	e.Tick()
+	e.Tick()
+	want := []PhaseBill{
+		{"", Counters{Messages: 1}},
+		{"drr", Counters{Rounds: 1, Messages: 1}},
+		{"gossip", Counters{Rounds: 2, Messages: 2}},
+	}
+	l := e.Ledger()
+	if !slices.Equal(l, want) {
+		t.Fatalf("ledger %v, want %v", l, want)
+	}
+	var sum Counters
+	for _, b := range l {
+		sum = sum.Add(b.Counters)
+	}
+	if sum != e.Stats() {
+		t.Fatalf("ledger sums to %+v, Stats %+v", sum, e.Stats())
+	}
+	if got := e.Billed("gossip"); got != want[2].Counters {
+		t.Fatalf("Billed(gossip) = %+v", got)
+	}
+	run := func() {
+		e.Reset(Options{Seed: 1})
+		for _, p := range []string{"drr", "aggregate", "gossip", "broadcast"} {
+			e.SetPhase(p)
+			e.Send(0, 1, Payload{})
+			e.Tick()
+		}
+		if len(e.Ledger()) != 4 {
+			t.Fatalf("ledger %v", e.Ledger())
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("phased run and Reset allocate %v times", allocs)
+	}
+	e.Reset(Options{Seed: 1})
+	if l := e.Ledger(); len(l) != 0 {
+		t.Fatalf("Reset left ledger %v", l)
 	}
 }
 

@@ -700,10 +700,10 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 }
 
 // resolve binds the fault plan for op's pipeline shape. Plans that place
-// events by horizon fraction first measure the healthy run's length
-// (see horizon) with one unfaulted pre-run of run; both runs are deterministic in Seed, so the
-// horizon is exact, and any run of the same shape measures the same one
-// (see shapeOf). An async run's horizon is measured on the first
+// events by horizon fraction first measure the healthy run's length (see
+// horizon) with one unfaulted pre-run of run; both runs are
+// deterministic in Seed, so the horizon is exact, and any run of the
+// same shape measures the same one (see shapeOf). An async run's horizon is measured on the first
 // average query's values and reused for the session. A pre-run the
 // watchdog aborts leaves no trustworthy horizon and fails the binding
 // with the abort cause.
@@ -849,8 +849,9 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 }
 
 // bisect finishes a quantile query by value bisection of the bracket
-// [lo, hi], one Rank step over values per probe, until the bracket is within tol
-// (default: 2^-20 of its width) or the query reaches maxQuantileRuns.
+// [lo, hi], one Rank step over values per probe, until the bracket is
+// within tol (default: 2^-20 of its width) or the query reaches
+// maxQuantileRuns.
 // The answer is the bracket's upper end; a degenerate bracket (constant
 // values) answers at once. A bracket wider than math.MaxFloat64 (finite
 // ends of opposite sign near the limits) is halved without forming

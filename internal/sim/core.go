@@ -10,11 +10,10 @@ import (
 // Core is the state both engines share: membership, per-node protocol
 // streams, the transmission attempt with its loss hashing and billing,
 // the per-phase ledger of that bill, and the fault, observer and
-// watchdog hook slots. sim.Engine and
-// async.Engine embed it by value and add only their scheduler — the
-// delivery ring and Tick here, the event heap and clocks in
-// internal/async — so a fault binding, a telemetry tap or a watchdog
-// sees one surface whichever engine runs.
+// watchdog hook slots. sim.Engine and async.Engine embed it by value and
+// add only their scheduler — the delivery ring and Tick here, the event
+// heap and clocks in internal/async — so a fault binding, a telemetry
+// tap or a watchdog sees one surface whichever engine runs.
 //
 // "Progress" is the engine's unit of time: a round of Tick in sim, a
 // dispatched clock event in async. Stats().Rounds counts it, round hooks
@@ -356,7 +355,7 @@ func (c *Core) Phase() string { return c.phase }
 // Ledger returns the run's per-phase bill in execution order: every
 // closed phase, then the open one up to now. The entries sum exactly to
 // Stats(), aborted runs included. The slice is owned by the engine and
-// valid until the next SetPhase or Reset; once the engine has held its
+// valid until its next method call; once the engine has held its
 // longest ledger, neither Ledger nor a Reset allocates.
 func (c *Core) Ledger() []PhaseBill {
 	b, ok := c.openPhase()

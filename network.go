@@ -506,11 +506,10 @@ func billed(eng runEngine) *Answer {
 	st := eng.Stats()
 	a := newAnswer(0)
 	a.Cost = Cost{Runs: 1, Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops}
-	if ledger := eng.Ledger(); len(ledger) > 0 {
-		a.PhaseCosts = make([]PhaseCost, len(ledger))
-		for i, b := range ledger {
-			a.PhaseCosts[i] = PhaseCost{Phase: b.Phase, Rounds: b.Rounds, Messages: b.Messages, Drops: b.Drops, Calls: b.Calls}
-		}
+	ledger := eng.Ledger()
+	a.PhaseCosts = make([]PhaseCost, len(ledger))
+	for i, b := range ledger {
+		a.PhaseCosts[i] = PhaseCost{Phase: b.Phase, Rounds: b.Rounds, Messages: b.Messages, Drops: b.Drops, Calls: b.Calls}
 	}
 	return a
 }
@@ -815,14 +814,6 @@ func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	return nw.finish(ans, err)
 }
 
-// newComposite returns the Answer a composite query (Quantile,
-// Histogram) folds its runs into.
-func newComposite(op Op) *Answer {
-	ans := newAnswer(op)
-	ans.Converged = true
-	return ans
-}
-
 // quantile approximates the φ-quantile by bisection over the value
 // range, one Rank run per step. All steps run against the same session,
 // so the overlay and the per-shape fault bindings are reused throughout —
@@ -831,7 +822,8 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
-	ans := newComposite(OpQuantile)
+	ans := newAnswer(OpQuantile)
+	ans.Converged = true
 	minRes, err := nw.step(ctx, ans, OpMin, values, 0)
 	if err != nil {
 		return nw.finish(ans, err)
@@ -919,7 +911,8 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
-	ans := newComposite(OpQuantile)
+	ans := newAnswer(OpQuantile)
+	ans.Converged = true
 	// The target rank needs the alive population size m. With no static
 	// crashes and no dynamic plan every node stays alive, so m == N is
 	// known without spending a run; otherwise a Count run measures it.
@@ -953,7 +946,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		sum = s
 		return billed(eng), nil
 	})
-	ans.fold(sample)
+	ans.addRun(sample)
 	if err != nil {
 		return nw.finish(ans, fmt.Errorf("quantile sample session: %w", err))
 	}
@@ -1023,7 +1016,8 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
-	ans := newComposite(OpHistogram)
+	ans := newAnswer(OpHistogram)
+	ans.Converged = true
 	ans.Counts = make([]float64, len(edges)+1)
 	cum := make([]float64, len(edges))
 	var lastRank *Answer
@@ -1072,18 +1066,18 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 // the step.
 func (nw *Network) step(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*Answer, error) {
 	run, err := nw.execute(ctx, op, nw.dispatch(op, values, arg))
-	ans.fold(run)
+	ans.addRun(run)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s step: %w", ans.Op, op, err)
 	}
 	return run, nil
 }
 
-// fold bills one run into a composite answer — aborted runs included, so
+// addRun bills one run into a composite answer — aborted runs included, so
 // a partial answer's Cost covers the work actually spent before the
 // abort; a run that never started (nil) bills nothing. The membership
 // and fault fields describe the latest run.
-func (ans *Answer) fold(run *Answer) {
+func (ans *Answer) addRun(run *Answer) {
 	if run == nil {
 		return
 	}

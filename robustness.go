@@ -123,10 +123,22 @@ func abortReason(err error) string {
 	}
 }
 
-// fillQuality stamps the answer's Quality block from its own fields,
-// the residual its run reported and the abort cause (nil for complete
-// runs).
-func (nw *Network) fillQuality(ans *Answer, cause error) {
+// finish closes a query's Answer, single-run or composite. cause is the
+// abort cause (nil for a complete query): a partial answer keeps
+// whatever its runs salvaged — the bill always; NaN for an aborted
+// synchronous pipeline or composite, the closing estimates and their
+// spread for pairwise averaging — never claims convergence, and carries
+// the reason in Quality. Errors that are not aborts pass through with no
+// answer, and only terminal causes (cancellation) come back as the error
+// too. PerNode is materialized as Config.SampleNodes asks, and the
+// Quality block is stamped from the answer's own fields and the residual
+// its run reported.
+func (nw *Network) finish(ans *Answer, cause error) (*Answer, error) {
+	if cause != nil && !isAbort(cause) {
+		return nil, cause
+	}
+	ans.Converged = ans.Converged && cause == nil
+	ans.PerNode, ans.SampleIDs = nw.materializePerNode(ans.PerNode)
 	ans.Quality = Quality{
 		Partial:       cause != nil,
 		Reason:        abortReason(cause),
@@ -135,23 +147,6 @@ func (nw *Network) fillQuality(ans *Answer, cause error) {
 		Residual:      ans.Quality.Residual,
 		SurvivorBound: float64(ans.FaultCrashes) / float64(nw.cfg.N),
 	}
-}
-
-// finish closes a query's Answer, single-run or composite. cause is the
-// abort cause (nil for a complete query): a partial answer keeps
-// whatever its runs salvaged — the bill always; NaN for an aborted
-// synchronous pipeline or composite, the closing estimates and their
-// spread for pairwise averaging — never claims convergence, and carries
-// the reason in Quality. Errors that are not aborts pass through with no
-// answer, and only terminal causes (cancellation) come back as the error
-// too. PerNode is materialized as Config.SampleNodes asks.
-func (nw *Network) finish(ans *Answer, cause error) (*Answer, error) {
-	if cause != nil && !isAbort(cause) {
-		return nil, cause
-	}
-	ans.Converged = ans.Converged && cause == nil
-	ans.PerNode, ans.SampleIDs = nw.materializePerNode(ans.PerNode)
-	nw.fillQuality(ans, cause)
 	if terminalAbort(cause) {
 		return ans, cause
 	}

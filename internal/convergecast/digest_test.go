@@ -41,22 +41,31 @@ func (d *digester) counters(c sim.Counters) {
 
 // TestPhase2Digests pins Max, Sum and Moments per-root outputs (hashed
 // in Roots() order) and the per-node BroadcastValue result bit for bit,
-// with their costs, with and without loss and initial crashes. A change
-// to how per-root state is stored or iterated must leave every digest
-// unchanged.
+// with their costs, with and without loss and initial crashes, and under
+// mid-run membership changes: in the "midcrash" row a round hook crashes
+// a fixed set of non-root members two rounds into each phase, and in the
+// "rejoin" row it revives them two rounds later. A change to how
+// per-root state is stored or iterated, or to how a phase tracks who
+// still owes a delivery, must leave every digest unchanged.
 func TestPhase2Digests(t *testing.T) {
 	faults := map[string]sim.Options{
 		"lossless": {},
 		"loss0.1":  {Loss: 0.1},
 		"crash0.2": {CrashFrac: 0.2},
+		"midcrash": {Loss: 0.05},
+		"rejoin":   {Loss: 0.05},
 	}
 	want := map[string]uint64{
 		"n=256/lossless":  0x6fe31b1210f0adf7,
 		"n=256/loss0.1":   0xca7e57e3760dd2a3,
 		"n=256/crash0.2":  0x5233c037d7e00d4c,
+		"n=256/midcrash":  0x0b12a32d9b6d3c52,
+		"n=256/rejoin":    0x6a66d05dc88d3dfc,
 		"n=2048/lossless": 0xab7219ff3fb76c89,
 		"n=2048/loss0.1":  0x69c5203fe7b543e1,
 		"n=2048/crash0.2": 0xfff4950959e5947e,
+		"n=2048/midcrash": 0xd4b98e1622c30c32,
+		"n=2048/rejoin":   0x49960ce1a46406b6,
 	}
 	for _, n := range []int{256, 2048} {
 		for name, opts := range faults {
@@ -65,21 +74,57 @@ func TestPhase2Digests(t *testing.T) {
 			eng := sim.NewEngine(n, opts)
 			f := buildForest(t, eng)
 			values := agg.GenUniform(n, -500, 500, uint64(n)+51)
+			// arm installs the row's membership changes for the phase
+			// about to start: every non-root member i with i%7 == salt
+			// crashes two rounds in and, in the "rejoin" row, revives two
+			// rounds after that.
+			const crashIn, reviveIn = 2, 4
+			arm := func(salt int) {
+				if name != "midcrash" && name != "rejoin" {
+					return
+				}
+				at := eng.Round()
+				eng.SetRoundHook(func(round int) {
+					for i := 0; i < n; i++ {
+						if !f.Member(i) || f.IsRoot(i) || i%7 != salt {
+							continue
+						}
+						switch {
+						case round == at+crashIn:
+							eng.Crash(i)
+						case round == at+reviveIn && name == "rejoin":
+							eng.Revive(i)
+						}
+					}
+				})
+			}
+			// spans fails the row when a phase ended before its last
+			// membership change: the row then pins nothing mid-run.
+			spans := func(stats sim.Counters) {
+				last := map[string]int{"midcrash": crashIn, "rejoin": reviveIn}[name]
+				if stats.Rounds < last {
+					t.Fatalf("%s: phase ended after %d rounds, before its round-%d membership change", key, stats.Rounds, last)
+				}
+			}
 			d := newDigester()
 
+			arm(1)
 			mx, stats, err := Max(eng, f, values)
 			if err != nil {
 				t.Fatal(err)
 			}
+			spans(stats)
 			for _, v := range mx {
 				d.f64(v)
 			}
 			d.counters(stats)
-			for _, run := range []func(*sim.Engine, *forest.Forest, []float64) ([]MomentsVec, sim.Counters, error){Sum, Moments} {
+			for k, run := range []func(*sim.Engine, *forest.Forest, []float64) ([]MomentsVec, sim.Counters, error){Sum, Moments} {
+				arm(3 + k)
 				mv, stats, err := run(eng, f, values)
 				if err != nil {
 					t.Fatal(err)
 				}
+				spans(stats)
 				for _, v := range mv {
 					d.f64(v.Sum, v.Sum2, v.Count)
 				}
@@ -89,10 +134,12 @@ func TestPhase2Digests(t *testing.T) {
 			for k, v := range mx {
 				perRoot[k] = v / 3
 			}
+			arm(6)
 			bc, stats, err := BroadcastValue(eng, f, perRoot)
 			if err != nil {
 				t.Fatal(err)
 			}
+			spans(stats)
 			d.f64(bc...)
 			d.counters(stats)
 

@@ -151,7 +151,7 @@ func BenchmarkPerfEngineResolveCalls(b *testing.B) {
 	e := sim.NewEngine(n, sim.Options{Seed: 4})
 	calls := make([]sim.Call, n)
 	for i := range calls {
-		calls[i] = sim.Call{Active: true, To: (i + 1) % n, Pay: sim.Payload{A: float64(i)}}
+		calls[i] = sim.Call{From: i, To: (i + 1) % n, Pay: sim.Payload{A: float64(i)}}
 	}
 	handle := func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 		return sim.Payload{A: req.A + 1}, true
@@ -181,10 +181,11 @@ func BenchmarkPerfEngineReset(b *testing.B) {
 
 // BenchmarkPerfPhase2 measures Phase II on a fixed DRR forest: one
 // convergecast-sum, the root-address broadcast and a value broadcast per
-// iteration, all on one engine. The call rounds run on the engine's
-// call buffer and the broadcasts return only their reach mask, so
-// allocs/op and B/op pin only the per-run bookkeeping: bitsets, child
-// cursors, accumulators and the per-node results.
+// iteration, all on one engine and one Scratch, as a session's pipeline
+// runs them. The call rounds run on the engine's call list and the
+// per-node state on the Scratch, so allocs/op and B/op pin what every
+// run still allocates: the per-root sums and the per-node broadcast
+// result that becomes an answer's PerNode.
 func BenchmarkPerfPhase2(b *testing.B) {
 	const n = 4096
 	e := sim.NewEngine(n, sim.Options{Seed: 8})
@@ -195,20 +196,21 @@ func BenchmarkPerfPhase2(b *testing.B) {
 	f := res.Forest
 	values := benchValues(n)
 	perRoot := make([]float64, f.NumTrees())
+	var s convergecast.Scratch // pooled like the pipeline's workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sums, _, err := convergecast.Sum(e, f, values)
+		sums, _, err := s.Sum(e, f, values)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for k, v := range sums {
 			perRoot[k] = v.Sum / v.Count
 		}
-		if _, _, err := convergecast.BroadcastRootAddr(e, f); err != nil {
+		if _, _, err := s.BroadcastRootAddr(e, f); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := convergecast.BroadcastValue(e, f, perRoot); err != nil {
+		if _, _, err := s.BroadcastValue(e, f, perRoot); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,36 +20,38 @@ import (
 // the package path below internal/, then the name; a method is written
 // Type.Method.
 var keep = map[string]string{
-	"agg.GenLinear":            "input generator of the drrgossip tests; the fault studies still to come will use it",
-	"agg.GenSigned":            "input generator of the pipeline, gossip and convergecast tests",
-	"agg.GenSpike":             "adversarial input generator the fault studies still to come will use",
-	"agg.GenZeroMean":          "input generator of the gossip tests",
-	"bitset.Set.Clone":         "oracle of the bitset property tests",
-	"bitset.Set.Equal":         "oracle of the bitset, fault-binding and route differential tests",
-	"chord.Ring.Bits":          "sizes the route buffers of the chord route differential test",
-	"faults.Bound.Rounds":      "read by TestBindMatchesReference to compare a binding with the reference copy",
-	"faults.FromCrashFrac":     "round-0 crash plan that README names as equal to Config.CrashFrac",
-	"forest.Forest.Depth":      "accessor the gossip transport and forest tests check climbs against",
-	"forest.Forest.NumMembers": "accessor the Phase I builder tests check forests with",
-	"forest.Forest.TreeSize":   "accessor the Local-DRR and forest tests check forests with",
-	"forest.Forest.TreeSizes":  "accessor the kashyap and convergecast tests check forests with",
-	"forest.Forest.Validate":   "structural check every Phase I builder test runs",
-	"graph.Complete":           "implicit complete graph the graph representation tests compare with a materialised reference",
-	"graph.FromAdjacency":      "builds the hand-written graphs of the graph, overlay and pairwise tests",
-	"graph.Graph.Eccentricity": "distance oracle of the graph generator tests",
-	"graph.Graph.HasEdge":      "adjacency oracle of the graph, overlay, chord and Local-DRR tests",
-	"graph.Graph.Neighbors":    "allocating neighbour list the graph and Local-DRR tests read",
-	"graph.Graph.Regular":      "degree oracle of the graph generator tests",
-	"graph.Star":               "worst-case fixture of the overlay and Local-DRR tests",
-	"hms.Walk.Probes":          "certification-walk cost the HMS tests bound",
-	"metrics.MessageShapes":    "shape list the fit tests run over",
-	"sim.AbortError.Unwrap":    "errors.Is and errors.As call it through an unnamed interface",
-	"sim.Core.AliveIDs":        "survivor list the facade, baseline and engine tests compute exact references over",
-	"sim.Engine.PendingEmpty":  "engine invariant the delivery, reset and SendEach tests assert",
-	"telemetry.NewRing":        "ring sink of the gated BenchmarkPerfTelemetry paired benchmark",
-	"telemetry.Ring.Events":    "ring read-out the telemetry tests check",
-	"telemetry.Ring.Total":     "ring read-out the telemetry tests check",
-	"xrand.HashFloat":          "reference that TestKeyMatchesHash and FuzzKeyMatchesHash compare xrand.Key with",
+	"agg.GenLinear":               "input generator of the drrgossip tests; the fault studies still to come will use it",
+	"agg.GenSigned":               "input generator of the pipeline, gossip and convergecast tests",
+	"agg.GenSpike":                "adversarial input generator the fault studies still to come will use",
+	"agg.GenZeroMean":             "input generator of the gossip tests",
+	"bitset.Set.Clone":            "oracle of the bitset property tests",
+	"bitset.Set.Equal":            "oracle of the bitset, fault-binding and route differential tests",
+	"chord.Ring.Bits":             "sizes the route buffers of the chord route differential test",
+	"convergecast.BroadcastValue": "one-shot form TestPhase2Digests and TestBroadcastDigests pin the broadcast through",
+	"convergecast.Moments":        "one-shot form TestPhase2Digests pins the three-component convergecast through",
+	"faults.Bound.Rounds":         "read by TestBindMatchesReference to compare a binding with the reference copy",
+	"faults.FromCrashFrac":        "round-0 crash plan that README names as equal to Config.CrashFrac",
+	"forest.Forest.Depth":         "accessor the gossip transport and forest tests check climbs against",
+	"forest.Forest.NumMembers":    "accessor the Phase I builder tests check forests with",
+	"forest.Forest.TreeSize":      "accessor the Local-DRR and forest tests check forests with",
+	"forest.Forest.TreeSizes":     "accessor the kashyap and convergecast tests check forests with",
+	"forest.Forest.Validate":      "structural check every Phase I builder test runs",
+	"graph.Complete":              "implicit complete graph the graph representation tests compare with a materialised reference",
+	"graph.FromAdjacency":         "builds the hand-written graphs of the graph, overlay and pairwise tests",
+	"graph.Graph.Eccentricity":    "distance oracle of the graph generator tests",
+	"graph.Graph.HasEdge":         "adjacency oracle of the graph, overlay, chord and Local-DRR tests",
+	"graph.Graph.Neighbors":       "allocating neighbour list the graph and Local-DRR tests read",
+	"graph.Graph.Regular":         "degree oracle of the graph generator tests",
+	"graph.Star":                  "worst-case fixture of the overlay and Local-DRR tests",
+	"hms.Walk.Probes":             "certification-walk cost the HMS tests bound",
+	"metrics.MessageShapes":       "shape list the fit tests run over",
+	"sim.AbortError.Unwrap":       "errors.Is and errors.As call it through an unnamed interface",
+	"sim.Core.AliveIDs":           "survivor list the facade, baseline and engine tests compute exact references over",
+	"sim.Engine.PendingEmpty":     "engine invariant the delivery, reset and SendEach tests assert",
+	"telemetry.NewRing":           "ring sink of the gated BenchmarkPerfTelemetry paired benchmark",
+	"telemetry.Ring.Events":       "ring read-out the telemetry tests check",
+	"telemetry.Ring.Total":        "ring read-out the telemetry tests check",
+	"xrand.HashFloat":             "reference that TestKeyMatchesHash and FuzzKeyMatchesHash compare xrand.Key with",
 }
 
 // TestNoTestOnlySurface fails on a declaration under internal/ that only

@@ -103,6 +103,22 @@ func (s *Set) Reset() {
 	}
 }
 
+// Resize makes s an empty set of n bits, reusing its storage when it is
+// large enough (the zero Set resizes like any other).
+func (s *Set) Resize(n int) {
+	if n < 0 {
+		panic("bitset: negative size")
+	}
+	words := (n + wordBits - 1) / wordBits
+	if cap(s.words) < words {
+		s.words = make([]uint64, words)
+	} else {
+		s.words = s.words[:words]
+		clear(s.words)
+	}
+	s.n = n
+}
+
 // ForEach calls fn for every set bit in increasing order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {

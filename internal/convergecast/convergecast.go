@@ -9,6 +9,22 @@
 // retransmission after a lost ack cannot double-count. With δ < 1/8 every
 // edge succeeds within a few attempts whp, preserving the O(n) message and
 // O(max tree size) time bounds of the phase.
+//
+// Both directions are driven by events, not by sweeps over the nodes, so
+// a phase does work in proportion to the messages it sends. Upward, each
+// node counts its live children whose contribution has not merged yet; a
+// node whose count reaches zero is armed, calls its parent every round,
+// and disarms when the parent acknowledges it. Downward, the callers are
+// the reached nodes that still have a live child to serve. A round's
+// callers are read off these sets in ascending id (one pass over n/64
+// bitset words), and the number of nodes still owed a delivery is kept up
+// to date as merges, acks and deliveries happen. Only a round whose Tick
+// changed the membership (sim.Core.MemberEpoch moved) recomputes this
+// bookkeeping, in one pass over the forest.
+//
+// The per-node state lives in a Scratch that callers running Phase II
+// once per protocol run keep and reuse; the package-level functions run
+// on a fresh one.
 package convergecast
 
 import (
@@ -34,86 +50,141 @@ const (
 	kindDown uint8 = 0x22
 )
 
+// Scratch holds Phase II's per-node working state: the upward
+// accumulators, merge, ack and armed sets and pending-child counts, the
+// downward reached and serving sets and child cursors, and the
+// root-address vector. Every phase resets what it uses, so one Scratch
+// serves any number of phases, on any forest size, allocating only while
+// it grows. The zero value is ready to use. A Scratch runs one phase at a
+// time and is not safe for concurrent use.
+type Scratch struct {
+	acc     []sim.Payload // up: per-node accumulators
+	pending []int32       // up: live children not merged yet
+	merged  bitset.Set    // up: child -> contribution registered at parent
+	acked   bitset.Set    // up: child -> knows it was registered
+	armed   bitset.Set    // up: next round's callers
+
+	perRoot []sim.Payload // down: the payload of each root slot
+	next    []int32       // down: index into Children(i) of the next unacked child
+	have    bitset.Set    // down: node holds its root slot's payload
+	serving bitset.Set    // down: live reached nodes with a child left
+	stack   []int         // down: bookkeeping walk
+
+	rootTo []int // BroadcastRootAddr's result
+}
+
 // mergeFunc folds a child's contribution into the accumulator payload
 // (fields A, B, C carry the aggregate vector; Kind and X are managed by
 // the transport).
 type mergeFunc func(acc, in sim.Payload) sim.Payload
 
-// up runs the generic upward aggregation, merging into the per-node
-// accumulators acc in place, and returns them; a root's entry then holds
-// its tree's aggregate. Liveness is re-evaluated every round so that
-// mid-run crashes (dynamic membership) degrade the result instead of
-// stalling the phase: a dead child is no longer waited for, a node with
-// a dead parent stops retrying, and under an active fault regime an
-// incomplete phase returns the partial accumulators rather than
-// ErrIncomplete.
-func up(eng *sim.Engine, f *forest.Forest, acc []sim.Payload, merge mergeFunc) ([]sim.Payload, sim.Counters, error) {
+// load checks f and values against the engine and loads the upward
+// accumulators: A = value, B = value² when withSquare, and C = 1 on
+// members when withCount.
+func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, withCount, withSquare bool) error {
 	n := eng.N()
 	if f.N() != n {
-		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+		return fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
 	}
+	if len(values) != n {
+		return fmt.Errorf("convergecast: %d values for %d nodes", len(values), n)
+	}
+	s.acc = resized(s.acc, n)
+	for i, v := range values {
+		p := sim.Payload{A: v}
+		if withSquare {
+			p.B = v * v
+		}
+		if withCount && f.Member(i) {
+			p.C = 1
+		}
+		s.acc[i] = p
+	}
+	return nil
+}
+
+// up runs the generic upward aggregation, merging into the accumulators
+// load filled, and returns them; a root's entry then holds its tree's
+// aggregate. Liveness is re-evaluated whenever the membership changes,
+// so that mid-run crashes (dynamic membership) degrade the result
+// instead of stalling the phase: a dead child is no longer waited for, a
+// node with a dead parent stops retrying, and under an active fault
+// regime an incomplete phase returns the partial accumulators rather
+// than ErrIncomplete.
+func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]sim.Payload, sim.Counters, error) {
+	n := eng.N()
 	start := eng.Stats()
-	merged := bitset.New(n) // child -> contribution registered at parent
-	acked := bitset.New(n)  // child -> knows it was registered
+	acc := s.acc
+	s.pending = resized(s.pending, n)
+	s.merged.Resize(n)
+	s.acked.Resize(n)
+	s.armed.Resize(n)
 	// expects reports whether node i still owes its parent a delivery:
 	// alive, unacked, with an alive parent to deliver to.
 	expects := func(i int) bool {
-		return f.Member(i) && !f.IsRoot(i) && !acked.Test(i) &&
+		return f.Member(i) && !f.IsRoot(i) && !s.acked.Test(i) &&
 			eng.Alive(i) && eng.Alive(f.Parent(i))
 	}
-	// ready reports whether node i has heard from every child it can
-	// still hear from (dead children are no longer waited for).
-	ready := func(i int) bool {
-		for _, c := range f.Children(i) {
-			if !merged.Test(c) && eng.Alive(c) {
-				return false
-			}
-		}
-		return true
-	}
-	calls := eng.CallSlots()
-	remaining := 0
-	roundCap := f.MaxHeight() + extraRounds
-	for round := 0; round < roundCap; round++ {
-		remaining = 0
+	// book recounts every member's pending children (dead ones are no
+	// longer waited for), re-arms the nodes that expect and wait for
+	// none, and returns how many expect.
+	book := func() int {
+		s.armed.Reset()
+		remaining := 0
 		for i := 0; i < n; i++ {
-			if expects(i) {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		eng.Tick()
-		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
-			if !expects(i) || !ready(i) {
+			if !f.Member(i) {
 				continue
 			}
+			var waiting int32
+			for _, c := range f.Children(i) {
+				if !s.merged.Test(c) && eng.Alive(c) {
+					waiting++
+				}
+			}
+			s.pending[i] = waiting
+			if expects(i) {
+				remaining++
+				if waiting == 0 {
+					s.armed.Set(i)
+				}
+			}
+		}
+		return remaining
+	}
+	epoch := eng.MemberEpoch()
+	remaining := book()
+	// A caller is armed, so alive and counted in its parent's pending
+	// children: its first merge settles one of them.
+	handle := func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
+		if !s.merged.Test(caller) {
+			s.merged.Set(caller)
+			acc[callee] = merge(acc[callee], req)
+			if s.pending[callee]--; s.pending[callee] == 0 && expects(callee) {
+				s.armed.Set(callee)
+			}
+		}
+		return sim.Payload{Kind: kindUp}, true
+	}
+	onReply := func(caller int, _ sim.Payload) {
+		s.acked.Set(caller)
+		s.armed.Clear(caller)
+		remaining--
+	}
+	roundCap := f.MaxHeight() + extraRounds
+	for round := 0; round < roundCap && remaining > 0; round++ {
+		eng.Tick()
+		if e := eng.MemberEpoch(); e != epoch {
+			epoch = e
+			remaining = book()
+		}
+		calls := eng.CallSlots()
+		s.armed.ForEach(func(i int) {
 			pay := acc[i]
 			pay.Kind = kindUp
 			pay.X = int64(i)
-			calls[i] = sim.Call{Active: true, To: f.Parent(i), Pay: pay}
-		}
-		eng.ResolveCalls(calls,
-			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
-				if !merged.Test(caller) {
-					merged.Set(caller)
-					acc[callee] = merge(acc[callee], req)
-				}
-				return sim.Payload{Kind: kindUp}, true
-			},
-			func(caller int, resp sim.Payload) {
-				acked.Set(caller)
-			})
-	}
-	// Recount after the loop: the final acks may have landed during the
-	// last permitted round, after this iteration's count was taken.
-	remaining = 0
-	for i := 0; i < n; i++ {
-		if expects(i) {
-			remaining++
-		}
+			calls = append(calls, sim.Call{From: i, To: f.Parent(i), Pay: pay})
+		})
+		eng.ResolveCalls(calls, handle, onReply)
 	}
 	stats := eng.Stats().Sub(start)
 	if remaining > 0 && !eng.Faulty() {
@@ -122,29 +193,16 @@ func up(eng *sim.Engine, f *forest.Forest, acc []sim.Payload, merge mergeFunc) (
 	return acc, stats, nil
 }
 
-// valueInit builds per-node payload accumulators with A = value.
-func valueInit(f *forest.Forest, values []float64, withCount, withSquare bool) []sim.Payload {
-	init := make([]sim.Payload, len(values))
-	for i, v := range values {
-		init[i].A = v
-		if withSquare {
-			init[i].B = v * v
-		}
-		if withCount && f.Member(i) {
-			init[i].C = 1
-		}
-	}
-	return init
-}
-
 // Max runs Convergecast-max (Algorithm 2): each root learns the maximum
 // value in its tree. The result is indexed by root slot.
-func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, false, false),
-		func(acc, in sim.Payload) sim.Payload {
-			acc.A = math.Max(acc.A, in.A)
-			return acc
-		})
+func (s *Scratch) Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
+	if err := s.load(eng, f, values, false, false); err != nil {
+		return nil, sim.Counters{}, err
+	}
+	res, stats, err := s.up(eng, f, func(acc, in sim.Payload) sim.Payload {
+		acc.A = math.Max(acc.A, in.A)
+		return acc
+	})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -153,6 +211,11 @@ func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Co
 		out[k] = res[r].A
 	}
 	return out, stats, nil
+}
+
+// Max runs Scratch.Max on a fresh Scratch.
+func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
+	return new(Scratch).Max(eng, f, values)
 }
 
 // addPayloads is the componentwise-sum merge shared by Sum and Moments.
@@ -177,19 +240,32 @@ type MomentsVec struct {
 // Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
 // (Σ values, tree size) vector; Sum2 stays 0. The result is indexed by
 // root slot.
+func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
+	return s.sums(eng, f, values, false)
+}
+
+// Sum runs Scratch.Sum on a fresh Scratch.
 func Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
-	return sums(eng, f, values, false)
+	return new(Scratch).Sum(eng, f, values)
 }
 
 // Moments runs a three-component convergecast: each root learns its
 // tree's (Σ values, Σ values², tree size). The result is indexed by root
 // slot.
-func Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
-	return sums(eng, f, values, true)
+func (s *Scratch) Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
+	return s.sums(eng, f, values, true)
 }
 
-func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]MomentsVec, sim.Counters, error) {
-	res, stats, err := up(eng, f, valueInit(f, values, true, squares), addPayloads)
+// Moments runs Scratch.Moments on a fresh Scratch.
+func Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
+	return new(Scratch).Moments(eng, f, values)
+}
+
+func (s *Scratch) sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]MomentsVec, sim.Counters, error) {
+	if err := s.load(eng, f, values, true, squares); err != nil {
+		return nil, sim.Counters{}, err
+	}
+	res, stats, err := s.up(eng, f, addPayloads)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -200,114 +276,128 @@ func sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]
 	return out, stats, nil
 }
 
-// down pushes the per-root payloads, indexed by root slot, to every tree
-// member and returns the mask of members reached. A node only ever
-// receives from its parent, so a reached node i holds its root slot's
-// payload, perRoot[f.Slot(i)]. A node calls one child per round,
-// retrying unacknowledged ones; delivered children forward to their own
-// subtrees from the next round. Liveness is re-evaluated every round:
-// dead children are skipped and unreachable subtrees stop counting
-// toward completion, so mid-run crashes cannot stall the phase; under an
-// active fault regime an incomplete broadcast returns the partial mask.
-func down(eng *sim.Engine, f *forest.Forest, perRoot []sim.Payload) (*bitset.Set, sim.Counters, error) {
+// down pushes the per-root payloads in s.perRoot, indexed by root slot,
+// to every tree member and returns the set of members reached (valid
+// until s's next phase). A node only ever receives from its parent, so a
+// reached node i holds its root slot's payload, perRoot[f.Slot(i)]. A
+// node calls one child per round, retrying unacknowledged ones;
+// delivered children forward to their own subtrees from the next round.
+// Liveness is re-evaluated whenever the membership changes: dead children
+// are skipped and unreachable subtrees stop counting toward completion,
+// so mid-run crashes cannot stall the phase; under an active fault
+// regime an incomplete broadcast returns the partial set.
+func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
 	}
-	if len(perRoot) != f.NumTrees() {
-		return nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(perRoot), f.NumTrees())
+	if len(s.perRoot) != f.NumTrees() {
+		return nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(s.perRoot), f.NumTrees())
 	}
 	start := eng.Stats()
-	have := bitset.New(n)
-	nextChild := make([]int, n) // index into Children(i) of next un-acked child
+	s.next = resized(s.next, n)
+	clear(s.next)
+	s.have.Resize(n)
+	s.serving.Resize(n)
 	for _, r := range f.Roots() {
-		have.Set(r)
+		s.have.Set(r)
 	}
-	// order lists members parents-before-children for the per-round
-	// reachability sweep; reach[i] = node i holds or can still receive
-	// the payload through live ancestors.
-	order := f.LeavesFirst()
-	reach := bitset.New(n)
-	remaining := 0
-	countRemaining := func() int {
-		rem := 0
-		for k := len(order) - 1; k >= 0; k-- {
-			i := order[k]
-			switch {
-			case !eng.Alive(i):
-				reach.Clear(i)
-			case have.Test(i):
-				reach.Set(i)
-			case f.IsRoot(i):
-				reach.Clear(i) // root without payload cannot be served
-			default:
-				if reach.Test(f.Parent(i)) {
-					reach.Set(i)
-				} else {
-					reach.Clear(i)
+	// book rebuilds the serving set and returns the number of members
+	// still owed the payload: alive, not reached, with live ancestors up
+	// to a live reached one. A node is only ever reached from its reached
+	// parent, so every unreached member hangs below exactly one nearest
+	// reached node, and the walk below each live reached node visits its
+	// unreached subtrees once.
+	book := func() int {
+		s.serving.Reset()
+		remaining := 0
+		stack := s.stack[:0]
+		s.have.ForEach(func(h int) {
+			if !eng.Alive(h) {
+				return
+			}
+			kids := f.Children(h)
+			if int(s.next[h]) < len(kids) {
+				s.serving.Set(h)
+			}
+			for _, c := range kids {
+				if !s.have.Test(c) {
+					stack = append(stack, c)
 				}
 			}
-			if reach.Test(i) && !have.Test(i) {
-				rem++
+			for len(stack) > 0 {
+				c := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if eng.Alive(c) {
+					remaining++
+					stack = append(stack, f.Children(c)...)
+				}
 			}
-		}
-		return rem
+		})
+		s.stack = stack
+		return remaining
 	}
-	calls := eng.CallSlots()
-	roundCap := f.MaxTreeSize() + f.MaxHeight() + extraRounds
-	for round := 0; round < roundCap; round++ {
-		remaining = countRemaining()
-		if remaining == 0 {
-			break
-		}
-		eng.Tick()
-		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
-			if !have.Test(i) || !eng.Alive(i) {
-				continue
+	epoch := eng.MemberEpoch()
+	remaining := book()
+	// A callee is alive (the call reached it) below a live reached
+	// caller, so a first delivery settles one owed member.
+	handle := func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
+		if !s.have.Test(callee) {
+			s.have.Set(callee)
+			remaining--
+			if len(f.Children(callee)) > 0 {
+				s.serving.Set(callee)
 			}
+		}
+		return sim.Payload{Kind: kindDown}, true
+	}
+	onReply := func(caller int, _ sim.Payload) {
+		s.next[caller]++
+	}
+	roundCap := f.MaxTreeSize() + f.MaxHeight() + extraRounds
+	for round := 0; round < roundCap && remaining > 0; round++ {
+		eng.Tick()
+		if e := eng.MemberEpoch(); e != epoch {
+			epoch = e
+			remaining = book()
+		}
+		calls := eng.CallSlots()
+		s.serving.ForEach(func(i int) {
 			kids := f.Children(i)
+			k := int(s.next[i])
 			// Skip children that died waiting: retrying them would block
 			// the rest of the subtree forever.
-			for nextChild[i] < len(kids) && !eng.Alive(kids[nextChild[i]]) {
-				nextChild[i]++
+			for k < len(kids) && !eng.Alive(kids[k]) {
+				k++
 			}
-			if nextChild[i] >= len(kids) {
-				continue
+			s.next[i] = int32(k)
+			if k == len(kids) {
+				s.serving.Clear(i)
+				return
 			}
-			p := perRoot[f.Slot(i)]
+			p := s.perRoot[f.Slot(i)]
 			p.Kind = kindDown
-			calls[i] = sim.Call{Active: true, To: kids[nextChild[i]], Pay: p}
-		}
-		eng.ResolveCalls(calls,
-			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
-				have.Set(callee)
-				return sim.Payload{Kind: kindDown}, true
-			},
-			func(caller int, resp sim.Payload) {
-				nextChild[caller]++
-			})
+			calls = append(calls, sim.Call{From: i, To: kids[k], Pay: p})
+		})
+		eng.ResolveCalls(calls, handle, onReply)
 	}
-	// Recount after the loop: the final deliveries may have landed during
-	// the last permitted round, after this iteration's count was taken.
-	remaining = countRemaining()
 	stats := eng.Stats().Sub(start)
 	if remaining > 0 && !eng.Faulty() {
 		return nil, stats, ErrIncomplete
 	}
-	return have, stats, nil
+	return &s.have, stats, nil
 }
 
 // BroadcastValue distributes one float per root, indexed by root slot,
 // to all members of its tree: a reached node i gets perRoot[f.Slot(i)];
 // non-members and unreached members (crashed, or beyond a crashed
-// ancestor) get NaN.
-func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
-	pays := make([]sim.Payload, len(perRoot))
+// ancestor) get NaN. The result is the caller's.
+func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
+	s.perRoot = resized(s.perRoot, len(perRoot))
 	for k, v := range perRoot {
-		pays[k] = sim.Payload{A: v}
+		s.perRoot[k] = sim.Payload{A: v}
 	}
-	have, stats, err := down(eng, f, pays)
+	have, stats, err := s.down(eng, f)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -322,26 +412,47 @@ func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]flo
 	return out, stats, nil
 }
 
+// BroadcastValue runs Scratch.BroadcastValue on a fresh Scratch.
+func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
+	return new(Scratch).BroadcastValue(eng, f, perRoot)
+}
+
 // BroadcastRootAddr performs the Phase II address broadcast: every root
 // announces its address down its tree, so all nodes learn their root (the
 // non-address-oblivious forwarding table used by Phase III). A reached
-// node gets its root slot's address, f.RootOf(i); the others get -1.
-func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
-	pays := make([]sim.Payload, f.NumTrees())
+// node gets its root slot's address, f.RootOf(i); the others get -1. The
+// result belongs to s and is valid until its next BroadcastRootAddr.
+func (s *Scratch) BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
+	s.perRoot = resized(s.perRoot, f.NumTrees())
 	for k, r := range f.Roots() {
-		pays[k] = sim.Payload{X: int64(r)}
+		s.perRoot[k] = sim.Payload{X: int64(r)}
 	}
-	have, stats, err := down(eng, f, pays)
+	have, stats, err := s.down(eng, f)
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([]int, eng.N())
-	for i := range out {
+	s.rootTo = resized(s.rootTo, eng.N())
+	for i := range s.rootTo {
 		if have.Test(i) {
-			out[i] = f.RootOf(i)
+			s.rootTo[i] = f.RootOf(i)
 		} else {
-			out[i] = -1
+			s.rootTo[i] = -1
 		}
 	}
-	return out, stats, nil
+	return s.rootTo, stats, nil
+}
+
+// BroadcastRootAddr runs Scratch.BroadcastRootAddr on a fresh Scratch,
+// so the result is the caller's.
+func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
+	return new(Scratch).BroadcastRootAddr(eng, f)
+}
+
+// resized returns s with n entries, on s's own storage when it is large
+// enough; the entries are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

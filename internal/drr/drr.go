@@ -43,12 +43,18 @@ import (
 	"drrgossip/internal/sim"
 )
 
-// Options tune Algorithm 1. The zero value reproduces the paper.
+// Options tune Algorithm 1 and Local-DRR. The zero value reproduces the
+// paper.
 type Options struct {
-	// ProbeBudget is the maximum number of random probes per node.
-	// 0 means the paper's log2(n) - 1 (minimum 1). The A1 ablation
-	// experiment varies this.
+	// ProbeBudget is the maximum number of random probes per node (DRR
+	// only). 0 means the paper's log2(n) - 1 (minimum 1). The A1
+	// ablation experiment varies this.
 	ProbeBudget int
+	// Forest, when set, receives the ranking forest: it is rebuilt in
+	// place (forest.Forest.Rebuild) and becomes Result.Forest, so a
+	// caller building one forest per run reuses its storage. Nil builds
+	// a new forest.
+	Forest *forest.Forest
 }
 
 // connectRetries bounds connection-message retransmissions under loss:
@@ -104,19 +110,27 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	// Probing: one random sample per round per still-searching node. A
 	// node stops once parent[i] >= 0; parent is only written on the
 	// engine's sequential path (ResolveCalls), ParallelFor workers read it.
+	// The workers stage node i's probe in slot i (From -1 for none); the
+	// placed calls are then compacted in place, in ascending caller order.
 	probes := make([]int, n)
-	calls := eng.CallSlots()
+	slots := eng.CallSlots()[:n]
 	for k := 0; k < budget; k++ {
 		eng.Tick()
 		sim.ParallelFor(n, func(i int) {
-			calls[i] = sim.Call{}
+			slots[i] = sim.Call{From: -1}
 			if !eng.Alive(i) || parent[i] >= 0 {
 				return
 			}
 			u := eng.RNG(i).IntnOther(n, i)
 			probes[i]++
-			calls[i] = sim.Call{Active: true, To: u, Pay: sim.Payload{Kind: kindProbe}}
+			slots[i] = sim.Call{From: i, To: u, Pay: sim.Payload{Kind: kindProbe}}
 		})
+		calls := slots[:0]
+		for _, c := range slots {
+			if c.From >= 0 {
+				calls = append(calls, c)
+			}
+		}
 		eng.ResolveCalls(calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 				// Reply with the callee's rank.
@@ -128,12 +142,12 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 				}
 			})
 	}
-	return connect(eng, start, ranks, probes, parent)
+	return connect(eng, start, ranks, probes, parent, opts.Forest)
 }
 
 // RunLocal executes Local-DRR on the engine over graph g (g.N() ==
-// eng.N()) and returns the ranking forest.
-func RunLocal(eng *sim.Engine, g *graph.Graph) (*Result, error) {
+// eng.N()) and returns the ranking forest; opts.ProbeBudget is unused.
+func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 	n := eng.N()
 	if g.N() != n {
 		return nil, fmt.Errorf("drr: graph has %d nodes, engine %d", g.N(), n)
@@ -204,7 +218,7 @@ func RunLocal(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 			parent[i] = forest.Root
 		}
 	}
-	return connect(eng, start, ranks, nil, parent)
+	return connect(eng, start, ranks, nil, parent, opts.Forest)
 }
 
 // drawRanks draws every alive node's rank from its own RNG stream and
@@ -230,28 +244,26 @@ func drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
 // with a parent (parent[i] >= 0) sends it a connection message carrying
 // its identifier; the parent acknowledges (idempotently, so retries
 // after a lost ack are harmless). Unacknowledged nodes retry up to
-// connectRetries times and then fall back to being roots. The result's
-// Stats are the engine's counters since start.
-func connect(eng *sim.Engine, start sim.Counters, ranks []float64, probes, parent []int) (*Result, error) {
+// connectRetries times and then fall back to being roots. The forest is
+// rebuilt into f (a new one when f is nil), and the result's Stats are
+// the engine's counters since start.
+func connect(eng *sim.Engine, start sim.Counters, ranks []float64, probes, parent []int, f *forest.Forest) (*Result, error) {
 	n := eng.N()
 	// The ack set is a dense bitset (n/8 bytes, which matters at
 	// million-node scale) mutated only from the sequential ResolveCalls
 	// path.
 	acked := bitset.New(n)
-	calls := eng.CallSlots()
 	orphans := 0
 	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
-		active := false
+		calls := eng.CallSlots()
 		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
 			if !eng.Alive(i) || parent[i] < 0 || acked.Test(i) {
 				continue
 			}
-			active = true
-			calls[i] = sim.Call{Active: true, To: parent[i], Pay: sim.Payload{Kind: kindConnect, X: int64(i)}}
+			calls = append(calls, sim.Call{From: i, To: parent[i], Pay: sim.Payload{Kind: kindConnect, X: int64(i)}})
 		}
-		if !active {
+		if len(calls) == 0 {
 			break
 		}
 		eng.ResolveCalls(calls,
@@ -274,8 +286,10 @@ func connect(eng *sim.Engine, start sim.Counters, ranks []float64, probes, paren
 	// forest, and their orphaned children are promoted to roots, so the
 	// forest stays valid under mid-run churn. A no-op in the static model.
 	orphans += forest.RepairParents(parent, eng.Alive)
-	f, err := forest.FromParents(parent)
-	if err != nil {
+	if f == nil {
+		f = new(forest.Forest)
+	}
+	if err := f.Rebuild(parent); err != nil {
 		return nil, fmt.Errorf("drr: invalid forest: %w", err)
 	}
 	return &Result{

@@ -92,23 +92,23 @@ func runInbox(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	// set is a dense bitset (n/8 bytes) mutated only from the sequential
 	// ResolveCalls path.
 	acked := bitset.New(n)
-	calls := make([]sim.Call, n)
+	calls := make([]refCall, n)
 	orphans := 0
 	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
 		active := false
 		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
+			calls[i] = refCall{}
 			if !eng.Alive(i) || parent[i] < 0 || acked.Test(i) {
 				continue
 			}
 			active = true
-			calls[i] = sim.Call{Active: true, To: parent[i], Pay: sim.Payload{Kind: kindConnect, X: int64(i)}}
+			calls[i] = refCall{Active: true, To: parent[i], Pay: sim.Payload{Kind: kindConnect, X: int64(i)}}
 		}
 		if !active {
 			break
 		}
-		eng.ResolveCalls(calls,
+		refResolve(eng, calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 				return sim.Payload{Kind: kindConnect}, true
 			},
@@ -196,7 +196,7 @@ func TestRankExchangeMatchesInboxReference(t *testing.T) {
 						eng.SetRoundHook(flap(eng))
 					}
 				}
-				got, err := RunLocal(engs[0], g)
+				got, err := RunLocal(engs[0], g, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -248,7 +248,7 @@ func TestRunAllocsFlatInN(t *testing.T) {
 		eng := sim.NewEngine(n, opts)
 		return testing.AllocsPerRun(3, func() {
 			eng.Reset(opts)
-			if _, err := RunLocal(eng, g); err != nil {
+			if _, err := RunLocal(eng, g, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})

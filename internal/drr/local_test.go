@@ -12,7 +12,7 @@ import (
 func runLocal(t *testing.T, g *graph.Graph, opts sim.Options) *Result {
 	t.Helper()
 	eng := sim.NewEngine(g.N(), opts)
-	res, err := RunLocal(eng, g)
+	res, err := RunLocal(eng, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestConstantRoundsLinearMessages(t *testing.T) {
 func TestUnderLossStillValid(t *testing.T) {
 	g := graph.Torus(40, 40)
 	eng := sim.NewEngine(g.N(), sim.Options{Seed: 13, Loss: 0.125})
-	res, err := RunLocal(eng, g)
+	res, err := RunLocal(eng, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestUnderLossStillValid(t *testing.T) {
 func TestLocalWithCrashes(t *testing.T) {
 	g := graph.MustRandomRegular(1000, 6, 14)
 	eng := sim.NewEngine(g.N(), sim.Options{Seed: 15, CrashFrac: 0.2})
-	res, err := RunLocal(eng, g)
+	res, err := RunLocal(eng, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestLocalWithCrashes(t *testing.T) {
 
 func TestGraphSizeMismatch(t *testing.T) {
 	eng := sim.NewEngine(10, sim.Options{Seed: 1})
-	if _, err := RunLocal(eng, graph.Ring(20)); err == nil {
+	if _, err := RunLocal(eng, graph.Ring(20), Options{}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -226,7 +226,7 @@ func BenchmarkLocalDRRTorus(b *testing.B) {
 	g := graph.Torus(64, 64)
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(g.N(), sim.Options{Seed: uint64(i)})
-		if _, err := RunLocal(eng, g); err != nil {
+		if _, err := RunLocal(eng, g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

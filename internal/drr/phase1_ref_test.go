@@ -20,6 +20,27 @@ import (
 // nothing observable.
 const refLocalKindConnect uint8 = 0x12
 
+// refCall is the slot form the reference drivers stage their calls in:
+// slot i holds node i's call, Active false for none.
+type refCall struct {
+	Active bool
+	To     int
+	Pay    sim.Payload
+}
+
+// refResolve resolves a slot-form call round on the engine's resolver:
+// the active slots in ascending node order are exactly the calls the
+// former all-slot resolver walked, in the order it walked them.
+func refResolve(eng *sim.Engine, calls []refCall, handle func(callee, caller int, req sim.Payload) (sim.Payload, bool), onReply func(caller int, resp sim.Payload)) {
+	var list []sim.Call
+	for i, c := range calls {
+		if c.Active {
+			list = append(list, sim.Call{From: i, To: c.To, Pay: c.Pay})
+		}
+	}
+	eng.ResolveCalls(list, handle, onReply)
+}
+
 // refRun is Run as it was before DRR and Local-DRR shared one
 // connection step: a found bitset, not parent[i] >= 0, marked the nodes
 // that had a parent. It is kept verbatim as the differential reference.
@@ -53,19 +74,19 @@ func refRun(eng *sim.Engine, opts Options) (*Result, error) {
 	})
 
 	// Probing: one random sample per round per still-searching node.
-	calls := eng.CallSlots()
+	calls := make([]refCall, n)
 	for k := 0; k < budget; k++ {
 		eng.Tick()
 		sim.ParallelFor(n, func(i int) {
-			calls[i] = sim.Call{}
+			calls[i] = refCall{}
 			if !eng.Alive(i) || found.Test(i) {
 				return
 			}
 			u := eng.RNG(i).IntnOther(n, i)
 			probes[i]++
-			calls[i] = sim.Call{Active: true, To: u, Pay: sim.Payload{Kind: kindProbe}}
+			calls[i] = refCall{Active: true, To: u, Pay: sim.Payload{Kind: kindProbe}}
 		})
-		eng.ResolveCalls(calls,
+		refResolve(eng, calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 				// Reply with the callee's rank.
 				return sim.Payload{Kind: kindProbe, A: ranks[callee], X: int64(callee)}, true
@@ -88,17 +109,17 @@ func refRun(eng *sim.Engine, opts Options) (*Result, error) {
 		eng.Tick()
 		active := false
 		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
+			calls[i] = refCall{}
 			if !eng.Alive(i) || !found.Test(i) || acked.Test(i) {
 				continue
 			}
 			active = true
-			calls[i] = sim.Call{Active: true, To: parent[i], Pay: sim.Payload{Kind: kindConnect, X: int64(i)}}
+			calls[i] = refCall{Active: true, To: parent[i], Pay: sim.Payload{Kind: kindConnect, X: int64(i)}}
 		}
 		if !active {
 			break
 		}
-		eng.ResolveCalls(calls,
+		refResolve(eng, calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 				return sim.Payload{Kind: kindConnect}, true
 			},
@@ -219,23 +240,23 @@ func refRunLocal(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	// set is a dense bitset (n/8 bytes) mutated only from the sequential
 	// ResolveCalls path.
 	acked := bitset.New(n)
-	calls := eng.CallSlots()
+	calls := make([]refCall, n)
 	orphans := 0
 	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
 		active := false
 		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
+			calls[i] = refCall{}
 			if !eng.Alive(i) || parent[i] < 0 || acked.Test(i) {
 				continue
 			}
 			active = true
-			calls[i] = sim.Call{Active: true, To: parent[i], Pay: sim.Payload{Kind: refLocalKindConnect, X: int64(i)}}
+			calls[i] = refCall{Active: true, To: parent[i], Pay: sim.Payload{Kind: refLocalKindConnect, X: int64(i)}}
 		}
 		if !active {
 			break
 		}
-		eng.ResolveCalls(calls,
+		refResolve(eng, calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 				return sim.Payload{Kind: refLocalKindConnect}, true
 			},
@@ -304,7 +325,7 @@ func diffPhaseOne(t *testing.T, g *graph.Graph, n, budget int, opts sim.Options,
 		got, gotErr = Run(engs[0], Options{ProbeBudget: budget})
 		want, wantErr = refRun(engs[1], Options{ProbeBudget: budget})
 	} else {
-		got, gotErr = RunLocal(engs[0], g)
+		got, gotErr = RunLocal(engs[0], g, Options{})
 		want, wantErr = refRunLocal(engs[1], g)
 	}
 	if (gotErr == nil) != (wantErr == nil) {

@@ -93,7 +93,9 @@ type Result struct {
 	// Consensus reports whether all alive nodes ended with the same value
 	// (and, for Moments, the same variance).
 	Consensus bool
-	Forest    *forest.Forest
+	// Forest is the run's ranking forest. When the run used a
+	// Workspace's storage, it is valid until that workspace's next run.
+	Forest *forest.Forest
 	// Stats is the run's bill. Its split by phase is the engine's ledger
 	// (sim.Core.Ledger), labelled with the Phase constants.
 	Stats sim.Counters
@@ -125,16 +127,35 @@ func decodeKeyRoot(key float64) int {
 	return int(int64(key) & (1<<24 - 1))
 }
 
+// Workspace holds the storage a pipeline run needs beyond the engine:
+// the forest Phase I rebuilds and Phase II's scratch. A caller that runs
+// the pipeline repeatedly keeps one (the facade: one per query, shared
+// by all of the query's runs, and one per RunAll worker), and every run
+// rebuilds both in place instead of allocating them. The zero value is
+// ready to use; a Workspace serves one run at a time.
+type Workspace struct {
+	forest forest.Forest
+	cc     convergecast.Scratch
+}
+
 // Run computes kind over values on eng: on the complete graph when ov is
-// nil, over the overlay's links and routes otherwise.
+// nil, over the overlay's links and routes otherwise. It runs on a fresh
+// Workspace, so the Result is entirely the caller's.
 func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
-	build := buildDRR
-	if ov != nil {
-		build = func(eng *sim.Engine) (*forest.Forest, []int, error) {
-			return phaseOne(drr.RunLocal(eng, ov.Graph()))
+	return new(Workspace).Run(eng, ov, kind, values)
+}
+
+// Run is the package-level Run on w's storage: the Result's Forest is
+// w's and valid until w's next run.
+func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
+	opts := drr.Options{Forest: &w.forest}
+	build := func(eng *sim.Engine) (*forest.Forest, []int, error) {
+		if ov != nil {
+			return phaseOne(drr.RunLocal(eng, ov.Graph(), opts))
 		}
+		return phaseOne(drr.Run(eng, opts))
 	}
-	return run(eng, ov, build, kind, values)
+	return w.run(eng, ov, build, kind, values)
 }
 
 // RunForest computes kind over values on the complete graph with build as
@@ -145,12 +166,7 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 // makes Phase II broadcast the addresses after the convergecast. values
 // is read only after build returns, so a builder may fill it.
 func RunForest(eng *sim.Engine, build func(*sim.Engine) (f *forest.Forest, rootTo []int, err error), kind Kind, values []float64) (*Result, error) {
-	return run(eng, nil, build, kind, values)
-}
-
-// buildDRR is Phase I on the complete graph: DRR (Algorithm 1).
-func buildDRR(eng *sim.Engine) (*forest.Forest, []int, error) {
-	return phaseOne(drr.Run(eng, drr.Options{}))
+	return new(Workspace).run(eng, nil, build, kind, values)
 }
 
 // phaseOne adapts a DRR or Local-DRR outcome to a forest builder's
@@ -162,10 +178,10 @@ func phaseOne(res *drr.Result, err error) (*forest.Forest, []int, error) {
 	return res.Forest, nil, nil
 }
 
-// run is the three-phase skeleton: Phase I is build, and the transport
-// between roots is the overlay's routes when ov is set, the tree relay
-// otherwise.
-func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.Forest, []int, error), kind Kind, values []float64) (*Result, error) {
+// run is the three-phase skeleton on w's Phase II scratch: Phase I is
+// build, and the transport between roots is the overlay's routes when ov
+// is set, the tree relay otherwise.
+func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.Forest, []int, error), kind Kind, values []float64) (*Result, error) {
 	if len(values) != eng.N() {
 		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
 	}
@@ -209,7 +225,7 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 	eng.SetPhase(PhaseAggregate)
 	var tr gossip.Transport
 	if ov != nil {
-		if _, _, err := convergecast.BroadcastRootAddr(eng, f); err != nil {
+		if _, _, err := w.cc.BroadcastRootAddr(eng, f); err != nil {
 			return nil, err
 		}
 		tr = gossip.Route(eng, ov, f)
@@ -220,18 +236,18 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 	)
 	switch {
 	case maxLike:
-		covmax, _, err = convergecast.Max(eng, f, values)
+		covmax, _, err = w.cc.Max(eng, f, values)
 	case kind == Moments:
-		cov, _, err = convergecast.Moments(eng, f, values)
+		cov, _, err = w.cc.Moments(eng, f, values)
 	default:
-		cov, _, err = convergecast.Sum(eng, f, values)
+		cov, _, err = w.cc.Sum(eng, f, values)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if ov == nil {
 		if rootTo == nil {
-			if rootTo, _, err = convergecast.BroadcastRootAddr(eng, f); err != nil {
+			if rootTo, _, err = w.cc.BroadcastRootAddr(eng, f); err != nil {
 				return nil, err
 			}
 		}
@@ -255,13 +271,13 @@ func run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.F
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
-	perNode, _, err := convergecast.BroadcastValue(eng, f, g.est)
+	perNode, _, err := w.cc.BroadcastValue(eng, f, g.est)
 	if err != nil {
 		return nil, err
 	}
 	var perVar []float64
 	if g.varEst != nil {
-		if perVar, _, err = convergecast.BroadcastValue(eng, f, g.varEst); err != nil {
+		if perVar, _, err = w.cc.BroadcastValue(eng, f, g.varEst); err != nil {
 			return nil, err
 		}
 	}

@@ -42,7 +42,6 @@ type qh1Point struct {
 	methods float64
 	exactH  float64
 	exactB  float64
-	elapsed time.Duration
 }
 
 // RunQH1 races the two quantile drivers — QuantileHMS (Haeupler–
@@ -90,6 +89,7 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64) (*Report,
 	}
 
 	var points []qh1Point
+	var hmsWall, bisWall time.Duration
 	for _, lad := range []struct {
 		topo drrgossip.Topology
 		ns   []int
@@ -109,21 +109,27 @@ func runQH1(cfg Config, completeNs, chordNs []int, ratioBound float64) (*Report,
 				methods: math.Abs(h.Value - b.Value),
 				exactH:  math.Abs(h.Value - exact),
 				exactB:  math.Abs(b.Value - exact),
-				elapsed: hEl + bEl,
 			})
+			hmsWall += hEl
+			bisWall += bEl
 		}
 	}
 
 	tb := tablefmt.New("QH1: median to tol=1000/n, HMS vs bisection",
-		"topo", "n", "hms runs", "bis runs", "hms rounds", "bis rounds", "ratio", "Δmethods/tol", "Δexact hms", "elapsed")
+		"topo", "n", "hms runs", "bis runs", "hms rounds", "bis rounds", "ratio", "Δmethods/tol", "Δexact hms")
 	for _, p := range points {
 		tb.AddRow(fmt.Sprint(p.topo), float64(p.n),
 			float64(p.hms.Cost.Runs), float64(p.bis.Cost.Runs),
 			float64(p.hms.Cost.Rounds), float64(p.bis.Cost.Rounds),
 			float64(p.bis.Cost.Rounds)/float64(p.hms.Cost.Rounds),
-			p.methods/qh1Tol(p.n), p.exactH, p.elapsed.Seconds())
+			p.methods/qh1Tol(p.n), p.exactH)
 	}
 	tb.AddNote("ratio = bisection rounds / HMS rounds on the same query; Δexact is |answer − offline order statistic| (0 means the HMS walk certified the exact quantile)")
+	// The wall clock is host-dependent, so it stays out of the rows; the
+	// note's wording lets a "completed in" filter drop it with the
+	// runner's own timing lines, leaving output that diffs clean.
+	tb.AddNote("wall clock (host-dependent): the HMS queries completed in %.2fs, the bisection queries in %.2fs; every cell above is deterministic in the seed",
+		hmsWall.Seconds(), bisWall.Seconds())
 	rep.Tables = append(rep.Tables, tb.String())
 
 	agree, fewer := true, true

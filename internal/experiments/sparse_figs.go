@@ -47,7 +47,7 @@ func RunF9(cfg Config) (*Report, error) {
 				seed := xrand.Hash(cfg.Seed, 0xF9, uint64(n), uint64(trial))
 				g := b.build(n, seed)
 				eng := sim.NewEngine(g.N(), sim.Options{Seed: seed})
-				res, err := drr.RunLocal(eng, g)
+				res, err := drr.RunLocal(eng, g, drr.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -122,7 +122,7 @@ func RunF10(cfg Config) (*Report, error) {
 			g := b.build(seed)
 			expect = g.HarmonicDegreeSum()
 			eng := sim.NewEngine(g.N(), sim.Options{Seed: seed})
-			res, err := drr.RunLocal(eng, g)
+			res, err := drr.RunLocal(eng, g, drr.Options{})
 			if err != nil {
 				return nil, err
 			}

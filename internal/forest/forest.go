@@ -19,7 +19,10 @@ const (
 	NotMember = -2
 )
 
-// Forest is an immutable rooted forest. Build instances with FromParents.
+// Forest is a rooted forest, read-only between builds: FromParents
+// builds a new one, and Rebuild rebuilds one in place on its own
+// storage, so a caller that builds a forest per run allocates only while
+// the forest grows.
 //
 // The trees are numbered densely by root slot: slot k is the tree rooted
 // at Roots()[k], so slots follow ascending root id. Phases II–III keep
@@ -35,19 +38,34 @@ type Forest struct {
 	roots    []int // sorted root list: roots[k] is slot k's root
 	sizes    []int // per-slot tree size
 	members  int
+	height   int   // largest depth
+	walk     []int // Rebuild's path scratch
 }
 
 // FromParents validates a parent vector (entries: a parent id, Root, or
 // NotMember) and builds the forest. It fails on cycles, on parents
 // pointing to non-members, and on out-of-range entries.
 func FromParents(parent []int) (*Forest, error) {
-	n := len(parent)
-	f := &Forest{
-		parent:   append([]int(nil), parent...),
-		kidStart: make([]int, n+1),
-		slot:     make([]int, n),
-		depth:    make([]int, n),
+	f := new(Forest)
+	if err := f.Rebuild(parent); err != nil {
+		return nil, err
 	}
+	return f, nil
+}
+
+// Rebuild validates parent like FromParents and rebuilds f from it in
+// place, reusing f's storage: every slice the caller holds from f's
+// accessors (Roots, Children, TreeSizes) is overwritten. On error f
+// holds no valid forest until a later Rebuild succeeds.
+func (f *Forest) Rebuild(parent []int) error {
+	n := len(parent)
+	f.parent = append(f.parent[:0], parent...)
+	f.kidStart = zeroed(f.kidStart, n+1)
+	f.slot = zeroed(f.slot, n)
+	f.depth = zeroed(f.depth, n)
+	f.roots = f.roots[:0]
+	f.members = 0
+	f.height = 0
 	// Roots and non-members resolve at once; every other member is
 	// resolved below by walking up to a resolved ancestor.
 	const unresolved = -2
@@ -60,11 +78,11 @@ func FromParents(parent []int) (*Forest, error) {
 		case p == NotMember:
 			f.slot[i] = -1
 		case p < 0 || p >= n:
-			return nil, fmt.Errorf("forest: node %d has out-of-range parent %d", i, p)
+			return fmt.Errorf("forest: node %d has out-of-range parent %d", i, p)
 		case p == i:
-			return nil, fmt.Errorf("forest: node %d is its own parent", i)
+			return fmt.Errorf("forest: node %d is its own parent", i)
 		case parent[p] == NotMember:
-			return nil, fmt.Errorf("forest: node %d has non-member parent %d", i, p)
+			return fmt.Errorf("forest: node %d has non-member parent %d", i, p)
 		default:
 			f.slot[i] = unresolved
 			f.kidStart[p]++
@@ -77,7 +95,7 @@ func FromParents(parent []int) (*Forest, error) {
 	for i := 1; i <= n; i++ {
 		f.kidStart[i] += f.kidStart[i-1]
 	}
-	f.kids = make([]int, f.kidStart[n])
+	f.kids = zeroed(f.kids, f.kidStart[n])
 	for i := n - 1; i >= 0; i-- {
 		if p := parent[i]; p >= 0 {
 			f.kidStart[p]--
@@ -86,26 +104,40 @@ func FromParents(parent []int) (*Forest, error) {
 	}
 	// Every parent is a member, so each walk ends at a resolved node
 	// unless it loops; mark the path's slots and depths on the way back.
-	f.sizes = make([]int, len(f.roots))
-	var stack []int
+	f.sizes = zeroed(f.sizes, len(f.roots))
+	stack := f.walk[:0]
 	for i := 0; i < n; i++ {
 		for cur := i; f.slot[cur] == unresolved; cur = parent[cur] {
 			stack = append(stack, cur)
 			if len(stack) > n {
-				return nil, errors.New("forest: cycle detected")
+				f.walk = stack[:0]
+				return errors.New("forest: cycle detected")
 			}
 		}
 		for k := len(stack) - 1; k >= 0; k-- {
 			v := stack[k]
 			f.slot[v] = f.slot[parent[v]]
 			f.depth[v] = f.depth[parent[v]] + 1
+			f.height = max(f.height, f.depth[v])
 		}
 		stack = stack[:0]
 		if k := f.slot[i]; k >= 0 {
 			f.sizes[k]++
 		}
 	}
-	return f, nil
+	f.walk = stack
+	return nil
+}
+
+// zeroed returns s resized to n entries, all 0, on s's own storage when
+// it is large enough.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // N returns the number of node slots (members and non-members).
@@ -192,44 +224,7 @@ func (f *Forest) LargestRoot() int {
 }
 
 // MaxHeight returns the maximum tree height in the forest.
-func (f *Forest) MaxHeight() int {
-	h := 0
-	for _, d := range f.depth {
-		h = max(h, d)
-	}
-	return h
-}
-
-// LeavesFirst returns members ordered by decreasing depth (leaves before
-// their parents), ascending id within a depth: the schedule order for
-// convergecast.
-func (f *Forest) LeavesFirst() []int {
-	maxD := 0
-	for i := range f.depth {
-		if f.Member(i) && f.depth[i] > maxD {
-			maxD = f.depth[i]
-		}
-	}
-	// Counting sort on maxD-depth: start[k] is where the members at depth
-	// maxD-k begin in the output.
-	start := make([]int, maxD+2)
-	for i, d := range f.depth {
-		if f.Member(i) {
-			start[maxD-d+1]++
-		}
-	}
-	for k := 1; k < len(start); k++ {
-		start[k] += start[k-1]
-	}
-	out := make([]int, f.members)
-	for i, d := range f.depth {
-		if f.Member(i) {
-			out[start[maxD-d]] = i
-			start[maxD-d]++
-		}
-	}
-	return out
-}
+func (f *Forest) MaxHeight() int { return f.height }
 
 // RepairParents heals a parent vector after mid-run membership changes:
 // dead nodes (per the alive predicate) become NotMember, and every live

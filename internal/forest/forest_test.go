@@ -73,24 +73,6 @@ func TestSizesHeightsLargest(t *testing.T) {
 	}
 }
 
-func TestLeavesFirst(t *testing.T) {
-	f := sample(t)
-	order := f.LeavesFirst()
-	if len(order) != 5 {
-		t.Fatalf("LeavesFirst covered %d members", len(order))
-	}
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	// Every child must appear before its parent.
-	for i := 0; i < f.N(); i++ {
-		if p := f.Parent(i); p >= 0 && pos[i] > pos[p] {
-			t.Fatalf("child %d after parent %d in %v", i, p, order)
-		}
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := sample(t).Validate(); err != nil {
 		t.Fatal(err)
@@ -298,9 +280,8 @@ func TestForestProperties(t *testing.T) {
 	}
 }
 
-// TestCSRMatchesSliceReference checks the CSR children and the
-// counting-sort LeavesFirst against the per-node child slices and
-// per-depth buckets they replace, on random forests whose labels are
+// TestCSRMatchesSliceReference checks the CSR children against the
+// per-node child slices they replace, on random forests whose labels are
 // shuffled so parents may sit on either side of their children.
 func TestCSRMatchesSliceReference(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
@@ -320,24 +301,10 @@ func TestCSRMatchesSliceReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			children := make([][]int, n)
-			maxD := 0
 			for i, p := range par {
 				if p >= 0 {
 					children[p] = append(children[p], i)
 				}
-				if f.Member(i) {
-					maxD = max(maxD, f.Depth(i))
-				}
-			}
-			buckets := make([][]int, maxD+1)
-			for i := range par {
-				if f.Member(i) {
-					buckets[f.Depth(i)] = append(buckets[f.Depth(i)], i)
-				}
-			}
-			var order []int
-			for d := maxD; d >= 0; d-- {
-				order = append(order, buckets[d]...)
 			}
 			for i := 0; i < n; i++ {
 				got := f.Children(i)
@@ -348,15 +315,6 @@ func TestCSRMatchesSliceReference(t *testing.T) {
 					if got[k] != children[i][k] {
 						t.Fatalf("seed %d: Children(%d) = %v, want %v", seed, i, got, children[i])
 					}
-				}
-			}
-			got := f.LeavesFirst()
-			if len(got) != len(order) {
-				t.Fatalf("seed %d: LeavesFirst has %d members, want %d", seed, len(got), len(order))
-			}
-			for k := range got {
-				if got[k] != order[k] {
-					t.Fatalf("seed %d: LeavesFirst = %v, want %v", seed, got, order)
 				}
 			}
 		}

@@ -16,7 +16,7 @@ func TestClimbPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(n, sim.Options{Seed: 68})
-	res, err := drr.RunLocal(eng, overlay.NewChord(ring).Graph())
+	res, err := drr.RunLocal(eng, overlay.NewChord(ring).Graph(), drr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func denseBatch(eng *sim.Engine, values []float64, streams []xrand.Stream, colle
 		if !eng.Alive(i) {
 			continue
 		}
-		calls[i] = sim.Call{Active: true, To: streams[i].Intn(n)}
+		calls = append(calls, sim.Call{From: i, To: streams[i].Intn(n)})
 	}
 	eng.ResolveCalls(calls,
 		func(callee, caller int, req sim.Payload) (sim.Payload, bool) {

@@ -80,7 +80,6 @@ func Spread(eng *sim.Engine, source int) (*Result, error) {
 	var transmissions int64
 	res := &Result{RoundsToAllInformed: -1}
 
-	calls := eng.CallSlots()
 	active := func(i int) bool { return informed[i] && ctr[i] < ctMax }
 	// encode packs a node's state into a payload.
 	encode := func(i int, kind uint8) sim.Payload {
@@ -94,8 +93,8 @@ func Spread(eng *sim.Engine, source int) (*Result, error) {
 	round := 0
 	for ; round < budget; round++ {
 		anyActive := false
+		calls := eng.CallSlots()
 		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
 			if !eng.Alive(i) {
 				continue
 			}
@@ -104,7 +103,7 @@ func Spread(eng *sim.Engine, source int) (*Result, error) {
 			}
 			// Every player calls a random partner each round (push-pull);
 			// transmitting the rumor within the call is what costs.
-			calls[i] = sim.Call{Active: true, To: eng.RNG(i).IntnOther(n, i), Pay: encode(i, kindExchange)}
+			calls = append(calls, sim.Call{From: i, To: eng.RNG(i).IntnOther(n, i), Pay: encode(i, kindExchange)})
 		}
 		if !anyActive {
 			break

@@ -78,8 +78,6 @@ func BuildForest(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 
 	for phase := 0; phase < phases(n); phase++ {
 		phaseStart := eng.Round()
-		// Per phase: the closing root-address broadcast reuses the buffer.
-		calls := eng.CallSlots()
 		for sub := 0; sub < mergeSubRounds; sub++ {
 			// Role flip: proposers seek adoption, acceptors adopt.
 			proposer := make([]bool, n)
@@ -92,11 +90,11 @@ func BuildForest(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 			}
 			// Step 1: proposers sample a random node and ask for its root.
 			eng.Tick()
+			calls := eng.CallSlots()
 			for i := 0; i < n; i++ {
-				calls[i] = sim.Call{}
 				if eng.Alive(i) && isRoot(i) && proposer[i] {
 					u := eng.RNG(i).IntnOther(n, i)
-					calls[i] = sim.Call{Active: true, To: u, Pay: sim.Payload{Kind: kindWhoIsRoot}}
+					calls = append(calls, sim.Call{From: i, To: u, Pay: sim.Payload{Kind: kindWhoIsRoot}})
 				}
 			}
 			eng.ResolveCalls(calls,
@@ -108,10 +106,10 @@ func BuildForest(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 				})
 			// Step 2: proposers ask the learned root to adopt their tree.
 			eng.Tick()
+			calls = eng.CallSlots()
 			for i := 0; i < n; i++ {
-				calls[i] = sim.Call{}
 				if eng.Alive(i) && isRoot(i) && proposer[i] && learned[i] >= 0 && learned[i] != i {
-					calls[i] = sim.Call{Active: true, To: learned[i], Pay: sim.Payload{Kind: kindPropose, X: int64(size[i])}}
+					calls = append(calls, sim.Call{From: i, To: learned[i], Pay: sim.Payload{Kind: kindPropose, X: int64(size[i])}})
 				}
 			}
 			eng.ResolveCalls(calls,

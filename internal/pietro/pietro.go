@@ -58,33 +58,30 @@ func Bootstrap(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 			parent[i] = -3 // searching
 		}
 	}
-	calls := eng.CallSlots()
 	for probe := 0; probe < probeCap(n); probe++ {
 		eng.Tick()
-		searching := false
+		calls := eng.CallSlots()
 		for i := 0; i < n; i++ {
-			calls[i] = sim.Call{}
 			if !eng.Alive(i) || parent[i] != -3 {
 				continue
 			}
-			searching = true
-			calls[i] = sim.Call{Active: true, To: eng.RNG(i).IntnOther(n, i), Pay: sim.Payload{Kind: kindFindHead}}
+			calls = append(calls, sim.Call{From: i, To: eng.RNG(i).IntnOther(n, i), Pay: sim.Payload{Kind: kindFindHead}})
 		}
-		if !searching {
+		if len(calls) == 0 {
 			break
 		}
 		eng.ResolveCalls(calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
-				// Only heads answer affirmatively; an answer doubles as
-				// the join acknowledgement.
+				// Only heads answer affirmatively, with their id; an
+				// answer doubles as the join acknowledgement.
 				if !head[callee] {
 					return sim.Payload{}, false
 				}
-				return sim.Payload{Kind: kindFindHead}, true
+				return sim.Payload{Kind: kindFindHead, X: int64(callee)}, true
 			},
 			func(caller int, resp sim.Payload) {
 				if parent[caller] == -3 {
-					parent[caller] = calls[caller].To
+					parent[caller] = int(resp.X)
 				}
 			})
 	}

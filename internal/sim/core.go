@@ -26,6 +26,8 @@ type Core struct {
 	c     Counters
 	alive *bitset.Set // current membership (bit i = node i alive)
 	nAliv int
+	// epoch counts membership transitions (see MemberEpoch).
+	epoch uint64
 
 	// aliveIDs caches the sorted alive-node list; Crash and Revive mark
 	// it dirty instead of callers rebuilding it every round.
@@ -113,6 +115,7 @@ func (c *Core) reset(opts Options) {
 		c.nAliv--
 	}
 	c.aliveDirty = true
+	c.epoch++
 	clear(c.rngSet)
 	c.linkFault = nil
 	c.roundHook = nil
@@ -159,8 +162,17 @@ func (c *Core) NumAlive() int { return c.nAliv }
 // Alive reports whether node i is currently alive. In the static model
 // this is fixed at construction (initial crashes); with dynamic
 // membership it changes over the run via Crash and Revive, so per-round
-// protocol logic must not cache it.
-func (c *Core) Alive(i int) bool { return c.alive.Test(i) }
+// protocol logic must not cache it without watching MemberEpoch. While
+// every node is alive it answers without testing the set.
+func (c *Core) Alive(i int) bool { return c.nAliv == c.n || c.alive.Test(i) }
+
+// MemberEpoch returns a counter that every membership transition (a
+// Crash of a live node, a Revive of a dead one) advances. A protocol
+// that keeps per-node state derived from liveness revalidates it only
+// when the epoch has moved since it last looked. Reset, which rebuilds
+// the membership, advances it too, so it never repeats within an
+// engine's life.
+func (c *Core) MemberEpoch() uint64 { return c.epoch }
 
 // AliveIDs returns the ids of currently alive nodes in increasing order.
 // The returned slice is owned by the engine and valid until the next
@@ -195,6 +207,7 @@ func (c *Core) Crash(i int) {
 	if c.alive.Test(i) {
 		c.alive.Clear(i)
 		c.nAliv--
+		c.epoch++
 		c.aliveDirty = true
 		if c.memberObs != nil {
 			c.memberObs(i, false)
@@ -208,6 +221,7 @@ func (c *Core) Revive(i int) {
 	if !c.alive.Test(i) {
 		c.alive.Set(i)
 		c.nAliv++
+		c.epoch++
 		c.aliveDirty = true
 		if c.memberObs != nil {
 			c.memberObs(i, true)

@@ -66,7 +66,7 @@ func hooksRun(e *Engine) string {
 	}, 5)
 	fmt.Fprintf(h, "faulty=%v;", e.Faulty())
 
-	calls := make([]Call, n)
+	calls := make([]Call, 0, n)
 	phases := []string{"drr", "aggregate", "gossip"}
 	func() {
 		defer func() {
@@ -85,10 +85,10 @@ func hooksRun(e *Engine) string {
 			}
 			e.Send(3, 4, Payload{Kind: 4}) // across the severed pair
 			e.Send(4, 3, Payload{Kind: 4})
-			for i := range calls {
-				calls[i] = Call{}
+			calls = calls[:0]
+			for i := 0; i < n; i++ {
 				if e.Alive(i) && e.RNG(i).Bool(0.5) {
-					calls[i] = Call{Active: true, To: e.RNG(i).IntnOther(n, i), Pay: Payload{Kind: 2, X: int64(i)}}
+					calls = append(calls, Call{From: i, To: e.RNG(i).IntnOther(n, i), Pay: Payload{Kind: 2, X: int64(i)}})
 				}
 			}
 			e.ResolveCalls(calls,

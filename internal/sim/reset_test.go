@@ -30,10 +30,10 @@ func driveEngine(t *testing.T, e *Engine) (Counters, []int64) {
 		if round == 20 {
 			e.Revive(n / 2)
 		}
-		calls := make([]Call, n)
+		var calls []Call
 		for i := 0; i < n; i++ {
 			if e.Alive(i) && i%2 == 0 {
-				calls[i] = Call{Active: true, To: e.RNG(i).IntnOther(n, i), Pay: Payload{A: float64(i)}}
+				calls = append(calls, Call{From: i, To: e.RNG(i).IntnOther(n, i), Pay: Payload{A: float64(i)}})
 			}
 		}
 		e.ResolveCalls(calls,

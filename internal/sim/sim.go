@@ -81,11 +81,11 @@ type Message struct {
 	Pay      Payload
 }
 
-// Call describes the single call a node may place in a round.
+// Call describes the single call a node may place in a round: From
+// calls To with request Pay.
 type Call struct {
-	Active bool
-	To     int
-	Pay    Payload
+	From, To int
+	Pay      Payload
 }
 
 // Options configure an Engine.
@@ -480,40 +480,45 @@ func (e *Engine) SendRoutedReliable(from int, path []int, p Payload) bool {
 	return true
 }
 
-// CallSlots returns the engine's n-slot call buffer with every slot
-// inactive, ready to fill and pass to ResolveCalls. It is allocated on
-// first use and survives Reset, so a pooled engine runs every call round
-// of every run on one buffer. Each call returns the same backing array,
-// cleared: a driver must not hold it across another driver's call round.
+// CallSlots returns the engine's call list, empty, with room for one
+// call per node: a driver appends the round's calls in ascending caller
+// order and passes the list to ResolveCalls. Its backing array is
+// allocated on first use and survives Reset, so a pooled engine runs
+// every call round of every run on one buffer. Each call returns the
+// same backing array: a driver must not hold it across another driver's
+// call round.
 func (e *Engine) CallSlots() []Call {
 	if e.calls == nil {
-		e.calls = make([]Call, e.n)
+		e.calls = make([]Call, 0, e.n)
 	}
-	clear(e.calls)
-	return e.calls
+	return e.calls[:0]
 }
 
-// ResolveCalls performs one synchronous call round. calls[i] describes the
-// call node i places (Active=false for none). For every call whose request
+// ResolveCalls performs one synchronous call round over calls, the
+// round's callers in strictly ascending From order (at most one call per
+// node). For every call whose caller is alive and whose request
 // survives, handle is invoked on the callee and may return a response,
-// which (if it survives the return leg) is passed to onReply on the caller
-// — all within the current round, matching the paper's "once a call is
-// established, information can be exchanged in both directions".
+// which (if it survives the return leg) is passed to onReply on the
+// caller — all within the current round, matching the paper's "once a
+// call is established, information can be exchanged in both directions".
 //
-// Callers are processed in increasing node order, so handlers observing
-// state mutated by earlier calls in the same round see a deterministic
-// order. Cost: 1 message per placed call, +1 per non-nil response.
+// Callers are processed in list order, so handlers observing state
+// mutated by earlier calls in the same round see a deterministic order,
+// and the work is proportional to the calls placed, not to n. Cost: 1
+// message per placed call, +1 per non-nil response.
 func (e *Engine) ResolveCalls(
 	calls []Call,
 	handle func(callee, caller int, req Payload) (Payload, bool),
 	onReply func(caller int, resp Payload),
 ) {
-	if len(calls) != e.n {
-		panic("sim: ResolveCalls needs one Call slot per node")
-	}
-	for from := 0; from < e.n; from++ {
-		c := calls[from]
-		if !c.Active || !e.alive.Test(from) {
+	prev := -1
+	for _, c := range calls {
+		from := c.From
+		if from <= prev || from >= e.n {
+			panic("sim: ResolveCalls needs callers in strictly ascending order")
+		}
+		prev = from
+		if !e.alive.Test(from) {
 			continue
 		}
 		if !e.Call(from, c.To) {

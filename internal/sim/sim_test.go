@@ -123,9 +123,7 @@ func TestLossDeterministic(t *testing.T) {
 
 func TestResolveCalls(t *testing.T) {
 	e := NewEngine(4, Options{Seed: 8})
-	calls := make([]Call, 4)
-	calls[1] = Call{Active: true, To: 3, Pay: Payload{A: 5}}
-	calls[2] = Call{Active: true, To: 3, Pay: Payload{A: 6}}
+	calls := []Call{{From: 1, To: 3, Pay: Payload{A: 5}}, {From: 2, To: 3, Pay: Payload{A: 6}}}
 	var handled []int
 	var replies []float64
 	e.ResolveCalls(calls,
@@ -152,7 +150,7 @@ func TestResolveCalls(t *testing.T) {
 
 func TestResolveCallsNoReply(t *testing.T) {
 	e := NewEngine(2, Options{Seed: 9})
-	calls := []Call{{Active: true, To: 1}, {}}
+	calls := []Call{{From: 0, To: 1}}
 	e.ResolveCalls(calls,
 		func(callee, caller int, req Payload) (Payload, bool) { return Payload{}, false },
 		func(caller int, resp Payload) { t.Fatal("unexpected reply") })
@@ -406,7 +404,7 @@ func TestCallToSelfCounts(t *testing.T) {
 	// Protocols avoid self-calls, but the engine must handle them
 	// gracefully if one occurs.
 	e := NewEngine(2, Options{Seed: 24})
-	calls := []Call{{Active: true, To: 0, Pay: Payload{A: 1}}, {}}
+	calls := []Call{{From: 0, To: 0, Pay: Payload{A: 1}}}
 	got := 0.0
 	e.ResolveCalls(calls,
 		func(callee, caller int, req Payload) (Payload, bool) {

@@ -84,6 +84,13 @@ type Network struct {
 	// instead of rebuilding inboxes, delivery ring and RNG streams ~80
 	// times. RunAll workers pool their own engines the same way.
 	eng *sim.Engine
+	// ws is the pipeline storage the runs of one query share: the first
+	// synchronous pipeline run allocates it, every later run rebuilds its
+	// forest and Phase II scratch in place (core.Workspace), and runQuery
+	// drops it when the query ends. A Quantile's ~24 runs thus share one
+	// allocation, while an idle session holds only its engine: kept
+	// across queries, each live session would pin ~100 B per node more.
+	ws *core.Workspace
 
 	// bounds caches the fault plan resolved per pipeline shape (keyed by
 	// shapeOf): the horizon (total healthy rounds) differs between the
@@ -173,10 +180,11 @@ func (nw *Network) RunContext(ctx context.Context, q Query) (*Answer, error) {
 }
 
 // runQuery executes one attempt of a query — no retry policy applied —
-// holding the query-scoped watchdog for its duration.
+// holding the query-scoped watchdog and pipeline workspace for its
+// duration.
 func (nw *Network) runQuery(ctx context.Context, q Query) (*Answer, error) {
 	nw.wd = nw.newWatchdog(ctx)
-	defer func() { nw.wd = nil }()
+	defer func() { nw.wd, nw.ws = nil, nil }()
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
@@ -477,7 +485,10 @@ func (nw *Network) dispatch(op Op, values []float64, arg float64) protoFunc {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
 		}
-		res, err := core.Run(eng.(*sim.Engine), ov, kind, values)
+		if nw.ws == nil {
+			nw.ws = new(core.Workspace)
+		}
+		res, err := nw.ws.Run(eng.(*sim.Engine), ov, kind, values)
 		if err != nil {
 			return nil, err
 		}

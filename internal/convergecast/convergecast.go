@@ -58,11 +58,11 @@ const (
 // it grows. The zero value is ready to use. A Scratch runs one phase at a
 // time and is not safe for concurrent use.
 type Scratch struct {
-	acc     []sim.Payload // up: per-node accumulators
-	pending []int32       // up: live children not merged yet
-	merged  bitset.Set    // up: child -> contribution registered at parent
-	acked   bitset.Set    // up: child -> knows it was registered
-	armed   bitset.Set    // up: next round's callers
+	acc     []vec      // up: per-node accumulators
+	pending []int32    // up: live children not merged yet
+	merged  bitset.Set // up: child -> contribution registered at parent
+	acked   bitset.Set // up: child -> knows it was registered
+	armed   bitset.Set // up: next round's callers
 
 	perRoot []sim.Payload // down: the payload of each root slot
 	next    []int32       // down: index into Children(i) of the next unacked child
@@ -73,13 +73,15 @@ type Scratch struct {
 	rootTo []int // BroadcastRootAddr's result
 }
 
-// mergeFunc folds a child's contribution into the accumulator payload
-// (fields A, B, C carry the aggregate vector; Kind and X are managed by
-// the transport).
-type mergeFunc func(acc, in sim.Payload) sim.Payload
+// vec is one node's upward accumulator: the aggregate vector an upward
+// payload carries in its A, B and C fields.
+type vec struct{ a, b, c float64 }
+
+// mergeFunc folds a child's contribution into an accumulator.
+type mergeFunc func(acc, in vec) vec
 
 // load checks f and values against the engine and loads the upward
-// accumulators: A = value, B = value² when withSquare, and C = 1 on
+// accumulators: a = value, b = value² when withSquare, and c = 1 on
 // members when withCount.
 func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, withCount, withSquare bool) error {
 	n := eng.N()
@@ -91,14 +93,14 @@ func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, with
 	}
 	s.acc = resized(s.acc, n)
 	for i, v := range values {
-		p := sim.Payload{A: v}
+		a := vec{a: v}
 		if withSquare {
-			p.B = v * v
+			a.b = v * v
 		}
 		if withCount && f.Member(i) {
-			p.C = 1
+			a.c = 1
 		}
-		s.acc[i] = p
+		s.acc[i] = a
 	}
 	return nil
 }
@@ -111,7 +113,7 @@ func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, with
 // node with a dead parent stops retrying, and under an active fault
 // regime an incomplete phase returns the partial accumulators rather
 // than ErrIncomplete.
-func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]sim.Payload, sim.Counters, error) {
+func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec, sim.Counters, error) {
 	n := eng.N()
 	start := eng.Stats()
 	acc := s.acc
@@ -158,7 +160,7 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]sim.
 	handle := func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 		if !s.merged.Test(caller) {
 			s.merged.Set(caller)
-			acc[callee] = merge(acc[callee], req)
+			acc[callee] = merge(acc[callee], vec{req.A, req.B, req.C})
 			if s.pending[callee]--; s.pending[callee] == 0 && expects(callee) {
 				s.armed.Set(callee)
 			}
@@ -179,9 +181,8 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]sim.
 		}
 		calls := eng.CallSlots()
 		s.armed.ForEach(func(i int) {
-			pay := acc[i]
-			pay.Kind = kindUp
-			pay.X = int64(i)
+			a := acc[i]
+			pay := sim.Payload{Kind: kindUp, A: a.a, B: a.b, C: a.c, X: int64(i)}
 			calls = append(calls, sim.Call{From: i, To: f.Parent(i), Pay: pay})
 		})
 		eng.ResolveCalls(calls, handle, onReply)
@@ -199,18 +200,21 @@ func (s *Scratch) Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]fl
 	if err := s.load(eng, f, values, false, false); err != nil {
 		return nil, sim.Counters{}, err
 	}
-	res, stats, err := s.up(eng, f, func(acc, in sim.Payload) sim.Payload {
-		acc.A = math.Max(acc.A, in.A)
-		return acc
-	})
+	res, stats, err := s.up(eng, f, maxVecs)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make([]float64, f.NumTrees())
 	for k, r := range f.Roots() {
-		out[k] = res[r].A
+		out[k] = res[r].a
 	}
 	return out, stats, nil
+}
+
+// maxVecs is Max's merge: the larger first component.
+func maxVecs(acc, in vec) vec {
+	acc.a = math.Max(acc.a, in.a)
+	return acc
 }
 
 // Max runs Scratch.Max on a fresh Scratch.
@@ -218,11 +222,11 @@ func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Co
 	return new(Scratch).Max(eng, f, values)
 }
 
-// addPayloads is the componentwise-sum merge shared by Sum and Moments.
-func addPayloads(acc, in sim.Payload) sim.Payload {
-	acc.A += in.A
-	acc.B += in.B
-	acc.C += in.C
+// addVecs is the componentwise-sum merge shared by Sum and Moments.
+func addVecs(acc, in vec) vec {
+	acc.a += in.a
+	acc.b += in.b
+	acc.c += in.c
 	return acc
 }
 
@@ -265,13 +269,13 @@ func (s *Scratch) sums(eng *sim.Engine, f *forest.Forest, values []float64, squa
 	if err := s.load(eng, f, values, true, squares); err != nil {
 		return nil, sim.Counters{}, err
 	}
-	res, stats, err := s.up(eng, f, addPayloads)
+	res, stats, err := s.up(eng, f, addVecs)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make([]MomentsVec, f.NumTrees())
 	for k, r := range f.Roots() {
-		out[k] = MomentsVec{Sum: res[r].A, Sum2: res[r].B, Count: res[r].C}
+		out[k] = MomentsVec{Sum: res[r].a, Sum2: res[r].b, Count: res[r].c}
 	}
 	return out, stats, nil
 }

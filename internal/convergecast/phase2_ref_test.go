@@ -17,7 +17,10 @@ import (
 // were when every round swept all n nodes (and every call slot), kept
 // verbatim except for the call plumbing (refCall, refResolve) and the
 // leaves-first order they computed with a since-deleted forest method
-// (refLeavesFirst).
+// (refLeavesFirst), and with their merge type renamed (refMergeFunc).
+
+// refMergeFunc is the former mergeFunc, which folded whole payloads.
+type refMergeFunc func(acc, in sim.Payload) sim.Payload
 
 // refCall is the slot form the reference passes stage their calls in:
 // slot i holds node i's call, Active false for none.
@@ -50,7 +53,7 @@ func refResolve(eng *sim.Engine, calls []refCall, handle func(callee, caller int
 // a dead parent stops retrying, and under an active fault regime an
 // incomplete phase returns the partial accumulators rather than
 // ErrIncomplete.
-func refUp(eng *sim.Engine, f *forest.Forest, acc []sim.Payload, merge mergeFunc) ([]sim.Payload, sim.Counters, error) {
+func refUp(eng *sim.Engine, f *forest.Forest, acc []sim.Payload, merge refMergeFunc) ([]sim.Payload, sim.Counters, error) {
 	n := eng.N()
 	if f.N() != n {
 		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
@@ -325,23 +328,31 @@ func (l *roundLog) same(t testing.TB, what string, ref *roundLog) {
 	}
 }
 
-// hashPayloads hashes every accumulator bit for bit.
-func hashPayloads(acc []sim.Payload) uint64 {
+// hashSums hashes the n aggregate vectors sum(i) returns bit for bit.
+func hashSums(n int, sum func(i int) (a, b, c float64)) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	put := func(x uint64) {
-		for k := range buf {
-			buf[k] = byte(x >> (8 * k))
+	for i := 0; i < n; i++ {
+		a, b, c := sum(i)
+		for _, x := range []float64{a, b, c} {
+			bits := math.Float64bits(x)
+			for k := range buf {
+				buf[k] = byte(bits >> (8 * k))
+			}
+			h.Write(buf[:])
 		}
-		h.Write(buf[:])
-	}
-	for _, p := range acc {
-		put(math.Float64bits(p.A))
-		put(math.Float64bits(p.B))
-		put(math.Float64bits(p.C))
-		put(uint64(p.X))
 	}
 	return h.Sum64()
+}
+
+// hashVecs and hashPayloads hash live and reference accumulators alike:
+// the reference payloads carry the vector in A, B and C.
+func hashVecs(acc []vec) uint64 {
+	return hashSums(len(acc), func(i int) (a, b, c float64) { return acc[i].a, acc[i].b, acc[i].c })
+}
+
+func hashPayloads(acc []sim.Payload) uint64 {
+	return hashSums(len(acc), func(i int) (a, b, c float64) { return acc[i].A, acc[i].B, acc[i].C })
 }
 
 // diffPhaseTwo runs the live Phase II passes and the references on twin
@@ -362,28 +373,38 @@ func diffPhaseTwo(t testing.TB, f *forest.Forest, opts sim.Options, b *faults.Bo
 	}
 	var s Scratch
 	var log, refLog roundLog
-	maxMerge := func(acc, in sim.Payload) sim.Payload {
+	refMax := func(acc, in sim.Payload) sim.Payload {
 		acc.A = math.Max(acc.A, in.A)
+		return acc
+	}
+	refAdd := func(acc, in sim.Payload) sim.Payload {
+		acc.A += in.A
+		acc.B += in.B
+		acc.C += in.C
 		return acc
 	}
 	for k, pass := range []struct {
 		merge             mergeFunc
+		refMerge          refMergeFunc
 		withCount, withSq bool
-	}{{maxMerge, false, false}, {addPayloads, true, true}} {
+	}{
+		{maxVecs, refMax, false, false},
+		{addVecs, refAdd, true, true},
+	} {
 		what := fmt.Sprintf("up pass %d", k)
 		if err := s.load(eng, f, values, pass.withCount, pass.withSq); err != nil {
 			t.Fatal(err)
 		}
 		refAcc := refValueInit(f, values, pass.withCount, pass.withSq)
-		log.watch(eng, func() uint64 { return hashPayloads(s.acc) })
+		log.watch(eng, func() uint64 { return hashVecs(s.acc) })
 		refLog.watch(ref, func() uint64 { return hashPayloads(refAcc) })
 		got, stats, err := s.up(eng, f, pass.merge)
-		want, refStats, refErr := refUp(ref, f, refAcc, pass.merge)
+		want, refStats, refErr := refUp(ref, f, refAcc, pass.refMerge)
 		log.same(t, what, &refLog)
 		if err != refErr || stats != refStats {
 			t.Fatalf("%s: error %v stats %+v, reference %v %+v", what, err, stats, refErr, refStats)
 		}
-		if hashPayloads(got) != hashPayloads(want) || hashPayloads(s.acc) != hashPayloads(refAcc) {
+		if hashVecs(got) != hashPayloads(want) || hashVecs(s.acc) != hashPayloads(refAcc) {
 			t.Fatalf("%s: accumulators differ from the reference", what)
 		}
 	}

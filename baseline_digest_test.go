@@ -65,11 +65,12 @@ var baselineAlgos = map[string]func(eng *sim.Engine, values []float64) (baseline
 // forestAlgo runs the shared Phases II–III over a baseline's Phase I.
 func forestAlgo(build func(*sim.Engine) (*forest.Forest, []int, error), kind core.Kind) func(*sim.Engine, []float64) (baselineRun, error) {
 	return func(eng *sim.Engine, values []float64) (baselineRun, error) {
+		before := eng.Stats()
 		r, err := core.RunForest(eng, build, kind, values)
 		if err != nil {
 			return baselineRun{}, err
 		}
-		return baselineRun{r.Value, r.PerNode, r.Consensus, r.Stats, eng.Billed(core.PhaseDRR), r.Forest.NumTrees()}, nil
+		return baselineRun{r.Value, r.PerNode, r.Consensus, eng.Stats().Sub(before), eng.Billed(core.PhaseDRR), r.Forest.NumTrees()}, nil
 	}
 }
 

@@ -200,17 +200,17 @@ func BenchmarkPerfPhase2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sums, _, err := s.Sum(e, f, values)
+		sums, err := s.Sum(e, f, values)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for k, v := range sums {
 			perRoot[k] = v.Sum / v.Count
 		}
-		if _, _, err := s.BroadcastRootAddr(e, f); err != nil {
+		if _, err := s.BroadcastRootAddr(e, f); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := s.BroadcastValue(e, f, perRoot); err != nil {
+		if _, err := s.BroadcastValue(e, f, perRoot); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,48 +21,47 @@ import (
 // the package path below internal/, then the name; a method is written
 // Type.Method.
 var keep = map[string]string{
-	"agg.GenLinear":               "input generator of the drrgossip tests; the fault studies still to come will use it",
-	"agg.GenSigned":               "input generator of the pipeline, gossip and convergecast tests",
-	"agg.GenSpike":                "adversarial input generator the fault studies still to come will use",
-	"agg.GenZeroMean":             "input generator of the gossip tests",
-	"bitset.Set.Clone":            "oracle of the bitset property tests",
-	"bitset.Set.Equal":            "oracle of the bitset, fault-binding and route differential tests",
-	"chord.Ring.Bits":             "sizes the route buffers of the chord route differential test",
-	"convergecast.BroadcastValue": "one-shot form TestPhase2Digests and TestBroadcastDigests pin the broadcast through",
-	"convergecast.Moments":        "one-shot form TestPhase2Digests pins the three-component convergecast through",
-	"faults.Bound.Rounds":         "read by TestBindMatchesReference to compare a binding with the reference copy",
-	"faults.FromCrashFrac":        "round-0 crash plan that README names as equal to Config.CrashFrac",
-	"forest.Forest.Depth":         "accessor the gossip transport and forest tests check climbs against",
-	"forest.Forest.NumMembers":    "accessor the Phase I builder tests check forests with",
-	"forest.Forest.TreeSize":      "accessor the Local-DRR and forest tests check forests with",
-	"forest.Forest.TreeSizes":     "accessor the kashyap and convergecast tests check forests with",
-	"forest.Forest.Validate":      "structural check every Phase I builder test runs",
-	"graph.Complete":              "implicit complete graph the graph representation tests compare with a materialised reference",
-	"graph.FromAdjacency":         "builds the hand-written graphs of the graph, overlay and pairwise tests",
-	"graph.Graph.Eccentricity":    "distance oracle of the graph generator tests",
-	"graph.Graph.HasEdge":         "adjacency oracle of the graph, overlay, chord and Local-DRR tests",
-	"graph.Graph.Neighbors":       "allocating neighbour list the graph and Local-DRR tests read",
-	"graph.Graph.Regular":         "degree oracle of the graph generator tests",
-	"graph.Star":                  "worst-case fixture of the overlay and Local-DRR tests",
-	"hms.Walk.Probes":             "certification-walk cost the HMS tests bound",
-	"metrics.MessageShapes":       "shape list the fit tests run over",
-	"sim.AbortError.Unwrap":       "errors.Is and errors.As call it through an unnamed interface",
-	"sim.Core.AliveIDs":           "survivor list the facade, baseline and engine tests compute exact references over",
-	"sim.Engine.PendingEmpty":     "engine invariant the delivery, reset and SendEach tests assert",
-	"telemetry.NewRing":           "ring sink of the gated BenchmarkPerfTelemetry paired benchmark",
-	"telemetry.Ring.Events":       "ring read-out the telemetry tests check",
-	"telemetry.Ring.Total":        "ring read-out the telemetry tests check",
-	"xrand.HashFloat":             "reference that TestKeyMatchesHash and FuzzKeyMatchesHash compare xrand.Key with",
+	"agg.GenLinear":            "input generator of the drrgossip tests; the fault studies still to come will use it",
+	"agg.GenSigned":            "input generator of the pipeline, gossip and convergecast tests",
+	"agg.GenSpike":             "adversarial input generator the fault studies still to come will use",
+	"agg.GenZeroMean":          "input generator of the gossip tests",
+	"bitset.Set.Clone":         "oracle of the bitset property tests",
+	"bitset.Set.Equal":         "oracle of the bitset, fault-binding and route differential tests",
+	"chord.Ring.Bits":          "sizes the route buffers of the chord route differential test",
+	"faults.Bound.Rounds":      "read by TestBindMatchesReference to compare a binding with the reference copy",
+	"faults.FromCrashFrac":     "round-0 crash plan that README names as equal to Config.CrashFrac",
+	"forest.Forest.Depth":      "accessor the gossip transport and forest tests check climbs against",
+	"forest.Forest.NumMembers": "accessor the Phase I builder tests check forests with",
+	"forest.Forest.TreeSize":   "accessor the Local-DRR and forest tests check forests with",
+	"forest.Forest.TreeSizes":  "accessor the kashyap and convergecast tests check forests with",
+	"forest.Forest.Validate":   "structural check every Phase I builder test runs",
+	"graph.Complete":           "implicit complete graph the graph representation tests compare with a materialised reference",
+	"graph.FromAdjacency":      "builds the hand-written graphs of the graph, overlay and pairwise tests",
+	"graph.Graph.Eccentricity": "distance oracle of the graph generator tests",
+	"graph.Graph.HasEdge":      "adjacency oracle of the graph, overlay, chord and Local-DRR tests",
+	"graph.Graph.Neighbors":    "allocating neighbour list the graph and Local-DRR tests read",
+	"graph.Graph.Regular":      "degree oracle of the graph generator tests",
+	"graph.Star":               "worst-case fixture of the overlay and Local-DRR tests",
+	"hms.Walk.Probes":          "certification-walk cost the HMS tests bound",
+	"metrics.MessageShapes":    "shape list the fit tests run over",
+	"sim.AbortError.Unwrap":    "errors.Is and errors.As call it through an unnamed interface",
+	"sim.Core.AliveIDs":        "survivor list the facade, baseline and engine tests compute exact references over",
+	"sim.Engine.PendingEmpty":  "engine invariant the delivery, reset and SendEach tests assert",
+	"telemetry.NewRing":        "ring sink of the gated BenchmarkPerfTelemetry paired benchmark",
+	"telemetry.Ring.Events":    "ring read-out the telemetry tests check",
+	"telemetry.Ring.Total":     "ring read-out the telemetry tests check",
+	"xrand.HashFloat":          "reference that TestKeyMatchesHash and FuzzKeyMatchesHash compare xrand.Key with",
 }
 
 // TestNoTestOnlySurface fails on a declaration under internal/ that only
 // tests reach, so such code is deleted rather than left to rot, and on a
 // keep entry that no longer names one.
 func TestNoTestOnlySurface(t *testing.T) {
-	got, err := unreferenced([]module{{"drrgossip", "../.."}, {"drrgossip/bench", "../../bench"}})
+	p, err := load([]module{{"drrgossip", "../.."}, {"drrgossip/bench", "../../bench"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := unreferenced(p)
 	seen := map[string]bool{}
 	for _, d := range got {
 		if _, ok := keep[d.key]; ok {
@@ -80,17 +80,52 @@ func TestNoTestOnlySurface(t *testing.T) {
 // TestSurfaceReportsDeadExport runs the scan over a mini-module whose only
 // unreferenced declaration is one exported function.
 func TestSurfaceReportsDeadExport(t *testing.T) {
-	got, err := unreferenced([]module{{"mini", "testdata/mini"}})
+	p, err := load([]module{{"mini", "testdata/mini"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	for _, d := range got {
-		keys = append(keys, d.key)
-	}
-	if len(keys) != 1 || keys[0] != "dead.Unused" {
+	if keys := declKeys(unreferenced(p)); !slices.Equal(keys, []string{"dead.Unused"}) {
 		t.Fatalf("unreferenced = %v, want [dead.Unused]", keys)
 	}
+}
+
+// TestNoSecondBill fails on a struct field or function result of type
+// sim.Counters outside internal/sim and internal/telemetry: what a run
+// cost is read from the engine (Stats, Ledger, Billed), and a driver
+// that keeps its own copy makes a second bill to keep equal to it. The
+// bench module, which snapshots the counters per trace span, is not
+// scanned.
+func TestNoSecondBill(t *testing.T) {
+	p, err := load([]module{{"drrgossip", "../.."}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range secondBills(p) {
+		t.Errorf("%s: %s carries sim.Counters: read the engine's Stats, Ledger or Billed instead", d.pos, d.key)
+	}
+}
+
+// TestSecondBillReported runs the counters scan over the mini-module,
+// whose driver package keeps a copy of its engine's counters in a
+// result field and returns one from a function.
+func TestSecondBillReported(t *testing.T) {
+	p, err := load([]module{{"mini", "testdata/mini"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"driver.Result.Stats", "driver.Run"}
+	if keys := declKeys(secondBills(p)); !slices.Equal(keys, want) {
+		t.Fatalf("second bills = %v, want %v", keys, want)
+	}
+}
+
+// declKeys returns the keys of ds, in order.
+func declKeys(ds []decl) []string {
+	var keys []string
+	for _, d := range ds {
+		keys = append(keys, d.key)
+	}
+	return keys
 }
 
 // module is a Go module: its path and the directory holding its go.mod.
@@ -102,13 +137,22 @@ type decl struct {
 	pos token.Position
 }
 
-// unreferenced type-checks the non-test files of every package in mods,
-// which may import each other, and returns the package-level funcs,
-// methods, types, consts and vars declared under an internal/ directory
-// that nothing outside their own declaration references. A method that
-// may be called through an interface is skipped, since such a call does
-// not name it.
-func unreferenced(mods []module) ([]decl, error) {
+// program is the type-checked non-test code of a set of modules.
+type program struct {
+	fset *token.FileSet
+	pkgs map[string]*checked // by import path
+}
+
+// checked is one type-checked package.
+type checked struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// load type-checks the non-test files of every package in mods, which
+// may import each other.
+func load(mods []module) (*program, error) {
 	fset := token.NewFileSet()
 	dirs := map[string]string{} // import path -> directory
 	for _, m := range mods {
@@ -121,11 +165,6 @@ func unreferenced(mods []module) ([]decl, error) {
 	build.Default.CgoEnabled = false
 	std := importer.ForCompiler(fset, "source", nil)
 
-	type checked struct {
-		pkg   *types.Package
-		files []*ast.File
-		info  *types.Info
-	}
 	pkgs := map[string]*checked{}
 	var check func(path string) (*types.Package, error)
 	imp := importerFunc(func(path string) (*types.Package, error) {
@@ -164,7 +203,14 @@ func unreferenced(mods []module) ([]decl, error) {
 			return nil, err
 		}
 	}
+	return &program{fset, pkgs}, nil
+}
 
+// unreferenced returns the package-level funcs, methods, types, consts
+// and vars of p declared under an internal/ directory that nothing
+// outside their own declaration references. A method that may be called
+// through an interface is skipped, since such a call does not name it.
+func unreferenced(p *program) []decl {
 	// Every method-set interface, by method name, from the interfaces the
 	// modules declare or write as literals and from every package they
 	// import.
@@ -194,7 +240,7 @@ func unreferenced(mods []module) ([]decl, error) {
 			walk(q)
 		}
 	}
-	for _, c := range pkgs {
+	for _, c := range p.pkgs {
 		walk(c.pkg)
 		for _, tv := range c.info.Types {
 			if tv.Type != nil {
@@ -227,7 +273,7 @@ func unreferenced(mods []module) ([]decl, error) {
 	own := map[types.Object]span{}
 	keys := map[types.Object]string{}
 	receivers := map[*ast.Ident]bool{}
-	for path, c := range pkgs {
+	for path, c := range p.pkgs {
 		_, rel, ok := strings.Cut(path, "/internal/")
 		if !ok {
 			continue
@@ -272,7 +318,7 @@ func unreferenced(mods []module) ([]decl, error) {
 	}
 
 	used := map[types.Object]bool{}
-	for _, c := range pkgs {
+	for _, c := range p.pkgs {
 		for id, obj := range c.info.Uses {
 			switch o := obj.(type) {
 			case *types.Func:
@@ -288,11 +334,102 @@ func unreferenced(mods []module) ([]decl, error) {
 	var out []decl
 	for obj, key := range keys {
 		if !used[obj] {
-			out = append(out, decl{key, fset.Position(obj.Pos())})
+			out = append(out, decl{key, p.fset.Position(obj.Pos())})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out, nil
+	return out
+}
+
+// secondBills returns the struct fields and the functions with a result
+// of the type Counters of an internal/sim package of p, declared outside
+// internal/sim and internal/telemetry. Each key starts with the package
+// path below internal/ (the import path outside it); a field's goes on
+// with its declared struct type's name, if any, and its own, and a
+// function's with its name or Type.Method.
+func secondBills(p *program) []decl {
+	var counters types.Type
+	for path, c := range p.pkgs {
+		if strings.HasSuffix(path, "/internal/sim") {
+			if obj := c.pkg.Scope().Lookup("Counters"); obj != nil {
+				counters = obj.Type()
+			}
+		}
+	}
+	if counters == nil {
+		return nil
+	}
+	var out []decl
+	for path, c := range p.pkgs {
+		rel := path
+		if _, r, ok := strings.Cut(path, "/internal/"); ok {
+			rel = r
+		}
+		if rel == "sim" || rel == "telemetry" {
+			continue
+		}
+		report := func(key string, pos token.Pos) {
+			out = append(out, decl{rel + "." + key, p.fset.Position(pos)})
+		}
+		returns := func(sig *types.Signature) bool {
+			for i := 0; i < sig.Results().Len(); i++ {
+				if types.Identical(sig.Results().At(i).Type(), counters) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, f := range c.files {
+			structName := map[*ast.StructType]string{} // declared struct types
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						structName[st] = n.Name.Name + "."
+					}
+				case *ast.StructType:
+					for _, fld := range n.Fields.List {
+						if types.Identical(c.info.TypeOf(fld.Type), counters) {
+							for _, id := range fieldIdents(fld) {
+								report(structName[n]+id.Name, id.Pos())
+							}
+						}
+					}
+				case *ast.FuncDecl:
+					if returns(c.info.Defs[n.Name].Type().(*types.Signature)) {
+						name := n.Name.Name
+						if n.Recv != nil {
+							name = receiverIdent(n.Recv.List[0].Type).Name + "." + name
+						}
+						report(name, n.Name.Pos())
+					}
+				case *ast.FuncLit:
+					if returns(c.info.TypeOf(n).(*types.Signature)) {
+						report("func literal", n.Pos())
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// fieldIdents returns the names a struct field declares: its own, or for
+// an embedded field the type name it is known by.
+func fieldIdents(f *ast.Field) []*ast.Ident {
+	if len(f.Names) > 0 {
+		return f.Names
+	}
+	t := f.Type
+	if s, ok := t.(*ast.StarExpr); ok {
+		t = s.X
+	}
+	if sel, ok := t.(*ast.SelectorExpr); ok {
+		return []*ast.Ident{sel.Sel}
+	}
+	return []*ast.Ident{t.(*ast.Ident)}
 }
 
 // importerFunc adapts a function to types.Importer.

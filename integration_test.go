@@ -75,27 +75,27 @@ func TestMessageOrderingAtScale(t *testing.T) {
 	n := 16384
 	values := agg.GenUniform(n, 0, 1, 70)
 
-	dres, err := core.Run(sim.NewEngine(n, sim.Options{Seed: 71}), nil, core.Ave, values)
-	if err != nil {
+	deng := sim.NewEngine(n, sim.Options{Seed: 71})
+	if _, err := core.Run(deng, nil, core.Ave, values); err != nil {
 		t.Fatal(err)
 	}
-	kres, err := core.RunForest(sim.NewEngine(n, sim.Options{Seed: 72}), kashyap.BuildForest, core.Ave, values)
-	if err != nil {
+	keng := sim.NewEngine(n, sim.Options{Seed: 72})
+	if _, err := core.RunForest(keng, kashyap.BuildForest, core.Ave, values); err != nil {
 		t.Fatal(err)
 	}
-	mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: 73}), values)
-	if err != nil {
+	meng := sim.NewEngine(n, sim.Options{Seed: 73})
+	if _, err := kempe.PushSum(meng, values); err != nil {
 		t.Fatal(err)
 	}
-	if mres.Stats.Messages <= dres.Stats.Messages {
-		t.Fatalf("kempe messages %d <= drr %d at n=%d",
-			mres.Stats.Messages, dres.Stats.Messages, n)
+	d, k, m := deng.Stats(), keng.Stats(), meng.Stats()
+	if m.Messages <= d.Messages {
+		t.Fatalf("kempe messages %d <= drr %d at n=%d", m.Messages, d.Messages, n)
 	}
-	if dres.Stats.Rounds >= kres.Stats.Rounds {
-		t.Fatalf("drr rounds %d >= kashyap %d", dres.Stats.Rounds, kres.Stats.Rounds)
+	if d.Rounds >= k.Rounds {
+		t.Fatalf("drr rounds %d >= kashyap %d", d.Rounds, k.Rounds)
 	}
-	if mres.Stats.Rounds >= kres.Stats.Rounds {
-		t.Fatalf("kempe rounds %d >= kashyap %d", mres.Stats.Rounds, kres.Stats.Rounds)
+	if m.Rounds >= k.Rounds {
+		t.Fatalf("kempe rounds %d >= kashyap %d", m.Rounds, k.Rounds)
 	}
 }
 
@@ -121,17 +121,16 @@ func TestChordDRRBeatsChordUniformOnMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := agg.GenUniform(n, 0, 100, 77)
-	dres, err := core.Run(sim.NewEngine(n, sim.Options{Seed: 78}), overlay.NewChord(ring), core.Max, values)
-	if err != nil {
+	deng := sim.NewEngine(n, sim.Options{Seed: 78})
+	if _, err := core.Run(deng, overlay.NewChord(ring), core.Max, values); err != nil {
 		t.Fatal(err)
 	}
-	ures, err := kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: 79}), ring, values)
-	if err != nil {
+	ueng := sim.NewEngine(n, sim.Options{Seed: 79})
+	if _, err := kempe.PushMaxOnChord(ueng, ring, values); err != nil {
 		t.Fatal(err)
 	}
-	if ures.Stats.Messages <= 2*dres.Stats.Messages {
-		t.Fatalf("uniform-on-chord %d messages vs drr-on-chord %d: expected a clear gap",
-			ures.Stats.Messages, dres.Stats.Messages)
+	if u, d := ueng.Stats().Messages, deng.Stats().Messages; u <= 2*d {
+		t.Fatalf("uniform-on-chord %d messages vs drr-on-chord %d: expected a clear gap", u, d)
 	}
 }
 

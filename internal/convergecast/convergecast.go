@@ -23,8 +23,11 @@
 // bookkeeping, in one pass over the forest.
 //
 // The per-node state lives in a Scratch that callers running Phase II
-// once per protocol run keep and reuse; the package-level functions run
-// on a fresh one.
+// once per protocol run keep and reuse.
+//
+// A phase returns only its outputs. What it cost is read from the engine
+// it ran on: sim.Core.Stats for the run so far, and Ledger or Billed for
+// the phase a caller labelled with SetPhase.
 package convergecast
 
 import (
@@ -113,9 +116,8 @@ func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, with
 // node with a dead parent stops retrying, and under an active fault
 // regime an incomplete phase returns the partial accumulators rather
 // than ErrIncomplete.
-func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec, sim.Counters, error) {
+func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec, error) {
 	n := eng.N()
-	start := eng.Stats()
 	acc := s.acc
 	s.pending = resized(s.pending, n)
 	s.merged.Resize(n)
@@ -187,39 +189,33 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec,
 		})
 		eng.ResolveCalls(calls, handle, onReply)
 	}
-	stats := eng.Stats().Sub(start)
 	if remaining > 0 && !eng.Faulty() {
-		return nil, stats, ErrIncomplete
+		return nil, ErrIncomplete
 	}
-	return acc, stats, nil
+	return acc, nil
 }
 
 // Max runs Convergecast-max (Algorithm 2): each root learns the maximum
 // value in its tree. The result is indexed by root slot.
-func (s *Scratch) Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
+func (s *Scratch) Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, error) {
 	if err := s.load(eng, f, values, false, false); err != nil {
-		return nil, sim.Counters{}, err
+		return nil, err
 	}
-	res, stats, err := s.up(eng, f, maxVecs)
+	res, err := s.up(eng, f, maxVecs)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	out := make([]float64, f.NumTrees())
 	for k, r := range f.Roots() {
 		out[k] = res[r].a
 	}
-	return out, stats, nil
+	return out, nil
 }
 
 // maxVecs is Max's merge: the larger first component.
 func maxVecs(acc, in vec) vec {
 	acc.a = math.Max(acc.a, in.a)
 	return acc
-}
-
-// Max runs Scratch.Max on a fresh Scratch.
-func Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, sim.Counters, error) {
-	return new(Scratch).Max(eng, f, values)
 }
 
 // addVecs is the componentwise-sum merge shared by Sum and Moments.
@@ -244,40 +240,30 @@ type MomentsVec struct {
 // Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
 // (Σ values, tree size) vector; Sum2 stays 0. The result is indexed by
 // root slot.
-func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
+func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, error) {
 	return s.sums(eng, f, values, false)
-}
-
-// Sum runs Scratch.Sum on a fresh Scratch.
-func Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
-	return new(Scratch).Sum(eng, f, values)
 }
 
 // Moments runs a three-component convergecast: each root learns its
 // tree's (Σ values, Σ values², tree size). The result is indexed by root
 // slot.
-func (s *Scratch) Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
+func (s *Scratch) Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, error) {
 	return s.sums(eng, f, values, true)
 }
 
-// Moments runs Scratch.Moments on a fresh Scratch.
-func Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, sim.Counters, error) {
-	return new(Scratch).Moments(eng, f, values)
-}
-
-func (s *Scratch) sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]MomentsVec, sim.Counters, error) {
+func (s *Scratch) sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]MomentsVec, error) {
 	if err := s.load(eng, f, values, true, squares); err != nil {
-		return nil, sim.Counters{}, err
+		return nil, err
 	}
-	res, stats, err := s.up(eng, f, addVecs)
+	res, err := s.up(eng, f, addVecs)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	out := make([]MomentsVec, f.NumTrees())
 	for k, r := range f.Roots() {
 		out[k] = MomentsVec{Sum: res[r].a, Sum2: res[r].b, Count: res[r].c}
 	}
-	return out, stats, nil
+	return out, nil
 }
 
 // down pushes the per-root payloads in s.perRoot, indexed by root slot,
@@ -290,15 +276,14 @@ func (s *Scratch) sums(eng *sim.Engine, f *forest.Forest, values []float64, squa
 // are skipped and unreachable subtrees stop counting toward completion,
 // so mid-run crashes cannot stall the phase; under an active fault
 // regime an incomplete broadcast returns the partial set.
-func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, sim.Counters, error) {
+func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 	n := eng.N()
 	if f.N() != n {
-		return nil, sim.Counters{}, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+		return nil, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
 	}
 	if len(s.perRoot) != f.NumTrees() {
-		return nil, sim.Counters{}, fmt.Errorf("convergecast: %d root payloads for %d trees", len(s.perRoot), f.NumTrees())
+		return nil, fmt.Errorf("convergecast: %d root payloads for %d trees", len(s.perRoot), f.NumTrees())
 	}
-	start := eng.Stats()
 	s.next = resized(s.next, n)
 	clear(s.next)
 	s.have.Resize(n)
@@ -385,25 +370,24 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, sim.Coun
 		})
 		eng.ResolveCalls(calls, handle, onReply)
 	}
-	stats := eng.Stats().Sub(start)
 	if remaining > 0 && !eng.Faulty() {
-		return nil, stats, ErrIncomplete
+		return nil, ErrIncomplete
 	}
-	return &s.have, stats, nil
+	return &s.have, nil
 }
 
 // BroadcastValue distributes one float per root, indexed by root slot,
 // to all members of its tree: a reached node i gets perRoot[f.Slot(i)];
 // non-members and unreached members (crashed, or beyond a crashed
 // ancestor) get NaN. The result is the caller's.
-func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
+func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, error) {
 	s.perRoot = resized(s.perRoot, len(perRoot))
 	for k, v := range perRoot {
 		s.perRoot[k] = sim.Payload{A: v}
 	}
-	have, stats, err := s.down(eng, f)
+	have, err := s.down(eng, f)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	out := make([]float64, eng.N())
 	for i := range out {
@@ -413,12 +397,7 @@ func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []fl
 			out[i] = math.NaN()
 		}
 	}
-	return out, stats, nil
-}
-
-// BroadcastValue runs Scratch.BroadcastValue on a fresh Scratch.
-func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, sim.Counters, error) {
-	return new(Scratch).BroadcastValue(eng, f, perRoot)
+	return out, nil
 }
 
 // BroadcastRootAddr performs the Phase II address broadcast: every root
@@ -426,14 +405,14 @@ func BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]flo
 // non-address-oblivious forwarding table used by Phase III). A reached
 // node gets its root slot's address, f.RootOf(i); the others get -1. The
 // result belongs to s and is valid until its next BroadcastRootAddr.
-func (s *Scratch) BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
+func (s *Scratch) BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, error) {
 	s.perRoot = resized(s.perRoot, f.NumTrees())
 	for k, r := range f.Roots() {
 		s.perRoot[k] = sim.Payload{X: int64(r)}
 	}
-	have, stats, err := s.down(eng, f)
+	have, err := s.down(eng, f)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	s.rootTo = resized(s.rootTo, eng.N())
 	for i := range s.rootTo {
@@ -443,13 +422,7 @@ func (s *Scratch) BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, s
 			s.rootTo[i] = -1
 		}
 	}
-	return s.rootTo, stats, nil
-}
-
-// BroadcastRootAddr runs Scratch.BroadcastRootAddr on a fresh Scratch,
-// so the result is the caller's.
-func BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, sim.Counters, error) {
-	return new(Scratch).BroadcastRootAddr(eng, f)
+	return s.rootTo, nil
 }
 
 // resized returns s with n entries, on s's own storage when it is large

@@ -36,7 +36,9 @@ func TestMaxExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 1})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, -50, 50, 7)
-	got, stats, err := Max(eng, f, values)
+	before := eng.Stats()
+	got, err := new(Scratch).Max(eng, f, values)
+	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestSumExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 3})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, 0, 10, 9)
-	got, _, err := Sum(eng, f, values)
+	got, err := new(Scratch).Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,9 @@ func TestSumExactUnderLoss(t *testing.T) {
 	eng := sim.NewEngine(2048, sim.Options{Seed: 4, Loss: 0.125})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(2048, 0, 100, 10)
-	got, stats, err := Sum(eng, f, values)
+	before := eng.Stats()
+	got, err := new(Scratch).Sum(eng, f, values)
+	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,9 @@ func TestRoundsBoundedByHeight(t *testing.T) {
 	eng := sim.NewEngine(4096, sim.Options{Seed: 5})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(4096, 0, 1, 11)
-	_, stats, err := Max(eng, f, values)
+	before := eng.Stats()
+	_, err := new(Scratch).Max(eng, f, values)
+	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +125,9 @@ func TestBroadcastValue(t *testing.T) {
 	for k, r := range f.Roots() {
 		perRoot[k] = float64(r) * 1.5
 	}
-	got, stats, err := BroadcastValue(eng, f, perRoot)
+	before := eng.Stats()
+	got, err := new(Scratch).BroadcastValue(eng, f, perRoot)
+	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func TestBroadcastValue(t *testing.T) {
 func TestBroadcastRootAddr(t *testing.T) {
 	eng := sim.NewEngine(2048, sim.Options{Seed: 7, Loss: 0.1})
 	f := buildForest(t, eng)
-	got, _, err := BroadcastRootAddr(eng, f)
+	got, err := new(Scratch).BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestBroadcastMissingRootPayload(t *testing.T) {
 	eng := sim.NewEngine(64, sim.Options{Seed: 8})
 	f := buildForest(t, eng)
 	for _, m := range []int{0, f.NumTrees() - 1, f.NumTrees() + 1} {
-		if _, _, err := BroadcastValue(eng, f, make([]float64, m)); err == nil {
+		if _, err := new(Scratch).BroadcastValue(eng, f, make([]float64, m)); err == nil {
 			t.Fatalf("%d root payloads for %d trees accepted", m, f.NumTrees())
 		}
 	}
@@ -170,7 +178,7 @@ func TestWithCrashes(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 9, CrashFrac: 0.25, Loss: 0.05})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, 0, 10, 12)
-	got, _, err := Sum(eng, f, values)
+	got, err := new(Scratch).Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +197,7 @@ func TestSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Max(eng, f, []float64{1, 2}); err == nil {
+	if _, err := new(Scratch).Max(eng, f, []float64{1, 2}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -201,7 +209,9 @@ func TestHandBuiltChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(4, sim.Options{Seed: 10})
-	got, stats, err := Sum(eng, f, []float64{1, 2, 3, 4})
+	before := eng.Stats()
+	got, err := new(Scratch).Sum(eng, f, []float64{1, 2, 3, 4})
+	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +238,7 @@ func TestConvergecastProperty(t *testing.T) {
 			return res.Forest
 		}()
 		values := agg.GenSigned(n, 20, uint64(seed)+1)
-		sums, _, err := Sum(eng, fo, values)
+		sums, err := new(Scratch).Sum(eng, fo, values)
 		if err != nil {
 			return false
 		}
@@ -252,7 +262,7 @@ func BenchmarkConvergecastSum(b *testing.B) {
 			b.Fatal(err)
 		}
 		values := agg.GenUniform(4096, 0, 1, uint64(i))
-		if _, _, err := Sum(eng, res.Forest, values); err != nil {
+		if _, err := new(Scratch).Sum(eng, res.Forest, values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +272,7 @@ func TestMomentsExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 31})
 	f := buildForest(t, eng)
 	values := agg.GenSigned(1024, 10, 32)
-	got, _, err := Moments(eng, f, values)
+	got, err := new(Scratch).Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +297,7 @@ func TestMomentsUnderLoss(t *testing.T) {
 	eng := sim.NewEngine(512, sim.Options{Seed: 33, Loss: 0.125})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(512, 0, 10, 34)
-	got, _, err := Moments(eng, f, values)
+	got, err := new(Scratch).Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,9 @@ func TestPhase2Digests(t *testing.T) {
 			d := newDigester()
 
 			arm(1)
-			mx, stats, err := Max(eng, f, values)
+			before := eng.Stats()
+			mx, err := new(Scratch).Max(eng, f, values)
+			stats := eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,9 +120,11 @@ func TestPhase2Digests(t *testing.T) {
 				d.f64(v)
 			}
 			d.counters(stats)
-			for k, run := range []func(*sim.Engine, *forest.Forest, []float64) ([]MomentsVec, sim.Counters, error){Sum, Moments} {
+			for k, run := range []func(*Scratch, *sim.Engine, *forest.Forest, []float64) ([]MomentsVec, error){(*Scratch).Sum, (*Scratch).Moments} {
 				arm(3 + k)
-				mv, stats, err := run(eng, f, values)
+				before := eng.Stats()
+				mv, err := run(new(Scratch), eng, f, values)
+				stats := eng.Stats().Sub(before)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +139,9 @@ func TestPhase2Digests(t *testing.T) {
 				perRoot[k] = v / 3
 			}
 			arm(6)
-			bc, stats, err := BroadcastValue(eng, f, perRoot)
+			before = eng.Stats()
+			bc, err := new(Scratch).BroadcastValue(eng, f, perRoot)
+			stats = eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +208,9 @@ func TestBroadcastDigests(t *testing.T) {
 			d := newDigester()
 
 			crashAt(2)
-			addr, stats, err := BroadcastRootAddr(eng, f)
+			before := eng.Stats()
+			addr, err := new(Scratch).BroadcastRootAddr(eng, f)
+			stats := eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +219,9 @@ func TestBroadcastDigests(t *testing.T) {
 			}
 			d.counters(stats)
 
-			sums, stats, err := Sum(eng, f, values)
+			before = eng.Stats()
+			sums, err := new(Scratch).Sum(eng, f, values)
+			stats = eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +231,9 @@ func TestBroadcastDigests(t *testing.T) {
 				perRoot[k] = v.Sum / v.Count
 			}
 			crashAt(5)
-			bc, stats, err := BroadcastValue(eng, f, perRoot)
+			before = eng.Stats()
+			bc, err := new(Scratch).BroadcastValue(eng, f, perRoot)
+			stats = eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
 			}

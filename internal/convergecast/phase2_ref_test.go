@@ -398,7 +398,9 @@ func diffPhaseTwo(t testing.TB, f *forest.Forest, opts sim.Options, b *faults.Bo
 		refAcc := refValueInit(f, values, pass.withCount, pass.withSq)
 		log.watch(eng, func() uint64 { return hashVecs(s.acc) })
 		refLog.watch(ref, func() uint64 { return hashPayloads(refAcc) })
-		got, stats, err := s.up(eng, f, pass.merge)
+		before := eng.Stats()
+		got, err := s.up(eng, f, pass.merge)
+		stats := eng.Stats().Sub(before)
 		want, refStats, refErr := refUp(ref, f, refAcc, pass.refMerge)
 		log.same(t, what, &refLog)
 		if err != refErr || stats != refStats {
@@ -417,7 +419,9 @@ func diffPhaseTwo(t testing.TB, f *forest.Forest, opts sim.Options, b *faults.Bo
 		s.perRoot = append(s.perRoot[:0], perRoot...)
 		log.watch(eng, func() uint64 { return 0 })
 		refLog.watch(ref, func() uint64 { return 0 })
-		got, stats, err := s.down(eng, f)
+		before := eng.Stats()
+		got, err := s.down(eng, f)
+		stats := eng.Stats().Sub(before)
 		want, refStats, refErr := refDown(ref, f, perRoot)
 		log.same(t, what, &refLog)
 		if err != refErr || stats != refStats {

@@ -73,7 +73,6 @@ type Result struct {
 	// Probes counts the probes each node used (0 for crashed). It is
 	// nil for Local-DRR, which does not probe.
 	Probes []int
-	Stats  sim.Counters
 	// Orphans counts nodes that found a higher-ranked parent but whose
 	// connection message never got acknowledged; they became roots.
 	Orphans int
@@ -104,7 +103,6 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("drr: probe budget must be >= 1, got %d", budget)
 	}
-	start := eng.Stats()
 	ranks, parent := drawRanks(eng)
 
 	// Probing: one random sample per round per still-searching node. A
@@ -142,7 +140,7 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 				}
 			})
 	}
-	return connect(eng, start, ranks, probes, parent, opts.Forest)
+	return connect(eng, ranks, probes, parent, opts.Forest)
 }
 
 // RunLocal executes Local-DRR on the engine over graph g (g.N() ==
@@ -156,7 +154,6 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 	if eng.Loss() != 0 {
 		exchanges = lossyRankExchanges
 	}
-	start := eng.Stats()
 	ranks, parent := drawRanks(eng)
 
 	// Rank exchange: every node sends its rank to all neighbours (the
@@ -218,7 +215,7 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 			parent[i] = forest.Root
 		}
 	}
-	return connect(eng, start, ranks, nil, parent, opts.Forest)
+	return connect(eng, ranks, nil, parent, opts.Forest)
 }
 
 // drawRanks draws every alive node's rank from its own RNG stream and
@@ -245,9 +242,8 @@ func drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
 // its identifier; the parent acknowledges (idempotently, so retries
 // after a lost ack are harmless). Unacknowledged nodes retry up to
 // connectRetries times and then fall back to being roots. The forest is
-// rebuilt into f (a new one when f is nil), and the result's Stats are
-// the engine's counters since start.
-func connect(eng *sim.Engine, start sim.Counters, ranks []float64, probes, parent []int, f *forest.Forest) (*Result, error) {
+// rebuilt into f (a new one when f is nil).
+func connect(eng *sim.Engine, ranks []float64, probes, parent []int, f *forest.Forest) (*Result, error) {
 	n := eng.N()
 	// The ack set is a dense bitset (n/8 bytes, which matters at
 	// million-node scale) mutated only from the sequential ResolveCalls
@@ -296,7 +292,6 @@ func connect(eng *sim.Engine, start sim.Counters, ranks []float64, probes, paren
 		Forest:  f,
 		Ranks:   ranks,
 		Probes:  probes,
-		Stats:   eng.Stats().Sub(start),
 		Orphans: orphans,
 	}, nil
 }

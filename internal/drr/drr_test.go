@@ -3,6 +3,7 @@ package drr
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"drrgossip/internal/sim"
@@ -76,7 +77,11 @@ func TestMessagesTheorem4(t *testing.T) {
 	// O(log log n). Check the per-node average is well under log n and
 	// within a constant of log2(log2 n).
 	n := 8192
-	res := run(t, n, sim.Options{Seed: 5}, Options{})
+	eng := sim.NewEngine(n, sim.Options{Seed: 5})
+	res, err := Run(eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	avgProbes := float64(res.TotalProbes()) / float64(n)
 	loglog := math.Log2(math.Log2(float64(n)))
 	if avgProbes > 4*loglog {
@@ -87,7 +92,7 @@ func TestMessagesTheorem4(t *testing.T) {
 	}
 	// Message count tracks probes within a small constant factor (probe =
 	// up to 2 messages, plus O(n) connections).
-	msgs := float64(res.Stats.Messages)
+	msgs := float64(eng.Stats().Messages)
 	if msgs > float64(3*res.TotalProbes()+3*n) {
 		t.Fatalf("messages %v inconsistent with probes %d", msgs, res.TotalProbes())
 	}
@@ -96,23 +101,32 @@ func TestMessagesTheorem4(t *testing.T) {
 func TestRoundsLogarithmic(t *testing.T) {
 	// Probing takes exactly the budget rounds; connection adds <= retries.
 	n := 4096
-	res := run(t, n, sim.Options{Seed: 6}, Options{})
+	eng := sim.NewEngine(n, sim.Options{Seed: 6})
+	if _, err := Run(eng, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	budget := DefaultProbeBudget(n)
-	if res.Stats.Rounds < budget || res.Stats.Rounds > budget+9 {
-		t.Fatalf("rounds = %d, budget = %d", res.Stats.Rounds, budget)
+	if r := eng.Stats().Rounds; r < budget || r > budget+9 {
+		t.Fatalf("rounds = %d, budget = %d", r, budget)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	a := run(t, 512, sim.Options{Seed: 7}, Options{})
-	b := run(t, 512, sim.Options{Seed: 7}, Options{})
+	engs := [2]*sim.Engine{sim.NewEngine(512, sim.Options{Seed: 7}), sim.NewEngine(512, sim.Options{Seed: 7})}
+	var res [2]*Result
+	for k, eng := range engs {
+		var err error
+		if res[k], err = Run(eng, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 512; i++ {
-		if a.Forest.Parent(i) != b.Forest.Parent(i) {
+		if res[0].Forest.Parent(i) != res[1].Forest.Parent(i) {
 			t.Fatalf("forests differ at node %d", i)
 		}
 	}
-	if a.Stats != b.Stats {
-		t.Fatalf("stats differ: %+v vs %+v", a.Stats, b.Stats)
+	if a, b := engs[0].Stats(), engs[1].Stats(); a != b {
+		t.Fatalf("stats differ: %+v vs %+v", a, b)
 	}
 }
 
@@ -239,7 +253,7 @@ func TestTinyNetwork(t *testing.T) {
 
 func BenchmarkDRR(b *testing.B) {
 	for _, n := range []int{1024, 8192} {
-		b.Run(itoa(n), func(b *testing.B) {
+		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine(n, sim.Options{Seed: uint64(i)})
 				if _, err := Run(eng, Options{}); err != nil {
@@ -250,18 +264,11 @@ func BenchmarkDRR(b *testing.B) {
 	}
 }
 
-func itoa(n int) string {
-	if n == 1024 {
-		return "n1024"
-	}
-	return "n8192"
-}
-
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	// The engine fans per-node work out to GOMAXPROCS workers; results
 	// must be identical under serial and parallel execution (per-node RNG
 	// streams + deterministic merge order).
-	runWith := func(procs int) *Result {
+	runWith := func(procs int) (*Result, sim.Counters) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		eng := sim.NewEngine(4096, sim.Options{Seed: 99, Loss: 0.05})
@@ -269,12 +276,12 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, eng.Stats()
 	}
-	serial := runWith(1)
-	parallel := runWith(4)
-	if serial.Stats != parallel.Stats {
-		t.Fatalf("stats differ: serial %+v, parallel %+v", serial.Stats, parallel.Stats)
+	serial, serialStats := runWith(1)
+	parallel, parallelStats := runWith(4)
+	if serialStats != parallelStats {
+		t.Fatalf("stats differ: serial %+v, parallel %+v", serialStats, parallelStats)
 	}
 	for i := 0; i < 4096; i++ {
 		if serial.Forest.Parent(i) != parallel.Forest.Parent(i) {

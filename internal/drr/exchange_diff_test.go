@@ -18,7 +18,7 @@ const kindRank uint8 = 0x11
 // eng.Send and eng.Inbox: every rank became a queued Message and each
 // receiver scanned its delivered inbox. It is kept verbatim as the
 // differential reference for the SendEach exchange.
-func runInbox(eng *sim.Engine, g *graph.Graph) (*Result, error) {
+func runInbox(eng *sim.Engine, g *graph.Graph) (*refResult, error) {
 	n := eng.N()
 	if g.N() != n {
 		return nil, fmt.Errorf("localdrr: graph has %d nodes, engine %d", g.N(), n)
@@ -129,7 +129,7 @@ func runInbox(eng *sim.Engine, g *graph.Graph) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("localdrr: invalid forest: %w", err)
 	}
-	return &Result{
+	return &refResult{
 		Forest:  f,
 		Ranks:   ranks,
 		Stats:   eng.Stats().Sub(start),
@@ -196,7 +196,9 @@ func TestRankExchangeMatchesInboxReference(t *testing.T) {
 						eng.SetRoundHook(flap(eng))
 					}
 				}
+				before := engs[0].Stats()
 				got, err := RunLocal(engs[0], g, Options{})
+				stats := engs[0].Stats().Sub(before)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,9 +214,9 @@ func TestRankExchangeMatchesInboxReference(t *testing.T) {
 						t.Fatalf("node %d: rank bits %x, want %x", i, a, b)
 					}
 				}
-				if got.Stats != want.Stats || got.Orphans != want.Orphans {
+				if stats != want.Stats || got.Orphans != want.Orphans {
 					t.Fatalf("stats %+v orphans %d, want %+v orphans %d",
-						got.Stats, got.Orphans, want.Stats, want.Orphans)
+						stats, got.Orphans, want.Stats, want.Orphans)
 				}
 				if a, b := engs[0].Stats(), engs[1].Stats(); a != b {
 					t.Fatalf("engine counters %+v, want %+v", a, b)

@@ -129,15 +129,19 @@ func TestOnChordGraph(t *testing.T) {
 
 func TestConstantRoundsLinearMessages(t *testing.T) {
 	g := graph.MustRandomRegular(2048, 8, 11)
-	res := runLocal(t, g, sim.Options{Seed: 12})
+	eng := sim.NewEngine(g.N(), sim.Options{Seed: 12})
+	if _, err := RunLocal(eng, g, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
 	// 1 rank-exchange round + <= 8 connection rounds.
-	if res.Stats.Rounds > 10 {
-		t.Fatalf("rounds = %d", res.Stats.Rounds)
+	if st.Rounds > 10 {
+		t.Fatalf("rounds = %d", st.Rounds)
 	}
 	// Messages: 2|E| rank exchange + <= 2n connection handshakes.
 	bound := int64(2*g.NumEdges() + 2*g.N() + 16)
-	if res.Stats.Messages > bound {
-		t.Fatalf("messages = %d > %d", res.Stats.Messages, bound)
+	if st.Messages > bound {
+		t.Fatalf("messages = %d > %d", st.Messages, bound)
 	}
 }
 

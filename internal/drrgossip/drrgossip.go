@@ -33,6 +33,10 @@
 // overlay the landmark routes of internal/overlay cost at most twice the
 // landmark tree depth per sample, and Theorem 13 bounds the expected root
 // count by the harmonic degree sum Σ 1/(d_i+1).
+//
+// A Result carries the answer, not its cost. A run's bill is read from
+// the engine it ran on: sim.Core.Stats for the whole run, and Ledger or
+// Billed for each phase under the Phase labels below.
 package drrgossip
 
 import (
@@ -96,9 +100,6 @@ type Result struct {
 	// Forest is the run's ranking forest. When the run used a
 	// Workspace's storage, it is valid until that workspace's next run.
 	Forest *forest.Forest
-	// Stats is the run's bill. Its split by phase is the engine's ledger
-	// (sim.Core.Ledger), labelled with the Phase constants.
-	Stats sim.Counters
 }
 
 // ErrNoNodes is returned when the engine has no alive nodes to aggregate.
@@ -196,7 +197,6 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 			return nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
 		}
 	}
-	start := eng.Stats()
 
 	// Phase I: the forest builder.
 	eng.SetPhase(PhaseDRR)
@@ -225,7 +225,7 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 	eng.SetPhase(PhaseAggregate)
 	var tr gossip.Transport
 	if ov != nil {
-		if _, _, err := w.cc.BroadcastRootAddr(eng, f); err != nil {
+		if _, err := w.cc.BroadcastRootAddr(eng, f); err != nil {
 			return nil, err
 		}
 		tr = gossip.Route(eng, ov, f)
@@ -236,18 +236,18 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 	)
 	switch {
 	case maxLike:
-		covmax, _, err = w.cc.Max(eng, f, values)
+		covmax, err = w.cc.Max(eng, f, values)
 	case kind == Moments:
-		cov, _, err = w.cc.Moments(eng, f, values)
+		cov, err = w.cc.Moments(eng, f, values)
 	default:
-		cov, _, err = w.cc.Sum(eng, f, values)
+		cov, err = w.cc.Sum(eng, f, values)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if ov == nil {
 		if rootTo == nil {
-			if rootTo, _, err = w.cc.BroadcastRootAddr(eng, f); err != nil {
+			if rootTo, err = w.cc.BroadcastRootAddr(eng, f); err != nil {
 				return nil, err
 			}
 		}
@@ -271,13 +271,13 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
-	perNode, _, err := w.cc.BroadcastValue(eng, f, g.est)
+	perNode, err := w.cc.BroadcastValue(eng, f, g.est)
 	if err != nil {
 		return nil, err
 	}
 	var perVar []float64
 	if g.varEst != nil {
-		if perVar, _, err = w.cc.BroadcastValue(eng, f, g.varEst); err != nil {
+		if perVar, err = w.cc.BroadcastValue(eng, f, g.varEst); err != nil {
 			return nil, err
 		}
 	}
@@ -300,7 +300,6 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 		PerNode:   perNode,
 		Consensus: consensus(eng, f, value, perNode, g.variance, perVar),
 		Forest:    f,
-		Stats:     eng.Stats().Sub(start),
 	}
 	if kind == Min {
 		res.Value = -res.Value

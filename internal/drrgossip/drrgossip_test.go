@@ -164,11 +164,10 @@ func TestTimeComplexityLogarithmic(t *testing.T) {
 	rounds := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 50})
 		values := agg.GenUniform(n, 0, 1, 10)
-		res, err := Run(eng, nil, Max, values)
-		if err != nil {
+		if _, err := Run(eng, nil, Max, values); err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.Stats.Rounds)
+		return float64(eng.Stats().Rounds)
 	}
 	r1 := rounds(256)
 	r2 := rounds(256 * 256)
@@ -185,11 +184,10 @@ func TestMessageComplexityNLogLogN(t *testing.T) {
 	perNode := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 51})
 		values := agg.GenUniform(n, 0, 1, 11)
-		res, err := Run(eng, nil, Max, values)
-		if err != nil {
+		if _, err := Run(eng, nil, Max, values); err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.Stats.Messages) / float64(n)
+		return float64(eng.Stats().Messages) / float64(n)
 	}
 	m1 := perNode(1024)
 	m2 := perNode(16384)
@@ -199,12 +197,13 @@ func TestMessageComplexityNLogLogN(t *testing.T) {
 	}
 }
 
-func TestPhaseStatsConsistent(t *testing.T) {
-	n := 512
-	eng := sim.NewEngine(n, sim.Options{Seed: 52})
-	values := agg.GenUniform(n, 0, 1, 12)
-	res, err := Run(eng, nil, Ave, values)
-	if err != nil {
+// checkLedger runs Ave on eng and checks the engine's ledger for the
+// run: one row per pipeline phase, in order, summing to what the engine
+// counted during the run. It returns that sum.
+func checkLedger(t *testing.T, eng *sim.Engine, values []float64) sim.Counters {
+	t.Helper()
+	before := eng.Stats()
+	if _, err := Run(eng, nil, Ave, values); err != nil {
 		t.Fatal(err)
 	}
 	var total sim.Counters
@@ -216,19 +215,23 @@ func TestPhaseStatsConsistent(t *testing.T) {
 	if want := []string{PhaseDRR, PhaseAggregate, PhaseGossip, PhaseBroadcast}; !slices.Equal(labels, want) {
 		t.Fatalf("ledger phases %v, want %v", labels, want)
 	}
-	if res.Stats != total {
-		t.Fatalf("Stats %+v != ledger total %+v", res.Stats, total)
+	if delta := eng.Stats().Sub(before); total != delta {
+		t.Fatalf("ledger total %+v, engine delta %+v", total, delta)
 	}
-	if res.Stats.Messages != eng.Stats().Messages {
-		t.Fatalf("accounted %d of %d engine messages", res.Stats.Messages, eng.Stats().Messages)
-	}
+	return total
+}
+
+func TestPhaseStatsConsistent(t *testing.T) {
+	n := 512
+	eng := sim.NewEngine(n, sim.Options{Seed: 52})
+	checkLedger(t, eng, agg.GenUniform(n, 0, 1, 12))
 	if eng.Billed(PhaseDRR).Messages == 0 || eng.Billed(PhaseGossip).Messages == 0 {
 		t.Fatal("empty phase counters")
 	}
 }
 
 // A link fault installed after Phase I blocks Phase III and broadcast
-// traffic; the bill must count those blocked drops like every other
+// traffic; the ledger must bill those blocked drops like every other
 // counter, not only the ones of Phase I.
 func TestPhaseTotalKeepsBlocked(t *testing.T) {
 	n := 512
@@ -243,17 +246,11 @@ func TestPhaseTotalKeepsBlocked(t *testing.T) {
 			})
 		}
 	})
-	start := eng.Stats()
-	res, err := Run(eng, nil, Ave, agg.GenUniform(n, 0, 100, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := eng.Stats().Sub(start)
-	if want.Blocked == 0 {
+	if checkLedger(t, eng, agg.GenUniform(n, 0, 100, 1)).Blocked == 0 {
 		t.Fatal("the cut blocked nothing")
 	}
-	if res.Stats != want {
-		t.Fatalf("Stats %+v, engine delta %+v", res.Stats, want)
+	if eng.Billed(PhaseDRR).Blocked != 0 {
+		t.Fatal("the cut blocked Phase I traffic, before it was made")
 	}
 }
 
@@ -270,17 +267,18 @@ func TestValueLengthValidation(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	n := 512
 	values := agg.GenUniform(n, 0, 1, 13)
-	run := func() *Result {
+	run := func() (float64, sim.Counters) {
 		eng := sim.NewEngine(n, sim.Options{Seed: 54})
 		res, err := Run(eng, nil, Ave, values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.Value, eng.Stats()
 	}
-	a, b := run(), run()
-	if a.Value != b.Value || a.Stats != b.Stats {
-		t.Fatalf("nondeterministic: %v/%+v vs %v/%+v", a.Value, a.Stats, b.Value, b.Stats)
+	av, as := run()
+	bv, bs := run()
+	if av != bv || as != bs {
+		t.Fatalf("nondeterministic: %v/%+v vs %v/%+v", av, as, bv, bs)
 	}
 }
 

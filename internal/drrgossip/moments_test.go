@@ -116,16 +116,16 @@ func TestMomentsCostProfile(t *testing.T) {
 	// plus one extra spread.
 	n := 4096
 	values := agg.GenUniform(n, 0, 1, 4)
-	mres, err := Run(sim.NewEngine(n, sim.Options{Seed: 146}), nil, Moments, values)
-	if err != nil {
+	meng := sim.NewEngine(n, sim.Options{Seed: 146})
+	if _, err := Run(meng, nil, Moments, values); err != nil {
 		t.Fatal(err)
 	}
-	ares, err := Run(sim.NewEngine(n, sim.Options{Seed: 146}), nil, Ave, values)
-	if err != nil {
+	aeng := sim.NewEngine(n, sim.Options{Seed: 146})
+	if _, err := Run(aeng, nil, Ave, values); err != nil {
 		t.Fatal(err)
 	}
-	if mres.Stats.Messages > 2*ares.Stats.Messages {
-		t.Fatalf("Moments cost %d messages vs Ave %d", mres.Stats.Messages, ares.Stats.Messages)
+	if m, a := meng.Stats().Messages, aeng.Stats().Messages; m > 2*a {
+		t.Fatalf("Moments cost %d messages vs Ave %d", m, a)
 	}
 }
 

@@ -72,14 +72,17 @@ func TestHashedChordGolden(t *testing.T) {
 		{kind: Max, value: 999.6730652081209, rounds: 1597, messages: 18028, trees: 21},
 		{kind: Ave, value: 501.86318670372515, rounds: 4573, messages: 40047, trees: 21},
 	} {
-		res, err := Run(sim.NewEngine(n, sim.Options{Seed: 5}), overlay.NewChord(ring), c.kind, values)
+		eng := sim.NewEngine(n, sim.Options{Seed: 5})
+		before := eng.Stats()
+		res, err := Run(eng, overlay.NewChord(ring), c.kind, values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Value != c.value || res.Stats.Rounds != c.rounds || res.Stats.Messages != c.messages ||
-			res.Stats.Drops != c.drops || res.Forest.NumTrees() != c.trees {
+		st := eng.Stats().Sub(before)
+		if res.Value != c.value || st.Rounds != c.rounds || st.Messages != c.messages ||
+			st.Drops != c.drops || res.Forest.NumTrees() != c.trees {
 			t.Fatalf("kind %d drifted: got (value=%v rounds=%d msgs=%d drops=%d trees=%d), want %+v",
-				c.kind, res.Value, res.Stats.Rounds, res.Stats.Messages, res.Stats.Drops, res.Forest.NumTrees(), c)
+				c.kind, res.Value, st.Rounds, st.Messages, st.Drops, res.Forest.NumTrees(), c)
 		}
 	}
 }
@@ -109,15 +112,14 @@ func TestChordComplexityTheorem14(t *testing.T) {
 	ring := evenRing(t, n)
 	eng := sim.NewEngine(n, sim.Options{Seed: 64})
 	values := agg.GenUniform(n, 0, 1, 4)
-	res, err := Run(eng, overlay.NewChord(ring), Max, values)
-	if err != nil {
+	if _, err := Run(eng, overlay.NewChord(ring), Max, values); err != nil {
 		t.Fatal(err)
 	}
 	logn := math.Log2(float64(n))
-	if got := float64(res.Stats.Rounds); got > 30*logn*logn {
+	if got := float64(eng.Stats().Rounds); got > 30*logn*logn {
 		t.Fatalf("rounds %v exceed 30 log^2 n = %v", got, 30*logn*logn)
 	}
-	if got := float64(res.Stats.Messages); got > 40*float64(n)*logn {
+	if got := float64(eng.Stats().Messages); got > 40*float64(n)*logn {
 		t.Fatalf("messages %v exceed 40 n log n = %v", got, 40*float64(n)*logn)
 	}
 }

@@ -47,8 +47,8 @@ func RunA1(cfg Config) (*Report, error) {
 			}
 			trees = append(trees, float64(res.Forest.NumTrees()))
 			maxSize = append(maxSize, float64(res.Forest.MaxTreeSize()))
-			msgs = append(msgs, float64(res.Stats.Messages)/float64(n))
-			rounds = append(rounds, float64(res.Stats.Rounds))
+			msgs = append(msgs, float64(eng.Stats().Messages)/float64(n))
+			rounds = append(rounds, float64(eng.Stats().Rounds))
 		}
 		tb.AddRow(b.name, metrics.Mean(trees), float64(n)/math.Log2(float64(n)),
 			metrics.Mean(maxSize), metrics.Mean(msgs), metrics.Mean(rounds))
@@ -95,7 +95,8 @@ func RunA2(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xA2, math.Float64bits(loss), uint64(trial))
 			values := agg.GenUniform(n, 0, 1000, seed)
 
-			mres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss}), nil, drrgossip.Max, values)
+			meng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss})
+			mres, err := drrgossip.Run(meng, nil, drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}
@@ -110,8 +111,8 @@ func RunA2(cfg Config) (*Report, error) {
 			if mres.Consensus && ares.Consensus {
 				consensus++
 			}
-			rounds = append(rounds, float64(mres.Stats.Rounds))
-			msgs = append(msgs, float64(mres.Stats.Messages)/float64(n))
+			rounds = append(rounds, float64(meng.Stats().Rounds))
+			msgs = append(msgs, float64(meng.Stats().Messages)/float64(n))
 		}
 		meanErr := metrics.Mean(relErrs)
 		tb.AddRow(loss, maxOK, meanErr, consensus, metrics.Mean(rounds), metrics.Mean(msgs))
@@ -158,18 +159,17 @@ func RunA3(cfg Config) (*Report, error) {
 			values := agg.GenUniform(n, 0, 100, seed)
 
 			peng := sim.NewEngine(n, sim.Options{Seed: seed})
-			pres, err := drrgossip.RunForest(peng, pietro.Bootstrap, drrgossip.Max, values)
-			if err != nil {
+			if _, err := drrgossip.RunForest(peng, pietro.Bootstrap, drrgossip.Max, values); err != nil {
 				return nil, err
 			}
 			b = append(b, float64(peng.Billed(drrgossip.PhaseDRR).Messages)/float64(n))
-			p = append(p, float64(pres.Stats.Messages)/float64(n))
+			p = append(p, float64(peng.Stats().Messages)/float64(n))
 
-			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 1}), nil, drrgossip.Max, values)
-			if err != nil {
+			deng := sim.NewEngine(n, sim.Options{Seed: seed + 1})
+			if _, err := drrgossip.Run(deng, nil, drrgossip.Max, values); err != nil {
 				return nil, err
 			}
-			d = append(d, float64(dres.Stats.Messages)/float64(n))
+			d = append(d, float64(deng.Stats().Messages)/float64(n))
 		}
 		tb.AddRow(n, metrics.Mean(b), metrics.Mean(p), metrics.Mean(d))
 		boot = append(boot, metrics.Mean(b))

@@ -48,11 +48,11 @@ func RunF12(cfg Config) (*Report, error) {
 
 			// Non-address-oblivious aggregate computation: DRR-gossip.
 			values := agg.GenUniform(n, 0, 100, seed)
-			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed + 2}), nil, drrgossip.Max, values)
-			if err != nil {
+			deng := sim.NewEngine(n, sim.Options{Seed: seed + 2})
+			if _, err := drrgossip.Run(deng, nil, drrgossip.Max, values); err != nil {
 				return nil, err
 			}
-			dg = append(dg, float64(dres.Stats.Messages)/float64(n))
+			dg = append(dg, float64(deng.Stats().Messages)/float64(n))
 		}
 		tb.AddRow(n, metrics.Mean(o), metrics.Mean(oa), metrics.Mean(ru), metrics.Mean(dg))
 		obl = append(obl, metrics.Mean(o))

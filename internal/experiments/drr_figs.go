@@ -33,8 +33,8 @@ func drrSweep(cfg Config, ns []int, trials int) (map[int]*drrPoint, error) {
 			}
 			p.trees = append(p.trees, float64(res.Forest.NumTrees()))
 			p.maxSize = append(p.maxSize, float64(res.Forest.MaxTreeSize()))
-			p.messages = append(p.messages, float64(res.Stats.Messages))
-			p.rounds = append(p.rounds, float64(res.Stats.Rounds))
+			p.messages = append(p.messages, float64(eng.Stats().Messages))
+			p.rounds = append(p.rounds, float64(eng.Stats().Rounds))
 			p.probes = append(p.probes, float64(res.TotalProbes())/float64(n))
 		}
 		out[n] = p

@@ -25,15 +25,16 @@ func phase12(eng *sim.Engine, values []float64) (*forest.Forest, gossip.Transpor
 		return nil, nil, nil, nil, err
 	}
 	f := dres.Forest
-	covmax, _, err := convergecast.Max(eng, f, values)
+	var cc convergecast.Scratch
+	covmax, err := cc.Max(eng, f, values)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values)
+	covsum, err := cc.Sum(eng, f, values)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
+	rootTo, err := cc.BroadcastRootAddr(eng, f)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -247,15 +248,16 @@ func RunF8(cfg Config) (*Report, error) {
 		{"III gossip", drrgossip.PhaseGossip},
 		{"final broadcast", drrgossip.PhaseBroadcast},
 	}
-	addPhases := func(name string, eng *sim.Engine, res *drrgossip.Result) {
+	addPhases := func(name string, eng *sim.Engine) {
 		for _, ph := range phases {
 			c := eng.Billed(ph.label)
 			tb.AddRow(name, ph.row, c.Rounds, c.Messages)
 		}
-		tb.AddRow(name, "total", res.Stats.Rounds, res.Stats.Messages)
+		tb.AddRow(name, "total", eng.Stats().Rounds, eng.Stats().Messages)
 	}
-	addPhases("max", maxEng, maxRes)
-	addPhases("ave", aveEng, aveRes)
+	addPhases("max", maxEng)
+	addPhases("ave", aveEng)
+	maxBill := maxEng.Stats()
 
 	wantMax := agg.Exact(agg.Max, values, 0)
 	wantAve := agg.Exact(agg.Average, values, 0)
@@ -271,11 +273,11 @@ func RunF8(cfg Config) (*Report, error) {
 		// we check the end-to-end totals stay within small multiples of
 		// the paper's bounds at this size.
 		verdictf("total messages stay within a small multiple of n loglog n",
-			float64(maxRes.Stats.Messages) < 12*float64(n)*math.Log2(math.Log2(float64(n))),
-			"total %d messages for n=%d", maxRes.Stats.Messages, n),
+			float64(maxBill.Messages) < 12*float64(n)*math.Log2(math.Log2(float64(n))),
+			"total %d messages for n=%d", maxBill.Messages, n),
 		verdictf("total rounds stay within a small multiple of log n",
-			float64(maxRes.Stats.Rounds) < 20*math.Log2(float64(n)),
-			"total %d rounds for n=%d", maxRes.Stats.Rounds, n),
+			float64(maxBill.Rounds) < 20*math.Log2(float64(n)),
+			"total %d rounds for n=%d", maxBill.Rounds, n),
 	}
 	return &Report{ID: "F8", Title: "End-to-end breakdown", Tables: []string{tb.String()}, Verdicts: verdicts}, nil
 }

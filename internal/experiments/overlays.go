@@ -61,25 +61,31 @@ func runOverlaysHealthy(cfg Config, specs []string) (*Report, error) {
 	// bit-identical for any worker count.
 	type specOut struct {
 		mres, ares, sres *drrgossip.Result
-		edges            any // "-" for complete, edge count otherwise
-		harmonicVal      float64
-		sparse           bool
-		name             string
-		err              error
+		// engs are the engines of the max, ave and sum runs, in that
+		// order; each one's counters are its run's bill.
+		engs        [3]*sim.Engine
+		edges       any // "-" for complete, edge count otherwise
+		harmonicVal float64
+		sparse      bool
+		name        string
+		err         error
 	}
 	outs := make([]specOut, len(specs))
 	sim.ForEachRun(len(specs), cfg.workers(), func(k int) {
 		o := &outs[k]
 		text := specs[k]
+		for i := range o.engs {
+			o.engs[i] = sim.NewEngine(n, sim.Options{Seed: cfg.Seed + uint64(i)})
+		}
 		if strings.EqualFold(strings.TrimSpace(text), "complete") {
 			o.name, o.edges = "complete", "-"
-			if o.mres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), nil, drrgossip.Max, values); o.err != nil {
+			if o.mres, o.err = drrgossip.Run(o.engs[0], nil, drrgossip.Max, values); o.err != nil {
 				return
 			}
-			if o.ares, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), nil, drrgossip.Ave, values); o.err != nil {
+			if o.ares, o.err = drrgossip.Run(o.engs[1], nil, drrgossip.Ave, values); o.err != nil {
 				return
 			}
-			o.sres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), nil, drrgossip.Sum, values)
+			o.sres, o.err = drrgossip.Run(o.engs[2], nil, drrgossip.Sum, values)
 			return
 		}
 		spec, err := overlay.ParseSpec(text)
@@ -96,15 +102,15 @@ func runOverlaysHealthy(cfg Config, specs []string) (*Report, error) {
 		o.name, o.sparse = spec.String(), true
 		o.edges = g.NumEdges()
 		o.harmonicVal = g.HarmonicDegreeSum()
-		if o.mres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed}), ov, drrgossip.Max, values); o.err != nil {
+		if o.mres, o.err = drrgossip.Run(o.engs[0], ov, drrgossip.Max, values); o.err != nil {
 			o.err = fmt.Errorf("%s max: %w", spec, o.err)
 			return
 		}
-		if o.ares, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 1}), ov, drrgossip.Ave, values); o.err != nil {
+		if o.ares, o.err = drrgossip.Run(o.engs[1], ov, drrgossip.Ave, values); o.err != nil {
 			o.err = fmt.Errorf("%s ave: %w", spec, o.err)
 			return
 		}
-		if o.sres, o.err = drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: cfg.Seed + 2}), ov, drrgossip.Sum, values); o.err != nil {
+		if o.sres, o.err = drrgossip.Run(o.engs[2], ov, drrgossip.Sum, values); o.err != nil {
 			o.err = fmt.Errorf("%s sum: %w", spec, o.err)
 		}
 	})
@@ -120,10 +126,11 @@ func runOverlaysHealthy(cfg Config, specs []string) (*Report, error) {
 		if o.sparse {
 			harmonic = o.harmonicVal
 		}
+		m, a, s := o.engs[0].Stats(), o.engs[1].Stats(), o.engs[2].Stats()
 		tb.AddRow(o.name, o.edges, harmonic, o.mres.Forest.NumTrees(),
-			o.mres.Stats.Rounds, float64(o.mres.Stats.Messages)/float64(n),
-			o.ares.Stats.Rounds, float64(o.ares.Stats.Messages)/float64(n),
-			float64(o.sres.Stats.Messages)/float64(n))
+			m.Rounds, float64(m.Messages)/float64(n),
+			a.Rounds, float64(a.Messages)/float64(n),
+			float64(s.Messages)/float64(n))
 		if o.mres.Value != wantMax || !o.mres.Consensus {
 			exactOK = false
 			failures = append(failures, o.name+":max")

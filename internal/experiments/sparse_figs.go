@@ -163,22 +163,24 @@ func RunF11(cfg Config) (*Report, error) {
 			values := agg.GenUniform(n, 0, 1000, seed)
 			want := agg.Exact(agg.Max, values, 0)
 
-			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed}), overlay.NewChord(ring), drrgossip.Max, values)
+			deng := sim.NewEngine(n, sim.Options{Seed: seed})
+			dres, err := drrgossip.Run(deng, overlay.NewChord(ring), drrgossip.Max, values)
 			if err != nil {
 				return nil, err
 			}
-			dm = append(dm, float64(dres.Stats.Messages)/float64(n))
-			dr = append(dr, float64(dres.Stats.Rounds))
+			dm = append(dm, float64(deng.Stats().Messages)/float64(n))
+			dr = append(dr, float64(deng.Stats().Rounds))
 			if dres.Value != want || !dres.Consensus {
 				okAll = false
 			}
 
-			kres, err := kempe.PushMaxOnChord(sim.NewEngine(n, sim.Options{Seed: seed + 1}), ring, values)
+			keng := sim.NewEngine(n, sim.Options{Seed: seed + 1})
+			kres, err := kempe.PushMaxOnChord(keng, ring, values)
 			if err != nil {
 				return nil, err
 			}
-			km = append(km, float64(kres.Stats.Messages)/float64(n))
-			kr = append(kr, float64(kres.Stats.Rounds))
+			km = append(km, float64(keng.Stats().Messages)/float64(n))
+			kr = append(kr, float64(keng.Stats().Rounds))
 			for _, v := range kres.Estimates {
 				if v != want {
 					okAll = false

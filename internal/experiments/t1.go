@@ -18,6 +18,12 @@ type algoRun struct {
 	relErr   float64
 }
 
+// billed is the run eng carried out, as an algoRun with the given error.
+func billed(eng *sim.Engine, relErr float64) algoRun {
+	c := eng.Stats()
+	return algoRun{rounds: float64(c.Rounds), messages: float64(c.Messages), relErr: relErr}
+}
+
 // add accumulates another run into the receiver.
 func (a *algoRun) add(o algoRun) {
 	a.rounds += o.rounds
@@ -49,29 +55,24 @@ func RunT1(cfg Config) (*Report, error) {
 			o := &outs[trial]
 			seed := xrand.Hash(cfg.Seed, 0x71, uint64(n), uint64(trial))
 
-			dres, err := drrgossip.Run(sim.NewEngine(n, sim.Options{Seed: seed}), nil, drrgossip.Ave, values)
+			deng := sim.NewEngine(n, sim.Options{Seed: seed})
+			dres, err := drrgossip.Run(deng, nil, drrgossip.Ave, values)
 			if err != nil {
 				o.err = err
 				return
 			}
-			o.drr = algoRun{
-				rounds:   float64(dres.Stats.Rounds),
-				messages: float64(dres.Stats.Messages),
-				relErr:   agg.RelError(dres.Value, want),
-			}
+			o.drr = billed(deng, agg.RelError(dres.Value, want))
 
-			kres, err := drrgossip.RunForest(sim.NewEngine(n, sim.Options{Seed: seed + 1}), kashyap.BuildForest, drrgossip.Ave, values)
+			keng := sim.NewEngine(n, sim.Options{Seed: seed + 1})
+			kres, err := drrgossip.RunForest(keng, kashyap.BuildForest, drrgossip.Ave, values)
 			if err != nil {
 				o.err = err
 				return
 			}
-			o.kas = algoRun{
-				rounds:   float64(kres.Stats.Rounds),
-				messages: float64(kres.Stats.Messages),
-				relErr:   agg.RelError(kres.Value, want),
-			}
+			o.kas = billed(keng, agg.RelError(kres.Value, want))
 
-			mres, err := kempe.PushSum(sim.NewEngine(n, sim.Options{Seed: seed + 2}), values)
+			meng := sim.NewEngine(n, sim.Options{Seed: seed + 2})
+			mres, err := kempe.PushSum(meng, values)
 			if err != nil {
 				o.err = err
 				return
@@ -82,11 +83,7 @@ func RunT1(cfg Config) (*Report, error) {
 					worst = e
 				}
 			}
-			o.kem = algoRun{
-				rounds:   float64(mres.Stats.Rounds),
-				messages: float64(mres.Stats.Messages),
-				relErr:   worst,
-			}
+			o.kem = billed(meng, worst)
 		})
 		var drrAcc, kasAcc, kemAcc algoRun
 		for _, o := range outs {

@@ -66,6 +66,7 @@ func TestPhase3Digests(t *testing.T) {
 			f, tr, covmax, covsum := phase12(t, eng, values)
 			roots := f.Roots()
 
+			before := eng.Stats()
 			mres, err := Max(tr, covmax)
 			if err != nil {
 				t.Fatal(err)
@@ -74,8 +75,9 @@ func TestPhase3Digests(t *testing.T) {
 			for k := range roots {
 				dm.f64(mres.Estimates[k], mres.AfterGossip[k])
 			}
-			dm.counters(mres.Stats)
+			dm.counters(eng.Stats().Sub(before))
 
+			before = eng.Stats()
 			ares, err := Ave(tr, covsum, AveOptions{TrackRoot: f.LargestRoot(), TrackPotential: true})
 			if err != nil {
 				t.Fatal(err)
@@ -87,7 +89,7 @@ func TestPhase3Digests(t *testing.T) {
 			}
 			da.f64(ares.Trajectory...)
 			da.f64(ares.Potential...)
-			da.counters(ares.Stats)
+			da.counters(eng.Stats().Sub(before))
 
 			got := [2]uint64{dm.h.Sum64(), da.h.Sum64()}
 			if got != want[key] {

@@ -20,6 +20,10 @@
 // converging ratio (Lemma 8 keeps the (1-δ) selection factor); callers
 // that cannot afford to lose mass ask for reliable shares, which each
 // transport implements with its own retransmission rule.
+//
+// The results carry estimates only. A run's bill is read from the engine
+// the transport drives: sim.Core.Stats, and Ledger or Billed for a phase
+// the caller labelled with SetPhase.
 package gossip
 
 import (
@@ -61,7 +65,6 @@ type MaxResult struct {
 	// the quantity Theorem 5 bounds (a constant fraction of roots already
 	// hold the true Max).
 	AfterGossip []float64
-	Stats       sim.Counters
 }
 
 // Max runs Algorithm 4 on the roots of the transport's forest. init holds
@@ -73,7 +76,6 @@ type MaxResult struct {
 func Max(tr Transport, init []float64) (*MaxResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
-	start := eng.Stats()
 	val := append([]float64(nil), init...)
 	gossipRounds := tr.iterations(2*sim.CeilLog2(eng.N()) + 12)
 	sampleRounds := tr.iterations(sim.CeilLog2(eng.N()) + 8)
@@ -118,7 +120,6 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	return &MaxResult{
 		Estimates:   val,
 		AfterGossip: after,
-		Stats:       eng.Stats().Sub(start),
 	}, nil
 }
 
@@ -213,7 +214,6 @@ type AveResult struct {
 	Trajectory []float64
 	// Potential is Φ_t after each round when TrackPotential is set.
 	Potential []float64
-	Stats     sim.Counters
 }
 
 // Ave runs Algorithm 6, push-sum over the roots of the transport's
@@ -236,7 +236,6 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 		}
 		track = f.Slot(opts.TrackRoot)
 	}
-	start := eng.Stats()
 	mass := append([]convergecast.MomentsVec(nil), init...)
 	rounds := tr.iterations(4*sim.CeilLog2(eng.N()) + 24)
 	ticks := tr.ticks()
@@ -393,7 +392,6 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 		Mass:       mass,
 		Trajectory: trajectory,
 		Potential:  potentials,
-		Stats:      eng.Stats().Sub(start),
 	}, nil
 }
 

@@ -20,15 +20,16 @@ func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, T
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	covmax, _, err := convergecast.Max(eng, f, values)
+	var cc convergecast.Scratch
+	covmax, err := cc.Max(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	covsum, _, err := convergecast.Sum(eng, f, values)
+	covsum, err := cc.Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
+	rootTo, err := cc.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +89,15 @@ func TestMaxMessageComplexityLinear(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 23})
 	values := agg.GenUniform(n, 0, 1, 7)
 	_, tr, covmax, _ := phase12(t, eng, values)
-	res, err := Max(tr, covmax)
-	if err != nil {
+	before := eng.Stats()
+	if _, err := Max(tr, covmax); err != nil {
 		t.Fatal(err)
 	}
 	// Each gossip iteration sends <= 2m messages and each sampling
 	// iteration <= 3m, so the whole phase is <= c*n with
 	// c = (2*gossipRounds + 3*sampleRounds) * m/n; defaults give c ~ 12.
-	if res.Stats.Messages > int64(16*n) {
-		t.Fatalf("phase III used %d messages for n=%d", res.Stats.Messages, n)
+	if msgs := eng.Stats().Sub(before).Messages; msgs > int64(16*n) {
+		t.Fatalf("phase III used %d messages for n=%d", msgs, n)
 	}
 }
 
@@ -346,11 +347,11 @@ func BenchmarkGossipMaxPhase(b *testing.B) {
 			b.Fatal(err)
 		}
 		values := agg.GenUniform(n, 0, 1, uint64(i))
-		covmax, _, err := convergecast.Max(eng, dres.Forest, values)
+		covmax, err := new(convergecast.Scratch).Max(eng, dres.Forest, values)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rootTo, _, err := convergecast.BroadcastRootAddr(eng, dres.Forest)
+		rootTo, err := new(convergecast.Scratch).BroadcastRootAddr(eng, dres.Forest)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,11 +374,11 @@ func TestMomentsTriplePushSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, _, err := convergecast.Moments(eng, f, values)
+	cov, err := new(convergecast.Scratch).Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
+	rootTo, err := new(convergecast.Scratch).BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,11 +415,11 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, _, err := convergecast.Moments(eng, f, values)
+	cov, err := new(convergecast.Scratch).Moments(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
+	rootTo, err := new(convergecast.Scratch).BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestMomentsMissingInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	rootTo, _, err := convergecast.BroadcastRootAddr(eng, f)
+	rootTo, err := new(convergecast.Scratch).BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,9 @@ func BuildForest(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 	}
 	isRoot := func(i int) bool { return parent[i] == forest.Root }
 	maxSize := sizeCap(n)
+	// Each phase's broadcast replaces the last one's addresses, so the
+	// phases share one Scratch and its root-address vector.
+	var cc convergecast.Scratch
 
 	for phase := 0; phase < phases(n); phase++ {
 		phaseStart := eng.Round()
@@ -129,7 +132,7 @@ func BuildForest(eng *sim.Engine) (f *forest.Forest, rootTo []int, err error) {
 		if f, err = forest.FromParents(parent); err != nil {
 			return nil, nil, fmt.Errorf("kashyap: invalid forest: %w", err)
 		}
-		if rootTo, _, err = convergecast.BroadcastRootAddr(eng, f); err != nil {
+		if rootTo, err = cc.BroadcastRootAddr(eng, f); err != nil {
 			return nil, nil, err
 		}
 		// Pad to the synchronous phase budget (idle rounds still tick).

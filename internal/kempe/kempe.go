@@ -36,8 +36,7 @@ type Result struct {
 	Estimates []float64
 	// S and W are the final push-sum components (nil for Push-Max); with
 	// zero loss they satisfy ΣS = Σ values and ΣW = number of alive nodes.
-	S, W  []float64
-	Stats sim.Counters
+	S, W []float64
 }
 
 // singletons is the forest of n one-node trees: node i is the root in
@@ -85,7 +84,7 @@ func PushSum(eng *sim.Engine, values []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Estimates: ave.Estimates, S: make([]float64, n), W: make([]float64, n), Stats: ave.Stats}
+	res := &Result{Estimates: ave.Estimates, S: make([]float64, n), W: make([]float64, n)}
 	for i, m := range ave.Mass {
 		res.S[i], res.W[i] = m.Sum, m.Count
 		if !eng.Alive(i) {
@@ -112,11 +111,10 @@ func PushMaxOnChord(eng *sim.Engine, ring *chord.Ring, values []float64) (*Resul
 	if eng.NumAlive() != n {
 		return nil, fmt.Errorf("kempe: chord baseline requires all nodes alive")
 	}
-	start := eng.Stats()
 	est := append([]float64(nil), values...)
 	tr := gossip.Route(eng, overlay.NewChord(ring), singletons(n))
 	if err := gossip.Push(tr, est, gossip.LossInflate(2*sim.CeilLog2(n)+12, eng)); err != nil {
 		return nil, err
 	}
-	return &Result{Estimates: est, Stats: eng.Stats().Sub(start)}, nil
+	return &Result{Estimates: est}, nil
 }

@@ -106,7 +106,7 @@ func TestPushMaxOnChord(t *testing.T) {
 	}
 	// Θ(n log^2 n) messages.
 	logn := math.Log2(float64(n))
-	msgs := float64(res.Stats.Messages)
+	msgs := float64(eng.Stats().Messages)
 	if msgs < float64(n)*logn || msgs > 40*float64(n)*logn*logn {
 		t.Fatalf("chord push-max messages %v out of Θ(n log^2 n) envelope", msgs)
 	}

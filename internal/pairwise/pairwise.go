@@ -27,7 +27,8 @@
 // expected full clock rotation) and stops at Options.Eps. Exchanges-to-ε
 // on the complete graph grows as Θ(n log n) for fixed ε (Boyd, Ghosh,
 // Prabhakar, Shah) — the curve the AS1 experiment fits, and the bill
-// DRR-gossip's O(n log log n) beats.
+// DRR-gossip's O(n log log n) beats. A Result carries no bill: the
+// engine's counters (Stats) hold it, dispatched events as Rounds.
 package pairwise
 
 import (
@@ -36,7 +37,6 @@ import (
 
 	"drrgossip/internal/async"
 	"drrgossip/internal/graph"
-	"drrgossip/internal/sim"
 )
 
 // Phase is the label the driver reports for the single protocol phase.
@@ -67,12 +67,8 @@ type Result struct {
 	// Exchanges counts committed pairwise exchanges (each billed 2
 	// messages); failed handshakes bill their messages but commit nothing.
 	Exchanges int64
-	// Events is the number of clock ticks dispatched.
-	Events int
 	// Clock is the simulated wall-clock time at termination.
 	Clock float64
-	// Stats is the engine's counter bill for the run.
-	Stats sim.Counters
 }
 
 // newState validates the run's inputs and builds its state over a copy
@@ -188,9 +184,8 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 		}
 		return converged
 	}
-	events := 0
 	if !converged { // an already-tight input (single node, equal values) costs nothing
-		events = eng.Run(handler, stop, maxEvents)
+		eng.Run(handler, stop, maxEvents)
 	}
 	if !converged {
 		// The cap can land between sweeps; close the books on live state.
@@ -203,10 +198,9 @@ func Ave(eng *async.Engine, g *graph.Graph, values []float64, sel Selector, opts
 		Converged: converged,
 		Spread:    spread,
 		Exchanges: exchanges,
-		Events:    events,
 		Clock:     eng.Now(),
-		Stats:     eng.Stats(),
 	}
+
 	sum, alive := 0.0, 0
 	for i := 0; i < n; i++ {
 		if eng.Alive(i) {

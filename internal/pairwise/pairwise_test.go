@@ -44,7 +44,7 @@ func TestSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Events != 0 || res.Exchanges != 0 || res.Value != 42 {
+	if !res.Converged || eng.Stats().Rounds != 0 || res.Exchanges != 0 || res.Value != 42 {
 		t.Fatalf("single node: %+v", res)
 	}
 }
@@ -61,7 +61,7 @@ func TestAlreadyConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Events != 0 || res.Value != 7.5 {
+	if !res.Converged || eng.Stats().Rounds != 0 || res.Value != 7.5 {
 		t.Fatalf("equal values: %+v", res)
 	}
 }
@@ -77,7 +77,7 @@ func TestEmptyGraphTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged || res.Events != 100 || res.Exchanges != 0 {
+	if res.Converged || eng.Stats().Rounds != 100 || res.Exchanges != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
 	for i, v := range res.PerNode {
@@ -103,7 +103,7 @@ func TestMeanInvariantUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Drops == 0 {
+	if eng.Stats().Drops == 0 {
 		t.Fatal("loss never bit; the invariance check is vacuous")
 	}
 	got := 0.0
@@ -112,7 +112,7 @@ func TestMeanInvariantUnderLoss(t *testing.T) {
 	}
 	if math.Abs(got-sum) > 1e-9*sum {
 		t.Fatalf("population sum drifted: %v -> %v after %d exchanges (%d drops)",
-			sum, got, res.Exchanges, res.Stats.Drops)
+			sum, got, res.Exchanges, eng.Stats().Drops)
 	}
 }
 

@@ -114,11 +114,10 @@ func TestBootstrapShareGrows(t *testing.T) {
 	share := func(n int) float64 {
 		eng := sim.NewEngine(n, sim.Options{Seed: 127})
 		values := agg.GenUniform(n, 0, 1, 4)
-		res, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, values)
-		if err != nil {
+		if _, err := drrgossip.RunForest(eng, Bootstrap, drrgossip.Max, values); err != nil {
 			t.Fatal(err)
 		}
-		return float64(eng.Billed(drrgossip.PhaseDRR).Messages) / float64(res.Stats.Messages)
+		return float64(eng.Billed(drrgossip.PhaseDRR).Messages) / float64(eng.Stats().Messages)
 	}
 	s1 := share(1024)
 	s2 := share(16384)

@@ -551,11 +551,12 @@ func (nw *Network) pairwiseAverage(values []float64) protoFunc {
 		if err != nil {
 			return nil, err
 		}
+		st := eng.Stats() // the run's engine is fresh: its counters are the run's bill
 		return &Answer{
 			Value:     res.Value,
 			PerNode:   res.PerNode,
 			Consensus: res.Spread == 0,
-			Cost:      Cost{Runs: 1, Rounds: res.Events, Messages: res.Stats.Messages, Drops: res.Stats.Drops, Clock: res.Clock},
+			Cost:      Cost{Runs: 1, Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops, Clock: res.Clock},
 			Exchanges: res.Exchanges,
 			Converged: res.Converged,
 			Quality:   Quality{Residual: res.Spread},

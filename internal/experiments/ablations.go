@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 
 	"drrgossip/internal/agg"
 	"drrgossip/internal/drr"
@@ -33,7 +34,7 @@ func RunA1(cfg Config) (*Report, error) {
 		{"log n-1 (paper)", paper},
 		{"2(log n-1)", 2 * paper},
 	}
-	tb := tablefmt.New("A1: DRR probe budget ablation at n="+itoa(n),
+	tb := tablefmt.New("A1: DRR probe budget ablation at n="+strconv.Itoa(n),
 		"budget", "trees", "n/log n", "max size", "msgs/n", "rounds")
 	results := map[string][2]float64{} // name -> (trees, msgs/n)
 	for _, b := range budgets {
@@ -81,7 +82,7 @@ func RunA2(cfg Config) (*Report, error) {
 	}
 	trials := cfg.trials(3)
 	losses := []float64{0, 0.03, 0.06, 0.09, 0.125}
-	tb := tablefmt.New("A2: δ sweep for DRR-gossip at n="+itoa(n),
+	tb := tablefmt.New("A2: δ sweep for DRR-gossip at n="+strconv.Itoa(n),
 		"delta", "max ok", "ave rel.err", "consensus", "rounds", "msgs/n")
 	allMaxOK := true
 	allConsensus := true

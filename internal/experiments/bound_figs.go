@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"drrgossip/internal/agg"
 	"drrgossip/internal/drrgossip"
 	"drrgossip/internal/karp"
@@ -85,7 +87,7 @@ func RunF12(cfg Config) (*Report, error) {
 type incompleteError int
 
 func (e incompleteError) Error() string {
-	return "experiments: oblivious run never met the criterion at n=" + itoa(int(e))
+	return "experiments: oblivious run never met the criterion at n=" + strconv.Itoa(int(e))
 }
 
 func errIncomplete(n int) error { return incompleteError(n) }

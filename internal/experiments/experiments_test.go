@@ -147,17 +147,6 @@ func TestQH1SmallSizes(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	for _, c := range []struct {
-		n    int
-		want string
-	}{{0, "0"}, {7, "7"}, {4096, "4096"}} {
-		if got := itoa(c.n); got != c.want {
-			t.Fatalf("itoa(%d) = %q", c.n, got)
-		}
-	}
-}
-
 // With Progress set, sessionTelemetry combines a progress sink with
 // cfg.Telemetry at a stride serving both: progress lines land only on
 // their own stride and count the run's fault events, and the caller's

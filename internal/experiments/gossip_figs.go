@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 
 	"drrgossip/internal/agg"
 	"drrgossip/internal/convergecast"
@@ -239,7 +240,7 @@ func RunF8(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	tb := tablefmt.New("End-to-end DRR-gossip at n="+itoa(n)+", δ=0.05: per-phase cost",
+	tb := tablefmt.New("End-to-end DRR-gossip at n="+strconv.Itoa(n)+", δ=0.05: per-phase cost",
 		"algorithm", "phase", "rounds", "messages")
 	// Each row reads the engine's ledger by phase label.
 	phases := []struct{ row, label string }{
@@ -280,16 +281,4 @@ func RunF8(cfg Config) (*Report, error) {
 			"total %d rounds for n=%d", maxBill.Rounds, n),
 	}
 	return &Report{ID: "F8", Title: "End-to-end breakdown", Tables: []string{tb.String()}, Verdicts: verdicts}, nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
 }

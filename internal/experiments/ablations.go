@@ -179,7 +179,6 @@ func RunA3(cfg Config) (*Report, error) {
 	}
 	nf := floats(ns)
 	last := len(ns) - 1
-	tb.AddNote("bootstrap msgs/n fit: %s", metrics.FitAffineBest(nf, boot, metrics.TimeShapes)[0])
 	verdicts := []Verdict{
 		verdictf("the bootstrap alone grows like log n (the cost [20] left unspecified)",
 			metrics.CloserShape(nf, boot, metrics.ShapeLogN, metrics.ShapeLogLogN),

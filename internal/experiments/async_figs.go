@@ -158,7 +158,6 @@ func RunAS1(cfg Config) (*Report, error) {
 		lt.AddRow(ln, float64(ans.Exchanges), float64(ans.Exchanges)/float64(ln),
 			float64(ans.Cost.Messages), ans.Cost.Clock)
 	}
-	lt.AddNote("exch/n affine fit: %s", metrics.FitAffineBest(floats(ladder), perNode, metrics.TimeShapes)[0])
 	rep.Tables = append(rep.Tables, lt.String())
 
 	// Determinism: the async engine is strictly sequential, so repeats are

@@ -64,9 +64,6 @@ func RunF12(cfg Config) (*Report, error) {
 	}
 	nf := floats(ns)
 	last := len(ns) - 1
-	tb.AddNote("oblivious(half) fit: %s", metrics.FitAffineBest(nf, obl, metrics.TimeShapes)[0])
-	tb.AddNote("karp fit: %s", metrics.FitAffineBest(nf, rumor, metrics.TimeShapes)[0])
-	tb.AddNote("drr fit: %s", metrics.FitAffineBest(nf, drrm, metrics.TimeShapes)[0])
 	verdicts := []Verdict{
 		verdictf("oblivious aggregate messages grow like log n, not loglog n",
 			metrics.CloserShape(nf, obl, metrics.ShapeLogN, metrics.ShapeLogLogN),

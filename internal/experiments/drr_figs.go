@@ -139,7 +139,6 @@ func RunF4(cfg Config) (*Report, error) {
 		rounds = append(rounds, r)
 	}
 	nf := floats(ns)
-	tb.AddNote("msgs/n affine fit: %s", metrics.FitAffineBest(nf, msgsPerNode, metrics.TimeShapes)[0])
 	verdicts := []Verdict{
 		verdictf("messages/n grow like loglog n, not log n",
 			metrics.CloserShape(nf, msgsPerNode, metrics.ShapeLogLogN, metrics.ShapeLogN),

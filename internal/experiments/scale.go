@@ -229,9 +229,6 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	comp, chrd, sw := series["complete"], series["chord"], series["smallworld"]
 	compNs, chrdNs, swNs := topoNs["complete"], topoNs["chord"], topoNs["smallworld"]
 	last := func(xs []float64) float64 { return xs[len(xs)-1] }
-	tb.AddNote("complete rounds affine fit: %s", metrics.FitAffineBest(compNs, comp["rounds"], metrics.TimeShapes)[0])
-	tb.AddNote("complete msgs/n affine fit: %s", metrics.FitAffineBest(compNs, comp["msgs/n"], metrics.TimeShapes)[0])
-	tb.AddNote("chord msgs/n affine fit: %s", metrics.FitAffineBest(chrdNs, chrd["msgs/n"], metrics.TimeShapes)[0])
 	rep.Tables = append(rep.Tables, tb.String())
 
 	rep.Verdicts = append(rep.Verdicts,

@@ -197,8 +197,6 @@ func RunF11(cfg Config) (*Report, error) {
 	}
 	nf := floats(ns)
 	last := len(ns) - 1
-	tb.AddNote("drr msgs/n fit: %s", metrics.FitAffineBest(nf, drrMsgs, metrics.TimeShapes)[0])
-	tb.AddNote("uniform msgs/n fit: %s", metrics.FitAffineBest(nf, kemMsgs, metrics.TimeShapes)[0])
 	verdicts := []Verdict{
 		verdictf("drr-gossip messages/n grow like log n, not log^2 n",
 			metrics.CloserShape(nf, drrMsgs, metrics.ShapeLogN, metrics.ShapeLog2N),

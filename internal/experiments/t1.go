@@ -130,9 +130,6 @@ func RunT1(cfg Config) (*Report, error) {
 
 	drrMsg, kasMsg, kemMsg := perNode("drr"), perNode("kashyap"), perNode("kempe")
 	drrRnd, kasRnd, kemRnd := rounds("drr"), rounds("kashyap"), rounds("kempe")
-	tb.AddNote("drr msgs/n affine fit: %s", metrics.FitAffineBest(nf, drrMsg, metrics.TimeShapes)[0])
-	tb.AddNote("kashyap msgs/n affine fit: %s", metrics.FitAffineBest(nf, kasMsg, metrics.TimeShapes)[0])
-	tb.AddNote("kempe msgs/n affine fit: %s", metrics.FitAffineBest(nf, kemMsg, metrics.TimeShapes)[0])
 
 	last := len(ns) - 1
 	verdicts := []Verdict{

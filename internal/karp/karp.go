@@ -12,9 +12,8 @@
 //
 // Accounting note: Karp et al. count transmissions of the rumor;
 // establishing a connection is free in their model. Result.Transmissions
-// is therefore the paper-comparable metric, while the engine's message
-// counter (sim.Core.Stats, which bills every call) is reported alongside
-// for reference.
+// is therefore the paper-comparable metric; the engine's message
+// counter (sim.Core.Stats) bills every call as well.
 package karp
 
 import (

@@ -2,7 +2,10 @@ package drrgossip
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"drrgossip/internal/agg"
 )
 
 // Metamorphic relations need no oracle: they compare two runs of the
@@ -82,6 +85,75 @@ func TestMetamorphicRelations(t *testing.T) {
 			}
 			check(nw, c.name+"/"+method.String(), "Quantile(8v, 0.9) = 8 Quantile(v, 0.9)",
 				QuantileOf(values, 0.9, 0), QuantileOf(scaled, 0.9, 0), func(x float64) float64 { return 8 * x })
+		}
+	}
+}
+
+// TestValueIndependentBills pins the fact that value lanes build on: who
+// sends to whom, and which messages are lost, depends on the session and
+// the pipeline shape, never on the values. In one session every run of a
+// shape — Max and Min; Sum, Count and Rank at three pivots; Average;
+// Moments — has the same Cost and PhaseCosts, whatever values it
+// carries, on dense and sparse topologies, lossless, lossy and under
+// mid-run crash, loss-burst and rejoin plans.
+func TestValueIndependentBills(t *testing.T) {
+	const n = 256
+	topologies := []Topology{Complete, Chord, SmallWorld, Torus, ScaleFree}
+	regimes := []struct {
+		name string
+		loss float64
+		plan string
+	}{
+		{"lossless", 0, ""},
+		{"loss0.05", 0.05, ""},
+		{"crash+burst", 0, "crash:0.05@0.3..0.6;loss:0.1@0.2..0.8"},
+		{"crash+rejoin", 0, "crash:0.2@0.5;rejoin@0.9"},
+	}
+	inputs := map[string][]float64{
+		"uniform": agg.GenUniform(n, 0, 1000, 61),
+		"linear":  agg.GenLinear(n),
+		"spike":   agg.GenSpike(n, 1e6, 62),
+		"signed":  agg.GenSigned(n, 500, 63),
+	}
+	names := []string{"uniform", "linear", "spike", "signed"}
+	for ti, topo := range topologies {
+		for ri, r := range regimes {
+			cfg := Config{N: n, Seed: uint64(100 + 10*ti + ri), Topology: topo, Loss: r.loss}
+			if r.plan != "" {
+				cfg.Faults = mustPlan(t, r.plan)
+			}
+			label := topo.String() + "/" + r.name
+			nw, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			// first holds the bill of each shape's first run.
+			first := map[Op]*Answer{}
+			for _, name := range names {
+				v := inputs[name]
+				sorted := append([]float64(nil), v...)
+				slices.Sort(sorted)
+				queries := []Query{MaxOf(v), MinOf(v), SumOf(v), CountOf(v), AverageOf(v), MomentsOf(v)}
+				for _, p := range []int{n / 10, n / 2, 9 * n / 10} {
+					queries = append(queries, RankOf(v, sorted[p]))
+				}
+				for _, q := range queries {
+					a, err := nw.Run(q)
+					if err != nil {
+						t.Fatalf("%s %s(%s): %v", label, q.Op, name, err)
+					}
+					shape := nw.shapeOf(q.Op)
+					ref, ok := first[shape]
+					if !ok {
+						first[shape] = a
+						continue
+					}
+					if a.Cost != ref.Cost || !slices.Equal(a.PhaseCosts, ref.PhaseCosts) {
+						t.Errorf("%s: %s(%s) billed %+v %+v, the %s shape's first run %s billed %+v %+v",
+							label, q.Op, name, a.Cost, a.PhaseCosts, shape, ref.Op, ref.Cost, ref.PhaseCosts)
+					}
+				}
+			}
 		}
 	}
 }

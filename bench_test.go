@@ -200,12 +200,12 @@ func BenchmarkPerfPhase2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sums, err := s.Sum(e, f, values)
+		sums, sizes, err := s.Sum(e, f, values)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for k, v := range sums {
-			perRoot[k] = v.Sum / v.Count
+			perRoot[k] = v / sizes[k]
 		}
 		if _, err := s.BroadcastRootAddr(e, f); err != nil {
 			b.Fatal(err)

@@ -30,11 +30,12 @@ func TestHorizonDependsOnPipelineShape(t *testing.T) {
 				values := uniformValues(n, seed+40)
 				horizon := map[Op]int{}
 				for _, op := range []Op{OpMax, OpMin, OpSum, OpCount, OpRank, OpAverage} {
-					res, err := nw.execOnce(nil, op, nw.dispatch(op, values, 500))
+					run := []Query{{Op: op, Values: values, Arg: 500}}
+					res, err := nw.execOnce(nil, run, nw.dispatch(run))
 					if err != nil {
 						t.Fatalf("%s: %s pre-run: %v", label, op, err)
 					}
-					horizon[op] = nw.horizon(res)
+					horizon[op] = nw.horizon(&res[0])
 				}
 				for _, pair := range merged {
 					a, b := pair[0], pair[1]

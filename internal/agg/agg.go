@@ -184,18 +184,6 @@ func GenZeroMean(n int, hi float64, seed uint64) []float64 {
 	return vs
 }
 
-// Indicator maps values to 1 where v <= q, else 0: the Rank reduction used
-// by the protocols (Rank = Sum of indicators).
-func Indicator(values []float64, q float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		if v <= q {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // Subset returns the values at the given indices (used to restrict
 // workloads to alive nodes).
 func Subset(values []float64, idx []int) []float64 {

@@ -172,17 +172,6 @@ func TestGenSignedRange(t *testing.T) {
 	}
 }
 
-func TestIndicator(t *testing.T) {
-	vs := []float64{1, 5, 3, 7}
-	ind := Indicator(vs, 3)
-	want := []float64{1, 0, 1, 0}
-	for i := range want {
-		if ind[i] != want[i] {
-			t.Fatalf("Indicator = %v", ind)
-		}
-	}
-}
-
 func TestSubset(t *testing.T) {
 	vs := []float64{10, 20, 30, 40}
 	out := Subset(vs, []int{3, 0})
@@ -191,8 +180,8 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-// Property: Rank(q) is monotone in q and Rank(Max) = n; Rank relates to
-// Indicator by Rank = Sum(Indicator).
+// Property: Rank(q) is monotone in q and Rank(Max) = n; Rank is the Sum
+// of the indicator [v <= q].
 func TestRankProperties(t *testing.T) {
 	f := func(seed uint16, sz uint8) bool {
 		n := int(sz%50) + 1
@@ -207,7 +196,12 @@ func TestRankProperties(t *testing.T) {
 		if Exact(Rank, vs, Exact(Max, vs, 0)) != float64(n) {
 			return false
 		}
-		ind := Indicator(vs, q2)
+		ind := make([]float64, n)
+		for i, v := range vs {
+			if v <= q2 {
+				ind[i] = 1
+			}
+		}
 		return Exact(Sum, ind, 0) == Exact(Rank, vs, q2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

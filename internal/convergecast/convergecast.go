@@ -22,6 +22,13 @@
 // changed the membership (sim.Core.MemberEpoch moved) recomputes this
 // bookkeeping, in one pass over the forest.
 //
+// Every upward pass and BroadcastValue fold one or more value lanes: L
+// per-node value vectors that share the pass's messages, loss draws and
+// bill. Lane 0 rides the payload; lanes 1..L-1 live in the Scratch and
+// are merged from the caller's accumulators, which no merge touches while
+// the caller is calling. One lane is the paper's pass; several are
+// several aggregates of one shape computed in one pass.
+//
 // The per-node state lives in a Scratch that callers running Phase II
 // once per protocol run keep and reuse.
 //
@@ -57,11 +64,12 @@ const (
 // accumulators, merge, ack and armed sets and pending-child counts, the
 // downward reached and serving sets and child cursors, and the
 // root-address vector. Every phase resets what it uses, so one Scratch
-// serves any number of phases, on any forest size, allocating only while
-// it grows. The zero value is ready to use. A Scratch runs one phase at a
-// time and is not safe for concurrent use.
+// serves any number of phases, on any forest size and lane count,
+// allocating only while it grows. The zero value is ready to use. A
+// Scratch runs one phase at a time and is not safe for concurrent use.
 type Scratch struct {
-	acc     []vec      // up: per-node accumulators
+	acc     []float64  // up: per-node accumulators, lane-major (lane l of node i at l*n+i)
+	cnt     []float64  // up: per-node member counts (Sum only), on acc's storage
 	pending []int32    // up: live children not merged yet
 	merged  bitset.Set // up: child -> contribution registered at parent
 	acked   bitset.Set // up: child -> knows it was registered
@@ -76,47 +84,54 @@ type Scratch struct {
 	rootTo []int // BroadcastRootAddr's result
 }
 
-// vec is one node's upward accumulator: the aggregate vector an upward
-// payload carries in its A, B and C fields.
-type vec struct{ a, b, c float64 }
-
-// mergeFunc folds a child's contribution into an accumulator.
-type mergeFunc func(acc, in vec) vec
-
-// load checks f and values against the engine and loads the upward
-// accumulators: a = value, b = value² when withSquare, and c = 1 on
-// members when withCount.
-func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, withCount, withSquare bool) error {
-	n := eng.N()
-	if f.N() != n {
-		return fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+// lanes returns how many lanes of per-item values vals holds: a
+// positive whole number of items-long vectors, or an error naming what
+// the values were for.
+func lanes(vals []float64, items int, what string) (int, error) {
+	if items == 0 || len(vals) == 0 || len(vals)%items != 0 {
+		return 0, fmt.Errorf("convergecast: %d values for %d %s", len(vals), items, what)
 	}
-	if len(values) != n {
-		return fmt.Errorf("convergecast: %d values for %d nodes", len(values), n)
-	}
-	s.acc = resized(s.acc, n)
-	for i, v := range values {
-		a := vec{a: v}
-		if withSquare {
-			a.b = v * v
-		}
-		if withCount && f.Member(i) {
-			a.c = 1
-		}
-		s.acc[i] = a
-	}
-	return nil
+	return len(vals) / items, nil
 }
 
-// up runs the generic upward aggregation, merging into the accumulators
-// load filled, and returns them; a root's entry then holds its tree's
-// aggregate. Liveness is re-evaluated whenever the membership changes,
+// load checks f and values against the engine and loads the upward
+// accumulators from values (one or more lanes of n per-node values,
+// lane-major), and the member counts when withCount. It returns the lane
+// count.
+func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, withCount bool) (int, error) {
+	n := eng.N()
+	if f.N() != n {
+		return 0, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
+	}
+	L, err := lanes(values, n, "nodes")
+	if err != nil {
+		return 0, err
+	}
+	// One allocation holds the lanes and, behind them, the counts.
+	s.acc = resized(s.acc, (L+1)*n)
+	copy(s.acc, values)
+	if withCount {
+		s.cnt = s.acc[L*n:]
+		for i := range s.cnt {
+			s.cnt[i] = 0
+			if f.Member(i) {
+				s.cnt[i] = 1
+			}
+		}
+	}
+	return L, nil
+}
+
+// up runs the generic upward aggregation of L lanes, merging into the
+// accumulators load filled: by sum (with the member counts) when sum is
+// set, by maximum otherwise. A root's entries then hold its tree's
+// aggregates. Liveness is re-evaluated whenever the membership changes,
 // so that mid-run crashes (dynamic membership) degrade the result
 // instead of stalling the phase: a dead child is no longer waited for, a
 // node with a dead parent stops retrying, and under an active fault
-// regime an incomplete phase returns the partial accumulators rather
-// than ErrIncomplete.
-func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec, error) {
+// regime an incomplete phase keeps the partial accumulators rather than
+// failing with ErrIncomplete.
+func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, L int, sum bool) error {
 	n := eng.N()
 	acc := s.acc
 	s.pending = resized(s.pending, n)
@@ -158,11 +173,26 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec,
 	epoch := eng.MemberEpoch()
 	remaining := book()
 	// A caller is armed, so alive and counted in its parent's pending
-	// children: its first merge settles one of them.
+	// children: its first merge settles one of them. Lane 0 and the count
+	// come from the request; the other lanes from the caller's
+	// accumulators, which are what the request was built from: every
+	// live child of an armed caller has merged already, so no merge this
+	// round writes to a caller.
 	handle := func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 		if !s.merged.Test(caller) {
 			s.merged.Set(caller)
-			acc[callee] = merge(acc[callee], vec{req.A, req.B, req.C})
+			if sum {
+				acc[callee] += req.A
+				s.cnt[callee] += req.C
+				for o := n; o < L*n; o += n {
+					acc[o+callee] += acc[o+caller]
+				}
+			} else {
+				acc[callee] = math.Max(acc[callee], req.A)
+				for o := n; o < L*n; o += n {
+					acc[o+callee] = math.Max(acc[o+callee], acc[o+caller])
+				}
+			}
 			if s.pending[callee]--; s.pending[callee] == 0 && expects(callee) {
 				s.armed.Set(callee)
 			}
@@ -183,87 +213,65 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, merge mergeFunc) ([]vec,
 		}
 		calls := eng.CallSlots()
 		s.armed.ForEach(func(i int) {
-			a := acc[i]
-			pay := sim.Payload{Kind: kindUp, A: a.a, B: a.b, C: a.c, X: int64(i)}
+			pay := sim.Payload{Kind: kindUp, A: acc[i], X: int64(i)}
+			if sum {
+				pay.C = s.cnt[i]
+			}
 			calls = append(calls, sim.Call{From: i, To: f.Parent(i), Pay: pay})
 		})
 		eng.ResolveCalls(calls, handle, onReply)
 	}
 	if remaining > 0 && !eng.Faulty() {
-		return nil, ErrIncomplete
+		return ErrIncomplete
 	}
-	return acc, nil
+	return nil
 }
 
-// Max runs Convergecast-max (Algorithm 2): each root learns the maximum
-// value in its tree. The result is indexed by root slot.
+// perRoot appends to dst the per-node entries of v (L lanes, lane-major)
+// at the roots, lane-major by root slot, and returns dst.
+func perRoot(dst, v []float64, f *forest.Forest, L int) []float64 {
+	n := f.N()
+	for o := 0; o < L*n; o += n {
+		for _, r := range f.Roots() {
+			dst = append(dst, v[o+r])
+		}
+	}
+	return dst
+}
+
+// Max runs Convergecast-max (Algorithm 2) over one or more lanes: values
+// holds L lanes of per-node values, lane-major (lane l of node i at
+// values[l*n+i]), and each root learns every lane's maximum in its tree.
+// The result holds L lanes of per-root values, lane-major by root slot
+// (lane l of slot k at [l*m+k] for m trees), and is the caller's.
 func (s *Scratch) Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]float64, error) {
-	if err := s.load(eng, f, values, false, false); err != nil {
-		return nil, err
-	}
-	res, err := s.up(eng, f, maxVecs)
+	L, err := s.load(eng, f, values, false)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, f.NumTrees())
-	for k, r := range f.Roots() {
-		out[k] = res[r].a
-	}
-	return out, nil
-}
-
-// maxVecs is Max's merge: the larger first component.
-func maxVecs(acc, in vec) vec {
-	acc.a = math.Max(acc.a, in.a)
-	return acc
-}
-
-// addVecs is the componentwise-sum merge shared by Sum and Moments.
-func addVecs(acc, in vec) vec {
-	acc.a += in.a
-	acc.b += in.b
-	acc.c += in.c
-	return acc
-}
-
-// MomentsVec is the per-tree (Σv, Σv², size) vector of Algorithm 3,
-// widened by the Σv² component that computes mean and variance in a
-// single pass — the "suitable modification" extending Algorithm 3 to
-// second moments within the same bounded message size. Phase III's
-// push-sum carries the same vector, with Count as the weight g.
-type MomentsVec struct {
-	Sum   float64
-	Sum2  float64
-	Count float64
-}
-
-// Sum runs Convergecast-sum (Algorithm 3): each root learns its tree's
-// (Σ values, tree size) vector; Sum2 stays 0. The result is indexed by
-// root slot.
-func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, error) {
-	return s.sums(eng, f, values, false)
-}
-
-// Moments runs a three-component convergecast: each root learns its
-// tree's (Σ values, Σ values², tree size). The result is indexed by root
-// slot.
-func (s *Scratch) Moments(eng *sim.Engine, f *forest.Forest, values []float64) ([]MomentsVec, error) {
-	return s.sums(eng, f, values, true)
-}
-
-func (s *Scratch) sums(eng *sim.Engine, f *forest.Forest, values []float64, squares bool) ([]MomentsVec, error) {
-	if err := s.load(eng, f, values, true, squares); err != nil {
+	if err := s.up(eng, f, L, false); err != nil {
 		return nil, err
 	}
-	res, err := s.up(eng, f, addVecs)
+	return perRoot(make([]float64, 0, L*f.NumTrees()), s.acc, f, L), nil
+}
+
+// Sum runs Convergecast-sum (Algorithm 3) over one or more lanes of
+// values (laid out as for Max): each root learns every lane's sum over
+// its tree and the tree's size, the number of members whose
+// contribution merged. sums holds L lanes of per-root sums, lane-major by
+// root slot, and sizes one entry per root slot; both are the caller's.
+func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) (sums, sizes []float64, err error) {
+	L, err := s.load(eng, f, values, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]MomentsVec, f.NumTrees())
-	for k, r := range f.Roots() {
-		out[k] = MomentsVec{Sum: res[r].a, Sum2: res[r].b, Count: res[r].c}
+	if err := s.up(eng, f, L, true); err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	m := f.NumTrees()
+	out := perRoot(make([]float64, 0, (L+1)*m), s.acc, f, L)
+	out = perRoot(out, s.cnt, f, 1)
+	return out[: L*m : L*m], out[L*m:], nil
 }
 
 // down pushes the per-root payloads in s.perRoot, indexed by root slot,
@@ -376,25 +384,40 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 	return &s.have, nil
 }
 
-// BroadcastValue distributes one float per root, indexed by root slot,
-// to all members of its tree: a reached node i gets perRoot[f.Slot(i)];
+// BroadcastValue distributes one float per root and lane to all members
+// of its tree: perRoot holds L lanes of per-root values, lane-major by
+// root slot, and a reached node i gets lane l's perRoot[l*m+f.Slot(i)]
+// in lane l of the result (L lanes of n per-node values, lane-major);
 // non-members and unreached members (crashed, or beyond a crashed
-// ancestor) get NaN. The result is the caller's.
+// ancestor) get NaN. The lanes share one pass: lane 0 rides the
+// payload, and what a node receives is read off its root slot. The
+// result is the caller's.
 func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, error) {
-	s.perRoot = resized(s.perRoot, len(perRoot))
-	for k, v := range perRoot {
-		s.perRoot[k] = sim.Payload{A: v}
+	m := f.NumTrees()
+	L, err := lanes(perRoot, m, "trees")
+	if err != nil {
+		return nil, err
+	}
+	s.perRoot = resized(s.perRoot, m)
+	for k := range s.perRoot {
+		s.perRoot[k] = sim.Payload{A: perRoot[k]}
 	}
 	have, err := s.down(eng, f)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, eng.N())
-	for i := range out {
-		if have.Test(i) {
-			out[i] = perRoot[f.Slot(i)]
-		} else {
-			out[i] = math.NaN()
+	n := eng.N()
+	out := make([]float64, L*n)
+	for i := 0; i < n; i++ {
+		if !have.Test(i) {
+			for o := i; o < L*n; o += n {
+				out[o] = math.NaN()
+			}
+			continue
+		}
+		k := f.Slot(i)
+		for o, ok := i, k; o < L*n; o, ok = o+n, ok+m {
+			out[o] = perRoot[ok]
 		}
 	}
 	return out, nil

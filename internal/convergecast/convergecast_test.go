@@ -59,7 +59,7 @@ func TestSumExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 3})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, 0, 10, 9)
-	got, err := new(Scratch).Sum(eng, f, values)
+	sums, sizes, err := new(Scratch).Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestSumExact(t *testing.T) {
 	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
 		wantSum := agg.Exact(agg.Sum, tv, 0)
-		if math.Abs(got[k].Sum-wantSum) > 1e-9 {
-			t.Fatalf("root %d: sum = %v, want %v", r, got[k].Sum, wantSum)
+		if math.Abs(sums[k]-wantSum) > 1e-9 {
+			t.Fatalf("root %d: sum = %v, want %v", r, sums[k], wantSum)
 		}
-		if got[k].Count != float64(len(tv)) || got[k].Count != float64(f.TreeSizes()[k]) {
-			t.Fatalf("root %d: count = %v, want %d", r, got[k].Count, len(tv))
+		if sizes[k] != float64(len(tv)) || sizes[k] != float64(f.TreeSizes()[k]) {
+			t.Fatalf("root %d: count = %v, want %d", r, sizes[k], len(tv))
 		}
-		totalCount += got[k].Count
+		totalCount += sizes[k]
 	}
 	if totalCount != float64(f.NumMembers()) {
 		t.Fatalf("tree sizes sum to %v, want %d", totalCount, f.NumMembers())
@@ -87,14 +87,14 @@ func TestSumExactUnderLoss(t *testing.T) {
 	f := buildForest(t, eng)
 	values := agg.GenUniform(2048, 0, 100, 10)
 	before := eng.Stats()
-	got, err := new(Scratch).Sum(eng, f, values)
+	sums, _, err := new(Scratch).Sum(eng, f, values)
 	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
-		if math.Abs(got[k].Sum-agg.Exact(agg.Sum, tv, 0)) > 1e-9 {
+		if math.Abs(sums[k]-agg.Exact(agg.Sum, tv, 0)) > 1e-9 {
 			t.Fatalf("root %d sum wrong under loss", r)
 		}
 	}
@@ -178,13 +178,13 @@ func TestWithCrashes(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 9, CrashFrac: 0.25, Loss: 0.05})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(1024, 0, 10, 12)
-	got, err := new(Scratch).Sum(eng, f, values)
+	_, sizes, err := new(Scratch).Sum(eng, f, values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for _, sc := range got {
-		total += sc.Count
+	for _, size := range sizes {
+		total += size
 	}
 	if total != float64(eng.NumAlive()) {
 		t.Fatalf("counted %v nodes, alive %d", total, eng.NumAlive())
@@ -210,13 +210,13 @@ func TestHandBuiltChain(t *testing.T) {
 	}
 	eng := sim.NewEngine(4, sim.Options{Seed: 10})
 	before := eng.Stats()
-	got, err := new(Scratch).Sum(eng, f, []float64{1, 2, 3, 4})
+	sums, sizes, err := new(Scratch).Sum(eng, f, []float64{1, 2, 3, 4})
 	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Sum != 10 || got[0].Count != 4 {
-		t.Fatalf("chain sum = %+v", got[0])
+	if sums[0] != 10 || sizes[0] != 4 {
+		t.Fatalf("chain sum = %v over %v nodes", sums[0], sizes[0])
 	}
 	// Depth-3 chain completes in exactly 3 lossless rounds.
 	if stats.Rounds != 3 {
@@ -238,13 +238,13 @@ func TestConvergecastProperty(t *testing.T) {
 			return res.Forest
 		}()
 		values := agg.GenSigned(n, 20, uint64(seed)+1)
-		sums, err := new(Scratch).Sum(eng, fo, values)
+		sums, _, err := new(Scratch).Sum(eng, fo, values)
 		if err != nil {
 			return false
 		}
 		grand := 0.0
-		for _, sc := range sums {
-			grand += sc.Sum
+		for _, sum := range sums {
+			grand += sum
 		}
 		want := agg.Exact(agg.Sum, values, 0)
 		return math.Abs(grand-want) < 1e-6
@@ -262,20 +262,33 @@ func BenchmarkConvergecastSum(b *testing.B) {
 			b.Fatal(err)
 		}
 		values := agg.GenUniform(4096, 0, 1, uint64(i))
-		if _, err := new(Scratch).Sum(eng, res.Forest, values); err != nil {
+		if _, _, err := new(Scratch).Sum(eng, res.Forest, values); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// momentLanes lays out the two lanes of a Moments convergecast: the
+// values, then their squares.
+func momentLanes(values []float64) []float64 {
+	in := append([]float64(nil), values...)
+	for _, v := range values {
+		in = append(in, v*v)
+	}
+	return in
+}
+
+// Moments is a sum over two lanes, v and v²: each root learns both sums
+// and its tree size in one pass.
 func TestMomentsExact(t *testing.T) {
 	eng := sim.NewEngine(1024, sim.Options{Seed: 31})
 	f := buildForest(t, eng)
 	values := agg.GenSigned(1024, 10, 32)
-	got, err := new(Scratch).Moments(eng, f, values)
+	sums, sizes, err := new(Scratch).Sum(eng, f, momentLanes(values))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := f.NumTrees()
 	for k, r := range f.Roots() {
 		tv := treeValues(f, values, r)
 		wantSum := agg.Exact(agg.Sum, tv, 0)
@@ -283,12 +296,11 @@ func TestMomentsExact(t *testing.T) {
 		for _, v := range tv {
 			wantSum2 += v * v
 		}
-		mv := got[k]
-		if math.Abs(mv.Sum-wantSum) > 1e-9 || math.Abs(mv.Sum2-wantSum2) > 1e-9 {
-			t.Fatalf("root %d moments = %+v, want sum %v sum2 %v", r, mv, wantSum, wantSum2)
+		if math.Abs(sums[k]-wantSum) > 1e-9 || math.Abs(sums[m+k]-wantSum2) > 1e-9 {
+			t.Fatalf("root %d moments = %v, %v, want sum %v sum2 %v", r, sums[k], sums[m+k], wantSum, wantSum2)
 		}
-		if mv.Count != float64(len(tv)) {
-			t.Fatalf("root %d count = %v, want %d", r, mv.Count, len(tv))
+		if sizes[k] != float64(len(tv)) {
+			t.Fatalf("root %d count = %v, want %d", r, sizes[k], len(tv))
 		}
 	}
 }
@@ -297,13 +309,13 @@ func TestMomentsUnderLoss(t *testing.T) {
 	eng := sim.NewEngine(512, sim.Options{Seed: 33, Loss: 0.125})
 	f := buildForest(t, eng)
 	values := agg.GenUniform(512, 0, 10, 34)
-	got, err := new(Scratch).Moments(eng, f, values)
+	_, sizes, err := new(Scratch).Sum(eng, f, momentLanes(values))
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for _, mv := range got {
-		total += mv.Count
+	for _, size := range sizes {
+		total += size
 	}
 	if total != float64(f.NumMembers()) {
 		t.Fatalf("counts sum to %v, want %d", total, f.NumMembers())

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"drrgossip/internal/agg"
-	"drrgossip/internal/forest"
 	"drrgossip/internal/sim"
 )
 
@@ -120,17 +119,24 @@ func TestPhase2Digests(t *testing.T) {
 				d.f64(v)
 			}
 			d.counters(stats)
-			for k, run := range []func(*Scratch, *sim.Engine, *forest.Forest, []float64) ([]MomentsVec, error){(*Scratch).Sum, (*Scratch).Moments} {
+			// Sum over one lane, then Moments: Sum over v and v². Each root
+			// hashes as (Σv, Σv², size), Σv² 0 for the one-lane sum.
+			for k, in := range [][]float64{values, momentLanes(values)} {
 				arm(3 + k)
 				before := eng.Stats()
-				mv, err := run(new(Scratch), eng, f, values)
+				sums, sizes, err := new(Scratch).Sum(eng, f, in)
 				stats := eng.Stats().Sub(before)
 				if err != nil {
 					t.Fatal(err)
 				}
 				spans(stats)
-				for _, v := range mv {
-					d.f64(v.Sum, v.Sum2, v.Count)
+				m := len(sizes)
+				for j, size := range sizes {
+					sum2 := 0.0
+					if len(sums) > m {
+						sum2 = sums[m+j]
+					}
+					d.f64(sums[j], sum2, size)
 				}
 				d.counters(stats)
 			}
@@ -220,7 +226,7 @@ func TestBroadcastDigests(t *testing.T) {
 			d.counters(stats)
 
 			before = eng.Stats()
-			sums, err := new(Scratch).Sum(eng, f, values)
+			sums, sizes, err := new(Scratch).Sum(eng, f, values)
 			stats = eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
@@ -228,7 +234,7 @@ func TestBroadcastDigests(t *testing.T) {
 			d.counters(stats)
 			perRoot := make([]float64, len(sums))
 			for k, v := range sums {
-				perRoot[k] = v.Sum / v.Count
+				perRoot[k] = v / sizes[k]
 			}
 			crashAt(5)
 			before = eng.Stats()

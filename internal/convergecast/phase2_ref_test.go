@@ -345,10 +345,21 @@ func hashSums(n int, sum func(i int) (a, b, c float64)) uint64 {
 	return h.Sum64()
 }
 
-// hashVecs and hashPayloads hash live and reference accumulators alike:
-// the reference payloads carry the vector in A, B and C.
-func hashVecs(acc []vec) uint64 {
-	return hashSums(len(acc), func(i int) (a, b, c float64) { return acc[i].a, acc[i].b, acc[i].c })
+// hashLanes and hashPayloads hash live and reference accumulators
+// alike: the reference payloads carry the vector in A, B and C, and a
+// live pass of L lanes holds A in lane 0, B in lane 1 (0 when L is 1)
+// and C in the member counts (0 for a max pass).
+func hashLanes(s *Scratch, n, L int, sum bool) uint64 {
+	return hashSums(n, func(i int) (a, b, c float64) {
+		a = s.acc[i]
+		if L > 1 {
+			b = s.acc[n+i]
+		}
+		if sum {
+			c = s.cnt[i]
+		}
+		return a, b, c
+	})
 }
 
 func hashPayloads(acc []sim.Payload) uint64 {
@@ -383,30 +394,39 @@ func diffPhaseTwo(t testing.TB, f *forest.Forest, opts sim.Options, b *faults.Bo
 		acc.C += in.C
 		return acc
 	}
+	// The live Moments pass is a sum pass over two lanes, v and v².
+	squares := make([]float64, 0, 2*n)
+	squares = append(squares, values...)
+	for _, v := range values {
+		squares = append(squares, v*v)
+	}
 	for k, pass := range []struct {
-		merge             mergeFunc
+		sum               bool
+		in                []float64
 		refMerge          refMergeFunc
 		withCount, withSq bool
 	}{
-		{maxVecs, refMax, false, false},
-		{addVecs, refAdd, true, true},
+		{false, values, refMax, false, false},
+		{true, squares, refAdd, true, true},
 	} {
 		what := fmt.Sprintf("up pass %d", k)
-		if err := s.load(eng, f, values, pass.withCount, pass.withSq); err != nil {
+		L, err := s.load(eng, f, pass.in, pass.sum)
+		if err != nil {
 			t.Fatal(err)
 		}
 		refAcc := refValueInit(f, values, pass.withCount, pass.withSq)
-		log.watch(eng, func() uint64 { return hashVecs(s.acc) })
+		live := func() uint64 { return hashLanes(&s, n, L, pass.sum) }
+		log.watch(eng, live)
 		refLog.watch(ref, func() uint64 { return hashPayloads(refAcc) })
 		before := eng.Stats()
-		got, err := s.up(eng, f, pass.merge)
+		err = s.up(eng, f, L, pass.sum)
 		stats := eng.Stats().Sub(before)
 		want, refStats, refErr := refUp(ref, f, refAcc, pass.refMerge)
 		log.same(t, what, &refLog)
 		if err != refErr || stats != refStats {
 			t.Fatalf("%s: error %v stats %+v, reference %v %+v", what, err, stats, refErr, refStats)
 		}
-		if hashVecs(got) != hashPayloads(want) || hashVecs(s.acc) != hashPayloads(refAcc) {
+		if err == nil && live() != hashPayloads(want) || live() != hashPayloads(refAcc) {
 			t.Fatalf("%s: accumulators differ from the reference", what)
 		}
 	}

@@ -50,11 +50,37 @@ type Options struct {
 	// only). 0 means the paper's log2(n) - 1 (minimum 1). The A1
 	// ablation experiment varies this.
 	ProbeBudget int
-	// Forest, when set, receives the ranking forest: it is rebuilt in
-	// place (forest.Forest.Rebuild) and becomes Result.Forest, so a
-	// caller building one forest per run reuses its storage. Nil builds
-	// a new forest.
-	Forest *forest.Forest
+	// Scratch, when set, holds the run's per-node state, rebuilt in
+	// place: the Result's Forest, Ranks and Probes are then the
+	// scratch's and valid until its next run, so a caller running Phase I
+	// once per protocol run reuses its storage. Nil runs on a fresh one.
+	Scratch *Scratch
+}
+
+// Scratch holds Phase I's per-node state: the ranking forest, the ranks
+// and parent choices, the probe counts, the connection acks and
+// Local-DRR's best-neighbour records. Every run resets what it uses, so
+// one Scratch serves any number of runs on any network size, allocating
+// only while it grows. The zero value is ready to use; a Scratch serves
+// one run at a time.
+type Scratch struct {
+	forest    forest.Forest
+	ranks     []float64
+	parent    []int
+	probes    []int
+	acked     bitset.Set
+	best      []int     // Local-DRR: highest-ranked neighbour heard from, -1 none
+	bestRank  []float64 // Local-DRR: its rank
+	heardFrom []int     // Local-DRR: this exchange's best sender, -1 none
+	heard     []float64 // Local-DRR: its rank
+}
+
+// scratch returns the Scratch a run with opts uses.
+func (o Options) scratch() *Scratch {
+	if o.Scratch != nil {
+		return o.Scratch
+	}
+	return new(Scratch)
 }
 
 // connectRetries bounds connection-message retransmissions under loss:
@@ -103,14 +129,17 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("drr: probe budget must be >= 1, got %d", budget)
 	}
-	ranks, parent := drawRanks(eng)
+	sc := opts.scratch()
+	ranks, parent := sc.drawRanks(eng)
 
 	// Probing: one random sample per round per still-searching node. A
 	// node stops once parent[i] >= 0; parent is only written on the
 	// engine's sequential path (ResolveCalls), ParallelFor workers read it.
 	// The workers stage node i's probe in slot i (From -1 for none); the
 	// placed calls are then compacted in place, in ascending caller order.
-	probes := make([]int, n)
+	sc.probes = resized(sc.probes, n)
+	probes := sc.probes
+	clear(probes)
 	slots := eng.CallSlots()[:n]
 	for k := 0; k < budget; k++ {
 		eng.Tick()
@@ -140,7 +169,7 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 				}
 			})
 	}
-	return connect(eng, ranks, probes, parent, opts.Forest)
+	return sc.connect(eng, probes)
 }
 
 // RunLocal executes Local-DRR on the engine over graph g (g.N() ==
@@ -154,7 +183,8 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 	if eng.Loss() != 0 {
 		exchanges = lossyRankExchanges
 	}
-	ranks, parent := drawRanks(eng)
+	sc := opts.scratch()
+	ranks, parent := sc.drawRanks(eng)
 
 	// Rank exchange: every node sends its rank to all neighbours (the
 	// sparse model allows simultaneous neighbour messages in one round).
@@ -163,10 +193,9 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 	// ascending id, first maximum kept — and after the Tick folds those
 	// into best/bestRank for receivers still alive: the same result, tie
 	// for tie, as scanning the delivered inboxes in send order.
-	best := make([]int, n) // highest-ranked neighbour heard from, -1 none
-	bestRank := make([]float64, n)
-	heardFrom := make([]int, n) // this exchange's best sender, -1 none
-	heard := make([]float64, n)
+	sc.best, sc.bestRank = resized(sc.best, n), resized(sc.bestRank, n)
+	sc.heardFrom, sc.heard = resized(sc.heardFrom, n), resized(sc.heard, n)
+	best, bestRank, heardFrom, heard := sc.best, sc.bestRank, sc.heardFrom, sc.heard
 	for i := range best {
 		best[i] = -1
 		bestRank[i] = math.Inf(-1)
@@ -215,16 +244,16 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 			parent[i] = forest.Root
 		}
 	}
-	return connect(eng, ranks, nil, parent, opts.Forest)
+	return sc.connect(eng, nil)
 }
 
 // drawRanks draws every alive node's rank from its own RNG stream and
-// makes it a root; crashed nodes get a NaN rank and stay out of the
-// forest.
-func drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
+// makes it a root, in s's storage; crashed nodes get a NaN rank and stay
+// out of the forest.
+func (s *Scratch) drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
 	n := eng.N()
-	ranks = make([]float64, n)
-	parent = make([]int, n)
+	s.ranks, s.parent = resized(s.ranks, n), resized(s.parent, n)
+	ranks, parent = s.ranks, s.parent
 	sim.ParallelFor(n, func(i int) {
 		if eng.Alive(i) {
 			ranks[i] = eng.RNG(i).Float64()
@@ -237,18 +266,29 @@ func drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
 	return ranks, parent
 }
 
-// connect is the connection step both algorithms end with. Every node
-// with a parent (parent[i] >= 0) sends it a connection message carrying
-// its identifier; the parent acknowledges (idempotently, so retries
-// after a lost ack are harmless). Unacknowledged nodes retry up to
-// connectRetries times and then fall back to being roots. The forest is
-// rebuilt into f (a new one when f is nil).
-func connect(eng *sim.Engine, ranks []float64, probes, parent []int, f *forest.Forest) (*Result, error) {
+// resized returns s with n entries, on s's own storage when it is large
+// enough; the entries are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// connect is the connection step both algorithms end with, on the ranks
+// and parent choices in s. Every node with a parent (parent[i] >= 0)
+// sends it a connection message carrying its identifier; the parent
+// acknowledges (idempotently, so retries after a lost ack are harmless).
+// Unacknowledged nodes retry up to connectRetries times and then fall
+// back to being roots. The forest is rebuilt into s's.
+func (s *Scratch) connect(eng *sim.Engine, probes []int) (*Result, error) {
 	n := eng.N()
+	ranks, parent := s.ranks, s.parent
 	// The ack set is a dense bitset (n/8 bytes, which matters at
 	// million-node scale) mutated only from the sequential ResolveCalls
 	// path.
-	acked := bitset.New(n)
+	acked := &s.acked
+	acked.Resize(n)
 	orphans := 0
 	for attempt := 0; attempt < connectRetries; attempt++ {
 		eng.Tick()
@@ -282,9 +322,7 @@ func connect(eng *sim.Engine, ranks []float64, probes, parent []int, f *forest.F
 	// forest, and their orphaned children are promoted to roots, so the
 	// forest stays valid under mid-run churn. A no-op in the static model.
 	orphans += forest.RepairParents(parent, eng.Alive)
-	if f == nil {
-		f = new(forest.Forest)
-	}
+	f := &s.forest
 	if err := f.Rebuild(parent); err != nil {
 		return nil, fmt.Errorf("drr: invalid forest: %w", err)
 	}

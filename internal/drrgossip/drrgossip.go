@@ -20,11 +20,19 @@
 // Gossip-max. Ave, Sum, Count and Moments use push-sum: Gossip-max on
 // (tree size, root id) keys elects the largest-tree root z (as in
 // Algorithm 8), push-sum converges there (Theorem 7) and Data-spread
-// hands z's estimate to every root. Sum and Count use the
+// hands z's estimate to every root. Sum, Count and Rank use the
 // distinguished-root form: weight g0 = 1 at z and 0 elsewhere, so every
-// ratio converges to Σ s0 / 1 — the global sum (s0 = tree sums) or the
-// live node count (s0 = tree sizes). Moments carries Σv² as a third
-// push-sum component.
+// ratio converges to Σ s0 / 1 — the global sum (s0 = tree sums), the
+// live node count (s0 = tree sizes) or the rank (s0 = tree sums of the
+// indicator [v <= q]). Moments is Ave with a Σv² lane.
+//
+// A run folds one or more lanes, each an aggregate with its own values,
+// all of one shape: Max and Min; Sum, Count and Rank; Ave; Moments. No
+// message, loss draw or election depends on the values, so the lanes of
+// a shape share one pass and its bill, and each lane's Result is
+// bit-identical to the one its run alone returns (convergecast and
+// gossip carry the lanes). Min is a negated lane of the Max pipeline;
+// Rank writes its indicator into the Workspace, not a fresh vector.
 //
 // Complexity (Theorems 2-7): O(log n) rounds and O(n log log n) messages
 // on the complete graph, the message bill dominated by Phase I; Phases II
@@ -63,7 +71,7 @@ const (
 	PhaseBroadcast = "broadcast" // final dissemination down the trees
 )
 
-// Kind selects the aggregate Run computes, and with it the Phase III
+// Kind selects the aggregate a lane computes, and with it the Phase III
 // combiner.
 type Kind int
 
@@ -74,16 +82,37 @@ const (
 	Min
 	// Ave is DRR-gossip-ave (Algorithm 8).
 	Ave
-	// Sum is the distinguished-root push-sum over tree sums. Rank(q) is
-	// Sum over agg.Indicator(values, q).
+	// Sum is the distinguished-root push-sum over tree sums.
 	Sum
 	// Count is the distinguished-root push-sum over tree sizes: the
 	// number of live nodes.
 	Count
-	// Moments is Ave with a Σv² push-sum component: mean and population
+	// Moments is Ave with a Σv² push-sum lane: mean and population
 	// variance in one run.
 	Moments
+	// Rank(q) is Sum over the indicator [v <= q] of the values.
+	Rank
 )
+
+// shape returns the pipeline kind k runs as: kinds of one shape send the
+// same messages, so their lanes can share a pass.
+func shape(k Kind) Kind {
+	switch k {
+	case Min:
+		return Max
+	case Count, Rank:
+		return Sum
+	}
+	return k
+}
+
+// Lane is one aggregate of a run: its kind, one value per node and, for
+// Rank, the threshold q.
+type Lane struct {
+	Kind   Kind
+	Values []float64
+	Arg    float64
+}
 
 // Result is the outcome of a DRR-gossip run.
 type Result struct {
@@ -129,34 +158,44 @@ func decodeKeyRoot(key float64) int {
 }
 
 // Workspace holds the storage a pipeline run needs beyond the engine:
-// the forest Phase I rebuilds and Phase II's scratch. A caller that runs
-// the pipeline repeatedly keeps one (the facade: one per query, shared
-// by all of the query's runs, and one per RunAll worker), and every run
-// rebuilds both in place instead of allocating them. The zero value is
-// ready to use; a Workspace serves one run at a time.
+// Phase I's scratch with the forest it rebuilds, Phase II's scratch, and
+// the convergecast inputs a run derives from its lanes' values (negated,
+// indicator or squared values, or several lanes side by side). A caller
+// that runs the pipeline repeatedly keeps one (the facade: one per
+// query, shared by all of the query's runs, and one per RunAll worker),
+// and every run rebuilds them in place instead of allocating them. The
+// zero value is ready to use; a Workspace serves one run at a time.
 type Workspace struct {
-	forest forest.Forest
-	cc     convergecast.Scratch
+	drr drr.Scratch
+	cc  convergecast.Scratch
+	in  []float64
 }
 
 // Run computes kind over values on eng: on the complete graph when ov is
 // nil, over the overlay's links and routes otherwise. It runs on a fresh
 // Workspace, so the Result is entirely the caller's.
 func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
-	return new(Workspace).Run(eng, ov, kind, values)
+	res, err := new(Workspace).Run(eng, ov, Lane{Kind: kind, Values: values})
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
 }
 
-// Run is the package-level Run on w's storage: the Result's Forest is
-// w's and valid until w's next run.
-func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
-	opts := drr.Options{Forest: &w.forest}
+// Run computes every lane in one pass on w's storage, on the complete
+// graph when ov is nil and over the overlay otherwise; the lanes must
+// share a shape (see Kind). Result j answers lanes[j] exactly as a run
+// of that lane alone would. The Results' Forest is w's and valid until
+// w's next run.
+func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, lanes ...Lane) ([]Result, error) {
+	opts := drr.Options{Scratch: &w.drr}
 	build := func(eng *sim.Engine) (*forest.Forest, []int, error) {
 		if ov != nil {
 			return phaseOne(drr.RunLocal(eng, ov.Graph(), opts))
 		}
 		return phaseOne(drr.Run(eng, opts))
 	}
-	return w.run(eng, ov, build, kind, values)
+	return w.run(eng, ov, build, lanes)
 }
 
 // RunForest computes kind over values on the complete graph with build as
@@ -167,7 +206,11 @@ func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values [
 // makes Phase II broadcast the addresses after the convergecast. values
 // is read only after build returns, so a builder may fill it.
 func RunForest(eng *sim.Engine, build func(*sim.Engine) (f *forest.Forest, rootTo []int, err error), kind Kind, values []float64) (*Result, error) {
-	return new(Workspace).run(eng, nil, build, kind, values)
+	res, err := new(Workspace).run(eng, nil, build, []Lane{{Kind: kind, Values: values}})
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
 }
 
 // phaseOne adapts a DRR or Local-DRR outcome to a forest builder's
@@ -179,22 +222,79 @@ func phaseOne(res *drr.Result, err error) (*forest.Forest, []int, error) {
 	return res.Forest, nil, nil
 }
 
-// run is the three-phase skeleton on w's Phase II scratch: Phase I is
-// build, and the transport between roots is the overlay's routes when ov
-// is set, the tree relay otherwise.
-func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.Forest, []int, error), kind Kind, values []float64) (*Result, error) {
-	if len(values) != eng.N() {
-		return nil, fmt.Errorf("drrgossip: %d values for %d nodes", len(values), eng.N())
+// check rejects lanes a run cannot fold: none at all, values of the
+// wrong length, unknown kinds and kinds of different shapes.
+func check(n int, lanes []Lane) error {
+	if len(lanes) == 0 {
+		return errors.New("drrgossip: no lanes to run")
 	}
-	if kind < Max || kind > Moments {
-		return nil, fmt.Errorf("drrgossip: unknown aggregate kind %d", int(kind))
+	for _, ln := range lanes {
+		if len(ln.Values) != n {
+			return fmt.Errorf("drrgossip: %d values for %d nodes", len(ln.Values), n)
+		}
+		if ln.Kind < Max || ln.Kind > Rank {
+			return fmt.Errorf("drrgossip: unknown aggregate kind %d", int(ln.Kind))
+		}
+		if shape(ln.Kind) != shape(lanes[0].Kind) {
+			return fmt.Errorf("drrgossip: kinds %d and %d do not share a pass", int(lanes[0].Kind), int(ln.Kind))
+		}
+	}
+	return nil
+}
+
+// inputs returns the convergecast input lanes of a run, lane-major: each
+// lane's values as its kind enters the fold — negated for Min, the
+// indicator [v <= q] for Rank, v and then v² for Moments — read only now
+// because a builder may fill the values during Phase I. A lone lane that
+// folds its values as they are passes them through; every other input is
+// written into w's storage.
+func (w *Workspace) inputs(lanes []Lane, n, width int) []float64 {
+	if k := lanes[0].Kind; len(lanes) == 1 && k != Min && k != Rank && k != Moments {
+		return lanes[0].Values
+	}
+	if cap(w.in) < len(lanes)*width*n {
+		w.in = make([]float64, len(lanes)*width*n)
+	}
+	in := w.in[:len(lanes)*width*n]
+	for j, ln := range lanes {
+		dst := in[j*width*n:]
+		switch ln.Kind {
+		case Min:
+			for i, v := range ln.Values {
+				dst[i] = -v
+			}
+		case Rank:
+			for i, v := range ln.Values {
+				dst[i] = 0
+				if v <= ln.Arg {
+					dst[i] = 1
+				}
+			}
+		case Moments:
+			for i, v := range ln.Values {
+				dst[i], dst[n+i] = v, v*v
+			}
+		default:
+			copy(dst, ln.Values)
+		}
+	}
+	return in
+}
+
+// run is the three-phase skeleton on w's storage: Phase I is build, and
+// the transport between roots is the overlay's routes when ov is set, the
+// tree relay otherwise.
+func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Engine) (*forest.Forest, []int, error), lanes []Lane) ([]Result, error) {
+	n := eng.N()
+	if err := check(n, lanes); err != nil {
+		return nil, err
 	}
 	if ov != nil {
-		if eng.NumAlive() != eng.N() {
+		if eng.NumAlive() != n {
 			return nil, ErrCrashedOverlay
 		}
-		if ov.Graph().N() != eng.N() {
-			return nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), eng.N())
+		if ov.Graph().N() != n {
+			return nil, fmt.Errorf("drrgossip: overlay %s has %d nodes, engine %d", ov.Name(), ov.Graph().N(), n)
 		}
 	}
 
@@ -207,17 +307,13 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-
-	// Min is Max on negated values, negated only now because a builder
-	// may fill values during Phase I.
-	maxLike := kind == Max || kind == Min
-	if kind == Min {
-		neg := make([]float64, len(values))
-		for i, v := range values {
-			neg[i] = -v
-		}
-		values = neg
+	sh := shape(lanes[0].Kind)
+	maxLike := sh == Max
+	width := 1 // convergecast and push-sum lanes per lane
+	if sh == Moments {
+		width = 2
 	}
+	in := w.inputs(lanes, n, width)
 
 	// Phase II: convergecast + root-address broadcast. Routed gossip
 	// needs no root addresses, but the broadcast is part of the protocol
@@ -230,17 +326,11 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 		}
 		tr = gossip.Route(eng, ov, f)
 	}
-	var (
-		covmax []float64
-		cov    []convergecast.MomentsVec
-	)
-	switch {
-	case maxLike:
-		covmax, err = w.cc.Max(eng, f, values)
-	case kind == Moments:
-		cov, err = w.cc.Moments(eng, f, values)
-	default:
-		cov, err = w.cc.Sum(eng, f, values)
+	var covmax, sums, sizes []float64
+	if maxLike {
+		covmax, err = w.cc.Max(eng, f, in)
+	} else {
+		sums, sizes, err = w.cc.Sum(eng, f, in)
 	}
 	if err != nil {
 		return nil, err
@@ -256,16 +346,16 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 		}
 	}
 
-	// Phase III: root gossip with the kind's combiner.
+	// Phase III: root gossip with the shape's combiner.
 	eng.SetPhase(PhaseGossip)
-	var g *phase3
+	var g phase3
 	if maxLike {
 		gres, err := gossip.Max(tr, covmax)
 		if err != nil {
 			return nil, err
 		}
-		g = &phase3{est: gres.Estimates}
-	} else if g, err = pushSum(eng, f, tr, kind, cov); err != nil {
+		g.est = gres.Estimates
+	} else if g, err = pushSum(eng, f, tr, lanes, sums, sizes, width); err != nil {
 		return nil, err
 	}
 
@@ -282,57 +372,69 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 		}
 	}
 
-	value := g.value
-	if maxLike {
-		// Gossip-max answers with the largest root's disseminated value;
-		// when mid-run crashes leave it NaN, a surviving root's estimate
-		// stands in.
-		value = perNode[f.LargestRoot()]
-		if !finite(value) {
-			if k := fallbackRoot(eng, f, g.est); k >= 0 {
-				value = g.est[k]
+	m := f.NumTrees()
+	res := make([]Result, len(lanes))
+	for j, ln := range lanes {
+		r := &res[j]
+		r.PerNode, r.Forest = perNode[j*n:(j+1)*n:(j+1)*n], f
+		var pv []float64
+		if maxLike {
+			// Gossip-max answers with the largest root's disseminated
+			// value; when mid-run crashes leave it NaN, a surviving
+			// root's estimate stands in.
+			r.Value = r.PerNode[f.LargestRoot()]
+			if !finite(r.Value) {
+				est := g.est[j*m : (j+1)*m]
+				if k := fallbackRoot(eng, f, est); k >= 0 {
+					r.Value = est[k]
+				}
 			}
+		} else {
+			r.Value = g.value[j]
 		}
-	}
-	res := &Result{
-		Value:     value,
-		Variance:  g.variance,
-		PerNode:   perNode,
-		Consensus: consensus(eng, f, value, perNode, g.variance, perVar),
-		Forest:    f,
-	}
-	if kind == Min {
-		res.Value = -res.Value
-		for i := range res.PerNode {
-			res.PerNode[i] = -res.PerNode[i]
+		if perVar != nil {
+			r.Variance, pv = g.variance[j], perVar[j*n:(j+1)*n:(j+1)*n]
+		}
+		r.Consensus = consensus(eng, f, r.Value, r.PerNode, r.Variance, pv)
+		if ln.Kind == Min {
+			r.Value = -r.Value
+			for i := range r.PerNode {
+				r.PerNode[i] = -r.PerNode[i]
+			}
 		}
 	}
 	return res, nil
 }
 
 // phase3 is a combiner's outcome: the per-root values the trees
-// disseminate, indexed by root slot, and the answer they carry.
+// disseminate, one lane per run lane, lane-major by root slot, and the
+// answers they carry.
 type phase3 struct {
-	est    []float64 // per-root value to disseminate
-	varEst []float64 // per-root variance (Moments only)
-	// value and variance are the answer (push-sum combiners only; the
-	// max combiner's answer is read after dissemination).
-	value, variance float64
+	est    []float64 // per-root values to disseminate
+	varEst []float64 // per-root variances (Moments only)
+	// value and variance are each lane's answer (push-sum combiners
+	// only; the max combiner's answer is read after dissemination).
+	value, variance []float64
 }
 
 // pushSum is the push-sum combiner: elect the largest-tree root z,
-// push-sum towards it, and spread z's estimate (and, for Moments, its
-// variance) to every root.
-func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, cov []convergecast.MomentsVec) (*phase3, error) {
+// push-sum every lane towards it, and spread z's estimates (and, for
+// Moments, its variances) to every root. sums holds the convergecast
+// lanes, width per run lane, and sizes the tree sizes.
+func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lane, sums, sizes []float64, width int) (phase3, error) {
+	roots := f.Roots()
+	m := len(roots)
+	sh := shape(lanes[0].Kind)
 	// (a) Gossip-max on (tree size, root id) keys elects the largest-tree
-	// root z; every root learns the winning key, hence z.
-	keys := make([]float64, len(cov))
-	for k, mv := range cov {
-		keys[k] = largestKey(int(mv.Count), f.Roots()[k])
+	// root z; every root learns the winning key, hence z. The keys
+	// depend only on the forest, so every lane shares the election.
+	keys := make([]float64, m)
+	for k, size := range sizes {
+		keys[k] = largestKey(int(size), roots[k])
 	}
 	kres, err := gossip.Max(tr, keys)
 	if err != nil {
-		return nil, err
+		return phase3{}, err
 	}
 	// In the protocol each root compares the winning key against its own
 	// to decide whether it is z. The winner's own estimate is always >=
@@ -346,43 +448,65 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, kind Kind, 
 	}
 	zk, err := electRoot(eng, f, maxKey, keys)
 	if err != nil {
-		return nil, err
+		return phase3{}, err
 	}
-	z := f.Roots()[zk]
+	z := roots[zk]
 
-	// (b) Push-sum; the guarantee (Theorem 7) holds at z. Sum and Count
-	// ship reliable (acknowledged) shares: their distinguished-root
-	// denominator is a single unit of mass whose loss cannot be averaged
-	// away, unlike the Ave ratio where losses cancel.
-	ares, err := gossip.Ave(tr, pushInit(kind, cov, zk), gossip.AveOptions{
-		TrackRoot:      -1,
-		ReliableShares: kind == Sum || kind == Count,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// (c) Data-spread of z's estimate to all roots. Under mid-run crashes
-	// z's estimate can be NaN (or z freshly dead); the spread then
-	// carries the best surviving estimate instead.
-	src := zk
-	if !finite(ares.Estimates[zk]) {
-		if k := fallbackRoot(eng, f, ares.Estimates); k >= 0 {
-			src = k
+	// (b) Push-sum; the guarantee (Theorem 7) holds at z. Ave and
+	// Moments start from (tree sums, tree size): ratios converge to
+	// Σsums/Σsizes. Sum, Count and Rank start from (s0, [r==z]), s0 the
+	// tree sums or, for Count, the tree sizes, so ratios converge to
+	// Σs0/1; they ship reliable (acknowledged) shares: their
+	// distinguished-root denominator is a single unit of mass whose loss
+	// cannot be averaged away, unlike the Ave ratio where losses cancel.
+	g0 := sizes
+	if sh == Sum {
+		g0 = make([]float64, m)
+		g0[zk] = 1
+		for j, ln := range lanes {
+			if ln.Kind == Count {
+				copy(sums[j*m:(j+1)*m], sizes)
+			}
 		}
 	}
-	g := &phase3{value: ares.Estimates[src]}
+	ares, err := gossip.Ave(tr, sums, g0, gossip.AveOptions{
+		TrackRoot:      -1,
+		ReliableShares: sh == Sum,
+	})
+	if err != nil {
+		return phase3{}, err
+	}
+
+	// (c) Data-spread of z's estimates to all roots. Under mid-run
+	// crashes a lane's estimate at z can be NaN (or z freshly dead); the
+	// spread then carries that lane's best surviving estimate instead.
+	g := phase3{value: make([]float64, len(lanes))}
+	if sh == Moments {
+		g.variance = make([]float64, len(lanes))
+	}
+	for j := range lanes {
+		o := j * width * m
+		est := ares.Estimates[o : o+m]
+		src := zk
+		if !finite(est[zk]) {
+			if k := fallbackRoot(eng, f, est); k >= 0 {
+				src = k
+			}
+		}
+		g.value[j] = est[src]
+		if sh == Moments {
+			g.variance[j] = ares.Sums[o+m+src]/ares.Weights[src] - g.value[j]*g.value[j]
+		}
+	}
 	sres, err := gossip.Spread(tr, z, g.value)
 	if err != nil {
-		return nil, err
+		return phase3{}, err
 	}
 	g.est = sres.Estimates
-	if kind == Moments {
-		m := ares.Mass[src]
-		g.variance = m.Sum2/m.Count - g.value*g.value
+	if sh == Moments {
 		vres, err := gossip.Spread(tr, z, g.variance)
 		if err != nil {
-			return nil, err
+			return phase3{}, err
 		}
 		g.varEst = vres.Estimates
 	}
@@ -413,30 +537,6 @@ func electRoot(eng *sim.Engine, f *forest.Forest, maxKey float64, keys []float64
 		return f.Slot(z), nil // every root is dead; keep the elected one
 	}
 	return -1, fmt.Errorf("drrgossip: elected node %d is not a root", z)
-}
-
-// pushInit builds the push-sum start vectors from the per-tree
-// convergecast results, given the slot zk of the elected largest root z.
-func pushInit(kind Kind, cov []convergecast.MomentsVec, zk int) []convergecast.MomentsVec {
-	if kind == Ave || kind == Moments {
-		// (tree sums, tree size): ratios converge to Σsums/Σsizes.
-		return cov
-	}
-	init := make([]convergecast.MomentsVec, len(cov))
-	for k, mv := range cov {
-		g := 0.0
-		if k == zk {
-			g = 1
-		}
-		if kind == Count {
-			// (tree size, [r==z]): ratios converge to Σsizes/1 = n_alive.
-			init[k] = convergecast.MomentsVec{Sum: mv.Count, Count: g}
-		} else {
-			// (tree sum, [r==z]): ratios converge to Σsums/1.
-			init[k] = convergecast.MomentsVec{Sum: mv.Sum, Count: g}
-		}
-	}
-	return init
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -108,13 +108,13 @@ func TestRankEndToEnd(t *testing.T) {
 	eng := sim.NewEngine(n, sim.Options{Seed: 47})
 	values := agg.GenUniform(n, 0, 100, 7)
 	q := 42.0
-	res, err := Run(eng, nil, Sum, agg.Indicator(values, q))
+	res, err := new(Workspace).Run(eng, nil, Lane{Kind: Rank, Values: values, Arg: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := agg.Exact(agg.Rank, values, q)
-	if e := agg.RelError(res.Value, want); e > 1e-6 {
-		t.Fatalf("Rank(%v) = %v, want %v", q, res.Value, want)
+	if e := agg.RelError(res[0].Value, want); e > 1e-6 {
+		t.Fatalf("Rank(%v) = %v, want %v", q, res[0].Value, want)
 	}
 }
 
@@ -384,13 +384,13 @@ func TestRankUnderLoss(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 58, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 100, 16)
-	res, err := Run(eng, nil, Sum, agg.Indicator(values, 42))
+	res, err := new(Workspace).Run(eng, nil, Lane{Kind: Rank, Values: values, Arg: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := agg.Exact(agg.Rank, values, 42)
-	if e := agg.RelError(res.Value, want); e > 0.01 {
-		t.Fatalf("Rank = %v, want %v", res.Value, want)
+	if e := agg.RelError(res[0].Value, want); e > 0.01 {
+		t.Fatalf("Rank = %v, want %v", res[0].Value, want)
 	}
 }
 

@@ -247,13 +247,13 @@ func TestRankSparse(t *testing.T) {
 	}
 	values := agg.GenUniform(n, 0, 1000, 10)
 	q := 400.0
-	res, err := Run(sim.NewEngine(n, sim.Options{Seed: 106}), ov, Sum, agg.Indicator(values, q))
+	res, err := new(Workspace).Run(sim.NewEngine(n, sim.Options{Seed: 106}), ov, Lane{Kind: Rank, Values: values, Arg: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := agg.Exact(agg.Rank, values, q)
-	if agg.RelError(res.Value, want) > 1e-6 {
-		t.Fatalf("Rank = %v, want %v", res.Value, want)
+	if agg.RelError(res[0].Value, want) > 1e-6 {
+		t.Fatalf("Rank = %v, want %v", res[0].Value, want)
 	}
 }
 

@@ -19,31 +19,29 @@ import (
 
 // phase12 runs DRR + convergecast + root broadcast, the common setup of
 // the Phase III experiments, and returns the forest, the tree-relay
-// transport over it and the per-root max and sum vectors by root slot.
-func phase12(eng *sim.Engine, values []float64) (*forest.Forest, gossip.Transport, []float64, []convergecast.MomentsVec, error) {
+// transport over it, the per-root max and sum vectors and the tree
+// sizes by root slot.
+func phase12(eng *sim.Engine, values []float64) (f *forest.Forest, tr gossip.Transport, covmax, sums, sizes []float64, err error) {
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
-	f := dres.Forest
+	f = dres.Forest
 	var cc convergecast.Scratch
-	covmax, err := cc.Max(eng, f, values)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	if covmax, err = cc.Max(eng, f, values); err != nil {
+		return nil, nil, nil, nil, nil, err
 	}
-	covsum, err := cc.Sum(eng, f, values)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	if sums, sizes, err = cc.Sum(eng, f, values); err != nil {
+		return nil, nil, nil, nil, nil, err
 	}
 	rootTo, err := cc.BroadcastRootAddr(eng, f)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
-	tr, err := gossip.Relay(eng, f, rootTo)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	if tr, err = gossip.Relay(eng, f, rootTo); err != nil {
+		return nil, nil, nil, nil, nil, err
 	}
-	return f, tr, covmax, covsum, nil
+	return f, tr, covmax, sums, sizes, nil
 }
 
 // RunF5 validates Theorem 5: after the gossip procedure alone, a constant
@@ -65,7 +63,7 @@ func RunF5(cfg Config) (*Report, error) {
 			seed := xrand.Hash(cfg.Seed, 0xF5, uint64(trial), math.Float64bits(loss))
 			eng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss})
 			values := agg.GenUniform(n, 0, 1000, seed)
-			f, tr, covmax, _, err := phase12(eng, values)
+			f, tr, covmax, _, _, err := phase12(eng, values)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +112,7 @@ func RunF6(cfg Config) (*Report, error) {
 				seed := xrand.Hash(cfg.Seed, 0xF6, uint64(n), uint64(trial), math.Float64bits(loss))
 				eng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: loss})
 				values := agg.GenUniform(n, 0, 1000, seed)
-				_, tr, covmax, _, err := phase12(eng, values)
+				_, tr, covmax, _, _, err := phase12(eng, values)
 				if err != nil {
 					return nil, err
 				}
@@ -157,12 +155,12 @@ func RunF7(cfg Config) (*Report, error) {
 	seed := xrand.Hash(cfg.Seed, 0xF7)
 	eng := sim.NewEngine(n, sim.Options{Seed: seed})
 	values := agg.GenUniform(n, 0, 100, seed)
-	f, tr, _, covsum, err := phase12(eng, values)
+	f, tr, _, sums, sizes, err := phase12(eng, values)
 	if err != nil {
 		return nil, err
 	}
 	z := f.LargestRoot()
-	res, err := gossip.Ave(tr, covsum,
+	res, err := gossip.Ave(tr, sums, sizes,
 		gossip.AveOptions{TrackRoot: z, TrackPotential: true})
 	if err != nil {
 		return nil, err

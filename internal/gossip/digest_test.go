@@ -63,7 +63,7 @@ func TestPhase3Digests(t *testing.T) {
 			opts.Seed = uint64(n) + 40
 			eng := sim.NewEngine(n, opts)
 			values := agg.GenUniform(n, 0, 1000, uint64(n)+41)
-			f, tr, covmax, covsum := phase12(t, eng, values)
+			f, tr, covmax, sums, sizes := phase12(t, eng, values)
 			roots := f.Roots()
 
 			before := eng.Stats()
@@ -78,14 +78,14 @@ func TestPhase3Digests(t *testing.T) {
 			dm.counters(eng.Stats().Sub(before))
 
 			before = eng.Stats()
-			ares, err := Ave(tr, covsum, AveOptions{TrackRoot: f.LargestRoot(), TrackPotential: true})
+			ares, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: f.LargestRoot(), TrackPotential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			da := newDigester()
 			for k := range roots {
-				m := ares.Mass[k]
-				da.f64(ares.Estimates[k], m.Sum, m.Sum2, m.Count)
+				// The third component was the second-moment sum, 0 here.
+				da.f64(ares.Estimates[k], ares.Sums[k], 0, ares.Weights[k])
 			}
 			da.f64(ares.Trajectory...)
 			da.f64(ares.Potential...)

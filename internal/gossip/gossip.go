@@ -21,6 +21,15 @@
 // that cannot afford to lose mass ask for reliable shares, which each
 // transport implements with its own retransmission rule.
 //
+// Every driver folds one or more value lanes: L per-root value vectors,
+// lane-major by root slot (lane l of slot k at [l*m+k] for m roots), that
+// share the driver's messages, loss draws and bill, because no send
+// depends on a value. Lane 0 rides the payload; lanes 1..L-1 are copied
+// when a message is sent (the sender's push value, push-sum share or
+// inquiry reply) and read at landing through the sender's root slot, so
+// a landing never sees what an earlier landing of the same tick changed.
+// Push-sum lanes share the weight g: they are extra s components.
+//
 // The results carry estimates only. A run's bill is read from the engine
 // the transport drives: sim.Core.Stats, and Ledger or Billed for a phase
 // the caller labelled with SetPhase.
@@ -32,7 +41,6 @@ import (
 	"math"
 	"slices"
 
-	"drrgossip/internal/convergecast"
 	"drrgossip/internal/sim"
 )
 
@@ -56,8 +64,8 @@ func LossInflate(base int, eng *sim.Engine) int {
 	return int(math.Ceil(float64(base)/((1-rho)*alive))) + 1
 }
 
-// MaxResult is the outcome of Gossip-max. Per-root values are indexed by
-// root slot.
+// MaxResult is the outcome of Gossip-max. Per-root values hold the
+// driver's lanes, lane-major by root slot.
 type MaxResult struct {
 	// Estimates holds each root's final Max estimate (after sampling).
 	Estimates []float64
@@ -67,15 +75,28 @@ type MaxResult struct {
 	AfterGossip []float64
 }
 
+// laneCount returns how many lanes of per-root values vals holds: a
+// positive whole number of m-long vectors.
+func laneCount(vals []float64, m int, what string) (int, error) {
+	if m == 0 || len(vals) == 0 || len(vals)%m != 0 {
+		return 0, fmt.Errorf("gossip: %d %s for %d roots", len(vals), what, m)
+	}
+	return len(vals) / m, nil
+}
+
 // Max runs Algorithm 4 on the roots of the transport's forest. init holds
-// every root's initial value by root slot (e.g. the convergecast-max of
-// its tree). The gossip procedure (Push) runs O(log n) iterations, the
-// sampling procedure O(log n) more, each scaled by the transport
-// (loss-inflated on the relay) and each taking the transport's exchange
-// time.
+// one or more lanes of every root's initial value, lane-major by root
+// slot (e.g. the convergecast-max of its tree). The gossip procedure
+// (Push) runs O(log n) iterations, the sampling procedure O(log n) more,
+// each scaled by the transport (loss-inflated on the relay) and each
+// taking the transport's exchange time.
 func Max(tr Transport, init []float64) (*MaxResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
+	m := len(roots)
+	if _, err := laneCount(init, m, "init values"); err != nil {
+		return nil, err
+	}
 	val := append([]float64(nil), init...)
 	gossipRounds := tr.iterations(2*sim.CeilLog2(eng.N()) + 12)
 	sampleRounds := tr.iterations(sim.CeilLog2(eng.N()) + 8)
@@ -87,7 +108,10 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	// Sampling procedure: inquire a random node's root, which replies
 	// with its value; adopt it if larger.
 	type inquiry struct{ from, to int } // inquirer root, responder slot
-	var inquiries []inquiry
+	var (
+		inquiries []inquiry
+		sent      []float64 // lanes 1..L-1 of every responder at reply time
+	)
 	gather := func(k int) {
 		for _, m := range eng.Inbox(roots[k]) {
 			if m.Pay.Kind == kindInquiry {
@@ -112,10 +136,11 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 				slices.SortStableFunc(inquiries[start:], func(a, b inquiry) int { return cmp.Compare(a.to, b.to) })
 			}
 		}
+		sent = append(sent[:0], val[m:]...)
 		for _, q := range inquiries {
 			tr.reply(roots[q.to], q.from, sim.Payload{Kind: kindInqReply, A: val[q.to]})
 		}
-		land(tr, val, kindInqReply)
+		land(tr, val, sent, kindInqReply)
 	}
 	return &MaxResult{
 		Estimates:   val,
@@ -126,36 +151,53 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 // Push runs the gossip procedure of Gossip-max for the given number of
 // iterations: every live root pushes its estimate to a random node's
 // root, and every root adopts each larger value that lands. val holds
-// the estimates by root slot and is updated in place. Roots that crash
-// mid-run place no further calls (their estimate freezes; the rest of
-// the clique keeps gossiping). Max runs it before its sampling
-// procedure; on the singleton forest it is the uniform push gossip of
-// Kempe et al.
+// one or more lanes of estimates, lane-major by root slot, and is updated
+// in place. Roots that crash mid-run place no further calls (their
+// estimate freezes; the rest of the clique keeps gossiping). Max runs it
+// before its sampling procedure; on the singleton forest it is the
+// uniform push gossip of Kempe et al.
 func Push(tr Transport, val []float64, iterations int) error {
 	eng, f := tr.env()
 	roots := f.Roots()
-	if len(val) != len(roots) {
-		return fmt.Errorf("gossip: %d init values for %d roots", len(val), len(roots))
+	m := len(roots)
+	if _, err := laneCount(val, m, "init values"); err != nil {
+		return err
 	}
+	var sent []float64 // lanes 1..L-1 of every root at push time
 	for t := 0; t < iterations; t++ {
+		sent = append(sent[:0], val[m:]...)
 		for k, r := range roots {
 			if eng.Alive(r) {
 				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[k]})
 			}
 		}
-		land(tr, val, kindGossipVal)
+		land(tr, val, sent, kindGossipVal)
 	}
 	return nil
 }
 
-// land lets one exchange arrive, adopting every larger value of kind.
-func land(tr Transport, val []float64, kind uint8) {
+// land lets one exchange arrive, adopting every larger value of kind:
+// lane 0 from the payload, the other lanes from sent, the senders'
+// lanes 1..L-1 as they were when the exchange was sent.
+func land(tr Transport, val, sent []float64, kind uint8) {
 	eng, f := tr.env()
 	roots := f.Roots()
+	m := len(roots)
 	adopt := func(k int) {
-		for _, m := range eng.Inbox(roots[k]) {
-			if m.Pay.Kind == kind && m.Pay.A > val[k] {
-				val[k] = m.Pay.A
+		for _, msg := range eng.Inbox(roots[k]) {
+			if msg.Pay.Kind != kind {
+				continue
+			}
+			if msg.Pay.A > val[k] {
+				val[k] = msg.Pay.A
+			}
+			if len(sent) > 0 {
+				j := f.Slot(msg.From)
+				for o := 0; o < len(sent); o += m {
+					if v := sent[o+j]; v > val[m+o+k] {
+						val[m+o+k] = v
+					}
+				}
 			}
 		}
 	}
@@ -165,19 +207,22 @@ func land(tr Transport, val []float64, kind uint8) {
 	}
 }
 
-// Spread runs Data-spread (Algorithm 5): the source root's value is
-// spread to all roots by running Gossip-max with every other root
-// initialised to -Inf.
-func Spread(tr Transport, source int, value float64) (*MaxResult, error) {
+// Spread runs Data-spread (Algorithm 5): the source root's values, one
+// per lane, are spread to all roots by running Gossip-max with every
+// other root initialised to -Inf.
+func Spread(tr Transport, source int, values []float64) (*MaxResult, error) {
 	_, f := tr.env()
 	if !f.IsRoot(source) {
 		return nil, fmt.Errorf("gossip: spread source %d is not a root", source)
 	}
-	init := make([]float64, f.NumTrees())
+	m := f.NumTrees()
+	init := make([]float64, len(values)*m)
 	for k := range init {
 		init[k] = math.Inf(-1)
 	}
-	init[f.Slot(source)] = value
+	for l, v := range values {
+		init[l*m+f.Slot(source)] = v
+	}
 	return Max(tr, init)
 }
 
@@ -202,32 +247,38 @@ type AveOptions struct {
 }
 
 // AveResult is the outcome of Gossip-ave. Per-root values are indexed by
-// root slot.
+// root slot, lane-major where they hold the driver's lanes.
 type AveResult struct {
-	// Estimates holds each root's final ratio estimate s/g (NaN where
-	// the weight never arrived).
+	// Estimates holds each root's final ratio estimate s/g per lane (NaN
+	// where the weight never arrived).
 	Estimates []float64
-	// Mass holds each root's final push-sum state: Sum = s, Sum2 = the
-	// second-moment component, Count = the weight g.
-	Mass []convergecast.MomentsVec
-	// Trajectory is the estimate of TrackRoot after each round.
+	// Sums holds each root's final push-sum s components, one per lane.
+	Sums []float64
+	// Weights holds each root's final push-sum weight g.
+	Weights []float64
+	// Trajectory is lane 0's estimate at TrackRoot after each round.
 	Trajectory []float64
 	// Potential is Φ_t after each round when TrackPotential is set.
 	Potential []float64
 }
 
 // Ave runs Algorithm 6, push-sum over the roots of the transport's
-// forest: every root starts with its init vector, indexed by root slot —
-// (s, g) = (local sum, tree size) from Convergecast-sum for the average,
-// optionally with a Σv² component that rides along for the second moment
-// — and each round it keeps half and pushes half to a random node's root.
-// The ratio s/g at the largest-tree root converges to the global average
-// at the rate of Theorem 7.
-func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveResult, error) {
+// forest: every root starts with its s components s0, one or more lanes
+// lane-major by root slot, and its weight g0 — (local sum, tree size)
+// from Convergecast-sum for the average — and each round it keeps half
+// and pushes half to a random node's root. The lanes share the weight,
+// and each lane's ratio s/g at the largest-tree root converges to that
+// lane's global average at the rate of Theorem 7.
+func Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
-	if len(init) != len(roots) {
-		return nil, fmt.Errorf("gossip: %d init vectors for %d roots", len(init), len(roots))
+	m := len(roots)
+	if len(g0) != m {
+		return nil, fmt.Errorf("gossip: %d init weights for %d roots", len(g0), m)
+	}
+	L, err := laneCount(s0, m, "init sums")
+	if err != nil {
+		return nil, err
 	}
 	track := -1
 	if opts.TrackRoot >= 0 {
@@ -236,34 +287,38 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 		}
 		track = f.Slot(opts.TrackRoot)
 	}
-	mass := append([]convergecast.MomentsVec(nil), init...)
+	state := append(append(make([]float64, 0, (L+1)*m), s0...), g0...)
+	sum, w := state[:L*m:L*m], state[L*m:]
+	var share []float64 // lanes 1..L-1 of every root's last share
+	if L > 1 {
+		share = make([]float64, (L-1)*m)
+	}
 	rounds := tr.iterations(4*sim.CeilLog2(eng.N()) + 24)
 	ticks := tr.ticks()
 
 	// Optional contribution tracking for the Lemma 8 potential, indexed
 	// by root slot.
 	var (
-		y [][]float64 // y[i][j]: root i's contribution from root j
-		w []float64   // dummy weights, w0 = 1
+		y  [][]float64 // y[i][j]: root i's contribution from root j
+		yw []float64   // dummy weights, w0 = 1
 	)
 	if opts.TrackPotential {
-		m := len(roots)
 		y = make([][]float64, m)
 		for k := range y {
 			y[k] = make([]float64, m)
 			y[k][k] = 1
 		}
-		w = make([]float64, m)
-		for k := range w {
-			w[k] = 1
+		yw = make([]float64, m)
+		for k := range yw {
+			yw[k] = 1
 		}
 	}
 	potential := func() float64 {
-		m := float64(len(roots))
+		fm := float64(m)
 		phi := 0.0
 		for k := range y {
 			for j := range y[k] {
-				d := y[k][j] - w[k]/m
+				d := y[k][j] - yw[k]/fm
 				phi += d * d
 			}
 		}
@@ -280,20 +335,32 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 	// destination root crashes while they are in flight, the engine
 	// discards them and the sender's ack times out — the share is
 	// restored, so mid-run crashes cannot bleed push-sum mass (a no-op
-	// in the static model).
+	// in the static model). Every share is due within its round's
+	// exchange, so its lanes are still in share when it times out.
 	type inflight struct {
-		k, dst, due int // sender slot, destination node, ack deadline
-		share       convergecast.MomentsVec
+		k, dst, due int     // sender slot, destination node, ack deadline
+		s, g        float64 // lane 0 and weight of the share
 	}
 	var pending []inflight
 	credit := func(k int) {
 		for _, msg := range eng.Inbox(roots[k]) {
-			if msg.Pay.Kind == kindAveShare {
-				m := &mass[k]
-				m.Sum += msg.Pay.A
-				m.Sum2 += msg.Pay.C
-				m.Count += msg.Pay.B
+			if msg.Pay.Kind != kindAveShare {
+				continue
 			}
+			sum[k] += msg.Pay.A
+			w[k] += msg.Pay.B
+			if share != nil {
+				j := f.Slot(msg.From)
+				for o := 0; o < len(share); o += m {
+					sum[m+o+k] += share[o+j]
+				}
+			}
+		}
+	}
+	// scale multiplies every lane of root k's s by x.
+	scale := func(k int, x float64) {
+		for o := k; o < L*m; o += m {
+			sum[o] *= x
 		}
 	}
 
@@ -310,21 +377,21 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 			// Halve and push. The half leaves the sender regardless of
 			// delivery unless shares are reliable (loss destroys mass, as
 			// in the analysis).
-			m := &mass[k]
-			m.Sum /= 2
-			m.Sum2 /= 2
-			m.Count /= 2
-			pay := sim.Payload{Kind: kindAveShare, A: m.Sum, B: m.Count, C: m.Sum2, X: int64(r)}
+			scale(k, 0.5)
+			w[k] /= 2
+			for o := 0; o < len(share); o += m {
+				share[o+k] = sum[m+o+k]
+			}
+			pay := sim.Payload{Kind: kindAveShare, A: sum[k], B: w[k], X: int64(r)}
 			delivered, dst, due := tr.ship(r, pay, opts.ReliableShares)
 			if opts.ReliableShares {
 				if !delivered {
 					// Every retry failed: restore the share; no mass
 					// leaves the system.
-					m.Sum *= 2
-					m.Sum2 *= 2
-					m.Count *= 2
+					scale(k, 2)
+					w[k] *= 2
 				} else {
-					pending = append(pending, inflight{k: k, dst: dst, due: due, share: *m})
+					pending = append(pending, inflight{k: k, dst: dst, due: due, s: sum[k], g: w[k]})
 				}
 			}
 			if opts.TrackPotential && !(opts.ReliableShares && !delivered) {
@@ -335,12 +402,12 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 				for j := range y[k] {
 					y[k][j] /= 2
 				}
-				w[k] /= 2
+				yw[k] /= 2
 				if delivered && f.IsRoot(dst) {
 					shipped = append(shipped, shipment{
 						dst: f.Slot(dst),
 						vec: append([]float64(nil), y[k]...),
-						w:   w[k],
+						w:   yw[k],
 					})
 				}
 			}
@@ -356,17 +423,18 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 					case !eng.Alive(sh.dst):
 						// Ack timeout: the destination died before
 						// delivery and the engine discarded the share.
-						m := &mass[sh.k]
-						m.Sum += sh.share.Sum
-						m.Sum2 += sh.share.Sum2
-						m.Count += sh.share.Count
+						sum[sh.k] += sh.s
+						w[sh.k] += sh.g
+						for o := 0; o < len(share); o += m {
+							sum[m+o+sh.k] += share[o+sh.k]
+						}
 					}
 				}
 				pending = kept
 			}
 			eachLanded(tr, credit)
 			if eng.WantResidual() {
-				eng.ReportResidual(estimateSpread(mass))
+				eng.ReportResidual(estimateSpread(sum[:m], w))
 			}
 		}
 		if opts.TrackPotential {
@@ -374,22 +442,23 @@ func Ave(tr Transport, init []convergecast.MomentsVec, opts AveOptions) (*AveRes
 				for j := range y[sh.dst] {
 					y[sh.dst][j] += sh.vec[j]
 				}
-				w[sh.dst] += sh.w
+				yw[sh.dst] += sh.w
 			}
 			potentials = append(potentials, potential())
 		}
 		if track >= 0 {
-			trajectory = append(trajectory, ratio(mass[track]))
+			trajectory = append(trajectory, ratio(sum[track], w[track]))
 		}
 	}
 
-	est := make([]float64, len(mass))
-	for k, m := range mass {
-		est[k] = ratio(m)
+	est := make([]float64, L*m)
+	for o := range est {
+		est[o] = ratio(sum[o], w[o%m])
 	}
 	return &AveResult{
 		Estimates:  est,
-		Mass:       mass,
+		Sums:       sum,
+		Weights:    w,
 		Trajectory: trajectory,
 		Potential:  potentials,
 	}, nil
@@ -426,25 +495,25 @@ func eachLanded(tr Transport, read func(k int)) {
 }
 
 // ratio is a root's push-sum estimate s/g, NaN while it has no weight.
-func ratio(m convergecast.MomentsVec) float64 {
-	if m.Count == 0 {
+func ratio(s, g float64) float64 {
+	if g == 0 {
 		return math.NaN()
 	}
-	return m.Sum / m.Count
+	return s / g
 }
 
 // estimateSpread is the convergence residual Ave reports when a round
-// observer is attached: the spread (max − min) of the running ratio
+// observer is attached: the spread (max − min) of lane 0's running ratio
 // estimate s/g across roots with nonzero weight, which push-sum drives to
 // zero as shares mix. NaN when no root has weight yet. It only reads
 // driver state, so reporting it cannot perturb a run; a max/min
 // reduction does not depend on the roots' order, keeping the value
 // deterministic.
-func estimateSpread(mass []convergecast.MomentsVec) float64 {
+func estimateSpread(sum, w []float64) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, m := range mass {
-		if m.Count != 0 {
-			est := m.Sum / m.Count
+	for k, g := range w {
+		if g != 0 {
+			est := sum[k] / g
 			if est < lo {
 				lo = est
 			}

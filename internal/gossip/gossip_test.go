@@ -12,32 +12,30 @@ import (
 )
 
 // phase12 runs Phases I and II: DRR forest, convergecast (max and sum) and
-// the root-address broadcast, and returns the tree-relay transport.
-func phase12(t *testing.T, eng *sim.Engine, values []float64) (*forest.Forest, Transport, []float64, []convergecast.MomentsVec) {
+// the root-address broadcast, and returns the tree-relay transport, the
+// per-root maxima and sums and the tree sizes.
+func phase12(t *testing.T, eng *sim.Engine, values []float64) (f *forest.Forest, tr Transport, covmax, sums, sizes []float64) {
 	t.Helper()
 	dres, err := drr.Run(eng, drr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := dres.Forest
+	f = dres.Forest
 	var cc convergecast.Scratch
-	covmax, err := cc.Max(eng, f, values)
-	if err != nil {
+	if covmax, err = cc.Max(eng, f, values); err != nil {
 		t.Fatal(err)
 	}
-	covsum, err := cc.Sum(eng, f, values)
-	if err != nil {
+	if sums, sizes, err = cc.Sum(eng, f, values); err != nil {
 		t.Fatal(err)
 	}
 	rootTo, err := cc.BroadcastRootAddr(eng, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Relay(eng, f, rootTo)
-	if err != nil {
+	if tr, err = Relay(eng, f, rootTo); err != nil {
 		t.Fatal(err)
 	}
-	return f, tr, covmax, covsum
+	return f, tr, covmax, sums, sizes
 }
 
 func TestMaxAllRootsConverge(t *testing.T) {
@@ -46,7 +44,7 @@ func TestMaxAllRootsConverge(t *testing.T) {
 		n := 2048
 		eng := sim.NewEngine(n, sim.Options{Seed: 21, Loss: loss})
 		values := agg.GenUniform(n, 0, 1000, 5)
-		_, tr, covmax, _ := phase12(t, eng, values)
+		_, tr, covmax, _, _ := phase12(t, eng, values)
 		res, err := Max(tr, covmax)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +64,7 @@ func TestMaxAfterGossipFractionTheorem5(t *testing.T) {
 	n := 4096
 	eng := sim.NewEngine(n, sim.Options{Seed: 22})
 	values := agg.GenUniform(n, 0, 1000, 6)
-	f, tr, covmax, _ := phase12(t, eng, values)
+	f, tr, covmax, _, _ := phase12(t, eng, values)
 	res, err := Max(tr, covmax)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +86,7 @@ func TestMaxMessageComplexityLinear(t *testing.T) {
 	n := 8192
 	eng := sim.NewEngine(n, sim.Options{Seed: 23})
 	values := agg.GenUniform(n, 0, 1, 7)
-	_, tr, covmax, _ := phase12(t, eng, values)
+	_, tr, covmax, _, _ := phase12(t, eng, values)
 	before := eng.Stats()
 	if _, err := Max(tr, covmax); err != nil {
 		t.Fatal(err)
@@ -105,9 +103,9 @@ func TestSpreadReachesAllRoots(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 24, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 1, 8)
-	f, tr, _, _ := phase12(t, eng, values)
+	f, tr, _, _, _ := phase12(t, eng, values)
 	source := f.LargestRoot()
-	res, err := Spread(tr, source, 1234.5)
+	res, err := Spread(tr, source, []float64{1234.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestSpreadRejectsNonRoot(t *testing.T) {
 	n := 256
 	eng := sim.NewEngine(n, sim.Options{Seed: 25})
 	values := agg.GenUniform(n, 0, 1, 9)
-	f, tr, _, _ := phase12(t, eng, values)
+	f, tr, _, _, _ := phase12(t, eng, values)
 	nonRoot := -1
 	for i := 0; i < n; i++ {
 		if f.Member(i) && !f.IsRoot(i) {
@@ -130,7 +128,7 @@ func TestSpreadRejectsNonRoot(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Spread(tr, nonRoot, 1); err == nil {
+	if _, err := Spread(tr, nonRoot, []float64{1}); err == nil {
 		t.Fatal("non-root spread source accepted")
 	}
 }
@@ -139,9 +137,9 @@ func TestAveConvergesTheorem7(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 26})
 	values := agg.GenUniform(n, 0, 100, 10)
-	f, tr, _, covsum := phase12(t, eng, values)
+	f, tr, _, sums, sizes := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(tr, covsum, AveOptions{TrackRoot: z})
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +162,15 @@ func TestAveMassConservationLossless(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 27})
 	values := agg.GenUniform(n, 0, 10, 11)
-	_, tr, _, covsum := phase12(t, eng, values)
-	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1})
+	_, tr, _, sums, sizes := phase12(t, eng, values)
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sTot, gTot float64
-	for _, m := range res.Mass {
-		sTot += m.Sum
-		gTot += m.Count
+	for k := range res.Weights {
+		sTot += res.Sums[k]
+		gTot += res.Weights[k]
 	}
 	if math.Abs(sTot-agg.Exact(agg.Sum, values, 0)) > 1e-6 {
 		t.Fatalf("push-sum lost value mass: %v", sTot)
@@ -192,9 +190,9 @@ func TestAveLargestRootOnlyGuarantee(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 28})
 	values := agg.GenSigned(n, 50, 12)
-	f, tr, _, covsum := phase12(t, eng, values)
+	f, tr, _, sums, sizes := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1})
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +227,9 @@ func TestAveUnderLossStaysClose(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 29, Loss: 0.1})
 	values := agg.GenUniform(n, 0, 100, 13)
-	f, tr, _, covsum := phase12(t, eng, values)
+	f, tr, _, sums, sizes := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(tr, covsum, AveOptions{TrackRoot: z})
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +243,8 @@ func TestAvePotentialGeometricDecayLemma8(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 30})
 	values := agg.GenUniform(n, 0, 1, 14)
-	f, tr, _, covsum := phase12(t, eng, values)
-	res, err := Ave(tr, covsum, AveOptions{TrackRoot: -1, TrackPotential: true})
+	f, tr, _, sums, sizes := phase12(t, eng, values)
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: -1, TrackPotential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +271,9 @@ func TestAveZeroMeanValues(t *testing.T) {
 	n := 1024
 	eng := sim.NewEngine(n, sim.Options{Seed: 31})
 	values := agg.GenZeroMean(n, 100, 15)
-	f, tr, _, covsum := phase12(t, eng, values)
+	f, tr, _, sums, sizes := phase12(t, eng, values)
 	z := f.LargestRoot()
-	res, err := Ave(tr, covsum, AveOptions{TrackRoot: z})
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,22 +286,27 @@ func TestMissingInitRejected(t *testing.T) {
 	n := 256
 	eng := sim.NewEngine(n, sim.Options{Seed: 32})
 	values := agg.GenUniform(n, 0, 1, 16)
-	f, tr, covmax, covsum := phase12(t, eng, values)
+	f, tr, covmax, sums, sizes := phase12(t, eng, values)
 	for _, init := range [][]float64{covmax[1:], append(covmax, 0)} {
 		if _, err := Max(tr, init); err == nil {
 			t.Fatalf("%d max init values for %d roots accepted", len(init), f.NumTrees())
 		}
 	}
-	for _, init := range [][]convergecast.MomentsVec{covsum[1:], append(covsum, convergecast.MomentsVec{})} {
-		if _, err := Ave(tr, init, AveOptions{TrackRoot: -1}); err == nil {
-			t.Fatalf("%d ave init vectors for %d roots accepted", len(init), f.NumTrees())
+	for _, init := range [][]float64{sums[1:], append(sums, 0)} {
+		if _, err := Ave(tr, init, sizes, AveOptions{TrackRoot: -1}); err == nil {
+			t.Fatalf("%d ave init sums for %d roots accepted", len(init), f.NumTrees())
+		}
+	}
+	for _, g := range [][]float64{sizes[1:], append(sizes, 0)} {
+		if _, err := Ave(tr, sums, g, AveOptions{TrackRoot: -1}); err == nil {
+			t.Fatalf("%d ave init weights for %d roots accepted", len(g), f.NumTrees())
 		}
 	}
 	nonRoot := f.Roots()[0] + 1
 	for f.IsRoot(nonRoot) {
 		nonRoot++
 	}
-	if _, err := Ave(tr, covsum, AveOptions{TrackRoot: nonRoot}); err == nil {
+	if _, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: nonRoot}); err == nil {
 		t.Fatalf("tracking non-root %d accepted", nonRoot)
 	}
 }
@@ -324,7 +327,7 @@ func TestWithCrashes(t *testing.T) {
 	n := 2048
 	eng := sim.NewEngine(n, sim.Options{Seed: 34, CrashFrac: 0.2, Loss: 0.05})
 	values := agg.GenUniform(n, 0, 500, 17)
-	_, tr, covmax, _ := phase12(t, eng, values)
+	_, tr, covmax, _, _ := phase12(t, eng, values)
 	res, err := Max(tr, covmax)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +377,11 @@ func TestMomentsTriplePushSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, err := new(convergecast.Scratch).Moments(eng, f, values)
+	in := append([]float64(nil), values...)
+	for _, v := range values {
+		in = append(in, v*v)
+	}
+	sums, sizes, err := new(convergecast.Scratch).Sum(eng, f, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,12 +393,12 @@ func TestMomentsTriplePushSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Ave(tr, cov, AveOptions{TrackRoot: -1})
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	z := f.Slot(f.LargestRoot())
-	mean, m2 := res.Estimates[z], res.Mass[z].Sum2/res.Mass[z].Count
+	mean, m2 := res.Estimates[z], res.Estimates[f.NumTrees()+z]
 	wantMean := agg.Exact(agg.Average, values, 0)
 	wantM2 := 0.0
 	for _, v := range values {
@@ -415,7 +422,11 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dres.Forest
-	cov, err := new(convergecast.Scratch).Moments(eng, f, values)
+	in := append([]float64(nil), values...)
+	for _, v := range values {
+		in = append(in, v*v)
+	}
+	sums, sizes, err := new(convergecast.Scratch).Sum(eng, f, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +438,7 @@ func TestMomentsReliableSharesUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Ave(tr, cov, AveOptions{TrackRoot: -1, ReliableShares: true})
+	res, err := Ave(tr, sums, sizes, AveOptions{TrackRoot: -1, ReliableShares: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +465,7 @@ func TestMomentsMissingInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Ave(tr, make([]convergecast.MomentsVec, f.NumTrees()-1), AveOptions{TrackRoot: -1}); err == nil {
+	if _, err := Ave(tr, make([]float64, 2*f.NumTrees()-1), make([]float64, f.NumTrees()), AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("init one short of the root count accepted")
 	}
 }

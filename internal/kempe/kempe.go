@@ -23,7 +23,6 @@ import (
 	"math"
 
 	"drrgossip/internal/chord"
-	"drrgossip/internal/convergecast"
 	"drrgossip/internal/forest"
 	"drrgossip/internal/gossip"
 	"drrgossip/internal/overlay"
@@ -69,24 +68,23 @@ func PushSum(eng *sim.Engine, values []float64) (*Result, error) {
 		return nil, fmt.Errorf("kempe: %d values for %d nodes", len(values), n)
 	}
 	self := make([]int, n)
-	init := make([]convergecast.MomentsVec, n)
+	s0, w0 := make([]float64, n), make([]float64, n)
 	for i := range self {
 		self[i] = i
 		if eng.Alive(i) {
-			init[i] = convergecast.MomentsVec{Sum: values[i], Count: 1}
+			s0[i], w0[i] = values[i], 1
 		}
 	}
 	tr, err := gossip.Relay(eng, singletons(n), self)
 	if err != nil {
 		return nil, err
 	}
-	ave, err := gossip.Ave(tr, init, gossip.AveOptions{TrackRoot: -1})
+	ave, err := gossip.Ave(tr, s0, w0, gossip.AveOptions{TrackRoot: -1})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Estimates: ave.Estimates, S: make([]float64, n), W: make([]float64, n)}
-	for i, m := range ave.Mass {
-		res.S[i], res.W[i] = m.Sum, m.Count
+	res := &Result{Estimates: ave.Estimates, S: ave.Sums, W: ave.Weights}
+	for i := range res.Estimates {
 		if !eng.Alive(i) {
 			res.Estimates[i] = math.NaN()
 		}

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"drrgossip/internal/agg"
 	"drrgossip/internal/async"
 	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/faults"
@@ -51,6 +50,13 @@ type SessionStats struct {
 	// shape: Max and Min share one, Sum, Count and Rank share one, and
 	// Average and Moments have one each; in Async mode, one per Op).
 	PlanBinds int
+	// Passes counts engine passes. Runs of one pipeline shape whose
+	// values are known up front share a pass — the single-run queries of
+	// a RunAll batch, a Histogram's Rank runs and its Count, a bisection
+	// Quantile's Min and Max — so Passes can fall below ProtocolRuns.
+	// Output only: every other count is what one run per pass would
+	// have counted.
+	Passes int
 	// OverlayBuilt reports whether the session built a sparse overlay
 	// (always exactly once, at New).
 	OverlayBuilt bool
@@ -62,6 +68,18 @@ func (s *SessionStats) add(o SessionStats) {
 	s.ProtocolRuns += o.ProtocolRuns
 	s.HorizonRuns += o.HorizonRuns
 	s.PlanBinds += o.PlanBinds
+	s.Passes += o.Passes
+}
+
+// since returns what s counted after it read before.
+func (s SessionStats) since(before SessionStats) SessionStats {
+	return SessionStats{
+		Queries:      s.Queries - before.Queries,
+		ProtocolRuns: s.ProtocolRuns - before.ProtocolRuns,
+		HorizonRuns:  s.HorizonRuns - before.HorizonRuns,
+		PlanBinds:    s.PlanBinds - before.PlanBinds,
+		Passes:       s.Passes - before.Passes,
+	}
 }
 
 // Network is a reusable session on one simulated network: New validates
@@ -84,12 +102,13 @@ type Network struct {
 	// instead of rebuilding inboxes, delivery ring and RNG streams ~80
 	// times. RunAll workers pool their own engines the same way.
 	eng *sim.Engine
-	// ws is the pipeline storage the runs of one query share: the first
-	// synchronous pipeline run allocates it, every later run rebuilds its
-	// forest and Phase II scratch in place (core.Workspace), and runQuery
-	// drops it when the query ends. A Quantile's ~24 runs thus share one
-	// allocation, while an idle session holds only its engine: kept
-	// across queries, each live session would pin ~100 B per node more.
+	// ws is the pipeline storage the runs of one query (or one RunAll
+	// group) share: the first synchronous pipeline run allocates it,
+	// every later run rebuilds its Phase I and Phase II state in place
+	// (core.Workspace), and the query drops it when it ends. A
+	// Quantile's ~24 runs thus share one allocation, while an idle
+	// session holds only its engine: kept across queries, each live
+	// session would pin ~100 B per node more.
 	ws *core.Workspace
 
 	// bounds caches the fault plan resolved per pipeline shape (keyed by
@@ -119,6 +138,10 @@ type Network struct {
 	// the context is uncancellable). runQuery installs it; execOnce hands
 	// it to the engine as its abort check.
 	wd *watchdog
+
+	// lanes holds the lanes of the pass being dispatched, reused by every
+	// pass.
+	lanes []core.Lane
 
 	// stats is the session's accounting (OverlayBuilt is filled in by
 	// Stats).
@@ -208,17 +231,18 @@ func (nw *Network) runQuery(ctx context.Context, q Query) (*Answer, error) {
 
 // BatchOptions tune how RunAll executes a batch.
 type BatchOptions struct {
-	// Parallelism fans the batch's queries across up to this many worker
-	// goroutines (0 or 1 runs sequentially; the count is clamped to the
-	// batch size). Each worker owns its own pooled engine and shares the
-	// session's fault bindings, which are immutable (every run replays
-	// its binding afresh). Every protocol run is seeded from Config.Seed
-	// exactly as in sequential execution, so the answers are
-	// bit-identical for any parallelism (see README, "Determinism").
-	// Config.Telemetry still sees one deterministic stream: each query's
-	// events are buffered and forwarded in query order, each horizon
-	// pre-run's just before those of the first query that used its
-	// binding.
+	// Parallelism fans the batch's units of work — a pass of single-run
+	// queries of one pipeline shape, or any other query alone — across
+	// up to this many worker goroutines (0 or 1 runs them one after
+	// another; the count is clamped to the number of units). Each worker
+	// owns its own pooled engine and shares the session's fault
+	// bindings, which are immutable (every run replays its binding
+	// afresh). Every protocol run is seeded from Config.Seed exactly as
+	// in sequential execution, so the answers are bit-identical for any
+	// parallelism (see README, "Determinism"). Config.Telemetry still
+	// sees one deterministic stream: each query's events are buffered and
+	// forwarded in query order, each horizon pre-run's just before those
+	// of the first query that used its binding.
 	Parallelism int
 }
 
@@ -231,51 +255,181 @@ func (nw *Network) RunAll(queries []Query, opts ...BatchOptions) ([]*Answer, Cos
 }
 
 // RunAllContext is RunAll with cancellation (see RunContext). On error
-// the answers completed so far are returned alongside it (under
-// concurrency: the answers of every query preceding the failed one).
+// the answers of every query preceding the failed one are returned
+// alongside it.
+//
+// The batch's single-run queries of one pipeline shape (see shapeOf) run
+// as lanes of one engine pass, up to maxLanes at a time: they send the
+// same messages, so each lane's Answer is bit-identical to its run
+// alone. Every other query is a unit of its own. Units run in order of
+// their first query, inline or across workers, and fold in query order:
+// the answers, the bill, the error (the lowest-indexed failing query
+// wins) and SessionStats are exactly what running the queries one by one
+// would return, except Passes, which counts the passes the lanes shared.
 func (nw *Network) RunAllContext(ctx context.Context, queries []Query, opts ...BatchOptions) ([]*Answer, Cost, error) {
 	// Reject structurally invalid queries before any execution — in
-	// particular before runAllParallel resolves fault bindings for the
-	// batch, which used to happen even for queries that could never run.
+	// particular before the batch resolves fault bindings, which used to
+	// happen even for queries that could never run.
 	for i, q := range queries {
 		if err := q.validate(); err != nil {
 			return nil, Cost{}, fmt.Errorf("query %d (%s): %w", i, q.Op, err)
 		}
 	}
-	workers := 0
+	groups := nw.groups(queries)
+	workers := 1
 	if len(opts) > 0 {
-		workers = opts[0].Parallelism
+		workers = min(max(opts[0].Parallelism, 1), len(groups))
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	out := make([]batchUnit, len(queries))
+	base := nw.stats
+	var pre []prebind
 	if workers > 1 {
-		return nw.runAllParallel(ctx, queries, workers)
+		pre = nw.runParallel(ctx, queries, groups, out, workers)
+	} else {
+		// A unit whose first query follows a failed one never starts, as
+		// that query would not have.
+		stop := len(queries)
+		for _, g := range groups {
+			if g[0] > stop {
+				break
+			}
+			nw.runGroup(ctx, queries, g, out)
+			for _, i := range g {
+				if out[i].err != nil && i < stop {
+					stop = i
+				}
+			}
+		}
 	}
+	// Deterministic reduction in query order: each pre-resolved binding
+	// is adopted (its pre-run counted and its events forwarded) just
+	// before the first query that used it, and the error of the
+	// lowest-indexed failing query wins, with the preceding answers —
+	// exactly what sequential execution would have returned.
+	nw.stats = base
 	answers := make([]*Answer, 0, len(queries))
 	var total Cost
-	for i, q := range queries {
-		a, err := nw.RunContext(ctx, q)
-		if err != nil {
-			return answers, total, fmt.Errorf("query %d (%s): %w", i, q.Op, err)
+	for i := range queries {
+		u := &out[i]
+		for _, key := range u.used {
+			for j := range pre {
+				if p := &pre[j]; p.key == key && p.b != nil {
+					nw.fold(&p.unit)
+					nw.bounds[key], p.b = p.b, nil
+				}
+			}
 		}
-		answers = append(answers, a)
-		total = total.Add(a.Cost)
+		nw.fold(u)
+		if u.err != nil {
+			return answers, total, fmt.Errorf("query %d (%s): %w", i, queries[i].Op, u.err)
+		}
+		answers = append(answers, u.ans)
+		total = total.Add(u.ans.Cost)
 	}
 	return answers, total, nil
 }
 
-// runAllParallel fans the batch across workers and returns exactly what
-// sequential execution would: the same answers, bill, error,
-// SessionStats and telemetry stream. Every protocol run is seeded by
-// Config.Seed and runs on a worker-private engine, so no mutable state
-// is shared. Before the fan-out, the worker sessions resolve the fault
-// bindings the batch lacks (see prebinds), each under a fresh watchdog,
-// and every worker shares each (a binding is immutable; each run
-// replays it afresh), so no worker re-measures a shape. A resolution
-// that fails or aborts is dropped: the query that needs the shape then
-// resolves it itself, as sequential execution would.
-func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers int) ([]*Answer, Cost, error) {
+// maxLanes caps the runs one engine pass folds, so a pass never holds
+// more than eight times one run's per-node vectors: a Histogram with e
+// edges takes ⌈e/8⌉ passes, ⌈(e+1)/8⌉ with its Count under a fault plan.
+const maxLanes = 8
+
+// passWidth is how many runs of one shape may share a pass: maxLanes,
+// except in Async mode, where pairwise averaging's schedule depends on
+// the values, and with telemetry, whose round events carry each run's
+// own residual, where every run keeps a pass of its own.
+func (nw *Network) passWidth() int {
+	if nw.cfg.Mode == Async || nw.em.Enabled() {
+		return 1
+	}
+	return maxLanes
+}
+
+// groups splits a batch into its units of work, in order of their first
+// query: the single-run queries of one pipeline shape share passes of up
+// to passWidth lanes, and every other query — a composite, or one with
+// values of the wrong length, whose unit reports the error — is a unit
+// of its own.
+func (nw *Network) groups(queries []Query) [][]int {
+	width := nw.passWidth()
+	var groups [][]int
+	open := map[Op]int{} // shape -> its group still taking lanes
+	for i, q := range queries {
+		if _, single := pipelineKinds[q.Op]; single && width > 1 && nw.cfg.checkValues(q.Values) == nil {
+			key := nw.shapeOf(q.Op)
+			if k, ok := open[key]; ok && len(groups[k]) < width {
+				groups[k] = append(groups[k], i)
+				continue
+			}
+			open[key] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// runGroup answers the batch's queries at g on session s, recording in
+// out what each one returns and adds to the session's accounting, as if
+// it had run alone: a query alone runs as Run would, and a group of
+// single-run queries of one shape runs as the lanes of one pass. The
+// pass's fault binding, and the pre-run resolving it, count for the
+// first lane; every lane counts one protocol run, finishes its own
+// answer and retries alone.
+func (s *Network) runGroup(ctx context.Context, queries []Query, g []int, out []batchUnit) {
+	st, used := s.stats, len(s.used)
+	if len(g) == 1 {
+		u := &out[g[0]]
+		u.ans, u.err = s.RunContext(ctx, queries[g[0]])
+		u.stats, u.used = s.stats.since(st), s.used[used:]
+		return
+	}
+	runs := make([]Query, len(g))
+	for j, i := range g {
+		runs[j] = queries[i]
+	}
+	s.wd = s.newWatchdog(ctx)
+	answers, err := s.execute(ctx, runs)
+	s.wd, s.ws = nil, nil
+	shared := s.stats.since(st)
+	ran := shared.ProtocolRuns > shared.HorizonRuns
+	if ran {
+		shared.ProtocolRuns -= len(g) // the pass ran: each lane counts its run
+	}
+	for j, i := range g {
+		u := &out[i]
+		u.stats = SessionStats{Queries: 1}
+		if ran {
+			u.stats.ProtocolRuns = 1
+		}
+		if j == 0 {
+			u.stats.add(shared)
+		}
+		var a *Answer
+		if answers != nil {
+			a = &answers[j]
+		} else {
+			a = newAnswer(runs[j].Op)
+		}
+		a, aerr := s.finish(a, err)
+		before := s.stats
+		u.ans, u.err = s.retry(ctx, runs[j], a, aerr)
+		u.stats.add(s.stats.since(before))
+		u.used = s.used[used:]
+	}
+}
+
+// runParallel runs the batch's units across workers, recording each
+// query's outcome in out, and returns the fault bindings it resolved
+// before the fan-out for the batch's reduction to adopt. Every protocol
+// run is seeded by Config.Seed and runs on a worker-private engine, so
+// no mutable state is shared. Before the fan-out, the worker sessions
+// resolve the fault bindings the batch lacks (see prebinds), each under
+// a fresh watchdog, and every worker shares each (a binding is
+// immutable; each run replays it afresh), so no worker re-measures a
+// shape. A resolution that fails or aborts is dropped: the query that
+// needs the shape then resolves it itself, as sequential execution
+// would.
+func (nw *Network) runParallel(ctx context.Context, queries []Query, groups [][]int, out []batchUnit, workers int) []prebind {
 	sessions := make([]*Network, workers)
 	// free holds every worker session: at most `workers` units run at
 	// once, so a unit never waits for a session.
@@ -286,31 +440,31 @@ func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers 
 	}
 	// onWorker runs fn on a free worker session from fresh accounting
 	// (runs numbered from 1, no binding keys used), buffering its events
-	// in u when the session has telemetry, and records the unit in u.
-	onWorker := func(u *batchUnit, fn func(ws *Network)) {
+	// in events when the session has telemetry.
+	onWorker := func(events *telemetry.Buffer, fn func(ws *Network)) {
 		ws := <-free
 		ws.stats, ws.used = SessionStats{}, nil
 		if nw.em.Enabled() {
-			ws.em = telemetry.NewEmitter(telemetry.Options{Sink: &u.events, RoundEvery: nw.em.RoundEvery()})
+			ws.em = telemetry.NewEmitter(telemetry.Options{Sink: events, RoundEvery: nw.em.RoundEvery()})
 		}
 		fn(ws)
 		ws.em = nil
-		u.stats, u.used = ws.stats, ws.used
 		free <- ws
 	}
 
 	pre := nw.prebinds(queries)
 	sim.ForEachRun(len(pre), workers, func(j int) {
 		p := &pre[j]
-		onWorker(&p.unit, func(ws *Network) {
+		onWorker(&p.unit.events, func(ws *Network) {
 			if ctx.Err() != nil {
 				return // sequential execution would not start the pre-run
 			}
 			ws.wd = ws.newWatchdog(ctx)
 			// A failed resolution leaves p.b nil: the query that needs
 			// the shape resolves it itself and reports the failure.
-			p.b, _ = ws.resolve(ctx, p.q.Op, ws.dispatch(p.q.Op, p.q.Values, p.q.Arg))
+			p.b, _ = ws.resolve(ctx, []Query{p.q})
 			ws.wd = nil
+			p.unit.stats, p.unit.used = ws.stats, ws.used
 		})
 	})
 	for _, p := range pre {
@@ -320,39 +474,11 @@ func (nw *Network) runAllParallel(ctx context.Context, queries []Query, workers 
 			}
 		}
 	}
-
-	units := make([]batchUnit, len(queries))
-	answers := make([]*Answer, len(queries))
-	errs := make([]error, len(queries))
-	sim.ForEachRun(len(queries), workers, func(i int) {
-		onWorker(&units[i], func(ws *Network) {
-			answers[i], errs[i] = ws.RunContext(ctx, queries[i])
-		})
+	sim.ForEachRun(len(groups), workers, func(k int) {
+		g := groups[k]
+		onWorker(&out[g[0]].events, func(ws *Network) { ws.runGroup(ctx, queries, g, out) })
 	})
-	// Deterministic reduction in query order: each pre-resolved binding
-	// is adopted (its pre-run counted and its events forwarded) just
-	// before the first query that used it, and the error of the
-	// lowest-indexed failing query wins, with the preceding answers —
-	// exactly what sequential execution would have returned.
-	out := make([]*Answer, 0, len(queries))
-	var total Cost
-	for i := range queries {
-		for _, key := range units[i].used {
-			for j := range pre {
-				if p := &pre[j]; p.key == key && p.b != nil {
-					nw.fold(&p.unit)
-					nw.bounds[key], p.b = p.b, nil
-				}
-			}
-		}
-		nw.fold(&units[i])
-		if errs[i] != nil {
-			return out, total, fmt.Errorf("query %d (%s): %w", i, queries[i].Op, errs[i])
-		}
-		out = append(out, answers[i])
-		total = total.Add(answers[i].Cost)
-	}
-	return out, total, nil
+	return pre
 }
 
 // prebind is one fault binding a parallel batch resolves before fanning
@@ -390,18 +516,20 @@ func (nw *Network) prebinds(queries []Query) []prebind {
 	return pre
 }
 
-// batchUnit is one piece of a parallel batch done on a worker session —
-// a query, or the resolution of one fault binding — as the batch's
-// in-order reduction needs it: what the piece added to the worker's
-// accounting, the binding keys it used and, with telemetry on, its
-// buffered events.
+// batchUnit is one query of a batch (or the resolution of one fault
+// binding) as the batch's in-order reduction needs it: its answer and
+// error, what it added to the accounting of the session it ran on, the
+// binding keys it used and, with telemetry on a worker, its buffered
+// events.
 type batchUnit struct {
+	ans    *Answer
+	err    error
 	stats  SessionStats
 	used   []Op
 	events telemetry.Buffer
 }
 
-// fold adds a worker unit to the session's accounting and forwards its
+// fold adds a unit to the session's accounting and forwards its
 // buffered events, their run numbers rebased onto the session's.
 func (nw *Network) fold(u *batchUnit) {
 	for _, ev := range u.events.Events() {
@@ -439,20 +567,20 @@ type runEngine interface {
 	Ledger() []sim.PhaseBill
 }
 
-// protoFunc executes one full protocol run on a fresh engine — a
-// *sim.Engine in Sync mode, an *async.Engine in Async mode (engine and
-// dispatch both follow Config.Mode) — and returns the one-run Answer it
-// becomes: Cost.Runs 1, the full per-node vector in PerNode and the
-// closing residual in Quality.Residual. The executor stamps the
-// membership and fault fields; single-run queries finish the Answer in
-// place, composite queries fold it into theirs.
-type protoFunc func(eng runEngine, ov overlay.Overlay) (*Answer, error)
+// protoFunc executes one engine pass on a fresh engine — a *sim.Engine
+// in Sync mode, an *async.Engine in Async mode (engine and dispatch both
+// follow Config.Mode) — and returns the one-run Answer of each of the
+// pass's runs: Cost.Runs 1 and the pass's bill, the full per-node vector
+// in PerNode and the closing residual in Quality.Residual. The executor
+// stamps the operation, membership and fault fields; single-run queries
+// finish an Answer in place, composite queries fold it into theirs.
+type protoFunc func(eng runEngine, ov overlay.Overlay) ([]Answer, error)
 
 // pipelineKinds maps each single-run operation to the core pipeline
-// aggregate that answers it; Rank is Sum over indicator values.
+// aggregate that answers it.
 var pipelineKinds = map[Op]core.Kind{
 	OpMax: core.Max, OpMin: core.Min, OpSum: core.Sum, OpCount: core.Count,
-	OpAverage: core.Ave, OpRank: core.Sum, OpMoments: core.Moments,
+	OpAverage: core.Ave, OpRank: core.Rank, OpMoments: core.Moments,
 }
 
 // supports rejects the operations the session's execution model has no
@@ -466,39 +594,44 @@ func (nw *Network) supports(op Op) error {
 	return nil
 }
 
-// dispatch returns the protocol run answering op: pairwise averaging in
-// Async mode (supports admits only OpAverage there), otherwise the one
-// core pipeline, dense when the session has no overlay and routed over
-// it otherwise. It is kept small enough for the compiler to inline (the
-// pipeline-kind lookup sits inside the returned closure for that
-// reason), so the closure stays on the caller's stack instead of costing
-// every protocol run a heap allocation.
-func (nw *Network) dispatch(op Op, values []float64, arg float64) protoFunc {
+// dispatch returns the pass answering runs, single-run queries of one
+// pipeline shape: pairwise averaging of the one run in Async mode
+// (supports admits only OpAverage there, and passWidth one run a pass),
+// otherwise the one core pipeline folding every run as a lane, dense
+// when the session has no overlay and routed over it otherwise.
+func (nw *Network) dispatch(runs []Query) protoFunc {
 	if nw.cfg.Mode == Async {
-		return nw.pairwiseAverage(values)
+		return nw.pairwiseAverage(runs[0].Values)
 	}
-	if op == OpRank {
-		values = agg.Indicator(values, arg)
-	}
-	return func(eng runEngine, ov overlay.Overlay) (*Answer, error) {
-		kind, ok := pipelineKinds[op]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, op)
+	return func(eng runEngine, ov overlay.Overlay) ([]Answer, error) {
+		lanes := nw.lanes[:0]
+		for _, q := range runs {
+			kind, ok := pipelineKinds[q.Op]
+			if !ok {
+				return nil, fmt.Errorf("%w: %s has no single-run protocol", ErrBadConfig, q.Op)
+			}
+			lanes = append(lanes, core.Lane{Kind: kind, Values: q.Values, Arg: q.Arg})
 		}
+		nw.lanes = lanes
 		if nw.ws == nil {
 			nw.ws = new(core.Workspace)
 		}
-		res, err := nw.ws.Run(eng.(*sim.Engine), ov, kind, values)
+		res, err := nw.ws.Run(eng.(*sim.Engine), ov, lanes...)
 		if err != nil {
 			return nil, err
 		}
-		return pipelineAnswer(eng, op, res), nil
+		answers := make([]Answer, len(res))
+		for j := range res {
+			answers[j] = pipelineAnswer(eng, runs[j].Op, &res[j])
+		}
+		return answers, nil
 	}
 }
 
-// pipelineAnswer renders a completed synchronous pipeline run of op as
-// its one-run Answer. The pipelines are exact, so the run converged.
-func pipelineAnswer(eng runEngine, op Op, res *core.Result) *Answer {
+// pipelineAnswer renders a completed synchronous pipeline run of op (one
+// lane of a pass) as its one-run Answer. The pipelines are exact, so the
+// run converged.
+func pipelineAnswer(eng runEngine, op Op, res *core.Result) Answer {
 	a := billed(eng)
 	a.Value, a.PerNode, a.Consensus = res.Value, res.PerNode, res.Consensus
 	a.Trees = res.Forest.NumTrees()
@@ -513,9 +646,9 @@ func pipelineAnswer(eng runEngine, op Op, res *core.Result) *Answer {
 // its bill so far: Value NaN, the engine's counters and its phase ledger
 // as PhaseCosts. A completed pipeline fills in the rest; an aborted run
 // and HMS's sampling session keep it as it is.
-func billed(eng runEngine) *Answer {
+func billed(eng runEngine) Answer {
 	st := eng.Stats()
-	a := newAnswer(0)
+	a := Answer{Value: math.NaN(), Quality: Quality{Residual: noResidual}}
 	a.Cost = Cost{Runs: 1, Rounds: st.Rounds, Messages: st.Messages, Drops: st.Drops}
 	ledger := eng.Ledger()
 	a.PhaseCosts = make([]PhaseCost, len(ledger))
@@ -538,7 +671,7 @@ func newAnswer(op Op) *Answer {
 // driver closes its books on the surviving estimates, so an aborted run
 // still reports its genuine partial state.
 func (nw *Network) pairwiseAverage(values []float64) protoFunc {
-	return func(eng runEngine, ov overlay.Overlay) (*Answer, error) {
+	return func(eng runEngine, ov overlay.Overlay) ([]Answer, error) {
 		sel, err := pairwise.NewSelector(nw.cfg.AsyncPeer)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -552,7 +685,7 @@ func (nw *Network) pairwiseAverage(values []float64) protoFunc {
 			return nil, err
 		}
 		st := eng.Stats() // the run's engine is fresh: its counters are the run's bill
-		return &Answer{
+		return []Answer{{
 			Value:     res.Value,
 			PerNode:   res.PerNode,
 			Consensus: res.Spread == 0,
@@ -560,7 +693,7 @@ func (nw *Network) pairwiseAverage(values []float64) protoFunc {
 			Exchanges: res.Exchanges,
 			Converged: res.Converged,
 			Quality:   Quality{Residual: res.Spread},
-		}, nil
+		}}, nil
 	}
 }
 
@@ -589,21 +722,24 @@ func (nw *Network) engine() (runEngine, int) {
 	return nw.eng, abortStrideSync
 }
 
-// execOnce performs one protocol run of op on the mode's engine,
-// attaching the bound fault schedule (if any), the query watchdog and
-// the telemetry hooks; every run starts on a fresh or Reset engine, so
-// no hook leaks between runs. A watchdog abort returns the run's partial
-// Answer with the abort cause: the sync engine unwinds its drivers by a
-// *sim.AbortError panic, recovered here with only the bill to salvage,
-// while the async engine stops its event loop and the pairwise driver
-// closes its books on the surviving estimates.
-func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (ans *Answer, err error) {
-	nw.stats.ProtocolRuns++
+// execOnce performs one engine pass of runs on the mode's engine,
+// attaching the bound fault schedule (if any), the query watchdog and the
+// telemetry hooks; every pass starts on a fresh or Reset engine, so no
+// hook leaks between passes. Each of runs counts as a protocol run. A
+// watchdog abort returns every run's partial Answer with the abort cause:
+// the sync engine unwinds its drivers by a *sim.AbortError panic,
+// recovered here with only the bill to salvage, while the async engine
+// stops its event loop and the pairwise driver closes its books on the
+// surviving estimates.
+func (nw *Network) execOnce(b *faults.Bound, runs []Query, run protoFunc) (answers []Answer, err error) {
+	nw.stats.ProtocolRuns += len(runs)
+	nw.stats.Passes++
 	eng, stride := nw.engine()
 	em := nw.em
 	if em.Enabled() {
+		// Telemetry keeps every run on a pass of its own (passWidth).
 		var view telemetry.EngineView = eng
-		em.RunStart(nw.stats.ProtocolRuns, op.String(), view)
+		em.RunStart(nw.stats.ProtocolRuns, runs[0].Op.String(), view)
 		eng.SetPhaseObserver(func(string) { em.Phase(view) })
 		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(view, node, alive) })
 		if em.WantsRounds() {
@@ -628,46 +764,55 @@ func (nw *Network) execOnce(b *faults.Bound, op Op, run protoFunc) (ans *Answer,
 		// No consensus value exists mid-pipeline: salvage the bill alone,
 		// split by the phases run so far. The telemetry run still closes,
 		// so traces show the aborted run.
-		ans, err = nw.closeRun(eng, rp, op, billed(eng)), nw.wd.aborted()
+		answers = make([]Answer, len(runs))
+		for j := range answers {
+			answers[j] = billed(eng)
+		}
+		answers, err = nw.closeRun(eng, rp, runs, answers), nw.wd.aborted()
 	}()
-	ans, err = run(eng, nw.ov)
+	answers, err = run(eng, nw.ov)
 	if err != nil {
 		return nil, err
 	}
-	return nw.closeRun(eng, rp, op, ans), nw.wd.aborted()
+	return nw.closeRun(eng, rp, runs, answers), nw.wd.aborted()
 }
 
-// closeRun ends one run's telemetry and stamps its Answer with op, the
-// closing membership and the fault replay's counters.
-func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, op Op, ans *Answer) *Answer {
+// closeRun ends one pass's telemetry and stamps the Answer of each of
+// runs with its operation, the closing membership and the fault replay's
+// counters.
+func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, runs []Query, answers []Answer) []Answer {
 	nw.em.RunEnd(eng)
-	ans.Op = op
-	ans.Alive = eng.NumAlive()
-	if rp != nil {
-		ans.FaultEvents = rp.Fired()
-		ans.FaultCrashes = rp.Crashed()
-		ans.FaultRevives = rp.Revived()
+	for j := range answers {
+		ans := &answers[j]
+		ans.Op = runs[j].Op
+		ans.Alive = eng.NumAlive()
+		if rp != nil {
+			ans.FaultEvents = rp.Fired()
+			ans.FaultCrashes = rp.Crashed()
+			ans.FaultRevives = rp.Revived()
+		}
 	}
-	return ans
+	return answers
 }
 
-// execute runs op's protocol with the session's fault binding for its
-// pipeline shape, creating the binding on first use (see bind): the
-// first run of each shape may execute an unfaulted horizon pre-run;
-// every later run of the same shape — every further Rank step of a
-// Quantile or Histogram — reuses the binding.
-func (nw *Network) execute(ctx context.Context, op Op, run protoFunc) (*Answer, error) {
+// execute runs runs, single-run queries of one pipeline shape, as one
+// pass with the session's fault binding for their shape, creating the
+// binding on first use (see bind) with runs[0] alone: the first pass of
+// each shape may follow an unfaulted horizon pre-run; every later pass of
+// the same shape — every further Rank step of a Quantile or Histogram —
+// reuses the binding.
+func (nw *Network) execute(ctx context.Context, runs []Query) ([]Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if nw.cfg.Faults.Empty() {
-		return nw.execOnce(nil, op, run)
+	var b *faults.Bound
+	if !nw.cfg.Faults.Empty() {
+		var err error
+		if b, err = nw.bind(ctx, runs[:1]); err != nil {
+			return nil, err
+		}
 	}
-	b, err := nw.bind(ctx, op, run)
-	if err != nil {
-		return nil, err
-	}
-	return nw.execOnce(b, op, run)
+	return nw.execOnce(b, runs, nw.dispatch(runs))
 }
 
 // shapeOf returns the key of op's fault binding: its pipeline shape. A
@@ -691,18 +836,18 @@ func (nw *Network) shapeOf(op Op) Op {
 	return op
 }
 
-// bind returns the session's fault binding for op's pipeline shape,
-// resolving it with run on first use (see resolve), and notes the shape
-// in used.
-func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Bound, error) {
-	key := nw.shapeOf(op)
+// bind returns the session's fault binding for the pipeline shape of
+// probe, one single-run query, resolving it with probe on first use (see
+// resolve), and notes the shape in used.
+func (nw *Network) bind(ctx context.Context, probe []Query) (*faults.Bound, error) {
+	key := nw.shapeOf(probe[0].Op)
 	if !slices.Contains(nw.used, key) {
 		nw.used = append(nw.used, key)
 	}
 	if b, ok := nw.bounds[key]; ok {
 		return b, nil
 	}
-	b, err := nw.resolve(ctx, op, run)
+	b, err := nw.resolve(ctx, probe)
 	if err != nil {
 		return nil, err
 	}
@@ -710,23 +855,24 @@ func (nw *Network) bind(ctx context.Context, op Op, run protoFunc) (*faults.Boun
 	return b, nil
 }
 
-// resolve binds the fault plan for op's pipeline shape. Plans that place
-// events by horizon fraction first measure the healthy run's length (see
-// horizon) with one unfaulted pre-run of run; both runs are
-// deterministic in Seed, so the horizon is exact, and any run of the
-// same shape measures the same one (see shapeOf). An async run's horizon is measured on the first
-// average query's values and reused for the session. A pre-run the
-// watchdog aborts leaves no trustworthy horizon and fails the binding
-// with the abort cause.
-func (nw *Network) resolve(ctx context.Context, op Op, run protoFunc) (*faults.Bound, error) {
+// resolve binds the fault plan for the pipeline shape of probe, one
+// single-run query. Plans that place events by horizon fraction first
+// measure the healthy run's length (see horizon) with one unfaulted
+// pre-run of probe; both runs are deterministic in Seed, so the horizon
+// is exact, and any run of the same shape measures the same one (see
+// shapeOf). An async run's horizon is measured on the first average
+// query's values and reused for the session. A pre-run the watchdog
+// aborts leaves no trustworthy horizon and fails the binding with the
+// abort cause.
+func (nw *Network) resolve(ctx context.Context, probe []Query) (*faults.Bound, error) {
 	horizon := 0
 	if nw.cfg.Faults.NeedsHorizon() {
-		healthy, err := nw.execOnce(nil, op, run)
+		healthy, err := nw.execOnce(nil, probe, nw.dispatch(probe))
 		if err != nil {
 			return nil, fmt.Errorf("drrgossip: horizon measurement run: %w", err)
 		}
 		nw.stats.HorizonRuns++
-		horizon = nw.horizon(healthy)
+		horizon = nw.horizon(&healthy[0])
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -812,44 +958,41 @@ func (nw *Network) sampleSet() []int {
 
 // aggregate answers the single-run operations (OpMax..OpRank,
 // OpMoments; OpAverage alone in Async mode) by finishing their one run's
-// Answer. An abort that hit before any protocol run (a pre-cancelled
-// context or an aborted horizon pre-run) gives a zero-cost partial
-// answer.
+// Answer: a pass of one lane. An abort that hit before any protocol run
+// (a pre-cancelled context or an aborted horizon pre-run) gives a
+// zero-cost partial answer.
 func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 	if err := nw.cfg.checkValues(q.Values); err != nil {
 		return nil, err
 	}
-	ans, err := nw.execute(ctx, q.Op, nw.dispatch(q.Op, q.Values, q.Arg))
-	if ans == nil {
-		ans = newAnswer(q.Op)
+	answers, err := nw.execute(ctx, []Query{q})
+	if answers == nil {
+		return nw.finish(newAnswer(q.Op), err)
 	}
-	return nw.finish(ans, err)
+	return nw.finish(&answers[0], err)
 }
 
 // quantile approximates the φ-quantile by bisection over the value
-// range, one Rank run per step. All steps run against the same session,
-// so the overlay and the per-shape fault bindings are reused throughout —
-// the amortization the session API exists for.
+// range, one Rank run per step, after one pass for its Min and Max and
+// one for its Count. All steps run against the same session, so the
+// overlay and the per-shape fault bindings are reused throughout — the
+// amortization the session API exists for.
 func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol float64) (*Answer, error) {
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
 	}
 	ans := newAnswer(OpQuantile)
 	ans.Converged = true
-	minRes, err := nw.step(ctx, ans, OpMin, values, 0)
+	ends, err := nw.steps(ctx, ans, MinOf(values), MaxOf(values))
 	if err != nil {
 		return nw.finish(ans, err)
 	}
-	maxRes, err := nw.step(ctx, ans, OpMax, values, 0)
-	if err != nil {
-		return nw.finish(ans, err)
-	}
-	countRes, err := nw.step(ctx, ans, OpCount, values, 0)
+	countRes, err := nw.step(ctx, ans, CountOf(values))
 	if err != nil {
 		return nw.finish(ans, err)
 	}
 	target := math.Ceil(phi * math.Round(countRes.Value))
-	return nw.bisect(ctx, ans, values, minRes.Value, maxRes.Value, tol, target)
+	return nw.bisect(ctx, ans, values, ends[0].Value, ends[1].Value, tol, target)
 }
 
 // bisect finishes a quantile query by value bisection of the bracket
@@ -876,7 +1019,7 @@ func (nw *Network) bisect(ctx context.Context, ans *Answer, values []float64, lo
 		if math.IsInf(mid, 0) {
 			mid = lo/2 + hi/2
 		}
-		rankRes, err := nw.step(ctx, ans, OpRank, values, mid)
+		rankRes, err := nw.step(ctx, ans, RankOf(values, mid))
 		if err != nil {
 			return nw.finish(ans, err)
 		}
@@ -930,7 +1073,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	// known without spending a run; otherwise a Count run measures it.
 	m := nw.cfg.N
 	if nw.cfg.CrashFraction > 0 || !nw.cfg.Faults.Empty() {
-		countRes, err := nw.step(ctx, ans, OpCount, values, 0)
+		countRes, err := nw.step(ctx, ans, CountOf(values))
 		if err != nil {
 			return nw.finish(ans, err)
 		}
@@ -950,15 +1093,17 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		return nw.finish(ans, err)
 	}
 	var sum *hms.Summary
-	sample, err := nw.execOnce(nil, OpQuantile, func(eng runEngine, ov overlay.Overlay) (*Answer, error) {
+	sample, err := nw.execOnce(nil, []Query{{Op: OpQuantile}}, func(eng runEngine, ov overlay.Overlay) ([]Answer, error) {
 		s, err := hms.Sample(eng.(*sim.Engine), ov, values, hms.Options{Target: t, Count: m})
 		if err != nil {
 			return nil, err
 		}
 		sum = s
-		return billed(eng), nil
+		return []Answer{billed(eng)}, nil
 	})
-	ans.addRun(sample)
+	if sample != nil {
+		ans.addRun(&sample[0])
+	}
 	if err != nil {
 		return nw.finish(ans, fmt.Errorf("quantile sample session: %w", err))
 	}
@@ -968,7 +1113,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		if !ok {
 			break
 		}
-		rankRes, err := nw.step(ctx, ans, OpRank, values, q)
+		rankRes, err := nw.step(ctx, ans, RankOf(values, q))
 		if err != nil {
 			return nw.finish(ans, err)
 		}
@@ -992,7 +1137,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	lo, loOK, hi, hiOK := w.Bracket()
 	clamp := !nw.cfg.Faults.Empty()
 	if !loOK || clamp {
-		minRes, err := nw.step(ctx, ans, OpMin, values, 0)
+		minRes, err := nw.step(ctx, ans, MinOf(values))
 		if err != nil {
 			return nw.finish(ans, err)
 		}
@@ -1001,7 +1146,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 		}
 	}
 	if !hiOK || clamp {
-		maxRes, err := nw.step(ctx, ans, OpMax, values, 0)
+		maxRes, err := nw.step(ctx, ans, MaxOf(values))
 		if err != nil {
 			return nw.finish(ans, err)
 		}
@@ -1019,11 +1164,12 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	return nw.bisect(ctx, ans, values, lo, hi, tol, float64(t))
 }
 
-// histogram computes the bucket counts with one Rank run per edge. Every
-// run reuses the session verbatim: the engine's crash set is derived
-// from the seed and the fault binding replays identically, so all steps
-// count over the same surviving population and the bucket differences
-// stay consistent. Query.validate has already checked the edges.
+// histogram computes the bucket counts with one Rank run per edge, the
+// runs sharing passes of up to maxLanes. Every run reuses the session
+// verbatim: the engine's crash set is derived from the seed and the
+// fault binding replays identically, so all runs count over the same
+// surviving population and the bucket differences stay consistent.
+// Query.validate has already checked the edges.
 func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Answer, error) {
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
@@ -1031,20 +1177,6 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	ans := newAnswer(OpHistogram)
 	ans.Converged = true
 	ans.Counts = make([]float64, len(edges)+1)
-	cum := make([]float64, len(edges))
-	var lastRank *Answer
-	for i, edge := range edges {
-		res, err := nw.step(ctx, ans, OpRank, values, edge)
-		if err != nil {
-			return nw.finish(ans, err)
-		}
-		cum[i] = math.Round(res.Value)
-		lastRank = res
-	}
-	ans.Counts[0] = cum[0]
-	for i := 1; i < len(edges); i++ {
-		ans.Counts[i] = cum[i] - cum[i-1]
-	}
 	// Last (open) bucket: the measured population minus everything below.
 	// In the static model the population is exactly the engine's alive
 	// count, which the final Rank run already reports. Under a fault plan
@@ -1052,18 +1184,36 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	// the Rank counts at the pre-crash population while the end-of-run
 	// alive count is smaller (and a rejoin inflates it), which would push
 	// the open bucket negative. So with a plan active the population is
-	// measured with a Count run instead: Count rides the same pipeline
-	// dynamics as Rank (banked tree sizes), so it is consistent with the
-	// cumulative counts in every fault scenario, exactly as Quantile's
-	// bisection target is. The pre-session facade used a fresh *static*
-	// engine here, which was wrong whenever the plan changed membership.
+	// measured with a Count run after the Ranks instead: Count rides the
+	// same pipeline dynamics as Rank (banked tree sizes), so it is
+	// consistent with the cumulative counts in every fault scenario,
+	// exactly as Quantile's bisection target is. The pre-session facade
+	// used a fresh *static* engine here, which was wrong whenever the
+	// plan changed membership.
+	faulted := !nw.cfg.Faults.Empty()
+	runs := make([]Query, len(edges), len(edges)+1)
+	for i, edge := range edges {
+		runs[i] = RankOf(values, edge)
+	}
+	if faulted {
+		runs = append(runs, CountOf(values))
+	}
+	res, err := nw.steps(ctx, ans, runs...)
+	if err != nil {
+		return nw.finish(ans, err)
+	}
+	cum := make([]float64, len(edges))
+	for i := range edges {
+		cum[i] = math.Round(res[i].Value)
+	}
+	ans.Counts[0] = cum[0]
+	for i := 1; i < len(edges); i++ {
+		ans.Counts[i] = cum[i] - cum[i-1]
+	}
+	lastRank := &res[len(edges)-1]
 	total := float64(lastRank.Alive)
-	if !nw.cfg.Faults.Empty() {
-		countRes, err := nw.step(ctx, ans, OpCount, values, 0)
-		if err != nil {
-			return nw.finish(ans, err)
-		}
-		total = math.Round(countRes.Value)
+	if faulted {
+		total = math.Round(res[len(edges)].Value)
 		// The answer's membership fields describe the Rank runs the counts
 		// came from, not the trailing population probe.
 		ans.Alive = lastRank.Alive
@@ -1073,16 +1223,48 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 	return nw.finish(ans, nil)
 }
 
-// step executes one protocol run of op over values for the composite
-// query ans (Quantile, Histogram) and folds it into ans. The error names
-// the step.
-func (nw *Network) step(ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*Answer, error) {
-	run, err := nw.execute(ctx, op, nw.dispatch(op, values, arg))
-	ans.addRun(run)
-	if err != nil {
-		return nil, fmt.Errorf("%s %s step: %w", ans.Op, op, err)
+// steps executes runs, single-run queries of one pipeline shape, for the
+// composite query ans (Quantile, Histogram) in passes of up to passWidth
+// lanes, folds each run into ans in order and returns their answers. A
+// pass that fails or aborts does so for all its lanes alike: ans then
+// folds only the first, and the session counts only its run, as if the
+// runs had gone one at a time. The error names the failing step.
+func (nw *Network) steps(ctx context.Context, ans *Answer, runs ...Query) ([]Answer, error) {
+	var out []Answer
+	for width := nw.passWidth(); len(runs) > 0; {
+		pass := runs[:min(width, len(runs))]
+		runs = runs[len(pass):]
+		st := nw.stats
+		answers, err := nw.execute(ctx, pass)
+		if err != nil {
+			d := nw.stats.since(st)
+			if lanes := d.ProtocolRuns - d.HorizonRuns; lanes > 1 {
+				nw.stats.ProtocolRuns -= lanes - 1
+			}
+			if answers != nil {
+				ans.addRun(&answers[0])
+			}
+			return nil, fmt.Errorf("%s %s step: %w", ans.Op, pass[0].Op, err)
+		}
+		for j := range answers {
+			ans.addRun(&answers[j])
+		}
+		if out == nil {
+			out = answers // one pass: no copy
+		} else {
+			out = append(out, answers...)
+		}
 	}
-	return run, nil
+	return out, nil
+}
+
+// step is steps for one run.
+func (nw *Network) step(ctx context.Context, ans *Answer, q Query) (*Answer, error) {
+	res, err := nw.steps(ctx, ans, q)
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
 }
 
 // addRun bills one run into a composite answer — aborted runs included, so

@@ -177,6 +177,13 @@ const retrySeedStride = 0x9E3779B97F4A7C15
 // counting the restarts.
 func (nw *Network) runWithRetry(ctx context.Context, q Query) (*Answer, error) {
 	ans, err := nw.runQuery(ctx, q)
+	return nw.retry(ctx, q, ans, err)
+}
+
+// retry is runWithRetry after q's first attempt returned ans and err:
+// it re-runs q alone, on shadow epochs, while the policy allows and the
+// answer is retryable.
+func (nw *Network) retry(ctx context.Context, q Query, ans *Answer, err error) (*Answer, error) {
 	pol := nw.cfg.Retry
 	if pol == nil || err != nil || ans == nil || !retryable(ans) {
 		return ans, err

@@ -1,0 +1,377 @@
+package drrgossip
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"drrgossip/internal/agg"
+	"drrgossip/internal/telemetry"
+)
+
+// refStep is the one-run composite step the facade had before runs of
+// one shape shared passes: one protocol run of op over values, folded
+// into ans.
+func refStep(nw *Network, ctx context.Context, ans *Answer, op Op, values []float64, arg float64) (*Answer, error) {
+	answers, err := nw.execute(ctx, []Query{{Op: op, Values: values, Arg: arg}})
+	var run *Answer
+	if answers != nil {
+		run = &answers[0]
+	}
+	ans.addRun(run)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s step: %w", ans.Op, op, err)
+	}
+	return run, nil
+}
+
+// refHistogram is a verbatim copy of the histogram loop before a
+// Histogram's runs shared passes, one Rank run per edge and then the
+// Count, each through refStep.
+func refHistogram(nw *Network, ctx context.Context, values, edges []float64) (*Answer, error) {
+	if err := nw.cfg.checkValues(values); err != nil {
+		return nil, err
+	}
+	ans := newAnswer(OpHistogram)
+	ans.Converged = true
+	ans.Counts = make([]float64, len(edges)+1)
+	cum := make([]float64, len(edges))
+	var lastRank *Answer
+	for i, edge := range edges {
+		res, err := refStep(nw, ctx, ans, OpRank, values, edge)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		cum[i] = math.Round(res.Value)
+		lastRank = res
+	}
+	ans.Counts[0] = cum[0]
+	for i := 1; i < len(edges); i++ {
+		ans.Counts[i] = cum[i] - cum[i-1]
+	}
+	total := float64(lastRank.Alive)
+	if !nw.cfg.Faults.Empty() {
+		countRes, err := refStep(nw, ctx, ans, OpCount, values, 0)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		total = math.Round(countRes.Value)
+		ans.Alive = lastRank.Alive
+		ans.FaultEvents, ans.FaultCrashes, ans.FaultRevives = lastRank.FaultEvents, lastRank.FaultCrashes, lastRank.FaultRevives
+	}
+	ans.Counts[len(edges)] = total - cum[len(edges)-1]
+	return nw.finish(ans, nil)
+}
+
+// refQuantile is a verbatim copy of the bisection Quantile's opener
+// before its Min and Max shared a pass: Min, Max and Count, one run each
+// through refStep, then the same bisection.
+func refQuantile(nw *Network, ctx context.Context, values []float64, phi, tol float64) (*Answer, error) {
+	if err := nw.cfg.checkValues(values); err != nil {
+		return nil, err
+	}
+	ans := newAnswer(OpQuantile)
+	ans.Converged = true
+	minRes, err := refStep(nw, ctx, ans, OpMin, values, 0)
+	if err != nil {
+		return nw.finish(ans, err)
+	}
+	maxRes, err := refStep(nw, ctx, ans, OpMax, values, 0)
+	if err != nil {
+		return nw.finish(ans, err)
+	}
+	countRes, err := refStep(nw, ctx, ans, OpCount, values, 0)
+	if err != nil {
+		return nw.finish(ans, err)
+	}
+	target := math.Ceil(phi * math.Round(countRes.Value))
+	return nw.bisect(ctx, ans, values, minRes.Value, maxRes.Value, tol, target)
+}
+
+// refAnswer answers q alone on a fresh session for cfg, composites by
+// the reference loops above.
+func refAnswer(t testing.TB, cfg Config, q Query) (*Answer, error) {
+	t.Helper()
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	nw.wd = nw.newWatchdog(ctx)
+	switch {
+	case q.Op == OpHistogram:
+		return refHistogram(nw, ctx, q.Values, q.Edges)
+	case q.Op == OpQuantile && cfg.QuantileMethod == QuantileBisect:
+		return refQuantile(nw, ctx, q.Values, q.Arg, q.Tol)
+	}
+	return nw.Run(q)
+}
+
+// batchMix is a query mix that fills every pipeline shape, splits the
+// Sum shape over two passes (nine runs against the lane cap of eight),
+// and holds a Histogram and a bisection Quantile, which share passes
+// inside their own queries.
+func batchMix(n int, seed uint64) []Query {
+	v := agg.GenUniform(n, 0, 1000, seed)
+	w := agg.GenSigned(n, 100, seed+1)
+	return []Query{
+		SumOf(v), MaxOf(v), CountOf(v), AverageOf(v), RankOf(v, 250), MinOf(w),
+		MomentsOf(v), RankOf(v, 750), SumOf(w), HistogramOf(v, []float64{100, 300, 500, 700, 900}),
+		RankOf(w, 0), AverageOf(w), CountOf(w), MaxOf(w), MomentsOf(w), RankOf(v, 500),
+		QuantileOf(v, 0.9, 0), RankOf(w, 50), SumOf(v), MinOf(v),
+	}
+}
+
+// checkBatchMatchesSolo runs queries as one RunAll batch at
+// Parallelism 1 and 2 and checks every answer against the query run
+// alone on a fresh session (and, for composites, against the reference
+// loops), bit for bit, and the batch's SessionStats apart from Passes
+// against a session that ran the queries one at a time, each run on a
+// pass of its own (telemetry keeps them there).
+func checkBatchMatchesSolo(t *testing.T, label string, cfg Config, queries []Query) SessionStats {
+	t.Helper()
+	solo := make([]uint64, len(queries))
+	for i, q := range queries {
+		a, err := runOnce(cfg, q)
+		if err != nil {
+			t.Fatalf("%s query %d (%s) alone: %v", label, i, q.Op, err)
+		}
+		solo[i] = outcomeDigest(a, nil, SessionStats{})
+		if (q.Op == OpHistogram || q.Op == OpQuantile) && cfg.Retry == nil {
+			r, err := refAnswer(t, cfg, q)
+			if err != nil {
+				t.Fatalf("%s query %d (%s) by the reference loop: %v", label, i, q.Op, err)
+			}
+			if d := outcomeDigest(r, nil, SessionStats{}); d != solo[i] {
+				t.Fatalf("%s query %d (%s): answer %+v, the reference loop's %+v", label, i, q.Op, a, r)
+			}
+		}
+	}
+	seqCfg := cfg
+	seqCfg.Telemetry = &telemetry.Options{Sink: telemetry.NewRing(64)}
+	seq, err := New(seqCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if _, err := seq.Run(q); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	want := seq.Stats()
+	var got SessionStats
+	for _, workers := range []int{1, 2} {
+		nw, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, bill, err := nw.RunAll(queries, BatchOptions{Parallelism: workers})
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", label, workers, err)
+		}
+		var total Cost
+		for i, a := range answers {
+			if d := outcomeDigest(a, nil, SessionStats{}); d != solo[i] {
+				alone, _ := runOnce(cfg, queries[i])
+				t.Fatalf("%s workers=%d query %d (%s): batch answer %+v, alone %+v", label, workers, i, queries[i].Op, a, alone)
+			}
+			total = total.Add(a.Cost)
+		}
+		if bill != total {
+			t.Fatalf("%s workers=%d: bill %+v, answers sum to %+v", label, workers, bill, total)
+		}
+		got = nw.Stats()
+		st := got
+		st.Passes = want.Passes
+		if st != want {
+			t.Fatalf("%s workers=%d: session stats %+v, one at a time %+v", label, workers, got, want)
+		}
+	}
+	return got
+}
+
+// TestBatchMatchesSolo is the differential spec of value lanes at the
+// facade: a RunAll batch, whose single-run queries of one pipeline shape
+// share engine passes, returns for every query exactly what the query
+// returns alone — every Answer field, bit for bit — and leaves the
+// session's accounting (apart from Passes) as running the queries one at
+// a time would, on dense and sparse topologies, fault-free, lossy and
+// under crash, rejoin and loss-burst plans, with round-budget aborts and
+// with epoch retries.
+func TestBatchMatchesSolo(t *testing.T) {
+	const n = 256
+	queries := batchMix(n, 5)
+	for _, topo := range []Topology{Complete, Chord, SmallWorld} {
+		for _, r := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"fault-free", Config{}},
+			{"loss0.05", Config{Loss: 0.05}},
+			{"crash+rejoin", Config{Faults: mustPlan(t, "crash:0.2@0.5;rejoin@0.9")}},
+			{"crash+burst", Config{Loss: 0.02, Faults: mustPlan(t, "crash:0.05@0.3..0.6;loss:0.1@0.2..0.8")}},
+		} {
+			cfg := r.cfg
+			cfg.N, cfg.Seed, cfg.Topology = n, 17, topo
+			label := topo.String() + "/" + r.name
+			if st := checkBatchMatchesSolo(t, label, cfg, queries); st.Passes >= st.ProtocolRuns {
+				t.Fatalf("%s: %d passes for %d runs; no runs shared a pass", label, st.Passes, st.ProtocolRuns)
+			}
+		}
+	}
+	budget := Config{N: n, Seed: 18, Loss: 0.05, RoundBudget: 120}
+	checkBatchMatchesSolo(t, "complete/round-budget", budget, queries)
+	budget.Retry = &RetryPolicy{Attempts: 1}
+	checkBatchMatchesSolo(t, "complete/round-budget+retry", budget, queries)
+	sample := Config{N: n, Seed: 19, SampleNodes: 16, Faults: mustPlan(t, "crash:0.1@0.4")}
+	checkBatchMatchesSolo(t, "complete/sampled", sample, queries)
+}
+
+// A batch stops at its lowest-indexed failing query, as one-at-a-time
+// execution would: the answers before it, the error and the session's
+// accounting (apart from Passes) are the same, although later queries of
+// the failing query's shape may already have run in a shared pass.
+func TestBatchErrorMatchesSolo(t *testing.T) {
+	const n = 128
+	cfg := Config{N: n, Seed: 23, Faults: mustPlan(t, "crash:0.1@0.5")}
+	queries := batchMix(n, 7)
+	queries[5] = SumOf(make([]float64, n-1)) // wrong length: fails alone
+	seq, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*Answer
+	var wantErr error
+	for i, q := range queries {
+		a, err := seq.Run(q)
+		if err != nil {
+			wantErr = fmt.Errorf("query %d (%s): %w", i, q.Op, err)
+			break
+		}
+		want = append(want, a)
+	}
+	if wantErr == nil {
+		t.Fatal("the bad query did not fail")
+	}
+	for _, workers := range []int{1, 2} {
+		nw, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := nw.RunAll(queries, BatchOptions{Parallelism: workers})
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("workers=%d: error %v, want %v", workers, err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d answers before the error, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if outcomeDigest(got[i], nil, SessionStats{}) != outcomeDigest(want[i], nil, SessionStats{}) {
+				t.Fatalf("workers=%d query %d: %+v, want %+v", workers, i, got[i], want[i])
+			}
+		}
+		gs, ws := nw.Stats(), seq.Stats()
+		gs.Passes = ws.Passes
+		if gs != ws {
+			t.Fatalf("workers=%d: session stats %+v, one at a time %+v", workers, gs, ws)
+		}
+	}
+}
+
+// Passes counts the engine passes the lanes shared: on the
+// sparse-faults-batch mix (Max, Sum, Count, Average and Rank) a warm
+// session makes three passes per batch for five runs, and a Histogram
+// with e edges makes ⌈e/8⌉ passes, ⌈(e+1)/8⌉ with its Count under a
+// fault plan, answering as its runs alone would.
+func TestPassesPerShape(t *testing.T) {
+	const n = 256
+	v := agg.GenUniform(n, 0, 1000, 29)
+	nw, err := New(Config{N: n, Seed: 31, Topology: SmallWorld, Loss: 0.02, Faults: mustPlan(t, "loss:0.1@0.2..0.8")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Query{MaxOf(v), SumOf(v), CountOf(v), AverageOf(v), RankOf(v, 500)}
+	if _, _, err := nw.RunAll(batch, BatchOptions{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := nw.Stats()
+	if _, _, err := nw.RunAll(batch, BatchOptions{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	d := nw.Stats().since(before)
+	if d.Passes != 3 || d.ProtocolRuns != 5 {
+		t.Fatalf("warm batch: %d passes for %d runs, want 3 for 5", d.Passes, d.ProtocolRuns)
+	}
+	for _, plan := range []string{"", "crash:0.1@0.5"} {
+		for _, e := range []int{1, 7, 8, 9, 17} {
+			edges := make([]float64, e)
+			for i := range edges {
+				edges[i] = float64(1000 * (i + 1) / (e + 1))
+			}
+			cfg := Config{N: n, Seed: 37}
+			want := (e + 7) / 8
+			if plan != "" {
+				cfg.Faults = mustPlan(t, plan)
+				want = (e + 8) / 8
+			}
+			q := HistogramOf(v, edges)
+			nw, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := nw.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := nw.Stats()
+			if got := st.Passes - st.HorizonRuns; got != want {
+				t.Fatalf("plan %q, %d edges: %d passes, want %d", plan, e, got, want)
+			}
+			r, err := refAnswer(t, cfg, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcomeDigest(a, nil, SessionStats{}) != outcomeDigest(r, nil, SessionStats{}) {
+				t.Fatalf("plan %q, %d edges: %+v, one run at a time %+v", plan, e, a, r)
+			}
+		}
+	}
+}
+
+// FuzzBatchMatchesSolo draws networks, fault regimes and query mixes and
+// checks every batch answer, and the batch's accounting, against the
+// queries run alone (see checkBatchMatchesSolo).
+func FuzzBatchMatchesSolo(f *testing.F) {
+	plans := []string{"", "crash:0.2@0.5;rejoin@0.9", "crash:0.05@0.3..0.6;loss:0.1@0.2..0.8", "churn:0.2:10", "part:2@0.2..0.6"}
+	for i := range plans {
+		f.Add(uint64(i+1), uint8(40+30*i), uint8(i), uint8(i*3), uint8(i), uint32(0x9e3779b9*uint32(i+1)))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, size, topo, loss, plan uint8, mix uint32) {
+		n := 32 + int(size)%160
+		cfg := Config{N: n, Seed: seed, Loss: float64(loss%16) / 160}
+		cfg.Topology = []Topology{Complete, Chord, SmallWorld}[int(topo)%3]
+		if spec := plans[int(plan)%len(plans)]; spec != "" {
+			p, err := ParseFaultPlan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = p
+		}
+		if cfg.validate() != nil {
+			return
+		}
+		all := batchMix(n, seed)
+		var queries []Query
+		for i, q := range all {
+			if mix>>(i%32)&1 == 1 {
+				queries = append(queries, q)
+			}
+		}
+		if len(queries) < 2 {
+			queries = all[:4]
+		}
+		label := fmt.Sprintf("n=%d %s loss=%v plan=%q", n, cfg.Topology, cfg.Loss, plans[int(plan)%len(plans)])
+		checkBatchMatchesSolo(t, label, cfg, queries)
+	})
+}

@@ -157,3 +157,59 @@ func TestValueIndependentBills(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneRelations checks two linear relations through value lanes:
+// each relation's queries run as one RunAll batch, so they share engine
+// passes. Sum is additive under value splits, Sum(a) + Sum(b) =
+// Sum(a + b), and Average is shift-equivariant, Ave(v + c) = Ave(v) + c,
+// both within 1e-9 relative, with every run of a relation billed the
+// same, on the configs of TestMetamorphicRelations.
+func TestLaneRelations(t *testing.T) {
+	const n = 1024
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"complete", Config{N: n, Seed: 51}},
+		{"complete/loss", Config{N: n, Seed: 52, Loss: 0.05}},
+		{"complete/loss+crash", Config{N: n, Seed: 53, Loss: 0.05, CrashFraction: 0.1}},
+		{"chord/loss", Config{N: n, Seed: 54, Topology: Chord, Loss: 0.02}},
+		{"smallworld/plan", Config{N: n, Seed: 55, Topology: SmallWorld,
+			Faults: mustPlan(t, "crash:0.05@0.3..0.6;loss:0.1@0.2..0.8")}},
+	}
+	a := uniformValues(n, 57)
+	b := agg.GenSigned(n, 300, 58)
+	sum := make([]float64, n)
+	shifted := make([]float64, n)
+	const c = 12345.678
+	for i := range a {
+		sum[i] = a[i] + b[i]
+		shifted[i] = a[i] + c
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	for _, tc := range configs {
+		nw, err := New(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		batch := []Query{SumOf(a), SumOf(b), SumOf(sum), AverageOf(a), AverageOf(shifted)}
+		ans, _, err := nw.RunAll(batch)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := ans[0].Value+ans[1].Value, ans[2].Value; !near(got, want) {
+			t.Errorf("%s: Sum(a) + Sum(b) = %v, Sum(a+b) = %v", tc.name, got, want)
+		}
+		if got, want := ans[4].Value, ans[3].Value+c; !near(got, want) {
+			t.Errorf("%s: Ave(v+c) = %v, Ave(v) + c = %v", tc.name, got, want)
+		}
+		for _, pair := range [][2]int{{0, 1}, {0, 2}, {3, 4}} {
+			if x, y := ans[pair[0]], ans[pair[1]]; x.Cost != y.Cost {
+				t.Errorf("%s: %s and %s billed %+v and %+v", tc.name, batch[pair[0]].Op, batch[pair[1]].Op, x.Cost, y.Cost)
+			}
+		}
+		if st := nw.Stats(); st.Passes-st.HorizonRuns != 2 {
+			t.Errorf("%s: %d passes for the Sum and Average shapes", tc.name, st.Passes-st.HorizonRuns)
+		}
+	}
+}

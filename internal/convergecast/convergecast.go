@@ -108,7 +108,11 @@ func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, with
 		return 0, err
 	}
 	// One allocation holds the lanes and, behind them, the counts.
-	s.acc = resized(s.acc, (L+1)*n)
+	size := L * n
+	if withCount {
+		size += n
+	}
+	s.acc = resized(s.acc, size)
 	copy(s.acc, values)
 	if withCount {
 		s.cnt = s.acc[L*n:]
@@ -227,9 +231,9 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, L int, sum bool) error {
 	return nil
 }
 
-// perRoot appends to dst the per-node entries of v (L lanes, lane-major)
+// atRoots appends to dst the per-node entries of v (L lanes, lane-major)
 // at the roots, lane-major by root slot, and returns dst.
-func perRoot(dst, v []float64, f *forest.Forest, L int) []float64 {
+func atRoots(dst, v []float64, f *forest.Forest, L int) []float64 {
 	n := f.N()
 	for o := 0; o < L*n; o += n {
 		for _, r := range f.Roots() {
@@ -252,7 +256,7 @@ func (s *Scratch) Max(eng *sim.Engine, f *forest.Forest, values []float64) ([]fl
 	if err := s.up(eng, f, L, false); err != nil {
 		return nil, err
 	}
-	return perRoot(make([]float64, 0, L*f.NumTrees()), s.acc, f, L), nil
+	return atRoots(make([]float64, 0, L*f.NumTrees()), s.acc, f, L), nil
 }
 
 // Sum runs Convergecast-sum (Algorithm 3) over one or more lanes of
@@ -269,8 +273,8 @@ func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) (sums
 		return nil, nil, err
 	}
 	m := f.NumTrees()
-	out := perRoot(make([]float64, 0, (L+1)*m), s.acc, f, L)
-	out = perRoot(out, s.cnt, f, 1)
+	out := atRoots(make([]float64, 0, (L+1)*m), s.acc, f, L)
+	out = atRoots(out, s.cnt, f, 1)
 	return out[: L*m : L*m], out[L*m:], nil
 }
 

@@ -172,8 +172,9 @@ type Workspace struct {
 }
 
 // Run computes kind over values on eng: on the complete graph when ov is
-// nil, over the overlay's links and routes otherwise. It runs on a fresh
-// Workspace, so the Result is entirely the caller's.
+// nil, over the overlay's links and routes otherwise (a Rank counts the
+// values at most 0; pass a Lane to Workspace.Run for another threshold).
+// It runs on a fresh Workspace, so the Result is entirely the caller's.
 func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Result, error) {
 	res, err := new(Workspace).Run(eng, ov, Lane{Kind: kind, Values: values})
 	if err != nil {

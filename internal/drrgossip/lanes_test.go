@@ -118,7 +118,8 @@ func TestLanesMatchSoloRuns(t *testing.T) {
 				g, w := got[j], want[0]
 				if !sameBits(g.Value, w.Value) || !sameBits(g.Variance, w.Variance) || g.Consensus != w.Consensus ||
 					g.Forest.NumTrees() != w.Forest.NumTrees() {
-					t.Fatalf("%s lane %d (kind %d): %+v, alone %+v", label, j, ln.Kind, g, w)
+					t.Fatalf("%s lane %d (kind %d): value %v variance %v consensus %v, alone %v %v %v",
+						label, j, ln.Kind, g.Value, g.Variance, g.Consensus, w.Value, w.Variance, w.Consensus)
 				}
 				if !slices.EqualFunc(g.PerNode, w.PerNode, sameBits) {
 					t.Fatalf("%s lane %d (kind %d): per-node values differ from the lane alone", label, j, ln.Kind)
@@ -130,3 +131,19 @@ func TestLanesMatchSoloRuns(t *testing.T) {
 
 // sameBits reports whether a and b are the same float64, bit for bit.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// A run folds only lanes that share a pipeline: no lanes, or kinds of two
+// shapes, are rejected before Phase I sends a message.
+func TestLanesOfOneShape(t *testing.T) {
+	const n = 64
+	v := agg.GenUniform(n, 0, 1, 9)
+	for _, lanes := range [][]Lane{nil, {{Kind: Sum, Values: v}, {Kind: Ave, Values: v}}, {{Kind: Max, Values: v}, {Kind: Rank, Values: v}}} {
+		eng := sim.NewEngine(n, sim.Options{Seed: 1})
+		if _, err := new(Workspace).Run(eng, nil, lanes...); err == nil {
+			t.Fatalf("lanes %v accepted", lanes)
+		}
+		if st := eng.Stats(); st.Messages != 0 {
+			t.Fatalf("rejected lanes sent %d messages", st.Messages)
+		}
+	}
+}

@@ -75,13 +75,13 @@ type MaxResult struct {
 	AfterGossip []float64
 }
 
-// laneCount returns how many lanes of per-root values vals holds: a
+// checkLanes rejects vals unless it holds lanes of per-root values: a
 // positive whole number of m-long vectors.
-func laneCount(vals []float64, m int, what string) (int, error) {
+func checkLanes(vals []float64, m int, what string) error {
 	if m == 0 || len(vals) == 0 || len(vals)%m != 0 {
-		return 0, fmt.Errorf("gossip: %d %s for %d roots", len(vals), what, m)
+		return fmt.Errorf("gossip: %d %s for %d roots", len(vals), what, m)
 	}
-	return len(vals) / m, nil
+	return nil
 }
 
 // Max runs Algorithm 4 on the roots of the transport's forest. init holds
@@ -94,7 +94,7 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
 	m := len(roots)
-	if _, err := laneCount(init, m, "init values"); err != nil {
+	if err := checkLanes(init, m, "init values"); err != nil {
 		return nil, err
 	}
 	val := append([]float64(nil), init...)
@@ -160,7 +160,7 @@ func Push(tr Transport, val []float64, iterations int) error {
 	eng, f := tr.env()
 	roots := f.Roots()
 	m := len(roots)
-	if _, err := laneCount(val, m, "init values"); err != nil {
+	if err := checkLanes(val, m, "init values"); err != nil {
 		return err
 	}
 	var sent []float64 // lanes 1..L-1 of every root at push time
@@ -276,10 +276,10 @@ func Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
 	if len(g0) != m {
 		return nil, fmt.Errorf("gossip: %d init weights for %d roots", len(g0), m)
 	}
-	L, err := laneCount(s0, m, "init sums")
-	if err != nil {
+	if err := checkLanes(s0, m, "init sums"); err != nil {
 		return nil, err
 	}
+	L := len(s0) / m
 	track := -1
 	if opts.TrackRoot >= 0 {
 		if !f.IsRoot(opts.TrackRoot) {

@@ -267,9 +267,8 @@ func (nw *Network) RunAll(queries []Query, opts ...BatchOptions) ([]*Answer, Cos
 // wins) and SessionStats are exactly what running the queries one by one
 // would return, except Passes, which counts the passes the lanes shared.
 func (nw *Network) RunAllContext(ctx context.Context, queries []Query, opts ...BatchOptions) ([]*Answer, Cost, error) {
-	// Reject structurally invalid queries before any execution — in
-	// particular before the batch resolves fault bindings, which used to
-	// happen even for queries that could never run.
+	// Reject structurally invalid queries before any execution, in
+	// particular before the batch resolves fault bindings.
 	for i, q := range queries {
 		if err := q.validate(); err != nil {
 			return nil, Cost{}, fmt.Errorf("query %d (%s): %w", i, q.Op, err)

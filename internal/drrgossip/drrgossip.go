@@ -185,9 +185,11 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 
 // Run computes every lane in one pass on w's storage, on the complete
 // graph when ov is nil and over the overlay otherwise; the lanes must
-// share a shape (see Kind). Result j answers lanes[j] exactly as a run
-// of that lane alone would. The Results' Forest is w's and valid until
-// w's next run.
+// share a shape (Max and Min; Sum, Count and Rank; Ave; Moments).
+// Result j answers lanes[j] exactly as a run of that lane alone would;
+// the lanes' PerNode vectors share one allocation, each capped at its
+// own n entries. The Results' Forest is w's and valid until w's next
+// run.
 func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, lanes ...Lane) ([]Result, error) {
 	opts := drr.Options{Scratch: &w.drr}
 	build := func(eng *sim.Engine) (*forest.Forest, []int, error) {

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"drrgossip/internal/agg"
+	"drrgossip/internal/hms"
+	"drrgossip/internal/overlay"
+	"drrgossip/internal/sim"
 	"drrgossip/internal/telemetry"
 )
 
@@ -64,9 +67,43 @@ func refHistogram(nw *Network, ctx context.Context, values, edges []float64) (*A
 	return nw.finish(ans, nil)
 }
 
+// refBisect is a verbatim copy of the bisection loop before its steps
+// shared passes: one Rank run per probe through refStep, until the
+// bracket is within tol or the query reaches maxQuantileRuns.
+func refBisect(nw *Network, ctx context.Context, ans *Answer, values []float64, lo, hi, tol, target float64) (*Answer, error) {
+	if tol <= 0 {
+		tol = (hi - lo) / (1 << 20)
+		if math.IsInf(tol, 1) {
+			tol = (hi/2 - lo/2) / (1 << 19)
+		}
+	}
+	if tol <= 0 {
+		ans.Value = math.Max(lo, hi)
+		return nw.finish(ans, nil)
+	}
+	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
+		mid := lo + (hi-lo)/2
+		if math.IsInf(mid, 0) {
+			mid = lo/2 + hi/2
+		}
+		rankRes, err := refStep(nw, ctx, ans, OpRank, values, mid)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		if math.Round(rankRes.Value) >= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	ans.Converged = hi-lo <= tol
+	ans.Value = hi
+	return nw.finish(ans, nil)
+}
+
 // refQuantile is a verbatim copy of the bisection Quantile's opener
 // before its Min and Max shared a pass: Min, Max and Count, one run each
-// through refStep, then the same bisection.
+// through refStep, then refBisect.
 func refQuantile(nw *Network, ctx context.Context, values []float64, phi, tol float64) (*Answer, error) {
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
@@ -86,26 +123,130 @@ func refQuantile(nw *Network, ctx context.Context, values []float64, phi, tol fl
 		return nw.finish(ans, err)
 	}
 	target := math.Ceil(phi * math.Round(countRes.Value))
-	return nw.bisect(ctx, ans, values, minRes.Value, maxRes.Value, tol, target)
+	return refBisect(nw, ctx, ans, values, minRes.Value, maxRes.Value, tol, target)
 }
 
-// refAnswer answers q alone on a fresh session for cfg, composites by
-// the reference loops above.
-func refAnswer(t testing.TB, cfg Config, q Query) (*Answer, error) {
+// refQuantileHMS is a verbatim copy of the HMS Quantile before its
+// fallback bisection shared passes, its steps through refStep and its
+// fallback through refBisect.
+func refQuantileHMS(nw *Network, ctx context.Context, values []float64, phi, tol float64) (*Answer, error) {
+	if err := nw.cfg.checkValues(values); err != nil {
+		return nil, err
+	}
+	ans := newAnswer(OpQuantile)
+	ans.Converged = true
+	m := nw.cfg.N
+	if nw.cfg.CrashFraction > 0 || !nw.cfg.Faults.Empty() {
+		countRes, err := refStep(nw, ctx, ans, OpCount, values, 0)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		m = int(math.Round(countRes.Value))
+		if m < 1 {
+			m = 1
+		}
+	}
+	t := int(math.Ceil(phi * float64(m)))
+	if t < 1 {
+		t = 1
+	}
+	if t > m {
+		t = m
+	}
+	if err := ctx.Err(); err != nil {
+		return nw.finish(ans, err)
+	}
+	var sum *hms.Summary
+	sample, err := nw.execOnce(nil, []Query{{Op: OpQuantile}}, func(eng runEngine, ov overlay.Overlay) ([]Answer, error) {
+		s, err := hms.Sample(eng.(*sim.Engine), ov, values, hms.Options{Target: t, Count: m})
+		if err != nil {
+			return nil, err
+		}
+		sum = s
+		return []Answer{billed(eng)}, nil
+	})
+	if sample != nil {
+		ans.addRun(&sample[0])
+	}
+	if err != nil {
+		return nw.finish(ans, fmt.Errorf("quantile sample session: %w", err))
+	}
+	w := hms.NewWalk(sum)
+	for ans.Cost.Runs < maxQuantileRuns {
+		q, ok := w.Next()
+		if !ok {
+			break
+		}
+		rankRes, err := refStep(nw, ctx, ans, OpRank, values, q)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		w.Observe(q, int(math.Round(rankRes.Value)))
+	}
+	if v, exact := w.Exact(); exact && nw.cfg.Faults.Empty() {
+		ans.Value = v
+		return nw.finish(ans, nil)
+	}
+	lo, loOK, hi, hiOK := w.Bracket()
+	clamp := !nw.cfg.Faults.Empty()
+	if !loOK || clamp {
+		minRes, err := refStep(nw, ctx, ans, OpMin, values, 0)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		if !loOK || lo < minRes.Value {
+			lo = minRes.Value
+		}
+	}
+	if !hiOK || clamp {
+		maxRes, err := refStep(nw, ctx, ans, OpMax, values, 0)
+		if err != nil {
+			return nw.finish(ans, err)
+		}
+		if !hiOK || hi > maxRes.Value {
+			hi = maxRes.Value
+		}
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return refBisect(nw, ctx, ans, values, lo, hi, tol, float64(t))
+}
+
+// refRun answers q alone on a fresh session for cfg as Run would,
+// composites by the reference loops above, and returns the session's
+// accounting after it.
+func refRun(t testing.TB, cfg Config, q Query) (*Answer, error, SessionStats) {
 	t.Helper()
 	nw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if q.Op != OpHistogram && q.Op != OpQuantile {
+		a, err := nw.Run(q)
+		return a, err, nw.Stats()
+	}
 	ctx := context.Background()
+	nw.stats.Queries++
 	nw.wd = nw.newWatchdog(ctx)
+	var a *Answer
 	switch {
 	case q.Op == OpHistogram:
-		return refHistogram(nw, ctx, q.Values, q.Edges)
-	case q.Op == OpQuantile && cfg.QuantileMethod == QuantileBisect:
-		return refQuantile(nw, ctx, q.Values, q.Arg, q.Tol)
+		a, err = refHistogram(nw, ctx, q.Values, q.Edges)
+	case cfg.QuantileMethod == QuantileHMS:
+		a, err = refQuantileHMS(nw, ctx, q.Values, q.Arg, q.Tol)
+	default:
+		a, err = refQuantile(nw, ctx, q.Values, q.Arg, q.Tol)
 	}
-	return nw.Run(q)
+	nw.wd, nw.ws = nil, nil
+	return a, err, nw.Stats()
+}
+
+// refAnswer is refRun's answer and error.
+func refAnswer(t testing.TB, cfg Config, q Query) (*Answer, error) {
+	t.Helper()
+	a, err, _ := refRun(t, cfg, q)
+	return a, err
 }
 
 // batchMix is a query mix that fills every pipeline shape, splits the
@@ -127,8 +268,8 @@ func batchMix(n int, seed uint64) []Query {
 // Parallelism 1 and 2 and checks every answer against the query run
 // alone on a fresh session (and, for composites, against the reference
 // loops), bit for bit, and the batch's SessionStats apart from Passes
-// against a session that ran the queries one at a time, each run on a
-// pass of its own (telemetry keeps them there).
+// against a session that ran the queries one at a time with telemetry
+// attached, which must not change its accounting either.
 func checkBatchMatchesSolo(t *testing.T, label string, cfg Config, queries []Query) SessionStats {
 	t.Helper()
 	solo := make([]uint64, len(queries))
@@ -302,6 +443,30 @@ func TestPassesPerShape(t *testing.T) {
 	d := nw.Stats().since(before)
 	if d.Passes != 3 || d.ProtocolRuns != 5 {
 		t.Fatalf("warm batch: %d passes for %d runs, want 3 for 5", d.Passes, d.ProtocolRuns)
+	}
+	// A bisection Quantile makes one pass for its Min and Max and settles
+	// three bisection levels per pass after it, its Count riding the
+	// first: at n = 4096 and the default tolerance, 8 passes for its 24
+	// runs (Min, Max, Count and 21 Rank steps), where one Rank run per
+	// step took 23.
+	u := agg.GenUniform(4096, 0, 1000, 1)
+	for _, plan := range []string{"", "loss:0.1@0.2..0.8"} {
+		cfg := Config{N: 4096, Seed: 1}
+		if plan != "" {
+			cfg.Faults = mustPlan(t, plan)
+		}
+		nw, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := nw.Run(QuantileOf(u, 0.9, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := nw.Stats()
+		if got := st.Passes - st.HorizonRuns; got != 8 || a.Cost.Runs != 24 {
+			t.Fatalf("plan %q: quantile made %d passes for %d runs, want 8 for 24", plan, got, a.Cost.Runs)
+		}
 	}
 	for _, plan := range []string{"", "crash:0.1@0.5"} {
 		for _, e := range []int{1, 7, 8, 9, 17} {

@@ -210,7 +210,7 @@ func BenchmarkPerfPhase2(b *testing.B) {
 		if _, err := s.BroadcastRootAddr(e, f); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.BroadcastValue(e, f, perRoot); err != nil {
+		if _, err := s.BroadcastValue(e, f, perRoot, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

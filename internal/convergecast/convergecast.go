@@ -395,8 +395,9 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 // non-members and unreached members (crashed, or beyond a crashed
 // ancestor) get NaN. The lanes share one pass: lane 0 rides the
 // payload, and what a node receives is read off its root slot. The
-// result is the caller's.
-func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []float64) ([]float64, error) {
+// result is written into out when its capacity holds it, into a fresh
+// vector otherwise (out nil: the result is the caller's alone).
+func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot, out []float64) ([]float64, error) {
 	m := f.NumTrees()
 	L, err := lanes(perRoot, m, "trees")
 	if err != nil {
@@ -411,7 +412,7 @@ func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot []fl
 		return nil, err
 	}
 	n := eng.N()
-	out := make([]float64, L*n)
+	out = resized(out, L*n)
 	for i := 0; i < n; i++ {
 		if !have.Test(i) {
 			for o := i; o < L*n; o += n {

@@ -126,7 +126,7 @@ func TestBroadcastValue(t *testing.T) {
 		perRoot[k] = float64(r) * 1.5
 	}
 	before := eng.Stats()
-	got, err := new(Scratch).BroadcastValue(eng, f, perRoot)
+	got, err := new(Scratch).BroadcastValue(eng, f, perRoot, nil)
 	stats := eng.Stats().Sub(before)
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +141,27 @@ func TestBroadcastValue(t *testing.T) {
 	nonRoots := int64(f.NumMembers() - f.NumTrees())
 	if stats.Messages != 2*nonRoots {
 		t.Fatalf("messages = %d, want %d", stats.Messages, 2*nonRoots)
+	}
+
+	// Into caller storage that holds it, the same result overwrites every
+	// stale entry in place.
+	eng = sim.NewEngine(1024, sim.Options{Seed: 6})
+	f = buildForest(t, eng)
+	stale := make([]float64, 2*f.N())
+	for i := range stale {
+		stale[i] = -7
+	}
+	again, err := new(Scratch).BroadcastValue(eng, f, perRoot, stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != f.N() || &again[0] != &stale[0] {
+		t.Fatalf("result of %d entries not on the caller's storage", len(again))
+	}
+	for i := range again {
+		if again[i] != got[i] && !(math.IsNaN(again[i]) && math.IsNaN(got[i])) {
+			t.Fatalf("node %d got %v into caller storage, %v fresh", i, again[i], got[i])
+		}
 	}
 }
 
@@ -168,7 +189,7 @@ func TestBroadcastMissingRootPayload(t *testing.T) {
 	eng := sim.NewEngine(64, sim.Options{Seed: 8})
 	f := buildForest(t, eng)
 	for _, m := range []int{0, f.NumTrees() - 1, f.NumTrees() + 1} {
-		if _, err := new(Scratch).BroadcastValue(eng, f, make([]float64, m)); err == nil {
+		if _, err := new(Scratch).BroadcastValue(eng, f, make([]float64, m), nil); err == nil {
 			t.Fatalf("%d root payloads for %d trees accepted", m, f.NumTrees())
 		}
 	}

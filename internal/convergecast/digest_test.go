@@ -146,7 +146,7 @@ func TestPhase2Digests(t *testing.T) {
 			}
 			arm(6)
 			before = eng.Stats()
-			bc, err := new(Scratch).BroadcastValue(eng, f, perRoot)
+			bc, err := new(Scratch).BroadcastValue(eng, f, perRoot, nil)
 			stats = eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)
@@ -238,7 +238,7 @@ func TestBroadcastDigests(t *testing.T) {
 			}
 			crashAt(5)
 			before = eng.Stats()
-			bc, err := new(Scratch).BroadcastValue(eng, f, perRoot)
+			bc, err := new(Scratch).BroadcastValue(eng, f, perRoot, nil)
 			stats = eng.Stats().Sub(before)
 			if err != nil {
 				t.Fatal(err)

@@ -158,17 +158,28 @@ func decodeKeyRoot(key float64) int {
 }
 
 // Workspace holds the storage a pipeline run needs beyond the engine:
-// Phase I's scratch with the forest it rebuilds, Phase II's scratch, and
-// the convergecast inputs a run derives from its lanes' values (negated,
-// indicator or squared values, or several lanes side by side). A caller
-// that runs the pipeline repeatedly keeps one (the facade: one per
-// query, shared by all of the query's runs, and one per RunAll worker),
-// and every run rebuilds them in place instead of allocating them. The
-// zero value is ready to use; a Workspace serves one run at a time.
+// Phase I's scratch with the forest it rebuilds, Phase II's and Phase
+// III's scratch, the convergecast inputs a run derives from its lanes'
+// values (negated, indicator or squared values, or several lanes side by
+// side) and the per-node variances a Moments run checks for consensus.
+// A caller that runs the pipeline repeatedly keeps one (the facade: one
+// per query, shared by all of the query's runs, and one per RunAll
+// worker), and every run rebuilds them in place instead of allocating
+// them. The zero value is ready to use; a Workspace serves one run at a
+// time.
 type Workspace struct {
-	drr drr.Scratch
-	cc  convergecast.Scratch
-	in  []float64
+	// BorrowPerNode puts the Results' PerNode vectors on the workspace's
+	// storage, valid until its next run, instead of a fresh vector the
+	// caller owns: for callers that read only the runs' values, such as
+	// the steps of a composite query.
+	BorrowPerNode bool
+
+	drr     drr.Scratch
+	cc      convergecast.Scratch
+	gs      gossip.Scratch
+	in      []float64
+	perNode []float64 // the borrowed PerNode vectors
+	perVar  []float64 // a Moments run's per-node variances
 }
 
 // Run computes kind over values on eng: on the complete graph when ov is
@@ -188,8 +199,8 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 // share a shape (Max and Min; Sum, Count and Rank; Ave; Moments).
 // Result j answers lanes[j] exactly as a run of that lane alone would;
 // the lanes' PerNode vectors share one allocation, each capped at its
-// own n entries. The Results' Forest is w's and valid until w's next
-// run.
+// own n entries (w's, with BorrowPerNode). The Results' Forest is w's and
+// valid until w's next run.
 func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, lanes ...Lane) ([]Result, error) {
 	opts := drr.Options{Scratch: &w.drr}
 	build := func(eng *sim.Engine) (*forest.Forest, []int, error) {
@@ -353,26 +364,34 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 	eng.SetPhase(PhaseGossip)
 	var g phase3
 	if maxLike {
-		gres, err := gossip.Max(tr, covmax)
+		gres, err := w.gs.Max(tr, covmax)
 		if err != nil {
 			return nil, err
 		}
 		g.est = gres.Estimates
-	} else if g, err = pushSum(eng, f, tr, lanes, sums, sizes, width); err != nil {
+	} else if g, err = w.pushSum(eng, f, tr, lanes, sums, sizes, width); err != nil {
 		return nil, err
 	}
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
-	perNode, err := w.cc.BroadcastValue(eng, f, g.est)
+	var out []float64
+	if w.BorrowPerNode {
+		out = w.perNode
+	}
+	perNode, err := w.cc.BroadcastValue(eng, f, g.est, out)
 	if err != nil {
 		return nil, err
 	}
+	if w.BorrowPerNode {
+		w.perNode = perNode
+	}
 	var perVar []float64
 	if g.varEst != nil {
-		if perVar, err = w.cc.BroadcastValue(eng, f, g.varEst); err != nil {
+		if perVar, err = w.cc.BroadcastValue(eng, f, g.varEst, w.perVar); err != nil {
 			return nil, err
 		}
+		w.perVar = perVar
 	}
 
 	m := f.NumTrees()
@@ -424,7 +443,7 @@ type phase3 struct {
 // push-sum every lane towards it, and spread z's estimates (and, for
 // Moments, its variances) to every root. sums holds the convergecast
 // lanes, width per run lane, and sizes the tree sizes.
-func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lane, sums, sizes []float64, width int) (phase3, error) {
+func (w *Workspace) pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lane, sums, sizes []float64, width int) (phase3, error) {
 	roots := f.Roots()
 	m := len(roots)
 	sh := shape(lanes[0].Kind)
@@ -435,7 +454,7 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lan
 	for k, size := range sizes {
 		keys[k] = largestKey(int(size), roots[k])
 	}
-	kres, err := gossip.Max(tr, keys)
+	kres, err := w.gs.Max(tr, keys)
 	if err != nil {
 		return phase3{}, err
 	}
@@ -472,7 +491,7 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lan
 			}
 		}
 	}
-	ares, err := gossip.Ave(tr, sums, g0, gossip.AveOptions{
+	ares, err := w.gs.Ave(tr, sums, g0, gossip.AveOptions{
 		TrackRoot:      -1,
 		ReliableShares: sh == Sum,
 	})
@@ -501,13 +520,13 @@ func pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lan
 			g.variance[j] = ares.Sums[o+m+src]/ares.Weights[src] - g.value[j]*g.value[j]
 		}
 	}
-	sres, err := gossip.Spread(tr, z, g.value)
+	sres, err := w.gs.Spread(tr, z, g.value)
 	if err != nil {
 		return phase3{}, err
 	}
 	g.est = sres.Estimates
 	if sh == Moments {
-		vres, err := gossip.Spread(tr, z, g.variance)
+		vres, err := w.gs.Spread(tr, z, g.variance)
 		if err != nil {
 			return phase3{}, err
 		}

@@ -30,6 +30,9 @@
 // a landing never sees what an earlier landing of the same tick changed.
 // Push-sum lanes share the weight g: they are extra s components.
 //
+// The working lists a driver grows while it runs live in a Scratch that
+// callers running Phase III once per protocol run keep and reuse.
+//
 // The results carry estimates only. A run's bill is read from the engine
 // the transport drives: sim.Core.Stats, and Ledger or Billed for a phase
 // the caller labelled with SetPhase.
@@ -75,6 +78,29 @@ type MaxResult struct {
 	AfterGossip []float64
 }
 
+// Scratch holds the lists Gossip-max and Gossip-ave grow while they run:
+// the sampling procedure's inquiries and the reliable shares in flight.
+// Every driver empties the list it uses first, so one Scratch serves any
+// number of runs, allocating only while a list grows. The zero value is
+// ready to use. A Scratch serves one driver at a time and is not safe
+// for concurrent use.
+type Scratch struct {
+	inquiries []inquiry
+	pending   []inflight
+}
+
+// inquiry is one sampling inquiry that landed: the inquirer root and the
+// responder's slot.
+type inquiry struct{ from, to int }
+
+// inflight is one reliable share awaiting its ack: the sender's slot,
+// the destination node, the ack deadline, and the share's lane 0 and
+// weight.
+type inflight struct {
+	k, dst, due int
+	s, g        float64
+}
+
 // checkLanes rejects vals unless it holds lanes of per-root values: a
 // positive whole number of m-long vectors.
 func checkLanes(vals []float64, m int, what string) error {
@@ -84,13 +110,16 @@ func checkLanes(vals []float64, m int, what string) error {
 	return nil
 }
 
+// Max is Scratch.Max on a fresh Scratch.
+func Max(tr Transport, init []float64) (*MaxResult, error) { return new(Scratch).Max(tr, init) }
+
 // Max runs Algorithm 4 on the roots of the transport's forest. init holds
 // one or more lanes of every root's initial value, lane-major by root
 // slot (e.g. the convergecast-max of its tree). The gossip procedure
 // (Push) runs O(log n) iterations, the sampling procedure O(log n) more,
 // each scaled by the transport (loss-inflated on the relay) and each
 // taking the transport's exchange time.
-func Max(tr Transport, init []float64) (*MaxResult, error) {
+func (s *Scratch) Max(tr Transport, init []float64) (*MaxResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
 	m := len(roots)
@@ -107,11 +136,9 @@ func Max(tr Transport, init []float64) (*MaxResult, error) {
 
 	// Sampling procedure: inquire a random node's root, which replies
 	// with its value; adopt it if larger.
-	type inquiry struct{ from, to int } // inquirer root, responder slot
-	var (
-		inquiries []inquiry
-		sent      []float64 // lanes 1..L-1 of every responder at reply time
-	)
+	inquiries := s.inquiries[:0]
+	defer func() { s.inquiries = inquiries[:0] }()
+	var sent []float64 // lanes 1..L-1 of every responder at reply time
 	gather := func(k int) {
 		for _, m := range eng.Inbox(roots[k]) {
 			if m.Pay.Kind == kindInquiry {
@@ -210,7 +237,7 @@ func land(tr Transport, val, sent []float64, kind uint8) {
 // Spread runs Data-spread (Algorithm 5): the source root's values, one
 // per lane, are spread to all roots by running Gossip-max with every
 // other root initialised to -Inf.
-func Spread(tr Transport, source int, values []float64) (*MaxResult, error) {
+func (s *Scratch) Spread(tr Transport, source int, values []float64) (*MaxResult, error) {
 	_, f := tr.env()
 	if !f.IsRoot(source) {
 		return nil, fmt.Errorf("gossip: spread source %d is not a root", source)
@@ -223,7 +250,7 @@ func Spread(tr Transport, source int, values []float64) (*MaxResult, error) {
 	for l, v := range values {
 		init[l*m+f.Slot(source)] = v
 	}
-	return Max(tr, init)
+	return s.Max(tr, init)
 }
 
 // AveOptions tune Gossip-ave.
@@ -262,6 +289,11 @@ type AveResult struct {
 	Potential []float64
 }
 
+// Ave is Scratch.Ave on a fresh Scratch.
+func Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
+	return new(Scratch).Ave(tr, s0, g0, opts)
+}
+
 // Ave runs Algorithm 6, push-sum over the roots of the transport's
 // forest: every root starts with its s components s0, one or more lanes
 // lane-major by root slot, and its weight g0 — (local sum, tree size)
@@ -269,7 +301,7 @@ type AveResult struct {
 // and pushes half to a random node's root. The lanes share the weight,
 // and each lane's ratio s/g at the largest-tree root converges to that
 // lane's global average at the rate of Theorem 7.
-func Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
+func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
 	m := len(roots)
@@ -337,11 +369,8 @@ func Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
 	// restored, so mid-run crashes cannot bleed push-sum mass (a no-op
 	// in the static model). Every share is due within its round's
 	// exchange, so its lanes are still in share when it times out.
-	type inflight struct {
-		k, dst, due int     // sender slot, destination node, ack deadline
-		s, g        float64 // lane 0 and weight of the share
-	}
-	var pending []inflight
+	pending := s.pending[:0]
+	defer func() { s.pending = pending[:0] }()
 	credit := func(k int) {
 		for _, msg := range eng.Inbox(roots[k]) {
 			if msg.Pay.Kind != kindAveShare {

@@ -105,7 +105,7 @@ func TestSpreadReachesAllRoots(t *testing.T) {
 	values := agg.GenUniform(n, 0, 1, 8)
 	f, tr, _, _, _ := phase12(t, eng, values)
 	source := f.LargestRoot()
-	res, err := Spread(tr, source, []float64{1234.5})
+	res, err := new(Scratch).Spread(tr, source, []float64{1234.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSpreadRejectsNonRoot(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Spread(tr, nonRoot, []float64{1}); err == nil {
+	if _, err := new(Scratch).Spread(tr, nonRoot, []float64{1}); err == nil {
 		t.Fatal("non-root spread source accepted")
 	}
 }
@@ -467,5 +467,36 @@ func TestMomentsMissingInit(t *testing.T) {
 	}
 	if _, err := Ave(tr, make([]float64, 2*f.NumTrees()-1), make([]float64, f.NumTrees()), AveOptions{TrackRoot: -1}); err == nil {
 		t.Fatal("init one short of the root count accepted")
+	}
+}
+
+// A Scratch that earlier runs left holding inquiries and reliable shares
+// gives every later run what a fresh one gives, bit for bit.
+func TestScratchReuse(t *testing.T) {
+	run := func(sc *Scratch, n int, seed uint64) []float64 {
+		eng := sim.NewEngine(n, sim.Options{Seed: seed, Loss: 0.1})
+		_, tr, covmax, sums, sizes := phase12(t, eng, agg.GenUniform(n, 0, 1000, seed))
+		mres, err := sc.Max(tr, covmax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ares, err := sc.Ave(tr, sums, sizes, AveOptions{TrackRoot: -1, ReliableShares: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append(append([]float64(nil), mres.Estimates...), ares.Sums...), ares.Weights...)
+	}
+	var sc Scratch
+	run(&sc, 2048, 41)
+	for _, seed := range []uint64{43, 47} {
+		want, got := run(new(Scratch), 512, seed), run(&sc, 512, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d outputs on a reused Scratch, %d on a fresh one", seed, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: output %d is %v on a reused Scratch, %v on a fresh one", seed, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -15,9 +15,10 @@
 //
 // # Event stream
 //
-// Events are emitted per protocol run in a fixed order: one RunStart,
-// then Phase / Round / Fault events as the run progresses, then one
-// RunEnd. Within a run, (Round, Seq) is strictly increasing, so the
+// Events are emitted per run — one engine pass, which may fold several
+// protocol runs as value lanes — in a fixed order: one RunStart, then
+// Phase / Round / Fault events as the run progresses, then one RunEnd.
+// Within a run, (Round, Seq) is strictly increasing, so the
 // full stream sorts by (Run, Round, Seq) — the ordering key the
 // determinism tests pin across GOMAXPROCS and worker counts. Each
 // event carries the engine's cumulative Counters and the Delta since
@@ -80,8 +81,10 @@ func (k Kind) String() string {
 // the emitter reuses one Event between Emit calls, so sinks that retain
 // events must copy them (Ring and Buffer do).
 type Event struct {
-	// Run numbers the protocol run within the session (1-based, counting
-	// composite sub-runs and horizon-measurement pre-runs).
+	// Run numbers the engine pass within the session (1-based, counting
+	// composite sub-runs and horizon-measurement pre-runs). A pass that
+	// folds several protocol runs as value lanes is one run here, and its
+	// residual is its first lane's.
 	Run int
 	// Seq orders the run's events (1-based, strictly increasing).
 	Seq uint64

@@ -28,17 +28,18 @@ type chromeTrace struct {
 
 // Timeline rows (thread ids) of the exported trace.
 const (
-	traceTidRuns   = 1 // one span per protocol run, named by its op
+	traceTidRuns   = 1 // one span per engine pass, named by its first op
 	traceTidPhases = 2 // one span per phase segment, plus fault instants
 )
 
 // WriteChromeTrace renders an event stream as Chrome trace-event JSON:
 // a two-row flame-style timeline where row "runs" holds one span per
-// protocol run (named by its operation) and row "phases" breaks each
-// run into its drr/aggregate/gossip/broadcast segments, with fault
-// events as instants. Simulated rounds map to microseconds (one round =
-// 1µs) and runs are laid end to end, so a whole Quantile session — its
-// ~80 bisection runs × phases — renders as one navigable timeline.
+// run of the stream — an engine pass, named by its first operation —
+// and row "phases" breaks each run into its drr/aggregate/gossip/
+// broadcast segments, with fault events as instants. Simulated rounds
+// map to microseconds (one round = 1µs) and runs are laid end to end,
+// so a whole Quantile session — its bisection passes × phases —
+// renders as one navigable timeline.
 // Open the file at ui.perfetto.dev or chrome://tracing.
 //
 // Events must be in stream order (as captured by a Buffer or Ring from

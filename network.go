@@ -6,6 +6,14 @@
 // query.go then run against the standing session, so a Quantile (up to
 // ~80 bisection Rank steps) or a Histogram (one Rank per edge) pays
 // O(build + steps) instead of O(steps × build).
+//
+// Runs of one pipeline shape whose values are known up front share an
+// engine pass as value lanes (see maxLanes): a RunAll batch's single-run
+// queries, a Histogram's Ranks, a Quantile's Min and Max. A bisection
+// settles several levels per pass by speculation (see bisect): the pass
+// probes every pivot the next levels could need, and the Quantile folds
+// only those its walk down the bisection tree reads, so its answer and
+// bill are those of one Rank run per step.
 
 package drrgossip
 
@@ -14,6 +22,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -53,9 +62,11 @@ type SessionStats struct {
 	// Passes counts engine passes. Runs of one pipeline shape whose
 	// values are known up front share a pass — the single-run queries of
 	// a RunAll batch, a Histogram's Rank runs and its Count, a bisection
-	// Quantile's Min and Max — so Passes can fall below ProtocolRuns.
-	// Output only: every other count is what one run per pass would
-	// have counted.
+	// Quantile's Min and Max — so Passes can fall below ProtocolRuns. A
+	// bisection pass also holds pivots its walk may not read (see
+	// bisect); those lanes count in no field, and their pass only here.
+	// Output only: every other count is what one run per pass would have
+	// counted.
 	Passes int
 	// OverlayBuilt reports whether the session built a sparse overlay
 	// (always exactly once, at New).
@@ -330,15 +341,16 @@ func (nw *Network) RunAllContext(ctx context.Context, queries []Query, opts ...B
 
 // maxLanes caps the runs one engine pass folds, so a pass never holds
 // more than eight times one run's per-node vectors: a Histogram with e
-// edges takes ⌈e/8⌉ passes, ⌈(e+1)/8⌉ with its Count under a fault plan.
+// edges takes ⌈e/8⌉ passes, ⌈(e+1)/8⌉ with its Count under a fault plan,
+// and a bisection settles three levels (seven pivots) per pass.
 const maxLanes = 8
 
 // passWidth is how many runs of one shape may share a pass: maxLanes,
 // except in Async mode, where pairwise averaging's schedule depends on
-// the values, and with telemetry, whose round events carry each run's
-// own residual, where every run keeps a pass of its own.
+// the values and every run keeps a pass of its own. Telemetry sees one
+// run span per pass, whose round residuals are lane 0's.
 func (nw *Network) passWidth() int {
-	if nw.cfg.Mode == Async || nw.em.Enabled() {
+	if nw.cfg.Mode == Async {
 		return 1
 	}
 	return maxLanes
@@ -373,7 +385,10 @@ func (nw *Network) groups(queries []Query) [][]int {
 // single-run queries of one shape runs as the lanes of one pass. The
 // pass's fault binding, and the pre-run resolving it, count for the
 // first lane; every lane counts one protocol run, finishes its own
-// answer and retries alone.
+// answer and retries alone. Every pass of the group counts for the
+// first lane, whose unit holds the group's events: its passes, and its
+// lanes' retries after it, are numbered as sequential execution runs
+// them.
 func (s *Network) runGroup(ctx context.Context, queries []Query, g []int, out []batchUnit) {
 	st, used := s.stats, len(s.used)
 	if len(g) == 1 {
@@ -412,7 +427,10 @@ func (s *Network) runGroup(ctx context.Context, queries []Query, g []int, out []
 		a, aerr := s.finish(a, err)
 		before := s.stats
 		u.ans, u.err = s.retry(ctx, runs[j], a, aerr)
-		u.stats.add(s.stats.since(before))
+		d := s.stats.since(before)
+		out[g[0]].stats.Passes += d.Passes
+		d.Passes = 0
+		u.stats.add(d)
 		u.used = s.used[used:]
 	}
 }
@@ -529,10 +547,10 @@ type batchUnit struct {
 }
 
 // fold adds a unit to the session's accounting and forwards its
-// buffered events, their run numbers rebased onto the session's.
+// buffered events, their pass numbers rebased onto the session's.
 func (nw *Network) fold(u *batchUnit) {
 	for _, ev := range u.events.Events() {
-		ev.Run += nw.stats.ProtocolRuns
+		ev.Run += nw.stats.Passes
 		nw.em.Forward(&ev)
 	}
 	nw.stats.add(u.stats)
@@ -724,7 +742,8 @@ func (nw *Network) engine() (runEngine, int) {
 // execOnce performs one engine pass of runs on the mode's engine,
 // attaching the bound fault schedule (if any), the query watchdog and the
 // telemetry hooks; every pass starts on a fresh or Reset engine, so no
-// hook leaks between passes. Each of runs counts as a protocol run. A
+// hook leaks between passes. Each of runs counts as a protocol run, and
+// the pass is one telemetry run span, named for runs[0]. A
 // watchdog abort returns every run's partial Answer with the abort cause:
 // the sync engine unwinds its drivers by a *sim.AbortError panic,
 // recovered here with only the bill to salvage, while the async engine
@@ -736,9 +755,8 @@ func (nw *Network) execOnce(b *faults.Bound, runs []Query, run protoFunc) (answe
 	eng, stride := nw.engine()
 	em := nw.em
 	if em.Enabled() {
-		// Telemetry keeps every run on a pass of its own (passWidth).
 		var view telemetry.EngineView = eng
-		em.RunStart(nw.stats.ProtocolRuns, runs[0].Op.String(), view)
+		em.RunStart(nw.stats.Passes, runs[0].Op.String(), view)
 		eng.SetPhaseObserver(func(string) { em.Phase(view) })
 		eng.SetMembershipObserver(func(node int, alive bool) { em.Fault(view, node, alive) })
 		if em.WantsRounds() {
@@ -972,10 +990,10 @@ func (nw *Network) aggregate(ctx context.Context, q Query) (*Answer, error) {
 }
 
 // quantile approximates the φ-quantile by bisection over the value
-// range, one Rank run per step, after one pass for its Min and Max and
-// one for its Count. All steps run against the same session, so the
-// overlay and the per-shape fault bindings are reused throughout — the
-// amortization the session API exists for.
+// range, one Rank run per step, after one pass for its Min and Max; its
+// Count runs in the bisection's first pass. All steps run against the
+// same session, so the overlay and the per-shape fault bindings are
+// reused throughout — the amortization the session API exists for.
 func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol float64) (*Answer, error) {
 	if err := nw.cfg.checkValues(values); err != nil {
 		return nil, err
@@ -986,53 +1004,140 @@ func (nw *Network) quantile(ctx context.Context, values []float64, phi, tol floa
 	if err != nil {
 		return nw.finish(ans, err)
 	}
-	countRes, err := nw.step(ctx, ans, CountOf(values))
-	if err != nil {
-		return nw.finish(ans, err)
-	}
-	target := math.Ceil(phi * math.Round(countRes.Value))
-	return nw.bisect(ctx, ans, values, ends[0].Value, ends[1].Value, tol, target)
+	return nw.bisect(ctx, ans, values, ends[0].Value, ends[1].Value, tol, phi, true)
 }
 
 // bisect finishes a quantile query by value bisection of the bracket
 // [lo, hi], one Rank step over values per probe, until the bracket is
 // within tol (default: 2^-20 of its width) or the query reaches
-// maxQuantileRuns.
-// The answer is the bracket's upper end; a degenerate bracket (constant
-// values) answers at once. A bracket wider than math.MaxFloat64 (finite
-// ends of opposite sign near the limits) is halved without forming
-// hi − lo; every other bracket takes the plain arithmetic.
-func (nw *Network) bisect(ctx context.Context, ans *Answer, values []float64, lo, hi, tol, target float64) (*Answer, error) {
+// maxQuantileRuns. The answer is the bracket's upper end; a degenerate
+// bracket (constant values) answers at once. goal is the target rank;
+// with count set it is the quantile φ instead, the quantile's Count runs
+// first, and the target rank is ⌈φ·Count⌉.
+//
+// The steps are speculative. Each engine pass holds, beside a pending
+// Count, every pivot of the next levels of the bisection tree the loop
+// could probe (see pivots), as Rank lanes; the walk down the tree then
+// moves lo and hi as one Rank run per step would. Every lane answers as
+// its run alone would, and only the Count and the lanes the walk reads
+// are folded into ans and counted as protocol runs, so the answer, its
+// bill and error and the session's accounting are those of one run per
+// step: the pivots of the branches not taken show up only in Passes. A
+// pass that fails or aborts folds its lane 0, the run the loop would
+// have failed in. When the bracket needs no step, the Count runs alone.
+func (nw *Network) bisect(ctx context.Context, ans *Answer, values []float64, lo, hi, tol, goal float64, count bool) (*Answer, error) {
 	if tol <= 0 {
 		tol = (hi - lo) / (1 << 20)
 		if math.IsInf(tol, 1) {
 			tol = (hi/2 - lo/2) / (1 << 19)
 		}
 	}
-	if tol <= 0 {
-		ans.Value = math.Max(lo, hi)
-		return nw.finish(ans, nil)
-	}
-	for hi-lo > tol && ans.Cost.Runs < maxQuantileRuns {
-		mid := lo + (hi-lo)/2
-		if math.IsInf(mid, 0) {
-			mid = lo/2 + hi/2
+	target, width := goal, nw.passWidth()
+	var (
+		runs []Query
+		tree []pivot
+	)
+	for {
+		runs = runs[:0]
+		if count {
+			runs = append(runs, CountOf(values))
 		}
-		rankRes, err := nw.step(ctx, ans, RankOf(values, mid))
+		tree = pivots(tree, lo, hi, tol, ans.Cost.Runs+len(runs), width-len(runs), len(runs))
+		for _, p := range tree {
+			if p.lane >= 0 {
+				runs = append(runs, RankOf(values, p.at))
+			}
+		}
+		if len(runs) == 0 {
+			break
+		}
+		answers, err := nw.pass(ctx, ans, runs)
 		if err != nil {
 			return nw.finish(ans, err)
 		}
-		if math.Round(rankRes.Value) >= target {
-			hi = mid
-		} else {
-			lo = mid
+		read := 0
+		if count {
+			ans.addRun(&answers[0])
+			target, count, read = math.Ceil(goal*math.Round(answers[0].Value)), false, 1
 		}
+		for i := 0; i < len(tree) && tree[i].lane >= 0; read++ {
+			p := &tree[i]
+			rank := &answers[p.lane]
+			ans.addRun(rank)
+			if math.Round(rank.Value) >= target {
+				hi, i = p.at, 2*i+1
+			} else {
+				lo, i = p.at, 2*i+2
+			}
+		}
+		nw.stats.ProtocolRuns -= len(runs) - read // the lanes the walk did not read
+	}
+	if tol <= 0 {
+		ans.Value = math.Max(lo, hi)
+		return nw.finish(ans, nil)
 	}
 	// The run cap can end the bisection before it reaches tol; that is a
 	// looser answer, so say so instead of silently returning it.
 	ans.Converged = hi-lo <= tol
 	ans.Value = hi
 	return nw.finish(ans, nil)
+}
+
+// pivot is a node of the bisection tree: the bracket [lo, hi] the loop
+// holds on reaching the node, the pivot at = mid(lo, hi) it probes there,
+// and the pass lane holding that probe, -1 when the loop would stop
+// there instead.
+type pivot struct {
+	lo, hi, at float64
+	lane       int
+}
+
+// pivots lays out into tree, in heap order, the bisection tree below
+// [lo, hi] that the next pass probes: as many whole levels as free lanes
+// hold (2^d − 1 nodes; the children of node i are 2i+1, the bracket
+// below its pivot, and 2i+2, the one above). A node is probed, on the
+// next lane from lane, when the loop would probe it: its parent is
+// probed, its bracket is wider than tol (a positive tol) and the runs
+// folded before it — runs plus its depth — are below maxQuantileRuns.
+func pivots(tree []pivot, lo, hi, tol float64, runs, free, lane int) []pivot {
+	size := 0
+	for 2*size+1 <= free {
+		size = 2*size + 1
+	}
+	tree = tree[:0]
+	for i := 0; i < size; i++ {
+		p := pivot{lo: lo, hi: hi, lane: -1}
+		if i > 0 {
+			up := &tree[(i-1)/2]
+			if up.lane < 0 {
+				tree = append(tree, p)
+				continue
+			}
+			if i%2 == 1 {
+				p.lo, p.hi = up.lo, up.at
+			} else {
+				p.lo, p.hi = up.at, up.hi
+			}
+		}
+		if depth := bits.Len(uint(i+1)) - 1; tol > 0 && p.hi-p.lo > tol && runs+depth < maxQuantileRuns {
+			p.at, p.lane = mid(p.lo, p.hi), lane
+			lane++
+		}
+		tree = append(tree, p)
+	}
+	return tree
+}
+
+// mid is the bisection pivot of [lo, hi]: its midpoint, by the plain
+// arithmetic, except for a bracket wider than math.MaxFloat64 (finite
+// ends of opposite sign near the limits), which is halved without
+// forming hi − lo.
+func mid(lo, hi float64) float64 {
+	m := lo + (hi-lo)/2
+	if math.IsInf(m, 0) {
+		m = lo/2 + hi/2
+	}
+	return m
 }
 
 // maxQuantileRuns caps the total aggregate runs a Quantile query may
@@ -1160,7 +1265,7 @@ func (nw *Network) quantileHMS(ctx context.Context, values []float64, phi, tol f
 	if hi < lo {
 		hi = lo
 	}
-	return nw.bisect(ctx, ans, values, lo, hi, tol, float64(t))
+	return nw.bisect(ctx, ans, values, lo, hi, tol, float64(t), false)
 }
 
 // histogram computes the bucket counts with one Rank run per edge, the
@@ -1224,26 +1329,15 @@ func (nw *Network) histogram(ctx context.Context, values, edges []float64) (*Ans
 
 // steps executes runs, single-run queries of one pipeline shape, for the
 // composite query ans (Quantile, Histogram) in passes of up to passWidth
-// lanes, folds each run into ans in order and returns their answers. A
-// pass that fails or aborts does so for all its lanes alike: ans then
-// folds only the first, and the session counts only its run, as if the
-// runs had gone one at a time. The error names the failing step.
+// lanes, folds each run into ans in order and returns their answers.
 func (nw *Network) steps(ctx context.Context, ans *Answer, runs ...Query) ([]Answer, error) {
 	var out []Answer
 	for width := nw.passWidth(); len(runs) > 0; {
-		pass := runs[:min(width, len(runs))]
-		runs = runs[len(pass):]
-		st := nw.stats
-		answers, err := nw.execute(ctx, pass)
+		lanes := runs[:min(width, len(runs))]
+		runs = runs[len(lanes):]
+		answers, err := nw.pass(ctx, ans, lanes)
 		if err != nil {
-			d := nw.stats.since(st)
-			if lanes := d.ProtocolRuns - d.HorizonRuns; lanes > 1 {
-				nw.stats.ProtocolRuns -= lanes - 1
-			}
-			if answers != nil {
-				ans.addRun(&answers[0])
-			}
-			return nil, fmt.Errorf("%s %s step: %w", ans.Op, pass[0].Op, err)
+			return nil, err
 		}
 		for j := range answers {
 			ans.addRun(&answers[j])
@@ -1255,6 +1349,34 @@ func (nw *Network) steps(ctx context.Context, ans *Answer, runs ...Query) ([]Ans
 		}
 	}
 	return out, nil
+}
+
+// pass executes runs, single-run queries of one pipeline shape, as one
+// engine pass for the composite query ans and returns their answers for
+// the caller to fold. Composites read only their runs' values, so the
+// runs' per-node vectors stay on the query's workspace, valid until its
+// next pass. A pass that fails or aborts does so for all its lanes
+// alike: ans then folds only the first, and the session counts only its
+// run, as if the runs had gone one at a time. The error names the
+// failing step.
+func (nw *Network) pass(ctx context.Context, ans *Answer, runs []Query) ([]Answer, error) {
+	if nw.ws == nil {
+		nw.ws = new(core.Workspace)
+	}
+	nw.ws.BorrowPerNode = true
+	st := nw.stats
+	answers, err := nw.execute(ctx, runs)
+	if err != nil {
+		d := nw.stats.since(st)
+		if lanes := d.ProtocolRuns - d.HorizonRuns; lanes > 1 {
+			nw.stats.ProtocolRuns -= lanes - 1
+		}
+		if answers != nil {
+			ans.addRun(&answers[0])
+		}
+		return nil, fmt.Errorf("%s %s step: %w", ans.Op, runs[0].Op, err)
+	}
+	return answers, nil
 }
 
 // step is steps for one run.

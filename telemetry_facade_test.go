@@ -158,18 +158,11 @@ func TestTelemetryIsReadOnlyTap(t *testing.T) {
 	}
 }
 
-// eventStream runs a fixed batch with telemetry attached and returns
-// the captured events.
-func eventStream(t *testing.T, parallelism int, faultSpec string) []telemetry.Event {
+// eventStream runs a fixed batch on cfg (at n = 512, seed 33 and loss
+// 0.02) with telemetry attached and returns the captured events.
+func eventStream(t *testing.T, parallelism int, cfg Config) []telemetry.Event {
 	t.Helper()
-	cfg := Config{N: 512, Seed: 33, Loss: 0.02}
-	if faultSpec != "" {
-		p, err := ParseFaultPlan(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = p
-	}
+	cfg.N, cfg.Seed, cfg.Loss = 512, 33, 0.02
 	var buf telemetry.Buffer
 	cfg.Telemetry = &telemetry.Options{Sink: &buf, RoundEvery: 4}
 	nw, err := New(cfg)
@@ -177,7 +170,8 @@ func eventStream(t *testing.T, parallelism int, faultSpec string) []telemetry.Ev
 		t.Fatal(err)
 	}
 	values := uniformValues(512, 13)
-	queries := []Query{MaxOf(values), AverageOf(values), RankOf(values, 400), SumOf(values)}
+	// Rank and Sum share a pass, whose retries precede the Average's.
+	queries := []Query{MaxOf(values), RankOf(values, 400), AverageOf(values), SumOf(values)}
 	if _, _, err := nw.RunAll(queries, BatchOptions{Parallelism: parallelism}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +217,28 @@ func checkEventOrder(t *testing.T, label string, evs []telemetry.Event) {
 // matches sequential execution exactly — with a fault plan too, where
 // the parallel path resolves the horizon pre-runs up front and forwards
 // each one's events just before those of the first query that used its
-// binding, where sequential execution ran it.
+// binding, where sequential execution ran it, and with round-budget
+// aborts and retries, where a lane's retries follow its group's pass.
 func TestEventOrderingDeterministic(t *testing.T) {
-	for _, spec := range []string{"", "crash:0.05@0.4"} {
-		sequential := eventStream(t, 1, spec)
-		checkEventOrder(t, "spec "+spec+" sequential", sequential)
-		base := eventStream(t, 2, spec)
-		checkEventOrder(t, "spec "+spec+" parallel", base)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fault-free", Config{}},
+		{"crash", Config{Faults: mustPlan(t, "crash:0.05@0.4")}},
+		{"round-budget+retry", Config{RoundBudget: 100, Retry: &RetryPolicy{Attempts: 1}}},
+	} {
+		sequential := eventStream(t, 1, tc.cfg)
+		checkEventOrder(t, tc.name+" sequential", sequential)
+		base := eventStream(t, 2, tc.cfg)
+		checkEventOrder(t, tc.name+" parallel", base)
 		if !reflect.DeepEqual(sequential, base) {
-			t.Errorf("spec %q: parallel stream differs from sequential (%d vs %d events)",
-				spec, len(base), len(sequential))
+			t.Errorf("%s: parallel stream differs from sequential (%d vs %d events)",
+				tc.name, len(base), len(sequential))
 		}
-		if got := eventStream(t, 4, spec); !reflect.DeepEqual(base, got) {
-			t.Errorf("spec %q: parallel=4 event stream differs from parallel=2 (%d vs %d events)",
-				spec, len(got), len(base))
+		if got := eventStream(t, 4, tc.cfg); !reflect.DeepEqual(base, got) {
+			t.Errorf("%s: parallel=4 event stream differs from parallel=2 (%d vs %d events)",
+				tc.name, len(got), len(base))
 		}
 	}
 }
@@ -329,7 +331,7 @@ func TestRoundEventResidual(t *testing.T) {
 
 // TestQuantileSessionChromeTrace is the acceptance criterion's trace
 // half: a whole Quantile session renders as valid Chrome trace-event
-// JSON with one span per protocol run.
+// JSON with one run span per engine pass.
 func TestQuantileSessionChromeTrace(t *testing.T) {
 	var buf telemetry.Buffer
 	nw, err := New(Config{N: 512, Seed: 41, Telemetry: &telemetry.Options{Sink: &buf}})
@@ -359,8 +361,8 @@ func TestQuantileSessionChromeTrace(t *testing.T) {
 			runSpans++
 		}
 	}
-	if runSpans != a.Cost.Runs {
-		t.Errorf("trace has %d run spans, answer billed %d runs", runSpans, a.Cost.Runs)
+	if passes := nw.Stats().Passes; runSpans != passes || passes >= a.Cost.Runs {
+		t.Errorf("trace has %d run spans for %d passes and %d billed runs", runSpans, passes, a.Cost.Runs)
 	}
 }
 

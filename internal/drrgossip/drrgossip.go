@@ -121,7 +121,9 @@ type Result struct {
 	Value float64
 	// Variance is the population variance E[v²] − E[v]² (Moments only).
 	Variance float64
-	// PerNode is every node's final value (NaN for crashed nodes).
+	// PerNode is every node's final value (NaN for crashed nodes). When
+	// the run used a Workspace's storage, it is valid until that
+	// workspace's next run.
 	PerNode []float64
 	// Consensus reports whether all alive nodes ended with the same value
 	// (and, for Moments, the same variance).
@@ -161,24 +163,18 @@ func decodeKeyRoot(key float64) int {
 // Phase I's scratch with the forest it rebuilds, Phase II's and Phase
 // III's scratch, the convergecast inputs a run derives from its lanes'
 // values (negated, indicator or squared values, or several lanes side by
-// side) and the per-node variances a Moments run checks for consensus.
-// A caller that runs the pipeline repeatedly keeps one (the facade: one
+// side), the Results' per-node vectors and the per-node variances a
+// Moments run checks for consensus. A caller that runs the pipeline repeatedly keeps one (the facade: one
 // per query, shared by all of the query's runs, and one per RunAll
 // worker), and every run rebuilds them in place instead of allocating
 // them. The zero value is ready to use; a Workspace serves one run at a
 // time.
 type Workspace struct {
-	// BorrowPerNode puts the Results' PerNode vectors on the workspace's
-	// storage, valid until its next run, instead of a fresh vector the
-	// caller owns: for callers that read only the runs' values, such as
-	// the steps of a composite query.
-	BorrowPerNode bool
-
 	drr     drr.Scratch
 	cc      convergecast.Scratch
 	gs      gossip.Scratch
 	in      []float64
-	perNode []float64 // the borrowed PerNode vectors
+	perNode []float64 // the Results' PerNode vectors
 	perVar  []float64 // a Moments run's per-node variances
 }
 
@@ -199,7 +195,7 @@ func Run(eng *sim.Engine, ov overlay.Overlay, kind Kind, values []float64) (*Res
 // share a shape (Max and Min; Sum, Count and Rank; Ave; Moments).
 // Result j answers lanes[j] exactly as a run of that lane alone would;
 // the lanes' PerNode vectors share one allocation, each capped at its
-// own n entries (w's, with BorrowPerNode). The Results' Forest is w's and
+// own n entries. The Results' PerNode vectors and Forest are w's and
 // valid until w's next run.
 func (w *Workspace) Run(eng *sim.Engine, ov overlay.Overlay, lanes ...Lane) ([]Result, error) {
 	opts := drr.Options{Scratch: &w.drr}
@@ -375,17 +371,11 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 
 	// Final dissemination down the trees.
 	eng.SetPhase(PhaseBroadcast)
-	var out []float64
-	if w.BorrowPerNode {
-		out = w.perNode
-	}
-	perNode, err := w.cc.BroadcastValue(eng, f, g.est, out)
+	perNode, err := w.cc.BroadcastValue(eng, f, g.est, w.perNode)
 	if err != nil {
 		return nil, err
 	}
-	if w.BorrowPerNode {
-		w.perNode = perNode
-	}
+	w.perNode = perNode
 	var perVar []float64
 	if g.varEst != nil {
 		if perVar, err = w.cc.BroadcastValue(eng, f, g.varEst, w.perVar); err != nil {

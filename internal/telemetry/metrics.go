@@ -74,8 +74,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	counter("drrgossip_runs_started_total", "Protocol runs started.", m.runsStarted.Load())
-	counter("drrgossip_runs_finished_total", "Protocol runs finished.", m.runsFinished.Load())
+	counter("drrgossip_runs_started_total", "Engine passes (run spans) started.", m.runsStarted.Load())
+	counter("drrgossip_runs_finished_total", "Engine passes (run spans) finished.", m.runsFinished.Load())
 	counter("drrgossip_rounds_total", "Simulated rounds executed.", rounds)
 	counter("drrgossip_messages_total", "Message transmission attempts.", messages)
 	counter("drrgossip_drops_total", "Messages lost to link failure.", m.drops.Load())

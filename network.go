@@ -1353,17 +1353,13 @@ func (nw *Network) steps(ctx context.Context, ans *Answer, runs ...Query) ([]Ans
 
 // pass executes runs, single-run queries of one pipeline shape, as one
 // engine pass for the composite query ans and returns their answers for
-// the caller to fold. Composites read only their runs' values, so the
-// runs' per-node vectors stay on the query's workspace, valid until its
+// the caller to fold. Composites read only their runs' values; the
+// runs' per-node vectors are the query's workspace's, valid until its
 // next pass. A pass that fails or aborts does so for all its lanes
 // alike: ans then folds only the first, and the session counts only its
 // run, as if the runs had gone one at a time. The error names the
 // failing step.
 func (nw *Network) pass(ctx context.Context, ans *Answer, runs []Query) ([]Answer, error) {
-	if nw.ws == nil {
-		nw.ws = new(core.Workspace)
-	}
-	nw.ws.BorrowPerNode = true
 	st := nw.stats
 	answers, err := nw.execute(ctx, runs)
 	if err != nil {

@@ -120,6 +120,36 @@ func TestSecondBillReported(t *testing.T) {
 	}
 }
 
+// TestNoPayloadValues fails on any read or write of the value fields
+// of sim.Payload (A, B, C) in the Phase II and III drivers. Their
+// messages carry only a kind and, in Phase III, the sender's root slot:
+// every landing reads the values from the sender's send-time snapshot,
+// so a value riding the payload as well would be a second copy to keep
+// equal to it. (An unkeyed Payload literal is go vet's to reject.)
+func TestNoPayloadValues(t *testing.T) {
+	p, err := load([]module{{"drrgossip", "../.."}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range payloadValues(p) {
+		t.Errorf("%s: %s: read the value from the sender's snapshot instead", d.pos, d.key)
+	}
+}
+
+// TestPayloadValuesReported runs the payload scan over the mini-module,
+// whose gossip package writes a value into a payload and reads two
+// back, and whose driver package, which the scan skips, reads one.
+func TestPayloadValuesReported(t *testing.T) {
+	p, err := load([]module{{"mini", "testdata/mini"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"gossip.Payload.A", "gossip.Payload.A", "gossip.Payload.B"}
+	if keys := declKeys(payloadValues(p)); !slices.Equal(keys, want) {
+		t.Fatalf("payload values = %v, want %v", keys, want)
+	}
+}
+
 // declKeys returns the keys of ds, in order.
 func declKeys(ds []decl) []string {
 	var keys []string
@@ -414,6 +444,47 @@ func secondBills(p *program) []decl {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// payloadValues returns every use of the fields A, B and C of the type
+// Payload of an internal/sim package of p in the non-test files of the
+// internal/gossip and internal/convergecast packages: selections and
+// composite-literal keys alike. Each key is the package path below
+// internal/, then Payload and the field; the uses are in source order.
+func payloadValues(p *program) []decl {
+	values := map[types.Object]bool{}
+	for path, c := range p.pkgs {
+		if !strings.HasSuffix(path, "/internal/sim") {
+			continue
+		}
+		if obj := c.pkg.Scope().Lookup("Payload"); obj != nil {
+			st := obj.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Name() == "A" || f.Name() == "B" || f.Name() == "C" {
+					values[f] = true
+				}
+			}
+		}
+	}
+	var out []decl
+	for path, c := range p.pkgs {
+		_, rel, _ := strings.Cut(path, "/internal/")
+		if rel != "gossip" && rel != "convergecast" {
+			continue
+		}
+		for id, obj := range c.info.Uses {
+			if values[obj] {
+				out = append(out, decl{rel + ".Payload." + id.Name, p.fset.Position(id.Pos())})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].pos.Filename != out[j].pos.Filename {
+			return out[i].pos.Filename < out[j].pos.Filename
+		}
+		return out[i].pos.Offset < out[j].pos.Offset
+	})
 	return out
 }
 

@@ -1,5 +1,7 @@
 // Package driver keeps a second bill: a copy of its engine's counters in
 // its result, and as a function result. The counters scan reports both.
+// It also reads a payload value, which the payload scan, confined to the
+// Phase II and III drivers, does not report.
 package driver
 
 import "mini/internal/sim"
@@ -12,3 +14,6 @@ func Run(e *sim.Engine) (Result, sim.Counters) {
 	e.Send()
 	return Result{Stats: e.Stats()}, e.Stats()
 }
+
+// Value reads a payload's value.
+func Value(p sim.Payload) float64 { return p.C }

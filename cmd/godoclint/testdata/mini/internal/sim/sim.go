@@ -1,5 +1,6 @@
 // Package sim stands in for the engine: its Counters is the bill that
-// only this package and telemetry may carry.
+// only this package and telemetry may carry, and its Payload the message
+// body whose value fields the Phase II and III drivers may not use.
 package sim
 
 // Counters is the engine's bill.
@@ -13,3 +14,9 @@ func (e *Engine) Send() { e.c.Messages++ }
 
 // Stats returns the bill; the scan allows it here.
 func (e *Engine) Stats() Counters { return e.c }
+
+// Payload is a message body.
+type Payload struct {
+	Kind    uint8
+	A, B, C float64
+}

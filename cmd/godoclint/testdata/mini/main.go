@@ -1,5 +1,5 @@
-// Command mini is the fixture of the unreferenced-declaration and
-// counters scans.
+// Command mini is the fixture of the unreferenced-declaration, counters
+// and payload scans.
 package main
 
 import (
@@ -7,6 +7,7 @@ import (
 
 	"mini/internal/dead"
 	"mini/internal/driver"
+	"mini/internal/gossip"
 	"mini/internal/sim"
 )
 
@@ -14,4 +15,5 @@ import (
 func main() {
 	fmt.Println(dead.Used())
 	fmt.Println(driver.Run(new(sim.Engine)))
+	fmt.Println(gossip.Echo(1), driver.Value(sim.Payload{}))
 }

@@ -24,10 +24,13 @@
 //
 // Every upward pass and BroadcastValue fold one or more value lanes: L
 // per-node value vectors that share the pass's messages, loss draws and
-// bill. Lane 0 rides the payload; lanes 1..L-1 live in the Scratch and
-// are merged from the caller's accumulators, which no merge touches while
-// the caller is calling. One lane is the paper's pass; several are
-// several aggregates of one shape computed in one pass.
+// bill. A node's state is one column per lane of a lane-major set held
+// in the Scratch (a sum pass adds the member count as the last column),
+// and a payload carries only its kind: a merge reads every column of the
+// caller's accumulators, which no merge touches while the caller is
+// calling, and a broadcast delivery is read off the receiver's root
+// slot. One lane is the paper's pass; several are several aggregates of
+// one shape computed in one pass.
 //
 // The per-node state lives in a Scratch that callers running Phase II
 // once per protocol run keep and reuse.
@@ -69,17 +72,16 @@ const (
 // Scratch runs one phase at a time and is not safe for concurrent use.
 type Scratch struct {
 	acc     []float64  // up: per-node accumulators, lane-major (lane l of node i at l*n+i)
-	cnt     []float64  // up: per-node member counts (Sum only), on acc's storage
+	cnt     []float64  // up: per-node member counts (Sum only), acc's last column
 	pending []int32    // up: live children not merged yet
 	merged  bitset.Set // up: child -> contribution registered at parent
 	acked   bitset.Set // up: child -> knows it was registered
 	armed   bitset.Set // up: next round's callers
 
-	perRoot []sim.Payload // down: the payload of each root slot
-	next    []int32       // down: index into Children(i) of the next unacked child
-	have    bitset.Set    // down: node holds its root slot's payload
-	serving bitset.Set    // down: live reached nodes with a child left
-	stack   []int         // down: bookkeeping walk
+	next    []int32    // down: index into Children(i) of the next unacked child
+	have    bitset.Set // down: node has heard from its root
+	serving bitset.Set // down: live reached nodes with a child left
+	stack   []int      // down: bookkeeping walk
 
 	rootTo []int // BroadcastRootAddr's result
 }
@@ -126,18 +128,22 @@ func (s *Scratch) load(eng *sim.Engine, f *forest.Forest, values []float64, with
 	return L, nil
 }
 
-// up runs the generic upward aggregation of L lanes, merging into the
-// accumulators load filled: by sum (with the member counts) when sum is
-// set, by maximum otherwise. A root's entries then hold its tree's
-// aggregates. Liveness is re-evaluated whenever the membership changes,
-// so that mid-run crashes (dynamic membership) degrade the result
-// instead of stalling the phase: a dead child is no longer waited for, a
-// node with a dead parent stops retrying, and under an active fault
-// regime an incomplete phase keeps the partial accumulators rather than
-// failing with ErrIncomplete.
+// up runs the generic upward aggregation of L lanes, merging every
+// column of the accumulators load filled: by sum (the member counts
+// included) when sum is set, by maximum otherwise. A root's entries then
+// hold its tree's aggregates. Liveness is re-evaluated whenever the
+// membership changes, so that mid-run crashes (dynamic membership)
+// degrade the result instead of stalling the phase: a dead child is no
+// longer waited for, a node with a dead parent stops retrying, and under
+// an active fault regime an incomplete phase keeps the partial
+// accumulators rather than failing with ErrIncomplete.
 func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, L int, sum bool) error {
 	n := eng.N()
 	acc := s.acc
+	cols := L * n // the columns' extent in acc
+	if sum {
+		cols += n
+	}
 	s.pending = resized(s.pending, n)
 	s.merged.Resize(n)
 	s.acked.Resize(n)
@@ -177,23 +183,19 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, L int, sum bool) error {
 	epoch := eng.MemberEpoch()
 	remaining := book()
 	// A caller is armed, so alive and counted in its parent's pending
-	// children: its first merge settles one of them. Lane 0 and the count
-	// come from the request; the other lanes from the caller's
-	// accumulators, which are what the request was built from: every
-	// live child of an armed caller has merged already, so no merge this
-	// round writes to a caller.
-	handle := func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
+	// children: its first merge settles one of them. Every column comes
+	// from the caller's accumulators, which hold what it had when it
+	// called: every live child of an armed caller has merged already, so
+	// no merge this round writes to a caller.
+	handle := func(callee, caller int, _ sim.Payload) (sim.Payload, bool) {
 		if !s.merged.Test(caller) {
 			s.merged.Set(caller)
 			if sum {
-				acc[callee] += req.A
-				s.cnt[callee] += req.C
-				for o := n; o < L*n; o += n {
+				for o := 0; o < cols; o += n {
 					acc[o+callee] += acc[o+caller]
 				}
 			} else {
-				acc[callee] = math.Max(acc[callee], req.A)
-				for o := n; o < L*n; o += n {
+				for o := 0; o < cols; o += n {
 					acc[o+callee] = math.Max(acc[o+callee], acc[o+caller])
 				}
 			}
@@ -217,11 +219,7 @@ func (s *Scratch) up(eng *sim.Engine, f *forest.Forest, L int, sum bool) error {
 		}
 		calls := eng.CallSlots()
 		s.armed.ForEach(func(i int) {
-			pay := sim.Payload{Kind: kindUp, A: acc[i], X: int64(i)}
-			if sum {
-				pay.C = s.cnt[i]
-			}
-			calls = append(calls, sim.Call{From: i, To: f.Parent(i), Pay: pay})
+			calls = append(calls, sim.Call{From: i, To: f.Parent(i), Pay: sim.Payload{Kind: kindUp}})
 		})
 		eng.ResolveCalls(calls, handle, onReply)
 	}
@@ -273,15 +271,14 @@ func (s *Scratch) Sum(eng *sim.Engine, f *forest.Forest, values []float64) (sums
 		return nil, nil, err
 	}
 	m := f.NumTrees()
-	out := atRoots(make([]float64, 0, (L+1)*m), s.acc, f, L)
-	out = atRoots(out, s.cnt, f, 1)
+	out := atRoots(make([]float64, 0, (L+1)*m), s.acc, f, L+1) // the counts are the last column
 	return out[: L*m : L*m], out[L*m:], nil
 }
 
-// down pushes the per-root payloads in s.perRoot, indexed by root slot,
-// to every tree member and returns the set of members reached (valid
-// until s's next phase). A node only ever receives from its parent, so a
-// reached node i holds its root slot's payload, perRoot[f.Slot(i)]. A
+// down pushes each root's message to every member of its tree and
+// returns the set of members reached (valid until s's next phase). A
+// node only ever receives from its parent, so a reached node has heard
+// from its own root, and what it learns is read off its root slot. A
 // node calls one child per round, retrying unacknowledged ones;
 // delivered children forward to their own subtrees from the next round.
 // Liveness is re-evaluated whenever the membership changes: dead children
@@ -293,9 +290,6 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 	if f.N() != n {
 		return nil, fmt.Errorf("convergecast: forest has %d nodes, engine %d", f.N(), n)
 	}
-	if len(s.perRoot) != f.NumTrees() {
-		return nil, fmt.Errorf("convergecast: %d root payloads for %d trees", len(s.perRoot), f.NumTrees())
-	}
 	s.next = resized(s.next, n)
 	clear(s.next)
 	s.have.Resize(n)
@@ -304,7 +298,7 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 		s.have.Set(r)
 	}
 	// book rebuilds the serving set and returns the number of members
-	// still owed the payload: alive, not reached, with live ancestors up
+	// still owed the message: alive, not reached, with live ancestors up
 	// to a live reached one. A node is only ever reached from its reached
 	// parent, so every unreached member hangs below exactly one nearest
 	// reached node, and the walk below each live reached node visits its
@@ -376,9 +370,7 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 				s.serving.Clear(i)
 				return
 			}
-			p := s.perRoot[f.Slot(i)]
-			p.Kind = kindDown
-			calls = append(calls, sim.Call{From: i, To: kids[k], Pay: p})
+			calls = append(calls, sim.Call{From: i, To: kids[k], Pay: sim.Payload{Kind: kindDown}})
 		})
 		eng.ResolveCalls(calls, handle, onReply)
 	}
@@ -393,8 +385,8 @@ func (s *Scratch) down(eng *sim.Engine, f *forest.Forest) (*bitset.Set, error) {
 // root slot, and a reached node i gets lane l's perRoot[l*m+f.Slot(i)]
 // in lane l of the result (L lanes of n per-node values, lane-major);
 // non-members and unreached members (crashed, or beyond a crashed
-// ancestor) get NaN. The lanes share one pass: lane 0 rides the
-// payload, and what a node receives is read off its root slot. The
+// ancestor) get NaN. The lanes share one pass, whose messages carry no
+// value: what a reached node receives is read off its root slot. The
 // result is written into out when its capacity holds it, into a fresh
 // vector otherwise (out nil: the result is the caller's alone).
 func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot, out []float64) ([]float64, error) {
@@ -402,10 +394,6 @@ func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot, out
 	L, err := lanes(perRoot, m, "trees")
 	if err != nil {
 		return nil, err
-	}
-	s.perRoot = resized(s.perRoot, m)
-	for k := range s.perRoot {
-		s.perRoot[k] = sim.Payload{A: perRoot[k]}
 	}
 	have, err := s.down(eng, f)
 	if err != nil {
@@ -434,10 +422,6 @@ func (s *Scratch) BroadcastValue(eng *sim.Engine, f *forest.Forest, perRoot, out
 // node gets its root slot's address, f.RootOf(i); the others get -1. The
 // result belongs to s and is valid until its next BroadcastRootAddr.
 func (s *Scratch) BroadcastRootAddr(eng *sim.Engine, f *forest.Forest) ([]int, error) {
-	s.perRoot = resized(s.perRoot, f.NumTrees())
-	for k, r := range f.Roots() {
-		s.perRoot[k] = sim.Payload{X: int64(r)}
-	}
 	have, err := s.down(eng, f)
 	if err != nil {
 		return nil, err

@@ -436,7 +436,6 @@ func diffPhaseTwo(t testing.TB, f *forest.Forest, opts sim.Options, b *faults.Bo
 	}
 	for k := 0; k < 2; k++ {
 		what := fmt.Sprintf("down pass %d", k)
-		s.perRoot = append(s.perRoot[:0], perRoot...)
 		log.watch(eng, func() uint64 { return 0 })
 		refLog.watch(ref, func() uint64 { return 0 })
 		before := eng.Stats()

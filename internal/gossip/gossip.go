@@ -24,11 +24,14 @@
 // Every driver folds one or more value lanes: L per-root value vectors,
 // lane-major by root slot (lane l of slot k at [l*m+k] for m roots), that
 // share the driver's messages, loss draws and bill, because no send
-// depends on a value. Lane 0 rides the payload; lanes 1..L-1 are copied
-// when a message is sent (the sender's push value, push-sum share or
-// inquiry reply) and read at landing through the sender's root slot, so
-// a landing never sees what an earlier landing of the same tick changed.
-// Push-sum lanes share the weight g: they are extra s components.
+// depends on a value. A root's state is one column of that lane-major
+// set (push-sum's weight g is the last column of Gossip-ave's state: the
+// lanes are extra s components sharing it). A message carries no value,
+// only its kind and the sender's root slot: every column is copied into a
+// snapshot when the exchange is sent (the sender's push value, push-sum
+// share or inquiry reply), and a landing combines the sender's snapshot
+// column into the receiver's, so it never sees what an earlier landing
+// of the same tick changed.
 //
 // The working lists a driver grows while it runs live in a Scratch that
 // callers running Phase III once per protocol run keep and reuse.
@@ -52,6 +55,7 @@ const (
 	kindInquiry   uint8 = 0x32
 	kindInqReply  uint8 = 0x33
 	kindAveShare  uint8 = 0x34
+	kindNoCall    uint8 = 0x35 // a push-sum call that could not be established
 )
 
 // LossInflate scales a round budget by the paper's 1/(1-ρ) factor, where
@@ -94,12 +98,8 @@ type Scratch struct {
 type inquiry struct{ from, to int }
 
 // inflight is one reliable share awaiting its ack: the sender's slot,
-// the destination node, the ack deadline, and the share's lane 0 and
-// weight.
-type inflight struct {
-	k, dst, due int
-	s, g        float64
-}
+// the destination node and the ack deadline.
+type inflight struct{ k, dst, due int }
 
 // checkLanes rejects vals unless it holds lanes of per-root values: a
 // positive whole number of m-long vectors.
@@ -126,19 +126,21 @@ func (s *Scratch) Max(tr Transport, init []float64) (*MaxResult, error) {
 	if err := checkLanes(init, m, "init values"); err != nil {
 		return nil, err
 	}
-	val := append([]float64(nil), init...)
+	// One allocation holds the estimates, their copy after the gossip
+	// procedure and the snapshot every exchange lands from.
+	size := len(init)
+	buf := make([]float64, 3*size)
+	val, after, sent := buf[:size:size], buf[size:2*size:2*size], buf[2*size:]
+	copy(val, init)
 	gossipRounds := tr.iterations(2*sim.CeilLog2(eng.N()) + 12)
 	sampleRounds := tr.iterations(sim.CeilLog2(eng.N()) + 8)
-	if err := Push(tr, val, gossipRounds); err != nil {
-		return nil, err
-	}
-	after := append([]float64(nil), val...)
+	push(tr, val, sent, gossipRounds)
+	copy(after, val)
 
 	// Sampling procedure: inquire a random node's root, which replies
 	// with its value; adopt it if larger.
 	inquiries := s.inquiries[:0]
 	defer func() { s.inquiries = inquiries[:0] }()
-	var sent []float64 // lanes 1..L-1 of every responder at reply time
 	gather := func(k int) {
 		for _, m := range eng.Inbox(roots[k]) {
 			if m.Pay.Kind == kindInquiry {
@@ -163,9 +165,9 @@ func (s *Scratch) Max(tr Transport, init []float64) (*MaxResult, error) {
 				slices.SortStableFunc(inquiries[start:], func(a, b inquiry) int { return cmp.Compare(a.to, b.to) })
 			}
 		}
-		sent = append(sent[:0], val[m:]...)
+		copy(sent, val) // every responder's value at reply time
 		for _, q := range inquiries {
-			tr.reply(roots[q.to], q.from, sim.Payload{Kind: kindInqReply, A: val[q.to]})
+			tr.reply(roots[q.to], q.from, sim.Payload{Kind: kindInqReply, X: int64(q.to)})
 		}
 		land(tr, val, sent, kindInqReply)
 	}
@@ -184,28 +186,32 @@ func (s *Scratch) Max(tr Transport, init []float64) (*MaxResult, error) {
 // before its sampling procedure; on the singleton forest it is the
 // uniform push gossip of Kempe et al.
 func Push(tr Transport, val []float64, iterations int) error {
-	eng, f := tr.env()
-	roots := f.Roots()
-	m := len(roots)
-	if err := checkLanes(val, m, "init values"); err != nil {
+	_, f := tr.env()
+	if err := checkLanes(val, f.NumTrees(), "init values"); err != nil {
 		return err
 	}
-	var sent []float64 // lanes 1..L-1 of every root at push time
+	push(tr, val, make([]float64, len(val)), iterations)
+	return nil
+}
+
+// push is Push on checked estimates, with sent, as long as val, to hold
+// every root's estimates at push time.
+func push(tr Transport, val, sent []float64, iterations int) {
+	eng, f := tr.env()
 	for t := 0; t < iterations; t++ {
-		sent = append(sent[:0], val[m:]...)
-		for k, r := range roots {
+		copy(sent, val)
+		for k, r := range f.Roots() {
 			if eng.Alive(r) {
-				tr.push(r, sim.Payload{Kind: kindGossipVal, A: val[k]})
+				tr.push(r, sim.Payload{Kind: kindGossipVal, X: int64(k)})
 			}
 		}
 		land(tr, val, sent, kindGossipVal)
 	}
-	return nil
 }
 
-// land lets one exchange arrive, adopting every larger value of kind:
-// lane 0 from the payload, the other lanes from sent, the senders'
-// lanes 1..L-1 as they were when the exchange was sent.
+// land lets one exchange arrive, adopting every larger value of kind
+// from sent, the estimates as they were when the exchange was sent, at
+// the sender's slot the message carries.
 func land(tr Transport, val, sent []float64, kind uint8) {
 	eng, f := tr.env()
 	roots := f.Roots()
@@ -215,15 +221,10 @@ func land(tr Transport, val, sent []float64, kind uint8) {
 			if msg.Pay.Kind != kind {
 				continue
 			}
-			if msg.Pay.A > val[k] {
-				val[k] = msg.Pay.A
-			}
-			if len(sent) > 0 {
-				j := f.Slot(msg.From)
-				for o := 0; o < len(sent); o += m {
-					if v := sent[o+j]; v > val[m+o+k] {
-						val[m+o+k] = v
-					}
+			j := int(msg.Pay.X)
+			for o := 0; o < len(sent); o += m {
+				if v := sent[o+j]; v > val[o+k] {
+					val[o+k] = v
 				}
 			}
 		}
@@ -298,9 +299,10 @@ func Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
 // forest: every root starts with its s components s0, one or more lanes
 // lane-major by root slot, and its weight g0 — (local sum, tree size)
 // from Convergecast-sum for the average — and each round it keeps half
-// and pushes half to a random node's root. The lanes share the weight,
-// and each lane's ratio s/g at the largest-tree root converges to that
-// lane's global average at the rate of Theorem 7.
+// and pushes half to a random node's root. The lanes share the weight
+// (the state's last column), and each lane's ratio s/g at the
+// largest-tree root converges to that lane's global average at the rate
+// of Theorem 7.
 func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResult, error) {
 	eng, f := tr.env()
 	roots := f.Roots()
@@ -319,12 +321,15 @@ func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResu
 		}
 		track = f.Slot(opts.TrackRoot)
 	}
-	state := append(append(make([]float64, 0, (L+1)*m), s0...), g0...)
+	// One allocation holds the state, the s lanes and then the weight,
+	// and behind it every root's last share, the snapshot its landings
+	// read.
+	cols := (L + 1) * m
+	buf := make([]float64, 2*cols)
+	state, share := buf[:cols:cols], buf[cols:]
+	copy(state, s0)
+	copy(state[L*m:], g0)
 	sum, w := state[:L*m:L*m], state[L*m:]
-	var share []float64 // lanes 1..L-1 of every root's last share
-	if L > 1 {
-		share = make([]float64, (L-1)*m)
-	}
 	rounds := tr.iterations(4*sim.CeilLog2(eng.N()) + 24)
 	ticks := tr.ticks()
 
@@ -368,7 +373,7 @@ func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResu
 	// discards them and the sender's ack times out — the share is
 	// restored, so mid-run crashes cannot bleed push-sum mass (a no-op
 	// in the static model). Every share is due within its round's
-	// exchange, so its lanes are still in share when it times out.
+	// exchange, so it is still in share when it lands or times out.
 	pending := s.pending[:0]
 	defer func() { s.pending = pending[:0] }()
 	credit := func(k int) {
@@ -376,20 +381,16 @@ func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResu
 			if msg.Pay.Kind != kindAveShare {
 				continue
 			}
-			sum[k] += msg.Pay.A
-			w[k] += msg.Pay.B
-			if share != nil {
-				j := f.Slot(msg.From)
-				for o := 0; o < len(share); o += m {
-					sum[m+o+k] += share[o+j]
-				}
+			j := int(msg.Pay.X)
+			for o := 0; o < cols; o += m {
+				state[o+k] += share[o+j]
 			}
 		}
 	}
-	// scale multiplies every lane of root k's s by x.
+	// scale multiplies every column of root k's state by x.
 	scale := func(k int, x float64) {
-		for o := k; o < L*m; o += m {
-			sum[o] *= x
+		for o := k; o < cols; o += m {
+			state[o] *= x
 		}
 	}
 
@@ -407,20 +408,17 @@ func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResu
 			// delivery unless shares are reliable (loss destroys mass, as
 			// in the analysis).
 			scale(k, 0.5)
-			w[k] /= 2
-			for o := 0; o < len(share); o += m {
-				share[o+k] = sum[m+o+k]
+			for o := k; o < cols; o += m {
+				share[o] = state[o]
 			}
-			pay := sim.Payload{Kind: kindAveShare, A: sum[k], B: w[k], X: int64(r)}
-			delivered, dst, due := tr.ship(r, pay, opts.ReliableShares)
+			delivered, dst, due := tr.ship(r, sim.Payload{Kind: kindAveShare, X: int64(k)}, opts.ReliableShares)
 			if opts.ReliableShares {
 				if !delivered {
 					// Every retry failed: restore the share; no mass
 					// leaves the system.
 					scale(k, 2)
-					w[k] *= 2
 				} else {
-					pending = append(pending, inflight{k: k, dst: dst, due: due, s: sum[k], g: w[k]})
+					pending = append(pending, inflight{k: k, dst: dst, due: due})
 				}
 			}
 			if opts.TrackPotential && !(opts.ReliableShares && !delivered) {
@@ -452,10 +450,8 @@ func (s *Scratch) Ave(tr Transport, s0, g0 []float64, opts AveOptions) (*AveResu
 					case !eng.Alive(sh.dst):
 						// Ack timeout: the destination died before
 						// delivery and the engine discarded the share.
-						sum[sh.k] += sh.s
-						w[sh.k] += sh.g
-						for o := 0; o < len(share); o += m {
-							sum[m+o+sh.k] += share[o+sh.k]
+						for o := sh.k; o < cols; o += m {
+							state[o] += share[o]
 						}
 					}
 				}

@@ -103,7 +103,7 @@ func (t *relay) draw(r int, reliable bool) bool {
 		// possible only under dynamic membership. The sender detects the
 		// failure and retains its share; only the call attempt is paid
 		// for.
-		t.eng.Send(r, t.hop, sim.Payload{Kind: kindAveShare})
+		t.eng.Send(r, t.hop, sim.Payload{Kind: kindNoCall})
 		return false
 	}
 	return true

@@ -71,7 +71,7 @@ import (
 // use this package's messages).
 type Payload struct {
 	Kind    uint8   // protocol-defined discriminator
-	A, B, C float64 // numeric fields (value, weight, second moment, …)
+	A, B, C float64 // numeric fields (a value, a weight, …)
 	X, Y    int64   // integer fields (ids, counts, …)
 }
 

@@ -367,55 +367,89 @@ func TestBatchMatchesSolo(t *testing.T) {
 	checkBatchMatchesSolo(t, "complete/round-budget+retry", budget, queries)
 	sample := Config{N: n, Seed: 19, SampleNodes: 16, Faults: mustPlan(t, "crash:0.1@0.4")}
 	checkBatchMatchesSolo(t, "complete/sampled", sample, queries)
+	// A budget too short for any horizon pre-run: every pre-run aborts,
+	// so no pass starts, and each query pays a pre-run of its own.
+	v := agg.GenUniform(n, 0, 1000, 3)
+	aborted := Config{N: n, Seed: 3, RoundBudget: 20, Faults: mustPlan(t, "loss:0.1@0.2..0.8")}
+	checkBatchMatchesSolo(t, "complete/aborted-horizon", aborted, []Query{
+		SumOf(v), CountOf(v), RankOf(v, 500), MaxOf(v), MinOf(v), QuantileOf(v, 0.5, 0), HistogramOf(v, []float64{100, 500}),
+	})
 }
 
 // A batch stops at its lowest-indexed failing query, as one-at-a-time
 // execution would: the answers before it, the error and the session's
 // accounting (apart from Passes) are the same, although later queries of
-// the failing query's shape may already have run in a shared pass.
+// the failing query's shape may already have run in a shared pass. The
+// failure may come before the shared pass starts: a context cancelled
+// during the horizon pre-run fails the first query alone.
 func TestBatchErrorMatchesSolo(t *testing.T) {
-	const n = 128
-	cfg := Config{N: n, Seed: 23, Faults: mustPlan(t, "crash:0.1@0.5")}
-	queries := batchMix(n, 7)
-	queries[5] = SumOf(make([]float64, n-1)) // wrong length: fails alone
-	seq, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	badLength := func() (Config, context.Context) {
+		return Config{N: 128, Seed: 23, Faults: mustPlan(t, "crash:0.1@0.5")}, context.Background()
 	}
-	var want []*Answer
-	var wantErr error
-	for i, q := range queries {
-		a, err := seq.Run(q)
-		if err != nil {
-			wantErr = fmt.Errorf("query %d (%s): %w", i, q.Op, err)
-			break
-		}
-		want = append(want, a)
+	mix := batchMix(128, 7)
+	mix[5] = SumOf(make([]float64, 127)) // wrong length: fails alone
+	// cancelAtStart cancels its context when the session's first run
+	// starts, which is the horizon pre-run of the first query's shape.
+	cancelAtStart := func() (Config, context.Context) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		sink := sinkFunc(func(ev *telemetry.Event) {
+			if ev.Kind == telemetry.KindRunStart {
+				cancel()
+			}
+		})
+		return Config{N: 256, Seed: 3, Faults: mustPlan(t, "loss:0.1@0.2..0.8"), Telemetry: &telemetry.Options{Sink: sink}}, ctx
 	}
-	if wantErr == nil {
-		t.Fatal("the bad query did not fail")
-	}
-	for _, workers := range []int{1, 2} {
-		nw, err := New(cfg)
+	v := agg.GenUniform(256, 0, 1000, 3)
+	for _, r := range []struct {
+		name    string
+		session func() (Config, context.Context) // a fresh one per session
+		queries []Query
+	}{
+		{"bad-length", badLength, mix},
+		{"cancelled-horizon", cancelAtStart, []Query{SumOf(v), CountOf(v), RankOf(v, 500)}},
+	} {
+		cfg, ctx := r.session()
+		seq, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := nw.RunAll(queries, BatchOptions{Parallelism: workers})
-		if err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("workers=%d: error %v, want %v", workers, err, wantErr)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d answers before the error, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if outcomeDigest(got[i], nil, SessionStats{}) != outcomeDigest(want[i], nil, SessionStats{}) {
-				t.Fatalf("workers=%d query %d: %+v, want %+v", workers, i, got[i], want[i])
+		var want []*Answer
+		var wantErr error
+		for i, q := range r.queries {
+			a, err := seq.RunContext(ctx, q)
+			if err != nil {
+				wantErr = fmt.Errorf("query %d (%s): %w", i, q.Op, err)
+				break
 			}
+			want = append(want, a)
 		}
-		gs, ws := nw.Stats(), seq.Stats()
-		gs.Passes = ws.Passes
-		if gs != ws {
-			t.Fatalf("workers=%d: session stats %+v, one at a time %+v", workers, gs, ws)
+		if wantErr == nil {
+			t.Fatalf("%s: no query failed", r.name)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg, ctx := r.session()
+			nw, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := nw.RunAllContext(ctx, r.queries, BatchOptions{Parallelism: workers})
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s workers=%d: error %v, want %v", r.name, workers, err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d answers before the error, want %d", r.name, workers, len(got), len(want))
+			}
+			for i := range want {
+				if outcomeDigest(got[i], nil, SessionStats{}) != outcomeDigest(want[i], nil, SessionStats{}) {
+					t.Fatalf("%s workers=%d query %d: %+v, want %+v", r.name, workers, i, got[i], want[i])
+				}
+			}
+			gs, ws := nw.Stats(), seq.Stats()
+			gs.Passes = ws.Passes
+			if gs != ws {
+				t.Fatalf("%s workers=%d: session stats %+v, one at a time %+v", r.name, workers, gs, ws)
+			}
 		}
 	}
 }
@@ -504,17 +538,23 @@ func TestPassesPerShape(t *testing.T) {
 	}
 }
 
-// FuzzBatchMatchesSolo draws networks, fault regimes and query mixes and
-// checks every batch answer, and the batch's accounting, against the
-// queries run alone (see checkBatchMatchesSolo).
+// FuzzBatchMatchesSolo draws networks, fault regimes, round budgets and
+// query mixes and checks every batch answer, and the batch's
+// accounting, against the queries run alone (see
+// checkBatchMatchesSolo). An even budget byte sets no round budget; an
+// odd one is the budget in rounds, short enough to abort horizon
+// pre-runs as well as the passes after them.
 func FuzzBatchMatchesSolo(f *testing.F) {
 	plans := []string{"", "crash:0.2@0.5;rejoin@0.9", "crash:0.05@0.3..0.6;loss:0.1@0.2..0.8", "churn:0.2:10", "part:2@0.2..0.6"}
 	for i := range plans {
-		f.Add(uint64(i+1), uint8(40+30*i), uint8(i), uint8(i*3), uint8(i), uint32(0x9e3779b9*uint32(i+1)))
+		f.Add(uint64(i+1), uint8(40+30*i), uint8(i), uint8(i*3), uint8(i), uint8(37*i), uint32(0x9e3779b9*uint32(i+1)))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, size, topo, loss, plan uint8, mix uint32) {
+	f.Fuzz(func(t *testing.T, seed uint64, size, topo, loss, plan, budget uint8, mix uint32) {
 		n := 32 + int(size)%160
 		cfg := Config{N: n, Seed: seed, Loss: float64(loss%16) / 160}
+		if budget%2 == 1 {
+			cfg.RoundBudget = int(budget)
+		}
 		cfg.Topology = []Topology{Complete, Chord, SmallWorld}[int(topo)%3]
 		if spec := plans[int(plan)%len(plans)]; spec != "" {
 			p, err := ParseFaultPlan(spec)
@@ -536,7 +576,7 @@ func FuzzBatchMatchesSolo(f *testing.F) {
 		if len(queries) < 2 {
 			queries = all[:4]
 		}
-		label := fmt.Sprintf("n=%d %s loss=%v plan=%q", n, cfg.Topology, cfg.Loss, plans[int(plan)%len(plans)])
+		label := fmt.Sprintf("n=%d %s loss=%v plan=%q budget=%d", n, cfg.Topology, cfg.Loss, plans[int(plan)%len(plans)], cfg.RoundBudget)
 		checkBatchMatchesSolo(t, label, cfg, queries)
 	})
 }

@@ -2,6 +2,7 @@ package drrgossip
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 )
 
 // Determinism regression: identical Seed ⇒ bit-identical Counters and
-// results, with and without an active fault plan, across ParallelFor
-// scheduling (GOMAXPROCS 1 serialises the per-node stepping; a high
-// value exercises the chunked goroutine path — n is kept >= 256 so the
-// parallel branch actually engages).
+// results, with and without an active fault plan, at GOMAXPROCS 1, 2
+// and 8. A run starts no goroutine, so the core count must not reach
+// any draw, bill or answer; this guards against a per-node step that
+// comes to depend on it again.
 func TestDeterminismAcrossParallelForScheduling(t *testing.T) {
 	const n = 2048
 	values := uniformValues(n, 61)
@@ -73,6 +74,72 @@ func TestDeterminismAcrossParallelForScheduling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A run starts no goroutine, and RunAll starts as many workers as its
+// Parallelism asks, so what a warm session allocates per query must not
+// depend on the core count: the same at GOMAXPROCS 1 and 8, within 2%
+// for the runtime's own allocations. testing.AllocsPerRun pins
+// GOMAXPROCS to 1, so mallocsPerRun counts without it.
+func TestAllocsIndependentOfProcs(t *testing.T) {
+	const n = 4096
+	v := uniformValues(n, 67)
+	plan, err := ParseFaultPlan("loss:0.1@0.2..0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Query{MaxOf(v), SumOf(v), CountOf(v), AverageOf(v), RankOf(v, 500)}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		run  func(nw *Network) error
+	}{
+		{"average", Config{N: n, Seed: 68}, func(nw *Network) error {
+			_, err := nw.Run(AverageOf(v))
+			return err
+		}},
+		{"quantile", Config{N: n, Seed: 69}, func(nw *Network) error {
+			_, err := nw.Run(QuantileOf(v, 0.9, 0))
+			return err
+		}},
+		{"runall-parallel2", Config{N: n, Seed: 70, Topology: SmallWorld, Loss: 0.02, Faults: plan}, func(nw *Network) error {
+			_, _, err := nw.RunAll(batch, BatchOptions{Parallelism: 2})
+			return err
+		}},
+	} {
+		allocs := func(procs int) float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			nw, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mallocsPerRun(3, func() {
+				if err := c.run(nw); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, eight := allocs(1), allocs(8)
+		if math.Abs(eight-one) > 0.02*one {
+			t.Errorf("%s: %.0f allocs per query at GOMAXPROCS 8, %.0f at 1", c.name, eight, one)
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun at the current GOMAXPROCS: the
+// average heap allocations of runs calls of f after one warm-up call.
+// The collection after the warm-up starts the runtime's mark workers for
+// every P, which would otherwise allocate inside the count.
+func mallocsPerRun(runs int, f func()) float64 {
+	f()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // RunAll's opt-in concurrency must return answers bit-identical to

@@ -133,30 +133,20 @@ func Run(eng *sim.Engine, opts Options) (*Result, error) {
 	ranks, parent := sc.drawRanks(eng)
 
 	// Probing: one random sample per round per still-searching node. A
-	// node stops once parent[i] >= 0; parent is only written on the
-	// engine's sequential path (ResolveCalls), ParallelFor workers read it.
-	// The workers stage node i's probe in slot i (From -1 for none); the
-	// placed calls are then compacted in place, in ascending caller order.
+	// node stops once parent[i] >= 0. The round's calls are appended in
+	// ascending caller order.
 	sc.probes = resized(sc.probes, n)
 	probes := sc.probes
 	clear(probes)
-	slots := eng.CallSlots()[:n]
 	for k := 0; k < budget; k++ {
 		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
-			slots[i] = sim.Call{From: -1}
+		calls := eng.CallSlots()
+		for i := 0; i < n; i++ {
 			if !eng.Alive(i) || parent[i] >= 0 {
-				return
+				continue
 			}
-			u := eng.RNG(i).IntnOther(n, i)
 			probes[i]++
-			slots[i] = sim.Call{From: i, To: u, Pay: sim.Payload{Kind: kindProbe}}
-		})
-		calls := slots[:0]
-		for _, c := range slots {
-			if c.From >= 0 {
-				calls = append(calls, c)
-			}
+			calls = append(calls, sim.Call{From: i, To: eng.RNG(i).IntnOther(n, i), Pay: sim.Payload{Kind: kindProbe}})
 		}
 		eng.ResolveCalls(calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
@@ -223,12 +213,12 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 			})
 		}
 		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
+		for i := 0; i < n; i++ {
 			if eng.Alive(i) && heard[i] > bestRank[i] {
 				bestRank[i] = heard[i]
 				best[i] = heardFrom[i]
 			}
-		})
+		}
 	}
 
 	// Local decision: connect to the highest-ranked neighbour if it
@@ -254,7 +244,7 @@ func (s *Scratch) drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
 	n := eng.N()
 	s.ranks, s.parent = resized(s.ranks, n), resized(s.parent, n)
 	ranks, parent = s.ranks, s.parent
-	sim.ParallelFor(n, func(i int) {
+	for i := 0; i < n; i++ {
 		if eng.Alive(i) {
 			ranks[i] = eng.RNG(i).Float64()
 			parent[i] = forest.Root
@@ -262,7 +252,7 @@ func (s *Scratch) drawRanks(eng *sim.Engine) (ranks []float64, parent []int) {
 			ranks[i] = math.NaN()
 			parent[i] = forest.NotMember
 		}
-	})
+	}
 	return ranks, parent
 }
 

@@ -265,9 +265,8 @@ func BenchmarkDRR(b *testing.B) {
 }
 
 func TestDeterminismAcrossParallelism(t *testing.T) {
-	// The engine fans per-node work out to GOMAXPROCS workers; results
-	// must be identical under serial and parallel execution (per-node RNG
-	// streams + deterministic merge order).
+	// A run starts no goroutine, so the core count must not reach Phase
+	// I's forest or bill: they are identical at GOMAXPROCS 1 and 4.
 	runWith := func(procs int) (*Result, sim.Counters) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)

@@ -30,13 +30,13 @@ func runInbox(eng *sim.Engine, g *graph.Graph) (*refResult, error) {
 	start := eng.Stats()
 
 	ranks := make([]float64, n)
-	sim.ParallelFor(n, func(i int) {
+	for i := 0; i < n; i++ {
 		if eng.Alive(i) {
 			ranks[i] = eng.RNG(i).Float64()
 		} else {
 			ranks[i] = math.NaN()
 		}
-	})
+	}
 
 	// Rank exchange: every node sends its rank to all neighbours (the
 	// sparse model allows simultaneous neighbour messages in one round).
@@ -61,9 +61,9 @@ func runInbox(eng *sim.Engine, g *graph.Graph) (*refResult, error) {
 			}
 		}
 		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
+		for i := 0; i < n; i++ {
 			if !eng.Alive(i) {
-				return
+				continue
 			}
 			for _, m := range eng.Inbox(i) {
 				if m.Pay.Kind == kindRank && m.Pay.A > bestRank[i] {
@@ -71,7 +71,7 @@ func runInbox(eng *sim.Engine, g *graph.Graph) (*refResult, error) {
 					best[i] = int(m.Pay.X)
 				}
 			}
-		})
+		}
 	}
 
 	// Local decision: connect to the highest-ranked neighbour if it

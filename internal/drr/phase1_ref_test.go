@@ -70,10 +70,10 @@ func refRun(eng *sim.Engine, opts Options) (*refResult, error) {
 	// found/acked are per-node membership sets; dense bitsets keep the
 	// Phase I state at n/8 bytes apiece, which matters at million-node
 	// scale. They are only mutated on the engine's sequential paths
-	// (ResolveCalls handlers); ParallelFor workers read them.
+	// (ResolveCalls handlers).
 	found := bitset.New(n)
 	probes := make([]int, n)
-	sim.ParallelFor(n, func(i int) {
+	for i := 0; i < n; i++ {
 		if eng.Alive(i) {
 			ranks[i] = eng.RNG(i).Float64()
 			parent[i] = forest.Root
@@ -81,21 +81,21 @@ func refRun(eng *sim.Engine, opts Options) (*refResult, error) {
 			ranks[i] = math.NaN()
 			parent[i] = forest.NotMember
 		}
-	})
+	}
 
 	// Probing: one random sample per round per still-searching node.
 	calls := make([]refCall, n)
 	for k := 0; k < budget; k++ {
 		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
+		for i := 0; i < n; i++ {
 			calls[i] = refCall{}
 			if !eng.Alive(i) || found.Test(i) {
-				return
+				continue
 			}
 			u := eng.RNG(i).IntnOther(n, i)
 			probes[i]++
 			calls[i] = refCall{Active: true, To: u, Pay: sim.Payload{Kind: kindProbe}}
-		})
+		}
 		refResolve(eng, calls,
 			func(callee, caller int, req sim.Payload) (sim.Payload, bool) {
 				// Reply with the callee's rank.
@@ -178,13 +178,13 @@ func refRunLocal(eng *sim.Engine, g *graph.Graph) (*refResult, error) {
 	start := eng.Stats()
 
 	ranks := make([]float64, n)
-	sim.ParallelFor(n, func(i int) {
+	for i := 0; i < n; i++ {
 		if eng.Alive(i) {
 			ranks[i] = eng.RNG(i).Float64()
 		} else {
 			ranks[i] = math.NaN()
 		}
-	})
+	}
 
 	// Rank exchange: every node sends its rank to all neighbours (the
 	// sparse model allows simultaneous neighbour messages in one round).
@@ -224,12 +224,12 @@ func refRunLocal(eng *sim.Engine, g *graph.Graph) (*refResult, error) {
 			})
 		}
 		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
+		for i := 0; i < n; i++ {
 			if eng.Alive(i) && heard[i] > bestRank[i] {
 				bestRank[i] = heard[i]
 				best[i] = heardFrom[i]
 			}
-		})
+		}
 	}
 
 	// Local decision: connect to the highest-ranked neighbour if it

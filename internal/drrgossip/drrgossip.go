@@ -94,9 +94,14 @@ const (
 	Rank
 )
 
-// shape returns the pipeline kind k runs as: kinds of one shape send the
-// same messages, so their lanes can share a pass.
-func shape(k Kind) Kind {
+// Shape returns the pipeline kind k runs as. Kinds of one shape send the
+// same messages whatever their values (Min is Max on negated values;
+// Count and Rank are Sum over other values), so their lanes can share a
+// pass and their runs last equally long: a fault plan's horizon is the
+// shape's. Ave ships unacknowledged push-sum shares where Sum ships
+// reliable ones, and Moments carries a second push-sum lane, so each is
+// a shape of its own.
+func Shape(k Kind) Kind {
 	switch k {
 	case Min:
 		return Max
@@ -245,7 +250,7 @@ func check(n int, lanes []Lane) error {
 		if ln.Kind < Max || ln.Kind > Rank {
 			return fmt.Errorf("drrgossip: unknown aggregate kind %d", int(ln.Kind))
 		}
-		if shape(ln.Kind) != shape(lanes[0].Kind) {
+		if Shape(ln.Kind) != Shape(lanes[0].Kind) {
 			return fmt.Errorf("drrgossip: kinds %d and %d do not share a pass", int(lanes[0].Kind), int(ln.Kind))
 		}
 	}
@@ -317,7 +322,7 @@ func (w *Workspace) run(eng *sim.Engine, ov overlay.Overlay, build func(*sim.Eng
 	if f.NumTrees() == 0 {
 		return nil, ErrNoNodes
 	}
-	sh := shape(lanes[0].Kind)
+	sh := Shape(lanes[0].Kind)
 	maxLike := sh == Max
 	width := 1 // convergecast and push-sum lanes per lane
 	if sh == Moments {
@@ -436,7 +441,7 @@ type phase3 struct {
 func (w *Workspace) pushSum(eng *sim.Engine, f *forest.Forest, tr gossip.Transport, lanes []Lane, sums, sizes []float64, width int) (phase3, error) {
 	roots := f.Roots()
 	m := len(roots)
-	sh := shape(lanes[0].Kind)
+	sh := Shape(lanes[0].Kind)
 	// (a) Gossip-max on (tree size, root id) keys elects the largest-tree
 	// root z; every root learns the winning key, hence z. The keys
 	// depend only on the forest, so every lane shares the election.

@@ -74,9 +74,9 @@ func refPushSum(eng *sim.Engine, values []float64) (*refResult, error) {
 			eng.Send(i, target, sim.Payload{Kind: refKindShare, A: s[i], B: w[i]})
 		}
 		eng.Tick()
-		sim.ParallelFor(n, func(i int) {
+		for i := 0; i < n; i++ {
 			if !eng.Alive(i) {
-				return
+				continue
 			}
 			for _, m := range eng.Inbox(i) {
 				if m.Pay.Kind == refKindShare {
@@ -84,7 +84,7 @@ func refPushSum(eng *sim.Engine, values []float64) (*refResult, error) {
 					w[i] += m.Pay.B
 				}
 			}
-		})
+		}
 	}
 	est := make([]float64, n)
 	for i := range est {

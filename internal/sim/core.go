@@ -39,11 +39,8 @@ type Core struct {
 	lossKey    xrand.Key // hash key of (Seed, lossDomain), fixed per reset
 	rngDomain  uint64    // derivation domain of the per-node streams
 
-	// rngs holds the per-node streams by value, derived lazily in place.
-	// rngSet deliberately stays a []bool rather than a bitset: RNG is
-	// called from ParallelFor workers, and concurrent first-use writes to
-	// distinct bool slots are safe where read-modify-write of a shared
-	// bitset word would race.
+	// rngs holds the per-node streams by value, derived lazily in place;
+	// rngSet marks the ones derived since the last reset.
 	rngs   []xrand.Stream
 	rngSet []bool
 

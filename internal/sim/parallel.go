@@ -16,10 +16,9 @@ import (
 
 // ForEachRun executes fn(run) for every run in [0, runs) across up to
 // `workers` goroutines (workers <= 0 means GOMAXPROCS; the count is
-// clamped to runs). It is the per-run counterpart of ParallelFor:
-// ParallelFor parallelizes the pure per-node step inside one engine
-// round, ForEachRun parallelizes whole independent runs, each of which
-// must build (or Reset) its own Engine from its own seed.
+// clamped to runs). It is the simulator's only parallelism: a run starts
+// no goroutine, so ForEachRun parallelizes whole independent runs, each
+// of which must build (or Reset) its own Engine from its own seed.
 //
 // Determinism contract: fn must not share mutable state across runs —
 // each run's engine, RNG streams and result slot belong to that run

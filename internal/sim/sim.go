@@ -34,18 +34,20 @@
 //
 // # Determinism
 //
-// Runs are reproducible from Options.Seed alone. Per-node random streams
-// are derived from (seed, node) so that goroutine-parallel stepping (see
-// ParallelFor) cannot perturb results, and per-message loss is a
-// stateless hash of (seed, message sequence number), with sequence
-// numbers assigned in deterministic node order; the constant (seed,
-// domain) prefix is hashed once per reset (xrand.Key), so each draw
-// mixes in only the sequence number. Fault hooks preserve this: they run
-// at deterministic points (round boundaries) and the link-fault
-// predicate is consulted only from the engine's sequential send path. A
-// fault binding (internal/faults) installs that predicate only while a
-// link-level fault is active and removes it between windows, keeping
-// its round hook, so Faulty() stays true for the whole run.
+// Runs are reproducible from Options.Seed alone. A run starts no
+// goroutine: every protocol steps its nodes in ascending id on the
+// caller's goroutine, and runs parallelize only against each other (see
+// ForEachRun). Per-node random streams are derived from (seed, node),
+// and per-message loss is a stateless hash of (seed, message sequence
+// number), with sequence numbers assigned in deterministic node order;
+// the constant (seed, domain) prefix is hashed once per reset
+// (xrand.Key), so each draw mixes in only the sequence number. Fault
+// hooks preserve this: they run at deterministic points (round
+// boundaries) and the link-fault predicate is consulted only from the
+// engine's sequential send path. A fault binding (internal/faults)
+// installs that predicate only while a link-level fault is active and
+// removes it between windows, keeping its round hook, so Faulty() stays
+// true for the whole run.
 //
 // # Delivery
 //
@@ -57,12 +59,7 @@
 // million-node runs affordable.
 package sim
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Payload is the fixed-size message body. The paper limits message length
 // to O(log n + log s); using a fixed small struct enforces that protocols
@@ -149,9 +146,8 @@ const (
 type LinkFault func(from, to int) float64
 
 // Engine is the synchronous round simulator: the shared Core plus the
-// delivery machinery. It is not safe for concurrent use; within a round,
-// protocols may parallelize their pure per-node computation with
-// ParallelFor and then perform all Engine calls sequentially in node
+// delivery machinery. It is not safe for concurrent use: a run drives
+// its Engine from one goroutine, performing its Engine calls in node
 // order.
 //
 // The hot path is allocation-free: in-flight messages live in a ring
@@ -532,45 +528,4 @@ func (e *Engine) ResolveCalls(
 			onReply(from, resp)
 		}
 	}
-}
-
-// ParallelFor runs fn(i) for every i in [0, n) using up to GOMAXPROCS
-// goroutines. fn must be safe to run concurrently for distinct i (the
-// protocols satisfy this by only touching node-local state and per-node
-// RNG streams). It is the bulk-synchronous building block for per-round
-// node stepping.
-func ParallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 256 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	const chunk = 128
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(next.Add(chunk)) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

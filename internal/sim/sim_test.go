@@ -2,9 +2,7 @@ package sim
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"unsafe"
 )
 
@@ -245,24 +243,6 @@ func TestCountersSub(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAll(t *testing.T) {
-	f := func(n uint16) bool {
-		m := int(n%2000) + 1
-		var count atomic.Int64
-		seen := make([]atomic.Bool, m)
-		ParallelFor(m, func(i int) {
-			if seen[i].Swap(true) {
-				t.Errorf("index %d visited twice", i)
-			}
-			count.Add(1)
-		})
-		return int(count.Load()) == m
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewEngine(0, Options{}) },
@@ -315,18 +295,6 @@ func BenchmarkSendTick(b *testing.B) {
 		if i%1024 == 1023 {
 			e.Tick()
 		}
-	}
-}
-
-func BenchmarkParallelFor(b *testing.B) {
-	var sink atomic.Int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelFor(4096, func(j int) {
-			if j == 0 {
-				sink.Add(1)
-			}
-		})
 	}
 }
 

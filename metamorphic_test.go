@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"drrgossip/internal/agg"
+	core "drrgossip/internal/drrgossip"
 )
 
 // Metamorphic relations need no oracle: they compare two runs of the
@@ -128,7 +129,7 @@ func TestValueIndependentBills(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			// first holds the bill of each shape's first run.
-			first := map[Op]*Answer{}
+			first := map[core.Kind]*Answer{}
 			for _, name := range names {
 				v := inputs[name]
 				sorted := append([]float64(nil), v...)
@@ -142,15 +143,15 @@ func TestValueIndependentBills(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s(%s): %v", label, q.Op, name, err)
 					}
-					shape := nw.shapeOf(q.Op)
+					shape := shapeOf(q.Op)
 					ref, ok := first[shape]
 					if !ok {
 						first[shape] = a
 						continue
 					}
 					if a.Cost != ref.Cost || !slices.Equal(a.PhaseCosts, ref.PhaseCosts) {
-						t.Errorf("%s: %s(%s) billed %+v %+v, the %s shape's first run %s billed %+v %+v",
-							label, q.Op, name, a.Cost, a.PhaseCosts, shape, ref.Op, ref.Cost, ref.PhaseCosts)
+						t.Errorf("%s: %s(%s) billed %+v %+v, the first run of its shape, %s, billed %+v %+v",
+							label, q.Op, name, a.Cost, a.PhaseCosts, ref.Op, ref.Cost, ref.PhaseCosts)
 					}
 				}
 			}

@@ -57,7 +57,7 @@ type SessionStats struct {
 	HorizonRuns int
 	// PlanBinds counts fault-plan bindings (at most one per pipeline
 	// shape: Max and Min share one, Sum, Count and Rank share one, and
-	// Average and Moments have one each; in Async mode, one per Op).
+	// Average and Moments have one each).
 	PlanBinds int
 	// Passes counts engine passes. Runs of one pipeline shape whose
 	// values are known up front share a pass — the single-run queries of
@@ -126,13 +126,13 @@ type Network struct {
 	// shapeOf): the horizon (total healthy rounds) differs between the
 	// max-, sum- and ave-pipelines, so fractional event timings resolve
 	// per shape — but only once per shape, not once per call.
-	bounds map[Op]*faults.Bound
+	bounds map[core.Kind]*faults.Bound
 
 	// used lists the binding keys bind has served, in order of first use.
 	// RunAll's workers reset it per query, so the batch can forward each
 	// pre-resolved binding's pre-run just before the first query that
 	// used it.
-	used []Op
+	used []core.Kind
 
 	// sample caches the Config.SampleNodes id set (computed once per
 	// session; a pure function of Seed, N and SampleNodes, so worker
@@ -166,7 +166,7 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	nw := &Network{cfg: cfg, bounds: make(map[Op]*faults.Bound)}
+	nw := &Network{cfg: cfg, bounds: make(map[core.Kind]*faults.Bound)}
 	if cfg.Telemetry != nil {
 		nw.em = telemetry.NewEmitter(*cfg.Telemetry)
 	}
@@ -364,10 +364,10 @@ func (nw *Network) passWidth() int {
 func (nw *Network) groups(queries []Query) [][]int {
 	width := nw.passWidth()
 	var groups [][]int
-	open := map[Op]int{} // shape -> its group still taking lanes
+	open := map[core.Kind]int{} // shape -> its group still taking lanes
 	for i, q := range queries {
 		if _, single := pipelineKinds[q.Op]; single && width > 1 && nw.cfg.checkValues(q.Values) == nil {
-			key := nw.shapeOf(q.Op)
+			key := shapeOf(q.Op)
 			if k, ok := open[key]; ok && len(groups[k]) < width {
 				groups[k] = append(groups[k], i)
 				continue
@@ -385,10 +385,12 @@ func (nw *Network) groups(queries []Query) [][]int {
 // single-run queries of one shape runs as the lanes of one pass. The
 // pass's fault binding, and the pre-run resolving it, count for the
 // first lane; every lane counts one protocol run, finishes its own
-// answer and retries alone. Every pass of the group counts for the
-// first lane, whose unit holds the group's events: its passes, and its
-// lanes' retries after it, are numbered as sequential execution runs
-// them.
+// answer and retries alone. A pass that never started (a cancelled
+// context or a failed horizon pre-run) fails the first lane as it would
+// fail alone, and the lanes after it run alone. Every pass of the group
+// counts for the first lane, whose unit holds the group's events: its
+// passes, and its lanes' retries and solo runs after it, are numbered as
+// sequential execution runs them.
 func (s *Network) runGroup(ctx context.Context, queries []Query, g []int, out []batchUnit) {
 	st, used := s.stats, len(s.used)
 	if len(g) == 1 {
@@ -404,34 +406,35 @@ func (s *Network) runGroup(ctx context.Context, queries []Query, g []int, out []
 	s.wd = s.newWatchdog(ctx)
 	answers, err := s.execute(ctx, runs)
 	s.wd, s.ws = nil, nil
-	shared := s.stats.since(st)
-	ran := shared.ProtocolRuns > shared.HorizonRuns
-	if ran {
-		shared.ProtocolRuns -= len(g) // the pass ran: each lane counts its run
+	if answers != nil {
+		s.stats.ProtocolRuns -= len(g) // the pass ran: each lane counts its run
 	}
 	for j, i := range g {
 		u := &out[i]
-		u.stats = SessionStats{Queries: 1}
-		if ran {
-			u.stats.ProtocolRuns = 1
-		}
-		if j == 0 {
-			u.stats.add(shared)
-		}
-		var a *Answer
-		if answers != nil {
-			a = &answers[j]
-		} else {
-			a = newAnswer(runs[j].Op)
-		}
-		a, aerr := s.finish(a, err)
 		before := s.stats
-		u.ans, u.err = s.retry(ctx, runs[j], a, aerr)
-		d := s.stats.since(before)
-		out[g[0]].stats.Passes += d.Passes
-		d.Passes = 0
-		u.stats.add(d)
-		u.used = s.used[used:]
+		if j == 0 {
+			before = st
+		}
+		if j > 0 && answers == nil {
+			if out[g[j-1]].err != nil {
+				return // sequential execution stops at the failed lane
+			}
+			u.ans, u.err = s.RunContext(ctx, runs[j])
+		} else {
+			s.stats.Queries++
+			a := newAnswer(runs[j].Op)
+			if answers != nil {
+				s.stats.ProtocolRuns++
+				a = &answers[j]
+			}
+			a, aerr := s.finish(a, err)
+			u.ans, u.err = s.retry(ctx, runs[j], a, aerr)
+		}
+		u.stats, u.used = s.stats.since(before), s.used[used:]
+		if j > 0 {
+			out[g[0]].stats.Passes += u.stats.Passes
+			u.stats.Passes = 0
+		}
 	}
 }
 
@@ -503,7 +506,7 @@ func (nw *Network) runParallel(ctx context.Context, queries []Query, groups [][]
 // (nil if resolution failed, and again once the session adopted it)
 // and the worker unit that resolved it.
 type prebind struct {
-	key  Op
+	key  core.Kind
 	q    Query
 	b    *faults.Bound
 	unit batchUnit
@@ -523,7 +526,7 @@ func (nw *Network) prebinds(queries []Query) []prebind {
 			continue // its worker reports the error, in query order
 		}
 		for _, r := range q.firstRuns() {
-			key := nw.shapeOf(r.Op)
+			key := shapeOf(r.Op)
 			_, bound := nw.bounds[key]
 			if !bound && !slices.ContainsFunc(pre, func(p prebind) bool { return p.key == key }) {
 				pre = append(pre, prebind{key: key, q: r})
@@ -542,7 +545,7 @@ type batchUnit struct {
 	ans    *Answer
 	err    error
 	stats  SessionStats
-	used   []Op
+	used   []core.Kind
 	events telemetry.Buffer
 }
 
@@ -599,6 +602,11 @@ var pipelineKinds = map[Op]core.Kind{
 	OpMax: core.Max, OpMin: core.Min, OpSum: core.Sum, OpCount: core.Count,
 	OpAverage: core.Ave, OpRank: core.Rank, OpMoments: core.Moments,
 }
+
+// shapeOf returns the key of a single-run op's fault binding: the
+// pipeline shape it runs as (see core.Shape). Async mode admits only
+// OpAverage, whose key is its own.
+func shapeOf(op Op) core.Kind { return core.Shape(pipelineKinds[op]) }
 
 // supports rejects the operations the session's execution model has no
 // protocol for. The pairwise family computes averages, so Async mode
@@ -748,7 +756,8 @@ func (nw *Network) engine() (runEngine, int) {
 // the sync engine unwinds its drivers by a *sim.AbortError panic,
 // recovered here with only the bill to salvage, while the async engine
 // stops its event loop and the pairwise driver closes its books on the
-// surviving estimates.
+// surviving estimates. A protocol error returns every run's bill with
+// the error, so the answers of a pass that started are never nil.
 func (nw *Network) execOnce(b *faults.Bound, runs []Query, run protoFunc) (answers []Answer, err error) {
 	nw.stats.ProtocolRuns += len(runs)
 	nw.stats.Passes++
@@ -778,20 +787,24 @@ func (nw *Network) execOnce(b *faults.Bound, runs []Query, run protoFunc) (answe
 		if _, ok := r.(*sim.AbortError); !ok {
 			panic(r)
 		}
-		// No consensus value exists mid-pipeline: salvage the bill alone,
-		// split by the phases run so far. The telemetry run still closes,
-		// so traces show the aborted run.
-		answers = make([]Answer, len(runs))
-		for j := range answers {
-			answers[j] = billed(eng)
-		}
-		answers, err = nw.closeRun(eng, rp, runs, answers), nw.wd.aborted()
+		// The telemetry run still closes, so traces show the aborted run.
+		answers, err = nw.closeRun(eng, rp, runs, salvage(eng, len(runs))), nw.wd.aborted()
 	}()
-	answers, err = run(eng, nw.ov)
-	if err != nil {
-		return nil, err
+	if answers, err = run(eng, nw.ov); err != nil {
+		return nw.closeRun(eng, rp, runs, salvage(eng, len(runs))), err
 	}
 	return nw.closeRun(eng, rp, runs, answers), nw.wd.aborted()
+}
+
+// salvage returns k copies of the bill of a pass that started and did
+// not complete, split by the phases run so far: no consensus value
+// exists mid-pipeline.
+func salvage(eng runEngine, k int) []Answer {
+	answers := make([]Answer, k)
+	for j := range answers {
+		answers[j] = billed(eng)
+	}
+	return answers
 }
 
 // closeRun ends one pass's telemetry and stamps the Answer of each of
@@ -817,7 +830,8 @@ func (nw *Network) closeRun(eng runEngine, rp *faults.Replay, runs []Query, answ
 // binding on first use (see bind) with runs[0] alone: the first pass of
 // each shape may follow an unfaulted horizon pre-run; every later pass of
 // the same shape — every further Rank step of a Quantile or Histogram —
-// reuses the binding.
+// reuses the binding. The answers are nil exactly when the pass never
+// started: the context was done, or the binding failed.
 func (nw *Network) execute(ctx context.Context, runs []Query) ([]Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -832,32 +846,11 @@ func (nw *Network) execute(ctx context.Context, runs []Query) ([]Answer, error) 
 	return nw.execOnce(b, runs, nw.dispatch(runs))
 }
 
-// shapeOf returns the key of op's fault binding: its pipeline shape. A
-// synchronous run's length depends only on its pipeline's message
-// pattern (values ride payloads; control flow never reads them), and
-// Min is Max on negated values while Count and Rank are Sum over other
-// payloads, so they share the horizon — hence the binding — of Max and
-// Sum. Average ships unacknowledged push-sum shares where Sum ships
-// reliable ones, and Moments spreads a second value, so each keeps its
-// own. An async run's length depends on the values, so Async mode keys
-// per Op.
-func (nw *Network) shapeOf(op Op) Op {
-	if nw.cfg.Mode == Sync {
-		switch op {
-		case OpMin:
-			return OpMax
-		case OpCount, OpRank:
-			return OpSum
-		}
-	}
-	return op
-}
-
 // bind returns the session's fault binding for the pipeline shape of
 // probe, one single-run query, resolving it with probe on first use (see
 // resolve), and notes the shape in used.
 func (nw *Network) bind(ctx context.Context, probe []Query) (*faults.Bound, error) {
-	key := nw.shapeOf(probe[0].Op)
+	key := shapeOf(probe[0].Op)
 	if !slices.Contains(nw.used, key) {
 		nw.used = append(nw.used, key)
 	}
@@ -877,7 +870,7 @@ func (nw *Network) bind(ctx context.Context, probe []Query) (*faults.Bound, erro
 // measure the healthy run's length (see horizon) with one unfaulted
 // pre-run of probe; both runs are deterministic in Seed, so the horizon
 // is exact, and any run of the same shape measures the same one (see
-// shapeOf). An async run's horizon is measured on the first average
+// core.Shape). An async run's horizon is measured on the first average
 // query's values and reused for the session. A pre-run the watchdog
 // aborts leaves no trustworthy horizon and fails the binding with the
 // abort cause.
@@ -1360,14 +1353,10 @@ func (nw *Network) steps(ctx context.Context, ans *Answer, runs ...Query) ([]Ans
 // run, as if the runs had gone one at a time. The error names the
 // failing step.
 func (nw *Network) pass(ctx context.Context, ans *Answer, runs []Query) ([]Answer, error) {
-	st := nw.stats
 	answers, err := nw.execute(ctx, runs)
 	if err != nil {
-		d := nw.stats.since(st)
-		if lanes := d.ProtocolRuns - d.HorizonRuns; lanes > 1 {
-			nw.stats.ProtocolRuns -= lanes - 1
-		}
 		if answers != nil {
+			nw.stats.ProtocolRuns -= len(runs) - 1
 			ans.addRun(&answers[0])
 		}
 		return nil, fmt.Errorf("%s %s step: %w", ans.Op, runs[0].Op, err)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"time"
 
+	core "drrgossip/internal/drrgossip"
 	"drrgossip/internal/faults"
 )
 
@@ -220,5 +221,5 @@ func (nw *Network) epochSession(seedOffset uint64) *Network {
 	cfg := nw.cfg
 	cfg.Seed += seedOffset
 	cfg.Retry = nil
-	return &Network{cfg: cfg, ov: nw.ov, bounds: make(map[Op]*faults.Bound), sample: nw.sampleSet()}
+	return &Network{cfg: cfg, ov: nw.ov, bounds: make(map[core.Kind]*faults.Bound), sample: nw.sampleSet()}
 }

@@ -550,7 +550,10 @@ func FuzzBatchMatchesSolo(f *testing.F) {
 		f.Add(uint64(i+1), uint8(40+30*i), uint8(i), uint8(i*3), uint8(i), uint8(37*i), uint32(0x9e3779b9*uint32(i+1)))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, size, topo, loss, plan, budget uint8, mix uint32) {
-		n := 32 + int(size)%160
+		// n and the mix size are capped so that one exec (every query
+		// alone, the reference loops, a sequential session and two
+		// batches) stays short and the 30 s CI step explores more inputs.
+		n := 32 + int(size)%64
 		cfg := Config{N: n, Seed: seed, Loss: float64(loss%16) / 160}
 		if budget%2 == 1 {
 			cfg.RoundBudget = int(budget)
@@ -569,7 +572,7 @@ func FuzzBatchMatchesSolo(f *testing.F) {
 		all := batchMix(n, seed)
 		var queries []Query
 		for i, q := range all {
-			if mix>>(i%32)&1 == 1 {
+			if mix>>(i%32)&1 == 1 && len(queries) < 5 {
 				queries = append(queries, q)
 			}
 		}

@@ -354,12 +354,11 @@ func BenchmarkPerfRunAllBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfGraphNeighbors sweeps every neighbor list of an implicit
-// chord graph through the caller-owned-buffer path — the inner loop of
-// Local-DRR's rank exchange, and the operation the implicit
-// representation recomputes instead of storing. Zero allocs/op and B/op
-// are the pinned contract: on-the-fly neighbor generation must not pay
-// for its memory savings with per-query garbage.
+// BenchmarkPerfGraphNeighbors sweeps every neighbor list of a chord
+// graph through the caller-owned-buffer path — the inner loop of
+// Local-DRR's rank exchange, a copy out of the graph's CSR rows. Zero
+// allocs/op and B/op are the pinned contract: reading adjacency must not
+// leave per-query garbage.
 func BenchmarkPerfGraphNeighbors(b *testing.B) {
 	ring := chord.MustNew(benchN, chord.Options{Seed: 1})
 	g := ring.Graph()

@@ -35,11 +35,9 @@ var keep = map[string]string{
 	"forest.Forest.TreeSize":   "accessor the Local-DRR and forest tests check forests with",
 	"forest.Forest.TreeSizes":  "accessor the kashyap and convergecast tests check forests with",
 	"forest.Forest.Validate":   "structural check every Phase I builder test runs",
-	"graph.Complete":           "implicit complete graph the graph representation tests compare with a materialised reference",
 	"graph.FromAdjacency":      "builds the hand-written graphs of the graph, overlay and pairwise tests",
 	"graph.Graph.Eccentricity": "distance oracle of the graph generator tests",
 	"graph.Graph.HasEdge":      "adjacency oracle of the graph, overlay, chord and Local-DRR tests",
-	"graph.Graph.Neighbors":    "allocating neighbour list the graph and Local-DRR tests read",
 	"graph.Graph.Regular":      "degree oracle of the graph generator tests",
 	"graph.Star":               "worst-case fixture of the overlay and Local-DRR tests",
 	"hms.Walk.Probes":          "certification-walk cost the HMS tests bound",

@@ -5,18 +5,19 @@
 // uniform random node sampler standing in for King et al.'s "choosing a
 // random peer in Chord" (see docs/PAPER_MAP.md, Section 4).
 //
-// The ring is fully implicit: finger tables are never materialized.
-// Routing recomputes the O(bits) finger candidates of the current hop on
-// the fly (same asymptotic hop cost, zero storage), and the communication
-// graph is an implicit graph.Graph whose neighbour lists — forward
-// fingers, reverse fingers and ring links — are derived from closed-form
-// successor arithmetic (Even placement) or binary search over the sorted
-// identifier array (Hashed placement, the only O(n) state kept).
+// A Ring stores no finger tables: routing recomputes the O(bits) finger
+// candidates of the current hop on the fly from closed-form successor
+// arithmetic (Even placement) or binary search over the sorted
+// identifier array (Hashed placement, the only O(n) state kept). The
+// communication graph Local-DRR runs on is built once by Graph, as CSR
+// rows of forward fingers, reverse fingers and ring links.
 package chord
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"drrgossip/internal/graph"
 	"drrgossip/internal/xrand"
@@ -155,14 +156,19 @@ func (r *Ring) SuccessorOf(id uint64) int {
 	return i
 }
 
-// appendFingers appends successor(ID(i) + 2^k) for every k, excluding i
-// itself, without sorting or dedup.
+// appendFingers appends node i's distinct fingers, successor(ID(i) +
+// 2^k) over every k except those landing on i itself, in clockwise order
+// from i. Every shift 2^k <= minArc lands on i's successor, so the
+// search starts at the first longer shift; a finger's clockwise distance
+// from i never falls as k grows, so repeats are adjacent.
 func (r *Ring) appendFingers(i int, buf []int) []int {
+	last := (i + 1) % r.n
+	buf = append(buf, last)
 	id := r.ID(i)
-	for k := 0; k < r.bits; k++ {
-		f := r.SuccessorOf((id + (uint64(1) << uint(k))) & (r.space - 1))
-		if f != i {
+	for k := bits.Len64(r.minArc); k < r.bits; k++ {
+		if f := r.SuccessorOf(id + uint64(1)<<uint(k)); f != i && f != last {
 			buf = append(buf, f)
+			last = f
 		}
 	}
 	return buf
@@ -260,90 +266,43 @@ func (r *Ring) AppendSample(dst []int, rng *xrand.Stream, from int) (node int, p
 	}
 }
 
-// appendOwnersLinear appends (ascending) every node whose identifier lies
-// in the linear range [a, b]; empty when a > b.
-func (r *Ring) appendOwnersLinear(a, b uint64, buf []int) []int {
-	if a > b {
-		return buf
-	}
-	if r.ids == nil {
-		i := int((a + r.step - 1) / r.step) // first index with i·step >= a
-		j := int(b / r.step)                // last index with j·step <= b
-		if j >= r.n {
-			j = r.n - 1
-		}
-		for v := i; v <= j; v++ {
-			buf = append(buf, v)
-		}
-		return buf
-	}
-	i := sort.Search(r.n, func(k int) bool { return r.ids[k] >= a })
-	for ; i < r.n && r.ids[i] <= b; i++ {
-		buf = append(buf, i)
-	}
-	return buf
-}
-
-// appendOwnersIn appends every node whose identifier lies in the
-// clockwise identifier interval (lo, hi]; the interval must be nonempty
-// (lo != hi).
-func (r *Ring) appendOwnersIn(lo, hi uint64, buf []int) []int {
-	if lo < hi {
-		return r.appendOwnersLinear(lo+1, hi, buf)
-	}
-	buf = r.appendOwnersLinear(lo+1, r.space-1, buf)
-	return r.appendOwnersLinear(0, hi, buf)
-}
-
-// appendGraphNeighbors appends node u's neighbours in the induced
-// communication graph — forward fingers, reverse fingers (nodes v with u
-// in their finger set), and the undirected ring links to successor and
-// predecessor — sorted and deduplicated, excluding u.
-//
-// Reverse fingers come from an interval query instead of scanning all
-// nodes: u = successor(ID(v) + 2^k) iff ID(v) + 2^k lands in u's owned
-// arc (pred(u), u], i.e. ID(v) ∈ (ID(pred(u)) − 2^k, ID(u) − 2^k].
-func (r *Ring) appendGraphNeighbors(u int, buf []int) []int {
-	start := len(buf)
-	buf = r.appendFingers(u, buf)
-	uID := r.ID(u)
-	predID := r.ID((u + r.n - 1) % r.n)
-	mask := r.space - 1
-	for k := 0; k < r.bits; k++ {
-		s := uint64(1) << uint(k)
-		buf = r.appendOwnersIn((predID-s)&mask, (uID-s)&mask, buf)
-	}
-	// Ring links: the successor edge is always present even when finger
-	// dedup removed it, and symmetrically u is its predecessor's successor.
-	if s := (u + 1) % r.n; s != u {
-		buf = append(buf, s, (u+r.n-1)%r.n)
-	}
-	// Sort, dedup, drop u (the reverse-finger query can return u itself
-	// when a shift maps u's own identifier back into its arc).
-	row := buf[start:]
-	sort.Ints(row)
-	w := 0
-	for _, v := range row {
-		if v != u && (w == 0 || v != row[w-1]) {
-			row[w] = v
-			w++
-		}
-	}
-	return buf[:start+w]
-}
-
 // Graph returns the undirected communication graph induced by the finger
-// tables (including successor links): an edge {i, f} for every finger f of
-// i. This is the topology Local-DRR runs on (Section 4); its degree is
-// O(log n).
-//
-// The graph is implicit: neighbour lists are recomputed per query from
-// successor arithmetic (see appendGraphNeighbors), so the graph costs no
-// memory at any n.
+// tables: an edge {i, f} for every finger f of i (the successor link is
+// the first finger). This is the topology Local-DRR runs on (Section 4);
+// its degree is O(log n). The CSR rows cost O(n·bits) successor lookups
+// and 8 + 4·d bytes per node. A graph is immutable, so Even-placement
+// rings of one size and width, which are identical, share the graph last
+// built for one (see lastEven).
 func (r *Ring) Graph() *graph.Graph {
-	return graph.NewImplicit(fmt.Sprintf("chord(%d)", r.n), graph.ImplicitSpec{
-		N:     r.n,
-		Edges: -1, // counted lazily on first NumEdges call
-		Fill:  func(u int, buf []int) []int { return r.appendGraphNeighbors(u, buf) },
+	if r.ids != nil {
+		return r.buildGraph()
+	}
+	lastEven.Lock()
+	defer lastEven.Unlock()
+	if lastEven.g == nil || lastEven.n != r.n || lastEven.bits != r.bits {
+		lastEven.g, lastEven.n, lastEven.bits = r.buildGraph(), r.n, r.bits
+	}
+	return lastEven.g
+}
+
+// lastEven holds the most recently built Even-placement graph, so the
+// sessions over one ring (a benchmark's or a service's) keep one copy
+// instead of one each. It holds one graph at most, until a ring of
+// another size or width asks for its own.
+var lastEven struct {
+	sync.Mutex
+	n, bits int
+	g       *graph.Graph
+}
+
+func (r *Ring) buildGraph() *graph.Graph {
+	var fingers []int
+	return graph.Build(fmt.Sprintf("chord(%d)", r.n), r.n, func(emit func(u, v int)) {
+		for i := 0; i < r.n; i++ {
+			fingers = r.appendFingers(i, fingers[:0])
+			for _, f := range fingers {
+				emit(i, f)
+			}
+		}
 	})
 }

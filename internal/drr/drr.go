@@ -190,9 +190,7 @@ func RunLocal(eng *sim.Engine, g *graph.Graph, opts Options) (*Result, error) {
 		best[i] = -1
 		bestRank[i] = math.Inf(-1)
 	}
-	// nbuf is this run's private neighbour buffer: parallel batch workers
-	// share one overlay graph, so the graph-owned Neighbors scratch of
-	// implicit/CSR representations must not be touched from here.
+	// nbuf is this run's neighbour buffer.
 	nbuf := make([]int, 0, 64)
 	for r := 0; r < exchanges; r++ {
 		for i := range heard {

@@ -53,7 +53,7 @@ func TestLosslessParentIsHighestNeighbour(t *testing.T) {
 	f := res.Forest
 	for i := 0; i < f.N(); i++ {
 		bestNb, bestRank := -1, math.Inf(-1)
-		for _, nb := range g.Neighbors(i) {
+		for _, nb := range g.NeighborsInto(i, nil) {
 			if res.Ranks[nb] > bestRank {
 				bestNb, bestRank = nb, res.Ranks[nb]
 			}
@@ -72,7 +72,7 @@ func TestRootsAreLocalMaxima(t *testing.T) {
 	g := graph.Ring(300)
 	res := runLocal(t, g, sim.Options{Seed: 4})
 	for _, r := range res.Forest.Roots() {
-		for _, nb := range g.Neighbors(r) {
+		for _, nb := range g.NeighborsInto(r, nil) {
 			if res.Ranks[nb] > res.Ranks[r] {
 				t.Fatalf("root %d has higher-ranked neighbour %d", r, nb)
 			}

@@ -57,9 +57,9 @@ const sc1MemLegN = 1_000_000
 // (sc1MemLimit), and the budget allows ~2 GB of non-heap/overshoot
 // slack on top of that limit. The leg peaks near 0.4 GB (2-vCPU x86-64
 // host): Local-DRR's O(|E|) rank exchange keeps only O(n) state, so the
-// budget is headroom, not a fit. The implicit graph itself contributes
-// nothing (the materialized chord adjacency it replaced added ~1 GB on
-// its own).
+// budget is headroom, not a fit. The chord graph's CSR rows hold about
+// 40 int32 neighbours per node, about 160 MB of that peak (the [][]int
+// adjacency of earlier versions added ~1 GB on its own).
 const sc1MemBudgetMB = 10240
 
 // sc1MemLimit is the soft Go runtime memory limit active during the
@@ -157,7 +157,8 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	}
 	// measure runs one Ave through the facade; graphMB is the live-heap
 	// delta retained by the session build (overlay storage dominates it:
-	// ~0 for implicit Complete/Chord, the CSR arrays for SmallWorld).
+	// ~0 for Complete, which stores no graph, and the CSR arrays for
+	// Chord and SmallWorld).
 	measure := func(topo facade.Topology, n int, values []float64) (*facade.Answer, time.Duration, float64, error) {
 		fc := facade.Config{N: n, Seed: xrand.Hash(cfg.Seed, 0x5C1, uint64(n)), Topology: topo,
 			Telemetry: cfg.Telemetry}
@@ -178,7 +179,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 	memValues := genValues(memLegN)
 	prevLimit := debug.SetMemoryLimit(sc1MemLimit)
 	rssReset := resetPeakRSS()
-	memAns, memElapsed, _, err := measure(facade.Chord, memLegN, memValues)
+	memAns, memElapsed, memGraphMB, err := measure(facade.Chord, memLegN, memValues)
 	debug.SetMemoryLimit(prevLimit)
 	if err != nil {
 		return nil, fmt.Errorf("SC1 memory leg chord n=%d: %w", memLegN, err)
@@ -251,7 +252,7 @@ func runSC1(cfg Config, sizes []int, topos []facade.Topology, memLegN int) (*Rep
 			"msgs/n %v -> %v", sw["msgs/n"][0], last(sw["msgs/n"])),
 		verdictf(fmt.Sprintf("chord n=%d memory leg fits the fixed budget: peak RSS ≤ %d MB", memLegN, memBudgetMB),
 			memPeak <= float64(memBudgetMB),
-			"peak RSS %.0f MB after the %0.1fs pipeline run (cost %+v)", memPeak, memElapsed.Seconds(), memAns.Cost),
+			"peak RSS %.0f MB (graph %.1f MB) after the %0.1fs pipeline run (cost %+v)", memPeak, memGraphMB, memElapsed.Seconds(), memAns.Cost),
 	)
 	return rep, nil
 }

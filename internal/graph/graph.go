@@ -9,25 +9,11 @@
 //
 // # Memory model
 //
-// A Graph carries exactly one of two storage representations, both
-// serving the same query API with element-identical neighbour lists:
-//
-//   - implicit: Degree/Neighbors are computed on the fly from a closed
-//     form (Ring, Complete, Star, Torus, Hypercube — and Chord via
-//     chord.Ring). Zero bytes of adjacency at any n.
-//   - CSR: one flat []int32 neighbour array plus int64 row offsets
-//     (generated topologies that must be materialized: SmallWorld,
-//     RandomRegular, BarabasiAlbert, ErdosRenyi). ~4 bytes per directed
-//     edge instead of a 24-byte slice header plus 8 bytes per entry.
-//
-// Neighbors(u) fills an internal scratch buffer:
-// the result is valid until the next Neighbors call on the same Graph
-// and must be treated as read-only. Callers that hold neighbour lists
-// across calls, or iterate from several goroutines, must use
-// NeighborsInto with a buffer they own. Degree and HasEdge never disturb
-// the Neighbors scratch (they use a second, private scratch), so the
-// common pattern "ns := g.Neighbors(u); for _, v := range ns {
-// g.HasEdge(v, u) }" stays valid.
+// Every Graph is stored as CSR: one flat []int32 neighbour array plus
+// int64 row offsets, 8 + 4·d bytes per vertex of degree d. Every
+// generator (and chord.Ring.Graph) fills it through Build from an edge
+// enumerator. A Graph is immutable once built and safe for concurrent
+// readers: no query writes to it.
 package graph
 
 import (
@@ -42,51 +28,59 @@ import (
 	"drrgossip/internal/xrand"
 )
 
-// Graph is an immutable simple undirected graph on vertices 0..n-1.
-//
-// Query methods share scratch buffers across calls (see the package
-// comment), so concurrent readers must go through NeighborsInto.
+// Graph is an immutable simple undirected graph on vertices 0..n-1,
+// stored as CSR.
 type Graph struct {
 	name string
 	n    int
-
-	// Exactly one representation is populated.
-	off  []int64                      // CSR row offsets, len n+1
-	csr  []int32                      // CSR flat neighbour array
-	fill func(u int, buf []int) []int // implicit: append u's sorted neighbours
-	deg  func(u int) int              // implicit: O(1) degree, may be nil
-
-	m        int // undirected edge count; -1 = compute lazily (implicit)
-	scratch  []int
-	scratch2 []int
+	off  []int64 // row offsets, len n+1
+	csr  []int32 // rows laid end to end, each sorted
 }
 
-// ImplicitSpec describes an implicit (zero-storage) graph for
-// NewImplicit.
-type ImplicitSpec struct {
-	// N is the vertex count.
-	N int
-	// Fill appends vertex u's neighbours to buf in strictly increasing
-	// order, without self-loops or duplicates, and returns the extended
-	// buffer. It must be pure (same output for same u) and safe for
-	// concurrent calls with distinct buffers.
-	Fill func(u int, buf []int) []int
-	// Degree returns vertex u's degree in O(1); nil makes Degree fall
-	// back to counting Fill's output.
-	Degree func(u int) int
-	// Edges is the undirected edge count, or -1 to compute it lazily
-	// from the degrees on first NumEdges call.
-	Edges int
-}
-
-// NewImplicit wraps a closed-form neighbour function as a Graph. The
-// spec's Fill output is trusted (generators are correct by construction
-// and covered by cross-representation goldens); it is not re-validated.
-func NewImplicit(name string, spec ImplicitSpec) *Graph {
-	if spec.N < 0 || spec.Fill == nil {
-		panic("graph: NewImplicit needs N >= 0 and a Fill function")
+// Build packs the simple undirected graph on n vertices whose edges the
+// enumerator emits into CSR storage. Build calls edges twice, once to
+// count each vertex's degree and once to fill the rows, so it must emit
+// the same edges both times. Each emitted edge {u, v} must have u != v;
+// it is written at both of its ends, and an edge emitted more than once
+// is kept once. The rows keep the storage the fill pass sized, spare
+// slots for the duplicates included.
+func Build(name string, n int, edges func(emit func(u, v int))) *Graph {
+	if n > math.MaxInt32 {
+		panic("graph: CSR storage limited to 2^31-1 vertices")
 	}
-	return &Graph{name: name, n: spec.N, fill: spec.Fill, deg: spec.Degree, m: spec.Edges}
+	off := make([]int64, n+1)
+	edges(func(u, v int) {
+		off[u+1]++
+		off[v+1]++
+	})
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	csr := make([]int32, off[n])
+	next := slices.Clone(off[:n])
+	edges(func(u, v int) {
+		csr[next[u]] = int32(v)
+		next[u]++
+		csr[next[v]] = int32(u)
+		next[v]++
+	})
+	// Sort and dedup each row in its slot (next[u] becomes its length),
+	// then close the gaps the duplicates left.
+	parallelFor(n, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			row := csr[off[u]:off[u+1]]
+			slices.Sort(row)
+			next[u] = int64(len(slices.Compact(row)))
+		}
+	})
+	w := int64(0)
+	for u := 0; u < n; u++ {
+		start := off[u]
+		off[u] = w
+		w += int64(copy(csr[w:], csr[start:start+next[u]]))
+	}
+	off[n] = w
+	return &Graph{name: name, n: n, off: off, csr: csr[:w]}
 }
 
 // validateLists checks that adjacency lists are in-range, strictly
@@ -130,45 +124,6 @@ func validateLists(name string, adj [][]int) (int, error) {
 	return m / 2, nil
 }
 
-// packCSR converts validated adjacency lists to the CSR representation.
-func packCSR(name string, n, m int, lists [][]int) *Graph {
-	if n > math.MaxInt32 {
-		panic("graph: CSR storage limited to 2^31-1 vertices")
-	}
-	off := make([]int64, n+1)
-	for u, ns := range lists {
-		off[u+1] = off[u] + int64(len(ns))
-	}
-	csr := make([]int32, off[n])
-	for u, ns := range lists {
-		row := csr[off[u]:off[u+1]]
-		for i, v := range ns {
-			row[i] = int32(v)
-		}
-	}
-	return &Graph{name: name, n: n, off: off, csr: csr, m: m}
-}
-
-// fromLists validates adjacency lists and packs them into CSR storage.
-// The caller's lists are not retained.
-func fromLists(name string, lists [][]int) (*Graph, error) {
-	m, err := validateLists(name, lists)
-	if err != nil {
-		return nil, err
-	}
-	return packCSR(name, len(lists), m, lists), nil
-}
-
-// mustFromLists is for generators whose construction is correct by
-// design.
-func mustFromLists(name string, lists [][]int) *Graph {
-	g, err := fromLists(name, lists)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // FromAdjacency validates caller-provided adjacency lists and copies
 // them into compact CSR storage. The caller's slices are sorted copies —
 // they are neither mutated nor retained, so later caller writes cannot
@@ -180,79 +135,55 @@ func FromAdjacency(name string, adj [][]int) (*Graph, error) {
 		lists[u] = append([]int(nil), ns...)
 		sort.Ints(lists[u])
 	}
-	return fromLists(name, lists)
+	if _, err := validateLists(name, lists); err != nil {
+		return nil, err
+	}
+	return Build(name, len(lists), func(emit func(u, v int)) {
+		for u, ns := range lists {
+			for _, v := range ns {
+				if u < v {
+					emit(u, v)
+				}
+			}
+		}
+	}), nil
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// NumEdges returns the number of undirected edges. On implicit graphs
-// built without an edge count it sums the degrees on first call and
-// caches the result (not safe to race with other queries).
-func (g *Graph) NumEdges() int {
-	if g.m < 0 {
-		total := 0
-		for u := 0; u < g.n; u++ {
-			total += g.Degree(u)
-		}
-		g.m = total / 2
-	}
-	return g.m
-}
+// NumEdges returns the number of undirected edges.
+func (g *Graph) NumEdges() int { return len(g.csr) / 2 }
 
 // Name returns the generator name (for reports).
 func (g *Graph) Name() string { return g.name }
 
-// Neighbors returns vertex u's sorted neighbour list. The caller must
-// not modify it, and it is only valid until the next Neighbors call on g (Degree and HasEdge do not invalidate it);
-// use NeighborsInto to hold lists across calls or read concurrently.
-func (g *Graph) Neighbors(u int) []int {
-	g.scratch = g.NeighborsInto(u, g.scratch)
-	return g.scratch
-}
-
 // NeighborsInto appends vertex u's sorted neighbour list to buf[:0] and
-// returns the extended buffer. It is safe for concurrent use with
-// distinct buffers on every representation — the scratch-free way to
-// iterate adjacency from parallel workers.
+// returns the extended buffer.
 func (g *Graph) NeighborsInto(u int, buf []int) []int {
 	buf = buf[:0]
-	switch {
-	case g.off != nil:
-		for _, v := range g.csr[g.off[u]:g.off[u+1]] {
-			buf = append(buf, int(v))
-		}
-		return buf
-	default:
-		return g.fill(u, buf)
+	for _, v := range g.csr[g.off[u]:g.off[u+1]] {
+		buf = append(buf, int(v))
 	}
+	return buf
+}
+
+// Row returns vertex u's sorted neighbour row, a read-only view of the
+// graph's storage, and the position of its first entry among the
+// 2·NumEdges directed edges (rows laid end to end), so per-edge state
+// fits one flat array indexed by first + i.
+func (g *Graph) Row(u int) (first int, row []int32) {
+	lo, hi := g.off[u], g.off[u+1]
+	return int(lo), g.csr[lo:hi:hi]
 }
 
 // Degree returns the degree of vertex u.
-func (g *Graph) Degree(u int) int {
-	switch {
-	case g.off != nil:
-		return int(g.off[u+1] - g.off[u])
-	case g.deg != nil:
-		return g.deg(u)
-	default:
-		g.scratch2 = g.fill(u, g.scratch2[:0])
-		return len(g.scratch2)
-	}
-}
+func (g *Graph) Degree(u int) int { return int(g.off[u+1] - g.off[u]) }
 
 // HasEdge reports whether {u,v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
-	switch {
-	case g.off != nil:
-		row := g.csr[g.off[u]:g.off[u+1]]
-		i, ok := slices.BinarySearch(row, int32(v))
-		return ok && i < len(row)
-	default:
-		g.scratch2 = g.fill(u, g.scratch2[:0])
-		i := sort.SearchInts(g.scratch2, v)
-		return i < len(g.scratch2) && g.scratch2[i] == v
-	}
+	_, ok := slices.BinarySearch(g.csr[g.off[u]:g.off[u+1]], int32(v))
+	return ok
 }
 
 // MaxDegree returns the maximum degree (0 for the empty graph).
@@ -375,118 +306,62 @@ func parallelFor(n int, body func(lo, hi int)) {
 	body(0, n)
 }
 
-// Ring returns the n-cycle (n >= 3) as an implicit graph.
+// Ring returns the n-cycle (n >= 3).
 func Ring(n int) *Graph {
 	if n < 3 {
 		panic("graph: Ring needs n >= 3")
 	}
-	return NewImplicit(fmt.Sprintf("ring(%d)", n), ImplicitSpec{
-		N:      n,
-		Edges:  n,
-		Degree: func(int) int { return 2 },
-		Fill: func(u int, buf []int) []int {
-			a, b := (u+n-1)%n, (u+1)%n
-			if a > b {
-				a, b = b, a
-			}
-			return append(buf, a, b)
-		},
+	return Build(fmt.Sprintf("ring(%d)", n), n, func(emit func(u, v int)) {
+		for u := 0; u < n; u++ {
+			emit(u, (u+1)%n)
+		}
 	})
 }
 
-// Complete returns the complete graph K_n (n >= 2) as an implicit graph.
-func Complete(n int) *Graph {
-	if n < 2 {
-		panic("graph: Complete needs n >= 2")
-	}
-	return NewImplicit(fmt.Sprintf("complete(%d)", n), ImplicitSpec{
-		N:      n,
-		Edges:  n * (n - 1) / 2,
-		Degree: func(int) int { return n - 1 },
-		Fill: func(u int, buf []int) []int {
-			for j := 0; j < n; j++ {
-				if j != u {
-					buf = append(buf, j)
-				}
-			}
-			return buf
-		},
-	})
-}
-
-// Star returns the star graph (vertex 0 is the hub, n >= 2) as an
-// implicit graph.
+// Star returns the star graph (vertex 0 is the hub, n >= 2).
 func Star(n int) *Graph {
 	if n < 2 {
 		panic("graph: Star needs n >= 2")
 	}
-	return NewImplicit(fmt.Sprintf("star(%d)", n), ImplicitSpec{
-		N:     n,
-		Edges: n - 1,
-		Degree: func(u int) int {
-			if u == 0 {
-				return n - 1
-			}
-			return 1
-		},
-		Fill: func(u int, buf []int) []int {
-			if u == 0 {
-				for v := 1; v < n; v++ {
-					buf = append(buf, v)
-				}
-				return buf
-			}
-			return append(buf, 0)
-		},
+	return Build(fmt.Sprintf("star(%d)", n), n, func(emit func(u, v int)) {
+		for v := 1; v < n; v++ {
+			emit(0, v)
+		}
 	})
 }
 
 // Torus returns the rows x cols wraparound grid (rows, cols >= 3, hence
-// 4-regular) as an implicit graph.
+// 4-regular).
 func Torus(rows, cols int) *Graph {
 	if rows < 3 || cols < 3 {
 		panic("graph: Torus needs rows, cols >= 3")
 	}
-	n := rows * cols
-	return NewImplicit(fmt.Sprintf("torus(%dx%d)", rows, cols), ImplicitSpec{
-		N:      n,
-		Edges:  2 * n,
-		Degree: func(int) int { return 4 },
-		Fill: func(u int, buf []int) []int {
-			r, c := u/cols, u%cols
-			// With both sides >= 3 the four wraparound neighbours are
-			// always distinct, so a fixed 4-element sort suffices.
-			ns := [4]int{
-				((r+rows-1)%rows)*cols + c,
-				((r+1)%rows)*cols + c,
-				r*cols + (c+cols-1)%cols,
-				r*cols + (c+1)%cols,
+	return Build(fmt.Sprintf("torus(%dx%d)", rows, cols), rows*cols, func(emit func(u, v int)) {
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				u := r*cols + c
+				emit(u, ((r+1)%rows)*cols+c)
+				emit(u, r*cols+(c+1)%cols)
 			}
-			slices.Sort(ns[:])
-			return append(buf, ns[:]...)
-		},
+		}
 	})
 }
 
 // Hypercube returns the dim-dimensional hypercube on 2^dim vertices
-// (1 <= dim <= 30) as an implicit graph.
+// (1 <= dim <= 30).
 func Hypercube(dim int) *Graph {
 	if dim < 1 || dim > 30 {
 		panic("graph: Hypercube dimension out of range")
 	}
 	n := 1 << dim
-	return NewImplicit(fmt.Sprintf("hypercube(%d)", dim), ImplicitSpec{
-		N:      n,
-		Edges:  n * dim / 2,
-		Degree: func(int) int { return dim },
-		Fill: func(u int, buf []int) []int {
-			start := len(buf)
+	return Build(fmt.Sprintf("hypercube(%d)", dim), n, func(emit func(u, v int)) {
+		for u := 0; u < n; u++ {
 			for b := 0; b < dim; b++ {
-				buf = append(buf, u^(1<<b))
+				if v := u ^ (1 << b); u < v {
+					emit(u, v)
+				}
 			}
-			slices.Sort(buf[start:])
-			return buf
-		},
+		}
 	})
 }
 
@@ -569,15 +444,16 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		return nil, ErrRegularFailed
 	}
 
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e.u] = append(adj[e.u], e.v)
-		adj[e.v] = append(adj[e.v], e.u)
+	g := Build(fmt.Sprintf("regular(%d,d=%d)", n, d), n, func(emit func(u, v int)) {
+		for _, e := range edges {
+			emit(e.u, e.v)
+		}
+	})
+	if g.NumEdges() != len(edges) {
+		// A repair re-created an edge that was still present.
+		return nil, ErrRegularFailed
 	}
-	for _, ns := range adj {
-		sort.Ints(ns)
-	}
-	return fromLists(fmt.Sprintf("regular(%d,d=%d)", n, d), adj)
+	return g, nil
 }
 
 // MustRandomRegular retries RandomRegular over derived seeds until it
@@ -593,37 +469,6 @@ func MustRandomRegular(n, d int, seed uint64) *Graph {
 	panic("graph: MustRandomRegular exhausted retries")
 }
 
-// adjSets accumulates undirected edges in per-vertex sets — the shared
-// scaffolding for generators that sample edges and must dedupe them
-// before emitting sorted adjacency lists.
-type adjSets []map[int]bool
-
-func newAdjSets(n int) adjSets {
-	a := make(adjSets, n)
-	for i := range a {
-		a[i] = make(map[int]bool)
-	}
-	return a
-}
-
-func (a adjSets) add(u, v int) {
-	a[u][v] = true
-	a[v][u] = true
-}
-
-func (a adjSets) lists() [][]int {
-	lists := make([][]int, len(a))
-	for u, set := range a {
-		lst := make([]int, 0, len(set))
-		for v := range set {
-			lst = append(lst, v)
-		}
-		sort.Ints(lst)
-		lists[u] = lst
-	}
-	return lists
-}
-
 // BarabasiAlbert grows a preferential-attachment graph: starting from a
 // (m+1)-clique, each new vertex attaches to m distinct existing vertices
 // chosen with probability proportional to their degree. The heavy-tailed
@@ -635,14 +480,11 @@ func BarabasiAlbert(n, m int, seed uint64) *Graph {
 		panic("graph: BarabasiAlbert needs n > m+1 and m >= 1")
 	}
 	rng := xrand.Derive(seed, 0xBA, uint64(n), uint64(m))
-	adj := newAdjSets(n)
-	// Repeated-endpoint list: sampling an index uniformly samples a vertex
-	// with probability proportional to its degree.
+	// Repeated-endpoint list, one pair per edge: sampling an index
+	// uniformly samples a vertex with probability proportional to its
+	// degree.
 	var endpoints []int
-	addEdge := func(u, v int) {
-		adj.add(u, v)
-		endpoints = append(endpoints, u, v)
-	}
+	addEdge := func(u, v int) { endpoints = append(endpoints, u, v) }
 	for u := 0; u <= m; u++ {
 		for v := u + 1; v <= m; v++ {
 			addEdge(u, v)
@@ -665,7 +507,11 @@ func BarabasiAlbert(n, m int, seed uint64) *Graph {
 			addEdge(u, v)
 		}
 	}
-	return mustFromLists(fmt.Sprintf("ba(%d,m=%d)", n, m), adj.lists())
+	return Build(fmt.Sprintf("ba(%d,m=%d)", n, m), n, func(emit func(u, v int)) {
+		for i := 0; i < len(endpoints); i += 2 {
+			emit(endpoints[i], endpoints[i+1])
+		}
+	})
 }
 
 // SmallWorld samples a Newman–Watts small-world graph: the ring lattice
@@ -676,12 +522,10 @@ func BarabasiAlbert(n, m int, seed uint64) *Graph {
 // that makes routed root-gossip cheap. Requires k >= 1, n >= 2k+2 and
 // beta in [0,1].
 //
-// Construction is sharded: every vertex draws its shortcut from its own
-// derived stream (xrand.DeriveStream(seed, 0x5311, n, k, u)), so the
-// decisions are independent and the build parallelises over GOMAXPROCS
-// with bit-identical output at any parallelism. Rows are packed straight
-// into CSR storage — no per-vertex slices — which is what lets SC1 lift
-// the old 3×10^5 small-world ceiling.
+// Every vertex draws its shortcut from its own derived stream
+// (xrand.DeriveStream(seed, 0x5311, n, k, u)), so the decisions are
+// independent and are drawn in parallel over GOMAXPROCS with
+// bit-identical output at any parallelism.
 func SmallWorld(n, k int, beta float64, seed uint64) *Graph {
 	if k < 1 || n < 2*k+2 {
 		panic("graph: SmallWorld needs k >= 1 and n >= 2k+2")
@@ -689,9 +533,6 @@ func SmallWorld(n, k int, beta float64, seed uint64) *Graph {
 	if beta < 0 || beta > 1 {
 		panic("graph: SmallWorld needs beta in [0,1]")
 	}
-	name := fmt.Sprintf("smallworld(%d,k=%d)", n, k)
-
-	// Phase 1 (parallel): per-vertex shortcut decisions.
 	shortcut := make([]int32, n)
 	parallelFor(n, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -703,83 +544,20 @@ func SmallWorld(n, k int, beta float64, seed uint64) *Graph {
 			}
 		}
 	})
-
-	// Phase 2 (sequential, O(n)): counting-sort the incoming shortcuts so
-	// each vertex can read the shortcuts pointing at it.
-	indeg := make([]int32, n)
-	for _, v := range shortcut {
-		if v >= 0 {
-			indeg[v]++
-		}
-	}
-	inOff := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		inOff[v+1] = inOff[v] + int64(indeg[v])
-	}
-	inArr := make([]int32, inOff[n])
-	cursor := make([]int64, n)
-	copy(cursor, inOff[:n])
-	for u, v := range shortcut {
-		if v >= 0 {
-			inArr[cursor[v]] = int32(u)
-			cursor[v]++
-		}
-	}
-
-	// Phase 3 (sequential, O(n)): provisional row offsets with room for
-	// lattice edges, the own shortcut and all incoming shortcuts.
-	prov := make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		c := int64(2*k) + int64(indeg[u])
-		if shortcut[u] >= 0 {
-			c++
-		}
-		prov[u+1] = prov[u] + c
-	}
-
-	// Phase 4 (parallel): fill each row in its provisional slot, then
-	// sort and dedupe it in place (duplicates arise when a shortcut hits
-	// a lattice edge or mirrors another shortcut).
-	tmp := make([]int32, prov[n])
-	deg := make([]int32, n)
-	parallelFor(n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			row := tmp[prov[u]:prov[u]:prov[u+1]]
+	return Build(fmt.Sprintf("smallworld(%d,k=%d)", n, k), n, func(emit func(u, v int)) {
+		for u, v := range shortcut {
 			for d := 1; d <= k; d++ {
-				row = append(row, int32((u+d)%n), int32((u+n-d)%n))
+				emit(u, (u+d)%n)
 			}
-			if v := shortcut[u]; v >= 0 {
-				row = append(row, v)
+			if v >= 0 {
+				emit(u, int(v))
 			}
-			row = append(row, inArr[inOff[u]:inOff[u+1]]...)
-			slices.Sort(row)
-			w := 0
-			for i, v := range row {
-				if i == 0 || v != row[i-1] {
-					row[w] = v
-					w++
-				}
-			}
-			deg[u] = int32(w)
 		}
 	})
-
-	// Phase 5: final offsets and compaction.
-	off := make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + int64(deg[u])
-	}
-	csr := make([]int32, off[n])
-	parallelFor(n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			copy(csr[off[u]:off[u+1]], tmp[prov[u]:prov[u]+int64(deg[u])])
-		}
-	})
-	return &Graph{name: name, n: n, off: off, csr: csr, m: int(off[n] / 2)}
 }
 
 // ErdosRenyi samples G(n, p) using geometric edge skipping, which runs in
-// O(n + |E|) expected time. Stored as CSR.
+// O(n + |E|) expected time.
 func ErdosRenyi(n int, p float64, seed uint64) *Graph {
 	if n < 1 {
 		panic("graph: ErdosRenyi needs n >= 1")
@@ -787,9 +565,12 @@ func ErdosRenyi(n int, p float64, seed uint64) *Graph {
 	if p < 0 || p > 1 {
 		panic("graph: ErdosRenyi needs p in [0,1]")
 	}
-	rng := xrand.Derive(seed, 0xe12, uint64(n))
-	adj := make([][]int, n)
-	if p > 0 {
+	// Build runs the enumerator twice; each run replays the same stream.
+	return Build(fmt.Sprintf("gnp(%d,p=%.4g)", n, p), n, func(emit func(u, v int)) {
+		if p == 0 {
+			return
+		}
+		rng := xrand.Derive(seed, 0xe12, uint64(n))
 		logq := math.Log1p(-p) // log(1-p), p<1
 		// addEdge maps a linear index over the strict upper triangle (in
 		// row-major order) to a pair (u,v), u<v. Indices arrive in
@@ -801,37 +582,30 @@ func ErdosRenyi(n int, p float64, seed uint64) *Graph {
 				consumed += int64(n - 1 - curU)
 				curU++
 			}
-			u := curU
-			v := u + 1 + int(idx-consumed)
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], u)
+			emit(curU, curU+1+int(idx-consumed))
 		}
 		total := int64(n) * int64(n-1) / 2
 		if p >= 1 {
 			for i := int64(0); i < total; i++ {
 				addEdge(i)
 			}
-		} else {
-			i := int64(-1)
-			for {
-				u := rng.Float64()
-				skip := int64(1)
-				if u > 0 {
-					skip = 1 + int64(math.Floor(math.Log(u)/logq))
-				}
-				if skip < 1 {
-					skip = 1
-				}
-				i += skip
-				if i >= total {
-					break
-				}
-				addEdge(i)
-			}
+			return
 		}
-	}
-	for _, ns := range adj {
-		sort.Ints(ns)
-	}
-	return mustFromLists(fmt.Sprintf("gnp(%d,p=%.4g)", n, p), adj)
+		i := int64(-1)
+		for {
+			u := rng.Float64()
+			skip := int64(1)
+			if u > 0 {
+				skip = 1 + int64(math.Floor(math.Log(u)/logq))
+			}
+			if skip < 1 {
+				skip = 1
+			}
+			i += skip
+			if i >= total {
+				return
+			}
+			addEdge(i)
+		}
+	})
 }

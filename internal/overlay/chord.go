@@ -17,7 +17,7 @@ type Chord struct {
 }
 
 // NewChord wraps a Chord ring as an Overlay. The finger-table graph is
-// materialised once here.
+// built once here, as CSR rows.
 func NewChord(ring *chord.Ring) *Chord {
 	return &Chord{ring: ring, g: ring.Graph()}
 }

@@ -174,8 +174,8 @@ func TestSelectorValidation(t *testing.T) {
 }
 
 // The GGE eavesdrop cache must track the true estimates under the
-// lossless wireless-broadcast assumption: after any run, heard[p] for
-// edge (t,u) equals x[u] exactly.
+// lossless wireless-broadcast assumption: after any run, the heard entry
+// of every edge (t,u) equals x[u] exactly.
 func TestGGECacheConsistency(t *testing.T) {
 	const n = 16
 	values := make([]float64, n)
@@ -191,9 +191,10 @@ func TestGGECacheConsistency(t *testing.T) {
 	eng := async.NewEngine(n, sim.Options{Seed: 17})
 	eng.Run(func(u int) { st.exchange(eng, sel, u) }, func() bool { return false }, 500)
 	for u := 0; u < n; u++ {
-		for pos := st.off[u]; pos < st.off[u+1]; pos++ {
-			if got, want := st.heard[pos], st.x[st.nbr[pos]]; got != want {
-				t.Fatalf("node %d heard %v from %d, actual %v", u, got, st.nbr[pos], want)
+		first, row := g.Row(u)
+		for i, v := range row {
+			if got, want := st.heard[first+i], st.x[v]; got != want {
+				t.Fatalf("node %d heard %v from %d, actual %v", u, got, v, want)
 			}
 		}
 	}

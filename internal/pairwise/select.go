@@ -9,7 +9,7 @@ package pairwise
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"drrgossip/internal/graph"
 	"drrgossip/internal/xrand"
@@ -33,29 +33,16 @@ type Selector interface {
 }
 
 // state is the per-run protocol state selectors read: the estimate
-// vector and the neighbor structure. The driver is strictly sequential,
-// so one scratch buffer serves every NeighborsInto query.
+// vector and the neighbor structure.
 type state struct {
-	n       int
-	g       *graph.Graph // nil = complete graph
-	x       []float64
-	scratch []int
+	n int
+	g *graph.Graph // nil = complete graph
+	x []float64
 
-	// GGE eavesdrop cache (built by gge.init): one sorted flat adjacency
-	// (off/nbr, CSR-style) plus heard[p] = the estimate that nbr[p]'s
-	// neighbor last broadcast, indexed by directed-edge position p.
-	off   []int
-	nbr   []int32
+	// GGE eavesdrop cache (built by gge.init): heard[first+i] is the
+	// estimate that the i-th neighbor in u's row last broadcast, where
+	// first, row = g.Row(u).
 	heard []float64
-}
-
-// neighbors fills the shared scratch with u's neighbor list.
-func (st *state) neighbors(u int) []int {
-	if cap(st.scratch) == 0 {
-		st.scratch = make([]int, 0, st.g.MaxDegree())
-	}
-	st.scratch = st.g.NeighborsInto(u, st.scratch[:0])
-	return st.scratch
 }
 
 // SelectorNames lists the registered policy names in NewSelector order.
@@ -93,11 +80,11 @@ func (uniform) pick(st *state, u int, rng *xrand.Stream) int {
 		}
 		return rng.IntnOther(st.n, u)
 	}
-	ns := st.neighbors(u)
+	_, ns := st.g.Row(u)
 	if len(ns) == 0 {
 		return -1
 	}
-	return ns[rng.Intn(len(ns))]
+	return int(ns[rng.Intn(len(ns))])
 }
 
 // GGE returns greedy gossip with eavesdropping (Üstebay et al.): every
@@ -118,37 +105,26 @@ func (*gge) init(st *state) error {
 	if st.g == nil {
 		return fmt.Errorf("pairwise: gge needs a sparse overlay (its eavesdrop cache is O(edges); on the complete graph that is O(n²)) — use uniform or samplegreedy")
 	}
-	// Build a sorted flat adjacency once: sorted rows make the broadcast
-	// update a binary search and the tie-break "lowest neighbor id".
-	st.off = make([]int, st.n+1)
-	deg := 0
+	// Rows are sorted, which makes the broadcast update a binary search
+	// and the tie-break "lowest neighbor id". At start every node has
+	// broadcast its initial value once.
+	st.heard = make([]float64, 2*st.g.NumEdges())
 	for u := 0; u < st.n; u++ {
-		deg += len(st.neighbors(u))
-		st.off[u+1] = deg
-	}
-	st.nbr = make([]int32, deg)
-	st.heard = make([]float64, deg)
-	for u := 0; u < st.n; u++ {
-		row := st.nbr[st.off[u]:st.off[u+1]]
-		for i, v := range st.neighbors(u) {
-			row[i] = int32(v)
-		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		// At start every node has broadcast its initial value once.
+		first, row := st.g.Row(u)
 		for i, v := range row {
-			st.heard[st.off[u]+i] = st.x[v]
+			st.heard[first+i] = st.x[v]
 		}
 	}
 	return nil
 }
 
 func (*gge) pick(st *state, u int, _ *xrand.Stream) int {
-	lo, hi := st.off[u], st.off[u+1]
+	first, row := st.g.Row(u)
 	best, gap := -1, -1.0
 	xu := st.x[u]
-	for p := lo; p < hi; p++ {
-		if g := math.Abs(xu - st.heard[p]); g > gap {
-			gap, best = g, int(st.nbr[p])
+	for i, v := range row {
+		if g := math.Abs(xu - st.heard[first+i]); g > gap {
+			gap, best = g, int(v)
 		}
 	}
 	return best
@@ -165,12 +141,11 @@ func (*gge) committed(st *state, u, v int) {
 // search — O(deg(u) · log deg(t)) per commit.
 func (st *state) broadcast(u int) {
 	xu := st.x[u]
-	for p := st.off[u]; p < st.off[u+1]; p++ {
-		t := int(st.nbr[p])
-		row := st.nbr[st.off[t]:st.off[t+1]]
-		i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(u) })
-		if i < len(row) && row[i] == int32(u) {
-			st.heard[st.off[t]+i] = xu
+	_, row := st.g.Row(u)
+	for _, t := range row {
+		first, trow := st.g.Row(int(t))
+		if i, ok := slices.BinarySearch(trow, int32(u)); ok {
+			st.heard[first+i] = xu
 		}
 	}
 }
@@ -196,9 +171,9 @@ func (sampleGreedy) init(st *state) error       { return nil }
 func (sampleGreedy) committed(*state, int, int) {}
 
 func (sg sampleGreedy) pick(st *state, u int, rng *xrand.Stream) int {
-	var ns []int
+	var ns []int32
 	if st.g != nil {
-		ns = st.neighbors(u)
+		_, ns = st.g.Row(u)
 		if len(ns) == 0 {
 			return -1
 		}
@@ -212,7 +187,7 @@ func (sg sampleGreedy) pick(st *state, u int, rng *xrand.Stream) int {
 		if st.g == nil {
 			c = rng.IntnOther(st.n, u)
 		} else {
-			c = ns[rng.Intn(len(ns))]
+			c = int(ns[rng.Intn(len(ns))])
 		}
 		if g := math.Abs(xu - st.x[c]); g > gap {
 			gap, best = g, c

@@ -5,10 +5,12 @@
 // uniform random node sampler standing in for King et al.'s "choosing a
 // random peer in Chord" (see docs/PAPER_MAP.md, Section 4).
 //
-// A Ring stores no finger tables: routing recomputes the O(bits) finger
-// candidates of the current hop on the fly from closed-form successor
-// arithmetic (Even placement) or binary search over the sorted
-// identifier array (Hashed placement, the only O(n) state kept). The
+// A Ring stores no finger tables and no per-node routing state. A
+// hop's fingers come from finger: under Even placement a closed form
+// (two per-shift offsets fixed by New, an add, a multiply and two
+// compares, no division); under Hashed placement a binary search over
+// the sorted identifier array (the only O(n) state kept). A hop probes
+// only the shifts below its remaining span, from the largest down. The
 // communication graph Local-DRR runs on is built once by Graph, as CSR
 // rows of forward fingers, reverse fingers and ring links.
 package chord
@@ -45,7 +47,8 @@ type Options struct {
 // Ring is an immutable Chord overlay on nodes 0..n-1. Node indices are
 // ranks on the identifier circle: node i's successor is node (i+1) mod n.
 // Even placement stores no per-node state at all (identifiers are
-// i·step); Hashed placement stores only the sorted identifier array.
+// i·step; its finger offsets are two arrays of one entry per shift);
+// Hashed placement stores only the sorted identifier array.
 type Ring struct {
 	n      int
 	bits   int
@@ -53,6 +56,11 @@ type Ring struct {
 	step   uint64   // Even placement: ids[i] = i*step; 0 under Hashed
 	ids    []uint64 // Hashed placement: sorted identifiers; nil under Even
 	minArc uint64   // smallest successor arc, for rejection sampling
+	// Even placement, per shift k: near[k] = ⌈2^k/step⌉, the finger
+	// offset when ID(i) + 2^k does not wrap past 0, and far[k] =
+	// ⌈(2^k − rem)/step⌉ with rem = space − n·step, the offset past n
+	// when it does (0 where 2^k <= rem, which never wraps).
+	near, far [62]uint64
 }
 
 // New builds a Chord ring on n nodes (n >= 2).
@@ -78,6 +86,14 @@ func New(n int, opts Options) (*Ring, error) {
 		// Every arc is step except node 0's, which absorbs the rounding
 		// remainder (space - (n-1)·step >= step), so minArc = step.
 		r.minArc = r.step
+		rem := space - uint64(n)*r.step
+		for k := 0; k < bits; k++ {
+			s := uint64(1) << uint(k)
+			r.near[k] = (s + r.step - 1) / r.step
+			if s > rem {
+				r.far[k] = (s - rem + r.step - 1) / r.step
+			}
+		}
 	case Hashed:
 		rng := xrand.Derive(opts.Seed, 0xC40D, uint64(n))
 		used := make(map[uint64]bool, n)
@@ -156,17 +172,34 @@ func (r *Ring) SuccessorOf(id uint64) int {
 	return i
 }
 
-// appendFingers appends node i's distinct fingers, successor(ID(i) +
-// 2^k) over every k except those landing on i itself, in clockwise order
-// from i. Every shift 2^k <= minArc lands on i's successor, so the
-// search starts at the first longer shift; a finger's clockwise distance
-// from i never falls as k grows, so repeats are adjacent.
+// finger returns node i's k-th finger, successor(ID(i) + 2^k), for
+// 0 <= k < bits. Under Even placement ID(i) + 2^k lands at ⌈·/step⌉ =
+// i + near[k] unless that passes n; then it is node 0 if the shift
+// stays below space (node 0's arc absorbs the rounding remainder), and
+// otherwise it wraps past identifier 0 onto i + far[k] − n.
+func (r *Ring) finger(i, k int) int {
+	if r.ids != nil {
+		return r.SuccessorOf(r.ids[i] + uint64(1)<<uint(k))
+	}
+	if f := uint64(i) + r.near[k]; f < uint64(r.n) {
+		return int(f)
+	}
+	if uint64(i)*r.step+uint64(1)<<uint(k) < r.space {
+		return 0
+	}
+	return int(uint64(i) + r.far[k] - uint64(r.n))
+}
+
+// appendFingers appends node i's distinct fingers, finger(i, k) over
+// every k except those landing on i itself, in clockwise order from i.
+// Every shift 2^k <= minArc lands on i's successor, so the search
+// starts at the first longer shift; a finger's clockwise distance from
+// i never falls as k grows, so repeats are adjacent.
 func (r *Ring) appendFingers(i int, buf []int) []int {
 	last := (i + 1) % r.n
 	buf = append(buf, last)
-	id := r.ID(i)
 	for k := bits.Len64(r.minArc); k < r.bits; k++ {
-		if f := r.SuccessorOf(id + uint64(1)<<uint(k)); f != i && f != last {
+		if f := r.finger(i, k); f != i && f != last {
 			buf = append(buf, f)
 			last = f
 		}
@@ -184,6 +217,12 @@ func (r *Ring) dist(a, b uint64) uint64 { return (b - a) & (r.space - 1) }
 // caller owns dst; reusing it across calls makes routing
 // allocation-free.
 func (r *Ring) AppendRoute(dst []int, from int, id uint64) []int {
+	dst, _ = r.route(dst, from, id)
+	return dst
+}
+
+// route is AppendRoute that also returns the owner of id.
+func (r *Ring) route(dst []int, from int, id uint64) ([]int, int) {
 	id &= r.space - 1
 	owner := r.SuccessorOf(id)
 	base := len(dst)
@@ -199,26 +238,25 @@ func (r *Ring) AppendRoute(dst []int, from int, id uint64) []int {
 			panic("chord: routing did not converge")
 		}
 	}
-	return dst
+	return dst, owner
 }
 
 // closestPreceding returns the finger of cur whose identifier is closest
 // to id while remaining strictly within the clockwise interval
-// (ids[cur], id); cur itself if none. Finger candidates are recomputed on
-// the fly, scanning shifts from the largest down. The clockwise distance
-// from cur to successor(ID(cur) + 2^k) is nondecreasing in k (every
-// finger other than cur lies at least 2^k past it), so the first finger
-// found strictly inside the interval is the closest one, and shifts with
-// 2^k >= dist(cur, id) cannot land inside it at all.
+// (ids[cur], id); cur itself if none. It probes finger(cur, k) from the
+// largest shift below span = dist(cur, id) down: shifts with 2^k >= span
+// cannot land inside the interval, and the clockwise distance from cur
+// to finger(cur, k) is nondecreasing in k (every finger other than cur
+// lies at least 2^k past it), so the first finger found strictly inside
+// the interval is the closest one. A span of 0 or 1 leaves no room.
 func (r *Ring) closestPreceding(cur int, id uint64) int {
 	curID := r.ID(cur)
 	span := r.dist(curID, id)
-	for k := r.bits - 1; k >= 0; k-- {
-		s := uint64(1) << uint(k)
-		if s >= span {
-			continue
-		}
-		f := r.SuccessorOf((curID + s) & (r.space - 1))
+	if span <= 1 {
+		return cur
+	}
+	for k := bits.Len64(span-1) - 1; k >= 0; k-- {
+		f := r.finger(cur, k)
 		if f != cur && r.dist(curID, r.ID(f)) < span {
 			return f
 		}
@@ -254,10 +292,9 @@ func (r *Ring) AppendSample(dst []int, rng *xrand.Stream, from int) (node int, p
 	avgArc := float64(r.space) / float64(r.n)
 	base := len(dst)
 	for try := 0; ; try++ {
-		id := rng.Uint64n(r.space)
-		path = r.AppendRoute(dst[:base], from, id)
+		var owner int
+		path, owner = r.route(dst[:base], from, rng.Uint64n(r.space))
 		totalHops += len(path) - base
-		owner := r.SuccessorOf(id)
 		a := float64(r.arc(owner))
 		if a <= avgArc || try >= 63 || rng.Float64() < avgArc/a {
 			return owner, path, totalHops
@@ -269,7 +306,7 @@ func (r *Ring) AppendSample(dst []int, rng *xrand.Stream, from int) (node int, p
 // Graph returns the undirected communication graph induced by the finger
 // tables: an edge {i, f} for every finger f of i (the successor link is
 // the first finger). This is the topology Local-DRR runs on (Section 4);
-// its degree is O(log n). The CSR rows cost O(n·bits) successor lookups
+// its degree is O(log n). The CSR rows cost O(n·bits) finger lookups
 // and 8 + 4·d bytes per node. A graph is immutable, so Even-placement
 // rings of one size and width, which are identical, share the graph last
 // built for one (see lastEven).

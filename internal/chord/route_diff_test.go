@@ -89,7 +89,8 @@ func diffRings(t *testing.T) map[string]*Ring {
 	for _, p := range []Placement{Even, Hashed} {
 		for _, c := range []struct{ n, bits int }{
 			{2, 40}, {5, 3}, {8, 3}, {64, 6}, {64, 8}, {64, 40},
-			{1000, 10}, {1000, 12}, {1000, 40}, {4097, 13},
+			{1000, 10}, {1000, 12}, {1000, 40}, {1000, 62}, {4097, 13},
+			{12345, 20},
 		} {
 			r, err := New(c.n, Options{Bits: c.bits, Placement: p, Seed: uint64(c.n + c.bits)})
 			if err != nil {
@@ -178,5 +179,92 @@ func TestAppendRouteSampleZeroAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("placement %d: AppendSample allocates %v objects per call", p, allocs)
 		}
+	}
+}
+
+// TestFingerMatchesSuccessorOf checks the closed-form fingers against
+// the successor search for every node and shift: on rings where step
+// does not divide the space (rem > 0, so node 0's arc is longer), from
+// three nodes in the widest space to a million nodes (a stride of them),
+// and on every diffRings ring of both placements.
+func TestFingerMatchesSuccessorOf(t *testing.T) {
+	rings := diffRings(t)
+	for _, c := range []struct{ n, bits int }{
+		{3, 62}, {1000, 62}, {999, 10}, {12345, 20}, {1 << 13, 40}, {1000003, 40},
+	} {
+		rings[fmt.Sprintf("even/n%d/b%d", c.n, c.bits)] = MustNew(c.n, Options{Bits: c.bits})
+	}
+	for name, r := range rings {
+		stride := 1 + r.N()/20000
+		for i := 0; i < r.N(); i += stride {
+			assertFingers(t, name, r, i)
+		}
+		assertFingers(t, name, r, r.N()-1)
+	}
+}
+
+func assertFingers(t *testing.T, name string, r *Ring, i int) {
+	t.Helper()
+	for k := 0; k < r.bits; k++ {
+		if got, want := r.finger(i, k), r.SuccessorOf(r.ID(i)+uint64(1)<<uint(k)); got != want {
+			t.Fatalf("%s: finger(%d, %d) = %d, SuccessorOf says %d", name, i, k, got, want)
+		}
+	}
+}
+
+// FuzzChordRouteMatchesReference compares finger, closestPreceding,
+// AppendRoute and AppendSample with SuccessorOf and the full-scan
+// references on fuzzed rings (drawn as in FuzzChordGraphMatchesReference),
+// start nodes, target identifiers and sampler seeds.
+func FuzzChordRouteMatchesReference(f *testing.F) {
+	f.Add(uint16(5), uint8(3), false, uint64(1), uint32(4), uint64(7))
+	f.Add(uint16(64), uint8(40), true, uint64(0xfeed), uint32(0), uint64(1<<39))
+	f.Add(uint16(1000), uint8(60), false, uint64(7), uint32(999), uint64(12345))
+	f.Add(uint16(257), uint8(9), true, uint64(3), uint32(100), uint64(511))
+	f.Fuzz(func(t *testing.T, size uint16, width uint8, hashed bool, seed uint64, from uint32, id uint64) {
+		n := 2 + int(size)%1500
+		minBits := 1
+		for 1<<minBits < n {
+			minBits++
+		}
+		opts := Options{Bits: minBits + int(width)%(63-minBits), Seed: seed}
+		if hashed {
+			opts.Placement = Hashed
+		}
+		r := MustNew(n, opts)
+		src := int(from % uint32(n))
+		id &= r.space - 1
+		assertFingers(t, "fuzz", r, src)
+		if got, want := r.closestPreceding(src, id), r.refClosestPreceding(src, id); got != want {
+			t.Fatalf("closestPreceding(%d, %d) = %d, full scan says %d", src, id, got, want)
+		}
+		if got, want := r.AppendRoute(nil, src, id), r.refRoute(src, id); !slices.Equal(got, want) {
+			t.Fatalf("AppendRoute(%d, %d) = %v, reference %v", src, id, got, want)
+		}
+		a, b := xrand.New(seed^id), xrand.New(seed^id)
+		var buf []int
+		for trial := 0; trial < 8; trial++ {
+			wantNode, wantPath, wantHops := r.refSample(b, src)
+			var node, hops int
+			node, buf, hops = r.AppendSample(buf[:0], a, src)
+			if node != wantNode || hops != wantHops || !slices.Equal(buf, wantPath) {
+				t.Fatalf("AppendSample from %d = (%d, %v, %d), reference (%d, %v, %d)",
+					src, node, buf, hops, wantNode, wantPath, wantHops)
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("RNG streams diverged after sampling (%d vs %d)", x, y)
+		}
+	})
+}
+
+// An Even ring holds no per-node routing state: New allocates the Ring
+// and nothing else. A per-node finger table (n × bits int32, even one
+// shared between identical rings) made each routed hop a cache miss and
+// doubled SC1's chord n = 10^6 leg (pipeline 9.4–10.6 s → 19.4–21.2 s,
+// peak RSS 442 → 507 MB), so it must not come back.
+func TestEvenRingHoldsNoPerNodeState(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, func() { MustNew(1<<16, Options{}) }); allocs > 1 {
+		t.Fatalf("New(2^16, Even) makes %v allocations, want at most 1", allocs)
 	}
 }
